@@ -1,8 +1,11 @@
 #include "catalog/tenant_writer.h"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <string>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -13,6 +16,66 @@
 #include "text/sharded_engine.h"
 
 namespace mweaver::catalog {
+
+namespace {
+
+// Rejects a batch that leaves two live rows of a relation under one primary
+// key, at least one of them inserted by the batch. Runs on the clones after
+// the batch's inserts (appended to `db` at `inserted_rows`, into
+// `insert_rels`) and deletes, so a batch may delete a row and re-insert its
+// key. Only relations the batch inserts into are checked; each costs one
+// pass over its rows, which the copy-on-write clone already paid for.
+Status CheckInsertedPrimaryKeys(
+    const storage::Database& db,
+    const std::vector<storage::RelationId>& insert_rels,
+    const std::vector<storage::RowId>& inserted_rows) {
+  std::map<storage::RelationId, std::vector<storage::RowId>> by_relation;
+  for (size_t i = 0; i < insert_rels.size(); ++i) {
+    by_relation[insert_rels[i]].push_back(inserted_rows[i]);
+  }
+  for (const auto& [rel_id, rows] : by_relation) {
+    const storage::Relation& rel = db.relation(rel_id);
+    const std::vector<storage::AttributeId>& pk = rel.schema().primary_key();
+    if (pk.empty()) continue;
+    const auto key_less = [&pk](const storage::Row* a, const storage::Row* b) {
+      for (const storage::AttributeId attr : pk) {
+        const storage::Value& x = (*a)[static_cast<size_t>(attr)];
+        const storage::Value& y = (*b)[static_cast<size_t>(attr)];
+        if (x < y) return true;
+        if (y < x) return false;
+      }
+      return false;
+    };
+    const auto duplicate = [&](storage::RowId row, const char* what) {
+      std::string key;
+      for (const storage::AttributeId attr : pk) {
+        if (!key.empty()) key += ", ";
+        key += rel.at(row, attr).ToDisplayString();
+      }
+      return Status::InvalidArgument(
+          StrFormat("insert into '%s' repeats the primary key (%s) of %s",
+                    rel.name().c_str(), key.c_str(), what));
+    };
+    std::set<const storage::Row*, decltype(key_less)> keys(key_less);
+    for (const storage::RowId row : rows) {
+      if (rel.is_deleted(row)) continue;
+      if (!keys.insert(&rel.row(row)).second) {
+        return duplicate(row, "an earlier insert in the batch");
+      }
+    }
+    if (keys.empty()) continue;
+    // Inserts are appended, so every row before the first one predates
+    // the batch.
+    for (storage::RowId row = 0; row < rows.front(); ++row) {
+      if (!rel.is_deleted(row) && keys.count(&rel.row(row)) > 0) {
+        return duplicate(row, "a live row");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 TenantWriter::TenantWriter(Catalog* catalog, TenantWriterOptions options)
     : catalog_(catalog), options_(options) {
@@ -94,6 +157,9 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
         db->mutable_relation(delete_rels[i])->Delete(batch.deletes[i].row);
     if (!s.ok()) return s;
   }
+  Status keys = CheckInsertedPrimaryKeys(*db, insert_rels,
+                                         result.inserted_rows);
+  if (!keys.ok()) return keys;
 
   // Index delta: copy-on-write engine over the new database, then replay
   // the same rows in the same order into the touched relations' indexes.

@@ -101,7 +101,11 @@ class TenantWriter {
   ///    (InvalidArgument, via Relation::Append),
   ///  - deletes must name an in-range, live row — base rows and rows
   ///    inserted earlier in this same batch are both fair game
-  ///    (InvalidArgument on double-delete or out-of-range).
+  ///    (InvalidArgument on double-delete or out-of-range),
+  ///  - once the batch's inserts and deletes are applied, no inserted row
+  ///    may share its primary key with another live row, base or inserted
+  ///    (InvalidArgument; relations without a primary key are exempt). A
+  ///    batch may thus delete a row and re-insert its key.
   ///
   /// FailedPrecondition when a concurrent Publish superseded the base
   /// snapshot mid-build; callers may re-Pin and retry on the new epoch.

@@ -1,6 +1,5 @@
 #include "core/pairwise.h"
 
-#include <set>
 #include <string>
 
 #include "common/failpoint.h"
@@ -45,8 +44,6 @@ PairwiseMappingMap GeneratePairwiseMappingPaths(
   const storage::Database& db = schema_graph.db();
   const size_t m = locations.num_columns();
   PairwiseMappingMap pmpm;
-  // Canonical forms already emitted, per column pair.
-  std::map<ColumnPair, std::set<std::string>> seen;
 
   // Attributes of L(j) grouped by relation, for endpoint lookups.
   std::vector<std::map<storage::RelationId, std::vector<storage::AttributeId>>>
@@ -71,7 +68,10 @@ PairwiseMappingMap GeneratePairwiseMappingPaths(
               walk.empty() ? start.relation : walk.back().relation;
           // Emit a pairwise mapping for every later column whose location
           // map has attributes on the endpoint relation (Algorithm 3 line
-          // 6-11, Algorithm 4).
+          // 6-11, Algorithm 4). No dedup is needed: a chain is fixed by
+          // (start attribute, walk, end attribute), and column i projects
+          // only its start vertex, which pins any isomorphism between two
+          // chains to the identity; distinct triples give distinct chains.
           for (size_t j = i + 1; j < m; ++j) {
             auto it = attrs_by_relation[j].find(endpoint);
             if (it == attrs_by_relation[j].end()) continue;
@@ -79,10 +79,8 @@ PairwiseMappingMap GeneratePairwiseMappingPaths(
               MappingPath path =
                   BuildChain(start.relation, walk, static_cast<int>(i),
                              start.attribute, static_cast<int>(j), end_attr);
-              const ColumnPair key{static_cast<int>(i), static_cast<int>(j)};
-              if (seen[key].insert(path.Canonical()).second) {
-                pmpm[key].push_back(std::move(path));
-              }
+              pmpm[ColumnPair{static_cast<int>(i), static_cast<int>(j)}]
+                  .push_back(std::move(path));
             }
           }
         }

@@ -36,8 +36,9 @@ using PairwiseMappingMap = std::map<ColumnPair, std::vector<MappingPath>>;
 using PairwiseTupleMap = std::map<ColumnPair, std::vector<TuplePath>>;
 
 /// \brief Algorithms 2-4: enumerates every pairwise mapping path satisfying
-/// the PMNJ constraint (options.pmnj), deduplicated per column pair by
-/// canonical form. Polls `ctx` between BFS start attributes and per depth
+/// the PMNJ constraint (options.pmnj). Each (start attribute, walk, end
+/// attribute) yields one chain, and no two chains of a column pair share a
+/// canonical form, so no dedup pass runs. Polls `ctx` between BFS start attributes and per depth
 /// level; a stop leaves later pairs un-enumerated.
 PairwiseMappingMap GeneratePairwiseMappingPaths(
     const graph::SchemaGraph& schema_graph, const LocationMap& locations,

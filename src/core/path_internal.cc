@@ -85,14 +85,6 @@ std::string CanonicalEncoding(std::span<const PathVertex> vertices,
   return BestRooting(BuildAdjacency(vertices), labels);
 }
 
-std::string CanonicalEncoding(std::span<const VertexId> parents,
-                              std::span<const storage::ForeignKeyId> fks,
-                              std::span<const unsigned char> from_side,
-                              const std::vector<std::string>& labels) {
-  if (parents.empty()) return "";
-  return BestRooting(BuildAdjacency(parents, fks, from_side), labels);
-}
-
 std::vector<VertexId> SimplePath(const std::vector<std::vector<AdjEdge>>& adj,
                                  VertexId from, VertexId to) {
   std::vector<VertexId> path;

@@ -43,12 +43,6 @@ std::string EncodeFrom(const std::vector<std::vector<AdjEdge>>& adj,
 std::string CanonicalEncoding(std::span<const PathVertex> vertices,
                               const std::vector<std::string>& labels);
 
-/// \brief SoA overload of CanonicalEncoding (see BuildAdjacency).
-std::string CanonicalEncoding(std::span<const VertexId> parents,
-                              std::span<const storage::ForeignKeyId> fks,
-                              std::span<const unsigned char> from_side,
-                              const std::vector<std::string>& labels);
-
 /// \brief Vertices on the unique simple path from `from` to `to` inclusive.
 std::vector<VertexId> SimplePath(const std::vector<std::vector<AdjEdge>>& adj,
                                  VertexId from, VertexId to);

@@ -38,6 +38,11 @@ Result<SearchResult> SampleSearch(const text::FullTextEngine& engine,
   if (sample_tuple.empty()) {
     return Status::InvalidArgument("sample tuple must have at least 1 column");
   }
+  if (sample_tuple.size() > static_cast<size_t>(kMaxTargetColumns)) {
+    return Status::InvalidArgument(
+        StrFormat("sample tuple has %zu columns; at most %d are supported",
+                  sample_tuple.size(), kMaxTargetColumns));
+  }
   for (size_t i = 0; i < sample_tuple.size(); ++i) {
     if (sample_tuple[i].empty()) {
       return Status::InvalidArgument(StrFormat(

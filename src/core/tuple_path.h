@@ -10,6 +10,7 @@
 #ifndef MWEAVER_CORE_TUPLE_PATH_H_
 #define MWEAVER_CORE_TUPLE_PATH_H_
 
+#include <cstdint>
 #include <memory_resource>
 #include <optional>
 #include <span>
@@ -20,6 +21,10 @@
 #include "storage/database.h"
 
 namespace mweaver::core {
+
+/// Target columns the weave handles: it keeps a path's covered columns as a
+/// 64-bit mask, so SampleSearch rejects wider samples.
+inline constexpr int kMaxTargetColumns = 64;
 
 /// \brief An instantiated mapping path (Definition 5).
 ///
@@ -111,6 +116,9 @@ class TuplePath {
   }
   const Projection* FindProjection(int target_column) const;
   std::vector<int> TargetColumns() const;
+  /// \brief Bit c set iff target column c is projected; every column must
+  /// be below kMaxTargetColumns.
+  uint64_t ColumnMask() const;
   size_t size() const { return projections_.size(); }
 
   /// \brief Mean match score across this path's projections (1.0 when no
@@ -129,9 +137,13 @@ class TuplePath {
   std::vector<std::string> ProjectTargetValues(
       const storage::Database& db) const;
 
-  /// \brief Rooting-independent encoding over (relation, row, fk,
-  /// orientation, projections); used for duplicate elimination in Alg 5.
+  /// \brief Rooting-independent key over (relation, row, fk, orientation,
+  /// projections); used for duplicate elimination in Alg 5. Two paths have
+  /// equal keys iff they are the same labeled tree. The key is a compact
+  /// binary AHU encoding rooted at the tree's center(s), not display text.
   std::string Canonical() const;
+  /// \brief Canonical() written into `out`, reusing its capacity.
+  void Canonical(std::string* out) const;
 
   /// \brief Instance-consistency check (the invariant behind Theorem 1):
   /// every edge's FK join condition holds between the assigned tuples, all
@@ -144,12 +156,19 @@ class TuplePath {
     return Canonical() == other.Canonical();
   }
 
-  /// \brief Weaves pairwise path `ptp` onto `base` (Algorithm 6).
+  /// \brief Weaves pairwise path `ptp` onto `base` (Algorithm 6) into
+  /// `out`, overwriting it and reusing its storage.
   ///
   /// Requires: ptp.size() == 2 and the projection-key sets intersect in
-  /// exactly one column. Returns nullopt when the fuse vertices disagree on
-  /// (relation, tuple). On success the result has size base.size() + 1 and
-  /// its node storage draws from `mr` (nullptr = heap).
+  /// exactly one column. Returns false (leaving `out` unspecified) when the
+  /// fuse vertices disagree on (relation, tuple); that check runs before
+  /// anything is copied. On success `out` has size base.size() + 1. Once
+  /// `out` has grown to its working size, a weave allocates nothing.
+  static bool WeaveInto(const TuplePath& base, const TuplePath& ptp,
+                        TuplePath* out);
+
+  /// \brief WeaveInto() onto a fresh path whose node storage draws from
+  /// `mr` (nullptr = heap); nullopt when the fuse vertices disagree.
   static std::optional<TuplePath> Weave(const TuplePath& base,
                                         const TuplePath& ptp,
                                         std::pmr::memory_resource* mr =
@@ -158,6 +177,10 @@ class TuplePath {
   std::string ToString(const storage::Database& db) const;
 
  private:
+  /// \brief Overwrites every lane with `other`'s, keeping this path's
+  /// allocator and capacity.
+  void AssignFrom(const TuplePath& other);
+
   // Vertex SoA lanes; all five vectors stay the same length.
   std::pmr::vector<storage::RelationId> relations_;
   std::pmr::vector<VertexId> parents_;

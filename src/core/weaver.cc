@@ -1,8 +1,8 @@
 #include "core/weaver.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
+#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -15,19 +15,25 @@ std::vector<TuplePath> GenerateCompleteTuplePaths(const PairwiseTupleMap& ptpm,
                                                   ExecutionContext& ctx,
                                                   WeaveStats* stats) {
   MW_CHECK_GE(num_columns, 2);
+  MW_CHECK_LE(num_columns, kMaxTargetColumns);
   const size_t m = static_cast<size_t>(num_columns);
   WeaveStats local;
   local.tuple_paths_per_level.assign(m + 1, 0);
   std::pmr::memory_resource* const arena = ctx.resource();
 
+  // Canonical key of the latest path; reused so a duplicate costs no
+  // allocation.
+  std::string key;
+
   // Level 2: all pairwise tuple paths, deduplicated and cloned onto the
   // arena so every level (and the returned paths) shares one allocator.
   std::vector<TuplePath> level;
   {
-    std::set<std::string> seen;
-    for (const auto& [key, paths] : ptpm) {
+    std::unordered_set<std::string> seen;
+    for (const auto& [columns, paths] : ptpm) {
       for (const TuplePath& tp : paths) {
-        if (seen.insert(tp.Canonical()).second) level.emplace_back(tp, arena);
+        tp.Canonical(&key);
+        if (seen.insert(key).second) level.emplace_back(tp, arena);
       }
     }
   }
@@ -40,9 +46,12 @@ std::vector<TuplePath> GenerateCompleteTuplePaths(const PairwiseTupleMap& ptpm,
            ctx.OverMemoryBudget();
   };
 
+  // Every weave lands in this heap scratch first; only a path the dedup set
+  // accepts is copied onto the arena, so duplicates never reach it.
+  TuplePath woven;
   for (size_t n = 2; n < m && !level.empty(); ++n) {
     std::vector<TuplePath> next;
-    std::set<std::string> seen;
+    std::unordered_set<std::string> seen;
     for (const TuplePath& base : level) {
       // Chaos site: a spurious cancellation landing mid-weave, exactly as a
       // client disconnect would — the run must still surface a classified,
@@ -58,24 +67,20 @@ std::vector<TuplePath> GenerateCompleteTuplePaths(const PairwiseTupleMap& ptpm,
         local.deadline_expired = true;
         break;
       }
-      const std::vector<int> base_cols = base.TargetColumns();
-      auto covers = [&](int col) {
-        return std::find(base_cols.begin(), base_cols.end(), col) !=
-               base_cols.end();
-      };
-      for (const auto& [key, pairwise_paths] : ptpm) {
+      const uint64_t base_cols = base.ColumnMask();
+      for (const auto& [columns, pairwise_paths] : ptpm) {
         // Weavable iff the pairwise keys intersect the base's in exactly
         // one column (Algorithm 5, line 8).
-        const int in_base = (covers(key.first) ? 1 : 0) +
-                            (covers(key.second) ? 1 : 0);
+        const uint64_t in_base = ((base_cols >> columns.first) & 1) +
+                                 ((base_cols >> columns.second) & 1);
         if (in_base != 1) continue;
         for (const TuplePath& ptp : pairwise_paths) {
           ++local.weave_attempts;
-          std::optional<TuplePath> woven = TuplePath::Weave(base, ptp, arena);
-          if (!woven.has_value()) continue;
+          if (!TuplePath::WeaveInto(base, ptp, &woven)) continue;
           ++local.weave_successes;
-          if (seen.insert(woven->Canonical()).second) {
-            next.push_back(std::move(*woven));
+          woven.Canonical(&key);
+          if (seen.insert(key).second) {
+            next.emplace_back(woven, arena);
             ++local.total_tuple_paths;
             if (over_budget()) {
               local.truncated = true;

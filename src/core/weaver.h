@@ -4,7 +4,8 @@
 // Level n holds every distinct tuple path covering n target columns
 // (n = 2..m). Each level-(n+1) path is obtained by weaving a pairwise tuple
 // path sharing exactly one projection key onto a level-n base. Duplicates
-// arising from different weave orders are removed via canonical encodings.
+// arising from different weave orders are removed by their canonical keys
+// before they are materialised.
 #ifndef MWEAVER_CORE_WEAVER_H_
 #define MWEAVER_CORE_WEAVER_H_
 
@@ -40,10 +41,9 @@ struct WeaveStats {
 /// With num_columns == 2 the complete paths are the (deduplicated) pairwise
 /// paths themselves.
 ///
-/// Node storage for every intermediate and returned path lives on
-/// `ctx.arena()` — the weave is the allocation hot path, so the bump
-/// allocator replaces millions of small heap allocations with pointer
-/// increments. Returned paths are only valid until the context's next
+/// Each weave lands in one reusable heap scratch path; only a path whose
+/// canonical key is new is copied onto `ctx.arena()`, where every kept
+/// intermediate and returned path lives. Returned paths are only valid until the context's next
 /// ResetForSearch(); ranking detaches the retained examples by plain copy.
 /// The deadline/cancel token is polled once per base path, and
 /// ctx.OverMemoryBudget() truncates the weave alongside

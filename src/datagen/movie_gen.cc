@@ -32,12 +32,21 @@ AttributeSchema Str(const std::string& name) {
 }
 
 RelationId AddTable(Database* db, const std::string& name,
-                    std::vector<AttributeSchema> attrs) {
+                    std::vector<AttributeSchema> attrs,
+                    std::vector<storage::AttributeId> key = {0}) {
   RelationSchema schema(name, std::move(attrs));
-  schema.SetPrimaryKey({0});
+  schema.SetPrimaryKey(std::move(key));
   auto result = db->AddRelation(std::move(schema));
   MW_CHECK(result.ok()) << result.status().ToString();
   return *result;
+}
+
+// A many-to-many link table: its first column repeats (one movie has many
+// keywords), so the table is keyed by its (left, right) pair, which the
+// link fillers keep unique.
+RelationId AddLink(Database* db, const std::string& name,
+                   std::vector<AttributeSchema> attrs) {
+  return AddTable(db, name, std::move(attrs), {0, 1});
 }
 
 void AddFk(Database* db, const std::string& from_rel,
@@ -141,25 +150,25 @@ Database MakeYahooMovies(const YahooMoviesConfig& config) {
                           Str("phone")});
 
   // --- Link relations ----------------------------------------------------
-  AddTable(&db, "direct", {Id("mid"), Id("pid")});
-  AddTable(&db, "write", {Id("mid"), Id("pid")});
-  AddTable(&db, "act", {Id("mid"), Id("pid"), Str("role")});
-  AddTable(&db, "produce", {Id("mid"), Id("cid")});
-  AddTable(&db, "filmedin", {Id("mid"), Id("lid")});
-  AddTable(&db, "hasgenre", {Id("mid"), Id("gid")});
-  AddTable(&db, "moviewon", {Id("aid"), Id("mid")});
-  AddTable(&db, "personwon", {Id("aid"), Id("pid")});
-  AddTable(&db, "belongsto", {Id("pid"), Id("fid")});
-  AddTable(&db, "bornin", {Id("pid"), Id("cnid")});
-  AddTable(&db, "spokenin", {Id("mid"), Id("lgid")});
-  AddTable(&db, "haskeyword", {Id("mid"), Id("kid")});
-  AddTable(&db, "reviewedby", {Id("rvid"), Id("crid")});
-  AddTable(&db, "showsin", {Id("mid"), Id("cnmid")});
-  AddTable(&db, "shownat", {Id("mid"), Id("fsid")});
-  AddTable(&db, "distributedby", {Id("mid"), Id("stid")});
-  AddTable(&db, "featuresong", {Id("mid"), Id("sgid")});
-  AddTable(&db, "playscharacter", {Id("chid"), Id("pid")});
-  AddTable(&db, "representedby", {Id("pid"), Id("agid")});
+  AddLink(&db, "direct", {Id("mid"), Id("pid")});
+  AddLink(&db, "write", {Id("mid"), Id("pid")});
+  AddLink(&db, "act", {Id("mid"), Id("pid"), Str("role")});
+  AddLink(&db, "produce", {Id("mid"), Id("cid")});
+  AddLink(&db, "filmedin", {Id("mid"), Id("lid")});
+  AddLink(&db, "hasgenre", {Id("mid"), Id("gid")});
+  AddLink(&db, "moviewon", {Id("aid"), Id("mid")});
+  AddLink(&db, "personwon", {Id("aid"), Id("pid")});
+  AddLink(&db, "belongsto", {Id("pid"), Id("fid")});
+  AddLink(&db, "bornin", {Id("pid"), Id("cnid")});
+  AddLink(&db, "spokenin", {Id("mid"), Id("lgid")});
+  AddLink(&db, "haskeyword", {Id("mid"), Id("kid")});
+  AddLink(&db, "reviewedby", {Id("rvid"), Id("crid")});
+  AddLink(&db, "showsin", {Id("mid"), Id("cnmid")});
+  AddLink(&db, "shownat", {Id("mid"), Id("fsid")});
+  AddLink(&db, "distributedby", {Id("mid"), Id("stid")});
+  AddLink(&db, "featuresong", {Id("mid"), Id("sgid")});
+  AddLink(&db, "playscharacter", {Id("chid"), Id("pid")});
+  AddLink(&db, "representedby", {Id("pid"), Id("agid")});
 
   // --- Foreign keys -------------------------------------------------------
   AddFk(&db, "review", "mid", "movie", "mid");

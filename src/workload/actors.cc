@@ -1,7 +1,11 @@
 #include "workload/actors.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -14,6 +18,78 @@ using Clock = Orchestrator::Clock;
 /// Closed-loop overload backoff: long enough to let a worker drain one
 /// request, short enough not to distort sub-millisecond latencies.
 constexpr std::chrono::microseconds kOverloadBackoff{200};
+
+// Primary keys for inserted entity rows: process-wide, never reused, and far
+// above the ids the synthetic sources assign.
+std::atomic<int64_t> next_insert_key{int64_t{1} << 40};
+
+// The row an updater inserts: a copy of `template_row` that the writer
+// accepts (no live row holds its primary key) and whose foreign keys point
+// at rows no updater inserted, so deleting an updater's rows never orphans
+// another. An entity copy gets a fresh value in a key column that is not a
+// foreign key. A link copy, every key column a foreign key, is re-linked:
+// its last key column takes the value another live link row holds there.
+// Nullopt when no unused link was found.
+std::optional<storage::Row> InsertableCopy(const storage::Database& db,
+                                           storage::RelationId rel_id,
+                                           storage::RowId template_row,
+                                           Rng* rng) {
+  const storage::Relation& rel = db.relation(rel_id);
+  const std::vector<storage::AttributeId>& pk = rel.schema().primary_key();
+  storage::Row row = rel.row(template_row);
+  if (pk.empty()) return row;
+  const auto is_foreign_key = [&](storage::AttributeId attr) {
+    for (const storage::ForeignKey& fk : db.foreign_keys()) {
+      if (fk.from_relation == rel_id && fk.from_attribute == attr) return true;
+    }
+    return false;
+  };
+  for (const storage::AttributeId attr : pk) {
+    if (!is_foreign_key(attr) &&
+        rel.schema().attribute(attr).type == storage::ValueType::kInt64) {
+      row[static_cast<size_t>(attr)] =
+          storage::Value(next_insert_key.fetch_add(1));
+      return row;
+    }
+  }
+  const auto relinked = static_cast<size_t>(pk.back());
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    const auto donor = static_cast<storage::RowId>(rng->Index(rel.num_rows()));
+    if (rel.is_deleted(donor)) continue;
+    row[relinked] = rel.row(donor)[relinked];
+    bool taken = false;
+    for (storage::RowId r = 0;
+         !taken && r < static_cast<storage::RowId>(rel.num_rows()); ++r) {
+      if (rel.is_deleted(r)) continue;
+      taken = std::all_of(pk.begin(), pk.end(), [&](storage::AttributeId a) {
+        return rel.at(r, a) == row[static_cast<size_t>(a)];
+      });
+    }
+    if (!taken) return row;
+  }
+  return std::nullopt;
+}
+
+// An updater's insert: a copy (see InsertableCopy) of a random live row of a
+// random relation. A small link table can run out of unused links for a
+// template, so a miss moves on to another relation.
+std::optional<catalog::RowInsert> PickInsert(const storage::Database& db,
+                                             Rng* rng) {
+  for (size_t attempt = 0; attempt < db.num_relations(); ++attempt) {
+    const auto rel_id =
+        static_cast<storage::RelationId>(rng->Index(db.num_relations()));
+    const storage::Relation& rel = db.relation(rel_id);
+    if (rel.num_live_rows() == 0) continue;
+    for (int pick = 0; pick < 32; ++pick) {
+      const auto r = static_cast<storage::RowId>(rng->Index(rel.num_rows()));
+      if (rel.is_deleted(r)) continue;
+      std::optional<storage::Row> row = InsertableCopy(db, rel_id, r, rng);
+      if (!row.has_value()) break;
+      return catalog::RowInsert{rel.name(), *std::move(row)};
+    }
+  }
+  return std::nullopt;
+}
 
 double LagMs(Clock::time_point intended, Clock::time_point actual) {
   return std::max(
@@ -59,37 +135,15 @@ void Actor::RunUpdateIteration(const PhaseRuntime& phase,
   const std::string_view tenant = config_.tenant.empty()
                                       ? service::kDefaultTenant
                                       : std::string_view(config_.tenant);
-  // Pin the current snapshot only to pick a template: the batch itself is
+  // Pin the current snapshot only to pick the insert: the batch itself is
   // validated against whatever snapshot is current when the writer runs.
-  auto pinned = config_.service->catalog().Pin(tenant);
-  if (!pinned.ok()) {
-    recorder_.RecordSessionFailure(phase.index);
-    return;
-  }
-  const storage::Database& db = (*pinned)->db();
-  storage::RelationId rel_id = storage::kInvalidRelation;
-  for (size_t attempt = 0; attempt < db.num_relations(); ++attempt) {
-    const auto candidate =
-        static_cast<storage::RelationId>(rng_.Index(db.num_relations()));
-    if (db.relation(candidate).num_live_rows() > 0) {
-      rel_id = candidate;
-      break;
-    }
-  }
-  if (rel_id == storage::kInvalidRelation) {
-    recorder_.RecordSessionFailure(phase.index);
-    return;
-  }
-  const storage::Relation& rel = db.relation(rel_id);
-  storage::RowId template_row = -1;
-  for (int attempt = 0; attempt < 32; ++attempt) {
-    const auto r = static_cast<storage::RowId>(rng_.Index(rel.num_rows()));
-    if (!rel.is_deleted(r)) {
-      template_row = r;
-      break;
-    }
-  }
-  if (template_row < 0) {
+  const auto pick_insert = [&]() -> std::optional<catalog::RowInsert> {
+    auto pinned = config_.service->catalog().Pin(tenant);
+    if (!pinned.ok()) return std::nullopt;
+    return PickInsert((*pinned)->db(), &rng_);
+  };
+  std::optional<catalog::RowInsert> insert = pick_insert();
+  if (!insert.has_value()) {
     recorder_.RecordSessionFailure(phase.index);
     return;
   }
@@ -97,8 +151,7 @@ void Actor::RunUpdateIteration(const PhaseRuntime& phase,
   service::UpdateRequest request;
   request.tenant = std::string(tenant);
   request.deadline = phase.spec->request_deadline;
-  request.batch.inserts.push_back(
-      catalog::RowInsert{rel.name(), rel.row(template_row)});
+  request.batch.inserts.push_back(*std::move(insert));
   // Keep the backlog bounded: once enough of our own rows accumulated,
   // fold deletes of the oldest into the batch — steady churn instead of
   // unbounded growth. Only rows THIS actor inserted are ever deleted, so
@@ -131,8 +184,10 @@ void Actor::RunUpdateIteration(const PhaseRuntime& phase,
   // NotFound before the delta builds, FailedPrecondition when the
   // republish lands mid-Apply and the install loses its CAS. In every
   // case the safe reaction is the same: drop the stale ownership and
-  // re-issue the inserts alone; later iterations rebuild the delete
-  // backlog against the new epoch's row ids.
+  // re-issue the insert alone; later iterations rebuild the delete
+  // backlog against the new epoch's row ids. The insert is picked again
+  // from the current snapshot, since InvalidArgument may also mean that a
+  // concurrent updater inserted the same link first.
   if (!result.status.ok() &&
       (result.status.code() == StatusCode::kInvalidArgument ||
        result.status.code() == StatusCode::kNotFound ||
@@ -140,6 +195,9 @@ void Actor::RunUpdateIteration(const PhaseRuntime& phase,
     owned_rows_.clear();
     deleting.clear();
     request.batch.deletes.clear();
+    if (std::optional<catalog::RowInsert> again = pick_insert()) {
+      request.batch.inserts = {*std::move(again)};
+    }
     result = config_.service->ApplyUpdate(request);
   }
   recorder_.Record(phase.index, result.outcome,
@@ -150,7 +208,7 @@ void Actor::RunUpdateIteration(const PhaseRuntime& phase,
                       owned_rows_.begin() +
                           static_cast<ptrdiff_t>(deleting.size()));
     for (storage::RowId id : result.inserted_rows) {
-      owned_rows_.emplace_back(rel.name(), id);
+      owned_rows_.emplace_back(request.batch.inserts[0].relation, id);
     }
   }
   // A failed/expired batch applied nothing: owned_rows_ stays as it was

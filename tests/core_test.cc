@@ -279,6 +279,23 @@ TEST_F(CoreTest, SearchRejectsEmptySamples) {
   EXPECT_TRUE(SampleSearch(engine_, graph_, {}).status().IsInvalidArgument());
 }
 
+// The weave keeps covered columns as a 64-bit mask: a wider sample is
+// refused up front instead of tripping a check mid-search.
+TEST_F(CoreTest, SearchAcceptsAtMost64Columns) {
+  std::vector<std::string> widest(static_cast<size_t>(kMaxTargetColumns),
+                                  "zzz");
+  widest[0] = "Avatar";
+  widest[1] = "James Cameron";
+  auto accepted = SampleSearch(engine_, graph_, widest);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  EXPECT_TRUE(accepted->candidates.empty());  // "zzz" is found nowhere
+
+  std::vector<std::string> too_wide = widest;
+  too_wide.push_back("zzz");
+  auto rejected = SampleSearch(engine_, graph_, too_wide);
+  EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
+}
+
 TEST_F(CoreTest, SearchIsSound) {
   // Every candidate's mapping, executed with the sample constraints, has
   // support (Theorem 1).

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "core/sample_search.h"
 #include "datagen/movie_gen.h"
@@ -93,6 +94,42 @@ TEST(YahooGenTest, LoglinesEmbedTitles) {
   EXPECT_GT(embedded, movie.num_rows() / 2);
 }
 
+// Every declared primary key is unique over the generated rows.
+void ExpectPrimaryKeysUnique(const storage::Database& db) {
+  for (size_t r = 0; r < db.num_relations(); ++r) {
+    const storage::Relation& rel =
+        db.relation(static_cast<storage::RelationId>(r));
+    const auto& pk = rel.schema().primary_key();
+    ASSERT_FALSE(pk.empty()) << rel.name();
+    std::set<std::vector<storage::Value>> keys;
+    for (size_t row = 0; row < rel.num_rows(); ++row) {
+      std::vector<storage::Value> key;
+      for (const storage::AttributeId a : pk) {
+        key.push_back(rel.at(static_cast<storage::RowId>(row), a));
+      }
+      EXPECT_TRUE(keys.insert(std::move(key)).second)
+          << rel.name() << " row " << row << " repeats a primary key";
+    }
+  }
+}
+
+// Many-to-many link tables repeat their first column (a movie has several
+// keywords), so they are keyed by their (left, right) pair; entity tables
+// by their id.
+TEST(YahooGenTest, PrimaryKeysAreUnique) {
+  YahooMoviesConfig config;
+  config.num_movies = 60;
+  const storage::Database db = MakeYahooMovies(config);
+  ExpectPrimaryKeysUnique(db);
+  const auto key_of = [&](const char* name) {
+    return db.relation(db.FindRelation(name)).schema().primary_key();
+  };
+  EXPECT_EQ(key_of("movie"), std::vector<storage::AttributeId>{0});
+  EXPECT_EQ(key_of("review"), std::vector<storage::AttributeId>{0});
+  EXPECT_EQ(key_of("haskeyword"), (std::vector<storage::AttributeId>{0, 1}));
+  EXPECT_EQ(key_of("act"), (std::vector<storage::AttributeId>{0, 1}));
+}
+
 // --------------------------------------------------------------- IMDb gen --
 
 TEST(ImdbGenTest, MatchesPaperSchemaCounts) {
@@ -108,6 +145,12 @@ TEST(ImdbGenTest, ReferentialIntegrityHolds) {
   config.num_movies = 30;
   const storage::Database db = MakeImdb(config);
   EXPECT_TRUE(db.CheckReferentialIntegrity().ok());
+}
+
+TEST(ImdbGenTest, PrimaryKeysAreUnique) {
+  ImdbConfig config;
+  config.num_movies = 60;
+  ExpectPrimaryKeysUnique(MakeImdb(config));
 }
 
 TEST(ImdbGenTest, EveryMovieHasDirectorAndReleaseDate) {

@@ -1,18 +1,24 @@
 // Tests for MappingPath / TuplePath (Definitions 3-5) and Weave (Alg 6).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
 #include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/mapping_path.h"
 #include "core/tuple_path.h"
+#include "reference_weave.h"
 #include "test_util.h"
 
 namespace mweaver::core {
 namespace {
 
 using ::mweaver::testing::MakeFigure2Db;
+using ::mweaver::testing::ReferenceCanonical;
 using storage::Database;
 
 // Figure-2 catalog constants (see MakeFigure2Db): relations movie=0,
@@ -397,6 +403,244 @@ TEST(CanonicalFuzzTest, DistinguishesMutations) {
     if (changed.Canonical() != tree.path.Canonical()) ++distinguished;
   }
   EXPECT_EQ(distinguished, 100u);
+}
+
+// --------------------------------- TuplePath canonical-key fuzzing --
+
+namespace {
+
+// A tuple-path tree as plain lanes, so tests can rebuild it with one label
+// changed or under another root. Labels come from a tiny alphabet: repeated
+// (relation, row) labels and symmetric subtrees are the common case.
+struct TupleTreeSpec {
+  std::vector<storage::RelationId> relations;
+  std::vector<storage::RowId> rows;
+  std::vector<VertexId> parents;
+  std::vector<storage::ForeignKeyId> fks;
+  std::vector<bool> from_side;
+  std::vector<Projection> projections;
+
+  TuplePath Build() const {
+    TuplePath tp = TuplePath::SingleVertex(relations[0], rows[0]);
+    for (size_t i = 1; i < relations.size(); ++i) {
+      tp.AddVertex(relations[i], rows[i], parents[i], fks[i], from_side[i]);
+    }
+    for (const Projection& p : projections) {
+      tp.AddProjection(p.target_column, p.vertex, p.attribute, 1.0);
+    }
+    return tp;
+  }
+};
+
+TupleTreeSpec MakeRandomTupleTree(Rng* rng, size_t n) {
+  TupleTreeSpec t;
+  for (size_t i = 0; i < n; ++i) {
+    t.relations.push_back(
+        static_cast<storage::RelationId>(rng->UniformInt(0, 1)));
+    t.rows.push_back(rng->UniformInt(0, 1));
+    t.parents.push_back(
+        i == 0 ? kNoVertex
+               : static_cast<VertexId>(
+                     rng->UniformInt(0, static_cast<int64_t>(i) - 1)));
+    t.fks.push_back(i == 0 ? -1
+                           : static_cast<storage::ForeignKeyId>(
+                                 rng->UniformInt(0, 1)));
+    t.from_side.push_back(i != 0 && rng->Bernoulli(0.5));
+  }
+  int column = 0;
+  for (size_t v = 0; v < n; ++v) {
+    if (v == 0 || rng->Bernoulli(0.4)) {
+      t.projections.push_back(Projection{
+          column++, static_cast<VertexId>(v),
+          static_cast<storage::AttributeId>(rng->UniformInt(0, 1))});
+    }
+  }
+  return t;
+}
+
+// The same tree rooted at `root`, neighbors visited in a shuffled order so
+// vertex numbering changes too.
+TupleTreeSpec RerootTupleTree(const TupleTreeSpec& t, VertexId root,
+                              Rng* rng) {
+  const size_t n = t.relations.size();
+  struct Adj {
+    VertexId neighbor;
+    storage::ForeignKeyId fk;
+    bool neighbor_is_from;
+  };
+  std::vector<std::vector<Adj>> adj(n);
+  for (size_t i = 1; i < n; ++i) {
+    const auto parent = static_cast<size_t>(t.parents[i]);
+    adj[parent].push_back(
+        Adj{static_cast<VertexId>(i), t.fks[i], t.from_side[i]});
+    adj[i].push_back(Adj{t.parents[i], t.fks[i], !t.from_side[i]});
+  }
+  TupleTreeSpec out;
+  std::vector<VertexId> new_id(n, kNoVertex);
+  const auto add = [&](VertexId old, VertexId parent,
+                       storage::ForeignKeyId fk, bool from) {
+    new_id[static_cast<size_t>(old)] =
+        static_cast<VertexId>(out.relations.size());
+    out.relations.push_back(t.relations[static_cast<size_t>(old)]);
+    out.rows.push_back(t.rows[static_cast<size_t>(old)]);
+    out.parents.push_back(parent);
+    out.fks.push_back(fk);
+    out.from_side.push_back(from);
+  };
+  add(root, kNoVertex, -1, false);
+  std::deque<VertexId> queue{root};
+  while (!queue.empty()) {
+    const VertexId u = queue.front();
+    queue.pop_front();
+    std::vector<Adj> neighbors = adj[static_cast<size_t>(u)];
+    rng->Shuffle(&neighbors);
+    for (const Adj& e : neighbors) {
+      if (new_id[static_cast<size_t>(e.neighbor)] != kNoVertex) continue;
+      add(e.neighbor, new_id[static_cast<size_t>(u)], e.fk,
+          e.neighbor_is_from);
+      queue.push_back(e.neighbor);
+    }
+  }
+  for (const Projection& p : t.projections) {
+    out.projections.push_back(Projection{
+        p.target_column, new_id[static_cast<size_t>(p.vertex)], p.attribute});
+  }
+  return out;
+}
+
+// Number of centers (1 or 2) of the tree: two iff its diameter, counted in
+// edges, is odd.
+size_t NumCenters(const TupleTreeSpec& t) {
+  const size_t n = t.relations.size();
+  std::vector<std::vector<size_t>> adj(n);
+  for (size_t i = 1; i < n; ++i) {
+    adj[static_cast<size_t>(t.parents[i])].push_back(i);
+    adj[i].push_back(static_cast<size_t>(t.parents[i]));
+  }
+  const auto farthest = [&](size_t from, size_t* dist_out) {
+    std::vector<size_t> dist(n, SIZE_MAX);
+    std::deque<size_t> queue{from};
+    dist[from] = 0;
+    size_t far = from;
+    while (!queue.empty()) {
+      const size_t u = queue.front();
+      queue.pop_front();
+      if (dist[u] > dist[far]) far = u;
+      for (size_t w : adj[u]) {
+        if (dist[w] != SIZE_MAX) continue;
+        dist[w] = dist[u] + 1;
+        queue.push_back(w);
+      }
+    }
+    *dist_out = dist[far];
+    return far;
+  };
+  size_t unused = 0;
+  size_t diameter = 0;
+  farthest(farthest(0, &unused), &diameter);
+  return diameter % 2 == 1 ? 2 : 1;
+}
+
+}  // namespace
+
+TEST(CanonicalFuzzTest, TuplePathKeyInvariantUnderRerooting) {
+  Rng rng(20120521);
+  size_t two_center_trees = 0;
+  size_t repeated_label_trees = 0;
+  for (int round = 0; round < 300; ++round) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(1, 9));
+    const TupleTreeSpec tree = MakeRandomTupleTree(&rng, n);
+    two_center_trees += NumCenters(tree) == 2 ? 1 : 0;
+    std::set<std::pair<storage::RelationId, storage::RowId>> labels;
+    for (size_t i = 0; i < n; ++i) {
+      labels.emplace(tree.relations[i], tree.rows[i]);
+    }
+    repeated_label_trees += labels.size() < n ? 1 : 0;
+    const std::string key = tree.Build().Canonical();
+    for (size_t root = 0; root < n; ++root) {
+      const TuplePath rerooted =
+          RerootTupleTree(tree, static_cast<VertexId>(root), &rng).Build();
+      ASSERT_EQ(rerooted.Canonical(), key)
+          << "round " << round << " root " << root;
+    }
+  }
+  EXPECT_GT(two_center_trees, 50u);
+  EXPECT_GT(repeated_label_trees, 100u);
+}
+
+TEST(CanonicalFuzzTest, TuplePathKeySeesEveryLabelComponent) {
+  Rng rng(78);
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const size_t n = static_cast<size_t>(rng.UniformInt(2, 7));
+    const TupleTreeSpec tree = MakeRandomTupleTree(&rng, n);
+    const TuplePath original = tree.Build();
+    const std::string key = original.Canonical();
+    const std::string reference = ReferenceCanonical(original);
+    const size_t v = rng.Index(n);
+    const size_t edge = 1 + rng.Index(n - 1);  // the edge to edge's parent
+    const size_t proj = rng.Index(tree.projections.size());
+
+    // A label value the tree does not hold anywhere changes the labeled
+    // tree's isomorphism class, so it must change the key.
+    std::vector<TupleTreeSpec> fresh(6, tree);
+    fresh[0].relations[v] = 100;
+    fresh[1].rows[v] = 1000;
+    fresh[2].fks[edge] = 50;
+    fresh[3].projections[proj].attribute = 77;
+    fresh[4].projections[proj].target_column = 60;
+    fresh[5].projections.push_back(
+        Projection{61, static_cast<VertexId>(v), 0});
+    for (size_t k = 0; k < fresh.size(); ++k) {
+      const TuplePath mutated = fresh[k].Build();
+      EXPECT_NE(mutated.Canonical(), key) << "mutation " << k;
+      EXPECT_NE(ReferenceCanonical(mutated), reference) << "mutation " << k;
+    }
+
+    // Flipping an edge's orientation or moving a projection may land on an
+    // isomorphic tree when the tree is symmetric; the key must then agree
+    // with the reference encoding either way.
+    std::vector<TupleTreeSpec> maybe(2, tree);
+    maybe[0].from_side[edge] = !maybe[0].from_side[edge];
+    maybe[1].projections[proj].vertex = static_cast<VertexId>(v);
+    for (size_t k = 0; k < maybe.size(); ++k) {
+      const TuplePath mutated = maybe[k].Build();
+      EXPECT_EQ(mutated.Canonical() == key,
+                ReferenceCanonical(mutated) == reference)
+          << "mutation " << k;
+    }
+  }
+}
+
+// Over a pool of small random trees (many of them isomorphic by chance),
+// keys are equal exactly when the reference encodings are.
+TEST(CanonicalFuzzTest, TuplePathKeyEqualityMatchesReference) {
+  Rng rng(4242);
+  std::vector<TuplePath> pool;
+  for (int i = 0; i < 400; ++i) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(1, 4));
+    const TupleTreeSpec tree = MakeRandomTupleTree(&rng, n);
+    pool.push_back(
+        RerootTupleTree(tree, static_cast<VertexId>(rng.Index(n)), &rng)
+            .Build());
+  }
+  std::vector<std::string> keys;
+  std::vector<std::string> references;
+  for (const TuplePath& tp : pool) {
+    keys.push_back(tp.Canonical());
+    references.push_back(ReferenceCanonical(tp));
+  }
+  size_t equal_pairs = 0;
+  for (size_t a = 0; a < pool.size(); ++a) {
+    for (size_t b = a + 1; b < pool.size(); ++b) {
+      const bool same = references[a] == references[b];
+      ASSERT_EQ(keys[a] == keys[b], same)
+          << references[a] << " vs " << references[b];
+      equal_pairs += same ? 1 : 0;
+    }
+  }
+  EXPECT_GT(equal_pairs, 100u);
+  EXPECT_LT(equal_pairs, pool.size() * (pool.size() - 1) / 4);
 }
 
 }  // namespace

@@ -7,12 +7,17 @@
 //   2. On the same corpus, the parallel search core (and the interactive
 //      pruning path) returns byte-identical candidates to the serial path
 //      at every thread count — parallelism is a pure timing optimization.
-//   3. The accelerated text lookup equals the frozen linear-scan reference
+//   3. The weave (Algorithm 5) returns exactly the level sequences, stats
+//      and ranked candidates of the clone-then-canonicalise reference in
+//      reference_weave.h, at every truncation point; the pairwise mapping
+//      paths of each column pair are pairwise non-isomorphic.
+//   4. The accelerated text lookup equals the frozen linear-scan reference
 //      row-for-row even while fault injection randomly forces scan
 //      fallbacks and evicts/drops probe-memo entries mid-stream: cache
 //      chaos may cost recomputation, never rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,21 +26,32 @@
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "core/location_map.h"
+#include "core/pairwise.h"
+#include "core/ranking.h"
 #include "core/sample_search.h"
 #include "core/session.h"
+#include "core/weaver.h"
+#include "datagen/movie_gen.h"
+#include "datagen/workload.h"
 #include "graph/schema_graph.h"
+#include "query/executor.h"
+#include "reference_weave.h"
 #include "test_util.h"
 #include "text/fulltext_engine.h"
 #include "text/inverted_index.h"
 #include "text/match.h"
+#include "workload/replay.h"
 
 namespace mweaver {
 namespace {
 
 using ::mweaver::testing::CanonicalMappingSet;
+using ::mweaver::testing::IdenticalTuplePaths;
 using ::mweaver::testing::MakeRandomTextRelation;
 using ::mweaver::testing::MakeUniversityDb;
 using ::mweaver::testing::RandomSearchableValue;
+using ::mweaver::testing::ReferenceCompleteTuplePaths;
 
 // ------------------------- TPW == naive on 50+ random mini-databases ------
 
@@ -167,6 +183,184 @@ TEST(ParallelSerialEquivalenceProperty, ByteIdenticalOnRandomDatabases) {
                 SerializeCandidates(serial_session.candidates()));
     }
   }
+}
+
+// -------------- Weave == clone-then-canonicalise reference, exactly --------
+
+// What one corpus exercised, so a test can demand it covered something.
+struct WeaveCoverage {
+  size_t runs = 0;
+  size_t truncated_runs = 0;
+  size_t multi_level_runs = 0;  // runs that wove at least two levels
+  size_t duplicate_weaves = 0;  // successes the dedup set rejected
+};
+
+// Runs the search pipeline up to the pairwise tuple paths for
+// `sample_tuple`, then demands, for every level n and at several
+// max_total_tuple_paths truncation points (unlimited, then cuts spread over
+// the full run), that the weave returns the reference's paths one for one,
+// in order, with equal WeaveStats, and that ranking both outputs gives
+// bit-equal candidates.
+void ExpectWeaveMatchesReference(const text::FullTextEngine& engine,
+                                 const graph::SchemaGraph& graph,
+                                 const std::vector<std::string>& sample_tuple,
+                                 WeaveCoverage* coverage) {
+  const int m = static_cast<int>(sample_tuple.size());
+  core::SearchOptions options;
+  core::ExecutionContext ctx;
+  const core::LocationMap locations =
+      core::LocationMap::Build(engine, sample_tuple, &ctx);
+  const core::PairwiseMappingMap pmpm =
+      core::GeneratePairwiseMappingPaths(graph, locations, options, ctx);
+  const query::PathExecutor executor(&engine);
+  auto ptpm = core::CreatePairwiseTuplePaths(executor, pmpm, locations,
+                                             options, ctx, nullptr);
+  ASSERT_TRUE(ptpm.ok()) << ptpm.status().ToString();
+
+  core::WeaveStats full;
+  {
+    core::ExecutionContext weave_ctx;
+    core::GenerateCompleteTuplePaths(*ptpm, m, options, weave_ctx, &full);
+  }
+  std::vector<size_t> budgets{0};
+  for (size_t cut : {size_t{1}, full.total_tuple_paths / 3,
+                     full.total_tuple_paths / 2,
+                     full.total_tuple_paths - 1}) {
+    if (cut > 0 && cut < full.total_tuple_paths) budgets.push_back(cut);
+  }
+
+  for (size_t budget : budgets) {
+    core::SearchOptions weave_options = options;
+    weave_options.max_total_tuple_paths = budget;
+    for (int n = 2; n <= m; ++n) {
+      SCOPED_TRACE(StrFormat("m=%d level=%d budget=%zu", m, n, budget));
+      core::ExecutionContext actual_ctx;
+      core::ExecutionContext expected_ctx;
+      core::WeaveStats actual_stats;
+      core::WeaveStats expected_stats;
+      const std::vector<core::TuplePath> actual =
+          core::GenerateCompleteTuplePaths(*ptpm, n, weave_options,
+                                           actual_ctx, &actual_stats);
+      const std::vector<core::TuplePath> expected =
+          ReferenceCompleteTuplePaths(*ptpm, n, weave_options, expected_ctx,
+                                      &expected_stats);
+      EXPECT_EQ(actual_stats.tuple_paths_per_level,
+                expected_stats.tuple_paths_per_level);
+      EXPECT_EQ(actual_stats.total_tuple_paths,
+                expected_stats.total_tuple_paths);
+      EXPECT_EQ(actual_stats.weave_attempts, expected_stats.weave_attempts);
+      EXPECT_EQ(actual_stats.weave_successes, expected_stats.weave_successes);
+      EXPECT_EQ(actual_stats.truncated, expected_stats.truncated);
+      EXPECT_EQ(actual_stats.deadline_expired,
+                expected_stats.deadline_expired);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (size_t i = 0; i < actual.size(); ++i) {
+        ASSERT_TRUE(IdenticalTuplePaths(actual[i], expected[i]))
+            << "path " << i;
+      }
+      EXPECT_EQ(
+          SerializeCandidates(core::RankMappings(actual, weave_options)),
+          SerializeCandidates(core::RankMappings(expected, weave_options)));
+      ++coverage->runs;
+      coverage->truncated_runs += actual_stats.truncated ? 1 : 0;
+      coverage->multi_level_runs += n >= 4 && !actual.empty() ? 1 : 0;
+      const size_t woven_distinct =
+          actual_stats.total_tuple_paths -
+          actual_stats.tuple_paths_per_level[2];
+      coverage->duplicate_weaves +=
+          actual_stats.weave_successes - std::min(actual_stats.weave_successes,
+                                                  woven_distinct);
+    }
+  }
+}
+
+// One database of the parallel test's corpus (contents and FK wiring from
+// the seed, match mode cycling with it), with a random sample tuple widened
+// to m = 2..5 so the weave runs up to three levels.
+struct WideCorpusCase {
+  explicit WideCorpusCase(int seed)
+      : db(MakeUniversityDb(7'000 + static_cast<uint64_t>(seed),
+                            /*people=*/8 + seed % 5)),
+        engine(&db, seed % 3 == 0   ? text::MatchPolicy::Substring()
+                    : seed % 3 == 1 ? text::MatchPolicy::Fuzzy(1)
+                                    : text::MatchPolicy::Fuzzy(2)),
+        graph(&db) {
+    Rng rng(40'000 + static_cast<uint64_t>(seed) * 13);
+    for (int i = 0; i < 2 + seed % 4; ++i) {
+      sample_tuple.push_back(RandomSearchableValue(db, &rng));
+    }
+  }
+
+  const storage::Database db;
+  const text::FullTextEngine engine;
+  const graph::SchemaGraph graph;
+  std::vector<std::string> sample_tuple;
+};
+
+TEST(WeaveReferenceEquivalenceProperty, RandomDatabases) {
+  constexpr int kDatabases = 50;
+  WeaveCoverage coverage;
+  for (int seed = 0; seed < kDatabases; ++seed) {
+    SCOPED_TRACE("database seed " + std::to_string(seed));
+    const WideCorpusCase corpus(seed);
+    ExpectWeaveMatchesReference(corpus.engine, corpus.graph,
+                                corpus.sample_tuple, &coverage);
+  }
+  EXPECT_GT(coverage.truncated_runs, 0u);
+  EXPECT_GT(coverage.multi_level_runs, 0u);
+  EXPECT_GT(coverage.duplicate_weaves, 0u);
+}
+
+// The movie source the benchmarks search (200 movies): first rows of every
+// Section-6.2 task, m = 3..6, where most successful weaves are duplicates.
+TEST(WeaveReferenceEquivalenceProperty, MovieTaskFirstRows) {
+  const storage::Database db = datagen::MakeYahooMovies();
+  const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+  const graph::SchemaGraph graph(&db);
+  auto task_sets = datagen::MakeYahooTaskSets(db);
+  ASSERT_TRUE(task_sets.ok()) << task_sets.status().ToString();
+  WeaveCoverage coverage;
+  for (const workload::ReplayScript& script :
+       workload::BuildReplayScripts(engine, *task_sets, /*max_rows=*/3)) {
+    for (size_t r = 0; r < script.rows.size(); r += 2) {
+      SCOPED_TRACE("first row " + Join(script.rows[r], " | "));
+      ExpectWeaveMatchesReference(engine, graph, script.rows[r], &coverage);
+    }
+  }
+  EXPECT_GT(coverage.multi_level_runs, 0u);
+  EXPECT_GT(coverage.truncated_runs, 0u);
+  EXPECT_GT(coverage.duplicate_weaves, coverage.runs);
+}
+
+// GeneratePairwiseMappingPaths emits one chain per (start attribute, walk,
+// end attribute) without a dedup pass; this holds it to the structural
+// argument that no two chains of a column pair are isomorphic.
+TEST(PairwiseMappingProperty, CanonicalsDistinctWithinEachColumnPair) {
+  constexpr int kDatabases = 50;
+  size_t mappings = 0;
+  for (int seed = 0; seed < kDatabases; ++seed) {
+    SCOPED_TRACE("database seed " + std::to_string(seed));
+    const WideCorpusCase corpus(seed);
+    for (int pmnj : {1, 2, 3}) {
+      core::SearchOptions options;
+      options.pmnj = pmnj;
+      core::ExecutionContext ctx;
+      const core::LocationMap locations =
+          core::LocationMap::Build(corpus.engine, corpus.sample_tuple, &ctx);
+      const core::PairwiseMappingMap pmpm = core::GeneratePairwiseMappingPaths(
+          corpus.graph, locations, options, ctx);
+      for (const auto& [key, bucket] : pmpm) {
+        std::set<std::string> canonicals;
+        for (const core::MappingPath& mp : bucket) {
+          EXPECT_TRUE(canonicals.insert(mp.Canonical()).second)
+              << "pmnj " << pmnj << " pair (" << key.first << ","
+              << key.second << ") repeats " << mp.Canonical();
+        }
+        mappings += bucket.size();
+      }
+    }
+  }
+  EXPECT_GT(mappings, 0u);
 }
 
 // ------------- Accelerated text path == scan reference under cache chaos --

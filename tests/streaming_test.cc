@@ -13,9 +13,12 @@
 // TSan workloads (labels "stress;tsan").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +28,7 @@
 #include "catalog/tenant_writer.h"
 #include "common/random.h"
 #include "core/sample_search.h"
+#include "datagen/movie_gen.h"
 #include "graph/schema_graph.h"
 #include "service/mapping_service.h"
 #include "storage/database.h"
@@ -259,6 +263,160 @@ TEST(StreamingDifferentialTest, FailedBatchLeavesNoTrace) {
   const SnapshotPtr after = catalog.Pin(kTenant).ValueOrDie();
   EXPECT_EQ(after.get(), before.get());  // the very same snapshot object
   EXPECT_EQ(after->minor_epoch(), 0u);
+}
+
+// An insert that repeats a primary key — of a live row, or of an earlier
+// insert in the same batch — is rejected whole: InvalidArgument, and the
+// serving snapshot is the very same object. Without the check a verbatim
+// copy of a row slipped in as a second entity under the same key, and one
+// 6-column search over such a duplicated row ran for ~90 s and 2.6 GB.
+TEST(StreamingDifferentialTest, DuplicatePrimaryKeyInsertRejected) {
+  datagen::YahooMoviesConfig config;
+  config.num_movies = 30;
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Publish(kTenant, datagen::MakeYahooMovies(config)).ok());
+  TenantWriter writer(&catalog);
+  const SnapshotPtr before = catalog.Pin(kTenant).ValueOrDie();
+  const storage::RelationId movie = before->db().FindRelation("movie");
+  ASSERT_NE(movie, storage::kInvalidRelation);
+  const storage::Relation& rel = before->db().relation(movie);
+  ASSERT_EQ(rel.schema().primary_key(), std::vector<storage::AttributeId>{0});
+  int64_t max_key = 0;
+  for (storage::RowId r = 0; r < static_cast<storage::RowId>(rel.num_rows());
+       ++r) {
+    max_key = std::max(max_key, rel.at(r, 0).AsInt64());
+  }
+  storage::Row fresh = rel.row(3);
+  fresh[0] = storage::Value(max_key + 1);
+
+  const auto expect_rejected = [&](const UpdateBatch& batch,
+                                   const std::string& context) {
+    SCOPED_TRACE(context);
+    auto applied = writer.Apply(kTenant, batch);
+    ASSERT_FALSE(applied.ok());
+    EXPECT_EQ(applied.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(applied.status().ToString().find("primary key"),
+              std::string::npos)
+        << applied.status();
+    const SnapshotPtr after = catalog.Pin(kTenant).ValueOrDie();
+    EXPECT_EQ(after.get(), before.get());
+    EXPECT_EQ(after->minor_epoch(), 0u);
+  };
+
+  UpdateBatch verbatim;  // a fresh row first: the whole batch must go
+  verbatim.inserts.push_back(RowInsert{"movie", fresh});
+  verbatim.inserts.push_back(RowInsert{"movie", rel.row(3)});
+  expect_rejected(verbatim, "repeats a live row's key");
+
+  UpdateBatch twice;
+  twice.inserts.push_back(RowInsert{"movie", fresh});
+  twice.inserts.push_back(RowInsert{"movie", fresh});
+  expect_rejected(twice, "repeats an earlier insert's key");
+
+  // A fresh key goes in; once its row is deleted, the key is free again.
+  UpdateBatch once;
+  once.inserts.push_back(RowInsert{"movie", fresh});
+  auto inserted = writer.Apply(kTenant, once);
+  ASSERT_TRUE(inserted.ok()) << inserted.status();
+  UpdateBatch remove;
+  remove.deletes.push_back(RowDelete{"movie", inserted->inserted_rows[0]});
+  ASSERT_TRUE(writer.Apply(kTenant, remove).ok());
+  auto reinserted = writer.Apply(kTenant, once);
+  ASSERT_TRUE(reinserted.ok()) << reinserted.status();
+  EXPECT_EQ(catalog.Pin(kTenant).ValueOrDie()->minor_epoch(), 3u);
+}
+
+// A batch may delete a live row and re-insert its key: the key check looks
+// at the rows that are live once the whole batch is applied. For the same
+// reason a batch that inserts one key twice and deletes one of the two
+// copies is accepted.
+TEST(StreamingDifferentialTest, DeleteThenReinsertKeyInOneBatch) {
+  datagen::YahooMoviesConfig config;
+  config.num_movies = 30;
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Publish(kTenant, datagen::MakeYahooMovies(config)).ok());
+  TenantWriter writer(&catalog);
+  const SnapshotPtr before = catalog.Pin(kTenant).ValueOrDie();
+  const storage::RelationId movie = before->db().FindRelation("movie");
+  ASSERT_NE(movie, storage::kInvalidRelation);
+  const storage::Row replaced = before->db().relation(movie).row(3);
+
+  UpdateBatch replace;  // the insert comes first; deletes still apply
+  replace.inserts.push_back(RowInsert{"movie", replaced});
+  replace.deletes.push_back(RowDelete{"movie", 3});
+  auto applied = writer.Apply(kTenant, replace);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  const storage::Relation& after = applied->snapshot->db().relation(movie);
+  EXPECT_TRUE(after.is_deleted(3));
+  size_t live_with_key = 0;
+  for (storage::RowId r = 0; r < static_cast<storage::RowId>(after.num_rows());
+       ++r) {
+    if (!after.is_deleted(r) && after.at(r, 0) == replaced[0]) ++live_with_key;
+  }
+  EXPECT_EQ(live_with_key, 1u);
+
+  // Two inserts of one key, one of them deleted in the same batch.
+  UpdateBatch twice_then_one;
+  storage::Row fresh = replaced;
+  fresh[0] = storage::Value(int64_t{1} << 40);
+  twice_then_one.inserts.push_back(RowInsert{"movie", fresh});
+  twice_then_one.inserts.push_back(RowInsert{"movie", fresh});
+  twice_then_one.deletes.push_back(
+      RowDelete{"movie", static_cast<storage::RowId>(after.num_rows())});
+  auto deduped = writer.Apply(kTenant, twice_then_one);
+  ASSERT_TRUE(deduped.ok()) << deduped.status();
+  EXPECT_EQ(catalog.Pin(kTenant).ValueOrDie()->minor_epoch(), 2u);
+}
+
+// Link tables are keyed by their (left, right) pair, not by their first
+// column, which repeats by design: a new link for an existing movie goes
+// in, a repeated link is rejected.
+TEST(StreamingDifferentialTest, NewLinkForExistingEntityAccepted) {
+  datagen::YahooMoviesConfig config;
+  config.num_movies = 30;
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Publish(kTenant, datagen::MakeYahooMovies(config)).ok());
+  TenantWriter writer(&catalog);
+  const SnapshotPtr before = catalog.Pin(kTenant).ValueOrDie();
+  const storage::Database& db = before->db();
+  const storage::RelationId haskeyword = db.FindRelation("haskeyword");
+  const storage::RelationId keyword = db.FindRelation("keyword");
+  ASSERT_NE(haskeyword, storage::kInvalidRelation);
+  ASSERT_NE(keyword, storage::kInvalidRelation);
+  const storage::Relation& links = db.relation(haskeyword);
+  ASSERT_EQ(links.schema().primary_key(),
+            (std::vector<storage::AttributeId>{0, 1}));
+
+  const storage::Value movie_id(int64_t{5});
+  std::set<storage::Value> linked;
+  for (storage::RowId r = 0; r < static_cast<storage::RowId>(links.num_rows());
+       ++r) {
+    if (links.at(r, 0) == movie_id) linked.insert(links.at(r, 1));
+  }
+  ASSERT_GE(linked.size(), 2u) << "movie 5 should already have keywords";
+  std::optional<storage::Value> unlinked;
+  const storage::Relation& keywords = db.relation(keyword);
+  for (storage::RowId r = 0;
+       !unlinked && r < static_cast<storage::RowId>(keywords.num_rows());
+       ++r) {
+    if (linked.count(keywords.at(r, 0)) == 0) unlinked = keywords.at(r, 0);
+  }
+  ASSERT_TRUE(unlinked.has_value());
+
+  UpdateBatch add;
+  add.inserts.push_back(RowInsert{"haskeyword", {movie_id, *unlinked}});
+  auto applied = writer.Apply(kTenant, add);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_TRUE(applied->snapshot->db().CheckReferentialIntegrity().ok());
+
+  UpdateBatch repeat;
+  repeat.inserts.push_back(
+      RowInsert{"haskeyword", {movie_id, *linked.begin()}});
+  auto rejected = writer.Apply(kTenant, repeat);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(catalog.Pin(kTenant).ValueOrDie().get(),
+            applied->snapshot.get());
 }
 
 // A session's cached-search key must be fingerprinted from the snapshot
