@@ -16,9 +16,13 @@
 // (content fingerprints carry them over) and come in at least 4x cheaper
 // than a publish that rebuilds all eight. That gate holds the
 // shard-scoped-publish promise the same way the 10x gate holds the
-// streaming-update promise.
+// streaming-update promise. Whether that ratio holds depends on the host as
+// well as on the program, so the section also prints where each kind of
+// publish spends its time (fingerprinting, shard builds, schema graph) and
+// the shared pool's size; that breakdown is diagnostic, not gated.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,9 +30,52 @@
 #include "catalog/catalog.h"
 #include "catalog/tenant_writer.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
+
+namespace {
+
+using namespace mweaver;
+
+double MsSince(bench::BenchClock::time_point start) {
+  return std::chrono::duration<double, std::milli>(bench::BenchClock::now() -
+                                                   start)
+      .count();
+}
+
+// Wall time of each step Catalog::Publish takes, in its order.
+struct PublishPhases {
+  std::vector<double> fingerprint_ms, build_ms, graph_ms;
+};
+
+// Replays Catalog::Publish's steps on `db` with each one timed: the
+// per-shard content fingerprints, the engine build (sharing the shards of
+// `previous` whose fingerprints in `previous_fps` still match), and the
+// schema graph.
+void TimePublishPhases(const storage::Database& db, uint32_t shards,
+                       const text::FullTextEngine* previous,
+                       const std::vector<uint64_t>& previous_fps,
+                       PublishPhases* phases) {
+  auto start = bench::BenchClock::now();
+  const std::vector<uint64_t> fps =
+      catalog::ComputeShardFingerprints(db, shards);
+  phases->fingerprint_ms.push_back(MsSince(start));
+  std::vector<bool> reuse(shards, false);
+  for (uint32_t s = 0; s < shards && s < previous_fps.size(); ++s) {
+    reuse[s] = previous != nullptr && previous_fps[s] == fps[s];
+  }
+  start = bench::BenchClock::now();
+  const std::unique_ptr<text::FullTextEngine> engine =
+      text::FullTextEngine::Build(&db, text::MatchPolicy::Substring(), shards,
+                                  {}, previous, reuse);
+  phases->build_ms.push_back(MsSince(start));
+  start = bench::BenchClock::now();
+  const graph::SchemaGraph graph(&db);
+  phases->graph_ms.push_back(MsSince(start));
+}
+
+}  // namespace
 
 int main() {
-  using namespace mweaver;
   constexpr std::string_view kTenant = "bench";
   const size_t movies = bench::EnvSize("MWEAVER_BENCH_MOVIES", 2000);
   const size_t publish_reps = bench::EnvSize("MWEAVER_BENCH_REPS", 5);
@@ -51,12 +98,35 @@ int main() {
   std::printf("source: %zu movies — %zu relations, %zu rows\n\n",
               movies, source.num_relations(), source.TotalRows());
 
-  // (a) Full publishes: every rep rebuilds the whole index bundle.
+  const storage::RelationId movie_rel = source.FindRelation("movie");
+  if (movie_rel == storage::kInvalidRelation) {
+    std::fprintf(stderr, "no movie relation in the synthetic source\n");
+    return 1;
+  }
+  const storage::Relation& movie = source.relation(movie_rel);
+  // Inserted movies copy a source row under a key no movie holds: the
+  // writer rejects an insert that repeats a live row's primary key.
+  int64_t next_movie_key = 0;
+  for (const storage::Row& row : movie.rows()) {
+    next_movie_key = std::max(next_movie_key, row[0].AsInt64() + 1);
+  }
+  const auto movie_copy = [&](size_t index) {
+    storage::Row row = movie.row(static_cast<storage::RowId>(index));
+    row[0] = storage::Value(next_movie_key++);
+    return row;
+  };
+
+  // (a) Full publishes: every rep republishes the source plus one new movie
+  // row, so its content differs from the serving snapshot's and the whole
+  // index bundle is rebuilt (identical content would be carried over).
   std::vector<double> publish_ms;
   publish_ms.reserve(publish_reps);
   for (size_t rep = 0; rep < publish_reps; ++rep) {
+    storage::Database next = source.CloneCow({movie_rel});
+    next.mutable_relation(movie_rel)->AppendUnchecked(
+        movie_copy(rep % movie.num_rows()));
     const auto start = bench::BenchClock::now();
-    auto published = catalog.Publish(kTenant, source.CloneCow({}));
+    auto published = catalog.Publish(kTenant, std::move(next));
     const auto end = bench::BenchClock::now();
     if (!published.ok()) {
       std::fprintf(stderr, "publish failed: %s\n",
@@ -72,23 +142,8 @@ int main() {
   // steady-churn shape).
   catalog::TenantWriter writer(&catalog);
   Rng rng(20260808);
-  const storage::RelationId movie_rel = source.FindRelation("movie");
-  if (movie_rel == storage::kInvalidRelation) {
-    std::fprintf(stderr, "no movie relation in the synthetic source\n");
-    return 1;
-  }
-  const storage::Relation& movie = source.relation(movie_rel);
-  // Inserted movies copy a random row under a key no movie holds: the
-  // writer rejects an insert that repeats a live row's primary key.
-  int64_t next_movie_key = 0;
-  for (const storage::Row& row : movie.rows()) {
-    next_movie_key = std::max(next_movie_key, row[0].AsInt64() + 1);
-  }
   const auto fresh_movie = [&]() {
-    storage::Row row =
-        movie.row(static_cast<storage::RowId>(rng.Index(movie.num_rows())));
-    row[0] = storage::Value(next_movie_key++);
-    return row;
+    return movie_copy(rng.Index(movie.num_rows()));
   };
   std::vector<storage::RowId> owned;
   std::vector<double> update_ms;
@@ -150,7 +205,7 @@ int main() {
 
   // === shard-scoped publishes ===
   // At 8 shards, a full-tenant publish (fresh tenant, no prior snapshot to
-  // reuse) builds all 8 shard engines; a republish whose changes land in a
+  // reuse) builds all 8 shards; a republish whose changes land in a
   // single shard must fingerprint-match the other 7 and carry them over.
   constexpr uint32_t kShards = 8;
   catalog::CatalogOptions sharded_options;
@@ -160,7 +215,7 @@ int main() {
   std::printf("\n=== shard-scoped publish (%u shards) ===\n", kShards);
 
   // (a) Full-tenant rebuilds: every rep publishes to a fresh tenant, so no
-  // shard can be reused and all 8 engines are built from scratch.
+  // shard can be reused and all 8 are built from scratch.
   std::vector<double> full_shard_ms;
   full_shard_ms.reserve(publish_reps);
   for (size_t rep = 0; rep < publish_reps; ++rep) {
@@ -237,6 +292,43 @@ int main() {
               "8-shard publish (rebuilt %llu/%u shards)\n",
               shard_speedup, static_cast<unsigned long long>(rebuilt_last),
               kShards);
+
+  // Where the two kinds of publish spend their time, for reading the gate
+  // below on a new host: the same inputs, with Publish's steps timed apart.
+  PublishPhases full_phases;
+  PublishPhases single_phases;
+  const std::vector<uint64_t> source_fps =
+      catalog::ComputeShardFingerprints(source, kShards);
+  const text::FullTextEngine source_engine(
+      &source, text::MatchPolicy::Substring(), kShards);
+  for (size_t rep = 0; rep < publish_reps; ++rep) {
+    TimePublishPhases(source, kShards, nullptr, {}, &full_phases);
+    storage::Database next = source.Clone();
+    next.mutable_relation(next.FindRelation("movie"))
+        ->AppendUnchecked(
+            movie.row(static_cast<storage::RowId>(rep % movie.num_rows())));
+    TimePublishPhases(next, kShards, &source_engine, source_fps,
+                      &single_phases);
+  }
+  // "rest" is the timed Publish's median minus the replayed phases: what
+  // the replay does not repeat (taking over the database, the install,
+  // freeing a replaced snapshot) plus any allocator-state difference.
+  const auto phase_row = [&](const char* label, const PublishPhases& p,
+                             const std::vector<double>& publish) {
+    const double fingerprint = median(p.fingerprint_ms);
+    const double build = median(p.build_ms);
+    const double graph = median(p.graph_ms);
+    bench::PrintRow(label, {bench::Fmt(fingerprint, 3), bench::Fmt(build, 3),
+                            bench::Fmt(graph, 3),
+                            bench::Fmt(median(publish) - fingerprint - build -
+                                           graph,
+                                       3)});
+  };
+  std::printf("\npublish phases, median ms (shared pool: %zu threads)\n",
+              ThreadPool::Shared().num_threads());
+  bench::PrintRow("", {"fingerprint", "build", "graph", "rest"});
+  phase_row("full publish (8 shards)", full_phases, full_shard_ms);
+  phase_row("1-shard republish", single_phases, single_shard_ms);
 
   constexpr double kMinShardSpeedup = 4.0;
   if (shard_speedup < kMinShardSpeedup) {

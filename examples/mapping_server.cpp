@@ -10,8 +10,8 @@
 //   $ ./examples/mapping_server [num_users] [--tenants=N] [--shards=N]
 //
 // --shards=N publishes every tenant as N row-hash shards
-// (catalog::CatalogOptions::shard_count); searches fan out across the
-// shard bundle and return byte-identical results for any N.
+// (catalog::CatalogOptions::shard_count); each probe loops over the
+// shards and returns byte-identical results for any N.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "common/string_util.h"
-#include "text/sharded_engine.h"
 
 namespace mweaver::catalog {
 
@@ -33,7 +33,7 @@ Result<SnapshotPtr> Catalog::Publish(std::string_view tenant,
   const uint64_t epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
 
   // The previous snapshot (if any) is the candidate source of reusable
-  // shard engines; pinning it here keeps it alive across the build.
+  // shard index sets; pinning it here keeps it alive across the build.
   SnapshotPtr prev;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -43,41 +43,30 @@ Result<SnapshotPtr> Catalog::Publish(std::string_view tenant,
 
   // The expensive step — index construction over the new instance — runs
   // with NO catalog lock held: readers keep pinning the previous epoch at
-  // full speed for the whole build.
+  // full speed for the whole build. Fingerprint the new instance per shard
+  // and rebuild only the shards whose content changed since the previous
+  // snapshot; the rest are shared with it. Delta snapshots poison touched
+  // shards' fingerprints, so streaming-updated shards always rebuild here.
   const uint32_t shard_count = std::max<uint32_t>(1, options_.shard_count);
   auto owned_db = std::make_unique<storage::Database>(std::move(db));
-  std::shared_ptr<const Snapshot> snapshot;
-  size_t shards_rebuilt = 1;
-  if (shard_count <= 1) {
-    snapshot = std::make_shared<const Snapshot>(
-        std::string(tenant), epoch, std::move(owned_db),
-        options_.match_policy, options_.engine_options);
-  } else {
-    // Sharded publish: fingerprint the new instance per shard and rebuild
-    // only the shards whose content changed since the previous snapshot —
-    // the rest are carried over with warm probe memos. Delta snapshots
-    // poison touched shards' fingerprints, so streaming-updated shards
-    // always rebuild here.
-    std::vector<uint64_t> fingerprints =
-        ComputeShardFingerprints(*owned_db, shard_count);
-    const text::ShardedTextEngine* prev_engine =
-        prev != nullptr ? prev->sharded_engine() : nullptr;
-    std::vector<bool> reuse(shard_count, false);
-    if (prev_engine != nullptr && prev->shard_count() == shard_count &&
-        prev->shard_fingerprints().size() == shard_count) {
-      for (uint32_t s = 0; s < shard_count; ++s) {
-        reuse[s] = prev->shard_fingerprints()[s] == fingerprints[s];
-      }
+  std::vector<uint64_t> fingerprints =
+      ComputeShardFingerprints(*owned_db, shard_count);
+  std::vector<bool> reuse(shard_count, false);
+  if (prev != nullptr && prev->shard_count() == shard_count) {
+    for (uint32_t s = 0; s < shard_count; ++s) {
+      reuse[s] = prev->shard_fingerprints()[s] == fingerprints[s];
     }
-    auto engine = text::ShardedTextEngine::BuildReusing(
-        owned_db.get(), options_.match_policy, shard_count,
-        options_.engine_options, prev_engine, reuse, &shards_rebuilt);
-    auto graph = std::make_unique<graph::SchemaGraph>(owned_db.get());
-    snapshot = std::make_shared<const Snapshot>(
-        std::string(tenant), epoch, /*minor_epoch=*/0, std::move(owned_db),
-        std::move(engine), std::move(graph),
-        std::vector<uint64_t>(shard_count, 0), std::move(fingerprints));
   }
+  size_t shards_rebuilt = 0;
+  auto engine = text::FullTextEngine::Build(
+      owned_db.get(), options_.match_policy, shard_count,
+      options_.engine_options, prev != nullptr ? &prev->engine() : nullptr,
+      reuse, &shards_rebuilt);
+  auto graph = std::make_unique<graph::SchemaGraph>(owned_db.get());
+  auto snapshot = std::make_shared<const Snapshot>(
+      std::string(tenant), epoch, /*minor_epoch=*/0, std::move(owned_db),
+      std::move(engine), std::move(graph),
+      std::vector<uint64_t>(shard_count, 0), std::move(fingerprints));
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tenants_.find(tenant);
@@ -136,15 +125,14 @@ Status Catalog::InstallDelta(std::string_view tenant,
   }
   // Shard accounting: a delta "rebuilds" the shards whose minor epoch moved
   // (the writer delta-cloned them); everything else was carried over.
-  uint64_t shards_touched = next->shard_count();
+  // A delta keeps its base's shard count.
   const std::vector<uint64_t>& base_minors =
       expected_base->shard_minor_epochs();
   const std::vector<uint64_t>& next_minors = next->shard_minor_epochs();
-  if (next_minors.size() == base_minors.size()) {
-    shards_touched = 0;
-    for (size_t s = 0; s < next_minors.size(); ++s) {
-      if (next_minors[s] != base_minors[s]) ++shards_touched;
-    }
+  MW_CHECK(next_minors.size() == base_minors.size());
+  uint64_t shards_touched = 0;
+  for (size_t s = 0; s < next_minors.size(); ++s) {
+    if (next_minors[s] != base_minors[s]) ++shards_touched;
   }
   entry.current = std::move(next);
   entry.updates += 1;

@@ -46,11 +46,11 @@ struct CatalogOptions {
   text::MatchPolicy match_policy = text::MatchPolicy::Substring();
   /// Engine build/acceleration knobs applied to every publish.
   text::EngineOptions engine_options;
-  /// Row-hash shards per tenant (>= 1). With N > 1 every snapshot is a
-  /// ShardedTextEngine bundle of N independently built shard engines;
-  /// Publish rebuilds only the shards whose content fingerprint changed and
-  /// TenantWriter delta-clones only the shards owning the batch's rows.
-  /// Search results are byte-identical for every value of N.
+  /// Row-hash shards per tenant (>= 1): every snapshot's engine holds this
+  /// many shard index sets. Publish rebuilds only the shards whose content
+  /// fingerprint changed and TenantWriter delta-clones only the shards
+  /// owning the batch's rows. Search results are byte-identical for every
+  /// value of N.
   uint32_t shard_count = 1;
   /// Tenants with no Pin/Publish for this long are reclaimed by
   /// EvictIdle().
@@ -160,7 +160,7 @@ class Catalog {
     uint64_t publishes = 0;   // guarded by Catalog::mu_
     uint64_t updates = 0;     // guarded by Catalog::mu_
     /// Shard (re)build accounting, guarded by Catalog::mu_: how many shard
-    /// engines the latest Publish/InstallDelta actually constructed (the
+    /// index sets the latest Publish/InstallDelta actually constructed (the
     /// rest were carried over), and the lifetime sum.
     uint64_t shards_rebuilt_last = 0;
     uint64_t shards_rebuilt_total = 0;

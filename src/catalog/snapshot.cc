@@ -4,23 +4,8 @@
 
 #include "common/hash_util.h"
 #include "common/logging.h"
-#include "text/sharded_engine.h"
 
 namespace mweaver::catalog {
-
-namespace {
-
-std::unique_ptr<text::FullTextEngine> BuildEngine(
-    const storage::Database* db, text::MatchPolicy policy,
-    const text::EngineOptions& options, uint32_t shard_count) {
-  if (shard_count > 1) {
-    return std::make_unique<text::ShardedTextEngine>(db, policy, shard_count,
-                                                     options);
-  }
-  return std::make_unique<text::FullTextEngine>(db, policy, options);
-}
-
-}  // namespace
 
 std::vector<uint64_t> ComputeShardFingerprints(const storage::Database& db,
                                                uint32_t shard_count) {
@@ -61,22 +46,6 @@ std::vector<uint64_t> ComputeShardFingerprints(const storage::Database& db,
   return std::vector<uint64_t>(seeds.begin(), seeds.end());
 }
 
-Snapshot::Snapshot(std::string tenant, uint64_t epoch,
-                   std::unique_ptr<storage::Database> db,
-                   text::MatchPolicy policy,
-                   text::EngineOptions engine_options, uint32_t shard_count)
-    : tenant_(std::move(tenant)),
-      epoch_(epoch),
-      minor_epoch_(0),
-      db_(std::move(db)),
-      engine_(BuildEngine(db_.get(), policy, engine_options, shard_count)),
-      graph_(std::make_unique<graph::SchemaGraph>(db_.get())) {
-  MW_CHECK(db_ != nullptr) << "a snapshot needs a database";
-  const uint32_t n = engine_->shard_count();
-  shard_minor_epochs_.assign(n, 0);
-  shard_fingerprints_ = ComputeShardFingerprints(*db_, n);
-}
-
 Snapshot::Snapshot(std::string tenant, uint64_t epoch, uint64_t minor_epoch,
                    std::unique_ptr<storage::Database> db,
                    std::unique_ptr<text::FullTextEngine> engine,
@@ -92,18 +61,12 @@ Snapshot::Snapshot(std::string tenant, uint64_t epoch, uint64_t minor_epoch,
       shard_minor_epochs_(std::move(shard_minor_epochs)),
       shard_fingerprints_(std::move(shard_fingerprints)) {
   MW_CHECK(db_ != nullptr) << "a snapshot needs a database";
-  MW_CHECK(engine_ != nullptr) << "a delta snapshot needs a pre-built engine";
-  MW_CHECK(graph_ != nullptr) << "a delta snapshot needs a schema graph";
+  MW_CHECK(engine_ != nullptr) << "a snapshot needs an engine";
+  MW_CHECK(graph_ != nullptr) << "a snapshot needs a schema graph";
   const uint32_t n = engine_->shard_count();
-  if (shard_minor_epochs_.empty()) shard_minor_epochs_.assign(n, minor_epoch_);
-  MW_CHECK(shard_minor_epochs_.size() == n)
-      << "shard minor epochs must match the engine's shard count";
-  MW_CHECK(shard_fingerprints_.empty() || shard_fingerprints_.size() == n)
-      << "shard fingerprints must match the engine's shard count";
-}
-
-const text::ShardedTextEngine* Snapshot::sharded_engine() const {
-  return dynamic_cast<const text::ShardedTextEngine*>(engine_.get());
+  MW_CHECK(shard_minor_epochs_.size() == n &&
+           shard_fingerprints_.size() == n)
+      << "per-shard bookkeeping must match the engine's shard count";
 }
 
 }  // namespace mweaver::catalog

@@ -19,18 +19,14 @@
 #include "text/fulltext_engine.h"
 #include "text/match.h"
 
-namespace mweaver::text {
-class ShardedTextEngine;
-}  // namespace mweaver::text
-
 namespace mweaver::catalog {
 
 /// \brief Per-shard content fingerprints of a database: shard s hashes the
 /// schema plus every live (row id, values) pair common::ShardOfRow assigns
 /// to s. Two databases with equal fingerprints for shard s would build
 /// byte-identical shard-s indexes, which is what lets Publish carry
-/// unchanged shard engines over from the previous snapshot and rebuild only
-/// the rest.
+/// unchanged shard index sets over from the previous snapshot and rebuild
+/// only the rest.
 std::vector<uint64_t> ComputeShardFingerprints(const storage::Database& db,
                                                uint32_t shard_count);
 
@@ -38,33 +34,24 @@ std::vector<uint64_t> ComputeShardFingerprints(const storage::Database& db,
 ///
 /// The database is held behind a unique_ptr so its address stays stable for
 /// the engine's and graph's back-pointers regardless of where the snapshot
-/// itself is moved or shared. Construction is the expensive step (the
-/// engine builds its inverted / n-gram / deletion indexes eagerly): the
-/// catalog runs it outside any lock so publishing never stalls readers.
+/// itself is moved or shared. Building the engine is the expensive step (it
+/// builds its inverted / n-gram / deletion indexes eagerly): the catalog
+/// runs it outside any lock so publishing never stalls readers.
 class Snapshot {
  public:
-  /// \brief Builds the bundle from scratch. With `shard_count` > 1 the
-  /// engine is a ShardedTextEngine over that many row-hash shards, and the
-  /// snapshot records per-shard content fingerprints so the next Publish
-  /// can reuse unchanged shards.
-  Snapshot(std::string tenant, uint64_t epoch,
-           std::unique_ptr<storage::Database> db, text::MatchPolicy policy,
-           text::EngineOptions engine_options = {}, uint32_t shard_count = 1);
-
-  /// \brief Delta constructor for streaming updates (and the publish-time
-  /// shard-reuse path): adopts a pre-built bundle (CoW database,
-  /// CloneForDelta engine, rebuilt graph) instead of constructing one from
-  /// scratch. Same publish epoch as the base it was derived from;
-  /// `minor_epoch` distinguishes successive update batches within that
-  /// epoch (base snapshots are minor 0). `shard_minor_epochs` /
-  /// `shard_fingerprints` carry the per-shard bookkeeping forward (sized to
-  /// the engine's shard count, or empty for an unsharded engine).
+  /// \brief Adopts a pre-built bundle: the engine and schema graph built
+  /// over `db` by Catalog::Publish (minor epoch 0) or by TenantWriter for a
+  /// streaming update (a CoW database and a CloneForDelta engine at the
+  /// base's publish epoch). `minor_epoch` distinguishes successive update
+  /// batches within that epoch. `shard_minor_epochs` and
+  /// `shard_fingerprints` carry the per-shard bookkeeping, each sized to the
+  /// engine's shard count.
   Snapshot(std::string tenant, uint64_t epoch, uint64_t minor_epoch,
            std::unique_ptr<storage::Database> db,
            std::unique_ptr<text::FullTextEngine> engine,
            std::unique_ptr<graph::SchemaGraph> graph,
-           std::vector<uint64_t> shard_minor_epochs = {},
-           std::vector<uint64_t> shard_fingerprints = {});
+           std::vector<uint64_t> shard_minor_epochs,
+           std::vector<uint64_t> shard_fingerprints);
 
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
@@ -86,13 +73,11 @@ class Snapshot {
   const text::FullTextEngine& engine() const { return *engine_; }
   const graph::SchemaGraph& graph() const { return *graph_; }
 
-  /// \brief Shard topology of the bundle: 1 for a monolithic engine. Part
+  /// \brief Shard topology of the bundle (the engine's shard count). Part
   /// of the service result-cache fingerprint (results are byte-identical
   /// across shard counts, but rebinding the key keeps the fingerprint an
   /// honest function of the serving configuration).
   uint32_t shard_count() const { return engine_->shard_count(); }
-  /// \brief The engine as a shard bundle, or nullptr when monolithic.
-  const text::ShardedTextEngine* sharded_engine() const;
 
   /// \brief Per-shard update sequence numbers, sized shard_count(): shard s
   /// was last rebuilt or delta-touched at minor epoch

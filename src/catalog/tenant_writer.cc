@@ -13,7 +13,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "graph/schema_graph.h"
-#include "text/sharded_engine.h"
+#include "text/fulltext_engine.h"
 
 namespace mweaver::catalog {
 
@@ -163,46 +163,36 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
 
   // Index delta: copy-on-write engine over the new database, then replay
   // the same rows in the same order into the touched relations' indexes.
-  // On a sharded tenant only the shards the batch's rows hash into are
-  // delta-cloned; every other shard stays shared with the base, probe
-  // memos warm — the unit of invalidation shrinks from the tenant to the
-  // touched shards.
+  // Only the shards the batch's rows hash into are delta-cloned ({0} on an
+  // unsharded tenant); every other shard stays shared with the base — the
+  // unit of invalidation shrinks from the tenant to the touched shards.
   const uint64_t minor = base->minor_epoch() + 1;
-  const text::ShardedTextEngine* base_sharded = base->sharded_engine();
+  const uint32_t n = base->shard_count();
   std::vector<uint32_t> touched_shards;
-  std::vector<uint64_t> shard_minors;
-  std::vector<uint64_t> shard_fingerprints;
-  std::unique_ptr<text::FullTextEngine> engine;
-  if (base_sharded != nullptr) {
-    const uint32_t n = base->shard_count();
-    for (const storage::RowId row : result.inserted_rows) {
-      touched_shards.push_back(ShardOfRow(row, n));
-    }
-    for (const RowDelete& del : batch.deletes) {
-      touched_shards.push_back(ShardOfRow(del.row, n));
-    }
-    std::sort(touched_shards.begin(), touched_shards.end());
-    touched_shards.erase(
-        std::unique(touched_shards.begin(), touched_shards.end()),
-        touched_shards.end());
-    engine = base_sharded->CloneForShardedDelta(db.get(), touched,
-                                                touched_shards, minor);
-    // Per-shard bookkeeping: touched shards move to this minor epoch, and
-    // their content fingerprints are poisoned with a unique nonce so the
-    // next Publish rebuilds them instead of falsely reusing stale engines.
-    shard_minors = base->shard_minor_epochs();
-    shard_fingerprints = base->shard_fingerprints();
-    shard_fingerprints.resize(n, 0);
-    for (const uint32_t s : touched_shards) {
-      shard_minors[s] = minor;
-      size_t nonce = 0x5ca4ded;
-      HashCombine(&nonce, base->epoch());
-      HashCombine(&nonce, minor);
-      HashCombine(&nonce, s);
-      shard_fingerprints[s] = nonce;
-    }
-  } else {
-    engine = base->engine().CloneForDelta(db.get(), touched, minor);
+  for (const storage::RowId row : result.inserted_rows) {
+    touched_shards.push_back(ShardOfRow(row, n));
+  }
+  for (const RowDelete& del : batch.deletes) {
+    touched_shards.push_back(ShardOfRow(del.row, n));
+  }
+  std::sort(touched_shards.begin(), touched_shards.end());
+  touched_shards.erase(
+      std::unique(touched_shards.begin(), touched_shards.end()),
+      touched_shards.end());
+  std::unique_ptr<text::FullTextEngine> engine =
+      base->engine().CloneForDelta(db.get(), touched, touched_shards, minor);
+  // Per-shard bookkeeping: touched shards move to this minor epoch, and
+  // their content fingerprints are poisoned with a unique nonce so the
+  // next Publish rebuilds them instead of falsely reusing stale indexes.
+  std::vector<uint64_t> shard_minors = base->shard_minor_epochs();
+  std::vector<uint64_t> shard_fingerprints = base->shard_fingerprints();
+  for (const uint32_t s : touched_shards) {
+    shard_minors[s] = minor;
+    size_t nonce = 0x5ca4ded;
+    HashCombine(&nonce, base->epoch());
+    HashCombine(&nonce, minor);
+    HashCombine(&nonce, s);
+    shard_fingerprints[s] = nonce;
   }
   for (size_t i = 0; i < batch.inserts.size(); ++i) {
     engine->ApplyRowInsert(insert_rels[i], result.inserted_rows[i]);
@@ -240,8 +230,7 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
   result.snapshot = std::move(next);
   result.rows_inserted = batch.inserts.size();
   result.rows_deleted = batch.deletes.size();
-  result.shards_touched =
-      base_sharded != nullptr ? touched_shards.size() : 1;
+  result.shards_touched = touched_shards.size();
   return result;
 }
 

@@ -38,6 +38,9 @@ struct SearchStats {
   bool truncated = false;
   /// True when the early stop was the deadline / cancellation token.
   bool deadline_expired = false;
+  /// True when a caller-side result cache answered the search instead of
+  /// running it (set by the service's caching search hook).
+  bool from_cache = false;
 
   /// Per-stage trace (wall time, item counts, early-stop flags) plus
   /// stop-check/clock/arena counters, snapshotted from the

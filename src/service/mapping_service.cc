@@ -56,14 +56,6 @@ size_t MappingService::TenantQueueCap() const {
   return std::max<size_t>(1, cap);
 }
 
-namespace {
-// Whether the most recent first-row search on THIS worker thread was a
-// cache hit. The caching hook runs synchronously inside Session::Input on
-// the worker, so the flag connects the hook's verdict to the Process()
-// frame above it without widening core::Session's API.
-thread_local bool tls_last_search_was_cache_hit = false;
-}  // namespace
-
 core::Session::SearchFn MappingService::MakeCachingSearchFn(
     catalog::SnapshotPtr snapshot) {
   // The wrapper runs inside Session::RunSearch, i.e. under the session's
@@ -94,7 +86,7 @@ core::Session::SearchFn MappingService::MakeCachingSearchFn(
     if (std::optional<core::SearchResult> hit = cache_.Lookup(key)) {
       metrics_.RecordCacheLookup(/*hit=*/true);
       tenant_counters->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      tls_last_search_was_cache_hit = true;
+      hit->stats.from_cache = true;
       return std::move(*hit);
     }
     metrics_.RecordCacheLookup(/*hit=*/false);
@@ -383,7 +375,6 @@ RequestResult MappingService::Process(const QueuedRequest& queued) {
   }
 
   auto attempt = [&]() -> Status {
-    tls_last_search_was_cache_hit = false;
     Status status = sessions_.WithSession(
         queued.request.session_id, [&](core::Session& session) {
           const bool was_awaiting =
@@ -405,6 +396,8 @@ RequestResult MappingService::Process(const QueuedRequest& queued) {
               session.state() != core::SessionState::kAwaitingFirstRow;
           result.truncated =
               search_ran_now && session.search_stats().truncated;
+          result.cache_hit =
+              search_ran_now && session.search_stats().from_cache;
           // A non-empty below-first-row input on a searched session ran a
           // pruning pass: fold its trace (kPrune latency, worker fan-out,
           // probe counters) into the metrics. Empty values clear cells
@@ -414,7 +407,6 @@ RequestResult MappingService::Process(const QueuedRequest& queued) {
           }
           return input;
         });
-    result.cache_hit = tls_last_search_was_cache_hit;
     return status;
   };
 

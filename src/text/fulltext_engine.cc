@@ -31,9 +31,6 @@ void FullTextEngine::InitMetadata(const storage::Database* db,
   policy_ = policy;
   policy_fp_ = PolicyFingerprint(policy);
   probe_cache_ = std::make_shared<ProbeCache>(options.probe_cache_bytes);
-  shard_index_ = options.shard_index;
-  shard_count_ = options.shard_count;
-  MW_CHECK(shard_count_ <= 1 || shard_index_ < shard_count_);
   rel_versions_.assign(db->num_relations(), 0);
   for (size_t r = 0; r < db->num_relations(); ++r) {
     const storage::RelationId rel_id = static_cast<storage::RelationId>(r);
@@ -61,29 +58,63 @@ void FullTextEngine::InitMetadata(const storage::Database* db,
   }
 }
 
-FullTextEngine::FullTextEngine(const storage::Database* db, MatchPolicy policy,
-                               EngineOptions options) {
-  InitMetadata(db, policy, options);
-  // Per-attribute index builds are independent; fan them out on the shared
-  // pool. (Token dictionary, trigram table and deletion table of each
-  // attribute are all built inside the InvertedIndex constructor.)
-  indexes_.resize(indexed_attrs_.size());
+void FullTextEngine::BuildShards(uint32_t shard_count,
+                                 const EngineOptions& options,
+                                 const FullTextEngine* previous,
+                                 const std::vector<bool>& reuse,
+                                 size_t* shards_rebuilt) {
+  const uint32_t n = std::max<uint32_t>(1, shard_count);
+  shards_.assign(n, {});
+  mutable_shards_.assign(n, false);
+  std::vector<uint32_t> to_build;
+  for (uint32_t s = 0; s < n; ++s) {
+    if (previous != nullptr && s < reuse.size() && reuse[s]) {
+      MW_CHECK(previous->shard_count() == n);
+      shards_[s] = previous->shards_[s];  // unchanged content: share it
+    } else {
+      shards_[s].resize(indexed_attrs_.size());
+      to_build.push_back(s);
+    }
+  }
+  // Every (shard, attribute) index build is independent; fan them out on
+  // the shared pool. (Token dictionary, trigram table and deletion table of
+  // each index are all built inside the InvertedIndex constructor.)
+  const size_t attrs = indexed_attrs_.size();
   const size_t threads = options.build_threads != 0
                              ? options.build_threads
                              : ThreadPool::Shared().num_threads();
-  ParallelFor(indexed_attrs_.size(), threads, [&](size_t i) {
+  ParallelFor(to_build.size() * attrs, threads, [&](size_t job) {
     // Chaos site: latency spikes during the parallel n-gram/deletion index
     // build (builds cannot fail, so only kDelay is meaningful here).
     (void)MW_FAILPOINT_FIRE("text.index.build");
-    const AttributeRef& ref = indexed_attrs_[i];
-    indexes_[i] = std::make_shared<InvertedIndex>(
-        db->relation(ref.relation), ref.attribute, shard_index_, shard_count_);
+    const uint32_t s = to_build[job / attrs];
+    const AttributeRef& ref = indexed_attrs_[job % attrs];
+    shards_[s][job % attrs] = std::make_shared<InvertedIndex>(
+        db_->relation(ref.relation), ref.attribute, s, n);
   });
+  if (shards_rebuilt != nullptr) *shards_rebuilt = to_build.size();
+}
+
+FullTextEngine::FullTextEngine(const storage::Database* db, MatchPolicy policy,
+                               uint32_t shard_count, EngineOptions options) {
+  InitMetadata(db, policy, options);
+  BuildShards(shard_count, options, /*previous=*/nullptr, {}, nullptr);
+}
+
+std::unique_ptr<FullTextEngine> FullTextEngine::Build(
+    const storage::Database* db, MatchPolicy policy, uint32_t shard_count,
+    const EngineOptions& options, const FullTextEngine* previous,
+    const std::vector<bool>& reuse, size_t* shards_rebuilt) {
+  auto engine = std::unique_ptr<FullTextEngine>(new FullTextEngine());
+  engine->InitMetadata(db, policy, options);
+  engine->BuildShards(shard_count, options, previous, reuse, shards_rebuilt);
+  return engine;
 }
 
 std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
     const storage::Database* db,
     const std::vector<storage::RelationId>& touched,
+    const std::vector<uint32_t>& touched_shards,
     uint64_t new_version) const {
   MW_CHECK(db != nullptr);
   auto delta = std::unique_ptr<FullTextEngine>(new FullTextEngine());
@@ -95,17 +126,19 @@ std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
   delta->numeric_attrs_ = numeric_attrs_;
   delta->slot_of_attr_ = slot_of_attr_;
   delta->rel_versions_ = rel_versions_;
-  delta->shard_index_ = shard_index_;
-  delta->shard_count_ = shard_count_;
   delta->probe_cache_ = probe_cache_;  // shared; versions fence staleness
-  delta->indexes_.resize(indexes_.size());
-  for (size_t i = 0; i < indexes_.size(); ++i) {
-    const storage::RelationId rel = indexed_attrs_[i].relation;
-    const bool is_touched =
-        std::find(touched.begin(), touched.end(), rel) != touched.end();
-    delta->indexes_[i] = is_touched
-                             ? std::make_shared<InvertedIndex>(*indexes_[i])
-                             : indexes_[i];
+  delta->shards_ = shards_;
+  delta->mutable_shards_.assign(shards_.size(), false);
+  for (const uint32_t s : touched_shards) {
+    MW_CHECK(s < shards_.size());
+    delta->mutable_shards_[s] = true;
+    std::vector<std::shared_ptr<InvertedIndex>>& indexes = delta->shards_[s];
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      const storage::RelationId rel = indexed_attrs_[i].relation;
+      if (std::find(touched.begin(), touched.end(), rel) != touched.end()) {
+        indexes[i] = std::make_shared<InvertedIndex>(*indexes[i]);
+      }
+    }
   }
   for (storage::RelationId rel : touched) {
     delta->rel_versions_[static_cast<size_t>(rel)] = new_version;
@@ -113,54 +146,68 @@ std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
   return delta;
 }
 
+std::vector<std::shared_ptr<InvertedIndex>>& FullTextEngine::MutableShardOf(
+    storage::RowId row) {
+  const uint32_t s = ShardOfRow(row, shards_.size());
+  MW_CHECK(mutable_shards_[s])
+      << "row " << row << " belongs to shard " << s
+      << ", which this engine did not delta-clone";
+  return shards_[s];
+}
+
 void FullTextEngine::ApplyRowInsert(storage::RelationId relation,
                                     storage::RowId row) {
-  if (shard_count_ > 1 && ShardOfRow(row, shard_count_) != shard_index_) {
-    return;  // the row belongs to a sibling shard
-  }
+  std::vector<std::shared_ptr<InvertedIndex>>& indexes = MutableShardOf(row);
   const storage::Relation& rel = db_->relation(relation);
   for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
     if (indexed_attrs_[i].relation != relation) continue;
-    indexes_[i]->AddRow(row, rel.at(row, indexed_attrs_[i].attribute));
+    indexes[i]->AddRow(row, rel.at(row, indexed_attrs_[i].attribute));
   }
 }
 
 void FullTextEngine::ApplyRowDelete(storage::RelationId relation,
                                     storage::RowId row) {
-  if (shard_count_ > 1 && ShardOfRow(row, shard_count_) != shard_index_) {
-    return;  // the row belongs to a sibling shard
-  }
+  std::vector<std::shared_ptr<InvertedIndex>>& indexes = MutableShardOf(row);
   const storage::Relation& rel = db_->relation(relation);
   for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
     if (indexed_attrs_[i].relation != relation) continue;
-    indexes_[i]->RemoveRow(row, rel.at(row, indexed_attrs_[i].attribute));
+    indexes[i]->RemoveRow(row, rel.at(row, indexed_attrs_[i].attribute));
   }
 }
 
 void FullTextEngine::FinalizeDelta(
     const std::vector<storage::RelationId>& touched) {
-  for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-    const storage::RelationId rel = indexed_attrs_[i].relation;
-    if (std::find(touched.begin(), touched.end(), rel) != touched.end()) {
-      indexes_[i]->FinalizeDelta();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!mutable_shards_[s]) continue;
+    for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
+      const storage::RelationId rel = indexed_attrs_[i].relation;
+      if (std::find(touched.begin(), touched.end(), rel) != touched.end()) {
+        shards_[s][i]->FinalizeDelta();
+      }
     }
   }
 }
 
 size_t FullTextEngine::MaxRemovedRows(storage::RelationId relation) const {
   size_t max_removed = 0;
-  for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-    if (indexed_attrs_[i].relation != relation) continue;
-    max_removed = std::max(max_removed, indexes_[i]->num_removed_rows());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!mutable_shards_[s]) continue;
+    for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
+      if (indexed_attrs_[i].relation != relation) continue;
+      max_removed = std::max(max_removed, shards_[s][i]->num_removed_rows());
+    }
   }
   return max_removed;
 }
 
 void FullTextEngine::CompactRelationIndexes(storage::RelationId relation) {
   const storage::Relation& rel = db_->relation(relation);
-  for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-    if (indexed_attrs_[i].relation != relation) continue;
-    indexes_[i]->Compact(rel, indexed_attrs_[i].attribute);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!mutable_shards_[s]) continue;
+    for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
+      if (indexed_attrs_[i].relation != relation) continue;
+      shards_[s][i]->Compact(rel, indexed_attrs_[i].attribute);
+    }
   }
 }
 
@@ -218,12 +265,15 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
                                     ProbeCounters* counters) const {
   ProbeStats stats;
   stats.probes = 1;
+  const auto record = [&] {
+    probe_totals_.Record(stats);
+    if (counters != nullptr) counters->Record(stats);
+  };
   const uint64_t version = relation_version(attr.relation);
   if (RowSet cached = probe_cache_->Lookup(attr.relation, attr.attribute,
                                            policy_fp_, version, sample)) {
     stats.memo_hits = 1;
-    probe_totals_.Record(stats);
-    if (counters != nullptr) counters->Record(stats);
+    record();
     return cached;
   }
   stats.memo_misses = 1;
@@ -231,7 +281,6 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
   // Compute outside any lock (reads immutable indexes and relation data); a
   // racing thread may compute and insert the same entry, which is harmless.
   std::vector<storage::RowId> verified;
-  bool cacheable = true;
   auto idx_it = index_of_attr_.find(attr);
   if (idx_it == index_of_attr_.end()) {
     // Numeric attributes are matched by a (memoized) verification scan.
@@ -242,31 +291,41 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
         std::find(numeric_attrs_.begin(), numeric_attrs_.end(), attr) !=
             numeric_attrs_.end();
     if (!searchable_numeric) {
-      probe_totals_.Record(stats);
-      if (counters != nullptr) counters->Record(stats);
+      record();
       return EmptyRowSet();
     }
     verified = NumericMatches(attr, *numeric);
   } else {
-    const InvertedIndex& index = *indexes_[idx_it->second];
-    for (storage::RowId row : index.CandidateRows(sample, policy_, &stats)) {
-      if (NoisyContains(CellText(attr, row), sample, policy_)) {
-        verified.push_back(row);
+    // Each shard's verified rows are sorted and disjoint from every other
+    // shard's (the shard hash partitions rows), so appending them in shard
+    // order and sorting once when two or more shards contributed yields
+    // exactly the one-shard result.
+    size_t runs = 0;
+    for (const auto& indexes : shards_) {
+      const size_t before = verified.size();
+      for (storage::RowId row :
+           indexes[idx_it->second]->CandidateRows(sample, policy_, &stats)) {
+        if (NoisyContains(CellText(attr, row), sample, policy_)) {
+          verified.push_back(row);
+        }
       }
+      if (verified.size() > before) ++runs;
     }
-    // Punctuation-only samples degrade to an all-rows candidate set; caching
-    // the (column-sized) verified result would let degenerate probes flush
-    // the memo's useful working set.
-    cacheable = stats.all_rows_fallbacks == 0;
+    if (runs > 1) std::sort(verified.begin(), verified.end());
+    // Every shard sees the same punctuation-only sample: one fallback per
+    // probe, however many shards ran it.
+    stats.all_rows_fallbacks = std::min<uint64_t>(stats.all_rows_fallbacks, 1);
   }
-  probe_totals_.Record(stats);
-  if (counters != nullptr) counters->Record(stats);
+  record();
 
   RowSet result = verified.empty()
                       ? EmptyRowSet()
                       : std::make_shared<const std::vector<storage::RowId>>(
                             std::move(verified));
-  if (cacheable) {
+  // Punctuation-only samples degrade to an all-rows candidate set; caching
+  // the (column-sized) verified result would let degenerate probes flush
+  // the memo's useful working set.
+  if (stats.all_rows_fallbacks == 0) {
     probe_cache_->Insert(attr.relation, attr.attribute, policy_fp_, version,
                          sample, result);
   }
@@ -302,7 +361,9 @@ std::string FullTextEngine::AttributeName(const AttributeRef& attr) const {
 
 size_t FullTextEngine::index_bytes() const {
   size_t bytes = 0;
-  for (const auto& index : indexes_) bytes += index->index_bytes();
+  for (const auto& indexes : shards_) {
+    for (const auto& index : indexes) bytes += index->index_bytes();
+  }
   return bytes;
 }
 

@@ -3,6 +3,19 @@
 // full-text" substrate: find all occurrences of a sample (Algorithm 1), and
 // the verified matching rows of one attribute (used when executing pairwise
 // mapping queries and pruning queries).
+//
+// The engine holds N >= 1 shard index sets: shard s indexes only the rows
+// common::ShardOfRow assigns to it, under physical (relation-global) row
+// ids, so the shards' verified match sets of one probe are sorted and
+// pairwise disjoint. A probe loops over the shards and concatenates their
+// results into the sorted vector a one-shard engine would produce, so
+// results are byte-identical for any shard count. N = 1 is the degenerate
+// case of the same code. Sharding exists to shrink the unit of rebuild, not
+// of serving:
+//  * Catalog::Publish carries over the shard index sets whose content
+//    fingerprint did not change (see Build) and rebuilds only the rest;
+//  * TenantWriter::Apply delta-clones only the shards owning the batch's
+//    rows (CloneForDelta); the others stay shared with the serving base.
 #ifndef MWEAVER_TEXT_FULLTEXT_ENGINE_H_
 #define MWEAVER_TEXT_FULLTEXT_ENGINE_H_
 
@@ -42,73 +55,86 @@ struct Occurrence {
 struct EngineOptions {
   /// Byte budget of the probe memo (0 disables memoization).
   size_t probe_cache_bytes = 8u << 20;
-  /// Threads for the per-attribute parallel index build; 0 picks the
-  /// process-wide thread-pool size.
+  /// Threads for the parallel index build (across shards and attributes);
+  /// 0 picks the process-wide thread-pool size.
   size_t build_threads = 0;
-  /// Shard scope: with `shard_count` > 1 the engine indexes only the rows
-  /// common::ShardOfRow assigns to `shard_index`. Row ids stay physical
-  /// (relation-global); ShardedTextEngine unions per-shard results.
-  uint32_t shard_index = 0;
-  uint32_t shard_count = 1;
 };
 
 /// \brief Full-text search engine over one database instance.
 ///
-/// Indexes are built eagerly (and in parallel across attributes) at
-/// construction for every `searchable` string attribute. Verified
-/// per-(attribute, sample) match sets are memoized in a byte-bounded LRU
-/// ProbeCache, mirroring how a production engine caches hot keyword queries
-/// during an interactive session.
+/// Indexes are built eagerly (and in parallel across shards and attributes)
+/// at construction for every `searchable` string attribute. Verified
+/// per-(attribute, sample) match sets are memoized in one byte-bounded LRU
+/// ProbeCache per engine, mirroring how a production engine caches hot
+/// keyword queries during an interactive session.
 class FullTextEngine {
  public:
-  /// \brief Builds inverted indexes over `db`. The database must outlive the
-  /// engine and must not change afterwards except through the delta protocol
-  /// below (CloneForDelta + ApplyRow*).
+  /// \brief Builds inverted indexes over `db` as one shard. The database
+  /// must outlive the engine and must not change afterwards except through
+  /// the delta protocol below (CloneForDelta + ApplyRow*).
   FullTextEngine(const storage::Database* db, MatchPolicy policy,
-                 EngineOptions options = {});
+                 EngineOptions options = {})
+      : FullTextEngine(db, policy, 1, options) {}
 
-  virtual ~FullTextEngine() = default;
+  /// \brief Builds `shard_count` (clamped to >= 1) shard index sets over
+  /// `db`.
+  FullTextEngine(const storage::Database* db, MatchPolicy policy,
+                 uint32_t shard_count, EngineOptions options = {});
+
+  /// \brief Publish-time factory: builds an engine over `db`, carrying over
+  /// `previous`'s shard index sets where `reuse[s]` is true (the caller
+  /// verified shard s's content fingerprint is unchanged, so its indexes
+  /// are shared as they are) and building the rest. `previous` may be null
+  /// and `reuse` empty, which is a full build. The probe memo starts empty.
+  /// `shards_rebuilt`, when given, receives how many shards were built.
+  static std::unique_ptr<FullTextEngine> Build(
+      const storage::Database* db, MatchPolicy policy, uint32_t shard_count,
+      const EngineOptions& options, const FullTextEngine* previous,
+      const std::vector<bool>& reuse, size_t* shards_rebuilt = nullptr);
+
   FullTextEngine(const FullTextEngine&) = delete;
   FullTextEngine& operator=(const FullTextEngine&) = delete;
 
-  /// \brief Copy-on-write copy for a streaming update: indexes over
-  /// relations in `touched` are deep-copied (the caller is about to mutate
-  /// them via ApplyRowInsert/ApplyRowDelete), the rest share the base
-  /// engine's immutable indexes. The probe memo is shared with the base —
-  /// its entries are keyed by per-relation version, and every touched
-  /// relation's version is bumped to `new_version`, so entries for touched
-  /// relations go stale by construction while untouched relations keep
-  /// their hit rate. `db` is the delta's own CoW database (same physical
-  /// row ids as the base).
+  /// \brief Copy-on-write copy for a streaming update. In the shards listed
+  /// in `touched_shards`, the indexes over relations in `touched` are
+  /// deep-copied (the caller is about to mutate them via ApplyRowInsert /
+  /// ApplyRowDelete); every other index is shared with this engine. The
+  /// probe memo is shared too: its entries are keyed by per-relation
+  /// version, and every touched relation's version is bumped to
+  /// `new_version`, so entries for touched relations go stale by
+  /// construction while untouched relations keep their hit rate. `db` is
+  /// the delta's own CoW database (same physical row ids as the base).
   std::unique_ptr<FullTextEngine> CloneForDelta(
       const storage::Database* db,
       const std::vector<storage::RelationId>& touched,
+      const std::vector<uint32_t>& touched_shards,
       uint64_t new_version) const;
 
-  /// \brief Incrementally indexes a freshly appended row of `relation`
-  /// across every indexed attribute. Only valid on a CloneForDelta engine
-  /// whose `touched` set included the relation, before the engine is
-  /// published. A sharded engine indexes the row only when
-  /// common::ShardOfRow assigns it to this shard.
-  virtual void ApplyRowInsert(storage::RelationId relation, storage::RowId row);
+  /// \brief Incrementally indexes a freshly appended row of `relation` in
+  /// the shard common::ShardOfRow assigns it to. Only valid on a
+  /// CloneForDelta engine whose `touched` relations and `touched_shards`
+  /// include the row's, before the engine is published; any other call
+  /// aborts rather than mutate an index a serving engine shares.
+  void ApplyRowInsert(storage::RelationId relation, storage::RowId row);
 
-  /// \brief Removes a tombstoned row of `relation` from every indexed
-  /// attribute. Same ownership restrictions as ApplyRowInsert; the row's
+  /// \brief Removes a tombstoned row of `relation` from its shard's
+  /// indexes. Same ownership restrictions as ApplyRowInsert; the row's
   /// values must still be physically readable (tombstoned, not erased).
-  virtual void ApplyRowDelete(storage::RelationId relation, storage::RowId row);
+  void ApplyRowDelete(storage::RelationId relation, storage::RowId row);
 
-  /// \brief Refreshes byte accounting on the touched relations' indexes
-  /// after a batch of ApplyRow* calls.
-  virtual void FinalizeDelta(const std::vector<storage::RelationId>& touched);
+  /// \brief Refreshes byte accounting on the touched relations' indexes of
+  /// the delta-cloned shards after a batch of ApplyRow* calls.
+  void FinalizeDelta(const std::vector<storage::RelationId>& touched);
 
-  /// \brief Largest per-index removed-row count among `relation`'s indexes:
-  /// the delta-compaction policy input.
-  virtual size_t MaxRemovedRows(storage::RelationId relation) const;
+  /// \brief Largest per-index removed-row count among `relation`'s indexes
+  /// in the delta-cloned shards (the only ones compaction may rebuild): the
+  /// delta-compaction policy input.
+  size_t MaxRemovedRows(storage::RelationId relation) const;
 
-  /// \brief Rebuilds every index of `relation` from scratch over its live
-  /// rows, reclaiming dictionary garbage left by removals. Same ownership
-  /// restrictions as ApplyRowInsert.
-  virtual void CompactRelationIndexes(storage::RelationId relation);
+  /// \brief Rebuilds every index of `relation` in the delta-cloned shards
+  /// from scratch over their live rows, reclaiming dictionary garbage left
+  /// by removals. Same ownership restrictions as ApplyRowInsert.
+  void CompactRelationIndexes(storage::RelationId relation);
 
   /// \brief Update version of one relation: 0 at Publish, bumped to the
   /// snapshot's minor epoch whenever a streaming update touches the
@@ -133,9 +159,11 @@ class FullTextEngine {
 
   /// \brief Verified rows of one attribute that noisily contain `sample`
   /// (sorted, never null). Returns the empty set for non-indexed attributes.
-  virtual RowSet MatchingRows(const AttributeRef& attr,
-                              const std::string& sample,
-                              ProbeCounters* counters = nullptr) const;
+  /// One call records exactly one probe and one memo hit or miss in
+  /// `counters` at any shard count; candidate, scan-fallback and kernel
+  /// counters sum over the shards probed.
+  RowSet MatchingRows(const AttributeRef& attr, const std::string& sample,
+                      ProbeCounters* counters = nullptr) const;
 
   /// \brief True iff the given row's attribute value noisily contains
   /// `sample`.
@@ -168,28 +196,33 @@ class FullTextEngine {
   }
 
   /// \brief Approximate heap footprint of all attribute indexes.
-  virtual size_t index_bytes() const;
+  size_t index_bytes() const;
   /// \brief Lifetime probe statistics across every caller of this engine
   /// (callers passing their own ProbeCounters are counted here too).
   ProbeStats probe_totals() const { return probe_totals_.Snapshot(); }
   ProbeCache::Stats probe_cache_stats() const { return probe_cache_->stats(); }
 
-  /// \brief Shard topology of this engine: 1 for a monolithic engine or one
-  /// shard of a bundle; ShardedTextEngine reports its fanout width.
-  virtual uint32_t shard_count() const { return 1; }
+  /// \brief Number of row-hash shard index sets (>= 1).
+  uint32_t shard_count() const {
+    return static_cast<uint32_t>(shards_.size());
+  }
 
- protected:
-  // For CloneForDelta (and the sharded facade), which fill every member
-  // themselves.
+ private:
+  // For Build and CloneForDelta, which fill every member themselves.
   FullTextEngine() = default;
 
   // Fills every metadata member (attribute discovery, slot numbering,
-  // relation versions, policy fingerprint, probe memo, shard scope) without
-  // building any index. Shared by the public constructor and
-  // ShardedTextEngine, whose per-attribute indexes live in its shard
-  // engines.
+  // relation versions, policy fingerprint, a fresh probe memo) without
+  // building any index.
   void InitMetadata(const storage::Database* db, MatchPolicy policy,
                     const EngineOptions& options);
+  // Fills shards_: shard s is `previous`'s when reuse[s], built otherwise.
+  void BuildShards(uint32_t shard_count, const EngineOptions& options,
+                   const FullTextEngine* previous,
+                   const std::vector<bool>& reuse, size_t* shards_rebuilt);
+  // The delta-cloned shard owning `row`; aborts when it was not cloned.
+  std::vector<std::shared_ptr<InvertedIndex>>& MutableShardOf(
+      storage::RowId row);
 
   std::string CellText(const AttributeRef& attr, storage::RowId row) const;
   bool IsNumericAttr(const AttributeRef& attr) const;
@@ -200,11 +233,7 @@ class FullTextEngine {
   const storage::Database* db_ = nullptr;
   MatchPolicy policy_;
   uint64_t policy_fp_ = 0;  // fingerprint of policy_, part of the memo key
-  // Index storage aligned with `indexed_attrs_`. shared_ptr so a delta
-  // engine shares untouched indexes with its base; only the deep-copied
-  // touched ones are ever mutated, and only pre-publication.
   std::vector<AttributeRef> indexed_attrs_;
-  std::vector<std::shared_ptr<InvertedIndex>> indexes_;
   std::map<AttributeRef, size_t> index_of_attr_;
   // Searchable int64/double columns (no inverted index; matched by scan).
   std::vector<AttributeRef> numeric_attrs_;
@@ -212,17 +241,21 @@ class FullTextEngine {
   std::map<AttributeRef, int> slot_of_attr_;
   // Per-relation update version (see relation_version()).
   std::vector<uint64_t> rel_versions_;
-  // Shard scope (EngineOptions::shard_*): ApplyRow* silently skips rows the
-  // shard hash assigns elsewhere, so a sharded facade can broadcast row ops.
-  uint32_t shard_index_ = 0;
-  uint32_t shard_count_ = 1;
+  // shards_[s][i] indexes indexed_attrs_[i] over the rows of shard s.
+  // shared_ptr so a delta engine or a republish shares unchanged indexes
+  // with the engine it derives from; only the deep-copied indexes of a
+  // delta's touched shards are ever mutated, and only pre-publication.
+  std::vector<std::vector<std::shared_ptr<InvertedIndex>>> shards_;
+  // True for the shards CloneForDelta deep-copied: the only ones ApplyRow*
+  // and CompactRelationIndexes may mutate. All false outside a delta.
+  std::vector<bool> mutable_shards_;
   // Byte-bounded memo of verified results (thread safety is needed by the
   // parallel pairwise step, core/pairwise.h). Shared across one publish
   // lineage — a Publish mints a fresh cache, streaming deltas reuse their
   // base's, with per-relation versions in the key fencing stale entries.
   // Punctuation-only fallback results are never inserted — see
   // CandidateRows' all_rows_ contract.
-  mutable std::shared_ptr<ProbeCache> probe_cache_;
+  std::shared_ptr<ProbeCache> probe_cache_;
   mutable ProbeCounters probe_totals_;
 };
 

@@ -12,8 +12,8 @@
 // scalar kernels are always compiled and remain the reference — the
 // property tests assert the SIMD paths produce byte-identical output, and
 // a forced-scalar CI build (-DMWEAVER_DISABLE_SIMD=ON) keeps the fallback
-// executable. The pre-block merge kernels in text/postings.h are retained
-// unchanged as the frozen flat-vector reference implementation.
+// executable. The pre-block flat-vector merge kernels live on, frozen, as
+// a test oracle (tests/postings.h).
 #ifndef MWEAVER_TEXT_POSTING_BLOCK_H_
 #define MWEAVER_TEXT_POSTING_BLOCK_H_
 

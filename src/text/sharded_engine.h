@@ -1,118 +1,16 @@
-// ShardedTextEngine: a FullTextEngine facade over N independently built
-// shard engines, the unit of the catalog's intra-tenant sharding.
-//
-// Each shard engine indexes only the rows common::ShardOfRow assigns to it,
-// but keeps physical (relation-global) row ids in its postings, so the
-// per-shard verified match sets of one probe are sorted and pairwise
-// disjoint. The facade fans a probe out across shards on the shared thread
-// pool and merges the row sets back into one sorted vector — the canonical
-// form a monolithic engine would produce — so search results are
-// byte-identical for any shard count.
-//
-// Sharding exists to shrink the unit of rebuild, not the unit of serving:
-//  * Catalog::Publish reuses the shard engines whose content fingerprint
-//    did not change (see catalog/snapshot.h) and rebuilds only the rest;
-//  * TenantWriter::Apply delta-clones only the shards owning the batch's
-//    rows (CloneForShardedDelta); untouched shards stay shared with the
-//    serving base, probe memos warm.
-// Numeric attributes have no inverted index (they are matched by a memoized
-// verification scan), so the facade answers them itself through the base
-// class over the full database rather than fanning out.
+// Compatibility name for the sharded engine. Sharding is a constructor
+// argument of FullTextEngine (one engine holding N shard index sets), so
+// ShardedTextEngine(db, policy, n, options) is FullTextEngine(db, policy, n,
+// options). Kept only for the session benchmark (perfbench/src/layers.cc),
+// which still names it; code under src/ uses FullTextEngine directly.
 #ifndef MWEAVER_TEXT_SHARDED_ENGINE_H_
 #define MWEAVER_TEXT_SHARDED_ENGINE_H_
-
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "text/fulltext_engine.h"
 
 namespace mweaver::text {
 
-/// \brief Shard-bundle facade: one FullTextEngine per row-hash shard, plus
-/// the base class' metadata (attribute maps, numeric scan path, a memo of
-/// merged results) over the whole database.
-class ShardedTextEngine : public FullTextEngine {
- public:
-  /// \brief Builds `shard_count` shard engines over `db` (clamped to >= 1).
-  /// `options.shard_*` is ignored — the facade assigns each shard its own
-  /// scope.
-  ShardedTextEngine(const storage::Database* db, MatchPolicy policy,
-                    uint32_t shard_count, EngineOptions options = {});
-
-  /// \brief Wraps pre-built shard engines: the publish-time shard-reuse
-  /// path, where unchanged shards are carried over from the previous
-  /// snapshot (rebound to `db` via CloneForDelta) and only changed shards
-  /// were rebuilt. `shards[s]` must index shard s of `shards.size()` over
-  /// content identical to `db`'s.
-  ShardedTextEngine(const storage::Database* db, MatchPolicy policy,
-                    std::vector<std::shared_ptr<FullTextEngine>> shards,
-                    EngineOptions options = {});
-
-  /// \brief Publish-time factory: builds a bundle over `db`, carrying over
-  /// `previous`'s shard engines where `reuse[s]` is true (the caller
-  /// verified shard s's content fingerprint is unchanged; the engine is
-  /// rebound to `db` via CloneForDelta, probe memo warm) and building the
-  /// rest fresh in parallel. `previous` may be null / `reuse` empty, which
-  /// degenerates to a full build. `shards_rebuilt`, when given, receives
-  /// how many shard engines were actually constructed.
-  static std::unique_ptr<ShardedTextEngine> BuildReusing(
-      const storage::Database* db, MatchPolicy policy, uint32_t shard_count,
-      EngineOptions options, const ShardedTextEngine* previous,
-      const std::vector<bool>& reuse, size_t* shards_rebuilt = nullptr);
-
-  uint32_t shard_count() const override {
-    return static_cast<uint32_t>(shards_.size());
-  }
-  const std::shared_ptr<FullTextEngine>& shard(size_t s) const {
-    return shards_[s];
-  }
-
-  /// \brief Sharded analogue of CloneForDelta: shards in `touched_shards`
-  /// are delta-cloned (deep copies of `touched` relations' indexes, and
-  /// only they accept ApplyRow*/Compact calls); every other shard is
-  /// shallow-rebound to `db`, sharing its indexes and probe memo with the
-  /// serving base at its old relation versions, so its memo stays warm.
-  std::unique_ptr<ShardedTextEngine> CloneForShardedDelta(
-      const storage::Database* db,
-      const std::vector<storage::RelationId>& touched,
-      const std::vector<uint32_t>& touched_shards, uint64_t new_version) const;
-
-  /// \brief Fans indexed-attribute probes out across shards and merges the
-  /// disjoint sorted row sets in shard order; numeric attributes fall
-  /// through to the base class' whole-database scan path. Merged results
-  /// are memoized at the facade level, so repeated probes skip the fanout.
-  RowSet MatchingRows(const AttributeRef& attr, const std::string& sample,
-                      ProbeCounters* counters = nullptr) const override;
-
-  /// \brief Routes the row to its owning shard, which must be one of this
-  /// delta's touched (mutable) shards.
-  void ApplyRowInsert(storage::RelationId relation,
-                      storage::RowId row) override;
-  void ApplyRowDelete(storage::RelationId relation,
-                      storage::RowId row) override;
-  void FinalizeDelta(const std::vector<storage::RelationId>& touched) override;
-  /// \brief During a delta, the compaction policy can only act on mutable
-  /// shards, so only they are consulted; outside a delta every shard is.
-  size_t MaxRemovedRows(storage::RelationId relation) const override;
-  void CompactRelationIndexes(storage::RelationId relation) override;
-  size_t index_bytes() const override;
-
- private:
-  // For CloneForShardedDelta / BuildReusing, which fill every member.
-  ShardedTextEngine() = default;
-
-  // Shared body of the build constructor and BuildReusing.
-  void Init(const storage::Database* db, MatchPolicy policy,
-            uint32_t shard_count, const EngineOptions& options,
-            const ShardedTextEngine* previous, const std::vector<bool>& reuse,
-            size_t* shards_rebuilt);
-
-  std::vector<std::shared_ptr<FullTextEngine>> shards_;
-  // True for shards delta-cloned by CloneForShardedDelta: the only shards a
-  // pre-publication writer may mutate. All-false on a built/adopted bundle.
-  std::vector<bool> mutable_shards_;
-};
+using ShardedTextEngine = FullTextEngine;
 
 }  // namespace mweaver::text
 

@@ -121,8 +121,8 @@ struct Scenario {
   /// publishes.
   bool publish_churn = false;
   /// Row-hash shards per tenant (catalog::CatalogOptions::shard_count).
-  /// 1 = monolithic snapshots; N > 1 makes every publish a shard bundle
-  /// whose publishes/updates rebuild only the touched shards. Results are
+  /// Every snapshot's engine holds this many shard index sets, and
+  /// publishes/updates rebuild only the touched shards. Results are
   /// byte-identical for any value.
   size_t shards = 1;
   std::vector<PhaseSpec> phases;

@@ -5,7 +5,7 @@
 //     reference kernels on random inputs (and this same suite runs in the
 //     forced-scalar CI build, where both sides take the scalar path).
 //  2. IntersectBlocks / UnionBlocks agree exactly with the frozen
-//     flat-vector kernels in text/postings.h on the decoded value sets.
+//     flat-vector kernels in tests/postings.h on the decoded value sets.
 //
 // Plus the structural edges: containers straddling 64K boundaries, empty
 // and single-element containers, and dense<->sparse conversion round trips.
@@ -25,7 +25,7 @@
 
 #include "common/simd.h"
 #include "common/string_util.h"
-#include "text/postings.h"
+#include "postings.h"
 
 namespace mweaver::text {
 namespace {

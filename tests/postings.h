@@ -1,15 +1,14 @@
-// Allocation-free merge kernels for sorted posting lists, shared by the
-// inverted index and its n-gram / deletion-neighborhood sub-indexes.
+// Frozen flat-vector merge kernels for sorted posting lists: the reference
+// implementation the block-encoded kernels of text/posting_block.h are
+// checked against (posting_block_test). They were the inverted index's
+// kernels before block encoding; production code no longer uses them.
 //
-// The old per-probe code allocated a fresh vector per query token (one for
-// the set_intersection output, one for the sort-based union). These kernels
-// write into caller-owned scratch buffers instead, so a warm probe performs
-// no heap allocation beyond its returned result, and the intersection
-// gallops (doubling binary search) when one list is much shorter than the
-// other — the common shape when a selective token meets a stop-word-sized
-// posting list.
-#ifndef MWEAVER_TEXT_POSTINGS_H_
-#define MWEAVER_TEXT_POSTINGS_H_
+// They write into caller-owned scratch buffers, so a call performs no heap
+// allocation beyond its output, and the intersection gallops (doubling
+// binary search) when one list is much shorter than the other — the common
+// shape when a selective token meets a stop-word-sized posting list.
+#ifndef MWEAVER_TESTS_POSTINGS_H_
+#define MWEAVER_TESTS_POSTINGS_H_
 
 #include <algorithm>
 #include <bit>
@@ -166,4 +165,4 @@ void UnionSortedBitmap(const std::vector<const std::vector<T>*>& lists,
 
 }  // namespace mweaver::text
 
-#endif  // MWEAVER_TEXT_POSTINGS_H_
+#endif  // MWEAVER_TESTS_POSTINGS_H_

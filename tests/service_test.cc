@@ -906,6 +906,7 @@ TEST_F(ServiceTest, TransientSearchFailureRetriedOnceAndReportedDegraded) {
   EXPECT_EQ(result.outcome, RequestOutcome::kDegraded);
   EXPECT_TRUE(result.degraded);
   EXPECT_FALSE(result.truncated);
+  EXPECT_FALSE(result.cache_hit);  // the retry ran the search itself
   EXPECT_GT(result.num_candidates, 0u);
 
   const MetricsSnapshot snapshot = svc.SnapshotMetrics();
@@ -921,6 +922,14 @@ TEST_F(ServiceTest, TransientSearchFailureRetriedOnceAndReportedDegraded) {
   auto clean = core::SampleSearch(engine_, graph_, {"Avatar"});
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(result.num_candidates, clean->candidates.size());
+
+  // The retry's result was cached: a second session's first row hits it.
+  request.session_id = *svc.CreateSession({"Name"});
+  const RequestResult hit = svc.Call(request);
+  ASSERT_TRUE(hit.status.ok()) << hit.status;
+  EXPECT_EQ(hit.outcome, RequestOutcome::kOk);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.num_candidates, result.num_candidates);
 }
 
 TEST_F(ServiceTest, PersistentTransientFailureFailsAfterOneRetry) {

@@ -1,21 +1,23 @@
 // Shard invariance: the property the whole intra-tenant sharding design
-// stands on. A tenant snapshot built as an N-way row-hash shard bundle
-// must be OBSERVABLY IDENTICAL to the monolithic layout: same search
+// stands on. A tenant snapshot whose engine holds N row-hash shard index
+// sets must be OBSERVABLY IDENTICAL to the one-shard layout: same search
 // results, same scores, same order, for every match mode, at every point
 // of a streaming-update replay. Shards partition physical row ids, each
-// shard engine posts its slice under the relation-global ids, and the
-// fan-out merge concatenates the disjoint sorted per-shard sets in shard
-// order — so any divergence across shard counts is a sharding bug by
-// construction, never data skew.
+// shard posts its slice under the relation-global ids, and a probe
+// concatenates the disjoint sorted per-shard sets and sorts once — so any
+// divergence across shard counts is a sharding bug by construction, never
+// data skew.
 //
 // The headline property test runs 50 seeded databases x 5 match policies
-// with identical probes against shard counts {1, 2, 7} (1 = the
-// monolithic FullTextEngine baseline; 2 and 7 exercise even and prime
-// fan-outs with empty and singleton shards at small scale). A second
-// harness replays seeded insert/delete batches through TenantWriter
-// against all three shard counts in lockstep and re-checks the property
-// after every installed delta. Shard probes fan out on the shared thread
-// pool, making this a designated TSan workload.
+// with identical probes against shard counts {1, 2, 7, 8} (1 = the
+// one-shard baseline; 2 and 7 exercise even and prime widths with empty and
+// singleton shards at small scale; 8 is the width the benchmarks and the
+// sharded-tenant scenario run). A second harness replays seeded
+// insert/delete batches through TenantWriter against every shard count in
+// lockstep and re-checks the property after every installed delta. Probes
+// loop over the shards on the caller's thread; the pinned-reader test
+// below runs concurrent readers against a writer, which keeps this suite a
+// TSan workload.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,18 +31,20 @@
 
 #include "catalog/catalog.h"
 #include "catalog/tenant_writer.h"
+#include "common/hash_util.h"
 #include "common/random.h"
 #include "core/sample_search.h"
 #include "storage/database.h"
 #include "test_util.h"
 #include "text/fulltext_engine.h"
+#include "text/lookup_stats.h"
 #include "text/match.h"
 
 namespace mweaver::catalog {
 namespace {
 
 constexpr std::string_view kTenant = "shardy";
-constexpr uint32_t kShardCounts[] = {1, 2, 7};
+constexpr uint32_t kShardCounts[] = {1, 2, 7, 8};
 
 // Canonical (mapping, score) list for byte-identical comparison.
 std::vector<std::pair<std::string, double>> Ranked(
@@ -66,7 +70,7 @@ std::vector<NamedPolicy> AllPolicies() {
       {"ignore_case", text::MatchPolicy::IgnoreCase()},
       {"substring", text::MatchPolicy::Substring()},
       {"fuzzy", text::MatchPolicy::Fuzzy(1)},
-      // Numeric matching drives the facade's unsharded fall-through for
+      // Numeric matching drives the whole-database scan path for
       // non-indexed (numeric) attributes.
       {"substring+numeric", numeric},
   };
@@ -104,7 +108,7 @@ void ExpectShardInvariant(const std::vector<SnapshotPtr>& snapshots,
       }
       EXPECT_EQ(Ranked(*result), baseline)
           << context << ": " << kShardCounts[i]
-          << "-shard results diverged from the monolithic layout for probe"
+          << "-shard results diverged from the one-shard layout for probe"
           << " '" << probe.front() << "'";
     }
   }
@@ -170,10 +174,10 @@ TEST(ShardInvarianceTest, Figure2MatchesAcrossEveryPolicy) {
 // ---------------------------------------------- differential replay ------
 
 // Drives the same seeded insert/delete interleaving through TenantWriter
-// against shard counts {1, 2, 7} in lockstep. All three catalogs start
-// from the identical database and apply identical batches, so their
-// physical row-id spaces stay equal step by step — after every installed
-// delta the three bundles must keep serving byte-identical results.
+// against every shard count in lockstep. All catalogs start from the
+// identical database and apply identical batches, so their physical row-id
+// spaces stay equal step by step — after every installed delta the
+// snapshots must keep serving byte-identical results.
 void RunShardedReplay(uint64_t seed, size_t steps) {
   std::vector<std::unique_ptr<Catalog>> catalogs;
   std::vector<std::unique_ptr<TenantWriter>> writers;
@@ -273,7 +277,7 @@ TEST(ShardReuseTest, RepublishRebuildsOnlyChangedShards) {
   ASSERT_TRUE(published.ok());
   EXPECT_EQ(rebuilt_last(), 1u);
 
-  // The partially reused bundle still serves monolithic-identical results.
+  // The partially reused engine still serves one-shard-identical results.
   CatalogOptions mono;
   Catalog baseline(mono);
   storage::Database changed_again = source.Clone();
@@ -297,11 +301,11 @@ TEST(ShardReuseTest, RepublishRebuildsOnlyChangedShards) {
   }
 }
 
-// ---------------------------------------------- concurrent fan-out -------
+// ---------------------------------------------- concurrent readers --------
 
-// Readers hammer one pinned 7-shard snapshot (every probe fans out on the
-// shared pool) while a writer mints shard-scoped minor epochs — the
-// designated TSan workload for the fan-out/merge and per-shard memo paths.
+// Readers hammer one pinned 7-shard snapshot while a writer mints
+// shard-scoped minor epochs that share index sets and the probe memo with
+// it — the designated TSan workload for the shard loop and the memo.
 TEST(ShardConcurrencyTest, PinnedReadersStableUnderShardScopedUpdates) {
   CatalogOptions options;
   options.shard_count = 7;
@@ -328,7 +332,7 @@ TEST(ShardConcurrencyTest, PinnedReadersStableUnderShardScopedUpdates) {
             core::SampleSearch(snap->engine(), snap->graph(), probe, {});
         ASSERT_TRUE(again.ok()) << again.status();
         EXPECT_EQ(Ranked(*first), Ranked(*again))
-            << "pinned shard bundle changed under a concurrent update";
+            << "pinned sharded snapshot changed under a concurrent update";
         iterations.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -357,7 +361,7 @@ TEST(ShardConcurrencyTest, PinnedReadersStableUnderShardScopedUpdates) {
     ++applied_count;
   }
   // The writer finishes its 25 tiny batches in about a millisecond — far
-  // faster than one fan-out search. Keep the bundle serving until every
+  // faster than one 7-shard search. Keep the bundle serving until every
   // reader has overlapped at least a few probes with the minted epochs
   // (bounded wait so a failed reader can't hang the test).
   for (int spin = 0; spin < 10000 && iterations.load() < 9u; ++spin) {
@@ -367,6 +371,124 @@ TEST(ShardConcurrencyTest, PinnedReadersStableUnderShardScopedUpdates) {
   for (std::thread& t : readers) t.join();
   EXPECT_GT(applied_count, 10u);
   EXPECT_GE(iterations.load(), 9u);
+}
+
+// ---------------------------------------------- probe counters -----------
+
+// A film relation with a searchable year column (numeric probes) next to an
+// untouched person relation; 24 films spread over every one of 8 shards.
+storage::Database MakeFilmDb() {
+  storage::Database db("films");
+  db.AddRelation(storage::RelationSchema(
+                     "film", {testing::IdAttr("fid"), testing::StrAttr("title"),
+                              {"year", storage::ValueType::kInt64,
+                               /*searchable=*/true}}))
+      .ValueOrDie();
+  db.AddRelation(storage::RelationSchema(
+                     "person",
+                     {testing::IdAttr("pid"), testing::StrAttr("name")}))
+      .ValueOrDie();
+  const char* const kTitles[] = {"Avatar", "Big Fish", "Harry Potter",
+                                 "Avatar Returns"};
+  for (int64_t i = 0; i < 24; ++i) {
+    testing::AddRow(&db, "film",
+                    {testing::I(i), testing::S(kTitles[i % 4]),
+                     testing::I(2000 + i % 10)});
+  }
+  testing::AddRow(&db, "person", {testing::I(0), testing::S("James Cameron")});
+  testing::AddRow(&db, "person", {testing::I(1), testing::S("Tim Burton")});
+  return db;
+}
+
+// One MatchingRows call is one probe and one memo hit or miss at any shard
+// count; a punctuation-only sample is one all-rows fallback and is never
+// memoized; a delta bumps only the touched relation's memo version.
+TEST(ProbeCountersTest, ScriptedProbesCountTheSameAtOneAndEightShards) {
+  std::vector<std::vector<storage::RowId>> baseline;
+  for (const uint32_t shards : {1u, 8u}) {
+    const std::string context = std::to_string(shards) + " shard(s)";
+    CatalogOptions options;
+    options.match_policy = text::MatchPolicy::Substring();
+    options.match_policy.match_numeric = true;
+    options.shard_count = shards;
+    Catalog catalog(options);
+    const SnapshotPtr before =
+        catalog.Publish(kTenant, MakeFilmDb()).ValueOrDie();
+    const storage::RelationId film = before->db().FindRelation("film");
+    const text::AttributeRef title{film, 1};
+    const text::AttributeRef year{film, 2};
+    const text::AttributeRef name{before->db().FindRelation("person"), 1};
+
+    text::ProbeCounters counters;
+    std::vector<std::vector<storage::RowId>> rows;
+    const auto probe = [&](const SnapshotPtr& snap,
+                           const text::AttributeRef& attr,
+                           const std::string& sample) {
+      rows.push_back(*snap->engine().MatchingRows(attr, sample, &counters));
+    };
+    probe(before, title, "Avatar");  // miss
+    probe(before, title, "Avatar");  // hit
+    probe(before, title, "?!");      // miss, all-rows fallback, not memoized
+    probe(before, title, "?!");      // miss again, second fallback
+    probe(before, year, "2003");     // miss (numeric scan)
+    probe(before, year, "2003");     // hit
+    probe(before, name, "Cameron");  // miss
+
+    TenantWriter writer(&catalog);
+    UpdateBatch batch;
+    batch.inserts.push_back(RowInsert{
+        "film", {testing::I(24), testing::S("Avatar"), testing::I(2003)}});
+    const SnapshotPtr after =
+        writer.Apply(kTenant, batch).ValueOrDie().snapshot;
+    probe(after, title, "Avatar");  // miss: the film relation's version moved
+    probe(after, title, "Avatar");  // hit
+    probe(after, name, "Cameron");  // hit: person was untouched
+
+    const text::ProbeStats totals = counters.Snapshot();
+    EXPECT_EQ(totals.probes, 10u) << context;
+    EXPECT_EQ(totals.memo_hits, 4u) << context;
+    EXPECT_EQ(totals.memo_misses, 6u) << context;
+    EXPECT_EQ(totals.all_rows_fallbacks, 2u) << context;
+    // The engine's lifetime totals count the same probes.
+    const text::ProbeStats engine_totals = before->engine().probe_totals();
+    EXPECT_EQ(engine_totals.probes, 7u) << context;
+    EXPECT_EQ(engine_totals.memo_hits, 2u) << context;
+    EXPECT_EQ(engine_totals.memo_misses, 5u) << context;
+    EXPECT_EQ(engine_totals.all_rows_fallbacks, 2u) << context;
+
+    EXPECT_EQ(rows[0].size(), 12u) << context;  // "Avatar" + "Avatar Returns"
+    EXPECT_EQ(rows[7].size(), 13u) << context;  // plus the inserted film
+    if (baseline.empty()) {
+      baseline = rows;
+    } else {
+      EXPECT_EQ(rows, baseline) << context;
+    }
+  }
+}
+
+// ---------------------------------------------- delta ownership -----------
+
+// ApplyRow* mutates indexes in place, so it must only ever reach a shard a
+// CloneForDelta deep-copied: anything else is shared with a serving
+// snapshot.
+TEST(DeltaOwnershipDeathTest, RowOpsOutsideDeltaClonedShardsAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const storage::Database db = MakeFilmDb();
+  const storage::RelationId film = db.FindRelation("film");
+  for (const uint32_t shards : {1u, 8u}) {
+    // A built engine is what a publish serves: it takes no row ops.
+    text::FullTextEngine engine(&db, text::MatchPolicy::Substring(), shards);
+    EXPECT_DEATH(engine.ApplyRowInsert(film, 0), "did not delta-clone");
+    EXPECT_DEATH(engine.ApplyRowDelete(film, 0), "did not delta-clone");
+  }
+  const text::FullTextEngine engine(&db, text::MatchPolicy::Substring(), 8);
+  const uint32_t owned = ShardOfRow(0, 8);
+  storage::RowId elsewhere = 1;
+  while (ShardOfRow(elsewhere, 8) == owned) ++elsewhere;
+  std::unique_ptr<text::FullTextEngine> delta =
+      engine.CloneForDelta(&db, {film}, {owned}, 1);
+  delta->ApplyRowDelete(film, 0);  // row 0's shard was delta-cloned
+  EXPECT_DEATH(delta->ApplyRowDelete(film, elsewhere), "did not delta-clone");
 }
 
 }  // namespace
