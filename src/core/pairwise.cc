@@ -1,5 +1,6 @@
 #include "core/pairwise.h"
 
+#include <algorithm>
 #include <string>
 
 #include "common/failpoint.h"
@@ -33,6 +34,24 @@ MappingPath BuildChain(storage::RelationId start_rel,
   path.AddProjection(i, 0, start_attr);
   path.AddProjection(j, last, end_attr);
   return path;
+}
+
+// The occurrence of `col`'s L entry that `mapping` projects the column
+// from. Every pairwise mapping is generated from two occurrences of L, so
+// one always exists.
+const text::Occurrence* FindOccurrence(const MappingPath& mapping,
+                                       const ColumnLocations& col) {
+  const Projection* p = mapping.FindProjection(col.target_column);
+  MW_CHECK(p != nullptr);
+  const text::AttributeRef attr{mapping.vertex(p->vertex).relation,
+                                p->attribute};
+  auto it = std::find_if(
+      col.occurrences.begin(), col.occurrences.end(),
+      [&](const text::Occurrence& occ) { return occ.attr == attr; });
+  MW_CHECK(it != col.occurrences.end())
+      << "pairwise mapping projects column " << col.target_column
+      << " from an attribute outside its location map entry";
+  return &*it;
 }
 
 }  // namespace
@@ -128,20 +147,29 @@ Result<PairwiseTupleMap> CreatePairwiseTuplePaths(
   MW_FAILPOINT_RETURN_NOT_OK("core.pairwise.exec");
   // Flatten the work list so the per-mapping queries can run in parallel;
   // results are merged back in flattened order, keeping the output
-  // deterministic for any thread count.
+  // deterministic for any thread count. Each item carries the two
+  // occurrences of L its mapping was generated from: their verified rows
+  // are the query's constraint rows, so no query re-probes the engine.
   struct WorkItem {
     ColumnPair key;
     const MappingPath* mapping;
-    query::SampleMap samples;
+    const query::SampleMap* samples;  // shared by the column pair's items
+    const text::Occurrence* start;    // column i's occurrence
+    const text::Occurrence* end;      // column j's occurrence
   };
+  std::vector<query::SampleMap> pair_samples;
+  pair_samples.reserve(pmpm.size());  // items point into it: no reallocation
   std::vector<WorkItem> work;
   for (const auto& [key, mappings] : pmpm) {
     const auto& [i, j] = key;
-    query::SampleMap samples{
-        {i, locations.column(static_cast<size_t>(i)).sample},
-        {j, locations.column(static_cast<size_t>(j)).sample}};
+    const ColumnLocations& col_i = locations.column(static_cast<size_t>(i));
+    const ColumnLocations& col_j = locations.column(static_cast<size_t>(j));
+    pair_samples.push_back(
+        query::SampleMap{{i, col_i.sample}, {j, col_j.sample}});
     for (const MappingPath& mapping : mappings) {
-      work.push_back(WorkItem{key, &mapping, samples});
+      work.push_back(WorkItem{key, &mapping, &pair_samples.back(),
+                              FindOccurrence(mapping, col_i),
+                              FindOccurrence(mapping, col_j)});
     }
   }
 
@@ -165,8 +193,12 @@ Result<PairwiseTupleMap> CreatePairwiseTuplePaths(
           wctx->RequestStop();
         }
         if (wctx->ShouldStop()) return;
-        results[idx] = executor.Execute(*work[idx].mapping, work[idx].samples,
-                                        exec_options, wctx);
+        const WorkItem& item = work[idx];
+        const query::LocatedRows located[] = {
+            {item.key.first, item.start->rows},
+            {item.key.second, item.end->rows}};
+        results[idx] = executor.Execute(*item.mapping, *item.samples,
+                                        exec_options, wctx, located);
       });
 
   PairwiseTupleMap ptpm;

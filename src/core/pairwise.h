@@ -57,7 +57,11 @@ struct PairwiseStats {
 
 /// \brief Section 4.5.3: executes each pairwise mapping as an approximate
 /// search query, keeping the supporting tuple paths; unsupported mappings
-/// are dropped.
+/// are dropped. Each query's constraint rows are the verified rows of the
+/// two occurrences in `locations` its mapping was generated from, so
+/// `locations` must be the map `pmpm` was generated from, built by
+/// LocationMap::Build against the executor's engine (a FromAttributes map
+/// has no rows).
 Result<PairwiseTupleMap> CreatePairwiseTuplePaths(
     const query::PathExecutor& executor, const PairwiseMappingMap& pmpm,
     const LocationMap& locations, const SearchOptions& options,

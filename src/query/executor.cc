@@ -1,7 +1,8 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <functional>
+#include <iterator>
+#include <memory>
 #include <set>
 
 #include "common/logging.h"
@@ -21,15 +22,6 @@ using core::kNoVertex;
 using core::internal::AdjEdge;
 using core::internal::BuildAdjacency;
 
-// Per-vertex keyword constraints gathered from the projections that have a
-// sample: (attribute, sample) pairs.
-struct VertexConstraint {
-  std::vector<std::pair<storage::AttributeId, std::string>> predicates;
-  // Sorted row ids satisfying every predicate; only meaningful when
-  // !predicates.empty().
-  std::vector<storage::RowId> rows;
-};
-
 // One step of the traversal order: assign `vertex`, whose candidate rows
 // come from joining `from` via `fk`.
 struct Step {
@@ -37,6 +29,9 @@ struct Step {
   VertexId from;                       // kNoVertex for the start vertex
   storage::AttributeId vertex_attr;    // join attr on `vertex`'s side
   storage::AttributeId from_attr;      // join attr on `from`'s side
+  // Hash index on `vertex_attr`, resolved once per plan (null for the
+  // start vertex), so the enumeration never calls IndexOn.
+  const storage::HashIndex* index;
   // Earlier-assigned vertices that are neighbors of `from` via the same FK
   // and orientation as `vertex`: their rows must differ from `vertex`'s
   // (see the normal-form note in executor.h).
@@ -50,18 +45,24 @@ bool SortedContains(const std::vector<storage::RowId>& sorted,
 
 // The complete evaluation plan for one mapping + constraint set.
 struct Plan {
-  std::vector<VertexConstraint> constraints;  // per mapping vertex
+  // Per mapping vertex: the sorted rows satisfying every keyword predicate
+  // (projection with a sample) on it, null iff the vertex is
+  // unconstrained. A located or memoized row set is shared, not copied.
+  std::vector<text::RowSet> constraints;
   VertexId start = 0;
   std::vector<Step> steps;  // empty iff a constraint set is empty
   bool provably_empty = false;
 };
 
 // Plan construction shared by Execute and Explain: gather per-vertex
-// constraint row sets, pick the most selective start vertex, and lay out
-// the BFS join order with the normal-form distinctness lists. `counters`
-// (may be null) accumulates the keyword probes' statistics.
+// constraint row sets (from `located` when the caller has them, else one
+// engine probe each), pick the most selective start vertex, and lay out the
+// BFS join order with its join indexes and the normal-form distinctness
+// lists. `counters` (may be null) accumulates the keyword probes'
+// statistics.
 Result<Plan> BuildPlan(const text::FullTextEngine& engine,
                        const MappingPath& mapping, const SampleMap& samples,
+                       std::span<const LocatedRows> located,
                        text::ProbeCounters* counters) {
   const storage::Database& db = engine.db();
   const size_t n = mapping.num_vertices();
@@ -78,33 +79,37 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
   }
 
   Plan plan;
-  // 1. Gather per-vertex keyword constraints and their verified row sets.
+  // 1. Per-vertex constraint row sets, vertex by vertex and, within a
+  // vertex, in projection order; the first empty set proves the query
+  // empty and skips the remaining probes. Only a vertex with two
+  // predicates (a zero-join chain) intersects.
   plan.constraints.resize(n);
-  for (const Projection& p : mapping.projections()) {
-    auto it = samples.find(p.target_column);
-    if (it == samples.end() || it->second.empty()) continue;
-    plan.constraints[static_cast<size_t>(p.vertex)].predicates.emplace_back(
-        p.attribute, it->second);
-  }
   for (size_t v = 0; v < n; ++v) {
-    VertexConstraint& c = plan.constraints[v];
-    if (c.predicates.empty()) continue;
+    text::RowSet& c = plan.constraints[v];
     const storage::RelationId rel =
         mapping.vertex(static_cast<VertexId>(v)).relation;
-    bool first = true;
-    for (const auto& [attr, sample] : c.predicates) {
-      const text::RowSet rows =
-          engine.MatchingRows(text::AttributeRef{rel, attr}, sample, counters);
-      if (first) {
-        c.rows = *rows;
-        first = false;
+    for (const Projection& p : mapping.projections()) {
+      if (static_cast<size_t>(p.vertex) != v) continue;
+      auto it = samples.find(p.target_column);
+      if (it == samples.end() || it->second.empty()) continue;
+      auto given = std::find_if(
+          located.begin(), located.end(), [&](const LocatedRows& l) {
+            return l.target_column == p.target_column;
+          });
+      text::RowSet rows =
+          given != located.end()
+              ? given->rows
+              : engine.MatchingRows(text::AttributeRef{rel, p.attribute},
+                                    it->second, counters);
+      if (c == nullptr) {
+        c = std::move(rows);
       } else {
-        std::vector<storage::RowId> merged;
-        std::set_intersection(c.rows.begin(), c.rows.end(), rows->begin(),
-                              rows->end(), std::back_inserter(merged));
-        c.rows = std::move(merged);
+        auto merged = std::make_shared<std::vector<storage::RowId>>();
+        std::set_intersection(c->begin(), c->end(), rows->begin(),
+                              rows->end(), std::back_inserter(*merged));
+        c = std::move(merged);
       }
-      if (c.rows.empty()) {
+      if (c->empty()) {
         plan.provably_empty = true;
         return plan;
       }
@@ -115,9 +120,9 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
   // candidates, falling back to vertex 0 for unconstrained queries.
   size_t best = SIZE_MAX;
   for (size_t v = 0; v < n; ++v) {
-    if (!plan.constraints[v].predicates.empty() &&
-        plan.constraints[v].rows.size() < best) {
-      best = plan.constraints[v].rows.size();
+    if (plan.constraints[v] != nullptr &&
+        plan.constraints[v]->size() < best) {
+      best = plan.constraints[v]->size();
       plan.start = static_cast<VertexId>(v);
     }
   }
@@ -130,7 +135,7 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
   assign_order[static_cast<size_t>(plan.start)] = 0;
   plan.steps.push_back(Step{plan.start, kNoVertex,
                             storage::kInvalidAttribute,
-                            storage::kInvalidAttribute, {}});
+                            storage::kInvalidAttribute, nullptr, {}});
   std::vector<VertexId> frontier{plan.start};
   while (!frontier.empty()) {
     std::vector<VertexId> next;
@@ -145,7 +150,9 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
             e.neighbor_is_from_side ? fk.from_attribute : fk.to_attribute;
         const storage::AttributeId u_attr =
             e.neighbor_is_from_side ? fk.to_attribute : fk.from_attribute;
-        Step step{e.neighbor, u, v_attr, u_attr, {}};
+        const storage::Relation& v_rel =
+            db.relation(mapping.vertex(e.neighbor).relation);
+        Step step{e.neighbor, u, v_attr, u_attr, &v_rel.IndexOn(v_attr), {}};
         // Normal form: the new vertex must differ from every already-
         // assigned neighbor of `u` reached via the same FK/orientation.
         for (const AdjEdge& other : adj[static_cast<size_t>(u)]) {
@@ -176,15 +183,16 @@ PathExecutor::PathExecutor(const text::FullTextEngine* engine)
 
 Result<std::vector<core::TuplePath>> PathExecutor::Execute(
     const core::MappingPath& mapping, const SampleMap& samples,
-    const ExecOptions& options, core::ExecutionContext* ctx) const {
+    const ExecOptions& options, core::ExecutionContext* ctx,
+    std::span<const LocatedRows> located) const {
   const storage::Database& db = engine_->db();
   const size_t n = mapping.num_vertices();
   MW_ASSIGN_OR_RETURN(
       Plan plan,
-      BuildPlan(*engine_, mapping, samples,
+      BuildPlan(*engine_, mapping, samples, located,
                 ctx != nullptr ? &ctx->probe_counters() : nullptr));
   if (plan.provably_empty) return std::vector<core::TuplePath>{};
-  const std::vector<VertexConstraint>& constraints = plan.constraints;
+  const std::vector<text::RowSet>& constraints = plan.constraints;
   const std::vector<Step>& steps = plan.steps;
 
   // 4. Depth-first enumeration of row assignments along the steps.
@@ -216,7 +224,9 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
   };
 
   bool done = false;
-  std::function<void(size_t)> enumerate = [&](size_t step_index) {
+  // Recursive through its own argument: a std::function would allocate
+  // once per query.
+  auto enumerate = [&](auto& self, size_t step_index) -> void {
     if (done) return;
     // One poll per enumeration node bounds the overrun to a single
     // assignment's fan-out; ShouldStop throttles the actual clock reads.
@@ -234,22 +244,22 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
     }
     const Step& step = steps[step_index];
     const size_t v = static_cast<size_t>(step.vertex);
-    const storage::Relation& rel =
-        db.relation(mapping.vertex(step.vertex).relation);
 
     if (step.from == kNoVertex) {
       // Start vertex: iterate its constrained candidates, or every row.
-      if (!constraints[v].predicates.empty()) {
-        for (storage::RowId row : constraints[v].rows) {
+      const storage::Relation& rel =
+          db.relation(mapping.vertex(step.vertex).relation);
+      if (constraints[v] != nullptr) {
+        for (storage::RowId row : *constraints[v]) {
           assignment[v] = row;
-          enumerate(step_index + 1);
+          self(self, step_index + 1);
           if (done) return;
         }
       } else {
         for (size_t r = 0; r < rel.num_rows(); ++r) {
           if (rel.is_deleted(static_cast<storage::RowId>(r))) continue;
           assignment[v] = static_cast<storage::RowId>(r);
-          enumerate(step_index + 1);
+          self(self, step_index + 1);
           if (done) return;
         }
       }
@@ -261,11 +271,8 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
     const storage::Value& join_value = from_rel.at(
         assignment[static_cast<size_t>(step.from)], step.from_attr);
     if (join_value.is_null()) return;  // inner join: NULL never matches
-    const std::vector<storage::RowId>& joined =
-        rel.IndexOn(step.vertex_attr).Lookup(join_value);
-    for (storage::RowId row : joined) {
-      if (!constraints[v].predicates.empty() &&
-          !SortedContains(constraints[v].rows, row)) {
+    for (storage::RowId row : step.index->Lookup(join_value)) {
+      if (constraints[v] != nullptr && !SortedContains(*constraints[v], row)) {
         continue;
       }
       bool duplicate_sibling = false;
@@ -277,11 +284,11 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
       }
       if (duplicate_sibling) continue;
       assignment[v] = row;
-      enumerate(step_index + 1);
+      self(self, step_index + 1);
       if (done) return;
     }
   };
-  enumerate(0);
+  enumerate(enumerate, 0);
   return results;
 }
 
@@ -289,7 +296,7 @@ Result<std::string> PathExecutor::Explain(const core::MappingPath& mapping,
                                           const SampleMap& samples) const {
   const storage::Database& db = engine_->db();
   MW_ASSIGN_OR_RETURN(Plan plan,
-                      BuildPlan(*engine_, mapping, samples, nullptr));
+                      BuildPlan(*engine_, mapping, samples, {}, nullptr));
   std::string out = "plan for " + mapping.ToString(db) + "\n";
   if (plan.provably_empty) {
     out += "  provably empty: a keyword constraint matches no rows\n";
@@ -299,16 +306,14 @@ Result<std::string> PathExecutor::Explain(const core::MappingPath& mapping,
     const Step& step = plan.steps[i];
     const storage::Relation& rel =
         db.relation(mapping.vertex(step.vertex).relation);
-    const VertexConstraint& c =
-        plan.constraints[static_cast<size_t>(step.vertex)];
+    const text::RowSet& c = plan.constraints[static_cast<size_t>(step.vertex)];
     out += StrFormat("  %zu. ", i + 1);
     if (step.from == kNoVertex) {
       out += "scan " + rel.name();
-      if (c.predicates.empty()) {
+      if (c == nullptr) {
         out += StrFormat(" (%zu rows)", rel.num_rows());
       } else {
-        out += StrFormat(" via full-text candidates (%zu rows)",
-                         c.rows.size());
+        out += StrFormat(" via full-text candidates (%zu rows)", c->size());
       }
     } else {
       const storage::Relation& from_rel =
@@ -318,9 +323,8 @@ Result<std::string> PathExecutor::Explain(const core::MappingPath& mapping,
           rel.schema().attribute(step.vertex_attr).name.c_str(),
           from_rel.name().c_str(),
           from_rel.schema().attribute(step.from_attr).name.c_str());
-      if (!c.predicates.empty()) {
-        out += StrFormat(" ∩ full-text candidates (%zu rows)",
-                         c.rows.size());
+      if (c != nullptr) {
+        out += StrFormat(" ∩ full-text candidates (%zu rows)", c->size());
       }
       if (!step.distinct_from.empty()) {
         out += StrFormat(" [distinct from %zu sibling(s)]",

@@ -23,6 +23,7 @@
 #define MWEAVER_QUERY_EXECUTOR_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,16 @@ namespace mweaver::query {
 /// \brief Keyword constraints: target column -> user sample. Columns absent
 /// from the map are unconstrained.
 using SampleMap = std::map<int, std::string>;
+
+/// \brief The verified rows of one keyword-constrained projection, already
+/// known to the caller: pairwise execution passes the location map's
+/// occurrence rows (Algorithm 1 probed them). `rows` must be what
+/// FullTextEngine::MatchingRows returns for the projection's attribute and
+/// the column's sample; the plan then uses them as-is instead of probing.
+struct LocatedRows {
+  int target_column = -1;
+  text::RowSet rows;
+};
 
 struct ExecOptions {
   /// Stop after this many tuple paths (0 = unlimited).
@@ -57,11 +68,13 @@ class PathExecutor {
   /// noisily contain the given samples. Fails only on malformed mappings
   /// (e.g. a projection for a column with no vertex). When `ctx` is given,
   /// the enumeration polls its deadline/cancel token and returns the
-  /// results found so far on a stop.
+  /// results found so far on a stop. A constrained projection whose column
+  /// appears in `located` takes those rows; the rest are probed through the
+  /// engine. The result is the same either way.
   Result<std::vector<core::TuplePath>> Execute(
       const core::MappingPath& mapping, const SampleMap& samples,
-      const ExecOptions& options = {},
-      core::ExecutionContext* ctx = nullptr) const;
+      const ExecOptions& options = {}, core::ExecutionContext* ctx = nullptr,
+      std::span<const LocatedRows> located = {}) const;
 
   /// \brief True iff at least one supporting tuple path exists. A stopped
   /// `ctx` reports false for support not yet found.

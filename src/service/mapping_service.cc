@@ -330,11 +330,10 @@ RequestResult MappingService::ProcessUpdate(const QueuedRequest& queued) {
       writer_.Apply(queued.update.tenant, queued.update.batch);
   // Same graceful degradation as searches: one retry on a transient
   // (Unavailable) failure. Apply is atomic — a failed attempt left no
-  // trace — so the replay is safe; the retry shares the search counter
-  // since it reports the same backend-flaking signal.
+  // trace — so the replay is safe.
   if (!applied.ok() && applied.status().IsUnavailable() &&
       core::SearchClock::now() < queued.deadline) {
-    metrics_.RecordSearchRetry();
+    metrics_.RecordUpdateRetry();
     applied = writer_.Apply(queued.update.tenant, queued.update.batch);
     if (applied.ok()) result.degraded = true;
   }

@@ -64,7 +64,7 @@ double MetricsSnapshot::ApproxStageLatencyPercentileMs(
 std::string MetricsSnapshot::ToString() const {
   std::string out = StrFormat(
       "requests: %llu ok, %llu truncated, %llu degraded, %llu failed, "
-      "%llu overloaded | retries: %llu | "
+      "%llu overloaded | retries: %llu search, %llu update | "
       "cache: %llu hits / %llu misses (%.1f%%) | queue high-water: %llu | "
       "latency p50/p95/p99 <= %.2f/%.2f/%.2f ms",
       static_cast<unsigned long long>(requests_ok),
@@ -73,6 +73,7 @@ std::string MetricsSnapshot::ToString() const {
       static_cast<unsigned long long>(requests_failed),
       static_cast<unsigned long long>(requests_overloaded),
       static_cast<unsigned long long>(search_retries),
+      static_cast<unsigned long long>(update_retries),
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses), CacheHitRate() * 100.0,
       static_cast<unsigned long long>(queue_high_water),
@@ -150,6 +151,7 @@ std::string MetricsSnapshot::ToJson() const {
   AppendJsonUInt(&out, "requests_truncated", requests_truncated, &first);
   AppendJsonUInt(&out, "requests_failed", requests_failed, &first);
   AppendJsonUInt(&out, "search_retries", search_retries, &first);
+  AppendJsonUInt(&out, "update_retries", update_retries, &first);
   AppendJsonUInt(&out, "updates_ok", updates_ok, &first);
   AppendJsonUInt(&out, "updates_failed", updates_failed, &first);
   AppendJsonUInt(&out, "update_rows_inserted", update_rows_inserted, &first);
@@ -218,6 +220,7 @@ MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
   delta.cache_hits = SaturatingSub(cache_hits, earlier.cache_hits);
   delta.cache_misses = SaturatingSub(cache_misses, earlier.cache_misses);
   delta.search_retries = SaturatingSub(search_retries, earlier.search_retries);
+  delta.update_retries = SaturatingSub(update_retries, earlier.update_retries);
   delta.updates_ok = SaturatingSub(updates_ok, earlier.updates_ok);
   delta.updates_failed = SaturatingSub(updates_failed, earlier.updates_failed);
   delta.update_rows_inserted =
@@ -282,6 +285,10 @@ void ServiceMetrics::RecordCacheLookup(bool hit) {
 
 void ServiceMetrics::RecordSearchRetry() {
   search_retries_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ServiceMetrics::RecordUpdateRetry() {
+  update_retries_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServiceMetrics::RecordUpdate(bool ok, uint64_t rows_inserted,
@@ -378,6 +385,7 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snap.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   snap.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   snap.search_retries = search_retries_.load(std::memory_order_relaxed);
+  snap.update_retries = update_retries_.load(std::memory_order_relaxed);
   snap.updates_ok = updates_ok_.load(std::memory_order_relaxed);
   snap.updates_failed = updates_failed_.load(std::memory_order_relaxed);
   snap.update_rows_inserted =

@@ -54,6 +54,8 @@ struct MetricsSnapshot {
   /// retried-then-successful request bumps this once and lands in
   /// requests_degraded (or requests_truncated if the retry was cut short).
   uint64_t search_retries = 0;
+  /// The same for update batches: transient Apply failures retried once.
+  uint64_t update_retries = 0;
 
   /// Streaming update batches that installed a new minor epoch / that
   /// failed (injected faults, superseded bases, validation errors).
@@ -145,6 +147,8 @@ class ServiceMetrics {
   void RecordCacheLookup(bool hit);
   /// \brief Counts one absorbed transient search failure (retry issued).
   void RecordSearchRetry();
+  /// \brief Counts one transient update-batch failure retried.
+  void RecordUpdateRetry();
   /// \brief Counts one streaming update batch; `rows_inserted` /
   /// `rows_deleted` are only accumulated when `ok`.
   void RecordUpdate(bool ok, uint64_t rows_inserted, uint64_t rows_deleted);
@@ -182,6 +186,7 @@ class ServiceMetrics {
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> search_retries_{0};
+  std::atomic<uint64_t> update_retries_{0};
   std::atomic<uint64_t> updates_ok_{0};
   std::atomic<uint64_t> updates_failed_{0};
   std::atomic<uint64_t> update_rows_inserted_{0};

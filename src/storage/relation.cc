@@ -55,6 +55,9 @@ Status Relation::Delete(RowId id) {
   // IndexOn rebuild skips the tombstone.
   {
     std::lock_guard<std::mutex> lock(*index_mutex_);
+    for (size_t a = 0; a < schema_.num_attributes(); ++a) {
+      published_[a].store(nullptr, std::memory_order_relaxed);
+    }
     indexes_.clear();
   }
   return Status::OK();
@@ -63,17 +66,25 @@ Status Relation::Delete(RowId id) {
 const HashIndex& Relation::IndexOn(AttributeId attribute) const {
   MW_CHECK_GE(attribute, 0);
   MW_CHECK_LT(static_cast<size_t>(attribute), schema_.num_attributes());
+  std::atomic<const HashIndex*>& published =
+      published_[static_cast<size_t>(attribute)];
+  if (const HashIndex* built = published.load(std::memory_order_acquire)) {
+    return *built;
+  }
   std::lock_guard<std::mutex> lock(*index_mutex_);
+  // A racing caller may have built it while this one waited.
+  if (const HashIndex* built = published.load(std::memory_order_relaxed)) {
+    return *built;
+  }
   if (indexes_.empty()) indexes_.resize(schema_.num_attributes());
   auto& slot = indexes_[static_cast<size_t>(attribute)];
-  if (slot == nullptr) {
-    slot = std::make_unique<HashIndex>();
-    for (size_t r = 0; r < rows_.size(); ++r) {
-      if (is_deleted(static_cast<RowId>(r))) continue;
-      const Value& v = rows_[r][static_cast<size_t>(attribute)];
-      if (!v.is_null()) slot->Insert(v, static_cast<RowId>(r));
-    }
+  slot = std::make_unique<HashIndex>();
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    if (is_deleted(static_cast<RowId>(r))) continue;
+    const Value& v = rows_[r][static_cast<size_t>(attribute)];
+    if (!v.is_null()) slot->Insert(v, static_cast<RowId>(r));
   }
+  published.store(slot.get(), std::memory_order_release);
   return *slot;
 }
 

@@ -3,6 +3,7 @@
 #ifndef MWEAVER_STORAGE_RELATION_H_
 #define MWEAVER_STORAGE_RELATION_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,7 +40,10 @@ class HashIndex {
 /// them. Physical compaction happens only on a full rebuild (Publish).
 class Relation {
  public:
-  explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
+  explicit Relation(RelationSchema schema)
+      : schema_(std::move(schema)),
+        published_(std::make_unique<std::atomic<const HashIndex*>[]>(
+            schema_.num_attributes())) {}
 
   // Indexes hold row ids; moving is fine, implicit copying would be
   // wasteful. Deliberate deep copies go through Clone().
@@ -74,8 +78,8 @@ class Relation {
   }
 
   /// \brief Tombstones row `id`. Fails if the id is out of range or the row
-  /// is already deleted. Invalidates lazily built hash indexes (they are
-  /// rebuilt, skipping tombstones, on next use); only call on relations not
+  /// is already deleted. Drops lazily built hash indexes (they are rebuilt,
+  /// skipping tombstones, on next use); only call on relations not
   /// concurrently served — in practice the private clones a delta build
   /// mutates before its snapshot is installed.
   Status Delete(RowId id);
@@ -97,8 +101,9 @@ class Relation {
   const std::vector<Row>& rows() const { return rows_; }
 
   /// \brief Hash index on `attribute`, built on first use. Thread-safe:
-  /// concurrent callers may race to build, protected by a mutex; the
-  /// returned index is immutable afterwards.
+  /// once built, the index is read through an atomic pointer without a
+  /// lock; only the first use of an attribute takes the mutex, so racing
+  /// callers build it once. The returned index is immutable afterwards.
   const HashIndex& IndexOn(AttributeId attribute) const;
 
  private:
@@ -108,10 +113,15 @@ class Relation {
   // common read-only relation pays nothing).
   std::vector<uint8_t> deleted_;
   size_t num_deleted_ = 0;
-  // Lazily built; mutable because building an index does not change the
-  // logical relation contents. The mutex lives behind a pointer so the
-  // relation stays movable.
+  // Lazily built indexes, owned here and touched only under *index_mutex_
+  // (builders and Delete); mutable because building an index does not
+  // change the logical relation contents.
   mutable std::vector<std::unique_ptr<HashIndex>> indexes_;
+  // Per-attribute pointer into indexes_, published with a release store
+  // once built; IndexOn's read path is one acquire load. Sized at
+  // construction so readers never race a resize. The atomics and the mutex
+  // live behind pointers so the relation stays movable.
+  std::unique_ptr<std::atomic<const HashIndex*>[]> published_;
   mutable std::unique_ptr<std::mutex> index_mutex_ =
       std::make_unique<std::mutex>();
 };

@@ -912,6 +912,7 @@ TEST_F(ServiceTest, TransientSearchFailureRetriedOnceAndReportedDegraded) {
   const MetricsSnapshot snapshot = svc.SnapshotMetrics();
   EXPECT_EQ(snapshot.requests_degraded, 1u);
   EXPECT_EQ(snapshot.search_retries, 1u);
+  EXPECT_EQ(snapshot.update_retries, 0u);
   EXPECT_EQ(snapshot.requests_failed, 0u);
   EXPECT_EQ(snapshot.requests_ok, 0u);
   // Both attempts consulted the cache and missed.
@@ -930,6 +931,39 @@ TEST_F(ServiceTest, TransientSearchFailureRetriedOnceAndReportedDegraded) {
   EXPECT_EQ(hit.outcome, RequestOutcome::kOk);
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.num_candidates, result.num_candidates);
+}
+
+TEST_F(ServiceTest, TransientUpdateFailureCountsAsUpdateRetry) {
+  MappingService svc(&catalog_);
+  UpdateRequest update;
+  update.tenant = std::string(kDefaultTenant);
+  update.batch.inserts.push_back(catalog::RowInsert{
+      "movie", {testing::I(52), testing::S("Retried Movie")}});
+
+  FailpointPolicy policy;
+  policy.action = FailAction::kError;  // injects kUnavailable by default
+  policy.max_fires = 1;                // first Apply fails, retry succeeds
+  RequestResult applied;
+  {
+    ScopedFailpoint armed("catalog.tenant.apply_update", policy);
+    applied = svc.ApplyUpdate(update);
+    EXPECT_EQ(armed.site().stats().fires, 1u);
+  }
+  ASSERT_TRUE(applied.status.ok()) << applied.status;
+  EXPECT_EQ(applied.outcome, RequestOutcome::kDegraded);
+  EXPECT_EQ(applied.update_minor_epoch, 1u);
+
+  const MetricsSnapshot snapshot = svc.SnapshotMetrics();
+  EXPECT_EQ(snapshot.update_retries, 1u);
+  EXPECT_EQ(snapshot.search_retries, 0u);
+  EXPECT_EQ(snapshot.updates_ok, 1u);
+  EXPECT_EQ(snapshot.updates_failed, 0u);
+  EXPECT_EQ(snapshot.requests_degraded, 1u);
+  EXPECT_NE(snapshot.ToJson().find("\"update_retries\":1"),
+            std::string::npos);
+  const MetricsSnapshot delta = snapshot.Delta(MetricsSnapshot{});
+  EXPECT_EQ(delta.update_retries, 1u);
+  EXPECT_EQ(delta.search_retries, 0u);
 }
 
 TEST_F(ServiceTest, PersistentTransientFailureFailsAfterOneRetry) {

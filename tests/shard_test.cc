@@ -33,12 +33,20 @@
 #include "catalog/tenant_writer.h"
 #include "common/hash_util.h"
 #include "common/random.h"
+#include "common/string_util.h"
+#include "core/location_map.h"
+#include "core/pairwise.h"
 #include "core/sample_search.h"
+#include "datagen/movie_gen.h"
+#include "datagen/workload.h"
+#include "query/executor.h"
+#include "reference_weave.h"
 #include "storage/database.h"
 #include "test_util.h"
 #include "text/fulltext_engine.h"
 #include "text/lookup_stats.h"
 #include "text/match.h"
+#include "workload/replay.h"
 
 namespace mweaver::catalog {
 namespace {
@@ -463,6 +471,211 @@ TEST(ProbeCountersTest, ScriptedProbesCountTheSameAtOneAndEightShards) {
     } else {
       EXPECT_EQ(rows, baseline) << context;
     }
+  }
+}
+
+// ---------------------------------------------- located pairwise rows -----
+
+// Pairwise execution hands each query the verified rows of the two
+// location-map occurrences its mapping was generated from instead of
+// re-probing the engine. These tests hold that path to the probing one.
+
+// Rows of the occurrence in `col` that `mapping` projects the column from.
+text::RowSet LocatedRowsOf(const core::MappingPath& mapping,
+                           const core::ColumnLocations& col) {
+  const core::Projection* p = mapping.FindProjection(col.target_column);
+  EXPECT_NE(p, nullptr);
+  if (p == nullptr) return text::EmptyRowSet();
+  const text::AttributeRef attr{mapping.vertex(p->vertex).relation,
+                                p->attribute};
+  for (const text::Occurrence& occ : col.occurrences) {
+    if (occ.attr == attr) return occ.rows;
+  }
+  ADD_FAILURE() << "no occurrence for column " << col.target_column;
+  return text::EmptyRowSet();
+}
+
+struct LocatedCoverage {
+  size_t queries = 0;
+  size_t supported = 0;  // queries with at least one tuple path
+  size_t zero_join = 0;  // single-vertex mappings: two predicates, one vertex
+  size_t zero_join_supported = 0;
+};
+
+// For every pairwise work item of `row`'s search: Execute given the
+// located rows returns exactly (relations, rows, projections, scores,
+// order) what Execute returns when it probes the engine, and issues no
+// probe. CreatePairwiseTuplePaths, which passes the located rows itself,
+// returns the probed supports of each column pair in mapping order.
+void ExpectLocatedEqualsProbed(const text::FullTextEngine& engine,
+                               const graph::SchemaGraph& graph,
+                               const std::vector<std::string>& row,
+                               LocatedCoverage* coverage) {
+  const core::SearchOptions options;
+  core::ExecutionContext ctx;
+  const core::LocationMap locations =
+      core::LocationMap::Build(engine, row, &ctx);
+  const core::PairwiseMappingMap pmpm =
+      core::GeneratePairwiseMappingPaths(graph, locations, options, ctx);
+  const query::PathExecutor executor(&engine);
+  query::ExecOptions exec;
+  exec.max_results = options.max_tuple_paths_per_mapping;
+
+  core::PairwiseTupleMap expected;
+  for (const auto& [key, mappings] : pmpm) {
+    const auto& [i, j] = key;
+    const core::ColumnLocations& col_i =
+        locations.column(static_cast<size_t>(i));
+    const core::ColumnLocations& col_j =
+        locations.column(static_cast<size_t>(j));
+    const query::SampleMap samples{{i, col_i.sample}, {j, col_j.sample}};
+    for (const core::MappingPath& mapping : mappings) {
+      const query::LocatedRows located[] = {
+          {i, LocatedRowsOf(mapping, col_i)},
+          {j, LocatedRowsOf(mapping, col_j)}};
+      core::ExecutionContext located_ctx;
+      auto given =
+          executor.Execute(mapping, samples, exec, &located_ctx, located);
+      auto probed = executor.Execute(mapping, samples, exec);
+      ASSERT_TRUE(given.ok()) << given.status();
+      ASSERT_TRUE(probed.ok()) << probed.status();
+      EXPECT_EQ(located_ctx.probe_counters().Snapshot().probes, 0u);
+      ASSERT_EQ(given->size(), probed->size())
+          << mapping.ToString(engine.db());
+      for (size_t t = 0; t < given->size(); ++t) {
+        ASSERT_TRUE(testing::IdenticalTuplePaths((*given)[t], (*probed)[t]))
+            << mapping.ToString(engine.db()) << " tuple path " << t;
+      }
+      ++coverage->queries;
+      if (!probed->empty()) ++coverage->supported;
+      if (mapping.num_vertices() == 1) {
+        ++coverage->zero_join;
+        if (!probed->empty()) ++coverage->zero_join_supported;
+      }
+      for (core::TuplePath& tp : *probed) {
+        expected[key].push_back(std::move(tp));
+      }
+    }
+  }
+
+  auto ptpm = core::CreatePairwiseTuplePaths(executor, pmpm, locations,
+                                             options, ctx, nullptr);
+  ASSERT_TRUE(ptpm.ok()) << ptpm.status();
+  ASSERT_EQ(ptpm->size(), expected.size());
+  for (const auto& [key, paths] : expected) {
+    const std::vector<core::TuplePath>& actual = ptpm->at(key);
+    ASSERT_EQ(actual.size(), paths.size());
+    for (size_t t = 0; t < paths.size(); ++t) {
+      ASSERT_TRUE(testing::IdenticalTuplePaths(actual[t], paths[t]));
+    }
+  }
+}
+
+// First rows of every task of the three Section-6.2 task sets (J = 2, 3,
+// 4; m = 3..6) over the movie source, at one and eight shards.
+std::vector<std::vector<std::string>> MovieFirstRows(
+    const text::FullTextEngine& engine) {
+  const storage::Database& db = engine.db();
+  auto task_sets = datagen::MakeYahooTaskSets(db);
+  EXPECT_TRUE(task_sets.ok()) << task_sets.status();
+  if (!task_sets.ok()) return {};
+  EXPECT_EQ(task_sets->size(), 3u);
+  std::vector<std::vector<std::string>> rows;
+  for (const workload::ReplayScript& script :
+       workload::BuildReplayScripts(engine, *task_sets, /*max_rows=*/2)) {
+    for (const std::vector<std::string>& row : script.rows) {
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+TEST(LocatedRowsTest, MovieTaskWorkItemsMatchProbingAtOneAndEightShards) {
+  for (const uint32_t shards : {1u, 8u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    CatalogOptions options;
+    options.shard_count = shards;
+    Catalog catalog(options);
+    const SnapshotPtr snap =
+        catalog.Publish(kTenant, datagen::MakeYahooMovies()).ValueOrDie();
+    const std::vector<std::vector<std::string>> rows =
+        MovieFirstRows(snap->engine());
+    ASSERT_GE(rows.size(), 12u);
+    LocatedCoverage coverage;
+    for (const std::vector<std::string>& row : rows) {
+      SCOPED_TRACE("first row " + Join(row, " | "));
+      ExpectLocatedEqualsProbed(snap->engine(), snap->graph(), row,
+                                &coverage);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(coverage.queries, 1000u);
+    EXPECT_GT(coverage.supported, 0u);
+    EXPECT_LT(coverage.supported, coverage.queries);
+  }
+}
+
+// A zero-join chain puts both predicates on its one vertex: the plan
+// intersects the two located row sets. "Avatar" and "Avatar Returns" both
+// land in film.title (the intersection is the "Avatar Returns" rows);
+// "Cameron" and "Burton" both in person.name (disjoint: provably empty).
+TEST(LocatedRowsTest, ZeroJoinChainIntersectsTwoPredicatesOnOneVertex) {
+  for (const uint32_t shards : {1u, 8u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    CatalogOptions options;
+    options.shard_count = shards;
+    Catalog catalog(options);
+    const SnapshotPtr snap =
+        catalog.Publish(kTenant, MakeFilmDb()).ValueOrDie();
+    LocatedCoverage coverage;
+    ExpectLocatedEqualsProbed(snap->engine(), snap->graph(),
+                              {"Avatar", "Avatar Returns"}, &coverage);
+    ExpectLocatedEqualsProbed(snap->engine(), snap->graph(),
+                              {"Cameron", "Burton"}, &coverage);
+    EXPECT_EQ(coverage.zero_join, 2u);
+    EXPECT_EQ(coverage.zero_join_supported, 1u);
+
+    // The intersection itself: six "Avatar Returns" films.
+    const query::PathExecutor executor(&snap->engine());
+    const storage::RelationId film = snap->db().FindRelation("film");
+    core::MappingPath chain = core::MappingPath::SingleVertex(film);
+    chain.AddProjection(0, 0, 1);
+    chain.AddProjection(1, 0, 1);
+    const query::SampleMap samples{{0, "Avatar"}, {1, "Avatar Returns"}};
+    const text::AttributeRef title{film, 1};
+    const query::LocatedRows located[] = {
+        {0, snap->engine().MatchingRows(title, "Avatar")},
+        {1, snap->engine().MatchingRows(title, "Avatar Returns")}};
+    auto paths = executor.Execute(chain, samples, {}, nullptr, located);
+    ASSERT_TRUE(paths.ok()) << paths.status();
+    EXPECT_EQ(paths->size(), 6u);
+  }
+}
+
+// Pairwise execution probes nothing: every probe a search records is one
+// of its locate stage's, at any shard count.
+TEST(LocatedRowsTest, SearchProbesEqualItsLocateStageProbes) {
+  for (const uint32_t shards : {1u, 8u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    CatalogOptions options;
+    options.shard_count = shards;
+    Catalog catalog(options);
+    const SnapshotPtr snap =
+        catalog.Publish(kTenant, datagen::MakeYahooMovies()).ValueOrDie();
+    size_t path_queries = 0;
+    for (const std::vector<std::string>& row :
+         MovieFirstRows(snap->engine())) {
+      SCOPED_TRACE("first row " + Join(row, " | "));
+      core::ExecutionContext locate_ctx;
+      core::LocationMap::Build(snap->engine(), row, &locate_ctx);
+      const uint64_t locate_probes =
+          locate_ctx.probe_counters().Snapshot().probes;
+      auto result = core::SampleSearch(snap->engine(), snap->graph(), row);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_GT(locate_probes, 0u);
+      EXPECT_EQ(result->stats.trace.text_probes.probes, locate_probes);
+      path_queries += result->stats.pairwise.num_mappings;
+    }
+    EXPECT_GT(path_queries, 0u);
   }
 }
 

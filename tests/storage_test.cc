@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "storage/csv.h"
 #include "storage/database.h"
@@ -106,6 +109,84 @@ TEST(RelationTest, IndexSkipsNulls) {
   ASSERT_TRUE(rel.Append({Value::Null()}).ok());
   ASSERT_TRUE(rel.Append({I(5)}).ok());
   EXPECT_EQ(rel.IndexOn(0).num_distinct(), 1u);
+}
+
+// IndexOn reads a built index through an atomic pointer and takes the
+// mutex only to build one. Racing first uses of one attribute must all get
+// the same index, while another attribute builds beside them (run under
+// TSan: storage_test carries the tsan label).
+TEST(RelationIndexTest, RacingFirstUsesShareOneIndex) {
+  Relation rel(RelationSchema("r", {IdAttr("k"), IdAttr("g"), StrAttr("v")}));
+  constexpr int64_t kRows = 3000;
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(rel.Append({I(i % 97), I(i % 13), S("x")}).ok());
+  }
+  std::vector<RowId> expected_k;
+  std::vector<RowId> expected_g;
+  for (int64_t i = 0; i < kRows; ++i) {
+    if (i % 97 == 5) expected_k.push_back(static_cast<RowId>(i));
+    if (i % 13 == 3) expected_g.push_back(static_cast<RowId>(i));
+  }
+
+  constexpr int kThreads = 4;
+  std::atomic<int> waiting{kThreads + 1};
+  const auto start_together = [&] {
+    waiting.fetch_sub(1);
+    while (waiting.load() > 0) std::this_thread::yield();
+  };
+  std::vector<const HashIndex*> seen(kThreads, nullptr);
+  std::vector<std::vector<RowId>> lookups(kThreads);
+  const HashIndex* other = nullptr;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start_together();
+      const HashIndex& index = rel.IndexOn(0);
+      seen[static_cast<size_t>(t)] = &index;
+      lookups[static_cast<size_t>(t)] = index.Lookup(I(5));
+    });
+  }
+  threads.emplace_back([&] {
+    start_together();
+    other = &rel.IndexOn(1);
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<size_t>(t)], &rel.IndexOn(0));
+    EXPECT_EQ(lookups[static_cast<size_t>(t)], expected_k);
+  }
+  EXPECT_EQ(rel.IndexOn(0).num_distinct(), 97u);
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(other, &rel.IndexOn(1));
+  EXPECT_NE(other, seen[0]);
+  EXPECT_EQ(other->Lookup(I(3)), expected_g);
+}
+
+TEST(RelationIndexTest, DeleteOnPrivateCloneRebuildsWithoutTombstone) {
+  Relation rel(RelationSchema("r", {IdAttr("k"), StrAttr("v")}));
+  ASSERT_TRUE(rel.Append({I(1), S("one")}).ok());
+  ASSERT_TRUE(rel.Append({I(2), S("two")}).ok());
+  ASSERT_TRUE(rel.Append({I(1), S("uno")}).ok());
+  const HashIndex& served = rel.IndexOn(0);
+  ASSERT_EQ(served.Lookup(I(1)), (std::vector<RowId>{0, 2}));
+
+  Relation clone = rel.Clone();
+  ASSERT_EQ(clone.IndexOn(0).Lookup(I(1)), (std::vector<RowId>{0, 2}));
+  ASSERT_TRUE(clone.Delete(2).ok());
+  EXPECT_EQ(clone.IndexOn(0).Lookup(I(1)), (std::vector<RowId>{0}));
+  EXPECT_EQ(clone.IndexOn(0).Lookup(I(2)), (std::vector<RowId>{1}));
+  // The served relation's index is untouched.
+  EXPECT_EQ(&rel.IndexOn(0), &served);
+  EXPECT_EQ(served.Lookup(I(1)), (std::vector<RowId>{0, 2}));
+}
+
+TEST(RelationIndexDeathTest, AppendAfterIndexBuildAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Relation rel(RelationSchema("r", {IdAttr("k")}));
+  ASSERT_TRUE(rel.Append({I(1)}).ok());
+  rel.IndexOn(0);
+  EXPECT_DEATH((void)rel.Append({I(2)}), "after indexes were built");
 }
 
 // -------------------------------------------------------------- Database --
