@@ -133,20 +133,6 @@ BENCHMARK(BM_SearchVsPolicy)
     ->Arg(2)  // token subset
     ->Arg(3);  // fuzzy
 
-// ---------------------------------------------------------- parallelism --
-
-void BM_SearchVsThreads(benchmark::State& state) {
-  const bench::YahooEnv& env = EnvAt(400);
-  const auto row = SampleRow(env, 2, 1, 37);  // J=4, m=4
-  core::SearchOptions options;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::SampleSearch(env.engine(), env.graph(), row, options));
-  }
-}
-BENCHMARK(BM_SearchVsThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 // -------------------------------------------------------------- DB scale --
 
 void BM_SearchVsScale(benchmark::State& state) {

@@ -58,10 +58,11 @@ int main() {
                   discovered, reps,
                   discovered ? samples_to_converge / discovered : 0.0);
       const size_t limit = std::min<size_t>(sums.size(), 4 * m);
-      for (size_t i = m - 1; i < limit; ++i) std::printf("%5zu", i + 1);
+      // A leading space keeps the columns apart at any value width.
+      for (size_t i = m - 1; i < limit; ++i) std::printf(" %5zu", i + 1);
       std::printf("\n  y=");
       for (size_t i = m - 1; i < limit; ++i) {
-        std::printf("%5.1f", sums[i] / counts[i]);
+        std::printf(" %5.1f", sums[i] / counts[i]);
       }
       std::printf("\n");
     }

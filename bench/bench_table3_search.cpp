@@ -9,14 +9,6 @@
 // Paper reference: TPW 0.6-4.7 s everywhere; naive 1.3 s - 734 s at m=3..4
 // and "-" (exhausted) beyond. Expected shape: TPW flat-ish in m, naive
 // exploding and dying.
-//
-// Parallelism mode (`--parallelism[=N]`, or MWEAVER_BENCH_PARALLELISM=N;
-// bare flag means N=4): instead of the naive comparison, each search runs
-// twice — num_threads=1 vs num_threads=N — on identical sample rows, and
-// the table reports serial ms, parallel ms, and the speedup. The harness
-// also cross-checks that both modes return the same number of candidates
-// with the same best mapping, so CI smoke runs double as a determinism
-// check.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -50,134 +42,24 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
-namespace {
-
-// Serial-vs-parallel comparison over the same workload (--parallelism).
-int RunParallelismComparison(const mweaver::bench::YahooEnv& env,
-                             size_t threads, size_t reps) {
-  using namespace mweaver;
-  env.PrintHeader("Table 3 (parallelism mode): TPW serial vs parallel (ms)");
-  std::printf("num_threads: 1 (serial) vs %zu (parallel)\n\n", threads);
-  query::PathExecutor executor(&env.engine());
-  core::ExecutionContext ctx;
-  double serial_total = 0.0, parallel_total = 0.0;
-  uint64_t peak_workers = 0;
-
-  bench::PrintRow("Task Set / Size of ST", {"3", "4", "5", "6"});
-  for (size_t s = 0; s < env.task_sets().size(); ++s) {
-    const datagen::TaskSet& set = env.task_sets()[s];
-    std::vector<std::string> serial_cells(4, "-");
-    std::vector<std::string> parallel_cells(4, "-");
-    std::vector<std::string> speedup_cells(4, "-");
-    for (const datagen::TaskMapping& task : set.tasks) {
-      auto target = executor.EvaluateTarget(task.mapping, 300);
-      if (!target.ok() || target->empty()) {
-        std::fprintf(stderr, "no target rows for %s\n", task.name.c_str());
-        return 1;
-      }
-      Rng rng(3'000 + s);
-      double serial_ms = 0.0, parallel_ms = 0.0;
-      for (size_t rep = 0; rep < reps; ++rep) {
-        const std::vector<std::string>& row = rng.Pick(*target);
-        core::SearchOptions serial_options;
-        serial_options.num_threads = 1;
-        ctx.ResetForSearch();
-        auto serial = core::SampleSearch(env.engine(), env.graph(), row,
-                                         serial_options, ctx);
-        if (!serial.ok()) {
-          std::fprintf(stderr, "serial TPW failed: %s\n",
-                       serial.status().ToString().c_str());
-          return 1;
-        }
-        serial_ms += serial->stats.total_ms;
-
-        core::SearchOptions parallel_options;
-        parallel_options.num_threads = threads;
-        ctx.ResetForSearch();
-        auto parallel = core::SampleSearch(env.engine(), env.graph(), row,
-                                           parallel_options, ctx);
-        if (!parallel.ok()) {
-          std::fprintf(stderr, "parallel TPW failed: %s\n",
-                       parallel.status().ToString().c_str());
-          return 1;
-        }
-        parallel_ms += parallel->stats.total_ms;
-        for (size_t i = 0; i < core::kNumSearchStages; ++i) {
-          if (parallel->stats.trace.stages[i].workers > peak_workers) {
-            peak_workers = parallel->stats.trace.stages[i].workers;
-          }
-        }
-        // Determinism cross-check: same candidates either way.
-        if (serial->candidates.size() != parallel->candidates.size() ||
-            (!serial->candidates.empty() &&
-             serial->candidates.front().mapping.Canonical() !=
-                 parallel->candidates.front().mapping.Canonical())) {
-          std::fprintf(stderr,
-                       "serial/parallel candidate mismatch on %s rep %zu\n",
-                       task.name.c_str(), rep);
-          return 1;
-        }
-      }
-      const size_t column = task.mapping.size() - 3;
-      serial_cells[column] = bench::Fmt(serial_ms / reps, 2);
-      parallel_cells[column] = bench::Fmt(parallel_ms / reps, 2);
-      if (parallel_ms > 0.0) {
-        speedup_cells[column] = bench::Fmt(serial_ms / parallel_ms, 2) + "x";
-      }
-      serial_total += serial_ms;
-      parallel_total += parallel_ms;
-    }
-    const std::string base = std::to_string(s + 1);
-    bench::PrintRow(base + "  serial (ms)", serial_cells);
-    bench::PrintRow("   parallel (ms)", parallel_cells);
-    bench::PrintRow("   speedup", speedup_cells);
-  }
-  if (parallel_total > 0.0) {
-    std::printf(
-        "\noverall speedup at %zu threads: %.2fx "
-        "(serial %.1f ms vs parallel %.1f ms total; peak stage fan-out "
-        "w%llu)\n",
-        threads, serial_total / parallel_total, serial_total, parallel_total,
-        static_cast<unsigned long long>(peak_workers));
-    std::printf(
-        "note: speedup is bounded by the machine's cores; on a single-core "
-        "host expect ~1.0x (the determinism cross-check still runs).\n");
-  }
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace mweaver;
-  size_t parallelism = bench::EnvSize("MWEAVER_BENCH_PARALLELISM", 0);
   std::string out_path;
   std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--parallelism") {
-      parallelism = 4;
-    } else if (arg.rfind("--parallelism=", 0) == 0) {
-      parallelism = static_cast<size_t>(
-          std::strtoul(arg.c_str() + 14, nullptr, 10));
-    } else if (arg.rfind("--out=", 0) == 0) {
+    if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--baseline=", 0) == 0) {
       baseline_path = arg.substr(11);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--parallelism[=N]] [--out=FILE] "
-                   "[--baseline=FILE]   (or set "
-                   "MWEAVER_BENCH_PARALLELISM=N)\n",
+      std::fprintf(stderr, "usage: %s [--out=FILE] [--baseline=FILE]\n",
                    argv[0]);
       return 2;
     }
   }
   const bench::YahooEnv env;
   const size_t reps = bench::EnvSize("MWEAVER_BENCH_REPS", 20) / 4 + 1;
-  if (parallelism > 1) {
-    return RunParallelismComparison(env, parallelism, reps);
-  }
   const size_t naive_budget =
       bench::EnvSize("MWEAVER_NAIVE_BUDGET", 300'000);
   env.PrintHeader("Table 3: average sample-search time, TPW vs naive (ms)");
@@ -294,10 +176,8 @@ int main(int argc, char** argv) {
       naive_budget);
 
   if (!out_path.empty() || !baseline_path.empty()) {
-    // The TPW search probes the engine from parallel workers sharing a
-    // probe memo, so kernel counts here vary slightly run to run; they go
-    // under "kernels" (informational) rather than exact-gated "kernel_*"
-    // keys. Only the timing is gated for this section.
+    // Only the timing is gated for this section: kernel counts go under
+    // "kernels" (informational), not the exact-gated "kernel_*" keys.
     workload::JsonWriter section;
     section.BeginObject();
     section.KV("simd", SimdLevelName());

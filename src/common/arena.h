@@ -7,8 +7,9 @@
 // recycled with Reset() between searches.
 //
 // Not thread-safe: one Arena belongs to one request (ExecutionContext) and
-// is only touched from the stage that owns it. Parallel stages (pairwise
-// execution) allocate from the default heap instead.
+// is only touched from the thread running that request's search. Pairwise
+// execution allocates its tuple paths from the default heap; the weave
+// copies the ones it keeps onto the arena.
 #ifndef MWEAVER_COMMON_ARENA_H_
 #define MWEAVER_COMMON_ARENA_H_
 

@@ -1,6 +1,7 @@
 #include "common/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -16,28 +17,23 @@ namespace {
 // finished (every pool thread was busy) finds no work and must not touch
 // a dead stack frame.
 struct LoopState {
-  LoopState(size_t n_in, std::function<void(size_t, size_t)> fn_in)
+  LoopState(size_t n_in, std::function<void(size_t)> fn_in)
       : n(n_in), fn(std::move(fn_in)) {}
 
   const size_t n;
-  const std::function<void(size_t, size_t)> fn;
+  const std::function<void(size_t)> fn;
   std::atomic<size_t> next{0};
-  // Dense worker-slot allocator: each runner claims one id on entry. The
-  // runner population is exactly (helpers + caller) = min(num_threads, n),
-  // so ids stay below the advertised ParallelWorkerCount.
-  std::atomic<size_t> next_worker{0};
   std::mutex mu;
   std::condition_variable cv;
   size_t completed = 0;  // guarded by mu
 
-  // Claims a worker slot, then claims and runs indices until none remain.
+  // Claims and runs indices until none remain.
   void Run() {
-    const size_t worker = next_worker.fetch_add(1, std::memory_order_relaxed);
     size_t mine = 0;
     while (true) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
-      fn(worker, i);
+      fn(i);
       ++mine;
     }
     if (mine == 0) return;
@@ -49,17 +45,11 @@ struct LoopState {
 
 }  // namespace
 
-size_t ParallelWorkerCount(size_t n, size_t num_threads) {
-  if (n == 0) return 0;
-  if (num_threads <= 1 || n == 1) return 1;
-  return std::min(num_threads, n);
-}
-
 void ParallelFor(size_t n, size_t num_threads,
-                 const std::function<void(size_t, size_t)>& fn) {
+                 const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   if (num_threads <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(0, i);
+    for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   auto state = std::make_shared<LoopState>(n, fn);
@@ -76,11 +66,6 @@ void ParallelFor(size_t n, size_t num_threads,
   state->Run();
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&]() { return state->completed == n; });
-}
-
-void ParallelFor(size_t n, size_t num_threads,
-                 const std::function<void(size_t)>& fn) {
-  ParallelFor(n, num_threads, [&fn](size_t, size_t i) { fn(i); });
 }
 
 }  // namespace mweaver

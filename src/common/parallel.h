@@ -1,12 +1,11 @@
 // Minimal data-parallel helper: run a function over [0, n) on a fixed
-// number of worker threads. Used to parallelize the TPW search core —
-// the per-column location probes, the per-mapping approximate search
-// queries of the pairwise step (by far its dominant cost), and the
-// per-candidate pruning probes of the interactive path.
+// number of worker threads. Used by index builds (every (shard, attribute)
+// text index of a publish builds independently). A search never fans out:
+// it runs on its caller's thread, and the service gets its parallelism
+// from running many requests at once on its own workers.
 #ifndef MWEAVER_COMMON_PARALLEL_H_
 #define MWEAVER_COMMON_PARALLEL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 
@@ -19,25 +18,11 @@ namespace mweaver {
 ///
 /// Runs on the process-wide common::ThreadPool (the caller participates as
 /// one runner), so no threads are created per call and concurrent
-/// ParallelFor calls from different service workers share the same pool.
+/// ParallelFor calls (e.g. publishes of different tenants) share the pool.
 /// Each i is invoked exactly once regardless of the thread count, so
 /// callers that write results indexed by i stay deterministic.
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t)>& fn);
-
-/// \brief Worker-identified variant: invokes `fn(worker, i)` where `worker`
-/// is a dense id in [0, min(num_threads, n)) unique to the runner claiming
-/// index i. All indices claimed by one runner see the same worker id, and
-/// no two concurrent runners share one — the hook that lets callers hand
-/// each runner its own accumulator (e.g. a child ExecutionContext view)
-/// and merge them deterministically after the call returns. The serial
-/// path (num_threads <= 1 or n == 1) always reports worker 0.
-void ParallelFor(size_t n, size_t num_threads,
-                 const std::function<void(size_t, size_t)>& fn);
-
-/// \brief The number of worker slots the worker-identified overload would
-/// use: min(num_threads, n), at least 1 for n > 0 (0 for n == 0).
-size_t ParallelWorkerCount(size_t n, size_t num_threads);
 
 }  // namespace mweaver
 

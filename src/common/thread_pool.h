@@ -1,8 +1,8 @@
 // Reusable fixed-size worker pool: the substrate for both ParallelFor
-// (data-parallel loops inside one search) and the service layer's request
-// workers. Promoted from the ad-hoc per-call thread spawning that
-// ParallelFor used to do, so a long-lived process pays thread start-up
-// once instead of per search.
+// (the data-parallel index builds of a publish) and the service layer's
+// request workers, which run concurrent searches against one shared
+// engine. A long-lived process pays thread start-up once instead of per
+// build.
 #ifndef MWEAVER_COMMON_THREAD_POOL_H_
 #define MWEAVER_COMMON_THREAD_POOL_H_
 

@@ -32,10 +32,6 @@ std::string ExecutionTrace::ToString() const {
                      stages[i].wall_ms,
                      static_cast<unsigned long long>(stages[i].items),
                      stages[i].stopped_early ? "!" : "");
-    if (stages[i].workers > 1) {
-      out += StrFormat("(w%llu)",
-                       static_cast<unsigned long long>(stages[i].workers));
-    }
   }
   out += StrFormat(" | polls %llu (clock %llu) | arena %zuB/%llu allocs",
                    static_cast<unsigned long long>(stop_checks),
@@ -56,13 +52,6 @@ std::string ExecutionTrace::ToString() const {
 bool ExecutionContext::ShouldStop() {
   stop_checks_.fetch_add(1, std::memory_order_relaxed);
   if (stopped_.load(std::memory_order_relaxed)) return true;
-  // Child views mirror the parent's latch: a deadline expiry or cancel
-  // observed by any sibling worker (propagated via RequestStop) stops this
-  // one at its next poll, without its own clock read.
-  if (parent_ != nullptr && parent_->stop_requested()) {
-    stopped_.store(true, std::memory_order_relaxed);
-    return true;
-  }
   if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
     RequestStop();
     return true;
@@ -90,31 +79,6 @@ bool ExecutionContext::ShouldStop() {
     return true;
   }
   return false;
-}
-
-std::unique_ptr<ExecutionContext> ExecutionContext::ForkChild() {
-  auto child = std::make_unique<ExecutionContext>();
-  child->deadline_ = deadline_;
-  child->has_deadline_ = has_deadline_;
-  child->cancel_ = cancel_;
-  child->now_fn_ = now_fn_;
-  child->parent_ = this;
-  // A parent already stopped fathers stopped children: the worker's first
-  // poll answers from the latch without touching the clock.
-  child->stopped_.store(stop_requested(), std::memory_order_relaxed);
-  return child;
-}
-
-void ExecutionContext::MergeChild(const ExecutionContext& child) {
-  stop_checks_.fetch_add(child.stop_checks(), std::memory_order_relaxed);
-  clock_reads_.fetch_add(child.clock_reads(), std::memory_order_relaxed);
-  probe_counters_.Record(child.probe_counters_.Snapshot());
-}
-
-void ExecutionContext::RecordStageWorkers(SearchStage stage,
-                                          uint64_t workers) {
-  StageTrace& trace = stages_[static_cast<size_t>(stage)];
-  if (workers > trace.workers) trace.workers = workers;
 }
 
 void ExecutionContext::StageSpan::Finish() {

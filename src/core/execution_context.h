@@ -15,18 +15,14 @@
 //
 // Thread-safety: ShouldStop(), RequestStop() and stop_requested() are safe
 // from any thread (cancellation tokens fire from client threads). The arena
-// and the trace are single-threaded: only the stage that owns the context's
-// thread may allocate or open spans. Parallel stages therefore never share
-// one context across workers — each worker gets a child view (ForkChild)
-// that shares the deadline/cancel/stop latch but owns its own counters,
-// merged back deterministically at the stage barrier (MergeChild).
+// and the trace are single-threaded: a search runs every stage on its
+// caller's thread, which alone allocates and opens spans.
 #ifndef MWEAVER_CORE_EXECUTION_CONTEXT_H_
 #define MWEAVER_CORE_EXECUTION_CONTEXT_H_
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <memory_resource>
 #include <string>
 
@@ -59,9 +55,6 @@ struct StageTrace {
   /// Stage-specific unit count: occurrences located, mappings generated,
   /// queries executed, paths woven, candidates ranked or pruned.
   uint64_t items = 0;
-  /// Worker contexts the stage fanned out over (0 = the stage never ran a
-  /// parallel region; parallel stages record min(num_threads, work items)).
-  uint64_t workers = 0;
   /// The stage ended with the stop latch set (deadline/cancel observed).
   bool stopped_early = false;
 };
@@ -143,32 +136,8 @@ class ExecutionContext {
   }
 
   /// \brief Trips the latch directly (tests, fatal downstream errors,
-  /// chaos-injected cancels). On a child view the stop propagates to the
-  /// parent, so sibling workers observe it at their next poll.
-  void RequestStop() {
-    stopped_.store(true, std::memory_order_relaxed);
-    if (parent_ != nullptr) parent_->RequestStop();
-  }
-
-  // ------------------------------------------------- parallel child views --
-
-  /// \brief Forks a child view for one parallel-stage worker. The child
-  /// shares the parent's deadline, cancellation token, test clock and stop
-  /// latch (a stop on either side is observed by the other at the next
-  /// poll), but owns its poll counters, probe counters, arena and trace —
-  /// so workers never contend on the parent's single-threaded state. The
-  /// parent must outlive the child; fold the child's counters back with
-  /// MergeChild() after the parallel region's barrier.
-  std::unique_ptr<ExecutionContext> ForkChild();
-
-  /// \brief Folds one child view's counters (stop checks, clock reads,
-  /// probe stats) into this context. Call after the parallel region ends,
-  /// in fixed worker order, so merged totals are deterministic.
-  void MergeChild(const ExecutionContext& child);
-
-  /// \brief Records that `stage` fanned out over `workers` worker contexts
-  /// (keeps the maximum across repeated parallel regions of one stage).
-  void RecordStageWorkers(SearchStage stage, uint64_t workers);
+  /// chaos-injected cancels).
+  void RequestStop() { stopped_.store(true, std::memory_order_relaxed); }
 
   // --------------------------------------------------------------- arena --
 
@@ -204,8 +173,10 @@ class ExecutionContext {
 
   StageSpan TraceStage(SearchStage stage) { return StageSpan(this, stage); }
 
-  /// \brief Accumulator the text layer's probes record into; safe to share
-  /// across the pairwise stage's ParallelFor workers.
+  /// \brief Accumulator the text layer's probes record into. Only the
+  /// search's own thread records here; ProbeCounters is atomic because the
+  /// engine keeps one for its lifetime totals, shared by every service
+  /// worker searching that engine.
   text::ProbeCounters& probe_counters() { return probe_counters_; }
   const text::ProbeCounters& probe_counters() const { return probe_counters_; }
 
@@ -242,9 +213,6 @@ class ExecutionContext {
   const std::atomic<bool>* cancel_ = nullptr;
   size_t memory_budget_bytes_ = 0;
   NowFn now_fn_ = nullptr;
-  // Set on child views only (ForkChild): the context whose stop latch this
-  // view mirrors. The parent outlives its children by contract.
-  ExecutionContext* parent_ = nullptr;
 
   // Stop plumbing (multi-threaded).
   std::atomic<bool> stopped_{false};
@@ -252,7 +220,7 @@ class ExecutionContext {
   std::atomic<uint64_t> stop_checks_{0};
   std::atomic<uint64_t> clock_reads_{0};
 
-  // Text-layer probe counters (multi-threaded; see probe_counters()).
+  // Text-layer probe counters (see probe_counters()).
   text::ProbeCounters probe_counters_;
 
   // Single-threaded state.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/parallel_stage.h"
+#include "common/logging.h"
 
 namespace mweaver::core {
 
@@ -34,25 +34,24 @@ void LocationMap::FinalizeColumn(size_t i,
 
 LocationMap LocationMap::Build(const text::FullTextEngine& engine,
                                const std::vector<std::string>& sample_tuple,
-                               ExecutionContext* ctx, size_t num_threads) {
+                               ExecutionContext* ctx, size_t threads) {
+  MW_CHECK(threads <= 1) << "a search runs on its caller's thread";
   LocationMap map;
   map.engine_ = &engine;
   map.built_versions_ = engine.relation_versions();
   map.columns_.resize(sample_tuple.size());
   map.attrs_.resize(sample_tuple.size());
   map.slot_bits_.resize(sample_tuple.size());
-  ParallelStageFor(
-      ctx, SearchStage::kLocate, sample_tuple.size(), num_threads,
-      [&](ExecutionContext* c, size_t i) {
-        ColumnLocations& col = map.columns_[i];
-        col.target_column = static_cast<int>(i);
-        col.sample = sample_tuple[i];
-        if (!col.sample.empty() && !(c != nullptr && c->ShouldStop())) {
-          col.occurrences = engine.FindOccurrences(
-              col.sample, c != nullptr ? &c->probe_counters() : nullptr);
-        }
-        map.FinalizeColumn(i, &engine);
-      });
+  for (size_t i = 0; i < sample_tuple.size(); ++i) {
+    ColumnLocations& col = map.columns_[i];
+    col.target_column = static_cast<int>(i);
+    col.sample = sample_tuple[i];
+    if (!col.sample.empty() && !(ctx != nullptr && ctx->ShouldStop())) {
+      col.occurrences = engine.FindOccurrences(
+          col.sample, ctx != nullptr ? &ctx->probe_counters() : nullptr);
+    }
+    map.FinalizeColumn(i, &engine);
+  }
   return map;
 }
 

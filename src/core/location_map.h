@@ -27,14 +27,13 @@ class LocationMap {
   /// samples yield empty occurrence lists (the caller decides whether that
   /// is an error; the Session requires a fully-populated first row). When
   /// `ctx` is given, the deadline/cancel token is polled before each column
-  /// lookup; columns not examined after a stop are left empty. With
-  /// `num_threads > 1` the per-column lookups run in parallel on child
-  /// context views; each column's occurrences land in its own slot, so the
-  /// map is identical for any thread count.
+  /// lookup; columns not examined after a stop are left empty. A search
+  /// runs on its caller's thread: `threads` exists only for callers that
+  /// still pass a thread count (the session benchmark) and must be <= 1.
   static LocationMap Build(const text::FullTextEngine& engine,
                            const std::vector<std::string>& sample_tuple,
                            ExecutionContext* ctx = nullptr,
-                           size_t num_threads = 1);
+                           size_t threads = 1);
 
   /// \brief Builds a location map from explicit attribute sets (no
   /// occurrence rows). Used by schema-level enumeration (the naive baseline
@@ -77,7 +76,7 @@ class LocationMap {
 
  private:
   // Derives attrs_/slot_bits_/sorted_attrs_ for column i from its
-  // occurrences. Safe to run per-column in parallel (engine reads only).
+  // occurrences.
   void FinalizeColumn(size_t i, const text::FullTextEngine* engine);
 
   std::vector<ColumnLocations> columns_;

@@ -1,7 +1,7 @@
 // Tunables of the TPW sample-search pipeline.
 //
 // SearchOptions is a pure, copyable value type: it describes WHAT to search
-// (search-space bounds, ranking weights, parallelism) and never carries
+// (search-space bounds, ranking weights) and never carries
 // per-request runtime state. Deadlines, cancellation tokens, memory budgets
 // and tracing live in core::ExecutionContext (core/execution_context.h),
 // which is threaded through the pipeline alongside the options.
@@ -42,21 +42,12 @@ struct SearchOptions {
   /// display/explanation (scores are computed over all of them regardless).
   size_t retained_tuple_paths_per_mapping = 3;
 
-  /// Worker threads for the parallel stages of the search core: the
-  /// per-column location probes, the pairwise tuple-path creation step (the
-  /// dominant cost of sample search: one approximate-search query per
-  /// pairwise mapping), and the per-candidate pruning probes of the
-  /// interactive path. 1 = sequential. Results are deterministic
-  /// regardless of the thread count.
-  size_t num_threads = 1;
-
   /// \brief Canonical encoding of every option that can change the result
   /// SET of a search. Two option values with equal fingerprints produce
-  /// identical candidate lists for identical inputs; `num_threads` is
-  /// deliberately excluded (it changes timing, never the converged output).
-  /// service::ResultCache keys on this — when adding a field to this
-  /// struct, decide whether it is result-affecting and update Fingerprint()
-  /// accordingly (a sizeof tripwire in result_cache.cc forces the review).
+  /// identical candidate lists for identical inputs. service::ResultCache
+  /// keys on this — when adding a field to this struct, decide whether it
+  /// is result-affecting and update Fingerprint() accordingly (a sizeof
+  /// tripwire in result_cache.cc forces the review).
   std::string Fingerprint() const;
 };
 

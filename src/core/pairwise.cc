@@ -5,7 +5,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "core/parallel_stage.h"
 
 namespace mweaver::core {
 
@@ -145,79 +144,49 @@ Result<PairwiseTupleMap> CreatePairwiseTuplePaths(
   // stage issuing the approximate-search queries, i.e. the place a real
   // storage backend would flake).
   MW_FAILPOINT_RETURN_NOT_OK("core.pairwise.exec");
-  // Flatten the work list so the per-mapping queries can run in parallel;
-  // results are merged back in flattened order, keeping the output
-  // deterministic for any thread count. Each item carries the two
-  // occurrences of L its mapping was generated from: their verified rows
-  // are the query's constraint rows, so no query re-probes the engine.
-  struct WorkItem {
-    ColumnPair key;
-    const MappingPath* mapping;
-    const query::SampleMap* samples;  // shared by the column pair's items
-    const text::Occurrence* start;    // column i's occurrence
-    const text::Occurrence* end;      // column j's occurrence
-  };
-  std::vector<query::SampleMap> pair_samples;
-  pair_samples.reserve(pmpm.size());  // items point into it: no reallocation
-  std::vector<WorkItem> work;
+  // Each query's constraint rows are the verified rows of the two
+  // occurrences of L its mapping was generated from, so no query re-probes
+  // the engine. One stop check per query keeps the overhead negligible
+  // (each query is orders of magnitude heavier than a clock read, and
+  // ShouldStop itself throttles clock reads); the sticky latch makes the
+  // remaining mappings skip without re-reading the clock. Skipped mappings
+  // still count in num_mappings.
+  query::ExecOptions exec_options;
+  exec_options.max_results = options.max_tuple_paths_per_mapping;
+  PairwiseTupleMap ptpm;
+  PairwiseStats local;
   for (const auto& [key, mappings] : pmpm) {
     const auto& [i, j] = key;
     const ColumnLocations& col_i = locations.column(static_cast<size_t>(i));
     const ColumnLocations& col_j = locations.column(static_cast<size_t>(j));
-    pair_samples.push_back(
-        query::SampleMap{{i, col_i.sample}, {j, col_j.sample}});
+    const query::SampleMap samples{{i, col_i.sample}, {j, col_j.sample}};
     for (const MappingPath& mapping : mappings) {
-      work.push_back(WorkItem{key, &mapping, &pair_samples.back(),
-                              FindOccurrence(mapping, col_i),
-                              FindOccurrence(mapping, col_j)});
+      ++local.num_mappings;
+      // Chaos site: a spurious cancel landing mid-enumeration (client
+      // disconnect). Unlike core.weave.step this is reachable for
+      // two-column targets, where the weave loop never runs.
+      if (MW_FAILPOINT_FIRE("core.pairwise.step") == FailAction::kCancel) {
+        ctx.RequestStop();
+      }
+      if (ctx.ShouldStop()) continue;
+      const query::LocatedRows located[] = {
+          {i, FindOccurrence(mapping, col_i)->rows},
+          {j, FindOccurrence(mapping, col_j)->rows}};
+      MW_ASSIGN_OR_RETURN(
+          std::vector<TuplePath> supports,
+          executor.Execute(mapping, samples, exec_options, &ctx, located));
+      if (supports.empty()) continue;  // prune unsupported mappings
+      ++local.num_valid_mappings;
+      local.num_tuple_paths += supports.size();
+      if (options.max_tuple_paths_per_mapping > 0 &&
+          supports.size() >= options.max_tuple_paths_per_mapping) {
+        local.truncated = true;
+      }
+      std::vector<TuplePath>& bucket = ptpm[key];
+      for (TuplePath& tp : supports) bucket.push_back(std::move(tp));
     }
   }
-
-  query::ExecOptions exec_options;
-  exec_options.max_results = options.max_tuple_paths_per_mapping;
-  std::vector<Result<std::vector<TuplePath>>> results(
-      work.size(), Result<std::vector<TuplePath>>(std::vector<TuplePath>{}));
-  // One stop check per query keeps the overhead negligible (each query is
-  // orders of magnitude heavier than a clock read, and ShouldStop itself
-  // throttles clock reads); the sticky latch makes late work items skip
-  // without re-reading the clock. Each worker polls and records through its
-  // own child context view; a stop observed by one (deadline, cancel, the
-  // chaos failpoint below) propagates to the rest via the shared latch.
-  ParallelStageFor(
-      &ctx, SearchStage::kPairwiseExec, work.size(), options.num_threads,
-      [&](ExecutionContext* wctx, size_t idx) {
-        // Chaos site: a spurious cancel landing mid-enumeration (client
-        // disconnect). Unlike core.weave.step this is reachable for
-        // two-column targets, where the weave loop never runs.
-        if (MW_FAILPOINT_FIRE("core.pairwise.step") == FailAction::kCancel) {
-          wctx->RequestStop();
-        }
-        if (wctx->ShouldStop()) return;
-        const WorkItem& item = work[idx];
-        const query::LocatedRows located[] = {
-            {item.key.first, item.start->rows},
-            {item.key.second, item.end->rows}};
-        results[idx] = executor.Execute(*item.mapping, *item.samples,
-                                        exec_options, wctx, located);
-      });
-
-  PairwiseTupleMap ptpm;
-  PairwiseStats local;
   local.deadline_expired = ctx.stop_requested();
-  for (size_t idx = 0; idx < work.size(); ++idx) {
-    ++local.num_mappings;
-    MW_ASSIGN_OR_RETURN(std::vector<TuplePath> supports,
-                        std::move(results[idx]));
-    if (supports.empty()) continue;  // prune unsupported mappings
-    ++local.num_valid_mappings;
-    local.num_tuple_paths += supports.size();
-    if (options.max_tuple_paths_per_mapping > 0 &&
-        supports.size() >= options.max_tuple_paths_per_mapping) {
-      local.truncated = true;
-    }
-    std::vector<TuplePath>& bucket = ptpm[work[idx].key];
-    for (TuplePath& tp : supports) bucket.push_back(std::move(tp));
-  }
   if (stats != nullptr) *stats = local;
   return ptpm;
 }

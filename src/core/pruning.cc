@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "core/parallel_stage.h"
+#include "common/result.h"
 
 namespace mweaver::core {
 
@@ -28,17 +28,12 @@ size_t CompactDropped(std::vector<CandidateMapping>* candidates,
 size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
                         const std::string& sample,
                         std::vector<CandidateMapping>* candidates,
-                        ExecutionContext* ctx, size_t num_threads) {
+                        ExecutionContext* ctx) {
   // drop[i] set => candidate i was examined and disproven (or malformed).
   // Unexamined candidates — the deadline/cancel fired before their probe —
   // keep their zero: a stop may only leave extra candidates, never remove
   // valid ones. A pre-expired deadline therefore costs zero probes.
   std::vector<unsigned char> drop(candidates->size(), 0);
-  // Serial pre-pass resolves each candidate's probed (relation, attribute)
-  // into flat parallel arrays, so the probe workers stream two contiguous
-  // lanes instead of chasing projection lists inside CandidateMapping.
-  std::vector<storage::RelationId> rels(candidates->size(), -1);
-  std::vector<storage::AttributeId> attrs(candidates->size(), -1);
   for (size_t i = 0; i < candidates->size(); ++i) {
     const CandidateMapping& cand = (*candidates)[i];
     const Projection* p = cand.mapping.FindProjection(target_column);
@@ -46,51 +41,35 @@ size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
       drop[i] = 1;
       continue;
     }
-    rels[i] = cand.mapping.vertex(p->vertex).relation;
-    attrs[i] = p->attribute;
+    if (ctx != nullptr && ctx->ShouldStop()) continue;
+    const text::AttributeRef attr{cand.mapping.vertex(p->vertex).relation,
+                                  p->attribute};
+    if (engine
+            .MatchingRows(attr, sample,
+                          ctx != nullptr ? &ctx->probe_counters() : nullptr)
+            ->empty()) {
+      drop[i] = 1;
+    }
   }
-  ParallelStageFor(
-      ctx, SearchStage::kPrune, candidates->size(), num_threads,
-      [&](ExecutionContext* c, size_t i) {
-        if (drop[i]) return;  // malformed, already dropped
-        if (c != nullptr && c->ShouldStop()) return;
-        if (engine
-                .MatchingRows(text::AttributeRef{rels[i], attrs[i]}, sample,
-                              c != nullptr ? &c->probe_counters() : nullptr)
-                ->empty()) {
-          drop[i] = 1;
-        }
-      });
   return CompactDropped(candidates, drop);
 }
 
 Status PruneByStructure(const query::PathExecutor& executor,
                         const query::SampleMap& row_samples,
                         std::vector<CandidateMapping>* candidates,
-                        size_t* num_pruned, ExecutionContext* ctx,
-                        size_t num_threads) {
-  const size_t before = candidates->size();
-  std::vector<unsigned char> drop(before, 0);
-  std::vector<Status> errors(before, Status::OK());
-  ParallelStageFor(
-      ctx, SearchStage::kPrune, before, num_threads,
-      [&](ExecutionContext* c, size_t i) {
-        if (c != nullptr && c->ShouldStop()) return;  // unexamined: keep
-        Result<bool> supported =
-            executor.HasSupport((*candidates)[i].mapping, row_samples, c);
-        if (!supported.ok()) {
-          errors[i] = supported.status();
-          return;
-        }
-        // A query cut off mid-enumeration reports false for support it did
-        // not get to find — that is "unexamined", not "disproven", so the
-        // candidate stays.
-        if (!*supported && !(c != nullptr && c->stop_requested())) {
-          drop[i] = 1;
-        }
-      });
-  for (size_t i = 0; i < before; ++i) {
-    MW_RETURN_NOT_OK(errors[i]);
+                        size_t* num_pruned, ExecutionContext* ctx) {
+  std::vector<unsigned char> drop(candidates->size(), 0);
+  for (size_t i = 0; i < candidates->size(); ++i) {
+    if (ctx != nullptr && ctx->ShouldStop()) continue;  // unexamined: keep
+    MW_ASSIGN_OR_RETURN(
+        const bool supported,
+        executor.HasSupport((*candidates)[i].mapping, row_samples, ctx));
+    // A query cut off mid-enumeration reports false for support it did
+    // not get to find — that is "unexamined", not "disproven", so the
+    // candidate stays.
+    if (!supported && !(ctx != nullptr && ctx->stop_requested())) {
+      drop[i] = 1;
+    }
   }
   const size_t removed = CompactDropped(candidates, drop);
   if (num_pruned != nullptr) *num_pruned = removed;

@@ -27,14 +27,11 @@ namespace mweaver::core {
 /// the deadline/cancel token is polled before each candidate's probe and
 /// the probes record into its counters; candidates not examined before a
 /// stop are kept (pruning must never drop a mapping it did not disprove),
-/// and a pre-expired deadline costs zero probes. With `num_threads > 1`
-/// the per-candidate probes run in parallel on child context views; the
-/// surviving set is identical for any thread count.
+/// and a pre-expired deadline costs zero probes.
 size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
                         const std::string& sample,
                         std::vector<CandidateMapping>* candidates,
-                        ExecutionContext* ctx = nullptr,
-                        size_t num_threads = 1);
+                        ExecutionContext* ctx = nullptr);
 
 /// \brief Pruning-by-structure. `row_samples` holds every non-empty cell of
 /// one spreadsheet row (column -> sample); requires >= 2 entries to convey
@@ -43,15 +40,13 @@ size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
 /// number removed via `*num_pruned`. When `ctx` is given, the deadline is
 /// polled per candidate and inside each support query; candidates not
 /// examined — or whose query was cut off before support could be found —
-/// are kept (pruning must never drop a mapping it did not disprove). With
-/// `num_threads > 1` the per-candidate support queries run in parallel on
-/// child context views; the surviving set is identical for any thread
-/// count.
+/// are kept (pruning must never drop a mapping it did not disprove). On a
+/// failed support query the error is returned and `candidates` is left
+/// unchanged.
 Status PruneByStructure(const query::PathExecutor& executor,
                         const query::SampleMap& row_samples,
                         std::vector<CandidateMapping>* candidates,
-                        size_t* num_pruned, ExecutionContext* ctx = nullptr,
-                        size_t num_threads = 1);
+                        size_t* num_pruned, ExecutionContext* ctx = nullptr);
 
 }  // namespace mweaver::core
 

@@ -59,8 +59,7 @@ Result<SearchResult> SampleSearch(const text::FullTextEngine& engine,
   LocationMap locations;
   {
     ExecutionContext::StageSpan span = ctx.TraceStage(SearchStage::kLocate);
-    locations =
-        LocationMap::Build(engine, sample_tuple, &ctx, options.num_threads);
+    locations = LocationMap::Build(engine, sample_tuple, &ctx);
     span.AddItems(locations.TotalOccurrences());
   }
   result.stats.num_occurrences = locations.TotalOccurrences();

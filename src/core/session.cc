@@ -150,7 +150,7 @@ Status Session::RunPruning(size_t row, size_t col, const std::string& value) {
 
   // Pruning by attribute always applies to the newly typed sample.
   PruneByAttribute(*engine_, static_cast<int>(col), value, &candidates_,
-                   &context_, options_.num_threads);
+                   &context_);
 
   // Pruning by mapping structure applies when the row carries more than one
   // sample (Section 5).
@@ -163,8 +163,7 @@ Status Session::RunPruning(size_t row, size_t col, const std::string& value) {
   if (!candidates_.empty() && row_samples.size() >= 2) {
     query::PathExecutor executor(engine_);
     MW_RETURN_NOT_OK(PruneByStructure(executor, row_samples, &candidates_,
-                                      nullptr, &context_,
-                                      options_.num_threads));
+                                      nullptr, &context_));
   }
   span.Finish();
 

@@ -20,6 +20,7 @@ MappingService::MappingService(catalog::Catalog* catalog,
       cache_(options.cache_capacity),
       pool_(std::make_unique<ThreadPool>(options.num_workers)) {
   MW_CHECK(catalog != nullptr);
+  MW_CHECK(options.search_parallelism <= 1) << "a search runs on one thread";
 }
 
 MappingService::~MappingService() {
@@ -111,9 +112,6 @@ Result<SessionId> MappingService::CreateSession(
   // searches — and every cache key it produces — is this epoch, no matter
   // how many publishes land while the session is open.
   MW_ASSIGN_OR_RETURN(catalog::SnapshotPtr snapshot, catalog_->Pin(tenant));
-  if (options_.search_parallelism > 0) {
-    search_options.num_threads = options_.search_parallelism;
-  }
   auto search_fn = MakeCachingSearchFn(snapshot);
   MW_ASSIGN_OR_RETURN(
       SessionId id,

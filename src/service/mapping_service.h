@@ -77,13 +77,8 @@ struct ServiceOptions {
   size_t cache_capacity = 128;
   /// Deadline applied to requests that don't carry their own (0 = none).
   std::chrono::milliseconds default_deadline{0};
-  /// Worker threads for the parallel stages inside each search/pruning
-  /// pass (core::SearchOptions::num_threads). 0 = leave the per-session
-  /// options as the client passed them; > 0 overrides at CreateSession.
-  /// Results are deterministic regardless of the value, so the override
-  /// never changes cached-vs-fresh answers (num_threads is excluded from
-  /// the cache fingerprint). Search workers come from ThreadPool::Shared,
-  /// not the service's request workers.
+  /// Kept for callers that still set it (the session benchmark): a search
+  /// runs on its worker's thread, so only 0 or 1 is accepted.
   size_t search_parallelism = 0;
   SessionManagerOptions sessions;
 };

@@ -96,10 +96,6 @@ std::string MetricsSnapshot::ToString() const {
                      core::SearchStageName(stage),
                      ApproxStageLatencyPercentileMs(stage, 0.50),
                      ApproxStageLatencyPercentileMs(stage, 0.95));
-    if (s < stage_worker_peaks.size() && stage_worker_peaks[s] > 1) {
-      out += StrFormat(" (w%llu)",
-                       static_cast<unsigned long long>(stage_worker_peaks[s]));
-    }
   }
   if (text_probes > 0) {
     out += StrFormat(
@@ -196,10 +192,6 @@ std::string MetricsSnapshot::ToJson() const {
     AppendJsonDouble(&out, "p95_ms",
                      ApproxStageLatencyPercentileMs(stage, 0.95),
                      &first_field);
-    if (s < stage_worker_peaks.size()) {
-      AppendJsonUInt(&out, "worker_peak", stage_worker_peaks[s],
-                     &first_field);
-    }
     out += '}';
   }
   out += "}}";
@@ -237,8 +229,8 @@ MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
       SaturatingSub(text_scan_fallbacks, earlier.text_scan_fallbacks);
   delta.text_all_rows_fallbacks =
       SaturatingSub(text_all_rows_fallbacks, earlier.text_all_rows_fallbacks);
-  // queue_high_water, latency/stage buckets and worker peaks keep this
-  // snapshot's values (see header).
+  // queue_high_water and the latency/stage buckets keep this snapshot's
+  // values (see header).
   return delta;
 }
 
@@ -302,17 +294,6 @@ void ServiceMetrics::RecordUpdate(bool ok, uint64_t rows_inserted,
   update_rows_deleted_.fetch_add(rows_deleted, std::memory_order_relaxed);
 }
 
-namespace {
-
-void MaxInto(std::atomic<uint64_t>& peak, uint64_t value) {
-  uint64_t seen = peak.load(std::memory_order_relaxed);
-  while (value > seen && !peak.compare_exchange_weak(
-                             seen, value, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
 void ServiceMetrics::RecordSearchTrace(const core::ExecutionTrace& trace) {
   for (size_t s = 0; s < core::kNumSearchStages; ++s) {
     if (static_cast<core::SearchStage>(s) == core::SearchStage::kPrune) {
@@ -324,7 +305,6 @@ void ServiceMetrics::RecordSearchTrace(const core::ExecutionTrace& trace) {
       ++bucket;
     }
     stage_buckets_[s][bucket].fetch_add(1, std::memory_order_relaxed);
-    MaxInto(stage_worker_peaks_[s], trace.stages[s].workers);
   }
   const text::ProbeStats& probes = trace.text_probes;
   text_probes_.fetch_add(probes.probes, std::memory_order_relaxed);
@@ -346,7 +326,6 @@ void ServiceMetrics::RecordPruneTrace(const core::ExecutionTrace& trace) {
     ++bucket;
   }
   stage_buckets_[kPruneIdx][bucket].fetch_add(1, std::memory_order_relaxed);
-  MaxInto(stage_worker_peaks_[kPruneIdx], trace.stages[kPruneIdx].workers);
   const text::ProbeStats& probes = trace.text_probes;
   text_probes_.fetch_add(probes.probes, std::memory_order_relaxed);
   text_memo_hits_.fetch_add(probes.memo_hits, std::memory_order_relaxed);
@@ -369,9 +348,6 @@ void ServiceMetrics::ResetHistograms() {
   }
   for (auto& stage : stage_buckets_) {
     for (auto& bucket : stage) bucket.store(0, std::memory_order_relaxed);
-  }
-  for (auto& peak : stage_worker_peaks_) {
-    peak.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -400,14 +376,11 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   }
   snap.stage_latency_buckets.assign(core::kNumSearchStages,
                                     std::vector<uint64_t>(kNumBuckets, 0));
-  snap.stage_worker_peaks.resize(core::kNumSearchStages);
   for (size_t s = 0; s < core::kNumSearchStages; ++s) {
     for (size_t i = 0; i < kNumBuckets; ++i) {
       snap.stage_latency_buckets[s][i] =
           stage_buckets_[s][i].load(std::memory_order_relaxed);
     }
-    snap.stage_worker_peaks[s] =
-        stage_worker_peaks_[s].load(std::memory_order_relaxed);
   }
   snap.text_probes = text_probes_.load(std::memory_order_relaxed);
   snap.text_memo_hits = text_memo_hits_.load(std::memory_order_relaxed);

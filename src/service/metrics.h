@@ -82,11 +82,6 @@ struct MetricsSnapshot {
   /// nothing.
   std::vector<std::vector<uint64_t>> stage_latency_buckets;
 
-  /// stage_worker_peaks[s]: the most worker contexts stage s ever fanned
-  /// out over in one recorded trace (0 = the stage never ran a parallel
-  /// region; serial runs report at most 1 work item per worker slot).
-  std::vector<uint64_t> stage_worker_peaks;
-
   /// Approximate-keyword-lookup counters summed over every recorded search
   /// trace: per-attribute probes, probe-memo hits/misses, candidate tokens
   /// the text indexes examined, and scan / all-rows fallbacks.
@@ -120,16 +115,16 @@ struct MetricsSnapshot {
   std::string ToString() const;
 
   /// \brief The snapshot as one JSON object (counters, cache/text rates,
-  /// approximate latency percentiles, per-stage percentiles + worker
-  /// peaks). This is what the workload runner embeds in BENCH_*.json and
+  /// approximate latency percentiles, per-stage percentiles). This is
+  /// what the workload runner embeds in BENCH_*.json and
   /// examples/mapping_server prints — external tooling reads metrics
   /// without friending service internals. Schema in DESIGN.md §11.
   std::string ToJson() const;
 
   /// \brief Counter-wise difference against an `earlier` snapshot of the
   /// same service: monotonic counters subtract (saturating at 0 in case
-  /// histograms were reset in between); histogram buckets, worker peaks
-  /// and the queue high-water keep THIS snapshot's values — with
+  /// histograms were reset in between); histogram buckets and the queue
+  /// high-water keep THIS snapshot's values — with
   /// ServiceMetrics::ResetHistograms() at interval starts they already
   /// describe just the interval.
   MetricsSnapshot Delta(const MetricsSnapshot& earlier) const;
@@ -153,13 +148,13 @@ class ServiceMetrics {
   /// `rows_deleted` are only accumulated when `ok`.
   void RecordUpdate(bool ok, uint64_t rows_inserted, uint64_t rows_deleted);
   /// \brief Folds one search's per-stage trace into the per-stage latency
-  /// histograms and worker peaks. The kPrune stage is skipped — sample
+  /// histograms. The kPrune stage is skipped — sample
   /// search never runs it, and folding its empty span would fill the prune
   /// histogram with zeroes.
   void RecordSearchTrace(const core::ExecutionTrace& trace);
 
   /// \brief Folds one interactive pruning pass's trace: the kPrune latency
-  /// bucket, its worker peak, and the pass's text-probe counters. The
+  /// bucket and the pass's text-probe counters. The
   /// search-stage histograms are left untouched (a pruning context carries
   /// no search spans).
   void RecordPruneTrace(const core::ExecutionTrace& trace);
@@ -169,10 +164,10 @@ class ServiceMetrics {
   /// \brief Snapshot().ToJson() — the export hook for benches/monitoring.
   std::string SnapshotJson() const;
 
-  /// \brief Zeroes the request/stage latency histograms and the per-stage
-  /// worker peaks, starting a fresh measurement interval (the workload
-  /// runner calls this at phase boundaries). Scalar counters stay
-  /// monotonic — interval values come from MetricsSnapshot::Delta().
+  /// \brief Zeroes the request/stage latency histograms, starting a fresh
+  /// measurement interval (the workload runner calls this at phase
+  /// boundaries). Scalar counters stay monotonic — interval values come
+  /// from MetricsSnapshot::Delta().
   /// Concurrent recording during a reset is safe but the affected events
   /// may land in either interval.
   void ResetHistograms();
@@ -196,8 +191,6 @@ class ServiceMetrics {
   std::array<std::array<std::atomic<uint64_t>, kNumBuckets>,
              core::kNumSearchStages>
       stage_buckets_{};
-  std::array<std::atomic<uint64_t>, core::kNumSearchStages>
-      stage_worker_peaks_{};
   // Text-layer probe counters folded from each search's trace.
   std::atomic<uint64_t> text_probes_{0};
   std::atomic<uint64_t> text_memo_hits_{0};

@@ -13,9 +13,9 @@ ResultCache::ResultCache(size_t capacity) : capacity_(capacity) {}
 // Tripwire: whoever adds a field to SearchOptions must decide whether it
 // affects the result set, update SearchOptions::Fingerprint() accordingly,
 // and re-bless the size here. Guarded to 64-bit targets where the layout
-// (int + 2 double + 4 size_t, 8-byte aligned) is stable.
+// (int + 2 double + 3 size_t, 8-byte aligned) is stable.
 #if defined(__x86_64__) || defined(__aarch64__)
-static_assert(sizeof(core::SearchOptions) == 56,
+static_assert(sizeof(core::SearchOptions) == 48,
               "SearchOptions layout changed: audit Fingerprint() so the "
               "result cache keys on every result-affecting field, then "
               "update this assert");

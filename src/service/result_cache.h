@@ -7,8 +7,8 @@
 // so a crafted tenant name can never splice into the rest of the key) and
 // the snapshot EPOCH the session is pinned to, the target-column count, a
 // fingerprint of every search option that affects the result set (PMNJ,
-// ranking weights, tuple-path caps — NOT num_threads or the deadline,
-// which change timing but never the converged output), and the
+// ranking weights, tuple-path caps — NOT the deadline, which changes
+// timing but never the converged output), and the
 // NORMALIZED first-row samples (ASCII-lowercased; sound because every
 // match mode compares case-insensitively — but NOT trimmed, since the
 // engine matches samples verbatim and a stray space changes the result).

@@ -249,8 +249,8 @@ class FullTextEngine {
   // True for the shards CloneForDelta deep-copied: the only ones ApplyRow*
   // and CompactRelationIndexes may mutate. All false outside a delta.
   std::vector<bool> mutable_shards_;
-  // Byte-bounded memo of verified results (thread safety is needed by the
-  // parallel pairwise step, core/pairwise.h). Shared across one publish
+  // Byte-bounded memo of verified results (thread-safe: concurrent service
+  // workers search one shared engine). Shared across one publish
   // lineage — a Publish mints a fresh cache, streaming deltas reuse their
   // base's, with per-relation versions in the key fencing stale entries.
   // Punctuation-only fallback results are never inserted — see

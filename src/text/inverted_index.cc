@@ -12,8 +12,8 @@ namespace mweaver::text {
 namespace {
 
 // Reusable per-thread probe scratch: warm probes allocate nothing but their
-// returned result. Thread-local because the pairwise stage probes the same
-// engine from ParallelFor workers.
+// returned result. Thread-local because concurrent service workers probe
+// one shared engine.
 struct ProbeScratch {
   BlockPostingList acc;     // intersection accumulator
   BlockPostingList rows;    // per-token row set (union of candidate postings)

@@ -8,9 +8,9 @@
 //    lookup call; snapshots of the atomic form embed into
 //    core::ExecutionTrace and flow into service::ServiceMetrics.
 //  * ProbeCounters — the atomic accumulator. One lives inside each
-//    core::ExecutionContext (probes run concurrently from the pairwise
-//    stage's ParallelFor workers) and one inside FullTextEngine for
-//    engine-lifetime totals.
+//    core::ExecutionContext and one inside FullTextEngine for
+//    engine-lifetime totals; the engine's is atomic because concurrent
+//    service workers search one shared engine.
 #ifndef MWEAVER_TEXT_LOOKUP_STATS_H_
 #define MWEAVER_TEXT_LOOKUP_STATS_H_
 

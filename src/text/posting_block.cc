@@ -360,8 +360,8 @@ using internal::IntersectArrayBitmap;
 using internal::IntersectU16;
 using internal::UnionU16Scalar;
 
-// Scratch buffers for container-level merges. Thread-local: the pairwise
-// stage probes the same engine from ParallelFor workers.
+// Scratch buffers for container-level merges. Thread-local: concurrent
+// service workers probe one shared engine.
 struct BlockScratch {
   std::vector<uint16_t> a16;
   std::vector<uint16_t> b16;

@@ -276,45 +276,6 @@ TEST(ParallelForTest, MoreThreadsThanWork) {
   EXPECT_EQ(total.load(), 6u);
 }
 
-TEST(ParallelForTest, WorkerIdsAreDenseAndStablePerRunner) {
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{7}}) {
-    const size_t n = 200;
-    const size_t slots = ParallelWorkerCount(n, threads);
-    ASSERT_EQ(slots, std::min(threads, n));
-    std::vector<std::atomic<int>> hits(n);
-    std::vector<std::atomic<size_t>> worker_of(n);
-    ParallelFor(n, threads, [&](size_t worker, size_t i) {
-      EXPECT_LT(worker, slots);
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-      worker_of[i].store(worker, std::memory_order_relaxed);
-    });
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1);
-      EXPECT_LT(worker_of[i].load(), slots);
-    }
-  }
-}
-
-TEST(ParallelForTest, SerialPathReportsWorkerZero) {
-  std::vector<size_t> workers;
-  ParallelFor(5, 1, [&](size_t worker, size_t) { workers.push_back(worker); });
-  ASSERT_EQ(workers.size(), 5u);
-  for (size_t w : workers) EXPECT_EQ(w, 0u);
-  // A single item always runs inline regardless of the thread budget.
-  ParallelFor(1, 16, [&](size_t worker, size_t i) {
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(i, 0u);
-  });
-}
-
-TEST(ParallelForTest, WorkerCountEdgeCases) {
-  EXPECT_EQ(ParallelWorkerCount(0, 8), 0u);
-  EXPECT_EQ(ParallelWorkerCount(1, 8), 1u);
-  EXPECT_EQ(ParallelWorkerCount(8, 1), 1u);
-  EXPECT_EQ(ParallelWorkerCount(8, 3), 3u);
-  EXPECT_EQ(ParallelWorkerCount(3, 8), 3u);
-}
-
 TEST(ParallelForTest, NestedCallsDoNotDeadlockOnTheSharedPool) {
   // The caller always participates as a runner, so inner ParallelFors make
   // progress even when every shared-pool thread is occupied by outer ones.

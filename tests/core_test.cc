@@ -653,48 +653,6 @@ TEST(ExecutionContextTest, NoDeadlineNeverReadsClock) {
   EXPECT_EQ(g_fake_now_calls, 0u);
 }
 
-TEST(ExecutionContextTest, ChildViewSharesStopLatchBothWays) {
-  ExecutionContext parent;
-  auto a = parent.ForkChild();
-  auto b = parent.ForkChild();
-  EXPECT_FALSE(a->stop_requested());
-
-  // A stop on one worker propagates to the parent, and the sibling
-  // observes it at its next poll — without a deadline or clock read.
-  a->RequestStop();
-  EXPECT_TRUE(parent.stop_requested());
-  EXPECT_TRUE(b->ShouldStop());
-  EXPECT_EQ(b->clock_reads(), 0u);
-
-  // Children forked from an already-stopped parent are born stopped.
-  EXPECT_TRUE(parent.ForkChild()->stop_requested());
-}
-
-TEST(ExecutionContextTest, ChildInheritsDeadlineAndStopsParent) {
-  ExecutionContext parent;
-  parent.set_deadline(SearchClock::now() - std::chrono::milliseconds(1));
-  auto child = parent.ForkChild();
-  // The child's very first poll reads the inherited (expired) deadline and
-  // trips the shared latch.
-  EXPECT_TRUE(child->ShouldStop());
-  EXPECT_TRUE(parent.stop_requested());
-}
-
-TEST(ExecutionContextTest, MergeChildFoldsCounters) {
-  ExecutionContext parent;
-  auto child = parent.ForkChild();
-  for (int i = 0; i < 3; ++i) child->ShouldStop();
-  text::ProbeStats probes;
-  probes.probes = 5;
-  probes.memo_hits = 2;
-  child->probe_counters().Record(probes);
-
-  parent.MergeChild(*child);
-  EXPECT_EQ(parent.stop_checks(), 3u);
-  EXPECT_EQ(parent.trace().text_probes.probes, 5u);
-  EXPECT_EQ(parent.trace().text_probes.memo_hits, 2u);
-}
-
 // Every TPW stage must observe a pre-expired deadline: the result comes
 // back promptly, flagged, and with every stage span marked stopped-early.
 TEST_F(CoreTest, PreExpiredDeadlineTruncatesEveryStage) {
@@ -809,13 +767,6 @@ TEST(SearchOptionsTest, FingerprintChangesWithEachSemanticField) {
     o.retained_tuple_paths_per_mapping += 1;
     EXPECT_NE(o.Fingerprint(), base);
   }
-}
-
-TEST(SearchOptionsTest, FingerprintIgnoresTimingOnlyFields) {
-  SearchOptions a;
-  SearchOptions b;
-  b.num_threads = 7;  // affects scheduling, never results
-  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
 }
 
 }  // namespace

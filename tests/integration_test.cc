@@ -403,40 +403,6 @@ TEST(DumpSearchTest, SearchResultsIdenticalAfterDumpReload) {
   }
 }
 
-// ----------------------------------------------------- Parallel search --
-
-TEST(ParallelSearchTest, ThreadCountDoesNotChangeResults) {
-  const storage::Database db = MakeUniversityDb(55);
-  const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
-  const graph::SchemaGraph graph(&db);
-  Rng rng(77);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::string> sample_tuple;
-    for (int i = 0; i < 3; ++i) sample_tuple.push_back(RandomValue(db, &rng));
-
-    core::SearchOptions sequential;
-    sequential.num_threads = 1;
-    core::SearchOptions parallel;
-    parallel.num_threads = 4;
-
-    auto a = core::SampleSearch(engine, graph, sample_tuple, sequential);
-    auto b = core::SampleSearch(engine, graph, sample_tuple, parallel);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->candidates.size(), b->candidates.size());
-    for (size_t c = 0; c < a->candidates.size(); ++c) {
-      EXPECT_EQ(a->candidates[c].mapping.Canonical(),
-                b->candidates[c].mapping.Canonical());
-      EXPECT_EQ(a->candidates[c].support, b->candidates[c].support);
-      EXPECT_DOUBLE_EQ(a->candidates[c].score, b->candidates[c].score);
-    }
-    EXPECT_EQ(a->stats.pairwise.num_tuple_paths,
-              b->stats.pairwise.num_tuple_paths);
-    EXPECT_EQ(a->stats.weave.total_tuple_paths,
-              b->stats.weave.total_tuple_paths);
-  }
-}
-
 // ------------------------------------------------- Numeric-sample search --
 
 TEST(NumericSearchTest, NumericSampleDrivesMappingDiscovery) {

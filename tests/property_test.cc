@@ -2,16 +2,14 @@
 //
 //   1. On many random mini-databases, the full TPW pipeline returns exactly
 //      the mapping set of the brute-force naive baseline — the paper's
-//      soundness + completeness claim, fuzzed across schema instances
-//      instead of a handful of fixed seeds.
-//   2. On the same corpus, the parallel search core (and the interactive
-//      pruning path) returns byte-identical candidates to the serial path
-//      at every thread count — parallelism is a pure timing optimization.
-//   3. The weave (Algorithm 5) returns exactly the level sequences, stats
+//      soundness + completeness claim, fuzzed across schema instances and
+//      match modes (substring and fuzzy) instead of a handful of fixed
+//      seeds.
+//   2. The weave (Algorithm 5) returns exactly the level sequences, stats
 //      and ranked candidates of the clone-then-canonicalise reference in
 //      reference_weave.h, at every truncation point; the pairwise mapping
 //      paths of each column pair are pairwise non-isomorphic.
-//   4. The accelerated text lookup equals the frozen linear-scan reference
+//   3. The accelerated text lookup equals the frozen linear-scan reference
 //      row-for-row even while fault injection randomly forces scan
 //      fallbacks and evicts/drops probe-memo entries mid-stream: cache
 //      chaos may cost recomputation, never rows.
@@ -30,7 +28,6 @@
 #include "core/pairwise.h"
 #include "core/ranking.h"
 #include "core/sample_search.h"
-#include "core/session.h"
 #include "core/weaver.h"
 #include "datagen/movie_gen.h"
 #include "datagen/workload.h"
@@ -58,7 +55,10 @@ using ::mweaver::testing::ReferenceCompleteTuplePaths;
 // Each seed builds a fresh random database (schema fixed, contents and FK
 // wiring random), draws one random sample tuple, and demands exact mapping-
 // set agreement between the accelerated pipeline and the brute-force
-// baseline. Failures print the seed, so any counterexample replays alone.
+// baseline. The match policy cycles Substring / Fuzzy(1) / Fuzzy(2) by seed
+// (the weave-reference corpus's cycle), so the fuzzy lookups run through
+// the whole pipeline too. Failures print the seed, so any counterexample
+// replays alone.
 TEST(TpwNaiveEquivalenceProperty, AgreesOnRandomDatabases) {
   constexpr int kDatabases = 50;
   for (int seed = 0; seed < kDatabases; ++seed) {
@@ -66,7 +66,11 @@ TEST(TpwNaiveEquivalenceProperty, AgreesOnRandomDatabases) {
     const storage::Database db =
         MakeUniversityDb(7'000 + static_cast<uint64_t>(seed),
                          /*people=*/8 + seed % 5);
-    const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+    const text::MatchPolicy policy =
+        seed % 3 == 0   ? text::MatchPolicy::Substring()
+        : seed % 3 == 1 ? text::MatchPolicy::Fuzzy(1)
+                        : text::MatchPolicy::Fuzzy(2);
+    const text::FullTextEngine engine(&db, policy);
     const graph::SchemaGraph graph(&db);
     Rng rng(40'000 + static_cast<uint64_t>(seed) * 13);
 
@@ -93,13 +97,10 @@ TEST(TpwNaiveEquivalenceProperty, AgreesOnRandomDatabases) {
   }
 }
 
-// ----------------- Parallel TPW == serial TPW, byte for byte --------------
-
 // Serializes everything a client can observe about one candidate list:
 // canonical mapping, full-precision score, support count, and the retained
-// example tuple paths in order. Any divergence between thread counts —
-// ordering, a float summed in a different order, a dropped example — shows
-// up as a byte difference.
+// example tuple paths in order. Any divergence — ordering, a float summed
+// in a different order, a dropped example — shows up as a byte difference.
 std::string SerializeCandidates(
     const std::vector<core::CandidateMapping>& candidates) {
   std::string out;
@@ -112,77 +113,6 @@ std::string SerializeCandidates(
     out += "\n";
   }
   return out;
-}
-
-// The parallel search core must be a pure timing optimization: on every
-// random database, match mode, and target width, running with 2, 4 and 7
-// workers returns byte-identical candidates to num_threads=1. Reuses the
-// TPW==naive corpus generator, cycling the match policy so the fuzzy
-// lookup paths parallelize too.
-TEST(ParallelSerialEquivalenceProperty, ByteIdenticalOnRandomDatabases) {
-  constexpr int kDatabases = 50;
-  for (int seed = 0; seed < kDatabases; ++seed) {
-    SCOPED_TRACE("database seed " + std::to_string(seed));
-    const storage::Database db =
-        MakeUniversityDb(7'000 + static_cast<uint64_t>(seed),
-                         /*people=*/8 + seed % 5);
-    const text::MatchPolicy policy =
-        seed % 3 == 0   ? text::MatchPolicy::Substring()
-        : seed % 3 == 1 ? text::MatchPolicy::Fuzzy(1)
-                        : text::MatchPolicy::Fuzzy(2);
-    const text::FullTextEngine engine(&db, policy);
-    const graph::SchemaGraph graph(&db);
-    Rng rng(40'000 + static_cast<uint64_t>(seed) * 13);
-
-    const int m = 2 + seed % 3;  // target widths 2..4
-    std::vector<std::string> sample_tuple;
-    for (int i = 0; i < m; ++i) {
-      sample_tuple.push_back(RandomSearchableValue(db, &rng));
-    }
-
-    core::SearchOptions serial_options;
-    serial_options.num_threads = 1;
-    auto serial = core::SampleSearch(engine, graph, sample_tuple,
-                                     serial_options);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    const std::string expected = SerializeCandidates(serial->candidates);
-
-    for (size_t threads : {size_t{2}, size_t{4}, size_t{7}}) {
-      SCOPED_TRACE("num_threads " + std::to_string(threads));
-      core::SearchOptions parallel_options;
-      parallel_options.num_threads = threads;
-      auto parallel = core::SampleSearch(engine, graph, sample_tuple,
-                                         parallel_options);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_EQ(SerializeCandidates(parallel->candidates), expected)
-          << "m=" << m << " first sample: '" << sample_tuple[0] << "'";
-    }
-
-    // The interactive pruning path must be thread-count invariant too:
-    // drive two identical sessions (serial vs 4-way) through the same
-    // first row and refinement inputs. The second-row inputs exercise both
-    // PruneByAttribute (first cell) and PruneByStructure (second cell,
-    // once the row carries two samples) over parallel candidate shards.
-    core::SearchOptions four_way = serial_options;
-    four_way.num_threads = 4;
-    const std::vector<std::string> columns(static_cast<size_t>(m), "col");
-    core::Session serial_session(&engine, &graph, columns, serial_options);
-    core::Session parallel_session(&engine, &graph, columns, four_way);
-    for (int i = 0; i < m; ++i) {
-      ASSERT_TRUE(serial_session.Input(0, i, sample_tuple[i]).ok());
-      ASSERT_TRUE(parallel_session.Input(0, i, sample_tuple[i]).ok());
-    }
-    const std::string refine_a = RandomSearchableValue(db, &rng);
-    const std::string refine_b = RandomSearchableValue(db, &rng);
-    for (size_t col = 0; col < 2; ++col) {
-      const std::string& value = col == 0 ? refine_a : refine_b;
-      SCOPED_TRACE("refine col " + std::to_string(col) + " '" + value + "'");
-      ASSERT_TRUE(serial_session.Input(1, col, value).ok());
-      ASSERT_TRUE(parallel_session.Input(1, col, value).ok());
-      EXPECT_EQ(SerializeCandidates(parallel_session.candidates()),
-                SerializeCandidates(serial_session.candidates()));
-    }
-  }
 }
 
 // -------------- Weave == clone-then-canonicalise reference, exactly --------

@@ -153,10 +153,10 @@ TEST(ServiceStressTest, ManyClientsThroughMappingService) {
 }
 
 // A client thread flips the cancellation token while the search is in
-// flight (including while pairwise execution polls from ParallelFor
-// workers). Run under TSan, this vets the relaxed-atomic stop plumbing;
-// functionally, a cancelled run must still return a well-formed (possibly
-// truncated) result.
+// flight on another thread, as a client does to a service worker's search
+// (every stage's stop polls read the token). Run under TSan, this vets the
+// relaxed-atomic stop plumbing; functionally, a cancelled run must still
+// return a well-formed (possibly truncated) result.
 TEST(ServiceStressTest, CrossThreadCancellationMidSearch) {
   Env env;
   core::SearchOptions options;
