@@ -136,12 +136,14 @@ int main() {
     for (auto& in : inputs) in = RandomSortedU16(&rng, cardinality, value_range);
 
     const double t0 = Now();
-    for (size_t r = 0; r < rounds; ++r) sink += MergeCascade(inputs, &acc, &tmp);
+    for (size_t r = 0; r < rounds; ++r) {
+      sink = sink + MergeCascade(inputs, &acc, &tmp);
+    }
     const double merge_us = (Now() - t0) / static_cast<double>(rounds);
 
     const double t1 = Now();
     for (size_t r = 0; r < rounds; ++r) {
-      sink += BitmapAccumulate(inputs, &bits, &acc);
+      sink = sink + BitmapAccumulate(inputs, &bits, &acc);
     }
     const double bitmap_us = (Now() - t1) / static_cast<double>(rounds);
 

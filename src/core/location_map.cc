@@ -38,7 +38,6 @@ LocationMap LocationMap::Build(const text::FullTextEngine& engine,
   MW_CHECK(threads <= 1) << "a search runs on its caller's thread";
   LocationMap map;
   map.engine_ = &engine;
-  map.built_versions_ = engine.relation_versions();
   map.columns_.resize(sample_tuple.size());
   map.attrs_.resize(sample_tuple.size());
   map.slot_bits_.resize(sample_tuple.size());
@@ -92,26 +91,6 @@ size_t LocationMap::TotalOccurrences() const {
   size_t total = 0;
   for (const ColumnLocations& col : columns_) total += col.occurrences.size();
   return total;
-}
-
-bool LocationMap::StaleVersusEngine(const text::FullTextEngine& engine,
-                                    const graph::SchemaGraph& graph) const {
-  if (built_versions_.empty()) return true;  // FromAttributes: no stamp
-  const std::vector<uint64_t>& now = engine.relation_versions();
-  if (now.size() != built_versions_.size()) return true;  // schema changed
-  const auto changed = [&](storage::RelationId rel) {
-    const auto r = static_cast<size_t>(rel);
-    return now[r] != built_versions_[r];
-  };
-  for (const auto& attrs : attrs_) {
-    for (const text::AttributeRef& attr : attrs) {
-      if (changed(attr.relation)) return true;
-      for (const graph::SchemaEdge& edge : graph.Neighbors(attr.relation)) {
-        if (changed(edge.neighbor)) return true;
-      }
-    }
-  }
-  return false;
 }
 
 }  // namespace mweaver::core

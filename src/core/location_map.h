@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/execution_context.h"
-#include "graph/schema_graph.h"
 #include "text/fulltext_engine.h"
 
 namespace mweaver::core {
@@ -61,19 +60,6 @@ class LocationMap {
   /// \brief Total number of (column, attribute) occurrence entries.
   size_t TotalOccurrences() const;
 
-  /// \brief FK-graph-aware invalidation check against a newer engine in the
-  /// same snapshot lineage. The map is stale iff any relation that could
-  /// change its contents moved to a newer update version: a relation one of
-  /// its occurrences lives in (the occurrence row sets would differ), or an
-  /// FK neighbor of such a relation in `graph` (joins out of the occurrence
-  /// rows would land on different tuples). Updates confined to relations
-  /// outside that neighborhood leave the map exactly reusable — the hook a
-  /// session-migration path uses to decide between re-locating and keeping
-  /// its frozen map. Build() captures the engine's per-relation versions;
-  /// maps built by FromAttributes (no engine) are always reported stale.
-  bool StaleVersusEngine(const text::FullTextEngine& engine,
-                         const graph::SchemaGraph& graph) const;
-
  private:
   // Derives attrs_/slot_bits_/sorted_attrs_ for column i from its
   // occurrences.
@@ -86,9 +72,6 @@ class LocationMap {
   // engine; engine_ is null (and slot_bits_ unused) for FromAttributes maps.
   const text::FullTextEngine* engine_ = nullptr;
   std::vector<std::vector<uint64_t>> slot_bits_;
-  // Per-relation update versions captured from the engine at Build time;
-  // StaleVersusEngine diffs these against a newer engine's.
-  std::vector<uint64_t> built_versions_;
   // Per-column sorted attribute list (Contains fallback without an engine).
   std::vector<std::vector<text::AttributeRef>> sorted_attrs_;
 };

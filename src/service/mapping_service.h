@@ -223,9 +223,6 @@ class MappingService {
   std::map<std::string, TenantMetricsSnapshot> PerTenantMetrics() const {
     return tenant_metrics_.Snapshot();
   }
-  /// \brief Starts a fresh latency-histogram interval (scalar counters
-  /// stay monotonic; see ServiceMetrics::ResetHistograms).
-  void ResetMetricsHistograms() { metrics_.ResetHistograms(); }
   const ServiceOptions& options() const { return options_; }
   /// \brief The per-tenant queued-slot cap derived from the options.
   size_t TenantQueueCap() const;

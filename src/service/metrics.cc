@@ -27,38 +27,19 @@ double MetricsSnapshot::CacheHitRate() const {
 }
 
 double MetricsSnapshot::TextMemoHitRate() const {
-  return text_probes == 0 ? 0.0 : static_cast<double>(text_memo_hits) /
-                                      static_cast<double>(text_probes);
+  return text_probes.probes == 0
+             ? 0.0
+             : static_cast<double>(text_probes.memo_hits) /
+                   static_cast<double>(text_probes.probes);
 }
-
-namespace {
-
-double PercentileOfBuckets(const std::vector<uint64_t>& buckets, double p) {
-  uint64_t total = 0;
-  for (uint64_t count : buckets) total += count;
-  if (total == 0) return 0.0;
-  const double rank = p * static_cast<double>(total);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (static_cast<double>(seen) >= rank) {
-      return ServiceMetrics::BucketUpperMs(i);
-    }
-  }
-  return ServiceMetrics::BucketUpperMs(buckets.size() - 1);
-}
-
-}  // namespace
 
 double MetricsSnapshot::ApproxLatencyPercentileMs(double p) const {
-  return PercentileOfBuckets(latency_buckets, p);
+  return latency.PercentileMs(p);
 }
 
 double MetricsSnapshot::ApproxStageLatencyPercentileMs(
     core::SearchStage stage, double p) const {
-  const size_t s = static_cast<size_t>(stage);
-  if (s >= stage_latency_buckets.size()) return 0.0;
-  return PercentileOfBuckets(stage_latency_buckets[s], p);
+  return stage_latency[static_cast<size_t>(stage)].PercentileMs(p);
 }
 
 std::string MetricsSnapshot::ToString() const {
@@ -66,7 +47,7 @@ std::string MetricsSnapshot::ToString() const {
       "requests: %llu ok, %llu truncated, %llu degraded, %llu failed, "
       "%llu overloaded | retries: %llu search, %llu update | "
       "cache: %llu hits / %llu misses (%.1f%%) | queue high-water: %llu | "
-      "latency p50/p95/p99 <= %.2f/%.2f/%.2f ms",
+      "latency p50/p95/p99 ~ %.3f/%.3f/%.3f ms",
       static_cast<unsigned long long>(requests_ok),
       static_cast<unsigned long long>(requests_truncated),
       static_cast<unsigned long long>(requests_degraded),
@@ -87,27 +68,25 @@ std::string MetricsSnapshot::ToString() const {
         static_cast<unsigned long long>(update_rows_inserted),
         static_cast<unsigned long long>(update_rows_deleted));
   }
-  for (size_t s = 0; s < stage_latency_buckets.size(); ++s) {
-    uint64_t total = 0;
-    for (uint64_t count : stage_latency_buckets[s]) total += count;
-    if (total == 0) continue;
+  for (size_t s = 0; s < stage_latency.size(); ++s) {
+    if (stage_latency[s].count() == 0) continue;
     const core::SearchStage stage = static_cast<core::SearchStage>(s);
-    out += StrFormat(" | %s p50/p95 <= %.2f/%.2f ms",
+    out += StrFormat(" | %s p50/p95 ~ %.3f/%.3f ms",
                      core::SearchStageName(stage),
                      ApproxStageLatencyPercentileMs(stage, 0.50),
                      ApproxStageLatencyPercentileMs(stage, 0.95));
   }
-  if (text_probes > 0) {
+  if (text_probes.probes > 0) {
     out += StrFormat(
         " | text probes: %llu (memo %llu/%llu, %.1f%% hit; cand %llu; "
         "scan %llu; allrows %llu)",
-        static_cast<unsigned long long>(text_probes),
-        static_cast<unsigned long long>(text_memo_hits),
-        static_cast<unsigned long long>(text_memo_misses),
+        static_cast<unsigned long long>(text_probes.probes),
+        static_cast<unsigned long long>(text_probes.memo_hits),
+        static_cast<unsigned long long>(text_probes.memo_misses),
         TextMemoHitRate() * 100.0,
-        static_cast<unsigned long long>(text_candidates_examined),
-        static_cast<unsigned long long>(text_scan_fallbacks),
-        static_cast<unsigned long long>(text_all_rows_fallbacks));
+        static_cast<unsigned long long>(text_probes.candidates_examined),
+        static_cast<unsigned long long>(text_probes.scan_fallbacks),
+        static_cast<unsigned long long>(text_probes.all_rows_fallbacks));
   }
   return out;
 }
@@ -162,21 +141,21 @@ std::string MetricsSnapshot::ToJson() const {
                    ApproxLatencyPercentileMs(0.95), &first);
   AppendJsonDouble(&out, "approx_latency_p99_ms",
                    ApproxLatencyPercentileMs(0.99), &first);
-  AppendJsonUInt(&out, "text_probes", text_probes, &first);
-  AppendJsonUInt(&out, "text_memo_hits", text_memo_hits, &first);
-  AppendJsonUInt(&out, "text_memo_misses", text_memo_misses, &first);
-  AppendJsonUInt(&out, "text_candidates_examined", text_candidates_examined,
+  AppendJsonUInt(&out, "text_probes", text_probes.probes, &first);
+  AppendJsonUInt(&out, "text_memo_hits", text_probes.memo_hits, &first);
+  AppendJsonUInt(&out, "text_memo_misses", text_probes.memo_misses, &first);
+  AppendJsonUInt(&out, "text_candidates_examined",
+                 text_probes.candidates_examined, &first);
+  AppendJsonUInt(&out, "text_scan_fallbacks", text_probes.scan_fallbacks,
                  &first);
-  AppendJsonUInt(&out, "text_scan_fallbacks", text_scan_fallbacks, &first);
-  AppendJsonUInt(&out, "text_all_rows_fallbacks", text_all_rows_fallbacks,
-                 &first);
+  AppendJsonUInt(&out, "text_all_rows_fallbacks",
+                 text_probes.all_rows_fallbacks, &first);
 
   AppendJsonKey(&out, "stages", &first);
   out += '{';
   bool first_stage = true;
-  for (size_t s = 0; s < stage_latency_buckets.size(); ++s) {
-    uint64_t total = 0;
-    for (uint64_t count : stage_latency_buckets[s]) total += count;
+  for (size_t s = 0; s < stage_latency.size(); ++s) {
+    const uint64_t total = stage_latency[s].count();
     if (total == 0) continue;
     const auto stage = static_cast<core::SearchStage>(s);
     if (!first_stage) out += ',';
@@ -219,24 +198,13 @@ MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
       SaturatingSub(update_rows_inserted, earlier.update_rows_inserted);
   delta.update_rows_deleted =
       SaturatingSub(update_rows_deleted, earlier.update_rows_deleted);
-  delta.text_probes = SaturatingSub(text_probes, earlier.text_probes);
-  delta.text_memo_hits = SaturatingSub(text_memo_hits, earlier.text_memo_hits);
-  delta.text_memo_misses =
-      SaturatingSub(text_memo_misses, earlier.text_memo_misses);
-  delta.text_candidates_examined = SaturatingSub(
-      text_candidates_examined, earlier.text_candidates_examined);
-  delta.text_scan_fallbacks =
-      SaturatingSub(text_scan_fallbacks, earlier.text_scan_fallbacks);
-  delta.text_all_rows_fallbacks =
-      SaturatingSub(text_all_rows_fallbacks, earlier.text_all_rows_fallbacks);
-  // queue_high_water and the latency/stage buckets keep this snapshot's
-  // values (see header).
+  delta.latency.Subtract(earlier.latency);
+  for (size_t s = 0; s < stage_latency.size(); ++s) {
+    delta.stage_latency[s].Subtract(earlier.stage_latency[s]);
+  }
+  delta.text_probes.Subtract(earlier.text_probes);
+  // queue_high_water keeps this snapshot's value (see header).
   return delta;
-}
-
-double ServiceMetrics::BucketUpperMs(size_t i) {
-  if (i + 1 >= kNumBuckets) return 1e18;  // +inf bucket
-  return 0.25 * static_cast<double>(uint64_t{1} << i);
 }
 
 void ServiceMetrics::RecordRequest(RequestOutcome outcome, double latency_ms) {
@@ -257,11 +225,7 @@ void ServiceMetrics::RecordRequest(RequestOutcome outcome, double latency_ms) {
       failed_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  size_t bucket = 0;
-  while (bucket + 1 < kNumBuckets && latency_ms > BucketUpperMs(bucket)) {
-    ++bucket;
-  }
-  latency_buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  latency_.Record(latency_ms);
 }
 
 void ServiceMetrics::RecordQueueDepth(size_t depth) {
@@ -299,56 +263,19 @@ void ServiceMetrics::RecordSearchTrace(const core::ExecutionTrace& trace) {
     if (static_cast<core::SearchStage>(s) == core::SearchStage::kPrune) {
       continue;  // interactive-path stage: RecordPruneTrace owns it
     }
-    const double ms = trace.stages[s].wall_ms;
-    size_t bucket = 0;
-    while (bucket + 1 < kNumBuckets && ms > BucketUpperMs(bucket)) {
-      ++bucket;
-    }
-    stage_buckets_[s][bucket].fetch_add(1, std::memory_order_relaxed);
+    stage_latency_[s].Record(trace.stages[s].wall_ms);
   }
-  const text::ProbeStats& probes = trace.text_probes;
-  text_probes_.fetch_add(probes.probes, std::memory_order_relaxed);
-  text_memo_hits_.fetch_add(probes.memo_hits, std::memory_order_relaxed);
-  text_memo_misses_.fetch_add(probes.memo_misses, std::memory_order_relaxed);
-  text_candidates_examined_.fetch_add(probes.candidates_examined,
-                                      std::memory_order_relaxed);
-  text_scan_fallbacks_.fetch_add(probes.scan_fallbacks,
-                                 std::memory_order_relaxed);
-  text_all_rows_fallbacks_.fetch_add(probes.all_rows_fallbacks,
-                                     std::memory_order_relaxed);
+  text_probes_.Record(trace.text_probes);
 }
 
 void ServiceMetrics::RecordPruneTrace(const core::ExecutionTrace& trace) {
   constexpr size_t kPruneIdx = static_cast<size_t>(core::SearchStage::kPrune);
-  const double ms = trace.stages[kPruneIdx].wall_ms;
-  size_t bucket = 0;
-  while (bucket + 1 < kNumBuckets && ms > BucketUpperMs(bucket)) {
-    ++bucket;
-  }
-  stage_buckets_[kPruneIdx][bucket].fetch_add(1, std::memory_order_relaxed);
-  const text::ProbeStats& probes = trace.text_probes;
-  text_probes_.fetch_add(probes.probes, std::memory_order_relaxed);
-  text_memo_hits_.fetch_add(probes.memo_hits, std::memory_order_relaxed);
-  text_memo_misses_.fetch_add(probes.memo_misses, std::memory_order_relaxed);
-  text_candidates_examined_.fetch_add(probes.candidates_examined,
-                                      std::memory_order_relaxed);
-  text_scan_fallbacks_.fetch_add(probes.scan_fallbacks,
-                                 std::memory_order_relaxed);
-  text_all_rows_fallbacks_.fetch_add(probes.all_rows_fallbacks,
-                                     std::memory_order_relaxed);
+  stage_latency_[kPruneIdx].Record(trace.stages[kPruneIdx].wall_ms);
+  text_probes_.Record(trace.text_probes);
 }
 
 std::string ServiceMetrics::SnapshotJson() const {
   return Snapshot().ToJson();
-}
-
-void ServiceMetrics::ResetHistograms() {
-  for (auto& bucket : latency_buckets_) {
-    bucket.store(0, std::memory_order_relaxed);
-  }
-  for (auto& stage : stage_buckets_) {
-    for (auto& bucket : stage) bucket.store(0, std::memory_order_relaxed);
-  }
 }
 
 MetricsSnapshot ServiceMetrics::Snapshot() const {
@@ -369,28 +296,11 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snap.update_rows_deleted =
       update_rows_deleted_.load(std::memory_order_relaxed);
   snap.queue_high_water = queue_high_water_.load(std::memory_order_relaxed);
-  snap.latency_buckets.resize(kNumBuckets);
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    snap.latency_buckets[i] = latency_buckets_[i].load(
-        std::memory_order_relaxed);
-  }
-  snap.stage_latency_buckets.assign(core::kNumSearchStages,
-                                    std::vector<uint64_t>(kNumBuckets, 0));
+  snap.latency = latency_.Snapshot();
   for (size_t s = 0; s < core::kNumSearchStages; ++s) {
-    for (size_t i = 0; i < kNumBuckets; ++i) {
-      snap.stage_latency_buckets[s][i] =
-          stage_buckets_[s][i].load(std::memory_order_relaxed);
-    }
+    snap.stage_latency[s] = stage_latency_[s].Snapshot();
   }
-  snap.text_probes = text_probes_.load(std::memory_order_relaxed);
-  snap.text_memo_hits = text_memo_hits_.load(std::memory_order_relaxed);
-  snap.text_memo_misses = text_memo_misses_.load(std::memory_order_relaxed);
-  snap.text_candidates_examined =
-      text_candidates_examined_.load(std::memory_order_relaxed);
-  snap.text_scan_fallbacks =
-      text_scan_fallbacks_.load(std::memory_order_relaxed);
-  snap.text_all_rows_fallbacks =
-      text_all_rows_fallbacks_.load(std::memory_order_relaxed);
+  snap.text_probes = text_probes_.Snapshot();
   return snap;
 }
 

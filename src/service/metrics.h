@@ -13,9 +13,10 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "common/latency_histogram.h"
 #include "core/execution_context.h"
+#include "text/lookup_stats.h"
 
 namespace mweaver::service {
 
@@ -70,27 +71,20 @@ struct MetricsSnapshot {
   /// Deepest the request queue ever got (admission-time depth).
   uint64_t queue_high_water = 0;
 
-  /// latency_buckets[i] counts completed requests with latency <=
-  /// ServiceMetrics::BucketUpperMs(i) (the last bucket is unbounded).
-  /// Queue wait is included; overloaded requests are not recorded.
-  std::vector<uint64_t> latency_buckets;
+  /// Admission-to-finish latency of completed requests (queue wait
+  /// included; overloaded requests are not recorded).
+  LatencyHistogram latency;
 
-  /// stage_latency_buckets[s][i]: same bucket scheme, per TPW pipeline
-  /// stage (s indexes core::SearchStage). The search stages are recorded
-  /// per uncached search from its ExecutionTrace; the kPrune stage per
-  /// interactive pruning pass (RecordPruneTrace). Cache hits contribute
-  /// nothing.
-  std::vector<std::vector<uint64_t>> stage_latency_buckets;
+  /// The same histogram per TPW pipeline stage (index = core::SearchStage).
+  /// The search stages are recorded per uncached search from its
+  /// ExecutionTrace; the kPrune stage per interactive pruning pass
+  /// (RecordPruneTrace). Cache hits contribute nothing.
+  std::array<LatencyHistogram, core::kNumSearchStages> stage_latency;
 
   /// Approximate-keyword-lookup counters summed over every recorded search
-  /// trace: per-attribute probes, probe-memo hits/misses, candidate tokens
-  /// the text indexes examined, and scan / all-rows fallbacks.
-  uint64_t text_probes = 0;
-  uint64_t text_memo_hits = 0;
-  uint64_t text_memo_misses = 0;
-  uint64_t text_candidates_examined = 0;
-  uint64_t text_scan_fallbacks = 0;
-  uint64_t text_all_rows_fallbacks = 0;
+  /// and pruning trace: per-attribute probes, probe-memo hits/misses,
+  /// candidate tokens the text indexes examined, fallbacks, and kernels.
+  text::ProbeStats text_probes;
 
   /// Memo hits / probes; 0 when no probe ran.
   double TextMemoHitRate() const;
@@ -105,8 +99,8 @@ struct MetricsSnapshot {
   }
   /// Hits / (hits + misses); 0 when the cache was never consulted.
   double CacheHitRate() const;
-  /// Histogram-estimated latency percentile in ms (p in [0,1]); returns
-  /// the bucket upper bound containing the p-quantile, 0 with no data.
+  /// Histogram-estimated latency percentile in ms (p in [0,1]), within
+  /// LatencyHistogram::kMaxRelativeError of the exact one; 0 with no data.
   double ApproxLatencyPercentileMs(double p) const;
   /// Same, over one pipeline stage's histogram.
   double ApproxStageLatencyPercentileMs(core::SearchStage stage,
@@ -122,21 +116,15 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 
   /// \brief Counter-wise difference against an `earlier` snapshot of the
-  /// same service: monotonic counters subtract (saturating at 0 in case
-  /// histograms were reset in between); histogram buckets and the queue
-  /// high-water keep THIS snapshot's values — with
-  /// ServiceMetrics::ResetHistograms() at interval starts they already
-  /// describe just the interval.
+  /// same service: counters and histograms subtract (counters saturate at
+  /// 0), so the result describes just the interval between the two. The
+  /// queue high-water mark keeps THIS snapshot's value.
   MetricsSnapshot Delta(const MetricsSnapshot& earlier) const;
 };
 
 /// \brief The live counters. One instance per MappingService.
 class ServiceMetrics {
  public:
-  /// 16 power-of-two buckets: <=0.25ms, <=0.5ms, ... <=4096ms, +inf.
-  static constexpr size_t kNumBuckets = 16;
-  static double BucketUpperMs(size_t i);
-
   void RecordRequest(RequestOutcome outcome, double latency_ms);
   void RecordQueueDepth(size_t depth);
   void RecordCacheLookup(bool hit);
@@ -154,7 +142,7 @@ class ServiceMetrics {
   void RecordSearchTrace(const core::ExecutionTrace& trace);
 
   /// \brief Folds one interactive pruning pass's trace: the kPrune latency
-  /// bucket and the pass's text-probe counters. The
+  /// histogram and the pass's text-probe counters. The
   /// search-stage histograms are left untouched (a pruning context carries
   /// no search spans).
   void RecordPruneTrace(const core::ExecutionTrace& trace);
@@ -163,14 +151,6 @@ class ServiceMetrics {
 
   /// \brief Snapshot().ToJson() — the export hook for benches/monitoring.
   std::string SnapshotJson() const;
-
-  /// \brief Zeroes the request/stage latency histograms, starting a fresh
-  /// measurement interval (the workload runner calls this at phase
-  /// boundaries). Scalar counters stay monotonic — interval values come
-  /// from MetricsSnapshot::Delta().
-  /// Concurrent recording during a reset is safe but the affected events
-  /// may land in either interval.
-  void ResetHistograms();
 
  private:
   std::atomic<uint64_t> ok_{0};
@@ -187,17 +167,9 @@ class ServiceMetrics {
   std::atomic<uint64_t> update_rows_inserted_{0};
   std::atomic<uint64_t> update_rows_deleted_{0};
   std::atomic<uint64_t> queue_high_water_{0};
-  std::array<std::atomic<uint64_t>, kNumBuckets> latency_buckets_{};
-  std::array<std::array<std::atomic<uint64_t>, kNumBuckets>,
-             core::kNumSearchStages>
-      stage_buckets_{};
-  // Text-layer probe counters folded from each search's trace.
-  std::atomic<uint64_t> text_probes_{0};
-  std::atomic<uint64_t> text_memo_hits_{0};
-  std::atomic<uint64_t> text_memo_misses_{0};
-  std::atomic<uint64_t> text_candidates_examined_{0};
-  std::atomic<uint64_t> text_scan_fallbacks_{0};
-  std::atomic<uint64_t> text_all_rows_fallbacks_{0};
+  AtomicLatencyHistogram latency_;
+  std::array<AtomicLatencyHistogram, core::kNumSearchStages> stage_latency_;
+  text::ProbeCounters text_probes_;
 };
 
 /// \brief A point-in-time copy of one tenant's rollup counters.

@@ -105,11 +105,7 @@ size_t ResultCache::EvictTenantEntries(std::string_view tenant,
 std::optional<core::SearchResult> ResultCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
+  if (it == index_.end()) return std::nullopt;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->second;
 }
@@ -138,16 +134,6 @@ void ResultCache::Insert(const std::string& key, core::SearchResult result) {
 size_t ResultCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
-}
-
-uint64_t ResultCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-uint64_t ResultCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 }  // namespace mweaver::service

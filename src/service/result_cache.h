@@ -100,8 +100,6 @@ class ResultCache {
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  uint64_t hits() const;
-  uint64_t misses() const;
 
  private:
   using Entry = std::pair<std::string, core::SearchResult>;
@@ -110,8 +108,6 @@ class ResultCache {
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace mweaver::service

@@ -138,14 +138,10 @@ class FullTextEngine {
 
   /// \brief Update version of one relation: 0 at Publish, bumped to the
   /// snapshot's minor epoch whenever a streaming update touches the
-  /// relation. Part of the probe-memo key and LocationMap's staleness
-  /// stamp.
+  /// relation. Part of the probe-memo key.
   uint64_t relation_version(storage::RelationId relation) const {
     const auto r = static_cast<size_t>(relation);
     return r < rel_versions_.size() ? rel_versions_[r] : 0;
-  }
-  const std::vector<uint64_t>& relation_versions() const {
-    return rel_versions_;
   }
 
   const storage::Database& db() const { return *db_; }

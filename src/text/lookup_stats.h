@@ -6,11 +6,11 @@
 // Two shapes, one set of fields:
 //  * ProbeStats — a plain copyable tally. One lives on the stack of each
 //    lookup call; snapshots of the atomic form embed into
-//    core::ExecutionTrace and flow into service::ServiceMetrics.
+//    core::ExecutionTrace and service::MetricsSnapshot.
 //  * ProbeCounters — the atomic accumulator. One lives inside each
-//    core::ExecutionContext and one inside FullTextEngine for
-//    engine-lifetime totals; the engine's is atomic because concurrent
-//    service workers search one shared engine.
+//    core::ExecutionContext, one inside FullTextEngine for engine-lifetime
+//    totals, and one inside service::ServiceMetrics; the latter two are
+//    atomic because concurrent service workers share them.
 #ifndef MWEAVER_TEXT_LOOKUP_STATS_H_
 #define MWEAVER_TEXT_LOOKUP_STATS_H_
 
@@ -58,6 +58,22 @@ struct ProbeStats {
     kernel_array_bitmap += other.kernel_array_bitmap;
     kernel_bitmap_bitmap += other.kernel_bitmap_bitmap;
     kernel_scalar_fallback += other.kernel_scalar_fallback;
+  }
+
+  /// \brief Removes an `earlier` tally of the same counters (saturating
+  /// at 0), leaving the interval between the two.
+  void Subtract(const ProbeStats& earlier) {
+    const auto sub = [](uint64_t& a, uint64_t b) { a = a > b ? a - b : 0; };
+    sub(probes, earlier.probes);
+    sub(memo_hits, earlier.memo_hits);
+    sub(memo_misses, earlier.memo_misses);
+    sub(candidates_examined, earlier.candidates_examined);
+    sub(scan_fallbacks, earlier.scan_fallbacks);
+    sub(all_rows_fallbacks, earlier.all_rows_fallbacks);
+    sub(kernel_array_array, earlier.kernel_array_array);
+    sub(kernel_array_bitmap, earlier.kernel_array_bitmap);
+    sub(kernel_bitmap_bitmap, earlier.kernel_bitmap_bitmap);
+    sub(kernel_scalar_fallback, earlier.kernel_scalar_fallback);
   }
 };
 

@@ -101,10 +101,7 @@ double LagMs(Clock::time_point intended, Clock::time_point actual) {
 
 Actor::Actor(const Config& config, size_t num_phases)
     : config_(config),
-      recorder_(num_phases, config.type,
-                config.seed * 1000003ull +
-                    static_cast<uint64_t>(config.type) * 101ull +
-                    config.ordinal),
+      recorder_(num_phases, config.type),
       rng_(config.seed * 0x5851F42D4C957F2Dull +
            static_cast<uint64_t>(config.type) * 7919ull + config.ordinal) {
   MW_CHECK(config_.service != nullptr);

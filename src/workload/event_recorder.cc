@@ -1,19 +1,8 @@
 #include "workload/event_recorder.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace mweaver::workload {
-
-double PercentileSorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (p < 0.0) p = 0.0;
-  if (p > 1.0) p = 1.0;
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
 
 void OutcomeCounts::Add(const OutcomeCounts& other) {
   ok += other.ok;
@@ -23,50 +12,6 @@ void OutcomeCounts::Add(const OutcomeCounts& other) {
   failed += other.failed;
 }
 
-LatencyReservoir::LatencyReservoir(uint64_t seed, size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity), rng_(seed) {}
-
-void LatencyReservoir::Add(double latency_ms) {
-  ++count_;
-  sum_ms_ += latency_ms;
-  if (latency_ms > max_ms_) max_ms_ = latency_ms;
-  if (samples_.size() < capacity_) {
-    samples_.push_back(latency_ms);
-    return;
-  }
-  // Algorithm R: keep each of the `count_` offered samples with equal
-  // probability capacity_/count_.
-  const size_t slot = static_cast<size_t>(
-      rng_.UniformInt(0, static_cast<int64_t>(count_) - 1));
-  if (slot < capacity_) samples_[slot] = latency_ms;
-}
-
-void LatencyReservoir::Merge(const LatencyReservoir& other) {
-  // Exact when the union fits the capacity (the common case for per-phase
-  // cells); otherwise every retained sample of `other` is offered through
-  // the same reservoir discipline.
-  sum_ms_ += other.sum_ms_;
-  if (other.max_ms_ > max_ms_) max_ms_ = other.max_ms_;
-  const uint64_t merged_count = count_ + other.count_;
-  for (double sample : other.samples_) {
-    ++count_;
-    if (samples_.size() < capacity_) {
-      samples_.push_back(sample);
-      continue;
-    }
-    const size_t slot = static_cast<size_t>(
-        rng_.UniformInt(0, static_cast<int64_t>(count_) - 1));
-    if (slot < capacity_) samples_[slot] = sample;
-  }
-  count_ = merged_count;
-}
-
-double LatencyReservoir::PercentileMs(double p) const {
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  return PercentileSorted(sorted, p);
-}
-
 void CellStats::Merge(const CellStats& other) {
   outcomes.Add(other.outcomes);
   overload_retries += other.overload_retries;
@@ -74,17 +19,8 @@ void CellStats::Merge(const CellStats& other) {
   latency.Merge(other.latency);
 }
 
-EventRecorder::EventRecorder(size_t num_phases, ActorType type, uint64_t seed)
-    : type_(type) {
-  phases_.reserve(num_phases);
-  for (size_t p = 0; p < num_phases; ++p) {
-    CellStats cell;
-    // Distinct stream per (actor, phase) so merged subsamples stay
-    // unbiased; the constants are arbitrary odd mixers.
-    cell.latency = LatencyReservoir(seed * 0x9E3779B97F4A7C15ull + p);
-    phases_.push_back(std::move(cell));
-  }
-}
+EventRecorder::EventRecorder(size_t num_phases, ActorType type)
+    : type_(type), phases_(num_phases) {}
 
 void EventRecorder::Record(size_t phase, service::RequestOutcome outcome,
                            double latency_ms) {
@@ -108,7 +44,7 @@ void EventRecorder::Record(size_t phase, service::RequestOutcome outcome,
       ++cell.outcomes.failed;
       break;
   }
-  cell.latency.Add(latency_ms);
+  cell.latency.Record(latency_ms);
 }
 
 void EventRecorder::RecordOverloadRetry(size_t phase) {

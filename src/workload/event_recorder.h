@@ -7,31 +7,21 @@
 // latencies it measures. Aggregation happens once, after all actor threads
 // have joined.
 //
-// Latency percentiles are exact over a bounded reservoir: every recorder
-// keeps up to kReservoirCapacity samples per (phase, outcome-recording)
-// cell via deterministic reservoir sampling (seeded per actor), plus a
-// power-of-two bucket histogram that is never downsampled. The aggregator
-// concatenates reservoirs and computes exact percentiles over the merged
-// sample; with the default capacity the merge is exact for any phase that
-// records fewer than capacity samples per actor — true for every shipped
-// scenario — and a uniform subsample beyond that.
+// Latencies go into one LatencyHistogram (common/latency_histogram.h) per
+// (phase, actor) cell: recording is O(1), memory is fixed however many
+// requests a phase makes, and the aggregator merges cells bucket by bucket,
+// so every recorded request counts toward the percentiles.
 #ifndef MWEAVER_WORKLOAD_EVENT_RECORDER_H_
 #define MWEAVER_WORKLOAD_EVENT_RECORDER_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "common/random.h"
+#include "common/latency_histogram.h"
 #include "service/metrics.h"
 #include "workload/scenario.h"
 
 namespace mweaver::workload {
-
-/// \brief Exact latency percentile over an already-sorted sample:
-/// sorted[floor(p * (n-1))]. The single percentile definition of the
-/// harness — benches share it instead of rolling their own (it is the
-/// helper bench_service_load used to define inline).
-double PercentileSorted(const std::vector<double>& sorted, double p);
 
 /// \brief Terminal request outcomes bucketed by the harness. Truncated
 /// responses count as `timeout` — a deadline cut the work short.
@@ -48,38 +38,6 @@ struct OutcomeCounts {
   void Add(const OutcomeCounts& other);
 };
 
-/// \brief Bounded deterministic reservoir of latency samples.
-class LatencyReservoir {
- public:
-  static constexpr size_t kDefaultCapacity = 4096;
-
-  explicit LatencyReservoir(uint64_t seed = 0,
-                            size_t capacity = kDefaultCapacity);
-
-  void Add(double latency_ms);
-  /// \brief Folds `other`'s samples in (reservoir-sampling the union).
-  void Merge(const LatencyReservoir& other);
-
-  uint64_t count() const { return count_; }
-  double max_ms() const { return max_ms_; }
-  double sum_ms() const { return sum_ms_; }
-  double MeanMs() const {
-    return count_ == 0 ? 0.0 : sum_ms_ / static_cast<double>(count_);
-  }
-  const std::vector<double>& samples() const { return samples_; }
-
-  /// \brief Exact percentile over the retained samples (sorts a copy).
-  double PercentileMs(double p) const;
-
- private:
-  size_t capacity_;
-  Rng rng_;
-  uint64_t count_ = 0;    // samples offered (retained <= capacity_)
-  double max_ms_ = 0.0;   // exact, over all offered samples
-  double sum_ms_ = 0.0;   // exact, over all offered samples
-  std::vector<double> samples_;
-};
-
 /// \brief Aggregated statistics for one (phase, actor type) cell — also
 /// used for per-phase totals.
 struct CellStats {
@@ -87,7 +45,7 @@ struct CellStats {
   uint64_t overload_retries = 0;
   /// Sessions the actor could not even open (service errors).
   uint64_t session_failures = 0;
-  LatencyReservoir latency;
+  LatencyHistogram latency;
 
   void Merge(const CellStats& other);
 };
@@ -97,9 +55,7 @@ struct CellStats {
 /// actor joined.
 class EventRecorder {
  public:
-  /// \brief `seed` differentiates the reservoirs across actors so the
-  /// merged subsample is unbiased yet replayable.
-  EventRecorder(size_t num_phases, ActorType type, uint64_t seed);
+  EventRecorder(size_t num_phases, ActorType type);
 
   ActorType type() const { return type_; }
 

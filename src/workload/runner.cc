@@ -17,7 +17,7 @@ namespace {
 
 using Clock = Orchestrator::Clock;
 
-void AppendLatencyJson(JsonWriter* w, const LatencyReservoir& latency) {
+void AppendLatencyJson(JsonWriter* w, const LatencyHistogram& latency) {
   w->BeginObject();
   w->KV("p50_ms", latency.PercentileMs(0.50));
   w->KV("p95_ms", latency.PercentileMs(0.95));
@@ -238,7 +238,7 @@ Result<ScenarioReport> ScenarioRunner::Run(const Scenario& scenario) {
 
   // The runner thread joins the barriers too: the gap between a phase's
   // leave barrier and the next phase's enter barrier is its quiescent
-  // window for snapshotting and resetting service metrics.
+  // window for snapshotting service metrics.
   Orchestrator orchestrator(actors.size() + 1);
 
   std::vector<std::thread> threads;
@@ -295,11 +295,9 @@ Result<ScenarioReport> ScenarioRunner::Run(const Scenario& scenario) {
 
   const Clock::time_point run_start = Clock::now();
   for (size_t p = 0; p < scenario.phases.size(); ++p) {
-    // Quiescent window (no actor is between barriers yet): snapshot the
-    // cumulative counters and reset the latency histograms so this
-    // phase's service view covers only this interval.
+    // Quiescent window (no actor is between barriers yet): the phase's
+    // service view is the delta between this snapshot and the next.
     const service::MetricsSnapshot before = service_->SnapshotMetrics();
-    service_->ResetMetricsHistograms();
     const Clock::time_point start = orchestrator.EnterPhase(p);
     orchestrator.LeavePhase(p);  // blocks until every actor finished p
     const double wall =

@@ -356,7 +356,7 @@ TEST(ArenaTest, AllocationsBumpWithinOneBlock) {
 
 TEST(ArenaTest, AlignmentIsHonored) {
   Arena arena;
-  arena.allocate(1, 1);  // misalign the bump pointer
+  ASSERT_NE(arena.allocate(1, 1), nullptr);  // misalign the bump pointer
   void* p = arena.allocate(32, 64);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 64, 0u);
 }
@@ -370,8 +370,8 @@ TEST(ArenaTest, OversizedRequestGrowsNewBlock) {
 
 TEST(ArenaTest, ResetKeepsLargestBlockAndClearsCounters) {
   Arena arena(/*initial_block_bytes=*/128);
-  arena.allocate(100, 8);
-  arena.allocate(1 << 16, 8);  // forces a second, larger block
+  ASSERT_NE(arena.allocate(100, 8), nullptr);
+  ASSERT_NE(arena.allocate(1 << 16, 8), nullptr);  // a second, larger block
   const size_t reserved_before = arena.bytes_reserved();
   EXPECT_GT(reserved_before, size_t{128});
 
@@ -382,10 +382,11 @@ TEST(ArenaTest, ResetKeepsLargestBlockAndClearsCounters) {
   EXPECT_EQ(arena.total_allocations(), 2u);  // lifetime counter survives
   // The largest block is retained; smaller ones are freed.
   EXPECT_GT(arena.bytes_reserved(), 0u);
-  EXPECT_LE(arena.bytes_reserved(), reserved_before);
+  const size_t reserved_after_reset = arena.bytes_reserved();
+  EXPECT_LE(reserved_after_reset, reserved_before);
   // Steady state: the next request reuses the kept block without malloc.
-  arena.allocate(1 << 16, 8);
-  EXPECT_EQ(arena.bytes_reserved(), arena.bytes_reserved());
+  ASSERT_NE(arena.allocate(1 << 16, 8), nullptr);
+  EXPECT_EQ(arena.bytes_reserved(), reserved_after_reset);
 }
 
 TEST(ArenaTest, PmrVectorDrawsFromArena) {

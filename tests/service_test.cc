@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -458,7 +459,7 @@ TEST_F(ServiceTest, UpdateFailuresSurfaceAndCountWithoutSideEffects) {
   EXPECT_EQ(catalog_.Pin(kDefaultTenant).ValueOrDie()->minor_epoch(), 0u);
 }
 
-TEST_F(ServiceTest, CacheLruEvictsOldestAndCountsHits) {
+TEST_F(ServiceTest, CacheLruEvictsOldest) {
   ResultCache cache(2);
   core::SearchResult result;
   cache.Insert("a", result);
@@ -469,8 +470,6 @@ TEST_F(ServiceTest, CacheLruEvictsOldestAndCountsHits) {
   EXPECT_FALSE(cache.Lookup("b").has_value());
   EXPECT_TRUE(cache.Lookup("c").has_value());
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 3u);
-  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST_F(ServiceTest, CacheRejectsTruncatedResults) {
@@ -854,9 +853,8 @@ TEST(ServiceMetricsTest, OutcomeCountersAndHistogram) {
   EXPECT_EQ(snapshot.TotalRequests(), 5u);
   EXPECT_EQ(snapshot.CompletedRequests(), 4u);
   EXPECT_EQ(snapshot.queue_high_water, 7u);
-  uint64_t histogram_total = 0;
-  for (uint64_t count : snapshot.latency_buckets) histogram_total += count;
-  EXPECT_EQ(histogram_total, 4u);  // overloaded requests record no latency
+  // Overloaded requests record no latency.
+  EXPECT_EQ(snapshot.latency.count(), 4u);
   EXPECT_LE(snapshot.ApproxLatencyPercentileMs(0.5),
             snapshot.ApproxLatencyPercentileMs(0.99));
   EXPECT_FALSE(snapshot.ToString().empty());
@@ -879,6 +877,243 @@ TEST(ServiceMetricsTest, DegradedOutcomeAndRetryCounters) {
   EXPECT_EQ(snapshot.CompletedRequests(), 3u);
   EXPECT_STREQ(RequestOutcomeName(RequestOutcome::kDegraded), "degraded");
   EXPECT_NE(snapshot.ToString().find("degraded"), std::string::npos);
+}
+
+TEST(ServiceMetricsTest, HistogramsResolveMicrosecondsAndHundredsOfMs) {
+  // A cache hit and a slow weave, ten of each, in the request histogram
+  // and in one search-stage and the prune-stage histogram.
+  ServiceMetrics metrics;
+  core::ExecutionTrace fast;
+  core::ExecutionTrace slow;
+  constexpr size_t kLocate = static_cast<size_t>(core::SearchStage::kLocate);
+  constexpr size_t kPrune = static_cast<size_t>(core::SearchStage::kPrune);
+  fast.stages[kLocate].wall_ms = fast.stages[kPrune].wall_ms = 0.005;
+  slow.stages[kLocate].wall_ms = slow.stages[kPrune].wall_ms = 100.0;
+  for (int i = 0; i < 10; ++i) {
+    metrics.RecordRequest(RequestOutcome::kOk, 0.005);
+    metrics.RecordRequest(RequestOutcome::kOk, 100.0);
+    for (const core::ExecutionTrace* trace : {&fast, &slow}) {
+      metrics.RecordSearchTrace(*trace);
+      metrics.RecordPruneTrace(*trace);
+    }
+  }
+  const MetricsSnapshot snapshot = metrics.Snapshot();
+  const auto expect_within = [](double reported, double exact) {
+    EXPECT_NEAR(reported, exact, 0.032 * exact);
+  };
+  expect_within(snapshot.ApproxLatencyPercentileMs(0.25), 0.005);
+  expect_within(snapshot.ApproxLatencyPercentileMs(0.75), 100.0);
+  for (const auto stage : {core::SearchStage::kLocate,
+                           core::SearchStage::kPrune}) {
+    expect_within(snapshot.ApproxStageLatencyPercentileMs(stage, 0.25),
+                  0.005);
+    expect_within(snapshot.ApproxStageLatencyPercentileMs(stage, 0.75),
+                  100.0);
+  }
+}
+
+// `a` and `b` hold the same buckets, count and sum.
+void ExpectSameHistogram(const LatencyHistogram& a, const LatencyHistogram& b,
+                         const std::string& label) {
+  EXPECT_EQ(a.count(), b.count()) << label;
+  EXPECT_NEAR(a.sum_ms(), b.sum_ms(), 1e-9 * (1.0 + b.sum_ms())) << label;
+  for (const double p : {0.0, 0.5, 0.95, 1.0}) {
+    EXPECT_DOUBLE_EQ(a.PercentileMs(p), b.PercentileMs(p))
+        << label << " p=" << p;
+  }
+}
+
+// Every scalar counter and histogram of `a` equals `b`'s.
+void ExpectSameMetrics(const MetricsSnapshot& a, const MetricsSnapshot& b) {
+  EXPECT_EQ(a.requests_ok, b.requests_ok);
+  EXPECT_EQ(a.requests_overloaded, b.requests_overloaded);
+  EXPECT_EQ(a.requests_truncated, b.requests_truncated);
+  EXPECT_EQ(a.requests_degraded, b.requests_degraded);
+  EXPECT_EQ(a.requests_failed, b.requests_failed);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.search_retries, b.search_retries);
+  EXPECT_EQ(a.update_retries, b.update_retries);
+  EXPECT_EQ(a.updates_ok, b.updates_ok);
+  EXPECT_EQ(a.updates_failed, b.updates_failed);
+  EXPECT_EQ(a.update_rows_inserted, b.update_rows_inserted);
+  EXPECT_EQ(a.update_rows_deleted, b.update_rows_deleted);
+  EXPECT_EQ(a.text_probes.probes, b.text_probes.probes);
+  EXPECT_EQ(a.text_probes.memo_hits, b.text_probes.memo_hits);
+  EXPECT_EQ(a.text_probes.memo_misses, b.text_probes.memo_misses);
+  EXPECT_EQ(a.text_probes.candidates_examined,
+            b.text_probes.candidates_examined);
+  EXPECT_EQ(a.text_probes.scan_fallbacks, b.text_probes.scan_fallbacks);
+  EXPECT_EQ(a.text_probes.all_rows_fallbacks,
+            b.text_probes.all_rows_fallbacks);
+  ExpectSameHistogram(a.latency, b.latency, "requests");
+  for (size_t s = 0; s < a.stage_latency.size(); ++s) {
+    ExpectSameHistogram(
+        a.stage_latency[s], b.stage_latency[s],
+        core::SearchStageName(static_cast<core::SearchStage>(s)));
+  }
+}
+
+// `a` with every counter and histogram of `b` added: the whole of two
+// consecutive intervals.
+MetricsSnapshot Combine(MetricsSnapshot a, const MetricsSnapshot& b) {
+  a.requests_ok += b.requests_ok;
+  a.requests_overloaded += b.requests_overloaded;
+  a.requests_truncated += b.requests_truncated;
+  a.requests_degraded += b.requests_degraded;
+  a.requests_failed += b.requests_failed;
+  a.cache_hits += b.cache_hits;
+  a.cache_misses += b.cache_misses;
+  a.search_retries += b.search_retries;
+  a.update_retries += b.update_retries;
+  a.updates_ok += b.updates_ok;
+  a.updates_failed += b.updates_failed;
+  a.update_rows_inserted += b.update_rows_inserted;
+  a.update_rows_deleted += b.update_rows_deleted;
+  a.text_probes.Add(b.text_probes);
+  a.latency.Merge(b.latency);
+  for (size_t s = 0; s < a.stage_latency.size(); ++s) {
+    a.stage_latency[s].Merge(b.stage_latency[s]);
+  }
+  return a;
+}
+
+// A scripted request set with one request per outcome path, run at one and
+// eight shards. Every counter must equal the value worked out by hand in
+// the comments, the request histogram must hold one entry per completed
+// request, and two consecutive Delta intervals must add up to the run —
+// all while another thread keeps taking snapshots.
+TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
+  for (const uint32_t shards : {1u, 8u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    catalog::CatalogOptions catalog_options;
+    catalog_options.shard_count = shards;
+    catalog::Catalog catalog(catalog_options);
+    const catalog::SnapshotPtr published =
+        catalog.Publish(kDefaultTenant, testing::MakeFigure2Db()).ValueOrDie();
+    ServiceOptions options;
+    options.num_workers = 1;
+    MappingService svc(&catalog, options);
+
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+      MetricsSnapshot last;
+      while (!done.load(std::memory_order_acquire)) {
+        const MetricsSnapshot now = svc.SnapshotMetrics();
+        EXPECT_GE(now.TotalRequests(), last.TotalRequests());
+        EXPECT_GE(now.latency.count(), last.latency.count());
+        EXPECT_GE(now.text_probes.probes, last.text_probes.probes);
+        last = now;
+      }
+    });
+
+    const MetricsSnapshot start = svc.SnapshotMetrics();
+    const auto input = [&](SessionId id, size_t row, const char* value) {
+      InputRequest request;
+      request.session_id = id;
+      request.row = row;
+      request.value = value;
+      return svc.Call(request);
+    };
+    // Interval 1. A first row misses the cache and searches: figure 2 has
+    // two text attributes (movie.title, person.name), so 2 probes, both
+    // memo misses.
+    const SessionId first = *svc.CreateSession({"Name"});
+    EXPECT_EQ(input(first, 0, "Avatar").outcome, RequestOutcome::kOk);
+    // The same first row in another session hits the cache: no probes.
+    const RequestResult hit = input(*svc.CreateSession({"Name"}), 0, "Avatar");
+    EXPECT_EQ(hit.outcome, RequestOutcome::kOk);
+    EXPECT_TRUE(hit.cache_hit);
+    // A second row prunes the one candidate (movie.title): 1 probe, a miss.
+    EXPECT_EQ(input(first, 1, "Harry Potter").outcome, RequestOutcome::kOk);
+    const MetricsSnapshot mid = svc.SnapshotMetrics();
+
+    // Interval 2. Expired on admission: answered truncated, never searched.
+    {
+      InputRequest request;
+      request.session_id = *svc.CreateSession({"Name"});
+      request.value = "Big Fish";
+      request.deadline = std::chrono::milliseconds(-1);
+      EXPECT_EQ(svc.Call(request).outcome, RequestOutcome::kTruncated);
+    }
+    // A transient search failure, retried: two cache misses, one search.
+    // movie.title already holds "Harry Potter" in the memo; person.name
+    // does not: 2 probes, 1 hit, 1 miss.
+    {
+      FailpointPolicy policy;
+      policy.action = FailAction::kError;
+      policy.max_fires = 1;
+      ScopedFailpoint armed("service.search.transient", policy);
+      EXPECT_EQ(input(*svc.CreateSession({"Name"}), 0, "Harry Potter").outcome,
+                RequestOutcome::kDegraded);
+    }
+    // A transient update failure, retried: one row inserted.
+    {
+      UpdateRequest update;
+      update.tenant = std::string(kDefaultTenant);
+      update.batch.inserts.push_back(catalog::RowInsert{
+          "movie", {testing::I(52), testing::S("Retried Movie")}});
+      FailpointPolicy policy;
+      policy.action = FailAction::kError;
+      policy.max_fires = 1;
+      ScopedFailpoint armed("catalog.tenant.apply_update", policy);
+      EXPECT_EQ(svc.ApplyUpdate(update).outcome, RequestOutcome::kDegraded);
+    }
+    // An unknown session fails in the worker.
+    EXPECT_EQ(input(/*id=*/999, 0, "Avatar").outcome, RequestOutcome::kFailed);
+    // A forced admission rejection is overloaded and never completes.
+    {
+      FailpointPolicy policy;
+      policy.action = FailAction::kTrigger;
+      policy.max_fires = 1;
+      ScopedFailpoint armed("service.queue.admit", policy);
+      InputRequest request;
+      request.session_id = first;
+      EXPECT_TRUE(
+          svc.Enqueue(request, [](RequestResult) {}).IsResourceExhausted());
+    }
+    const MetricsSnapshot end = svc.SnapshotMetrics();
+    done.store(true, std::memory_order_release);
+    reader.join();
+
+    const MetricsSnapshot run = end.Delta(start);
+    EXPECT_EQ(run.requests_ok, 3u);
+    EXPECT_EQ(run.requests_truncated, 1u);
+    EXPECT_EQ(run.requests_degraded, 2u);
+    EXPECT_EQ(run.requests_failed, 1u);
+    EXPECT_EQ(run.requests_overloaded, 1u);
+    EXPECT_EQ(run.CompletedRequests(), 7u);
+    EXPECT_EQ(run.latency.count(), run.CompletedRequests());
+    EXPECT_EQ(run.cache_hits, 1u);
+    EXPECT_EQ(run.cache_misses, 3u);
+    EXPECT_EQ(run.search_retries, 1u);
+    EXPECT_EQ(run.update_retries, 1u);
+    EXPECT_EQ(run.updates_ok, 1u);
+    EXPECT_EQ(run.updates_failed, 0u);
+    EXPECT_EQ(run.update_rows_inserted, 1u);
+    EXPECT_EQ(run.update_rows_deleted, 0u);
+    EXPECT_EQ(run.text_probes.probes, 5u);
+    EXPECT_EQ(run.text_probes.memo_hits, 1u);
+    EXPECT_EQ(run.text_probes.memo_misses, 4u);
+    EXPECT_EQ(run.text_probes.scan_fallbacks, 0u);
+    EXPECT_EQ(run.text_probes.all_rows_fallbacks, 0u);
+    // Two uncached searches and one pruning pass were traced.
+    EXPECT_EQ(run.stage_latency[static_cast<size_t>(core::SearchStage::kLocate)]
+                  .count(),
+              2u);
+    EXPECT_EQ(run.stage_latency[static_cast<size_t>(core::SearchStage::kPrune)]
+                  .count(),
+              1u);
+    // Every probe ran on the published engine, whose own lifetime totals
+    // count the same facts.
+    const text::ProbeStats engine = published->engine().probe_totals();
+    EXPECT_EQ(run.text_probes.probes, engine.probes);
+    EXPECT_EQ(run.text_probes.memo_hits, engine.memo_hits);
+    EXPECT_EQ(run.text_probes.candidates_examined,
+              engine.candidates_examined);
+
+    ExpectSameMetrics(Combine(mid.Delta(start), end.Delta(mid)), run);
+  }
 }
 
 // ------------------------------------------- Degradation (fault-injected) --
@@ -1041,7 +1276,7 @@ TEST_F(ServiceTest, ForcedScanFallbackKeepsResultsAndCountsInMetrics) {
   EXPECT_EQ(result.outcome, RequestOutcome::kOk);
 
   const MetricsSnapshot snapshot = svc.SnapshotMetrics();
-  EXPECT_GT(snapshot.text_scan_fallbacks, 0u);
+  EXPECT_GT(snapshot.text_probes.scan_fallbacks, 0u);
 
   auto clean = core::SampleSearch(engine_, graph_, {"Avatar"});
   ASSERT_TRUE(clean.ok());

@@ -236,51 +236,11 @@ TEST(ScenarioParserTest, ShippedScenariosRoundTrip) {
 
 // --------------------------- aggregator ------------------------------------
 
-TEST(PercentileTest, PercentileSortedMatchesDefinition) {
-  EXPECT_DOUBLE_EQ(PercentileSorted({}, 0.5), 0.0);
-  const std::vector<double> one{42.0};
-  EXPECT_DOUBLE_EQ(PercentileSorted(one, 0.0), 42.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(one, 0.99), 42.0);
-  std::vector<double> ramp;
-  for (int i = 1; i <= 100; ++i) ramp.push_back(i);
-  EXPECT_DOUBLE_EQ(PercentileSorted(ramp, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(ramp, 0.50), 50.0);   // floor(0.5*99)=49
-  EXPECT_DOUBLE_EQ(PercentileSorted(ramp, 0.95), 95.0);
-  EXPECT_DOUBLE_EQ(PercentileSorted(ramp, 1.0), 100.0);
-}
-
-TEST(LatencyReservoirTest, ExactBelowCapacity) {
-  LatencyReservoir reservoir(/*seed=*/1, /*capacity=*/256);
-  for (int i = 100; i >= 1; --i) reservoir.Add(i);
-  EXPECT_EQ(reservoir.count(), 100u);
-  EXPECT_DOUBLE_EQ(reservoir.max_ms(), 100.0);
-  EXPECT_DOUBLE_EQ(reservoir.MeanMs(), 50.5);
-  EXPECT_DOUBLE_EQ(reservoir.PercentileMs(0.50), 50.0);
-  EXPECT_DOUBLE_EQ(reservoir.PercentileMs(0.99), 99.0);
-}
-
-TEST(LatencyReservoirTest, BoundedAboveCapacityKeepsExactMoments) {
-  LatencyReservoir reservoir(/*seed=*/7, /*capacity=*/64);
-  double sum = 0.0;
-  for (int i = 1; i <= 1000; ++i) {
-    reservoir.Add(i);
-    sum += i;
-  }
-  EXPECT_EQ(reservoir.count(), 1000u);
-  EXPECT_EQ(reservoir.samples().size(), 64u);  // bounded memory
-  EXPECT_DOUBLE_EQ(reservoir.max_ms(), 1000.0);  // exact despite sampling
-  EXPECT_DOUBLE_EQ(reservoir.sum_ms(), sum);
-  // The subsampled median is approximate but must land inside the range.
-  const double p50 = reservoir.PercentileMs(0.50);
-  EXPECT_GE(p50, 1.0);
-  EXPECT_LE(p50, 1000.0);
-}
-
 TEST(EventRecorderTest, AggregatesByPhaseAndType) {
   std::vector<EventRecorder> recorders;
-  recorders.emplace_back(/*num_phases=*/2, ActorType::kSearcher, /*seed=*/1);
-  recorders.emplace_back(/*num_phases=*/2, ActorType::kSearcher, /*seed=*/2);
-  recorders.emplace_back(/*num_phases=*/2, ActorType::kPruner, /*seed=*/3);
+  recorders.emplace_back(/*num_phases=*/2, ActorType::kSearcher);
+  recorders.emplace_back(/*num_phases=*/2, ActorType::kSearcher);
+  recorders.emplace_back(/*num_phases=*/2, ActorType::kPruner);
 
   recorders[0].Record(0, RequestOutcome::kOk, 1.0);
   recorders[0].Record(0, RequestOutcome::kDegraded, 2.0);
@@ -311,7 +271,7 @@ TEST(EventRecorderTest, AggregatesByPhaseAndType) {
 }
 
 TEST(EventRecorderTest, OverloadedRecordsNoLatencySample) {
-  EventRecorder recorder(1, ActorType::kSearcher, /*seed=*/1);
+  EventRecorder recorder(1, ActorType::kSearcher);
   recorder.Record(0, RequestOutcome::kOverloaded, 123.0);
   EXPECT_EQ(recorder.phase_stats(0).outcomes.overloaded, 1u);
   // A shed request never ran: its latency would poison the percentiles.
@@ -836,7 +796,7 @@ TEST(ScenarioRunnerTest, MultiTenantScenarioNeedsMatchingTopology) {
 
 // ------------------------- service metrics ---------------------------------
 
-TEST(ServiceMetricsJsonTest, SnapshotJsonParsesAndResetsPerInterval) {
+TEST(ServiceMetricsJsonTest, SnapshotJsonParsesAndDeltasPerInterval) {
   service::ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 64;
@@ -860,15 +820,15 @@ TEST(ServiceMetricsJsonTest, SnapshotJsonParsesAndResetsPerInterval) {
   EXPECT_GT(parsed->NumberOr("approx_latency_p99_ms", -1.0), 0.0);
   ASSERT_NE(parsed->Find("stages"), nullptr);
 
-  // Interval reset: histograms go back to zero, counters do not.
-  fixture.service.ResetMetricsHistograms();
-  auto after = ParseJson(fixture.service.SnapshotMetricsJson());
-  ASSERT_TRUE(after.ok());
-  EXPECT_DOUBLE_EQ(after->NumberOr("requests_ok", 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(after->NumberOr("approx_latency_p99_ms", -1.0), 0.0);
-
-  // Delta between snapshots isolates one interval's counters.
+  // Delta between snapshots isolates one interval, histograms included:
+  // an interval with no requests reads zero latency, not the run's.
   const service::MetricsSnapshot before = fixture.service.SnapshotMetrics();
+  auto idle =
+      ParseJson(fixture.service.SnapshotMetrics().Delta(before).ToJson());
+  ASSERT_TRUE(idle.ok());
+  EXPECT_DOUBLE_EQ(idle->NumberOr("requests_ok", -1.0), 0.0);
+  EXPECT_DOUBLE_EQ(idle->NumberOr("approx_latency_p99_ms", -1.0), 0.0);
+
   request.row = 1;
   request.col = 0;
   request.value = "Harry Potter";
@@ -876,6 +836,7 @@ TEST(ServiceMetricsJsonTest, SnapshotJsonParsesAndResetsPerInterval) {
   const service::MetricsSnapshot delta =
       fixture.service.SnapshotMetrics().Delta(before);
   EXPECT_EQ(delta.TotalRequests(), 1u);
+  EXPECT_EQ(delta.latency.count(), 1u);
 }
 
 }  // namespace
