@@ -22,7 +22,7 @@
 #include "core/execution_context.h"
 #include "core/sample_search.h"
 #include "kernel_report.h"
-#include "workload/json_util.h"
+#include "common/json_util.h"
 
 // Process-wide heap-allocation counter, to report how much of the tuple-path
 // traffic the arena absorbs (each arena allocation would otherwise be one of
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
   if (!out_path.empty() || !baseline_path.empty()) {
     // Only the timing is gated for this section: kernel counts go under
     // "kernels" (informational), not the exact-gated "kernel_*" keys.
-    workload::JsonWriter section;
+    JsonWriter section;
     section.BeginObject();
     section.KV("simd", SimdLevelName());
     section.KV("searches", static_cast<uint64_t>(tpw_searches));

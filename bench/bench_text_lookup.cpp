@@ -27,7 +27,7 @@
 #include "text/inverted_index.h"
 #include "text/match.h"
 #include "text/tokenizer.h"
-#include "workload/json_util.h"
+#include "common/json_util.h"
 
 namespace {
 
@@ -220,7 +220,7 @@ std::vector<ModeResult> PrintModeTable(
   return results;
 }
 
-void WriteModeResults(mweaver::workload::JsonWriter* json,
+void WriteModeResults(mweaver::JsonWriter* json,
                       const std::vector<ModeResult>& results) {
   json->BeginObject();
   for (size_t p = 0; p < results.size(); ++p) {
@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
       PrintModeTable(big_attrs, big_samples);
 
   if (!out_path.empty() || !baseline_path.empty()) {
-    workload::JsonWriter section;
+    JsonWriter section;
     section.BeginObject();
     section.KV("simd", SimdLevelName());
     section.KV("movies", static_cast<uint64_t>(num_movies));
@@ -360,21 +360,22 @@ int main(int argc, char** argv) {
     for (const AttrIndex& attr : indexes) refs.push_back(attr.ref);
     return refs;
   }();
+  text::ProbeCounters counters;
   Stopwatch memo_watch;
   for (const std::string& sample : samples) {
     for (const text::AttributeRef& ref : attrs) {
-      (void)parallel_engine.MatchingRows(ref, sample);
+      (void)parallel_engine.MatchingRows(ref, sample, &counters);
     }
   }
   const double cold_us = memo_watch.ElapsedMicros();
   memo_watch.Restart();
   for (const std::string& sample : samples) {
     for (const text::AttributeRef& ref : attrs) {
-      (void)parallel_engine.MatchingRows(ref, sample);
+      (void)parallel_engine.MatchingRows(ref, sample, &counters);
     }
   }
   const double warm_us = memo_watch.ElapsedMicros();
-  const text::ProbeStats totals = parallel_engine.probe_totals();
+  const text::ProbeStats totals = counters.Snapshot();
   const auto cache = parallel_engine.probe_cache_stats();
   const double per_probe =
       static_cast<double>(samples.size() * attrs.size());

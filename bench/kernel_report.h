@@ -24,7 +24,7 @@
 #include <string_view>
 
 #include "common/simd.h"
-#include "workload/json_util.h"
+#include "common/json_util.h"
 
 namespace mweaver::bench {
 
@@ -37,9 +37,7 @@ inline bool ReadFileToString(const std::string& path, std::string* out) {
   return true;
 }
 
-inline void SerializeJsonValue(const workload::JsonValue& value,
-                               workload::JsonWriter* writer) {
-  using workload::JsonValue;
+inline void SerializeJsonValue(const JsonValue& value, JsonWriter* writer) {
   switch (value.type()) {
     case JsonValue::Type::kNull:
       writer->Raw("null");
@@ -77,11 +75,11 @@ inline void SerializeJsonValue(const workload::JsonValue& value,
 inline bool MergeSectionIntoFile(const std::string& path,
                                  std::string_view section,
                                  std::string_view section_json) {
-  workload::JsonWriter writer;
+  JsonWriter writer;
   writer.BeginObject();
   std::string existing;
   if (ReadFileToString(path, &existing)) {
-    auto parsed = workload::ParseJson(existing);
+    auto parsed = ParseJson(existing);
     if (parsed.ok() && parsed->is_object()) {
       for (const auto& [key, member] : parsed->object()) {
         if (key == section) continue;  // replaced below
@@ -107,10 +105,9 @@ namespace internal {
 
 // Recursive comparison of one section subtree; `prefix` names the leaf in
 // diagnostics. Returns the number of violations found.
-inline int CompareKernelTree(const workload::JsonValue& base,
-                             const workload::JsonValue& current,
+inline int CompareKernelTree(const JsonValue& base,
+                             const JsonValue& current,
                              const std::string& prefix, bool simd_matches) {
-  using workload::JsonValue;
   int violations = 0;
   if (!current.is_object()) return 0;
   for (const auto& [key, cur] : current.object()) {
@@ -167,19 +164,19 @@ inline int GateAgainstBaseline(const std::string& baseline_path,
                  baseline_path.c_str());
     return 0;
   }
-  auto base_doc = workload::ParseJson(text);
+  auto base_doc = ParseJson(text);
   if (!base_doc.ok()) {
     std::fprintf(stderr, "baseline %s: %s\n", baseline_path.c_str(),
                  base_doc.status().ToString().c_str());
     return 2;
   }
-  auto cur_doc = workload::ParseJson(section_json);
+  auto cur_doc = ParseJson(section_json);
   if (!cur_doc.ok()) {
     std::fprintf(stderr, "internal: emitted section does not parse: %s\n",
                  cur_doc.status().ToString().c_str());
     return 2;
   }
-  const workload::JsonValue* base_section = base_doc->Find(section);
+  const JsonValue* base_section = base_doc->Find(section);
   if (base_section == nullptr) {
     std::fprintf(stderr, "baseline %s has no \"%.*s\" section; skipping "
                  "gate\n",

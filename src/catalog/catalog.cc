@@ -65,8 +65,7 @@ Result<SnapshotPtr> Catalog::Publish(std::string_view tenant,
   auto graph = std::make_unique<graph::SchemaGraph>(owned_db.get());
   auto snapshot = std::make_shared<const Snapshot>(
       std::string(tenant), epoch, /*minor_epoch=*/0, std::move(owned_db),
-      std::move(engine), std::move(graph),
-      std::vector<uint64_t>(shard_count, 0), std::move(fingerprints));
+      std::move(engine), std::move(graph), std::move(fingerprints));
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tenants_.find(tenant);
@@ -99,7 +98,7 @@ Result<SnapshotPtr> Catalog::Publish(std::string_view tenant,
 
 Status Catalog::InstallDelta(std::string_view tenant,
                              const SnapshotPtr& expected_base,
-                             SnapshotPtr next) {
+                             SnapshotPtr next, uint64_t shards_touched) {
   if (next == nullptr) {
     return Status::InvalidArgument("delta snapshot must not be null");
   }
@@ -123,17 +122,8 @@ Status Catalog::InstallDelta(std::string_view tenant,
                   static_cast<unsigned long long>(
                       expected_base->minor_epoch())));
   }
-  // Shard accounting: a delta "rebuilds" the shards whose minor epoch moved
-  // (the writer delta-cloned them); everything else was carried over.
-  // A delta keeps its base's shard count.
-  const std::vector<uint64_t>& base_minors =
-      expected_base->shard_minor_epochs();
-  const std::vector<uint64_t>& next_minors = next->shard_minor_epochs();
-  MW_CHECK(next_minors.size() == base_minors.size());
-  uint64_t shards_touched = 0;
-  for (size_t s = 0; s < next_minors.size(); ++s) {
-    if (next_minors[s] != base_minors[s]) ++shards_touched;
-  }
+  // Shard accounting: a delta "rebuilds" the shards the writer
+  // delta-cloned; everything else was carried over.
   entry.current = std::move(next);
   entry.updates += 1;
   entry.shards_rebuilt_last = shards_touched;

@@ -105,8 +105,11 @@ class Catalog {
   /// slipped past the write lock) installed something newer, returns
   /// FailedPrecondition and `next` is discarded by the caller. NotFound if
   /// the tenant vanished (Drop / EvictIdle) while the delta was built.
+  /// `shards_touched` is how many shards the writer delta-cloned; it feeds
+  /// the tenant's shards_rebuilt_last / shards_rebuilt_total.
   Status InstallDelta(std::string_view tenant,
-                      const SnapshotPtr& expected_base, SnapshotPtr next);
+                      const SnapshotPtr& expected_base, SnapshotPtr next,
+                      uint64_t shards_touched);
 
   /// \brief The tenant's writer lock, serializing streaming update batches
   /// against each other (Publish does NOT take it — a racing publish wins

@@ -50,7 +50,6 @@ Snapshot::Snapshot(std::string tenant, uint64_t epoch, uint64_t minor_epoch,
                    std::unique_ptr<storage::Database> db,
                    std::unique_ptr<text::FullTextEngine> engine,
                    std::unique_ptr<graph::SchemaGraph> graph,
-                   std::vector<uint64_t> shard_minor_epochs,
                    std::vector<uint64_t> shard_fingerprints)
     : tenant_(std::move(tenant)),
       epoch_(epoch),
@@ -58,15 +57,12 @@ Snapshot::Snapshot(std::string tenant, uint64_t epoch, uint64_t minor_epoch,
       db_(std::move(db)),
       engine_(std::move(engine)),
       graph_(std::move(graph)),
-      shard_minor_epochs_(std::move(shard_minor_epochs)),
       shard_fingerprints_(std::move(shard_fingerprints)) {
   MW_CHECK(db_ != nullptr) << "a snapshot needs a database";
   MW_CHECK(engine_ != nullptr) << "a snapshot needs an engine";
   MW_CHECK(graph_ != nullptr) << "a snapshot needs a schema graph";
-  const uint32_t n = engine_->shard_count();
-  MW_CHECK(shard_minor_epochs_.size() == n &&
-           shard_fingerprints_.size() == n)
-      << "per-shard bookkeeping must match the engine's shard count";
+  MW_CHECK(shard_fingerprints_.size() == engine_->shard_count())
+      << "one shard fingerprint per engine shard";
 }
 
 }  // namespace mweaver::catalog

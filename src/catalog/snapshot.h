@@ -43,14 +43,12 @@ class Snapshot {
   /// over `db` by Catalog::Publish (minor epoch 0) or by TenantWriter for a
   /// streaming update (a CoW database and a CloneForDelta engine at the
   /// base's publish epoch). `minor_epoch` distinguishes successive update
-  /// batches within that epoch. `shard_minor_epochs` and
-  /// `shard_fingerprints` carry the per-shard bookkeeping, each sized to the
-  /// engine's shard count.
+  /// batches within that epoch. `shard_fingerprints` carries one content
+  /// fingerprint per engine shard.
   Snapshot(std::string tenant, uint64_t epoch, uint64_t minor_epoch,
            std::unique_ptr<storage::Database> db,
            std::unique_ptr<text::FullTextEngine> engine,
            std::unique_ptr<graph::SchemaGraph> graph,
-           std::vector<uint64_t> shard_minor_epochs,
            std::vector<uint64_t> shard_fingerprints);
 
   Snapshot(const Snapshot&) = delete;
@@ -79,13 +77,6 @@ class Snapshot {
   /// honest function of the serving configuration).
   uint32_t shard_count() const { return engine_->shard_count(); }
 
-  /// \brief Per-shard update sequence numbers, sized shard_count(): shard s
-  /// was last rebuilt or delta-touched at minor epoch
-  /// shard_minor_epochs()[s] (0 = untouched since publish). The tenant
-  /// minor_epoch() is their roll-up: max over shards.
-  const std::vector<uint64_t>& shard_minor_epochs() const {
-    return shard_minor_epochs_;
-  }
   /// \brief Per-shard content fingerprints (see ComputeShardFingerprints);
   /// delta snapshots poison touched shards' entries with a unique nonce so
   /// a later Publish never falsely reuses them.
@@ -104,7 +95,6 @@ class Snapshot {
   const std::unique_ptr<storage::Database> db_;
   const std::unique_ptr<text::FullTextEngine> engine_;
   const std::unique_ptr<graph::SchemaGraph> graph_;
-  std::vector<uint64_t> shard_minor_epochs_;
   std::vector<uint64_t> shard_fingerprints_;
 };
 

@@ -181,13 +181,11 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
       touched_shards.end());
   std::unique_ptr<text::FullTextEngine> engine =
       base->engine().CloneForDelta(db.get(), touched, touched_shards, minor);
-  // Per-shard bookkeeping: touched shards move to this minor epoch, and
-  // their content fingerprints are poisoned with a unique nonce so the
-  // next Publish rebuilds them instead of falsely reusing stale indexes.
-  std::vector<uint64_t> shard_minors = base->shard_minor_epochs();
+  // Touched shards' content fingerprints are poisoned with a unique nonce
+  // so the next Publish rebuilds them instead of falsely reusing stale
+  // indexes.
   std::vector<uint64_t> shard_fingerprints = base->shard_fingerprints();
   for (const uint32_t s : touched_shards) {
-    shard_minors[s] = minor;
     size_t nonce = 0x5ca4ded;
     HashCombine(&nonce, base->epoch());
     HashCombine(&nonce, minor);
@@ -221,10 +219,10 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
 
   auto next = std::make_shared<const Snapshot>(
       std::string(tenant), base->epoch(), minor, std::move(db),
-      std::move(engine), std::move(graph), std::move(shard_minors),
-      std::move(shard_fingerprints));
+      std::move(engine), std::move(graph), std::move(shard_fingerprints));
 
-  Status installed = catalog_->InstallDelta(tenant, base, next);
+  Status installed =
+      catalog_->InstallDelta(tenant, base, next, touched_shards.size());
   if (!installed.ok()) return installed;
 
   result.snapshot = std::move(next);

@@ -1,4 +1,4 @@
-#include "workload/json_util.h"
+#include "common/json_util.h"
 
 #include <cctype>
 #include <cmath>
@@ -9,7 +9,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 
-namespace mweaver::workload {
+namespace mweaver {
 
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
@@ -415,4 +415,4 @@ Result<JsonValue> ParseJson(std::string_view text) {
   return Parser(text).Parse();
 }
 
-}  // namespace mweaver::workload
+}  // namespace mweaver

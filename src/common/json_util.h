@@ -1,12 +1,11 @@
-// Minimal JSON support for the workload harness: an ordered streaming
-// writer (emits the BENCH_*.json perf trajectory files) and a small
-// recursive-descent parser (reads those same files back for baseline
-// comparison). The parser handles the full JSON grammar but is tuned for
-// the files this repo writes — it keeps everything in memory and has no
-// streaming mode. No third-party dependency, by design (see ISSUE 6 /
-// DESIGN.md §11).
-#ifndef MWEAVER_WORKLOAD_JSON_UTIL_H_
-#define MWEAVER_WORKLOAD_JSON_UTIL_H_
+// Minimal JSON support: an ordered streaming writer (service metrics, the
+// BENCH_*.json perf trajectory files) and a small recursive-descent parser
+// (reads those same files back for baseline comparison). The parser
+// handles the full JSON grammar but is tuned for the files this repo
+// writes — it keeps everything in memory and has no streaming mode. No
+// third-party dependency, by design (DESIGN.md §11).
+#ifndef MWEAVER_COMMON_JSON_UTIL_H_
+#define MWEAVER_COMMON_JSON_UTIL_H_
 
 #include <cstdint>
 #include <map>
@@ -18,7 +17,7 @@
 #include "common/result.h"
 #include "common/status.h"
 
-namespace mweaver::workload {
+namespace mweaver {
 
 /// \brief Appends the JSON string literal for `s` (quotes included,
 /// control characters escaped) to `out`.
@@ -141,6 +140,6 @@ class JsonValue {
 /// ("json offset 42: expected ':'").
 Result<JsonValue> ParseJson(std::string_view text);
 
-}  // namespace mweaver::workload
+}  // namespace mweaver
 
-#endif  // MWEAVER_WORKLOAD_JSON_UTIL_H_
+#endif  // MWEAVER_COMMON_JSON_UTIL_H_

@@ -50,8 +50,8 @@ std::string ExecutionTrace::ToString() const {
 }
 
 bool ExecutionContext::ShouldStop() {
-  stop_checks_.fetch_add(1, std::memory_order_relaxed);
-  if (stopped_.load(std::memory_order_relaxed)) return true;
+  ++stop_checks_;
+  if (stopped_) return true;
   if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
     RequestStop();
     return true;
@@ -60,12 +60,8 @@ bool ExecutionContext::ShouldStop() {
   // Throttle: only every kStopPollStride-th check reads the clock. The
   // first check always does, so a pre-expired deadline stops the pipeline
   // at its very first poll (locate included).
-  if (deadline_polls_.fetch_add(1, std::memory_order_relaxed) %
-          kStopPollStride !=
-      0) {
-    return false;
-  }
-  clock_reads_.fetch_add(1, std::memory_order_relaxed);
+  if (deadline_polls_++ % kStopPollStride != 0) return false;
+  ++clock_reads_;
   // Chaos site (throttled branch only, so the tight-loop fast path stays
   // untouched): a spurious deadline expiry at a clock read.
   if (MW_FAILPOINT_TRIGGERED("core.deadline.poll")) {
@@ -93,8 +89,8 @@ void ExecutionContext::StageSpan::Finish() {
 ExecutionTrace ExecutionContext::trace() const {
   ExecutionTrace out;
   out.stages = stages_;
-  out.stop_checks = stop_checks_.load(std::memory_order_relaxed);
-  out.clock_reads = clock_reads_.load(std::memory_order_relaxed);
+  out.stop_checks = stop_checks_;
+  out.clock_reads = clock_reads_;
   out.arena_bytes_used = arena_.bytes_used();
   out.arena_allocations = arena_.num_allocations();
   out.text_probes = probe_counters_.Snapshot();
@@ -102,10 +98,10 @@ ExecutionTrace ExecutionContext::trace() const {
 }
 
 void ExecutionContext::ResetForSearch() {
-  stopped_.store(false, std::memory_order_relaxed);
-  deadline_polls_.store(0, std::memory_order_relaxed);
-  stop_checks_.store(0, std::memory_order_relaxed);
-  clock_reads_.store(0, std::memory_order_relaxed);
+  stopped_ = false;
+  deadline_polls_ = 0;
+  stop_checks_ = 0;
+  clock_reads_ = 0;
   stages_ = {};
   probe_counters_.Reset();
   arena_.Reset();

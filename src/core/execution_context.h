@@ -13,10 +13,12 @@
 //    observed an early stop), surfaced through SearchStats and the
 //    service-layer metrics.
 //
-// Thread-safety: ShouldStop(), RequestStop() and stop_requested() are safe
-// from any thread (cancellation tokens fire from client threads). The arena
-// and the trace are single-threaded: a search runs every stage on its
-// caller's thread, which alone allocates and opens spans.
+// Thread-safety: a context belongs to one search, which runs every stage
+// on its caller's thread; the stop latch, the poll counters, the arena and
+// the trace are plain fields that only that thread touches. The one
+// cross-thread input is the external cancel token (set_cancel_token): a
+// client thread may fire it at any time, and ShouldStop() reads it with an
+// atomic load.
 #ifndef MWEAVER_CORE_EXECUTION_CONTEXT_H_
 #define MWEAVER_CORE_EXECUTION_CONTEXT_H_
 
@@ -60,7 +62,7 @@ struct StageTrace {
 };
 
 /// \brief A copyable snapshot of one search's per-stage trace, embedded in
-/// SearchStats and consumed by ServiceMetrics and the benches.
+/// SearchStats and consumed by the service metrics and the benches.
 struct ExecutionTrace {
   std::array<StageTrace, kNumSearchStages> stages{};
 
@@ -131,13 +133,12 @@ class ExecutionContext {
   bool ShouldStop();
 
   /// \brief The latch state without polling (no clock read, no token read).
-  bool stop_requested() const {
-    return stopped_.load(std::memory_order_relaxed);
-  }
+  bool stop_requested() const { return stopped_; }
 
   /// \brief Trips the latch directly (tests, fatal downstream errors,
-  /// chaos-injected cancels).
-  void RequestStop() { stopped_.store(true, std::memory_order_relaxed); }
+  /// chaos-injected cancels). Search thread only; other threads cancel
+  /// through the token.
+  void RequestStop() { stopped_ = true; }
 
   // --------------------------------------------------------------- arena --
 
@@ -175,8 +176,8 @@ class ExecutionContext {
 
   /// \brief Accumulator the text layer's probes record into. Only the
   /// search's own thread records here; ProbeCounters is atomic because the
-  /// engine keeps one for its lifetime totals, shared by every service
-  /// worker searching that engine.
+  /// service's per-tenant metrics, shared by every worker, use the same
+  /// type.
   text::ProbeCounters& probe_counters() { return probe_counters_; }
   const text::ProbeCounters& probe_counters() const { return probe_counters_; }
 
@@ -186,12 +187,8 @@ class ExecutionContext {
 
   /// Clock reads performed by ShouldStop() since ResetForSearch() — the
   /// throttle contract tested in core_test.
-  uint64_t clock_reads() const {
-    return clock_reads_.load(std::memory_order_relaxed);
-  }
-  uint64_t stop_checks() const {
-    return stop_checks_.load(std::memory_order_relaxed);
-  }
+  uint64_t clock_reads() const { return clock_reads_; }
+  uint64_t stop_checks() const { return stop_checks_; }
 
   /// \brief Injects a fake clock for tests (nullptr restores the real one).
   using NowFn = SearchClock::time_point (*)();
@@ -207,23 +204,22 @@ class ExecutionContext {
 
  private:
   // Request configuration (written before the search starts, read-only
-  // while stages run — the happens-before edge is the stage/thread spawn).
+  // while stages run).
   SearchClock::time_point deadline_ = SearchClock::time_point::max();
   bool has_deadline_ = false;
   const std::atomic<bool>* cancel_ = nullptr;
   size_t memory_budget_bytes_ = 0;
   NowFn now_fn_ = nullptr;
 
-  // Stop plumbing (multi-threaded).
-  std::atomic<bool> stopped_{false};
-  std::atomic<uint64_t> deadline_polls_{0};
-  std::atomic<uint64_t> stop_checks_{0};
-  std::atomic<uint64_t> clock_reads_{0};
+  // Stop plumbing.
+  bool stopped_ = false;
+  uint64_t deadline_polls_ = 0;
+  uint64_t stop_checks_ = 0;
+  uint64_t clock_reads_ = 0;
 
   // Text-layer probe counters (see probe_counters()).
   text::ProbeCounters probe_counters_;
 
-  // Single-threaded state.
   Arena arena_;
   std::array<StageTrace, kNumSearchStages> stages_{};
 };

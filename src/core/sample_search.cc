@@ -5,23 +5,6 @@
 
 namespace mweaver::core {
 
-namespace {
-
-// Copies the per-stage trace into the stats, filling both the structured
-// trace and the legacy flat *_ms fields.
-void SnapshotTrace(const ExecutionContext& ctx, SearchStats* stats) {
-  stats->trace = ctx.trace();
-  stats->locate_ms = stats->trace.stage(SearchStage::kLocate).wall_ms;
-  stats->pairwise_gen_ms =
-      stats->trace.stage(SearchStage::kPairwiseGen).wall_ms;
-  stats->pairwise_exec_ms =
-      stats->trace.stage(SearchStage::kPairwiseExec).wall_ms;
-  stats->weave_ms = stats->trace.stage(SearchStage::kWeave).wall_ms;
-  stats->rank_ms = stats->trace.stage(SearchStage::kRank).wall_ms;
-}
-
-}  // namespace
-
 Result<SearchResult> SampleSearch(const text::FullTextEngine& engine,
                                   const graph::SchemaGraph& schema_graph,
                                   const std::vector<std::string>& sample_tuple,
@@ -96,7 +79,7 @@ Result<SearchResult> SampleSearch(const text::FullTextEngine& engine,
     result.stats.num_valid_mappings = result.candidates.size();
     result.stats.deadline_expired = ctx.stop_requested();
     result.stats.truncated = result.stats.deadline_expired;
-    SnapshotTrace(ctx, &result.stats);
+    result.stats.trace = ctx.trace();
     result.stats.total_ms = total.ElapsedMillis();
     return result;
   }
@@ -150,7 +133,7 @@ Result<SearchResult> SampleSearch(const text::FullTextEngine& engine,
   result.stats.deadline_expired = result.stats.pairwise.deadline_expired ||
                                   result.stats.weave.deadline_expired ||
                                   ctx.stop_requested();
-  SnapshotTrace(ctx, &result.stats);
+  result.stats.trace = ctx.trace();
   result.stats.total_ms = total.ElapsedMillis();
   return result;
 }

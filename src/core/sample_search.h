@@ -47,12 +47,7 @@ struct SearchStats {
   /// ExecutionContext at search end.
   ExecutionTrace trace;
 
-  /// Legacy per-stage timings; mirrors of trace.stage(...).wall_ms.
-  double locate_ms = 0.0;
-  double pairwise_gen_ms = 0.0;
-  double pairwise_exec_ms = 0.0;
-  double weave_ms = 0.0;
-  double rank_ms = 0.0;
+  /// Wall time of the whole search.
   double total_ms = 0.0;
 };
 

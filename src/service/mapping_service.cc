@@ -42,10 +42,7 @@ MappingService::~MappingService() {
     RequestResult result;
     result.status = Status::Internal("service shutting down");
     result.outcome = RequestOutcome::kFailed;
-    metrics_.RecordRequest(result.outcome, 0.0);
-    if (!queued.tenant.empty()) {
-      tenant_metrics_.RecordRequest(queued.tenant, result.outcome);
-    }
+    queued.metrics->RecordRequest(result.outcome, 0.0);
     if (queued.done) queued.done(std::move(result));
   }
 }
@@ -58,7 +55,7 @@ size_t MappingService::TenantQueueCap() const {
 }
 
 core::Session::SearchFn MappingService::MakeCachingSearchFn(
-    catalog::SnapshotPtr snapshot) {
+    catalog::SnapshotPtr snapshot, std::shared_ptr<TenantMetrics> metrics) {
   // The wrapper runs inside Session::RunSearch, i.e. under the session's
   // mutex on a worker thread. The cache has its own lock, so concurrent
   // sessions share results safely — across sessions of the SAME tenant
@@ -66,18 +63,16 @@ core::Session::SearchFn MappingService::MakeCachingSearchFn(
   //
   // The lambda holds its own snapshot pin: even if the session entry were
   // torn down mid-call, the engine/graph it searches stay alive.
-  // Resolve the counters AND the cache-key prefix before the capture list:
-  // the `snapshot` init-capture moves the parameter, so touching it in a
-  // later initializer would read a moved-from pointer. Freezing the prefix
+  // Resolve the cache-key prefix before the capture list: the `snapshot`
+  // init-capture moves the parameter, so touching it in a later
+  // initializer would read a moved-from pointer. Freezing the prefix
   // here — at pin time — makes it impossible for a request admitted under
   // this serving state to be keyed with a later epoch/minor: the snapshot
   // is immutable and the prefix is literally a captured constant.
-  auto tenant_counters = tenant_metrics_.ForTenant(snapshot->tenant());
   std::string key_prefix = ResultCache::MakeKeyPrefix(
       snapshot->tenant(), snapshot->epoch(), snapshot->minor_epoch(),
       snapshot->shard_count());
-  return [this, snapshot = std::move(snapshot),
-          tenant_counters = std::move(tenant_counters),
+  return [this, snapshot = std::move(snapshot), metrics = std::move(metrics),
           key_prefix = std::move(key_prefix)](
              const std::vector<std::string>& first_row,
              const core::SearchOptions& opts, core::ExecutionContext& ctx)
@@ -85,13 +80,11 @@ core::Session::SearchFn MappingService::MakeCachingSearchFn(
     const std::string key =
         ResultCache::MakeKeyWithPrefix(key_prefix, first_row, opts);
     if (std::optional<core::SearchResult> hit = cache_.Lookup(key)) {
-      metrics_.RecordCacheLookup(/*hit=*/true);
-      tenant_counters->cache_hits.fetch_add(1, std::memory_order_relaxed);
+      metrics->RecordCacheLookup(/*hit=*/true);
       hit->stats.from_cache = true;
       return std::move(*hit);
     }
-    metrics_.RecordCacheLookup(/*hit=*/false);
-    tenant_counters->cache_misses.fetch_add(1, std::memory_order_relaxed);
+    metrics->RecordCacheLookup(/*hit=*/false);
     // Chaos site: the backend flaking at search dispatch. Injects an
     // Unavailable status, which Process() absorbs with one retry.
     MW_FAILPOINT_RETURN_NOT_OK("service.search.transient");
@@ -99,7 +92,7 @@ core::Session::SearchFn MappingService::MakeCachingSearchFn(
                         core::SampleSearch(snapshot->engine(),
                                            snapshot->graph(), first_row,
                                            opts, ctx));
-    metrics_.RecordSearchTrace(result.stats.trace);
+    metrics->RecordSearchTrace(result.stats.trace);
     cache_.Insert(key, result);  // rejects truncated results itself
     return result;
   };
@@ -112,13 +105,13 @@ Result<SessionId> MappingService::CreateSession(
   // searches — and every cache key it produces — is this epoch, no matter
   // how many publishes land while the session is open.
   MW_ASSIGN_OR_RETURN(catalog::SnapshotPtr snapshot, catalog_->Pin(tenant));
-  auto search_fn = MakeCachingSearchFn(snapshot);
+  std::shared_ptr<TenantMetrics> metrics = metrics_.ForTenant(tenant);
+  auto search_fn = MakeCachingSearchFn(snapshot, metrics);
   MW_ASSIGN_OR_RETURN(
       SessionId id,
       sessions_.Create(std::move(snapshot), std::move(column_names),
-                       search_options, std::move(search_fn)));
-  tenant_metrics_.ForTenant(tenant)->sessions_created.fetch_add(
-      1, std::memory_order_relaxed);
+                       search_options, std::move(search_fn), metrics));
+  metrics->RecordSessionCreated();
   return id;
 }
 
@@ -133,15 +126,12 @@ Status MappingService::Enqueue(InputRequest request,
       request.deadline.count() != 0 ? request.deadline
                                     : options_.default_deadline;
   QueuedRequest queued;
-  // Resolve the session's tenant before taking the queue lock (it's a
-  // registry lookup with its own mutex). Unknown session: leave the
-  // tenant empty and let the worker report NotFound — admission order
+  // Resolve the session's tenant record before taking the queue lock (it's
+  // a registry lookup with its own mutex). Unknown session: count it as
+  // unattributed and let the worker report NotFound — admission order
   // must not depend on registry races.
-  if (Result<catalog::SnapshotPtr> pinned =
-          sessions_.SnapshotOf(request.session_id);
-      pinned.ok()) {
-    queued.tenant = (*pinned)->tenant();
-  }
+  queued.metrics = sessions_.MetricsOf(request.session_id);
+  if (queued.metrics == nullptr) queued.metrics = metrics_.unattributed();
   queued.request = std::move(request);
   queued.done = std::move(done);
   queued.admitted = now;
@@ -159,7 +149,12 @@ Status MappingService::EnqueueUpdate(UpdateRequest request,
                                     : options_.default_deadline;
   QueuedRequest queued;
   queued.is_update = true;
-  queued.tenant = request.tenant;
+  // Only published tenants get a record: an update naming an unknown
+  // tenant fails NotFound in the worker and counts as unattributed, so
+  // made-up names cannot grow the registry.
+  queued.metrics = catalog_->CurrentEpoch(request.tenant).ok()
+                       ? metrics_.ForTenant(request.tenant)
+                       : metrics_.unattributed();
   queued.update = std::move(request);
   queued.done = std::move(done);
   queued.admitted = now;
@@ -189,6 +184,8 @@ RequestResult MappingService::ApplyUpdate(UpdateRequest request) {
 
 Status MappingService::Admit(QueuedRequest queued) {
   const size_t tenant_cap = TenantQueueCap();
+  TenantMetrics& metrics = *queued.metrics;
+  const std::string& tenant = metrics.tenant();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (shutdown_) {
@@ -198,36 +195,29 @@ Status MappingService::Admit(QueuedRequest queued) {
     // kOverloaded backpressure a genuinely full queue produces.
     if (MW_FAILPOINT_TRIGGERED("service.queue.admit") ||
         queue_.size() >= options_.max_queue_depth) {
-      metrics_.RecordRequest(RequestOutcome::kOverloaded, 0.0);
-      if (!queued.tenant.empty()) {
-        tenant_metrics_.RecordRequest(queued.tenant,
-                                      RequestOutcome::kOverloaded);
-      }
+      metrics.RecordRequest(RequestOutcome::kOverloaded, 0.0);
       return Status::ResourceExhausted(
           "request queue full; back off and retry");
     }
-    if (!queued.tenant.empty()) {
-      auto it = tenant_queued_.find(queued.tenant);
+    if (!tenant.empty()) {
+      auto it = tenant_queued_.find(tenant);
       const size_t tenant_depth = it == tenant_queued_.end() ? 0 : it->second;
       if (tenant_depth >= tenant_cap) {
         // The queue has room but this tenant already owns its share of it:
         // reject so other tenants keep getting admitted. Recorded both as
         // a plain overload (the client-visible truth) and as a
         // share_rejection (the operator-visible cause).
-        const auto counters = tenant_metrics_.ForTenant(queued.tenant);
-        counters->share_rejections.fetch_add(1, std::memory_order_relaxed);
-        counters->by_outcome[static_cast<size_t>(
-                                 RequestOutcome::kOverloaded)]
-            .fetch_add(1, std::memory_order_relaxed);
-        metrics_.RecordRequest(RequestOutcome::kOverloaded, 0.0);
+        metrics.RecordShareRejection();
+        metrics.RecordRequest(RequestOutcome::kOverloaded, 0.0);
         return Status::ResourceExhausted(
             "tenant queue share exhausted; back off and retry");
       }
       if (it == tenant_queued_.end()) {
-        tenant_queued_.emplace(queued.tenant, 1);
+        tenant_queued_.emplace(tenant, 1);
       } else {
         ++it->second;
       }
+      metrics.RecordQueueDepth(tenant_depth + 1);
     }
     queue_.push_back(std::move(queued));
     metrics_.RecordQueueDepth(queue_.size());
@@ -279,29 +269,22 @@ void MappingService::DrainOne() {
     MW_CHECK(!queue_.empty());
     queued = std::move(queue_.front());
     queue_.pop_front();
-    if (!queued.tenant.empty()) {
-      auto it = tenant_queued_.find(queued.tenant);
+    if (const std::string& tenant = queued.metrics->tenant();
+        !tenant.empty()) {
+      auto it = tenant_queued_.find(tenant);
       MW_CHECK(it != tenant_queued_.end() && it->second > 0);
       if (--it->second == 0) tenant_queued_.erase(it);
     }
   }
   RequestResult result =
       queued.is_update ? ProcessUpdate(queued) : Process(queued);
-  metrics_.RecordRequest(result.outcome, result.latency_ms);
-  if (!queued.tenant.empty()) {
-    tenant_metrics_.RecordRequest(queued.tenant, result.outcome);
-  }
+  queued.metrics->RecordRequest(result.outcome, result.latency_ms);
   if (queued.done) queued.done(std::move(result));
 }
 
 RequestResult MappingService::ProcessUpdate(const QueuedRequest& queued) {
   RequestResult result;
-  const auto record = [&](bool ok, uint64_t inserted, uint64_t deleted) {
-    metrics_.RecordUpdate(ok, inserted, deleted);
-    const auto counters = tenant_metrics_.ForTenant(queued.tenant);
-    (ok ? counters->updates_ok : counters->updates_failed)
-        .fetch_add(1, std::memory_order_relaxed);
-  };
+  TenantMetrics& metrics = *queued.metrics;
   const auto finish = [&](RequestOutcome outcome, Status status) {
     result.outcome = outcome;
     result.status = std::move(status);
@@ -318,7 +301,7 @@ RequestResult MappingService::ProcessUpdate(const QueuedRequest& queued) {
   // safe to resubmit, since nothing started).
   if (core::SearchClock::now() >= queued.deadline) {
     result.truncated = true;
-    record(/*ok=*/false, 0, 0);
+    metrics.RecordUpdate(/*ok=*/false, 0, 0, 0);
     return finish(RequestOutcome::kTruncated,
                   Status::Unavailable(
                       "update deadline expired in queue; batch not applied"));
@@ -331,21 +314,19 @@ RequestResult MappingService::ProcessUpdate(const QueuedRequest& queued) {
   // trace — so the replay is safe.
   if (!applied.ok() && applied.status().IsUnavailable() &&
       core::SearchClock::now() < queued.deadline) {
-    metrics_.RecordUpdateRetry();
+    metrics.RecordUpdateRetry();
     applied = writer_.Apply(queued.update.tenant, queued.update.batch);
     if (applied.ok()) result.degraded = true;
   }
   if (!applied.ok()) {
-    record(/*ok=*/false, 0, 0);
+    metrics.RecordUpdate(/*ok=*/false, 0, 0, 0);
     return finish(RequestOutcome::kFailed, applied.status());
   }
   const catalog::UpdateResult& update = applied.ValueOrDie();
   result.update_minor_epoch = update.snapshot->minor_epoch();
   result.inserted_rows = update.inserted_rows;
-  record(/*ok=*/true, update.rows_inserted, update.rows_deleted);
-  tenant_metrics_.ForTenant(queued.tenant)
-      ->update_shards_touched.fetch_add(update.shards_touched,
-                                        std::memory_order_relaxed);
+  metrics.RecordUpdate(/*ok=*/true, update.rows_inserted, update.rows_deleted,
+                       update.shards_touched);
   return finish(result.degraded ? RequestOutcome::kDegraded
                                 : RequestOutcome::kOk,
                 Status::OK());
@@ -396,11 +377,11 @@ RequestResult MappingService::Process(const QueuedRequest& queued) {
           result.cache_hit =
               search_ran_now && session.search_stats().from_cache;
           // A non-empty below-first-row input on a searched session ran a
-          // pruning pass: fold its trace (kPrune latency, worker fan-out,
-          // probe counters) into the metrics. Empty values clear cells
+          // pruning pass: fold its trace (kPrune latency and probe
+          // counters) into the metrics. Empty values clear cells
           // without pruning — the context still holds a stale trace then.
           if (input.ok() && !was_awaiting && !queued.request.value.empty()) {
-            metrics_.RecordPruneTrace(session.context().trace());
+            queued.metrics->RecordPruneTrace(session.context().trace());
           }
           return input;
         });
@@ -414,7 +395,7 @@ RequestResult MappingService::Process(const QueuedRequest& queued) {
   // second Unavailable is reported as the failure it is.
   if (status.IsUnavailable() &&
       core::SearchClock::now() < queued.deadline) {
-    metrics_.RecordSearchRetry();
+    queued.metrics->RecordSearchRetry();
     result.truncated = false;
     status = attempt();
     if (status.ok()) result.degraded = true;

@@ -12,9 +12,10 @@
 // Tenancy: every session is created against one tenant of the catalog and
 // pins that tenant's current snapshot for its whole lifetime — bulk loads
 // publishing new epochs never change what an open session sees. Requests
-// are attributed to the tenant of their session: per-tenant metric
-// rollups, and a per-tenant admission share so one hot tenant cannot
-// occupy the whole queue and starve the rest.
+// are attributed to the tenant of their session: each request is counted
+// once, in its tenant's metrics record (service-wide metrics are the sum
+// of those records), and a per-tenant admission share keeps one hot tenant
+// from occupying the whole queue and starving the rest.
 //
 // Backpressure: admission is non-blocking. When the queue is full — or
 // the request's tenant already holds its share of it — Enqueue() returns
@@ -211,17 +212,24 @@ class MappingService {
   SessionManager& sessions() { return sessions_; }
   const ResultCache& cache() const { return cache_; }
   ResultCache& mutable_cache() { return cache_; }
+  /// \brief Service-wide metrics: every tenant's record plus the
+  /// unattributed one, summed.
   MetricsSnapshot SnapshotMetrics() const { return metrics_.Snapshot(); }
   /// \brief The metrics snapshot as a JSON object (export hook for the
   /// workload runner, examples, and monitoring).
-  std::string SnapshotMetricsJson() const { return metrics_.SnapshotJson(); }
-  /// \brief Per-tenant rollups as `{"<tenant>": {...}, ...}` (embedded
-  /// beside the global metrics in BENCH_*.json and mapping_server output).
-  std::string PerTenantMetricsJson() const {
-    return tenant_metrics_.ToJson();
+  std::string SnapshotMetricsJson() const {
+    return SnapshotMetrics().ToJson();
   }
-  std::map<std::string, TenantMetricsSnapshot> PerTenantMetrics() const {
-    return tenant_metrics_.Snapshot();
+  /// \brief Per-tenant metrics as `{"<tenant>": {...}, ...}` (embedded
+  /// beside the global metrics in BENCH_*.json and mapping_server output).
+  std::string PerTenantMetricsJson() const { return metrics_.PerTenantJson(); }
+  std::map<std::string, MetricsSnapshot> PerTenantMetrics() const {
+    return metrics_.PerTenant();
+  }
+  /// \brief Requests that named no known session or tenant (unknown
+  /// session ids, updates to unpublished tenants).
+  MetricsSnapshot UnattributedMetrics() const {
+    return metrics_.unattributed()->Snapshot();
   }
   const ServiceOptions& options() const { return options_; }
   /// \brief The per-tenant queued-slot cap derived from the options.
@@ -236,10 +244,12 @@ class MappingService {
     bool is_update = false;
     UpdateRequest update;
     std::function<void(RequestResult)> done;
-    /// Tenant of the request's session at admission (empty when the
-    /// session id is unknown — Process() then reports NotFound; such
-    /// requests count toward the global bound but no tenant share).
-    std::string tenant;
+    /// The metrics record of the request's tenant, resolved once at
+    /// admission; every fact about the request is counted here. The
+    /// unattributed record (empty tenant name) when the session id is
+    /// unknown — Process() then reports NotFound; such requests count
+    /// toward the global bound but no tenant share.
+    std::shared_ptr<TenantMetrics> metrics;
     core::SearchClock::time_point admitted;
     core::SearchClock::time_point deadline;  // max() = none
   };
@@ -252,9 +262,10 @@ class MappingService {
   RequestResult Process(const QueuedRequest& queued);
   RequestResult ProcessUpdate(const QueuedRequest& queued);
   /// The caching first-row search bound to one session's pinned snapshot:
-  /// keys carry the snapshot's tenant + epoch, per-tenant cache counters
-  /// bump alongside the global ones.
-  core::Session::SearchFn MakeCachingSearchFn(catalog::SnapshotPtr snapshot);
+  /// keys carry the snapshot's tenant + epoch; cache lookups and search
+  /// traces are counted in the tenant's `metrics`.
+  core::Session::SearchFn MakeCachingSearchFn(
+      catalog::SnapshotPtr snapshot, std::shared_ptr<TenantMetrics> metrics);
 
   catalog::Catalog* const catalog_;
   const ServiceOptions options_;
@@ -262,8 +273,7 @@ class MappingService {
   SessionManager sessions_;
   catalog::TenantWriter writer_;
   ResultCache cache_;
-  ServiceMetrics metrics_;
-  TenantMetricsRegistry tenant_metrics_;
+  MetricsRegistry metrics_;
 
   std::mutex queue_mu_;
   std::deque<QueuedRequest> queue_;

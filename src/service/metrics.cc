@@ -1,5 +1,7 @@
 #include "service/metrics.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace mweaver::service {
@@ -95,86 +97,96 @@ namespace {
 
 uint64_t SaturatingSub(uint64_t a, uint64_t b) { return a >= b ? a - b : 0; }
 
-void AppendJsonKey(std::string* out, const char* key, bool* first) {
-  if (!*first) *out += ',';
-  *first = false;
-  *out += '"';
-  *out += key;
-  *out += "\":";
+void RaiseHighWater(std::atomic<uint64_t>* high_water, uint64_t depth) {
+  uint64_t seen = high_water->load(std::memory_order_relaxed);
+  while (depth > seen && !high_water->compare_exchange_weak(
+                             seen, depth, std::memory_order_relaxed)) {
+  }
 }
 
-void AppendJsonUInt(std::string* out, const char* key, uint64_t value,
-                    bool* first) {
-  AppendJsonKey(out, key, first);
-  *out += StrFormat("%llu", static_cast<unsigned long long>(value));
+void Bump(std::atomic<uint64_t>* counter, uint64_t n = 1) {
+  counter->fetch_add(n, std::memory_order_relaxed);
 }
 
-void AppendJsonDouble(std::string* out, const char* key, double value,
-                      bool* first) {
-  AppendJsonKey(out, key, first);
-  *out += StrFormat("%.6g", value);
+uint64_t Load(const std::atomic<uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
 }
 
 }  // namespace
 
-std::string MetricsSnapshot::ToJson() const {
-  std::string out = "{";
-  bool first = true;
-  AppendJsonUInt(&out, "requests_ok", requests_ok, &first);
-  AppendJsonUInt(&out, "requests_degraded", requests_degraded, &first);
-  AppendJsonUInt(&out, "requests_overloaded", requests_overloaded, &first);
-  AppendJsonUInt(&out, "requests_truncated", requests_truncated, &first);
-  AppendJsonUInt(&out, "requests_failed", requests_failed, &first);
-  AppendJsonUInt(&out, "search_retries", search_retries, &first);
-  AppendJsonUInt(&out, "update_retries", update_retries, &first);
-  AppendJsonUInt(&out, "updates_ok", updates_ok, &first);
-  AppendJsonUInt(&out, "updates_failed", updates_failed, &first);
-  AppendJsonUInt(&out, "update_rows_inserted", update_rows_inserted, &first);
-  AppendJsonUInt(&out, "update_rows_deleted", update_rows_deleted, &first);
-  AppendJsonUInt(&out, "cache_hits", cache_hits, &first);
-  AppendJsonUInt(&out, "cache_misses", cache_misses, &first);
-  AppendJsonDouble(&out, "cache_hit_rate", CacheHitRate(), &first);
-  AppendJsonUInt(&out, "queue_high_water", queue_high_water, &first);
-  AppendJsonDouble(&out, "approx_latency_p50_ms",
-                   ApproxLatencyPercentileMs(0.50), &first);
-  AppendJsonDouble(&out, "approx_latency_p95_ms",
-                   ApproxLatencyPercentileMs(0.95), &first);
-  AppendJsonDouble(&out, "approx_latency_p99_ms",
-                   ApproxLatencyPercentileMs(0.99), &first);
-  AppendJsonUInt(&out, "text_probes", text_probes.probes, &first);
-  AppendJsonUInt(&out, "text_memo_hits", text_probes.memo_hits, &first);
-  AppendJsonUInt(&out, "text_memo_misses", text_probes.memo_misses, &first);
-  AppendJsonUInt(&out, "text_candidates_examined",
-                 text_probes.candidates_examined, &first);
-  AppendJsonUInt(&out, "text_scan_fallbacks", text_probes.scan_fallbacks,
-                 &first);
-  AppendJsonUInt(&out, "text_all_rows_fallbacks",
-                 text_probes.all_rows_fallbacks, &first);
-
-  AppendJsonKey(&out, "stages", &first);
-  out += '{';
-  bool first_stage = true;
+void MetricsSnapshot::WriteJson(JsonWriter* w) const {
+  w->BeginObject();
+  w->KV("requests_ok", requests_ok);
+  w->KV("requests_degraded", requests_degraded);
+  w->KV("requests_overloaded", requests_overloaded);
+  w->KV("requests_truncated", requests_truncated);
+  w->KV("requests_failed", requests_failed);
+  w->KV("share_rejections", share_rejections);
+  w->KV("search_retries", search_retries);
+  w->KV("update_retries", update_retries);
+  w->KV("updates_ok", updates_ok);
+  w->KV("updates_failed", updates_failed);
+  w->KV("update_rows_inserted", update_rows_inserted);
+  w->KV("update_rows_deleted", update_rows_deleted);
+  w->KV("update_shards_touched", update_shards_touched);
+  w->KV("cache_hits", cache_hits);
+  w->KV("cache_misses", cache_misses);
+  w->KV("cache_hit_rate", CacheHitRate());
+  w->KV("sessions_created", sessions_created);
+  w->KV("queue_high_water", queue_high_water);
+  w->KV("approx_latency_p50_ms", ApproxLatencyPercentileMs(0.50));
+  w->KV("approx_latency_p95_ms", ApproxLatencyPercentileMs(0.95));
+  w->KV("approx_latency_p99_ms", ApproxLatencyPercentileMs(0.99));
+  w->KV("text_probes", text_probes.probes);
+  w->KV("text_memo_hits", text_probes.memo_hits);
+  w->KV("text_memo_misses", text_probes.memo_misses);
+  w->KV("text_candidates_examined", text_probes.candidates_examined);
+  w->KV("text_scan_fallbacks", text_probes.scan_fallbacks);
+  w->KV("text_all_rows_fallbacks", text_probes.all_rows_fallbacks);
+  w->Key("stages").BeginObject();
   for (size_t s = 0; s < stage_latency.size(); ++s) {
     const uint64_t total = stage_latency[s].count();
     if (total == 0) continue;
     const auto stage = static_cast<core::SearchStage>(s);
-    if (!first_stage) out += ',';
-    first_stage = false;
-    out += '"';
-    out += core::SearchStageName(stage);
-    out += "\":{";
-    bool first_field = true;
-    AppendJsonUInt(&out, "recorded", total, &first_field);
-    AppendJsonDouble(&out, "p50_ms",
-                     ApproxStageLatencyPercentileMs(stage, 0.50),
-                     &first_field);
-    AppendJsonDouble(&out, "p95_ms",
-                     ApproxStageLatencyPercentileMs(stage, 0.95),
-                     &first_field);
-    out += '}';
+    w->Key(core::SearchStageName(stage)).BeginObject();
+    w->KV("recorded", total);
+    w->KV("p50_ms", ApproxStageLatencyPercentileMs(stage, 0.50));
+    w->KV("p95_ms", ApproxStageLatencyPercentileMs(stage, 0.95));
+    w->EndObject();
   }
-  out += "}}";
-  return out;
+  w->EndObject();
+  w->EndObject();
+}
+
+std::string MetricsSnapshot::ToJson() const {
+  JsonWriter writer;
+  WriteJson(&writer);
+  return writer.Finish();
+}
+
+void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
+  requests_ok += other.requests_ok;
+  requests_overloaded += other.requests_overloaded;
+  requests_truncated += other.requests_truncated;
+  requests_degraded += other.requests_degraded;
+  requests_failed += other.requests_failed;
+  cache_hits += other.cache_hits;
+  cache_misses += other.cache_misses;
+  search_retries += other.search_retries;
+  update_retries += other.update_retries;
+  updates_ok += other.updates_ok;
+  updates_failed += other.updates_failed;
+  update_rows_inserted += other.update_rows_inserted;
+  update_rows_deleted += other.update_rows_deleted;
+  update_shards_touched += other.update_shards_touched;
+  sessions_created += other.sessions_created;
+  share_rejections += other.share_rejections;
+  queue_high_water = std::max(queue_high_water, other.queue_high_water);
+  latency.Merge(other.latency);
+  for (size_t s = 0; s < stage_latency.size(); ++s) {
+    stage_latency[s].Merge(other.stage_latency[s]);
+  }
+  text_probes.Add(other.text_probes);
 }
 
 MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
@@ -198,6 +210,12 @@ MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
       SaturatingSub(update_rows_inserted, earlier.update_rows_inserted);
   delta.update_rows_deleted =
       SaturatingSub(update_rows_deleted, earlier.update_rows_deleted);
+  delta.update_shards_touched =
+      SaturatingSub(update_shards_touched, earlier.update_shards_touched);
+  delta.sessions_created =
+      SaturatingSub(sessions_created, earlier.sessions_created);
+  delta.share_rejections =
+      SaturatingSub(share_rejections, earlier.share_rejections);
   delta.latency.Subtract(earlier.latency);
   for (size_t s = 0; s < stage_latency.size(); ++s) {
     delta.stage_latency[s].Subtract(earlier.stage_latency[s]);
@@ -207,58 +225,42 @@ MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
   return delta;
 }
 
-void ServiceMetrics::RecordRequest(RequestOutcome outcome, double latency_ms) {
-  switch (outcome) {
-    case RequestOutcome::kOk:
-      ok_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestOutcome::kOverloaded:
-      overloaded_.fetch_add(1, std::memory_order_relaxed);
-      return;  // rejected at admission: no latency to record
-    case RequestOutcome::kTruncated:
-      truncated_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestOutcome::kDegraded:
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestOutcome::kFailed:
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-  latency_.Record(latency_ms);
+void TenantMetrics::RecordRequest(RequestOutcome outcome, double latency_ms) {
+  Bump(&by_outcome_[static_cast<size_t>(outcome)]);
+  // Rejected at admission: no latency to record.
+  if (outcome != RequestOutcome::kOverloaded) latency_.Record(latency_ms);
 }
 
-void ServiceMetrics::RecordQueueDepth(size_t depth) {
-  uint64_t seen = queue_high_water_.load(std::memory_order_relaxed);
-  while (depth > seen && !queue_high_water_.compare_exchange_weak(
-                             seen, depth, std::memory_order_relaxed)) {
-  }
+void TenantMetrics::RecordQueueDepth(size_t depth) {
+  RaiseHighWater(&queue_high_water_, depth);
 }
 
-void ServiceMetrics::RecordCacheLookup(bool hit) {
-  (hit ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
+void TenantMetrics::RecordCacheLookup(bool hit) {
+  Bump(hit ? &cache_hits_ : &cache_misses_);
 }
 
-void ServiceMetrics::RecordSearchRetry() {
-  search_retries_.fetch_add(1, std::memory_order_relaxed);
-}
+void TenantMetrics::RecordSearchRetry() { Bump(&search_retries_); }
 
-void ServiceMetrics::RecordUpdateRetry() {
-  update_retries_.fetch_add(1, std::memory_order_relaxed);
-}
+void TenantMetrics::RecordUpdateRetry() { Bump(&update_retries_); }
 
-void ServiceMetrics::RecordUpdate(bool ok, uint64_t rows_inserted,
-                                  uint64_t rows_deleted) {
+void TenantMetrics::RecordSessionCreated() { Bump(&sessions_created_); }
+
+void TenantMetrics::RecordShareRejection() { Bump(&share_rejections_); }
+
+void TenantMetrics::RecordUpdate(bool ok, uint64_t rows_inserted,
+                                 uint64_t rows_deleted,
+                                 uint64_t shards_touched) {
   if (!ok) {
-    updates_failed_.fetch_add(1, std::memory_order_relaxed);
+    Bump(&updates_failed_);
     return;
   }
-  updates_ok_.fetch_add(1, std::memory_order_relaxed);
-  update_rows_inserted_.fetch_add(rows_inserted, std::memory_order_relaxed);
-  update_rows_deleted_.fetch_add(rows_deleted, std::memory_order_relaxed);
+  Bump(&updates_ok_);
+  Bump(&update_rows_inserted_, rows_inserted);
+  Bump(&update_rows_deleted_, rows_deleted);
+  Bump(&update_shards_touched_, shards_touched);
 }
 
-void ServiceMetrics::RecordSearchTrace(const core::ExecutionTrace& trace) {
+void TenantMetrics::RecordSearchTrace(const core::ExecutionTrace& trace) {
   for (size_t s = 0; s < core::kNumSearchStages; ++s) {
     if (static_cast<core::SearchStage>(s) == core::SearchStage::kPrune) {
       continue;  // interactive-path stage: RecordPruneTrace owns it
@@ -268,34 +270,34 @@ void ServiceMetrics::RecordSearchTrace(const core::ExecutionTrace& trace) {
   text_probes_.Record(trace.text_probes);
 }
 
-void ServiceMetrics::RecordPruneTrace(const core::ExecutionTrace& trace) {
+void TenantMetrics::RecordPruneTrace(const core::ExecutionTrace& trace) {
   constexpr size_t kPruneIdx = static_cast<size_t>(core::SearchStage::kPrune);
   stage_latency_[kPruneIdx].Record(trace.stages[kPruneIdx].wall_ms);
   text_probes_.Record(trace.text_probes);
 }
 
-std::string ServiceMetrics::SnapshotJson() const {
-  return Snapshot().ToJson();
-}
-
-MetricsSnapshot ServiceMetrics::Snapshot() const {
+MetricsSnapshot TenantMetrics::Snapshot() const {
   MetricsSnapshot snap;
-  snap.requests_ok = ok_.load(std::memory_order_relaxed);
-  snap.requests_overloaded = overloaded_.load(std::memory_order_relaxed);
-  snap.requests_truncated = truncated_.load(std::memory_order_relaxed);
-  snap.requests_degraded = degraded_.load(std::memory_order_relaxed);
-  snap.requests_failed = failed_.load(std::memory_order_relaxed);
-  snap.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  snap.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  snap.search_retries = search_retries_.load(std::memory_order_relaxed);
-  snap.update_retries = update_retries_.load(std::memory_order_relaxed);
-  snap.updates_ok = updates_ok_.load(std::memory_order_relaxed);
-  snap.updates_failed = updates_failed_.load(std::memory_order_relaxed);
-  snap.update_rows_inserted =
-      update_rows_inserted_.load(std::memory_order_relaxed);
-  snap.update_rows_deleted =
-      update_rows_deleted_.load(std::memory_order_relaxed);
-  snap.queue_high_water = queue_high_water_.load(std::memory_order_relaxed);
+  const auto outcome = [&](RequestOutcome o) {
+    return Load(by_outcome_[static_cast<size_t>(o)]);
+  };
+  snap.requests_ok = outcome(RequestOutcome::kOk);
+  snap.requests_overloaded = outcome(RequestOutcome::kOverloaded);
+  snap.requests_truncated = outcome(RequestOutcome::kTruncated);
+  snap.requests_degraded = outcome(RequestOutcome::kDegraded);
+  snap.requests_failed = outcome(RequestOutcome::kFailed);
+  snap.cache_hits = Load(cache_hits_);
+  snap.cache_misses = Load(cache_misses_);
+  snap.search_retries = Load(search_retries_);
+  snap.update_retries = Load(update_retries_);
+  snap.updates_ok = Load(updates_ok_);
+  snap.updates_failed = Load(updates_failed_);
+  snap.update_rows_inserted = Load(update_rows_inserted_);
+  snap.update_rows_deleted = Load(update_rows_deleted_);
+  snap.update_shards_touched = Load(update_shards_touched_);
+  snap.sessions_created = Load(sessions_created_);
+  snap.share_rejections = Load(share_rejections_);
+  snap.queue_high_water = Load(queue_high_water_);
   snap.latency = latency_.Snapshot();
   for (size_t s = 0; s < core::kNumSearchStages; ++s) {
     snap.stage_latency[s] = stage_latency_[s].Snapshot();
@@ -304,118 +306,56 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   return snap;
 }
 
-std::shared_ptr<TenantMetricsRegistry::Counters>
-TenantMetricsRegistry::ForTenant(std::string_view tenant) {
+MetricsRegistry::MetricsRegistry()
+    : unattributed_(std::make_shared<TenantMetrics>(std::string())) {}
+
+std::shared_ptr<TenantMetrics> MetricsRegistry::ForTenant(
+    std::string_view tenant) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) {
-    it = tenants_.emplace(std::string(tenant), std::make_shared<Counters>())
+    it = tenants_
+             .emplace(std::string(tenant),
+                      std::make_shared<TenantMetrics>(std::string(tenant)))
              .first;
   }
   return it->second;
 }
 
-void TenantMetricsRegistry::RecordRequest(std::string_view tenant,
-                                          RequestOutcome outcome) {
-  const auto counters = ForTenant(tenant);
-  counters->by_outcome[static_cast<size_t>(outcome)].fetch_add(
-      1, std::memory_order_relaxed);
+void MetricsRegistry::RecordQueueDepth(size_t depth) {
+  RaiseHighWater(&queue_high_water_, depth);
 }
 
-std::map<std::string, TenantMetricsSnapshot>
-TenantMetricsRegistry::Snapshot() const {
-  // Copy the (name -> counters) pairs under the lock, read the atomics
+std::map<std::string, MetricsSnapshot> MetricsRegistry::PerTenant() const {
+  // Copy the (name -> record) pairs under the lock, read the atomics
   // outside it.
-  std::map<std::string, std::shared_ptr<Counters>> live;
+  std::map<std::string, std::shared_ptr<TenantMetrics>> live;
   {
     std::lock_guard<std::mutex> lock(mu_);
     live.insert(tenants_.begin(), tenants_.end());
   }
-  std::map<std::string, TenantMetricsSnapshot> out;
-  for (const auto& [name, counters] : live) {
-    TenantMetricsSnapshot snap;
-    const auto outcome = [&](RequestOutcome o) {
-      return counters->by_outcome[static_cast<size_t>(o)].load(
-          std::memory_order_relaxed);
-    };
-    snap.requests_ok = outcome(RequestOutcome::kOk);
-    snap.requests_overloaded = outcome(RequestOutcome::kOverloaded);
-    snap.requests_truncated = outcome(RequestOutcome::kTruncated);
-    snap.requests_degraded = outcome(RequestOutcome::kDegraded);
-    snap.requests_failed = outcome(RequestOutcome::kFailed);
-    snap.cache_hits = counters->cache_hits.load(std::memory_order_relaxed);
-    snap.cache_misses =
-        counters->cache_misses.load(std::memory_order_relaxed);
-    snap.sessions_created =
-        counters->sessions_created.load(std::memory_order_relaxed);
-    snap.share_rejections =
-        counters->share_rejections.load(std::memory_order_relaxed);
-    snap.updates_ok = counters->updates_ok.load(std::memory_order_relaxed);
-    snap.updates_failed =
-        counters->updates_failed.load(std::memory_order_relaxed);
-    snap.update_shards_touched =
-        counters->update_shards_touched.load(std::memory_order_relaxed);
-    out.emplace(name, snap);
-  }
+  std::map<std::string, MetricsSnapshot> out;
+  for (const auto& [name, record] : live) out.emplace(name, record->Snapshot());
   return out;
 }
 
-namespace {
-
-// Tenant names are caller-chosen strings: escape the JSON specials so a
-// quote or backslash in a name cannot corrupt the document.
-void AppendJsonString(std::string* out, std::string_view s) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
+MetricsSnapshot MetricsRegistry::Snapshot() const {
+  MetricsSnapshot total;
+  for (const auto& [name, snap] : PerTenant()) total.Merge(snap);
+  total.Merge(unattributed_->Snapshot());
+  total.queue_high_water = Load(queue_high_water_);
+  return total;
 }
 
-}  // namespace
-
-std::string TenantMetricsRegistry::ToJson() const {
-  std::string out = "{";
-  bool first_tenant = true;
-  for (const auto& [name, snap] : Snapshot()) {
-    if (!first_tenant) out += ',';
-    first_tenant = false;
-    AppendJsonString(&out, name);
-    out += ":{";
-    bool first = true;
-    AppendJsonUInt(&out, "requests_ok", snap.requests_ok, &first);
-    AppendJsonUInt(&out, "requests_degraded", snap.requests_degraded,
-                   &first);
-    AppendJsonUInt(&out, "requests_overloaded", snap.requests_overloaded,
-                   &first);
-    AppendJsonUInt(&out, "requests_truncated", snap.requests_truncated,
-                   &first);
-    AppendJsonUInt(&out, "requests_failed", snap.requests_failed, &first);
-    AppendJsonUInt(&out, "share_rejections", snap.share_rejections, &first);
-    AppendJsonUInt(&out, "updates_ok", snap.updates_ok, &first);
-    AppendJsonUInt(&out, "updates_failed", snap.updates_failed, &first);
-    AppendJsonUInt(&out, "update_shards_touched", snap.update_shards_touched,
-                   &first);
-    AppendJsonUInt(&out, "cache_hits", snap.cache_hits, &first);
-    AppendJsonUInt(&out, "cache_misses", snap.cache_misses, &first);
-    AppendJsonUInt(&out, "sessions_created", snap.sessions_created, &first);
-    out += '}';
+std::string MetricsRegistry::PerTenantJson() const {
+  JsonWriter writer;
+  writer.BeginObject();
+  for (const auto& [name, snap] : PerTenant()) {
+    writer.Key(name);
+    snap.WriteJson(&writer);
   }
-  out += '}';
-  return out;
+  writer.EndObject();
+  return writer.Finish();
 }
 
 }  // namespace mweaver::service

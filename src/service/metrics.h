@@ -1,6 +1,9 @@
-// ServiceMetrics: lock-free counters the mapping service updates on every
-// request, snapshotable for benches and monitoring. All mutators are safe
-// to call concurrently from any worker thread.
+// The mapping service's one metrics registry. Every request fact is
+// counted exactly once, in the record of the tenant the request's session
+// is pinned to (or in the "unattributed" record when the request names no
+// known session). A service-wide snapshot is the sum of those records;
+// only the queue high-water mark is kept service-wide. All mutators are
+// lock-free and safe to call concurrently from any worker thread.
 #ifndef MWEAVER_SERVICE_METRICS_H_
 #define MWEAVER_SERVICE_METRICS_H_
 
@@ -13,7 +16,9 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "common/json_util.h"
 #include "common/latency_histogram.h"
 #include "core/execution_context.h"
 #include "text/lookup_stats.h"
@@ -40,7 +45,8 @@ enum class RequestOutcome {
 
 const char* RequestOutcomeName(RequestOutcome outcome);
 
-/// \brief A point-in-time copy of the service counters.
+/// \brief A point-in-time copy of one tenant's metrics (per-tenant
+/// snapshots) or of their sum (the service-wide snapshot).
 struct MetricsSnapshot {
   uint64_t requests_ok = 0;
   uint64_t requests_overloaded = 0;
@@ -67,8 +73,22 @@ struct MetricsSnapshot {
   /// Rows applied by successful update batches.
   uint64_t update_rows_inserted = 0;
   uint64_t update_rows_deleted = 0;
+  /// Shards delta-cloned by successful update batches, summed (1 per batch
+  /// for an unsharded tenant). Divided by updates_ok this reads out how
+  /// narrowly the shard hash scopes the average batch.
+  uint64_t update_shards_touched = 0;
 
-  /// Deepest the request queue ever got (admission-time depth).
+  /// Sessions opened.
+  uint64_t sessions_created = 0;
+  /// Admissions refused by the per-tenant queue share specifically. These
+  /// are also counted in requests_overloaded; this tells a hot tenant's
+  /// overload apart from a globally full queue.
+  uint64_t share_rejections = 0;
+
+  /// Deepest admission-time queue depth seen: of the whole queue in the
+  /// service-wide snapshot, of the tenant's own queued requests in a
+  /// per-tenant one. A gauge, not a counter: Merge keeps the larger value
+  /// and Delta keeps this snapshot's.
   uint64_t queue_high_water = 0;
 
   /// Admission-to-finish latency of completed requests (queue wait
@@ -108,56 +128,72 @@ struct MetricsSnapshot {
 
   std::string ToString() const;
 
-  /// \brief The snapshot as one JSON object (counters, cache/text rates,
-  /// approximate latency percentiles, per-stage percentiles). This is
-  /// what the workload runner embeds in BENCH_*.json and
-  /// examples/mapping_server prints — external tooling reads metrics
-  /// without friending service internals. Schema in DESIGN.md §11.
+  /// \brief Writes the snapshot as one JSON object (counters, cache/text
+  /// rates, approximate latency percentiles, per-stage percentiles) as the
+  /// writer's next value. Schema in DESIGN.md §11.
+  void WriteJson(JsonWriter* writer) const;
+  /// \brief WriteJson into a document of its own. This is what the
+  /// workload runner embeds in BENCH_*.json and examples/mapping_server
+  /// prints — external tooling reads metrics without friending service
+  /// internals.
   std::string ToJson() const;
 
+  /// \brief Adds `other`'s counters, histograms and probe tallies to this
+  /// one (the sum of two tenants, or of two consecutive intervals).
+  void Merge(const MetricsSnapshot& other);
+
   /// \brief Counter-wise difference against an `earlier` snapshot of the
-  /// same service: counters and histograms subtract (counters saturate at
+  /// same record: counters and histograms subtract (counters saturate at
   /// 0), so the result describes just the interval between the two. The
   /// queue high-water mark keeps THIS snapshot's value.
   MetricsSnapshot Delta(const MetricsSnapshot& earlier) const;
 };
 
-/// \brief The live counters. One instance per MappingService.
-class ServiceMetrics {
+/// \brief The live metrics of one tenant (or of the unattributed
+/// requests). Handed out as a shared_ptr so sessions and queued requests
+/// record without going back through the registry.
+class TenantMetrics {
  public:
+  explicit TenantMetrics(std::string tenant) : tenant_(std::move(tenant)) {}
+
+  TenantMetrics(const TenantMetrics&) = delete;
+  TenantMetrics& operator=(const TenantMetrics&) = delete;
+
+  /// \brief The tenant's name; empty for the unattributed record.
+  const std::string& tenant() const { return tenant_; }
+
+  /// \brief Counts one request outcome; completed (non-overloaded)
+  /// requests also record their latency.
   void RecordRequest(RequestOutcome outcome, double latency_ms);
+  /// \brief Raises the queue high-water mark to `depth`.
   void RecordQueueDepth(size_t depth);
   void RecordCacheLookup(bool hit);
   /// \brief Counts one absorbed transient search failure (retry issued).
   void RecordSearchRetry();
   /// \brief Counts one transient update-batch failure retried.
   void RecordUpdateRetry();
-  /// \brief Counts one streaming update batch; `rows_inserted` /
-  /// `rows_deleted` are only accumulated when `ok`.
-  void RecordUpdate(bool ok, uint64_t rows_inserted, uint64_t rows_deleted);
+  void RecordSessionCreated();
+  void RecordShareRejection();
+  /// \brief Counts one streaming update batch; rows and shards touched are
+  /// only accumulated when `ok`.
+  void RecordUpdate(bool ok, uint64_t rows_inserted, uint64_t rows_deleted,
+                    uint64_t shards_touched);
   /// \brief Folds one search's per-stage trace into the per-stage latency
-  /// histograms. The kPrune stage is skipped — sample
-  /// search never runs it, and folding its empty span would fill the prune
-  /// histogram with zeroes.
+  /// histograms and its text-probe counters. The kPrune stage is skipped —
+  /// sample search never runs it, and folding its empty span would fill
+  /// the prune histogram with zeroes.
   void RecordSearchTrace(const core::ExecutionTrace& trace);
-
   /// \brief Folds one interactive pruning pass's trace: the kPrune latency
-  /// histogram and the pass's text-probe counters. The
-  /// search-stage histograms are left untouched (a pruning context carries
-  /// no search spans).
+  /// histogram and the pass's text-probe counters. The search-stage
+  /// histograms are left untouched (a pruning context carries no search
+  /// spans).
   void RecordPruneTrace(const core::ExecutionTrace& trace);
 
   MetricsSnapshot Snapshot() const;
 
-  /// \brief Snapshot().ToJson() — the export hook for benches/monitoring.
-  std::string SnapshotJson() const;
-
  private:
-  std::atomic<uint64_t> ok_{0};
-  std::atomic<uint64_t> overloaded_{0};
-  std::atomic<uint64_t> truncated_{0};
-  std::atomic<uint64_t> degraded_{0};
-  std::atomic<uint64_t> failed_{0};
+  const std::string tenant_;
+  std::array<std::atomic<uint64_t>, 5> by_outcome_{};  // RequestOutcome
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> search_retries_{0};
@@ -166,78 +202,47 @@ class ServiceMetrics {
   std::atomic<uint64_t> updates_failed_{0};
   std::atomic<uint64_t> update_rows_inserted_{0};
   std::atomic<uint64_t> update_rows_deleted_{0};
+  std::atomic<uint64_t> update_shards_touched_{0};
+  std::atomic<uint64_t> sessions_created_{0};
+  std::atomic<uint64_t> share_rejections_{0};
   std::atomic<uint64_t> queue_high_water_{0};
   AtomicLatencyHistogram latency_;
   std::array<AtomicLatencyHistogram, core::kNumSearchStages> stage_latency_;
   text::ProbeCounters text_probes_;
 };
 
-/// \brief A point-in-time copy of one tenant's rollup counters.
-struct TenantMetricsSnapshot {
-  uint64_t requests_ok = 0;
-  uint64_t requests_overloaded = 0;
-  uint64_t requests_truncated = 0;
-  uint64_t requests_degraded = 0;
-  uint64_t requests_failed = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t sessions_created = 0;
-  /// Admissions refused by the per-tenant queue share specifically (these
-  /// are also counted in requests_overloaded — this tells a hot tenant's
-  /// overload apart from a globally full queue).
-  uint64_t share_rejections = 0;
-  /// Streaming update batches applied to / failed against this tenant.
-  uint64_t updates_ok = 0;
-  uint64_t updates_failed = 0;
-  /// Shards delta-cloned by this tenant's successful update batches,
-  /// summed (1 per batch for an unsharded tenant). Divided by updates_ok
-  /// this reads out how narrowly the shard hash scopes the average batch —
-  /// the whole point of intra-tenant sharding.
-  uint64_t update_shards_touched = 0;
-
-  uint64_t TotalRequests() const {
-    return requests_ok + requests_overloaded + requests_truncated +
-           requests_degraded + requests_failed;
-  }
-};
-
-/// \brief Per-tenant rollups the service keys by the tenant a request's
-/// session is pinned to. The global ServiceMetrics stay the fleet-wide
-/// truth (histograms live only there); this registry answers "which tenant
-/// is hot / degraded / starving the cache" for ops and benches.
-class TenantMetricsRegistry {
+/// \brief One record per tenant seen, plus the unattributed record and the
+/// service-wide queue high-water mark. One instance per MappingService.
+class MetricsRegistry {
  public:
-  /// \brief One tenant's live counters. Handed out as a shared_ptr so hot
-  /// paths (the per-session caching search fn) bump atomics without
-  /// re-taking the registry lock — and so counters survive a concurrent
-  /// tenant eviction until the last session drops them.
-  struct Counters {
-    std::array<std::atomic<uint64_t>, 5> by_outcome{};  // RequestOutcome
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
-    std::atomic<uint64_t> sessions_created{0};
-    std::atomic<uint64_t> share_rejections{0};
-    std::atomic<uint64_t> updates_ok{0};
-    std::atomic<uint64_t> updates_failed{0};
-    std::atomic<uint64_t> update_shards_touched{0};
-  };
+  MetricsRegistry();
 
-  /// \brief Finds or creates the tenant's counters.
-  std::shared_ptr<Counters> ForTenant(std::string_view tenant);
+  /// \brief Finds or creates the tenant's record (takes the registry lock:
+  /// callers resolve a record once and keep the pointer).
+  std::shared_ptr<TenantMetrics> ForTenant(std::string_view tenant);
+  /// \brief The record of requests that name no known session.
+  const std::shared_ptr<TenantMetrics>& unattributed() const {
+    return unattributed_;
+  }
+  /// \brief Raises the service-wide queue high-water mark to `depth`.
+  void RecordQueueDepth(size_t depth);
 
-  /// \brief Convenience: ForTenant + one outcome bump.
-  void RecordRequest(std::string_view tenant, RequestOutcome outcome);
-
-  /// \brief Name-ordered snapshot of every tenant seen so far.
-  std::map<std::string, TenantMetricsSnapshot> Snapshot() const;
-
-  /// \brief `{"<tenant>": {"requests_ok": ..., ...}, ...}` — the
-  /// per-tenant block embedded in BENCH_*.json and mapping_server output.
-  std::string ToJson() const;
+  /// \brief Name-ordered snapshot of every tenant seen so far (the
+  /// unattributed record is not among them).
+  std::map<std::string, MetricsSnapshot> PerTenant() const;
+  /// \brief The service-wide snapshot: the tenants' snapshots merged in
+  /// name order, then the unattributed record, with the service-wide queue
+  /// high-water mark.
+  MetricsSnapshot Snapshot() const;
+  /// \brief `{"<tenant>": {...}, ...}`, each value a MetricsSnapshot JSON
+  /// object.
+  std::string PerTenantJson() const;
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<Counters>, std::less<>> tenants_;
+  std::map<std::string, std::shared_ptr<TenantMetrics>, std::less<>> tenants_;
+  const std::shared_ptr<TenantMetrics> unattributed_;
+  std::atomic<uint64_t> queue_high_water_{0};
 };
 
 }  // namespace mweaver::service

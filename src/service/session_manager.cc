@@ -15,7 +15,8 @@ int64_t SessionManager::NowNs() {
 
 Result<SessionId> SessionManager::Create(
     catalog::SnapshotPtr snapshot, std::vector<std::string> column_names,
-    core::SearchOptions search_options, core::Session::SearchFn search_fn) {
+    core::SearchOptions search_options, core::Session::SearchFn search_fn,
+    std::shared_ptr<TenantMetrics> metrics) {
   if (snapshot == nullptr) {
     return Status::InvalidArgument("a session needs a snapshot to pin");
   }
@@ -24,7 +25,7 @@ Result<SessionId> SessionManager::Create(
   }
   auto entry = std::make_shared<Entry>(std::move(snapshot),
                                        std::move(column_names),
-                                       search_options);
+                                       search_options, std::move(metrics));
   if (search_fn) entry->session.set_search_fn(std::move(search_fn));
   entry->last_used_ns.store(NowNs(), std::memory_order_relaxed);
 
@@ -90,6 +91,13 @@ Result<catalog::SnapshotPtr> SessionManager::SnapshotOf(SessionId id) const {
   }
   // The pin is const for the entry's lifetime — no entry mutex needed.
   return it->second->snapshot;
+}
+
+std::shared_ptr<TenantMetrics> SessionManager::MetricsOf(SessionId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(id);
+  // The record is const for the entry's lifetime — no entry mutex needed.
+  return it == sessions_.end() ? nullptr : it->second->metrics;
 }
 
 size_t SessionManager::EvictIdle() {

@@ -26,6 +26,7 @@
 #include "catalog/snapshot.h"
 #include "common/result.h"
 #include "core/session.h"
+#include "service/metrics.h"
 
 namespace mweaver::service {
 
@@ -54,10 +55,13 @@ class SessionManager {
   /// closed or evicted — later publishes to the same tenant never change
   /// what this session searches. `search_fn` (optional) overrides the
   /// first-row search — the service installs its caching wrapper here.
+  /// `metrics` (optional) is the record the session's requests are
+  /// counted in; MetricsOf() hands it back.
   Result<SessionId> Create(catalog::SnapshotPtr snapshot,
                            std::vector<std::string> column_names,
                            core::SearchOptions search_options = {},
-                           core::Session::SearchFn search_fn = nullptr);
+                           core::Session::SearchFn search_fn = nullptr,
+                           std::shared_ptr<TenantMetrics> metrics = nullptr);
 
   /// \brief Removes the session. In-flight WithSession calls holding it
   /// finish normally; later lookups return NotFound.
@@ -69,10 +73,14 @@ class SessionManager {
                      const std::function<Status(core::Session&)>& fn);
 
   /// \brief The snapshot the session is pinned to (tenant name and epoch
-  /// ride along on it). NotFound for unknown/closed ids. Cheap: one map
-  /// lookup plus a shared_ptr copy — the admission path calls this per
-  /// request to attribute it to a tenant.
+  /// ride along on it). NotFound for unknown/closed ids.
   Result<catalog::SnapshotPtr> SnapshotOf(SessionId id) const;
+
+  /// \brief The metrics record the session was created with; nullptr for
+  /// unknown/closed ids. Cheap: one map lookup plus a shared_ptr copy —
+  /// the admission path calls this per request to attribute it to a
+  /// tenant.
+  std::shared_ptr<TenantMetrics> MetricsOf(SessionId id) const;
 
   /// \brief Evicts every session idle longer than the TTL; returns how
   /// many were reclaimed. Sessions currently executing a request are
@@ -87,8 +95,10 @@ class SessionManager {
  private:
   struct Entry {
     Entry(catalog::SnapshotPtr snap, std::vector<std::string> column_names,
-          core::SearchOptions search_options)
+          core::SearchOptions search_options,
+          std::shared_ptr<TenantMetrics> tenant_metrics)
         : snapshot(std::move(snap)),
+          metrics(std::move(tenant_metrics)),
           session(&snapshot->engine(), &snapshot->graph(),
                   std::move(column_names), search_options) {}
 
@@ -96,6 +106,7 @@ class SessionManager {
     /// point INTO the snapshot, so the pin must outlive (construct before,
     /// destruct after) the session.
     const catalog::SnapshotPtr snapshot;
+    const std::shared_ptr<TenantMetrics> metrics;
     std::mutex mu;          // serializes access to `session` and `closed`
     core::Session session;
     bool closed = false;    // set by Close/EvictIdle; guards the zombie

@@ -266,7 +266,6 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
   ProbeStats stats;
   stats.probes = 1;
   const auto record = [&] {
-    probe_totals_.Record(stats);
     if (counters != nullptr) counters->Record(stats);
   };
   const uint64_t version = relation_version(attr.relation);

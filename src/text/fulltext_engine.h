@@ -193,9 +193,6 @@ class FullTextEngine {
 
   /// \brief Approximate heap footprint of all attribute indexes.
   size_t index_bytes() const;
-  /// \brief Lifetime probe statistics across every caller of this engine
-  /// (callers passing their own ProbeCounters are counted here too).
-  ProbeStats probe_totals() const { return probe_totals_.Snapshot(); }
   ProbeCache::Stats probe_cache_stats() const { return probe_cache_->stats(); }
 
   /// \brief Number of row-hash shard index sets (>= 1).
@@ -252,7 +249,6 @@ class FullTextEngine {
   // Punctuation-only fallback results are never inserted — see
   // CandidateRows' all_rows_ contract.
   std::shared_ptr<ProbeCache> probe_cache_;
-  mutable ProbeCounters probe_totals_;
 };
 
 }  // namespace mweaver::text

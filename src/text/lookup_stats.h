@@ -8,9 +8,9 @@
 //    lookup call; snapshots of the atomic form embed into
 //    core::ExecutionTrace and service::MetricsSnapshot.
 //  * ProbeCounters — the atomic accumulator. One lives inside each
-//    core::ExecutionContext, one inside FullTextEngine for engine-lifetime
-//    totals, and one inside service::ServiceMetrics; the latter two are
-//    atomic because concurrent service workers share them.
+//    core::ExecutionContext (one search's tally) and one inside each
+//    service::TenantMetrics record, which concurrent service workers
+//    share.
 #ifndef MWEAVER_TEXT_LOOKUP_STATS_H_
 #define MWEAVER_TEXT_LOOKUP_STATS_H_
 

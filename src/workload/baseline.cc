@@ -4,7 +4,7 @@
 #include <map>
 
 #include "common/string_util.h"
-#include "workload/json_util.h"
+#include "common/json_util.h"
 
 namespace mweaver::workload {
 

@@ -8,7 +8,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "workload/actors.h"
-#include "workload/json_util.h"
+#include "common/json_util.h"
 #include "workload/orchestrator.h"
 
 namespace mweaver::workload {

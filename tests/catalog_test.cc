@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/tenant_writer.h"
 #include "common/failpoint.h"
 #include "core/sample_search.h"
 #include "graph/schema_graph.h"
@@ -171,6 +172,23 @@ TEST(CatalogTest, ListTenantsReportsEpochRowsAndPins) {
   }
   EXPECT_EQ(tenants[0].pins, 0);
   EXPECT_EQ(tenants[1].pins, 1);  // our pin
+}
+
+// An unsharded tenant rebuilds its one shard per publish and per delta.
+TEST(CatalogTest, ShardRebuildCountsCoverPublishesAndDeltas) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Publish("alpha", testing::MakeFigure2Db()).ok());
+  TenantWriter writer(&catalog);
+  UpdateBatch batch;
+  batch.deletes.push_back(RowDelete{"movie", 0});
+  auto applied = writer.Apply("alpha", batch);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(applied->shards_touched, 1u);
+  const std::vector<TenantInfo> tenants = catalog.ListTenants();
+  ASSERT_EQ(tenants.size(), 1u);
+  EXPECT_EQ(tenants[0].updates, 1u);
+  EXPECT_EQ(tenants[0].shards_rebuilt_last, 1u);
+  EXPECT_EQ(tenants[0].shards_rebuilt_total, 2u);
 }
 
 TEST(CatalogTest, PublishFailpointLeavesTheOldEpochServing) {

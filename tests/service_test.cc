@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -641,6 +642,14 @@ TEST_F(ServiceTest, HotTenantCannotStarveTheQueueForOthers) {
     EXPECT_EQ(per_tenant.at(std::string(kDefaultTenant)).share_rejections,
               1u);
     EXPECT_EQ(per_tenant.at("other").share_rejections, 0u);
+    // Each tenant's queued high-water is its own; the service-wide one is
+    // the whole queue's.
+    EXPECT_EQ(per_tenant.at(std::string(kDefaultTenant)).queue_high_water, 2u);
+    EXPECT_EQ(per_tenant.at("other").queue_high_water, 2u);
+    const MetricsSnapshot all = svc.SnapshotMetrics();
+    EXPECT_EQ(all.share_rejections, 1u);
+    EXPECT_EQ(all.requests_overloaded, 1u);
+    EXPECT_EQ(all.queue_high_water, 4u);
     // Destructor fails the admitted-but-unprocessed requests.
   }
 }
@@ -687,13 +696,12 @@ TEST_F(ServiceTest, PerTenantMetricsRollUpByTenant) {
   const auto per_tenant = svc.PerTenantMetrics();
   ASSERT_TRUE(per_tenant.count(std::string(kDefaultTenant)));
   ASSERT_TRUE(per_tenant.count("other"));
-  const TenantMetricsSnapshot& hot =
-      per_tenant.at(std::string(kDefaultTenant));
+  const MetricsSnapshot& hot = per_tenant.at(std::string(kDefaultTenant));
   EXPECT_EQ(hot.sessions_created, 2u);
   EXPECT_EQ(hot.requests_ok, 2u);
   EXPECT_EQ(hot.cache_misses, 1u);
   EXPECT_EQ(hot.cache_hits, 1u);  // second identical first row
-  const TenantMetricsSnapshot& cold = per_tenant.at("other");
+  const MetricsSnapshot& cold = per_tenant.at("other");
   EXPECT_EQ(cold.sessions_created, 1u);
   EXPECT_EQ(cold.requests_ok, 1u);
   EXPECT_EQ(cold.cache_misses, 1u);
@@ -835,7 +843,7 @@ TEST_F(ServiceTest, SessionsKeepServingTheirPinnedEpochAcrossRepublish) {
 // -------------------------------------------------------------- Metrics --
 
 TEST(ServiceMetricsTest, OutcomeCountersAndHistogram) {
-  ServiceMetrics metrics;
+  TenantMetrics metrics("t");
   metrics.RecordRequest(RequestOutcome::kOk, 0.1);
   metrics.RecordRequest(RequestOutcome::kOk, 3.0);
   metrics.RecordRequest(RequestOutcome::kTruncated, 100.0);
@@ -861,7 +869,7 @@ TEST(ServiceMetricsTest, OutcomeCountersAndHistogram) {
 }
 
 TEST(ServiceMetricsTest, DegradedOutcomeAndRetryCounters) {
-  ServiceMetrics metrics;
+  TenantMetrics metrics("t");
   metrics.RecordRequest(RequestOutcome::kOk, 0.1);
   metrics.RecordRequest(RequestOutcome::kDegraded, 5.0);
   metrics.RecordRequest(RequestOutcome::kDegraded, 6.0);
@@ -882,7 +890,7 @@ TEST(ServiceMetricsTest, DegradedOutcomeAndRetryCounters) {
 TEST(ServiceMetricsTest, HistogramsResolveMicrosecondsAndHundredsOfMs) {
   // A cache hit and a slow weave, ten of each, in the request histogram
   // and in one search-stage and the prune-stage histogram.
-  ServiceMetrics metrics;
+  TenantMetrics metrics("t");
   core::ExecutionTrace fast;
   core::ExecutionTrace slow;
   constexpr size_t kLocate = static_cast<size_t>(core::SearchStage::kLocate);
@@ -912,19 +920,41 @@ TEST(ServiceMetricsTest, HistogramsResolveMicrosecondsAndHundredsOfMs) {
   }
 }
 
-// `a` and `b` hold the same buckets, count and sum.
+// `a` and `b` hold the same buckets, count and sum. With `exact`, the sums
+// must be bit-identical (both sides added the same values in the same
+// order); otherwise they may differ by rounding.
 void ExpectSameHistogram(const LatencyHistogram& a, const LatencyHistogram& b,
-                         const std::string& label) {
+                         const std::string& label, bool exact) {
   EXPECT_EQ(a.count(), b.count()) << label;
-  EXPECT_NEAR(a.sum_ms(), b.sum_ms(), 1e-9 * (1.0 + b.sum_ms())) << label;
+  if (exact) {
+    EXPECT_EQ(a.sum_ms(), b.sum_ms()) << label;
+  } else {
+    EXPECT_NEAR(a.sum_ms(), b.sum_ms(), 1e-9 * (1.0 + b.sum_ms())) << label;
+  }
   for (const double p : {0.0, 0.5, 0.95, 1.0}) {
     EXPECT_DOUBLE_EQ(a.PercentileMs(p), b.PercentileMs(p))
         << label << " p=" << p;
   }
 }
 
-// Every scalar counter and histogram of `a` equals `b`'s.
-void ExpectSameMetrics(const MetricsSnapshot& a, const MetricsSnapshot& b) {
+void ExpectSameProbes(const text::ProbeStats& a, const text::ProbeStats& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.probes, b.probes) << label;
+  EXPECT_EQ(a.memo_hits, b.memo_hits) << label;
+  EXPECT_EQ(a.memo_misses, b.memo_misses) << label;
+  EXPECT_EQ(a.candidates_examined, b.candidates_examined) << label;
+  EXPECT_EQ(a.scan_fallbacks, b.scan_fallbacks) << label;
+  EXPECT_EQ(a.all_rows_fallbacks, b.all_rows_fallbacks) << label;
+  EXPECT_EQ(a.kernel_array_array, b.kernel_array_array) << label;
+  EXPECT_EQ(a.kernel_array_bitmap, b.kernel_array_bitmap) << label;
+  EXPECT_EQ(a.kernel_bitmap_bitmap, b.kernel_bitmap_bitmap) << label;
+  EXPECT_EQ(a.kernel_scalar_fallback, b.kernel_scalar_fallback) << label;
+}
+
+// Every counter and histogram of `a` equals `b`'s (the queue high-water
+// gauge is not compared).
+void ExpectSameMetrics(const MetricsSnapshot& a, const MetricsSnapshot& b,
+                       bool exact_sums) {
   EXPECT_EQ(a.requests_ok, b.requests_ok);
   EXPECT_EQ(a.requests_overloaded, b.requests_overloaded);
   EXPECT_EQ(a.requests_truncated, b.requests_truncated);
@@ -938,59 +968,40 @@ void ExpectSameMetrics(const MetricsSnapshot& a, const MetricsSnapshot& b) {
   EXPECT_EQ(a.updates_failed, b.updates_failed);
   EXPECT_EQ(a.update_rows_inserted, b.update_rows_inserted);
   EXPECT_EQ(a.update_rows_deleted, b.update_rows_deleted);
-  EXPECT_EQ(a.text_probes.probes, b.text_probes.probes);
-  EXPECT_EQ(a.text_probes.memo_hits, b.text_probes.memo_hits);
-  EXPECT_EQ(a.text_probes.memo_misses, b.text_probes.memo_misses);
-  EXPECT_EQ(a.text_probes.candidates_examined,
-            b.text_probes.candidates_examined);
-  EXPECT_EQ(a.text_probes.scan_fallbacks, b.text_probes.scan_fallbacks);
-  EXPECT_EQ(a.text_probes.all_rows_fallbacks,
-            b.text_probes.all_rows_fallbacks);
-  ExpectSameHistogram(a.latency, b.latency, "requests");
+  EXPECT_EQ(a.update_shards_touched, b.update_shards_touched);
+  EXPECT_EQ(a.sessions_created, b.sessions_created);
+  EXPECT_EQ(a.share_rejections, b.share_rejections);
+  ExpectSameProbes(a.text_probes, b.text_probes, "text probes");
+  ExpectSameHistogram(a.latency, b.latency, "requests", exact_sums);
   for (size_t s = 0; s < a.stage_latency.size(); ++s) {
     ExpectSameHistogram(
         a.stage_latency[s], b.stage_latency[s],
-        core::SearchStageName(static_cast<core::SearchStage>(s)));
+        core::SearchStageName(static_cast<core::SearchStage>(s)), exact_sums);
   }
 }
 
-// `a` with every counter and histogram of `b` added: the whole of two
-// consecutive intervals.
-MetricsSnapshot Combine(MetricsSnapshot a, const MetricsSnapshot& b) {
-  a.requests_ok += b.requests_ok;
-  a.requests_overloaded += b.requests_overloaded;
-  a.requests_truncated += b.requests_truncated;
-  a.requests_degraded += b.requests_degraded;
-  a.requests_failed += b.requests_failed;
-  a.cache_hits += b.cache_hits;
-  a.cache_misses += b.cache_misses;
-  a.search_retries += b.search_retries;
-  a.update_retries += b.update_retries;
-  a.updates_ok += b.updates_ok;
-  a.updates_failed += b.updates_failed;
-  a.update_rows_inserted += b.update_rows_inserted;
-  a.update_rows_deleted += b.update_rows_deleted;
-  a.text_probes.Add(b.text_probes);
-  a.latency.Merge(b.latency);
-  for (size_t s = 0; s < a.stage_latency.size(); ++s) {
-    a.stage_latency[s].Merge(b.stage_latency[s]);
-  }
-  return a;
-}
+constexpr size_t kLocateStage =
+    static_cast<size_t>(core::SearchStage::kLocate);
+constexpr size_t kPruneStage = static_cast<size_t>(core::SearchStage::kPrune);
 
-// A scripted request set with one request per outcome path, run at one and
+// A scripted request set over two tenants with one request per outcome
+// path, plus requests that name no known session or tenant, run at one and
 // eight shards. Every counter must equal the value worked out by hand in
-// the comments, the request histogram must hold one entry per completed
-// request, and two consecutive Delta intervals must add up to the run —
-// all while another thread keeps taking snapshots.
+// the comments; the tenants' records plus the unattributed one must add up
+// to the service-wide snapshot exactly; each record's request histogram
+// must hold one entry per completed request; the text counters must match
+// a replay of the same probes on a fresh copy of each tenant; and two
+// consecutive Delta intervals must add up to the run — all while another
+// thread keeps taking snapshots.
 TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
+  constexpr std::string_view kOther = "other";
   for (const uint32_t shards : {1u, 8u}) {
     SCOPED_TRACE(std::to_string(shards) + " shard(s)");
     catalog::CatalogOptions catalog_options;
     catalog_options.shard_count = shards;
     catalog::Catalog catalog(catalog_options);
-    const catalog::SnapshotPtr published =
-        catalog.Publish(kDefaultTenant, testing::MakeFigure2Db()).ValueOrDie();
+    ASSERT_TRUE(catalog.Publish(kDefaultTenant, testing::MakeFigure2Db()).ok());
+    ASSERT_TRUE(catalog.Publish(kOther, testing::MakeFigure2Db()).ok());
     ServiceOptions options;
     options.num_workers = 1;
     MappingService svc(&catalog, options);
@@ -1015,9 +1026,16 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
       request.value = value;
       return svc.Call(request);
     };
-    // Interval 1. A first row misses the cache and searches: figure 2 has
-    // two text attributes (movie.title, person.name), so 2 probes, both
-    // memo misses.
+    const auto insert = [&](std::string_view tenant, int64_t id) {
+      UpdateRequest request;
+      request.tenant = std::string(tenant);
+      request.batch.inserts.push_back(catalog::RowInsert{
+          "movie", {testing::I(id), testing::S("Inserted Movie")}});
+      return svc.ApplyUpdate(request);
+    };
+    // Interval 1, all on the default tenant. A first row misses the cache
+    // and searches: figure 2 has two text attributes (movie.title,
+    // person.name), so 2 probes, both memo misses.
     const SessionId first = *svc.CreateSession({"Name"});
     EXPECT_EQ(input(first, 0, "Avatar").outcome, RequestOutcome::kOk);
     // The same first row in another session hits the cache: no probes.
@@ -1028,7 +1046,8 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
     EXPECT_EQ(input(first, 1, "Harry Potter").outcome, RequestOutcome::kOk);
     const MetricsSnapshot mid = svc.SnapshotMetrics();
 
-    // Interval 2. Expired on admission: answered truncated, never searched.
+    // Interval 2. Default tenant: expired on admission, answered
+    // truncated, never searched.
     {
       InputRequest request;
       request.session_id = *svc.CreateSession({"Name"});
@@ -1036,9 +1055,9 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
       request.deadline = std::chrono::milliseconds(-1);
       EXPECT_EQ(svc.Call(request).outcome, RequestOutcome::kTruncated);
     }
-    // A transient search failure, retried: two cache misses, one search.
-    // movie.title already holds "Harry Potter" in the memo; person.name
-    // does not: 2 probes, 1 hit, 1 miss.
+    // Default tenant: a transient search failure, retried: two cache
+    // misses, one search. movie.title already holds "Harry Potter" in the
+    // memo; person.name does not: 2 probes, 1 hit, 1 miss.
     {
       FailpointPolicy policy;
       policy.action = FailAction::kError;
@@ -1047,21 +1066,32 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
       EXPECT_EQ(input(*svc.CreateSession({"Name"}), 0, "Harry Potter").outcome,
                 RequestOutcome::kDegraded);
     }
-    // A transient update failure, retried: one row inserted.
+    // Default tenant: a transient update failure, retried: one row
+    // inserted into one shard.
     {
-      UpdateRequest update;
-      update.tenant = std::string(kDefaultTenant);
-      update.batch.inserts.push_back(catalog::RowInsert{
-          "movie", {testing::I(52), testing::S("Retried Movie")}});
       FailpointPolicy policy;
       policy.action = FailAction::kError;
       policy.max_fires = 1;
       ScopedFailpoint armed("catalog.tenant.apply_update", policy);
-      EXPECT_EQ(svc.ApplyUpdate(update).outcome, RequestOutcome::kDegraded);
+      EXPECT_EQ(insert(kDefaultTenant, 52).outcome, RequestOutcome::kDegraded);
     }
-    // An unknown session fails in the worker.
+    // The other tenant: the same first row misses the cache (keys are
+    // tenant-scoped) and its own memo: 2 probes, 2 misses. Then a plain
+    // update deleting one row from one shard.
+    EXPECT_EQ(input(*svc.CreateSession(kOther, {"Name"}), 0, "Avatar").outcome,
+              RequestOutcome::kOk);
+    {
+      UpdateRequest request;
+      request.tenant = std::string(kOther);
+      request.batch.deletes.push_back(catalog::RowDelete{"movie", 0});
+      EXPECT_EQ(svc.ApplyUpdate(request).outcome, RequestOutcome::kOk);
+    }
+    // Unattributed: an unknown session fails in the worker, and an update
+    // to an unpublished tenant fails NotFound.
     EXPECT_EQ(input(/*id=*/999, 0, "Avatar").outcome, RequestOutcome::kFailed);
-    // A forced admission rejection is overloaded and never completes.
+    EXPECT_EQ(insert("nobody", 54).outcome, RequestOutcome::kFailed);
+    // Default tenant: a forced admission rejection is overloaded and never
+    // completes.
     {
       FailpointPolicy policy;
       policy.action = FailAction::kTrigger;
@@ -1076,43 +1106,105 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
     done.store(true, std::memory_order_release);
     reader.join();
 
+    // Service-wide, by hand.
     const MetricsSnapshot run = end.Delta(start);
-    EXPECT_EQ(run.requests_ok, 3u);
+    EXPECT_EQ(run.requests_ok, 5u);
     EXPECT_EQ(run.requests_truncated, 1u);
     EXPECT_EQ(run.requests_degraded, 2u);
-    EXPECT_EQ(run.requests_failed, 1u);
+    EXPECT_EQ(run.requests_failed, 2u);
     EXPECT_EQ(run.requests_overloaded, 1u);
-    EXPECT_EQ(run.CompletedRequests(), 7u);
+    EXPECT_EQ(run.CompletedRequests(), 10u);
     EXPECT_EQ(run.latency.count(), run.CompletedRequests());
     EXPECT_EQ(run.cache_hits, 1u);
-    EXPECT_EQ(run.cache_misses, 3u);
+    EXPECT_EQ(run.cache_misses, 4u);
     EXPECT_EQ(run.search_retries, 1u);
     EXPECT_EQ(run.update_retries, 1u);
-    EXPECT_EQ(run.updates_ok, 1u);
-    EXPECT_EQ(run.updates_failed, 0u);
+    EXPECT_EQ(run.updates_ok, 2u);
+    EXPECT_EQ(run.updates_failed, 1u);
     EXPECT_EQ(run.update_rows_inserted, 1u);
-    EXPECT_EQ(run.update_rows_deleted, 0u);
-    EXPECT_EQ(run.text_probes.probes, 5u);
+    EXPECT_EQ(run.update_rows_deleted, 1u);
+    EXPECT_EQ(run.update_shards_touched, 2u);
+    EXPECT_EQ(run.sessions_created, 5u);
+    EXPECT_EQ(run.share_rejections, 0u);
+    EXPECT_EQ(run.text_probes.probes, 7u);
     EXPECT_EQ(run.text_probes.memo_hits, 1u);
-    EXPECT_EQ(run.text_probes.memo_misses, 4u);
+    EXPECT_EQ(run.text_probes.memo_misses, 6u);
     EXPECT_EQ(run.text_probes.scan_fallbacks, 0u);
     EXPECT_EQ(run.text_probes.all_rows_fallbacks, 0u);
-    // Two uncached searches and one pruning pass were traced.
-    EXPECT_EQ(run.stage_latency[static_cast<size_t>(core::SearchStage::kLocate)]
-                  .count(),
-              2u);
-    EXPECT_EQ(run.stage_latency[static_cast<size_t>(core::SearchStage::kPrune)]
-                  .count(),
-              1u);
-    // Every probe ran on the published engine, whose own lifetime totals
-    // count the same facts.
-    const text::ProbeStats engine = published->engine().probe_totals();
-    EXPECT_EQ(run.text_probes.probes, engine.probes);
-    EXPECT_EQ(run.text_probes.memo_hits, engine.memo_hits);
-    EXPECT_EQ(run.text_probes.candidates_examined,
-              engine.candidates_examined);
+    // Three uncached searches and one pruning pass were traced.
+    EXPECT_EQ(run.stage_latency[kLocateStage].count(), 3u);
+    EXPECT_EQ(run.stage_latency[kPruneStage].count(), 1u);
+    EXPECT_GE(end.queue_high_water, 1u);
 
-    ExpectSameMetrics(Combine(mid.Delta(start), end.Delta(mid)), run);
+    // Per tenant, by hand.
+    const std::map<std::string, MetricsSnapshot> per_tenant =
+        svc.PerTenantMetrics();
+    ASSERT_EQ(per_tenant.size(), 2u);
+    const MetricsSnapshot& hot = per_tenant.at(std::string(kDefaultTenant));
+    EXPECT_EQ(hot.requests_ok, 3u);
+    EXPECT_EQ(hot.requests_truncated, 1u);
+    EXPECT_EQ(hot.requests_degraded, 2u);
+    EXPECT_EQ(hot.requests_failed, 0u);
+    EXPECT_EQ(hot.requests_overloaded, 1u);
+    EXPECT_EQ(hot.cache_hits, 1u);
+    EXPECT_EQ(hot.cache_misses, 3u);
+    EXPECT_EQ(hot.updates_ok, 1u);
+    EXPECT_EQ(hot.update_retries, 1u);
+    EXPECT_EQ(hot.sessions_created, 4u);
+    EXPECT_EQ(hot.text_probes.probes, 5u);
+    EXPECT_EQ(hot.queue_high_water, 1u);
+    const MetricsSnapshot& cold = per_tenant.at(std::string(kOther));
+    EXPECT_EQ(cold.requests_ok, 2u);
+    EXPECT_EQ(cold.CompletedRequests(), 2u);
+    EXPECT_EQ(cold.cache_misses, 1u);
+    EXPECT_EQ(cold.updates_ok, 1u);
+    EXPECT_EQ(cold.update_rows_deleted, 1u);
+    EXPECT_EQ(cold.update_shards_touched, 1u);
+    EXPECT_EQ(cold.sessions_created, 1u);
+    EXPECT_EQ(cold.text_probes.probes, 2u);
+    EXPECT_EQ(cold.text_probes.memo_misses, 2u);
+    const MetricsSnapshot unattributed = svc.UnattributedMetrics();
+    EXPECT_EQ(unattributed.requests_failed, 2u);
+    EXPECT_EQ(unattributed.TotalRequests(), 2u);
+    EXPECT_EQ(unattributed.updates_failed, 1u);
+    EXPECT_EQ(unattributed.sessions_created, 0u);
+    EXPECT_EQ(unattributed.text_probes.probes, 0u);
+
+    // Each record's request histogram holds its completed requests.
+    for (const auto& [name, tenant] : per_tenant) {
+      EXPECT_EQ(tenant.latency.count(), tenant.CompletedRequests()) << name;
+    }
+    EXPECT_EQ(unattributed.latency.count(), unattributed.CompletedRequests());
+
+    // The records add up to the service-wide snapshot exactly, sums
+    // included: fold them in the registry's order (tenants by name, then
+    // the unattributed record).
+    MetricsSnapshot sum;
+    for (const auto& [name, tenant] : per_tenant) sum.Merge(tenant);
+    sum.Merge(unattributed);
+    ExpectSameMetrics(sum, end, /*exact_sums=*/true);
+
+    // Each tenant's text counters match the same probes replayed, with a
+    // counter of our own, on a fresh copy of the tenant.
+    catalog::Catalog replay(catalog_options);
+    const catalog::SnapshotPtr fresh =
+        replay.Publish(kDefaultTenant, testing::MakeFigure2Db()).ValueOrDie();
+    const text::AttributeRef title{fresh->db().FindRelation("movie"), 1};
+    text::ProbeCounters hot_replay;
+    fresh->engine().FindOccurrences("Avatar", &hot_replay);
+    fresh->engine().MatchingRows(title, "Harry Potter", &hot_replay);
+    fresh->engine().FindOccurrences("Harry Potter", &hot_replay);
+    ExpectSameProbes(hot.text_probes, hot_replay.Snapshot(), "default");
+    const catalog::SnapshotPtr fresh_other =
+        replay.Publish(kOther, testing::MakeFigure2Db()).ValueOrDie();
+    text::ProbeCounters cold_replay;
+    fresh_other->engine().FindOccurrences("Avatar", &cold_replay);
+    ExpectSameProbes(cold.text_probes, cold_replay.Snapshot(), "other");
+
+    // Two consecutive intervals add up to the run.
+    MetricsSnapshot intervals = mid.Delta(start);
+    intervals.Merge(end.Delta(mid));
+    ExpectSameMetrics(intervals, run, /*exact_sums=*/false);
   }
 }
 

@@ -447,11 +447,12 @@ TEST(FullTextEngineTest, MatchingRowsCachedAndVerified) {
   storage::Database db = MakeFigure2Db();
   const FullTextEngine engine(&db, MatchPolicy::Substring());
   const AttributeRef title{db.FindRelation("movie"), 1};
-  const RowSet rows1 = engine.MatchingRows(title, "Harry");
-  const RowSet rows2 = engine.MatchingRows(title, "Harry");
+  ProbeCounters counters;
+  const RowSet rows1 = engine.MatchingRows(title, "Harry", &counters);
+  const RowSet rows2 = engine.MatchingRows(title, "Harry", &counters);
   EXPECT_EQ(rows1.get(), rows2.get());  // memoized: same shared row set
   EXPECT_EQ(*rows1, (std::vector<storage::RowId>{1}));
-  const ProbeStats totals = engine.probe_totals();
+  const ProbeStats totals = counters.Snapshot();
   EXPECT_EQ(totals.probes, 2u);
   EXPECT_EQ(totals.memo_hits, 1u);
   EXPECT_EQ(totals.memo_misses, 1u);
@@ -473,9 +474,10 @@ TEST(FullTextEngineTest, PunctuationOnlySampleNeverMemoized) {
   // A punctuation-only sample degrades to the all-rows candidate fallback;
   // its result must never enter the probe memo (satellite guard: degenerate
   // probes must not flush the working set).
-  EXPECT_TRUE(engine.MatchingRows(title, "...")->empty());
-  EXPECT_TRUE(engine.MatchingRows(title, "...")->empty());
-  const ProbeStats totals = engine.probe_totals();
+  ProbeCounters counters;
+  EXPECT_TRUE(engine.MatchingRows(title, "...", &counters)->empty());
+  EXPECT_TRUE(engine.MatchingRows(title, "...", &counters)->empty());
+  const ProbeStats totals = counters.Snapshot();
   EXPECT_EQ(totals.probes, 2u);
   EXPECT_EQ(totals.memo_hits, 0u);  // second probe recomputed, not cached
   EXPECT_EQ(totals.memo_misses, 2u);
@@ -503,11 +505,12 @@ TEST(FullTextEngineTest, DisabledCacheStillCorrect) {
   options.probe_cache_bytes = 0;
   const FullTextEngine engine(&db, MatchPolicy::Substring(), options);
   const AttributeRef title{db.FindRelation("movie"), 1};
-  EXPECT_EQ(*engine.MatchingRows(title, "Harry"),
+  ProbeCounters counters;
+  EXPECT_EQ(*engine.MatchingRows(title, "Harry", &counters),
             (std::vector<storage::RowId>{1}));
-  EXPECT_EQ(*engine.MatchingRows(title, "Harry"),
+  EXPECT_EQ(*engine.MatchingRows(title, "Harry", &counters),
             (std::vector<storage::RowId>{1}));
-  EXPECT_EQ(engine.probe_totals().memo_hits, 0u);
+  EXPECT_EQ(counters.Snapshot().memo_hits, 0u);
 }
 
 TEST(FullTextEngineTest, ReportsIndexBytes) {

@@ -22,7 +22,7 @@
 #include "text/fulltext_engine.h"
 #include "workload/baseline.h"
 #include "workload/event_recorder.h"
-#include "workload/json_util.h"
+#include "common/json_util.h"
 #include "workload/runner.h"
 #include "workload/scenario_parser.h"
 
