@@ -169,9 +169,10 @@ Result<PairwiseTupleMap> CreatePairwiseTuplePaths(
         ctx.RequestStop();
       }
       if (ctx.ShouldStop()) continue;
+      const text::Occurrence* occ_i = FindOccurrence(mapping, col_i);
+      const text::Occurrence* occ_j = FindOccurrence(mapping, col_j);
       const query::LocatedRows located[] = {
-          {i, FindOccurrence(mapping, col_i)->rows},
-          {j, FindOccurrence(mapping, col_j)->rows}};
+          {i, occ_i->attr, occ_i->rows}, {j, occ_j->attr, occ_j->rows}};
       MW_ASSIGN_OR_RETURN(
           std::vector<TuplePath> supports,
           executor.Execute(mapping, samples, exec_options, &ctx, located));

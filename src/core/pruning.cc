@@ -34,6 +34,8 @@ size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
   // keep their zero: a stop may only leave extra candidates, never remove
   // valid ones. A pre-expired deadline therefore costs zero probes.
   std::vector<unsigned char> drop(candidates->size(), 0);
+  // Each attribute's rows, probed when a candidate first needs them.
+  std::vector<query::LocatedRows> probed;
   for (size_t i = 0; i < candidates->size(); ++i) {
     const CandidateMapping& cand = (*candidates)[i];
     const Projection* p = cand.mapping.FindProjection(target_column);
@@ -44,12 +46,17 @@ size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
     if (ctx != nullptr && ctx->ShouldStop()) continue;
     const text::AttributeRef attr{cand.mapping.vertex(p->vertex).relation,
                                   p->attribute};
-    if (engine
-            .MatchingRows(attr, sample,
-                          ctx != nullptr ? &ctx->probe_counters() : nullptr)
-            ->empty()) {
-      drop[i] = 1;
+    const query::LocatedRows* rows =
+        query::FindLocated(probed, target_column, attr);
+    if (rows == nullptr) {
+      probed.push_back(query::LocatedRows{
+          target_column, attr,
+          engine.MatchingRows(
+              attr, sample,
+              ctx != nullptr ? &ctx->probe_counters() : nullptr)});
+      rows = &probed.back();
     }
+    if (rows->rows->empty()) drop[i] = 1;
   }
   return CompactDropped(candidates, drop);
 }
@@ -59,11 +66,14 @@ Status PruneByStructure(const query::PathExecutor& executor,
                         std::vector<CandidateMapping>* candidates,
                         size_t* num_pruned, ExecutionContext* ctx) {
   std::vector<unsigned char> drop(candidates->size(), 0);
+  // Rows of every (column, attribute) a support query has probed so far:
+  // later queries take them instead of probing again.
+  std::vector<query::LocatedRows> probed;
   for (size_t i = 0; i < candidates->size(); ++i) {
     if (ctx != nullptr && ctx->ShouldStop()) continue;  // unexamined: keep
-    MW_ASSIGN_OR_RETURN(
-        const bool supported,
-        executor.HasSupport((*candidates)[i].mapping, row_samples, ctx));
+    MW_ASSIGN_OR_RETURN(const bool supported,
+                        executor.HasSupport((*candidates)[i].mapping,
+                                            row_samples, ctx, &probed));
     // A query cut off mid-enumeration reports false for support it did
     // not get to find — that is "unexamined", not "disproven", so the
     // candidate stays.

@@ -23,7 +23,9 @@ namespace mweaver::core {
 
 /// \brief Pruning-by-attribute. Removes from `candidates` every mapping
 /// whose column-`target_column` projection is not among the attributes
-/// containing `sample`. Returns the number removed. When `ctx` is given,
+/// containing `sample`. Returns the number removed. Each distinct attribute
+/// is probed once, when the first candidate projecting from it is
+/// examined. When `ctx` is given,
 /// the deadline/cancel token is polled before each candidate's probe and
 /// the probes record into its counters; candidates not examined before a
 /// stop are kept (pruning must never drop a mapping it did not disprove),
@@ -37,7 +39,9 @@ size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
 /// one spreadsheet row (column -> sample); requires >= 2 entries to convey
 /// join information, but safely degrades to attribute-style filtering for
 /// fewer. Removes candidates with no supporting tuple path. Returns the
-/// number removed via `*num_pruned`. When `ctx` is given, the deadline is
+/// number removed via `*num_pruned`. Support queries share their probed
+/// rows: each distinct (column, attribute) is probed once per pass, at the
+/// point the first query that needs it would have probed it. When `ctx` is given, the deadline is
 /// polled per candidate and inside each support query; candidates not
 /// examined — or whose query was cut off before support could be found —
 /// are kept (pruning must never drop a mapping it did not disprove). On a

@@ -40,14 +40,22 @@ namespace mweaver::query {
 using SampleMap = std::map<int, std::string>;
 
 /// \brief The verified rows of one keyword-constrained projection, already
-/// known to the caller: pairwise execution passes the location map's
-/// occurrence rows (Algorithm 1 probed them). `rows` must be what
-/// FullTextEngine::MatchingRows returns for the projection's attribute and
-/// the column's sample; the plan then uses them as-is instead of probing.
+/// known to the caller: what FullTextEngine::MatchingRows returns for `attr`
+/// and the sample of `target_column`. A plan takes the rows of a projection
+/// whose (column, attribute) an entry names instead of probing. Pairwise
+/// execution passes the location map's occurrence rows (Algorithm 1 probed
+/// them); a pruning pass collects the rows its support queries probed, so
+/// the pass probes each (column, attribute) once.
 struct LocatedRows {
   int target_column = -1;
+  text::AttributeRef attr;
   text::RowSet rows;
 };
+
+/// \brief The entry of `located` for (`target_column`, `attr`), or null.
+const LocatedRows* FindLocated(std::span<const LocatedRows> located,
+                               int target_column,
+                               const text::AttributeRef& attr);
 
 struct ExecOptions {
   /// Stop after this many tuple paths (0 = unlimited).
@@ -69,18 +77,27 @@ class PathExecutor {
   /// (e.g. a projection for a column with no vertex). When `ctx` is given,
   /// the enumeration polls its deadline/cancel token and returns the
   /// results found so far on a stop. A constrained projection whose column
-  /// appears in `located` takes those rows; the rest are probed through the
-  /// engine. The result is the same either way.
+  /// and attribute appear in `located` takes those rows; the rest are
+  /// probed through the engine. The result is the same either way.
+  ///
+  /// Plans live in the calling thread's reused buffers, so a warm call
+  /// allocates only its results.
   Result<std::vector<core::TuplePath>> Execute(
       const core::MappingPath& mapping, const SampleMap& samples,
       const ExecOptions& options = {}, core::ExecutionContext* ctx = nullptr,
       std::span<const LocatedRows> located = {}) const;
 
-  /// \brief True iff at least one supporting tuple path exists. A stopped
-  /// `ctx` reports false for support not yet found.
+  /// \brief True iff at least one supporting tuple path exists. Runs
+  /// Execute's plan and enumeration (same start vertex, distinctness checks
+  /// and stop polls) but stops at the first complete assignment without
+  /// building a tuple path. A stopped `ctx` reports false for support not
+  /// yet found. `pass_rows` (may be null) holds rows resolved earlier for
+  /// the same `samples`: a projection found there is not probed, and each
+  /// probe the call issues is appended to it.
   Result<bool> HasSupport(const core::MappingPath& mapping,
                           const SampleMap& samples,
-                          core::ExecutionContext* ctx = nullptr) const;
+                          core::ExecutionContext* ctx = nullptr,
+                          std::vector<LocatedRows>* pass_rows = nullptr) const;
 
   /// \brief Human-readable EXPLAIN of the evaluation plan: start-vertex
   /// choice (most selective constraint), index-join order, candidate-set

@@ -12,8 +12,8 @@ const RowSet& EmptyRowSet() {
   return empty;
 }
 
-size_t ProbeCache::KeyHash::operator()(const Key& k) const {
-  size_t seed = std::hash<std::string>{}(k.sample);
+size_t ProbeCache::KeyHash::operator()(const KeyView& k) const {
+  size_t seed = std::hash<std::string_view>{}(k.sample);
   HashCombine(&seed, k.relation);
   HashCombine(&seed, k.attribute);
   HashCombine(&seed, k.policy_fp);
@@ -31,7 +31,7 @@ size_t ProbeCache::EntryBytes(const Key& key, const RowSet& rows) {
 RowSet ProbeCache::Lookup(storage::RelationId relation,
                           storage::AttributeId attribute, uint64_t policy_fp,
                           uint64_t version, std::string_view sample) {
-  const Key key{relation, attribute, policy_fp, version, std::string(sample)};
+  const KeyView key{relation, attribute, policy_fp, version, sample};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
@@ -81,8 +81,7 @@ void ProbeCache::Insert(storage::RelationId relation,
   }
 }
 
-void ProbeCache::EvictLocked(
-    std::unordered_map<Key, Entry, KeyHash>::iterator it) {
+void ProbeCache::EvictLocked(EntryMap::iterator it) {
   bytes_used_ -= it->second.bytes;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);

@@ -72,6 +72,18 @@ class ProbeCache {
   size_t budget_bytes() const { return budget_bytes_; }
 
  private:
+  // A lookup key that borrows its sample: hashing and equality are defined
+  // over this view only, so Lookup finds an entry without building the
+  // owning Key's std::string (a hit allocates nothing).
+  struct KeyView {
+    storage::RelationId relation;
+    storage::AttributeId attribute;
+    uint64_t policy_fp;
+    uint64_t version;
+    std::string_view sample;
+
+    bool operator==(const KeyView& other) const = default;
+  };
   struct Key {
     storage::RelationId relation;
     storage::AttributeId attribute;
@@ -79,24 +91,34 @@ class ProbeCache {
     uint64_t version;
     std::string sample;
 
-    bool operator==(const Key& other) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
+    operator KeyView() const {  // NOLINT(google-explicit-constructor)
+      return KeyView{relation, attribute, policy_fp, version, sample};
+    }
   };
   struct Entry {
     RowSet rows;
     size_t bytes = 0;
     std::list<const Key*>::iterator lru_it;
   };
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(const KeyView& k) const;
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const KeyView& a, const KeyView& b) const {
+      return a == b;
+    }
+  };
+  using EntryMap = std::unordered_map<Key, Entry, KeyHash, KeyEq>;
 
   static size_t EntryBytes(const Key& key, const RowSet& rows);
   // Drops `it`'s entry; caller holds mu_.
-  void EvictLocked(std::unordered_map<Key, Entry, KeyHash>::iterator it);
+  void EvictLocked(EntryMap::iterator it);
 
   const size_t budget_bytes_;
   mutable std::mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
+  EntryMap entries_;
   // Most-recent first; points at the map's stable key storage.
   std::list<const Key*> lru_;
   size_t bytes_used_ = 0;

@@ -1,0 +1,242 @@
+// Heap-allocation counts on the interactive pruning path. This binary
+// replaces the global allocation functions with counting ones (so it is
+// its own test executable); the count is per thread, so only the calling
+// thread's allocations inside a measured region are seen.
+//
+//   1. A probe-memo hit builds no key string: a 40-byte sample, which no
+//      small-string buffer holds, costs zero allocations through both
+//      ProbeCache::Lookup and FullTextEngine::MatchingRows.
+//   2. A warm PruneByStructure pass reuses the executor's plan buffers and
+//      builds no tuple path: its allocations stay under a fixed ceiling.
+//   3. A pass probes each distinct (column, attribute) it needs once.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <iterator>
+#include <memory>
+#include <new>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/execution_context.h"
+#include "core/pruning.h"
+#include "core/sample_search.h"
+#include "datagen/movie_gen.h"
+#include "datagen/workload.h"
+#include "graph/schema_graph.h"
+#include "query/executor.h"
+#include "test_util.h"
+#include "text/fulltext_engine.h"
+#include "text/probe_cache.h"
+#include "workload/replay.h"
+
+namespace {
+thread_local uint64_t t_allocations = 0;
+}  // namespace
+
+// GCC cannot see that these news and deletes pair through malloc/free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  ++t_allocations;
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
+namespace mweaver {
+namespace {
+
+// Allocations the calling thread makes while running `fn`.
+template <typename Fn>
+uint64_t AllocationsDuring(Fn&& fn) {
+  const uint64_t before = t_allocations;
+  fn();
+  return t_allocations - before;
+}
+
+constexpr char kLongTitle[] = "Harry Potter and the Order of the Phoenix";
+// The title's first 40 bytes: past any small-string buffer.
+const std::string kSample40 = std::string(kLongTitle).substr(0, 40);
+
+TEST(AllocTest, MemoHitOnFortyByteSampleAllocatesNothing) {
+  ASSERT_EQ(kSample40.size(), 40u);
+  text::ProbeCache cache(1 << 20);
+  cache.Insert(0, 1, 7, 0, kSample40,
+               std::make_shared<const std::vector<storage::RowId>>(
+                   std::vector<storage::RowId>{3, 5}));
+  text::RowSet hit;
+  EXPECT_EQ(AllocationsDuring([&] { hit = cache.Lookup(0, 1, 7, 0, kSample40); }),
+            0u);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, (std::vector<storage::RowId>{3, 5}));
+
+  storage::Database db = testing::MakeFigure2Db();
+  testing::AddRow(&db, "movie", {testing::I(3), testing::S(kLongTitle)});
+  const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+  const text::AttributeRef title{db.FindRelation("movie"), 1};
+  text::ProbeCounters counters;
+  const text::RowSet miss = engine.MatchingRows(title, kSample40, &counters);
+  ASSERT_EQ(miss->size(), 1u);
+  text::RowSet again;
+  EXPECT_EQ(AllocationsDuring([&] {
+              again = engine.MatchingRows(title, kSample40, &counters);
+            }),
+            0u);
+  EXPECT_EQ(again, miss);  // the memoized handle itself
+  EXPECT_EQ(counters.Snapshot().memo_hits, 1u);
+}
+
+// One movie task's search and the row typed below its first row.
+struct PruneFixture {
+  PruneFixture()
+      : db(datagen::MakeYahooMovies()),
+        engine(&db, text::MatchPolicy::Substring()),
+        graph(&db),
+        executor(&engine) {
+    auto task_sets = datagen::MakeYahooTaskSets(db);
+    MW_CHECK(task_sets.ok());
+    for (const workload::ReplayScript& script :
+         workload::BuildReplayScripts(engine, *task_sets, /*max_rows=*/2)) {
+      if (script.rows.size() < 2) continue;
+      auto search = core::SampleSearch(engine, graph, script.rows[0]);
+      MW_CHECK(search.ok());
+      // The task with the most candidates exercises the pass the most.
+      if (search->candidates.size() > candidates.size()) {
+        candidates = std::move(search->candidates);
+        row_samples.clear();
+        for (size_t c = 0; c < script.rows[1].size(); ++c) {
+          row_samples.emplace(static_cast<int>(c), script.rows[1][c]);
+        }
+      }
+    }
+  }
+
+  const storage::Database db;
+  const text::FullTextEngine engine;
+  const graph::SchemaGraph graph;
+  const query::PathExecutor executor;
+  std::vector<core::CandidateMapping> candidates;
+  query::SampleMap row_samples;
+};
+
+const PruneFixture& Fixture() {
+  static const PruneFixture* fixture = new PruneFixture();
+  return *fixture;
+}
+
+// Where the ceiling comes from: a warm pass over the fixture's 12
+// candidates (9 pruned) made 6 allocations when this test was written —
+// the drop flags and the growth of the pass's probed-rows table. The
+// per-candidate Execute loop before it made 222 on the same pass, about
+// 18 per candidate. The ceiling leaves room for a standard library that
+// grows vectors differently, not for per-candidate allocations.
+constexpr uint64_t kWarmStructurePassCeiling = 16;
+
+TEST(AllocTest, WarmStructurePassStaysUnderCeiling) {
+  const PruneFixture& f = Fixture();
+  ASSERT_GE(f.candidates.size(), 10u);
+  ASSERT_GE(f.row_samples.size(), 3u);
+  // The first pass warms the probe memo and this thread's plan buffers.
+  std::vector<core::CandidateMapping> warm = f.candidates;
+  ASSERT_TRUE(
+      core::PruneByStructure(f.executor, f.row_samples, &warm, nullptr).ok());
+
+  std::vector<core::CandidateMapping> candidates = f.candidates;
+  core::ExecutionContext ctx;
+  size_t pruned = 0;
+  const uint64_t allocations = AllocationsDuring([&] {
+    ASSERT_TRUE(core::PruneByStructure(f.executor, f.row_samples, &candidates,
+                                       &pruned, &ctx)
+                    .ok());
+  });
+  EXPECT_GT(pruned, 0u);  // the pass did real work
+  EXPECT_EQ(candidates.size(), warm.size());
+  EXPECT_LE(allocations, kWarmStructurePassCeiling)
+      << f.candidates.size() << " candidates";
+}
+
+// The distinct (column, attribute) pairs a per-candidate plan needs, in the
+// order BuildPlan probes them: vertex by vertex, projections in order, up
+// to the first constraint (or intersection) that is empty.
+std::set<std::pair<int, text::AttributeRef>> NeededPairs(
+    const text::FullTextEngine& engine,
+    const std::vector<core::CandidateMapping>& candidates,
+    const query::SampleMap& samples) {
+  std::set<std::pair<int, text::AttributeRef>> needed;
+  for (const core::CandidateMapping& cand : candidates) {
+    const core::MappingPath& mapping = cand.mapping;
+    bool empty = false;
+    for (size_t v = 0; v < mapping.num_vertices() && !empty; ++v) {
+      std::vector<storage::RowId> rows;
+      bool constrained = false;
+      for (const core::Projection& p : mapping.projections()) {
+        if (static_cast<size_t>(p.vertex) != v) continue;
+        auto it = samples.find(p.target_column);
+        if (it == samples.end() || it->second.empty()) continue;
+        const text::AttributeRef attr{
+            mapping.vertex(static_cast<core::VertexId>(v)).relation,
+            p.attribute};
+        needed.emplace(p.target_column, attr);
+        const text::RowSet probed = engine.MatchingRows(attr, it->second);
+        if (!constrained) {
+          rows = *probed;
+          constrained = true;
+        } else {
+          std::vector<storage::RowId> both;
+          std::set_intersection(rows.begin(), rows.end(), probed->begin(),
+                                probed->end(), std::back_inserter(both));
+          rows = std::move(both);
+        }
+        if (rows.empty()) {
+          empty = true;
+          break;
+        }
+      }
+    }
+  }
+  return needed;
+}
+
+TEST(AllocTest, PassProbesEachNeededColumnAttributeOnce) {
+  const PruneFixture& f = Fixture();
+  // Pruning by attribute: one probe per distinct projected attribute.
+  size_t most_attrs = 0;
+  for (const auto& [column, sample] : f.row_samples) {
+    std::set<text::AttributeRef> attrs;
+    for (const core::CandidateMapping& cand : f.candidates) {
+      const core::Projection* p = cand.mapping.FindProjection(column);
+      ASSERT_NE(p, nullptr);
+      attrs.insert({cand.mapping.vertex(p->vertex).relation, p->attribute});
+    }
+    std::vector<core::CandidateMapping> candidates = f.candidates;
+    core::ExecutionContext ctx;
+    core::PruneByAttribute(f.engine, column, sample, &candidates, &ctx);
+    EXPECT_EQ(ctx.probe_counters().Snapshot().probes, attrs.size())
+        << "column " << column;
+    most_attrs = std::max(most_attrs, attrs.size());
+  }
+  EXPECT_GT(most_attrs, 1u);
+  {  // Pruning by structure: one probe per distinct needed pair.
+    const auto needed = NeededPairs(f.engine, f.candidates, f.row_samples);
+    std::vector<core::CandidateMapping> candidates = f.candidates;
+    core::ExecutionContext ctx;
+    ASSERT_TRUE(core::PruneByStructure(f.executor, f.row_samples, &candidates,
+                                       nullptr, &ctx)
+                    .ok());
+    EXPECT_GT(needed.size(), f.row_samples.size());
+    EXPECT_EQ(ctx.probe_counters().Snapshot().probes, needed.size());
+  }
+}
+
+}  // namespace
+}  // namespace mweaver

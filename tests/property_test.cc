@@ -9,13 +9,18 @@
 //      and ranked candidates of the clone-then-canonicalise reference in
 //      reference_weave.h, at every truncation point; the pairwise mapping
 //      paths of each column pair are pairwise non-isomorphic.
-//   3. The accelerated text lookup equals the frozen linear-scan reference
+//   3. The pruning passes, which share one probe per (column, attribute)
+//      and answer support queries without building tuple paths, keep
+//      exactly the candidates of the per-candidate reference loop in
+//      reference_prune.h after every keystroke.
+//   4. The accelerated text lookup equals the frozen linear-scan reference
 //      row-for-row even while fault injection randomly forces scan
 //      fallbacks and evicts/drops probe-memo entries mid-stream: cache
 //      chaos may cost recomputation, never rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "common/string_util.h"
 #include "core/location_map.h"
 #include "core/pairwise.h"
+#include "core/pruning.h"
 #include "core/ranking.h"
 #include "core/sample_search.h"
 #include "core/weaver.h"
@@ -33,6 +39,7 @@
 #include "datagen/workload.h"
 #include "graph/schema_graph.h"
 #include "query/executor.h"
+#include "reference_prune.h"
 #include "reference_weave.h"
 #include "test_util.h"
 #include "text/fulltext_engine.h"
@@ -48,6 +55,9 @@ using ::mweaver::testing::IdenticalTuplePaths;
 using ::mweaver::testing::MakeRandomTextRelation;
 using ::mweaver::testing::MakeUniversityDb;
 using ::mweaver::testing::RandomSearchableValue;
+using ::mweaver::testing::ReferencePruneByAttribute;
+using ::mweaver::testing::ReferencePruneByStructure;
+using ::mweaver::testing::ReferenceSupport;
 using ::mweaver::testing::ReferenceCompleteTuplePaths;
 
 // ------------------------- TPW == naive on 50+ random mini-databases ------
@@ -291,6 +301,187 @@ TEST(PairwiseMappingProperty, CanonicalsDistinctWithinEachColumnPair) {
     }
   }
   EXPECT_GT(mappings, 0u);
+}
+
+// ------------- Shared-probe pruning passes == per-candidate reference ------
+
+// What one pruning corpus exercised.
+struct PruneCoverage {
+  size_t keystrokes = 0;
+  size_t structure_passes = 0;
+  size_t pruned = 0;           // candidates either pass removed
+  size_t unsupported = 0;      // HasSupport == false checks
+  size_t probes_saved = 0;     // reference probes - pass probes
+  // Keystrokes whose candidates project some typed column from two or
+  // more attributes: only there can a pass confuse one (column, attribute)
+  // pair's rows with another's.
+  size_t multi_attribute_keystrokes = 0;
+};
+
+// True iff some column of `samples` is projected from two or more
+// attributes across `candidates`.
+bool SomeColumnHasTwoAttributes(
+    const std::vector<core::CandidateMapping>& candidates,
+    const query::SampleMap& samples) {
+  for (const auto& [column, sample] : samples) {
+    std::set<text::AttributeRef> attrs;
+    for (const core::CandidateMapping& cand : candidates) {
+      if (const core::Projection* p = cand.mapping.FindProjection(column)) {
+        attrs.insert({cand.mapping.vertex(p->vertex).relation, p->attribute});
+      }
+    }
+    if (attrs.size() > 1) return true;
+  }
+  return false;
+}
+
+// Types `rows` below the first row into a search's candidates, one cell at
+// a time in a seeded column order, as Session::RunPruning does. After every
+// keystroke the production passes must keep exactly the reference loop's
+// candidates in the same order, never probe more than it, and each
+// surviving candidate's HasSupport must equal a materialised first tuple
+// path. A pass under a pre-expired deadline drops nothing and probes
+// nothing.
+void ExpectPruningMatchesReference(
+    const text::FullTextEngine& engine, const graph::SchemaGraph& graph,
+    const std::vector<std::string>& first_row,
+    const std::vector<std::vector<std::string>>& rows, Rng* rng,
+    PruneCoverage* coverage) {
+  auto search = core::SampleSearch(engine, graph, first_row);
+  ASSERT_TRUE(search.ok()) << search.status().ToString();
+  const query::PathExecutor executor(&engine);
+  std::vector<core::CandidateMapping> actual = search->candidates;
+  std::vector<core::CandidateMapping> expected = search->candidates;
+  for (const std::vector<std::string>& row : rows) {
+    std::vector<int> columns;
+    for (size_t c = 0; c < row.size(); ++c) {
+      columns.push_back(static_cast<int>(c));
+    }
+    rng->Shuffle(&columns);
+    query::SampleMap row_samples;
+    for (const int c : columns) {
+      const std::string& value = row[static_cast<size_t>(c)];
+      if (value.empty()) continue;
+      SCOPED_TRACE(StrFormat("column %d sample '%s'", c, value.c_str()));
+      row_samples[c] = value;
+      ++coverage->keystrokes;
+      if (SomeColumnHasTwoAttributes(actual, row_samples)) {
+        ++coverage->multi_attribute_keystrokes;
+      }
+
+      {  // Pre-expired deadline: nothing dropped, zero probes.
+        std::vector<core::CandidateMapping> stopped = actual;
+        core::ExecutionContext ctx;
+        ctx.set_deadline(core::SearchClock::now() -
+                         std::chrono::milliseconds(1));
+        EXPECT_EQ(core::PruneByAttribute(engine, c, value, &stopped, &ctx),
+                  0u);
+        size_t pruned = 1;
+        ASSERT_TRUE(core::PruneByStructure(executor, row_samples, &stopped,
+                                           &pruned, &ctx)
+                        .ok());
+        EXPECT_EQ(pruned, 0u);
+        EXPECT_EQ(SerializeCandidates(stopped), SerializeCandidates(actual));
+        EXPECT_EQ(ctx.probe_counters().Snapshot().probes, 0u);
+      }
+
+      core::ExecutionContext actual_ctx;
+      core::ExecutionContext expected_ctx;
+      size_t removed = core::PruneByAttribute(engine, c, value, &actual,
+                                              &actual_ctx);
+      EXPECT_EQ(removed, ReferencePruneByAttribute(engine, c, value,
+                                                   &expected, &expected_ctx));
+      if (row_samples.size() >= 2 && !actual.empty()) {
+        ++coverage->structure_passes;
+        for (const core::CandidateMapping& cand : actual) {
+          auto support = executor.HasSupport(cand.mapping, row_samples);
+          auto reference =
+              ReferenceSupport(executor, cand.mapping, row_samples);
+          ASSERT_TRUE(support.ok() && reference.ok());
+          EXPECT_EQ(*support, *reference) << cand.mapping.Canonical();
+          if (!*support) ++coverage->unsupported;
+        }
+        size_t structure_removed = 0;
+        ASSERT_TRUE(core::PruneByStructure(executor, row_samples, &actual,
+                                           &structure_removed, &actual_ctx)
+                        .ok());
+        auto reference_removed = ReferencePruneByStructure(
+            executor, row_samples, &expected, &expected_ctx);
+        ASSERT_TRUE(reference_removed.ok());
+        EXPECT_EQ(structure_removed, *reference_removed);
+        removed += structure_removed;
+      }
+      coverage->pruned += removed;
+      ASSERT_EQ(SerializeCandidates(actual), SerializeCandidates(expected));
+      const uint64_t probes = actual_ctx.probe_counters().Snapshot().probes;
+      const uint64_t reference_probes =
+          expected_ctx.probe_counters().Snapshot().probes;
+      EXPECT_LE(probes, reference_probes);
+      coverage->probes_saved += reference_probes - probes;
+    }
+  }
+}
+
+// The weave corpus's random databases: the search's first row is the
+// corpus's sample tuple; the rows typed below it are two target rows each
+// of the top-ranked candidate and of the last one, so some keystrokes
+// confirm and some disprove.
+TEST(PruneReferenceEquivalenceProperty, RandomDatabases) {
+  // Six times the weave corpus: most random sample tuples leave few
+  // candidates, and few keystrokes meet a column projected from two
+  // attributes.
+  constexpr int kDatabases = 300;
+  PruneCoverage coverage;
+  for (int seed = 0; seed < kDatabases; ++seed) {
+    SCOPED_TRACE("database seed " + std::to_string(seed));
+    const WideCorpusCase corpus(seed);
+    auto search =
+        core::SampleSearch(corpus.engine, corpus.graph, corpus.sample_tuple);
+    ASSERT_TRUE(search.ok()) << search.status().ToString();
+    if (search->candidates.empty()) continue;
+    const query::PathExecutor executor(&corpus.engine);
+    std::vector<std::vector<std::string>> rows;
+    for (const core::CandidateMapping* cand :
+         {&search->candidates.front(), &search->candidates.back()}) {
+      auto target = executor.EvaluateTarget(cand->mapping, 8);
+      ASSERT_TRUE(target.ok()) << target.status().ToString();
+      for (size_t r = 0; r < target->size() && r < 2; ++r) {
+        rows.push_back((*target)[target->size() - 1 - r]);
+      }
+    }
+    Rng rng(60'000 + static_cast<uint64_t>(seed));
+    ExpectPruningMatchesReference(corpus.engine, corpus.graph,
+                                  corpus.sample_tuple, rows, &rng, &coverage);
+  }
+  EXPECT_GT(coverage.structure_passes, 0u);
+  EXPECT_GT(coverage.pruned, 0u);
+  EXPECT_GT(coverage.unsupported, 0u);
+  EXPECT_GT(coverage.probes_saved, 0u);
+  EXPECT_GT(coverage.multi_attribute_keystrokes, 0u);
+}
+
+// The movie tasks' replay scripts (m = 3..6): the first row searched, the
+// next two typed below it, as a benchmark session does.
+TEST(PruneReferenceEquivalenceProperty, MovieTaskReplayScripts) {
+  const storage::Database db = datagen::MakeYahooMovies();
+  const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+  const graph::SchemaGraph graph(&db);
+  auto task_sets = datagen::MakeYahooTaskSets(db);
+  ASSERT_TRUE(task_sets.ok()) << task_sets.status().ToString();
+  PruneCoverage coverage;
+  Rng rng(61'000);
+  for (const workload::ReplayScript& script :
+       workload::BuildReplayScripts(engine, *task_sets, /*max_rows=*/3)) {
+    if (script.rows.size() < 2) continue;
+    SCOPED_TRACE("first row " + Join(script.rows[0], " | "));
+    ExpectPruningMatchesReference(
+        engine, graph, script.rows[0],
+        {script.rows.begin() + 1, script.rows.end()}, &rng, &coverage);
+  }
+  EXPECT_GT(coverage.structure_passes, 0u);
+  EXPECT_GT(coverage.pruned, 0u);
+  EXPECT_GT(coverage.probes_saved, 0u);
+  EXPECT_GT(coverage.multi_attribute_keystrokes, 0u);
 }
 
 // ------------- Accelerated text path == scan reference under cache chaos --

@@ -527,18 +527,18 @@ TEST(ProbeCountersTest, ScriptedProbesCountTheSameAtOneAndEightShards) {
 // re-probing the engine. These tests hold that path to the probing one.
 
 // Rows of the occurrence in `col` that `mapping` projects the column from.
-text::RowSet LocatedRowsOf(const core::MappingPath& mapping,
-                           const core::ColumnLocations& col) {
+query::LocatedRows LocatedRowsOf(const core::MappingPath& mapping,
+                                 const core::ColumnLocations& col) {
   const core::Projection* p = mapping.FindProjection(col.target_column);
   EXPECT_NE(p, nullptr);
-  if (p == nullptr) return text::EmptyRowSet();
+  if (p == nullptr) return {col.target_column, {}, text::EmptyRowSet()};
   const text::AttributeRef attr{mapping.vertex(p->vertex).relation,
                                 p->attribute};
   for (const text::Occurrence& occ : col.occurrences) {
-    if (occ.attr == attr) return occ.rows;
+    if (occ.attr == attr) return {col.target_column, attr, occ.rows};
   }
   ADD_FAILURE() << "no occurrence for column " << col.target_column;
-  return text::EmptyRowSet();
+  return {col.target_column, attr, text::EmptyRowSet()};
 }
 
 struct LocatedCoverage {
@@ -576,9 +576,8 @@ void ExpectLocatedEqualsProbed(const text::FullTextEngine& engine,
         locations.column(static_cast<size_t>(j));
     const query::SampleMap samples{{i, col_i.sample}, {j, col_j.sample}};
     for (const core::MappingPath& mapping : mappings) {
-      const query::LocatedRows located[] = {
-          {i, LocatedRowsOf(mapping, col_i)},
-          {j, LocatedRowsOf(mapping, col_j)}};
+      const query::LocatedRows located[] = {LocatedRowsOf(mapping, col_i),
+                                            LocatedRowsOf(mapping, col_j)};
       core::ExecutionContext located_ctx;
       auto given =
           executor.Execute(mapping, samples, exec, &located_ctx, located);
@@ -689,8 +688,8 @@ TEST(LocatedRowsTest, ZeroJoinChainIntersectsTwoPredicatesOnOneVertex) {
     const query::SampleMap samples{{0, "Avatar"}, {1, "Avatar Returns"}};
     const text::AttributeRef title{film, 1};
     const query::LocatedRows located[] = {
-        {0, snap->engine().MatchingRows(title, "Avatar")},
-        {1, snap->engine().MatchingRows(title, "Avatar Returns")}};
+        {0, title, snap->engine().MatchingRows(title, "Avatar")},
+        {1, title, snap->engine().MatchingRows(title, "Avatar Returns")}};
     auto paths = executor.Execute(chain, samples, {}, nullptr, located);
     ASSERT_TRUE(paths.ok()) << paths.status();
     EXPECT_EQ(paths->size(), 6u);

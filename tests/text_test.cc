@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -427,6 +429,57 @@ TEST(ProbeCacheTest, ZeroBudgetDisablesCaching) {
   cache.Insert(0, 0, 1, 0, "aa", MakeRows({1}));
   EXPECT_EQ(cache.Lookup(0, 0, 1, 0, "aa"), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+// Readers race one inserter over overlapping keys under a budget that
+// holds about a sixth of them, so entries are evicted while being read.
+// Every hit must be exactly the rows inserted under its key (a borrowed
+// string_view lookup must never match a different entry). Labelled tsan.
+TEST(ProbeCacheTest, ConcurrentLookupsDuringEvictingInsertsReturnInsertedRows) {
+  constexpr int kKeys = 64;
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 200;
+  const auto key = [](int k) { return "sample-" + std::to_string(k); };
+  const auto rows = [](int k) {
+    return std::vector<storage::RowId>{k, k + 1, k + 2, k * 7};
+  };
+  ProbeCache cache(1800);
+  const auto insert = [&](int k) {
+    cache.Insert(0, 0, 1, 0, key(k), MakeRows(rows(k)));
+  };
+  for (int k = 0; k < kKeys; ++k) insert(k);  // readers hit from the start
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(900 + static_cast<uint64_t>(r));
+      while (!done.load(std::memory_order_acquire)) {
+        const int k = static_cast<int>(rng.Index(kKeys));
+        const std::string sample = key(k);
+        if (const RowSet hit = cache.Lookup(0, 0, 1, 0, sample)) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (*hit != rows(k)) wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  // Keep inserting until the readers have hit a good many times while the
+  // inserts ran (a scheduler may park the readers through a short burst),
+  // within a cap.
+  for (int round = 0;
+       round < kRounds || (hits.load() < 1000 && round < 100 * kRounds);
+       ++round) {
+    for (int k = 0; k < kKeys; ++k) insert((k * 5 + round) % kKeys);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  const ProbeCache::Stats stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes_used, 1800u);
 }
 
 // -------------------------------------------------------- FullTextEngine --
