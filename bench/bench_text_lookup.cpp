@@ -3,10 +3,12 @@
 //
 // Three sections:
 //  1. index build — engine construction time serial vs parallel across
-//     attributes, and the memory footprint of the candidate indexes;
+//     attributes, and each policy's index memory (an index builds only
+//     the candidate table its policy probes);
 //  2. per-mode lookup latency — the same probe set through the accelerated
-//     CandidateRows and the scan reference ScanCandidateRows, per match
-//     mode, with the speedup ratio and candidate-examined counts;
+//     CandidateRows and the scan reference ScanCandidateRows of one index
+//     set per match mode, with the speedup ratio and candidate-examined
+//     counts;
 //  3. probe memo — cold vs warm pass of one working set through the
 //     FullTextEngine, showing the memo's hit rate and latency effect.
 //
@@ -98,28 +100,41 @@ std::vector<std::string> MakeSamples(
   return samples;
 }
 
-struct AttrIndex {
-  mweaver::text::AttributeRef ref;
-  std::unique_ptr<mweaver::text::InvertedIndex> index;
-};
-
-std::vector<AttrIndex> BuildIndexes(const mweaver::storage::Database& db) {
-  std::vector<AttrIndex> indexes;
+// Every searchable string attribute of `db`: the columns the engine
+// indexes.
+std::vector<mweaver::text::AttributeRef> IndexedAttrs(
+    const mweaver::storage::Database& db) {
+  std::vector<mweaver::text::AttributeRef> refs;
   for (size_t r = 0; r < db.num_relations(); ++r) {
     const auto rel_id = static_cast<mweaver::storage::RelationId>(r);
     const auto& rel = db.relation(rel_id);
     for (size_t a = 0; a < rel.schema().num_attributes(); ++a) {
       const auto& schema = rel.schema().attributes()[a];
-      if (!schema.searchable ||
-          schema.type != mweaver::storage::ValueType::kString) {
-        continue;
+      if (schema.searchable &&
+          schema.type == mweaver::storage::ValueType::kString) {
+        refs.push_back(mweaver::text::AttributeRef{
+            rel_id, static_cast<mweaver::storage::AttributeId>(a)});
       }
-      const auto attr_id = static_cast<mweaver::storage::AttributeId>(a);
-      indexes.push_back(
-          AttrIndex{mweaver::text::AttributeRef{rel_id, attr_id},
-                    std::make_unique<mweaver::text::InvertedIndex>(rel,
-                                                                   attr_id)});
     }
+  }
+  return refs;
+}
+
+struct AttrIndex {
+  mweaver::text::AttributeRef ref;
+  std::unique_ptr<mweaver::text::InvertedIndex> index;
+};
+
+// One index per attribute in `refs`, each built for `policy`.
+std::vector<AttrIndex> BuildIndexes(
+    const mweaver::storage::Database& db,
+    const std::vector<mweaver::text::AttributeRef>& refs,
+    const mweaver::text::MatchPolicy& policy) {
+  std::vector<AttrIndex> indexes;
+  for (const mweaver::text::AttributeRef& ref : refs) {
+    indexes.push_back(AttrIndex{
+        ref, std::make_unique<mweaver::text::InvertedIndex>(
+                 db.relation(ref.relation), ref.attribute, policy)});
   }
   return indexes;
 }
@@ -137,18 +152,17 @@ struct ModeResult {
   uint64_t kernel_scalar_fallback = 0;
 };
 
-// Runs every sample against every given attribute index under `policy`,
-// both paths, and returns per-probe averages.
-ModeResult RunMode(const std::vector<const AttrIndex*>& indexes,
-                   const std::vector<std::string>& samples,
-                   const mweaver::text::MatchPolicy& policy) {
+// Runs every sample against every given attribute index under the policy
+// it was built for, both paths, and returns per-probe averages.
+ModeResult RunMode(const std::vector<AttrIndex>& indexes,
+                   const std::vector<std::string>& samples) {
   ModeResult result;
   mweaver::text::ProbeStats stats;
   Stopwatch watch;
   size_t fast_rows = 0;
   for (const std::string& sample : samples) {
-    for (const AttrIndex* attr : indexes) {
-      fast_rows += attr->index->CandidateRows(sample, policy, &stats).size();
+    for (const AttrIndex& attr : indexes) {
+      fast_rows += attr.index->CandidateRows(sample, &stats).size();
       ++result.probes;
     }
   }
@@ -163,8 +177,8 @@ ModeResult RunMode(const std::vector<const AttrIndex*>& indexes,
   watch.Restart();
   size_t scan_rows = 0;
   for (const std::string& sample : samples) {
-    for (const AttrIndex* attr : indexes) {
-      scan_rows += attr->index->ScanCandidateRows(sample, policy).size();
+    for (const AttrIndex& attr : indexes) {
+      scan_rows += attr.index->ScanCandidateRows(sample).size();
     }
   }
   result.scan_us = watch.ElapsedMicros();
@@ -187,17 +201,20 @@ const mweaver::text::MatchPolicy kPolicies[] = {
 const char* const kPolicyNames[] = {"kExact", "kTokenSubset", "kSubstring",
                                     "kFuzzy(d=1)", "kFuzzy(d=2)"};
 
-// Runs every policy, prints the latency table plus the per-mode kernel
-// dispatch counts (which container-pair kernels the block merges hit), and
-// returns one ModeResult per policy for the JSON report.
+// Runs every policy over one index set built for it, prints the latency
+// table plus the per-mode kernel dispatch counts (which container-pair
+// kernels the block merges hit), and returns one ModeResult per policy for
+// the JSON report.
 std::vector<ModeResult> PrintModeTable(
-    const std::vector<const AttrIndex*>& indexes,
+    const mweaver::storage::Database& db,
+    const std::vector<mweaver::text::AttributeRef>& refs,
     const std::vector<std::string>& samples) {
   std::vector<ModeResult> results;
   PrintRow("mode", {"fast us/probe", "scan us/probe", "speedup", "cands"},
            22, 14);
   for (size_t p = 0; p < std::size(kPolicies); ++p) {
-    const ModeResult r = RunMode(indexes, samples, kPolicies[p]);
+    const ModeResult r =
+        RunMode(BuildIndexes(db, refs, kPolicies[p]), samples);
     const double denom = static_cast<double>(r.probes);
     PrintRow(kPolicyNames[p],
              {Fmt(r.fast_us / denom), Fmt(r.scan_us / denom),
@@ -294,32 +311,39 @@ int main(int argc, char** argv) {
   std::printf("  serial   %8.2f ms\n", serial_ms);
   std::printf("  parallel %8.2f ms  (%.2fx)\n", parallel_ms,
               parallel_ms > 0 ? serial_ms / parallel_ms : 0.0);
-  std::printf("  index memory: %.2f MiB\n\n",
-              static_cast<double>(parallel_engine.index_bytes()) /
-                  (1024.0 * 1024.0));
+  // Each policy's engine builds only the candidate table that policy
+  // probes: none for the verbatim-token modes, the gram table for
+  // substring, the deletion table for fuzzy.
+  std::printf("  index memory per policy:\n");
+  for (size_t p = 0; p < std::size(kPolicies); ++p) {
+    const text::FullTextEngine engine(&db, kPolicies[p]);
+    std::printf("    %-13s %8.2f MiB\n", kPolicyNames[p],
+                static_cast<double>(engine.index_bytes()) /
+                    (1024.0 * 1024.0));
+  }
+  std::printf("\n");
 
   // ---- 2. Per-mode lookup latency, accelerated vs linear scan. -----------
-  const std::vector<AttrIndex> indexes = BuildIndexes(db);
-  std::vector<const AttrIndex*> all_attrs;
-  for (const AttrIndex& attr : indexes) all_attrs.push_back(&attr);
-
+  const std::vector<text::AttributeRef> all_attrs = IndexedAttrs(db);
   const std::vector<std::string> samples = MakeSamples(db, num_lookups, 19);
   std::printf("lookup latency, %zu samples x %zu attributes per mode "
               "(all dictionaries, most tiny; simd=%s):\n",
               samples.size(), all_attrs.size(), SimdLevelName());
   const std::vector<ModeResult> all_results =
-      PrintModeTable(all_attrs, samples);
+      PrintModeTable(db, all_attrs, samples);
 
   // The sublinear claim lives where the dictionary is big: the linear scan
   // is O(|dict|) per query token, so restrict the probe set to the largest
-  // attribute dictionary and draw samples from its own values.
-  const AttrIndex* largest = all_attrs.front();
-  for (const AttrIndex* attr : all_attrs) {
-    if (attr->index->num_tokens() > largest->index->num_tokens()) {
-      largest = attr;
+  // attribute dictionary and draw samples from its own values. Exact-mode
+  // indexes hold the dictionaries and no candidate table.
+  const std::vector<AttrIndex> dictionaries =
+      BuildIndexes(db, all_attrs, text::MatchPolicy::Exact());
+  const AttrIndex* largest = &dictionaries.front();
+  for (const AttrIndex& attr : dictionaries) {
+    if (attr.index->num_tokens() > largest->index->num_tokens()) {
+      largest = &attr;
     }
   }
-  const std::vector<const AttrIndex*> big_attrs = {largest};
   const std::vector<std::string> big_samples =
       MakeSamples(db, num_lookups, 23, &largest->ref);
   std::printf("\nlookup latency, largest dictionary only (%zu tokens, "
@@ -327,7 +351,7 @@ int main(int argc, char** argv) {
               largest->index->num_tokens(),
               largest->index->num_indexed_rows());
   const std::vector<ModeResult> big_results =
-      PrintModeTable(big_attrs, big_samples);
+      PrintModeTable(db, {largest->ref}, big_samples);
 
   if (!out_path.empty() || !baseline_path.empty()) {
     JsonWriter section;
@@ -355,22 +379,17 @@ int main(int argc, char** argv) {
 
   // ---- 3. Probe memo: cold vs warm pass through the engine. --------------
   std::printf("\nprobe memo (FullTextEngine, kSubstring):\n");
-  const std::vector<text::AttributeRef> attrs = [&] {
-    std::vector<text::AttributeRef> refs;
-    for (const AttrIndex& attr : indexes) refs.push_back(attr.ref);
-    return refs;
-  }();
   text::ProbeCounters counters;
   Stopwatch memo_watch;
   for (const std::string& sample : samples) {
-    for (const text::AttributeRef& ref : attrs) {
+    for (const text::AttributeRef& ref : all_attrs) {
       (void)parallel_engine.MatchingRows(ref, sample, &counters);
     }
   }
   const double cold_us = memo_watch.ElapsedMicros();
   memo_watch.Restart();
   for (const std::string& sample : samples) {
-    for (const text::AttributeRef& ref : attrs) {
+    for (const text::AttributeRef& ref : all_attrs) {
       (void)parallel_engine.MatchingRows(ref, sample, &counters);
     }
   }
@@ -378,7 +397,7 @@ int main(int argc, char** argv) {
   const text::ProbeStats totals = counters.Snapshot();
   const auto cache = parallel_engine.probe_cache_stats();
   const double per_probe =
-      static_cast<double>(samples.size() * attrs.size());
+      static_cast<double>(samples.size() * all_attrs.size());
   std::printf("  cold pass %8.2f us/probe, warm pass %8.2f us/probe "
               "(%.1fx)\n",
               cold_us / per_probe, warm_us / per_probe,

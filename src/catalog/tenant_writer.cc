@@ -211,7 +211,6 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
     engine->CompactRelationIndexes(rel);
     ++result.relations_compacted;
   }
-  engine->FinalizeDelta(touched);
 
   // FK endpoints and edge shapes are schema-level, but the graph holds a
   // database back-pointer, so the delta gets its own instance.

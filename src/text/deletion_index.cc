@@ -22,10 +22,6 @@ constexpr size_t kNoSkip = static_cast<size_t>(-1);
 
 }  // namespace
 
-uint64_t DeletionIndex::HashVariant(std::string_view variant) {
-  return HashSkipping(variant, kNoSkip, kNoSkip);
-}
-
 void DeletionIndex::CollectVariantHashes(std::string_view token,
                                          size_t budget,
                                          std::vector<uint64_t>* out) {
@@ -48,71 +44,6 @@ void DeletionIndex::CollectVariantHashes(std::string_view token,
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
-void DeletionIndex::Build(const std::vector<std::string>& tokens) {
-  variant_lists_.clear();
-  table_.clear();
-  long_tokens_.Reset();
-  // Accumulate the variant posting lists; a node map is fine at build time,
-  // the flat probe table below is what lookups touch.
-  std::unordered_map<uint64_t, uint32_t> index_of_hash;
-  std::vector<uint64_t> hashes;
-  for (TokenId id = 0; id < tokens.size(); ++id) {
-    const std::string& t = tokens[id];
-    if (t.size() > kMaxIndexedLength) {
-      long_tokens_.Append(id);
-      continue;
-    }
-    CollectVariantHashes(t, kMaxEdit, &hashes);
-    for (uint64_t h : hashes) {
-      auto [it, inserted] = index_of_hash.emplace(
-          h, static_cast<uint32_t>(variant_lists_.size()));
-      if (inserted) variant_lists_.emplace_back();
-      BlockPostingList& list = variant_lists_[it->second];
-      if (list.empty() || list.back() != id) list.Append(id);
-    }
-  }
-  // Flat table at load factor <= 0.5, power-of-two size for mask probing.
-  size_t table_size = 16;
-  while (table_size < index_of_hash.size() * 2) table_size *= 2;
-  table_.assign(table_size, Slot{});
-  const size_t mask = table_size - 1;
-  for (const auto& [h, idx] : index_of_hash) {
-    size_t i = static_cast<size_t>(h) & mask;
-    while (table_[i].idx != kEmptySlot) i = (i + 1) & mask;
-    table_[i] = Slot{h, idx};
-  }
-  num_keys_ = index_of_hash.size();
-  RecomputeBytes();
-}
-
-void DeletionIndex::Rehash(size_t new_size) {
-  std::vector<Slot> old = std::move(table_);
-  table_.assign(new_size, Slot{});
-  const size_t mask = new_size - 1;
-  for (const Slot& slot : old) {
-    if (slot.idx == kEmptySlot) continue;
-    size_t i = static_cast<size_t>(slot.hash) & mask;
-    while (table_[i].idx != kEmptySlot) i = (i + 1) & mask;
-    table_[i] = slot;
-  }
-}
-
-uint32_t DeletionIndex::InsertHash(uint64_t hash) {
-  if (table_.empty()) table_.assign(16, Slot{});
-  if ((num_keys_ + 1) * 2 > table_.size()) Rehash(table_.size() * 2);
-  const size_t mask = table_.size() - 1;
-  size_t i = static_cast<size_t>(hash) & mask;
-  while (table_[i].idx != kEmptySlot) {
-    if (table_[i].hash == hash) return table_[i].idx;
-    i = (i + 1) & mask;
-  }
-  const auto idx = static_cast<uint32_t>(variant_lists_.size());
-  variant_lists_.emplace_back();
-  table_[i] = Slot{hash, idx};
-  ++num_keys_;
-  return idx;
-}
-
 void DeletionIndex::AddToken(TokenId id, std::string_view token) {
   if (token.size() > kMaxIndexedLength) {
     long_tokens_.Append(id);
@@ -120,17 +51,7 @@ void DeletionIndex::AddToken(TokenId id, std::string_view token) {
   }
   thread_local std::vector<uint64_t> hashes;
   CollectVariantHashes(token, kMaxEdit, &hashes);
-  for (uint64_t h : hashes) {
-    BlockPostingList& list = variant_lists_[InsertHash(h)];
-    if (list.empty() || list.back() != id) list.Append(id);
-  }
-}
-
-void DeletionIndex::RecomputeBytes() {
-  bytes_ = long_tokens_.bytes() + table_.capacity() * sizeof(Slot);
-  for (const BlockPostingList& list : variant_lists_) {
-    bytes_ += sizeof(list) + list.bytes();
-  }
+  for (uint64_t h : hashes) variants_.Add(h, id);
 }
 
 void DeletionIndex::Candidates(std::string_view token, size_t max_edit,
@@ -142,7 +63,9 @@ void DeletionIndex::Candidates(std::string_view token, size_t max_edit,
   thread_local std::vector<const BlockPostingList*> lists;
   lists.clear();
   for (uint64_t h : hashes) {
-    if (const BlockPostingList* list = FindVariant(h)) lists.push_back(list);
+    if (const BlockPostingList* list = variants_.Find(h)) {
+      lists.push_back(list);
+    }
   }
   // Long tokens bypass the variant table; the caller's edit-distance
   // verification rejects them cheaply (length gap short-circuits).

@@ -9,9 +9,9 @@
 // Chosen over a BK-tree (see DESIGN.md): lookups are pure hash probes with
 // edit distance computed only on final candidates, whereas a BK-tree pays
 // an edit-distance evaluation at every visited node and degrades badly at
-// d = 2 on short tokens; the deletion table's extra memory (~O(len^2)
-// variants per token at d = 2) is cheap at our dictionary sizes and its
-// build is embarrassingly parallel across attributes.
+// d = 2 on short tokens. The table's memory (~O(len^2) variants per token
+// at d = 2) is paid only by indexes built for a policy that probes it
+// (Supports), and its build is embarrassingly parallel across attributes.
 //
 // Variants are stored as 64-bit FNV-1a hashes, not strings: a hash
 // collision only widens the candidate set, never loses a match, so the
@@ -20,16 +20,16 @@
 #define MWEAVER_TEXT_DELETION_INDEX_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "text/key_table.h"
+#include "text/match.h"
 #include "text/posting_block.h"
 
 namespace mweaver::text {
 
-/// \brief Deletion-neighborhood index over a fixed token dictionary.
+/// \brief Deletion-neighborhood index over a growing token dictionary.
 class DeletionIndex {
  public:
   using TokenId = uint32_t;
@@ -41,23 +41,24 @@ class DeletionIndex {
   /// neighborhoods are quadratically large) and verified on every probe.
   static constexpr size_t kMaxIndexedLength = 32;
 
-  /// \brief Indexes `tokens`.
-  void Build(const std::vector<std::string>& tokens);
+  /// \brief Whether `policy` probes a deletion index: kFuzzyTokenSubset
+  /// with 1 <= d <= kMaxEdit. At d = 0 a fuzzy probe is a verbatim token
+  /// lookup, and beyond kMaxEdit it is a counted dictionary scan; neither
+  /// reads the table, so an InvertedIndex builds one only when this holds.
+  static bool Supports(const MatchPolicy& policy) {
+    return policy.mode == MatchMode::kFuzzyTokenSubset &&
+           policy.max_edit_distance >= 1 &&
+           policy.max_edit_distance <= kMaxEdit;
+  }
 
-  /// \brief Incrementally indexes one new dictionary token. `id` must
-  /// exceed every id already indexed. New variant hashes are inserted into
-  /// the flat table, which rehashes (doubling) when the insert would push
-  /// the load factor past 0.5. Call RecomputeBytes() after a batch.
+  /// \brief Indexes one dictionary token under every variant with up to
+  /// kMaxEdit deletions, whatever the probing policy's bound (a d = 1
+  /// probe's candidate set stays the one the scan reference is checked
+  /// against). `id` must exceed every id already indexed.
   void AddToken(TokenId id, std::string_view token);
 
-  /// \brief Refreshes the bytes() accounting after incremental AddToken
-  /// calls.
-  void RecomputeBytes();
-
-  bool Supports(size_t max_edit) const { return max_edit <= kMaxEdit; }
-
   /// \brief Token ids possibly within edit distance `max_edit` of `token`
-  /// (requires Supports(max_edit)), sorted and duplicate-free, written to
+  /// (1 <= max_edit <= kMaxEdit), sorted and duplicate-free, written to
   /// `*out` (cleared first). A superset: the caller verifies each candidate
   /// with BoundedEditDistance. `*examined` is incremented by the number of
   /// candidates produced; `kernels`, when given, tallies the block-merge
@@ -67,50 +68,16 @@ class DeletionIndex {
                   KernelStats* kernels = nullptr) const;
 
   /// \brief Approximate heap footprint of the variant table.
-  size_t bytes() const { return bytes_; }
-  size_t num_variants() const { return variant_lists_.size(); }
+  size_t bytes() const { return variants_.bytes() + long_tokens_.bytes(); }
 
  private:
-  // The variant table is a flat open-addressed hash table (linear probing,
-  // load factor <= 0.5) over the 64-bit variant hashes. A fuzzy probe
-  // performs ~|token|^2/2 lookups, most of which miss — each is then one
-  // cache line touch and an average of ~1.5 probe steps, where the
-  // node-based unordered_map paid a bucket indirection plus a chain chase
-  // per lookup. Probe-path profiling showed those finds dominating
-  // DeletionIndex::Candidates' self time.
-  struct Slot {
-    uint64_t hash = 0;
-    uint32_t idx = kEmptySlot;  // into variant_lists_
-  };
-  static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
-
-  static uint64_t HashVariant(std::string_view variant);
   // Collects the hashes of every variant of `token` reachable by deleting
   // up to `budget` characters (the token itself included), deduplicated.
   static void CollectVariantHashes(std::string_view token, size_t budget,
                                    std::vector<uint64_t>* out);
 
-  const BlockPostingList* FindVariant(uint64_t hash) const {
-    if (table_.empty()) return nullptr;
-    const size_t mask = table_.size() - 1;
-    size_t i = static_cast<size_t>(hash) & mask;
-    while (table_[i].idx != kEmptySlot) {
-      if (table_[i].hash == hash) return &variant_lists_[table_[i].idx];
-      i = (i + 1) & mask;
-    }
-    return nullptr;
-  }
-
-  // Find-or-insert for incremental adds; grows the table as needed and
-  // returns the variant's posting-list index.
-  uint32_t InsertHash(uint64_t hash);
-  void Rehash(size_t new_size);
-
-  std::vector<BlockPostingList> variant_lists_;
-  std::vector<Slot> table_;  // power-of-two size
-  size_t num_keys_ = 0;      // occupied slots, for the load-factor check
-  BlockPostingList long_tokens_;  // length > kMaxIndexedLength
-  size_t bytes_ = 0;
+  FlatKeyTable<uint64_t> variants_;  // variant hash -> token ids
+  BlockPostingList long_tokens_;     // length > kMaxIndexedLength
 };
 
 }  // namespace mweaver::text

@@ -12,24 +12,12 @@
 
 namespace mweaver::text {
 
-namespace {
-
-uint64_t PolicyFingerprint(const MatchPolicy& policy) {
-  size_t seed = static_cast<size_t>(policy.mode);
-  HashCombine(&seed, policy.max_edit_distance);
-  HashCombine(&seed, policy.match_numeric);
-  return seed;
-}
-
-}  // namespace
-
 void FullTextEngine::InitMetadata(const storage::Database* db,
                                   MatchPolicy policy,
                                   const EngineOptions& options) {
   MW_CHECK(db != nullptr);
   db_ = db;
   policy_ = policy;
-  policy_fp_ = PolicyFingerprint(policy);
   probe_cache_ = std::make_shared<ProbeCache>(options.probe_cache_bytes);
   rel_versions_.assign(db->num_relations(), 0);
   for (size_t r = 0; r < db->num_relations(); ++r) {
@@ -41,7 +29,6 @@ void FullTextEngine::InitMetadata(const storage::Database* db,
       if (!attr_schema.searchable) continue;
       const AttributeRef ref{rel_id, static_cast<storage::AttributeId>(a)};
       if (attr_schema.type == storage::ValueType::kString) {
-        index_of_attr_[ref] = indexed_attrs_.size();
         indexed_attrs_.push_back(ref);
       } else if (attr_schema.type == storage::ValueType::kInt64 ||
                  attr_schema.type == storage::ValueType::kDouble) {
@@ -77,20 +64,20 @@ void FullTextEngine::BuildShards(uint32_t shard_count,
     }
   }
   // Every (shard, attribute) index build is independent; fan them out on
-  // the shared pool. (Token dictionary, trigram table and deletion table of
-  // each index are all built inside the InvertedIndex constructor.)
+  // the shared pool. (Token dictionary and the policy's candidate table of
+  // each index are both built inside the InvertedIndex constructor.)
   const size_t attrs = indexed_attrs_.size();
   const size_t threads = options.build_threads != 0
                              ? options.build_threads
                              : ThreadPool::Shared().num_threads();
   ParallelFor(to_build.size() * attrs, threads, [&](size_t job) {
-    // Chaos site: latency spikes during the parallel n-gram/deletion index
-    // build (builds cannot fail, so only kDelay is meaningful here).
+    // Chaos site: latency spikes during the parallel index build (builds
+    // cannot fail, so only kDelay is meaningful here).
     (void)MW_FAILPOINT_FIRE("text.index.build");
     const uint32_t s = to_build[job / attrs];
     const AttributeRef& ref = indexed_attrs_[job % attrs];
     shards_[s][job % attrs] = std::make_shared<InvertedIndex>(
-        db_->relation(ref.relation), ref.attribute, s, n);
+        db_->relation(ref.relation), ref.attribute, policy_, s, n);
   });
   if (shards_rebuilt != nullptr) *shards_rebuilt = to_build.size();
 }
@@ -120,9 +107,7 @@ std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
   auto delta = std::unique_ptr<FullTextEngine>(new FullTextEngine());
   delta->db_ = db;
   delta->policy_ = policy_;
-  delta->policy_fp_ = policy_fp_;
   delta->indexed_attrs_ = indexed_attrs_;
-  delta->index_of_attr_ = index_of_attr_;
   delta->numeric_attrs_ = numeric_attrs_;
   delta->slot_of_attr_ = slot_of_attr_;
   delta->rel_versions_ = rel_versions_;
@@ -172,19 +157,6 @@ void FullTextEngine::ApplyRowDelete(storage::RelationId relation,
   for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
     if (indexed_attrs_[i].relation != relation) continue;
     indexes[i]->RemoveRow(row, rel.at(row, indexed_attrs_[i].attribute));
-  }
-}
-
-void FullTextEngine::FinalizeDelta(
-    const std::vector<storage::RelationId>& touched) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!mutable_shards_[s]) continue;
-    for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-      const storage::RelationId rel = indexed_attrs_[i].relation;
-      if (std::find(touched.begin(), touched.end(), rel) != touched.end()) {
-        shards_[s][i]->FinalizeDelta();
-      }
-    }
   }
 }
 
@@ -270,7 +242,7 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
   };
   const uint64_t version = relation_version(attr.relation);
   if (RowSet cached = probe_cache_->Lookup(attr.relation, attr.attribute,
-                                           policy_fp_, version, sample)) {
+                                           version, sample)) {
     stats.memo_hits = 1;
     record();
     return cached;
@@ -280,16 +252,14 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
   // Compute outside any lock (reads immutable indexes and relation data); a
   // racing thread may compute and insert the same entry, which is harmless.
   std::vector<storage::RowId> verified;
-  auto idx_it = index_of_attr_.find(attr);
-  if (idx_it == index_of_attr_.end()) {
-    // Numeric attributes are matched by a (memoized) verification scan.
+  const int slot = AttrSlot(attr);
+  if (slot < 0 || static_cast<size_t>(slot) >= indexed_attrs_.size()) {
+    // A slot past the indexed ones is a numeric attribute, matched by a
+    // (memoized) verification scan; an unsearchable one matches nothing.
     const std::optional<double> numeric =
-        policy_.match_numeric ? ParseNumeric(sample) : std::nullopt;
-    const bool searchable_numeric =
-        numeric.has_value() &&
-        std::find(numeric_attrs_.begin(), numeric_attrs_.end(), attr) !=
-            numeric_attrs_.end();
-    if (!searchable_numeric) {
+        (slot >= 0 && policy_.match_numeric) ? ParseNumeric(sample)
+                                             : std::nullopt;
+    if (!numeric.has_value()) {
       record();
       return EmptyRowSet();
     }
@@ -303,7 +273,7 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
     for (const auto& indexes : shards_) {
       const size_t before = verified.size();
       for (storage::RowId row :
-           indexes[idx_it->second]->CandidateRows(sample, policy_, &stats)) {
+           indexes[static_cast<size_t>(slot)]->CandidateRows(sample, &stats)) {
         if (NoisyContains(CellText(attr, row), sample, policy_)) {
           verified.push_back(row);
         }
@@ -325,8 +295,8 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
   // the (column-sized) verified result would let degenerate probes flush
   // the memo's useful working set.
   if (stats.all_rows_fallbacks == 0) {
-    probe_cache_->Insert(attr.relation, attr.attribute, policy_fp_, version,
-                         sample, result);
+    probe_cache_->Insert(attr.relation, attr.attribute, version, sample,
+                         result);
   }
   return result;
 }

@@ -63,7 +63,9 @@ struct EngineOptions {
 /// \brief Full-text search engine over one database instance.
 ///
 /// Indexes are built eagerly (and in parallel across shards and attributes)
-/// at construction for every `searchable` string attribute. Verified
+/// at construction for every `searchable` string attribute, each for the
+/// engine's policy and so holding only the candidate table that policy
+/// probes (see text/inverted_index.h). Verified
 /// per-(attribute, sample) match sets are memoized in one byte-bounded LRU
 /// ProbeCache per engine, mirroring how a production engine caches hot
 /// keyword queries during an interactive session.
@@ -121,10 +123,6 @@ class FullTextEngine {
   /// indexes. Same ownership restrictions as ApplyRowInsert; the row's
   /// values must still be physically readable (tombstoned, not erased).
   void ApplyRowDelete(storage::RelationId relation, storage::RowId row);
-
-  /// \brief Refreshes byte accounting on the touched relations' indexes of
-  /// the delta-cloned shards after a batch of ApplyRow* calls.
-  void FinalizeDelta(const std::vector<storage::RelationId>& touched);
 
   /// \brief Largest per-index removed-row count among `relation`'s indexes
   /// in the delta-cloned shards (the only ones compaction may rebuild): the
@@ -205,8 +203,7 @@ class FullTextEngine {
   FullTextEngine() = default;
 
   // Fills every metadata member (attribute discovery, slot numbering,
-  // relation versions, policy fingerprint, a fresh probe memo) without
-  // building any index.
+  // relation versions, a fresh probe memo) without building any index.
   void InitMetadata(const storage::Database* db, MatchPolicy policy,
                     const EngineOptions& options);
   // Fills shards_: shard s is `previous`'s when reuse[s], built otherwise.
@@ -225,12 +222,11 @@ class FullTextEngine {
 
   const storage::Database* db_ = nullptr;
   MatchPolicy policy_;
-  uint64_t policy_fp_ = 0;  // fingerprint of policy_, part of the memo key
   std::vector<AttributeRef> indexed_attrs_;
-  std::map<AttributeRef, size_t> index_of_attr_;
   // Searchable int64/double columns (no inverted index; matched by scan).
   std::vector<AttributeRef> numeric_attrs_;
-  // Dense AttrSlot() numbering over indexed + numeric attributes.
+  // Dense AttrSlot() numbering over indexed + numeric attributes: indexed
+  // attribute i has slot i, which is also its index in each shard set.
   std::map<AttributeRef, int> slot_of_attr_;
   // Per-relation update version (see relation_version()).
   std::vector<uint64_t> rel_versions_;
@@ -246,6 +242,8 @@ class FullTextEngine {
   // workers search one shared engine). Shared across one publish
   // lineage — a Publish mints a fresh cache, streaming deltas reuse their
   // base's, with per-relation versions in the key fencing stale entries.
+  // The key carries no policy: every engine of a lineage has the policy
+  // its cache was minted with (CloneForDelta copies it).
   // Punctuation-only fallback results are never inserted — see
   // CandidateRows' all_rows_ contract.
   std::shared_ptr<ProbeCache> probe_cache_;

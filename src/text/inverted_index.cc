@@ -34,40 +34,27 @@ ProbeScratch& LocalScratch() {
 
 InvertedIndex::InvertedIndex(const storage::Relation& relation,
                              storage::AttributeId attribute,
-                             uint32_t shard_index, uint32_t shard_count)
-    : shard_index_(shard_index), shard_count_(shard_count) {
+                             const MatchPolicy& policy, uint32_t shard_index,
+                             uint32_t shard_count)
+    : policy_(policy), shard_index_(shard_index), shard_count_(shard_count) {
   for (size_t r = 0; r < relation.num_rows(); ++r) {
     const storage::RowId row = static_cast<storage::RowId>(r);
     if (relation.is_deleted(row)) continue;
     if (shard_count_ > 1 && ShardOfRow(row, shard_count_) != shard_index_) {
       continue;
     }
-    const storage::Value& v = relation.at(row, attribute);
-    if (v.is_null()) continue;
-    all_rows_.push_back(row);
-    ++num_indexed_rows_;
-    std::vector<std::string> row_tokens = Tokenize(v.ToDisplayString());
-    std::sort(row_tokens.begin(), row_tokens.end());
-    row_tokens.erase(std::unique(row_tokens.begin(), row_tokens.end()),
-                     row_tokens.end());
-    for (std::string& t : row_tokens) {
-      auto [it, inserted] =
-          token_ids_.emplace(std::move(t), static_cast<TokenId>(tokens_.size()));
-      if (inserted) {
-        tokens_.push_back(it->first);
-        postings_.emplace_back();
-      }
-      postings_[it->second].Append(static_cast<uint32_t>(r));
-    }
+    IndexRow(row, relation.at(row, attribute));
   }
-  grams_.Build(tokens_);
-  deletions_.Build(tokens_);
 }
 
 void InvertedIndex::AddRow(storage::RowId row, const storage::Value& v) {
-  if (v.is_null()) return;
   MW_DCHECK(all_rows_.empty() || all_rows_.back() < row)
       << "incremental rows must arrive in increasing id order";
+  IndexRow(row, v);
+}
+
+void InvertedIndex::IndexRow(storage::RowId row, const storage::Value& v) {
+  if (v.is_null()) return;
   all_rows_.push_back(row);
   ++num_indexed_rows_;
   std::vector<std::string> row_tokens = Tokenize(v.ToDisplayString());
@@ -80,8 +67,11 @@ void InvertedIndex::AddRow(storage::RowId row, const storage::Value& v) {
     if (inserted) {
       tokens_.push_back(it->first);
       postings_.emplace_back();
-      grams_.AddToken(it->second, it->first);
-      deletions_.AddToken(it->second, it->first);
+      if (policy_.mode == MatchMode::kSubstring) {
+        grams_.AddToken(it->second, it->first);
+      } else if (DeletionIndex::Supports(policy_)) {
+        deletions_.AddToken(it->second, it->first);
+      }
     }
     postings_[it->second].Append(static_cast<uint32_t>(row));
   }
@@ -106,13 +96,8 @@ void InvertedIndex::RemoveRow(storage::RowId row, const storage::Value& v) {
     postings_[token->second].Remove(static_cast<uint32_t>(row));
     // An emptied posting list stays in the dictionary: every probe treats
     // an empty row set and an absent token identically, and retaining it
-    // keeps the gram/deletion tables append-only. Compact() reclaims.
+    // keeps the candidate table append-only. Compact() reclaims.
   }
-}
-
-void InvertedIndex::FinalizeDelta() {
-  grams_.RecomputeBytes();
-  deletions_.RecomputeBytes();
 }
 
 const BlockPostingList* InvertedIndex::PostingsOf(
@@ -140,11 +125,12 @@ void InvertedIndex::SubstringTokenIds(const std::string& token,
              out->end());
 }
 
-void InvertedIndex::FuzzyTokenIds(const std::string& token, size_t max_edit,
+void InvertedIndex::FuzzyTokenIds(const std::string& token,
                                   std::vector<TokenId>* out,
                                   ProbeStats* stats,
                                   KernelStats* kernels) const {
-  if (deletions_.Supports(max_edit)) {
+  const size_t max_edit = policy_.max_edit_distance;
+  if (DeletionIndex::Supports(policy_)) {
     deletions_.Candidates(
         token, max_edit, out,
         stats != nullptr ? &stats->candidates_examined : nullptr, kernels);
@@ -166,15 +152,14 @@ void InvertedIndex::FuzzyTokenIds(const std::string& token, size_t max_edit,
 }
 
 std::vector<storage::RowId> InvertedIndex::CandidateRows(
-    const std::string& sample, const MatchPolicy& policy,
-    ProbeStats* stats) const {
+    const std::string& sample, ProbeStats* stats) const {
   // Chaos site: the accelerated lookup "faults" and the probe degrades to
   // the frozen linear-scan reference. Graceful by construction — both paths
   // return identical candidate sets (the equivalence the property tests
   // pin down), so callers only see latency, never different rows.
   if (MW_FAILPOINT_TRIGGERED("text.lookup.fast_path")) {
     if (stats != nullptr) ++stats->scan_fallbacks;
-    return ScanCandidateRows(sample, policy);
+    return ScanCandidateRows(sample);
   }
   const std::vector<std::string> sample_tokens = Tokenize(sample);
   if (sample_tokens.empty()) {
@@ -197,14 +182,13 @@ std::vector<storage::RowId> InvertedIndex::CandidateRows(
   for (const std::string& t : sample_tokens) {
     // Resolve this query token to a block posting list.
     const BlockPostingList* token_rows = nullptr;
-    const bool fuzzy = policy.mode == MatchMode::kFuzzyTokenSubset &&
-                       policy.max_edit_distance > 0;
-    if (policy.mode == MatchMode::kSubstring || fuzzy) {
-      if (policy.mode == MatchMode::kSubstring) {
+    const bool fuzzy = policy_.mode == MatchMode::kFuzzyTokenSubset &&
+                       policy_.max_edit_distance > 0;
+    if (policy_.mode == MatchMode::kSubstring || fuzzy) {
+      if (policy_.mode == MatchMode::kSubstring) {
         SubstringTokenIds(t, &scratch.token_ids, stats, &kernels);
       } else {
-        FuzzyTokenIds(t, policy.max_edit_distance, &scratch.token_ids, stats,
-                      &kernels);
+        FuzzyTokenIds(t, &scratch.token_ids, stats, &kernels);
       }
       scratch.lists.clear();
       for (TokenId id : scratch.token_ids) {
@@ -268,7 +252,7 @@ std::vector<storage::RowId> InvertedIndex::CandidateRows(
 }
 
 std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
-    const std::string& sample, const MatchPolicy& policy) const {
+    const std::string& sample) const {
   const std::vector<std::string> sample_tokens = Tokenize(sample);
   if (sample_tokens.empty()) return all_rows_;
   bool first = true;
@@ -279,7 +263,7 @@ std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
     // decode to flat row ids first — this path must not benefit from (or
     // depend on) the block kernels it is the reference for.
     std::vector<const BlockPostingList*> lists;
-    switch (policy.mode) {
+    switch (policy_.mode) {
       case MatchMode::kExact:
       case MatchMode::kEqualsIgnoreCase:
       case MatchMode::kTokenSubset:
@@ -299,8 +283,9 @@ std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
         break;
       case MatchMode::kFuzzyTokenSubset:
         for (TokenId id = 0; id < tokens_.size(); ++id) {
-          if (BoundedEditDistance(tokens_[id], t, policy.max_edit_distance) <=
-              policy.max_edit_distance) {
+          if (BoundedEditDistance(tokens_[id], t,
+                                  policy_.max_edit_distance) <=
+              policy_.max_edit_distance) {
             lists.push_back(&postings_[id]);
           }
         }

@@ -13,92 +13,11 @@ uint32_t NGramIndex::PackGram(std::string_view gram) {
   return key;
 }
 
-void NGramIndex::Build(const std::vector<std::string>& tokens) {
-  gram_lists_.clear();
-  table_.clear();
-  // Accumulate the per-gram posting lists; a node map is fine at build
-  // time, the flat probe table below is what lookups touch.
-  std::unordered_map<uint32_t, uint32_t> index_of_key;
-  for (TokenId id = 0; id < tokens.size(); ++id) {
-    const std::string& t = tokens[id];
-    for (size_t n = 1; n <= 3 && n <= t.size(); ++n) {
-      for (size_t i = 0; i + n <= t.size(); ++i) {
-        auto [it, inserted] = index_of_key.emplace(
-            PackGram(std::string_view(t).substr(i, n)),
-            static_cast<uint32_t>(gram_lists_.size()));
-        if (inserted) gram_lists_.emplace_back();
-        BlockPostingList& list = gram_lists_[it->second];
-        // The same gram recurs within one token ("aaa"); ids arrive in
-        // increasing order, so dedup is a back() check.
-        if (list.empty() || list.back() != id) list.Append(id);
-      }
-    }
-  }
-  // Flat table at load factor <= 0.5, power-of-two size for mask probing.
-  size_t table_size = 16;
-  while (table_size < index_of_key.size() * 2) table_size *= 2;
-  table_.assign(table_size, Slot{});
-  const size_t mask = table_size - 1;
-  for (const auto& [key, idx] : index_of_key) {
-    size_t i = static_cast<size_t>(
-                   (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >>
-                   32) &
-               mask;
-    while (table_[i].idx != kEmptySlot) i = (i + 1) & mask;
-    table_[i] = Slot{key, idx};
-  }
-  num_keys_ = index_of_key.size();
-  RecomputeBytes();
-}
-
-void NGramIndex::Rehash(size_t new_size) {
-  std::vector<Slot> old = std::move(table_);
-  table_.assign(new_size, Slot{});
-  const size_t mask = new_size - 1;
-  for (const Slot& slot : old) {
-    if (slot.idx == kEmptySlot) continue;
-    size_t i = static_cast<size_t>(
-                   (static_cast<uint64_t>(slot.key) * 0x9E3779B97F4A7C15ull) >>
-                   32) &
-               mask;
-    while (table_[i].idx != kEmptySlot) i = (i + 1) & mask;
-    table_[i] = slot;
-  }
-}
-
-uint32_t NGramIndex::InsertKey(uint32_t key) {
-  if (table_.empty()) table_.assign(16, Slot{});
-  // Keep the load factor <= 0.5 the probe loop was designed around.
-  if ((num_keys_ + 1) * 2 > table_.size()) Rehash(table_.size() * 2);
-  const size_t mask = table_.size() - 1;
-  size_t i = static_cast<size_t>(
-                 (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> 32) &
-             mask;
-  while (table_[i].idx != kEmptySlot) {
-    if (table_[i].key == key) return table_[i].idx;
-    i = (i + 1) & mask;
-  }
-  const auto idx = static_cast<uint32_t>(gram_lists_.size());
-  gram_lists_.emplace_back();
-  table_[i] = Slot{key, idx};
-  ++num_keys_;
-  return idx;
-}
-
 void NGramIndex::AddToken(TokenId id, std::string_view token) {
   for (size_t n = 1; n <= 3 && n <= token.size(); ++n) {
     for (size_t i = 0; i + n <= token.size(); ++i) {
-      const uint32_t idx = InsertKey(PackGram(token.substr(i, n)));
-      BlockPostingList& list = gram_lists_[idx];
-      if (list.empty() || list.back() != id) list.Append(id);
+      grams_.Add(PackGram(token.substr(i, n)), id);
     }
-  }
-}
-
-void NGramIndex::RecomputeBytes() {
-  bytes_ = table_.capacity() * sizeof(Slot);
-  for (const BlockPostingList& list : gram_lists_) {
-    bytes_ += sizeof(list) + list.bytes();
   }
 }
 

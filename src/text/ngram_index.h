@@ -16,37 +16,24 @@
 #define MWEAVER_TEXT_NGRAM_INDEX_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "text/key_table.h"
 #include "text/posting_block.h"
 
 namespace mweaver::text {
 
-/// \brief Index of every 1/2/3-gram of a fixed token dictionary. Token ids
-/// are dense indices into the dictionary the caller built it from.
+/// \brief Index of every 1/2/3-gram of a growing token dictionary. Token
+/// ids are dense indices into the dictionary the caller keeps.
 class NGramIndex {
  public:
   using TokenId = uint32_t;
 
-  /// \brief Indexes `tokens` (each lowercase alphanumeric). Posting lists
-  /// end up sorted because token ids are visited in increasing order.
-  void Build(const std::vector<std::string>& tokens);
-
-  /// \brief Incrementally indexes one new dictionary token. `id` must
-  /// exceed every id already indexed (dictionaries only grow — removing a
-  /// token merely leaves its posting lists pointing at an id the caller no
-  /// longer surfaces). New grams are inserted into the flat table, which
-  /// rehashes (doubling) when the insert would push the load factor past
-  /// 0.5. Call RecomputeBytes() after a batch of AddToken calls.
+  /// \brief Indexes one dictionary token. `id` must exceed every id already
+  /// indexed (dictionaries only grow — removing a token merely leaves its
+  /// posting lists pointing at an id the caller no longer surfaces).
   void AddToken(TokenId id, std::string_view token);
-
-  /// \brief Refreshes the bytes() accounting after incremental AddToken
-  /// calls (Build computes it inline; per-token recompute would be
-  /// quadratic in batch size).
-  void RecomputeBytes();
 
   /// \brief Token ids that may contain `token` as a substring, sorted and
   /// duplicate-free, written to `*out` (cleared first). For 1- and
@@ -58,52 +45,18 @@ class NGramIndex {
                   uint64_t* examined, KernelStats* kernels = nullptr) const;
 
   /// \brief Approximate heap footprint of the gram table.
-  size_t bytes() const { return bytes_; }
-  size_t num_grams() const { return gram_lists_.size(); }
+  size_t bytes() const { return grams_.bytes(); }
 
  private:
-  // The gram table is a flat open-addressed hash table (linear probing,
-  // load factor <= 0.5) over the packed gram keys. A substring probe over a
-  // length-L token performs L-2 trigram lookups against a cold table (the
-  // engine round-robins across one index per attribute), and the node-based
-  // unordered_map paid two dependent cache misses per lookup — bucket
-  // pointer, then node — where the flat slot is one.
-  struct Slot {
-    uint32_t key = 0;
-    uint32_t idx = kEmptySlot;  // into gram_lists_
-  };
-  static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
-
   // A gram is at most 3 bytes; packed little-endian with its length tagged
   // in the top byte so "ab" and "ab\0" cannot collide.
   static uint32_t PackGram(std::string_view gram);
 
   const BlockPostingList* Postings(std::string_view gram) const {
-    if (table_.empty()) return nullptr;
-    const uint32_t key = PackGram(gram);
-    const size_t mask = table_.size() - 1;
-    // Fibonacci mix, high bits: the packed keys differ mostly in low
-    // character bits, which a plain mask would collide heavily.
-    size_t i = static_cast<size_t>(
-                   (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >>
-                   32) &
-               mask;
-    while (table_[i].idx != kEmptySlot) {
-      if (table_[i].key == key) return &gram_lists_[table_[i].idx];
-      i = (i + 1) & mask;
-    }
-    return nullptr;
+    return grams_.Find(PackGram(gram));
   }
 
-  // Find-or-insert for incremental adds; grows the table as needed and
-  // returns the gram's posting-list index.
-  uint32_t InsertKey(uint32_t key);
-  void Rehash(size_t new_size);
-
-  std::vector<BlockPostingList> gram_lists_;
-  std::vector<Slot> table_;  // power-of-two size
-  size_t num_keys_ = 0;      // occupied slots, for the load-factor check
-  size_t bytes_ = 0;
+  FlatKeyTable<uint32_t> grams_;
 };
 
 }  // namespace mweaver::text

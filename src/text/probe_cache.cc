@@ -16,7 +16,6 @@ size_t ProbeCache::KeyHash::operator()(const KeyView& k) const {
   size_t seed = std::hash<std::string_view>{}(k.sample);
   HashCombine(&seed, k.relation);
   HashCombine(&seed, k.attribute);
-  HashCombine(&seed, k.policy_fp);
   HashCombine(&seed, k.version);
   return seed;
 }
@@ -29,9 +28,9 @@ size_t ProbeCache::EntryBytes(const Key& key, const RowSet& rows) {
 }
 
 RowSet ProbeCache::Lookup(storage::RelationId relation,
-                          storage::AttributeId attribute, uint64_t policy_fp,
-                          uint64_t version, std::string_view sample) {
-  const KeyView key{relation, attribute, policy_fp, version, sample};
+                          storage::AttributeId attribute, uint64_t version,
+                          std::string_view sample) {
+  const KeyView key{relation, attribute, version, sample};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
@@ -40,14 +39,13 @@ RowSet ProbeCache::Lookup(storage::RelationId relation,
 }
 
 void ProbeCache::Insert(storage::RelationId relation,
-                        storage::AttributeId attribute, uint64_t policy_fp,
-                        uint64_t version, std::string_view sample,
-                        RowSet rows) {
+                        storage::AttributeId attribute, uint64_t version,
+                        std::string_view sample, RowSet rows) {
   MW_CHECK(rows != nullptr);
   // Chaos site: a dropped memo insert. The cache is purely an accelerator,
   // so losing an insert must only cost recomputation, never correctness.
   if (MW_FAILPOINT_TRIGGERED("text.probe_cache.insert")) return;
-  Key key{relation, attribute, policy_fp, version, std::string(sample)};
+  Key key{relation, attribute, version, std::string(sample)};
   const size_t bytes = EntryBytes(key, rows);
   std::lock_guard<std::mutex> lock(mu_);
   // Chaos site: a forced full eviction (cache-pressure overflow) right

@@ -4,10 +4,11 @@
 // iteration, so after the first weave nearly all probes repeat; the memo
 // answers them without touching the indexes.
 //
-// Keyed on (relation, attribute, policy fingerprint, sample); bounded by a
-// byte budget with LRU eviction. Entries hold shared_ptr-backed row sets so
-// handles returned to callers survive eviction. Two guards keep degenerate
-// probes from flushing the useful working set:
+// Keyed on (relation, attribute, relation version, sample) — no match
+// policy: a cache serves one engine lineage, which fixes one policy.
+// Bounded by a byte budget with LRU eviction. Entries hold shared_ptr-backed
+// row sets so handles returned to callers survive eviction. Two guards keep
+// degenerate probes from flushing the useful working set:
 //  * the engine never inserts punctuation-only fallback results (they are
 //    all_rows_-sized and recomputing them is a trivial copy anyway);
 //  * the cache itself rejects any single entry larger than a quarter of
@@ -59,14 +60,13 @@ class ProbeCache {
   /// die by construction, no sweep required, while entries for untouched
   /// relations keep hitting.
   RowSet Lookup(storage::RelationId relation, storage::AttributeId attribute,
-                uint64_t policy_fp, uint64_t version, std::string_view sample);
+                uint64_t version, std::string_view sample);
 
   /// \brief Inserts (replacing any stale entry), then evicts least-recently
   /// used entries until within budget. Oversized entries (> budget/4) are
   /// rejected outright.
   void Insert(storage::RelationId relation, storage::AttributeId attribute,
-              uint64_t policy_fp, uint64_t version, std::string_view sample,
-              RowSet rows);
+              uint64_t version, std::string_view sample, RowSet rows);
 
   Stats stats() const;
   size_t budget_bytes() const { return budget_bytes_; }
@@ -78,7 +78,6 @@ class ProbeCache {
   struct KeyView {
     storage::RelationId relation;
     storage::AttributeId attribute;
-    uint64_t policy_fp;
     uint64_t version;
     std::string_view sample;
 
@@ -87,12 +86,11 @@ class ProbeCache {
   struct Key {
     storage::RelationId relation;
     storage::AttributeId attribute;
-    uint64_t policy_fp;
     uint64_t version;
     std::string sample;
 
     operator KeyView() const {  // NOLINT(google-explicit-constructor)
-      return KeyView{relation, attribute, policy_fp, version, sample};
+      return KeyView{relation, attribute, version, sample};
     }
   };
   struct Entry {

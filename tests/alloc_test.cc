@@ -71,11 +71,11 @@ const std::string kSample40 = std::string(kLongTitle).substr(0, 40);
 TEST(AllocTest, MemoHitOnFortyByteSampleAllocatesNothing) {
   ASSERT_EQ(kSample40.size(), 40u);
   text::ProbeCache cache(1 << 20);
-  cache.Insert(0, 1, 7, 0, kSample40,
+  cache.Insert(0, 1, 0, kSample40,
                std::make_shared<const std::vector<storage::RowId>>(
                    std::vector<storage::RowId>{3, 5}));
   text::RowSet hit;
-  EXPECT_EQ(AllocationsDuring([&] { hit = cache.Lookup(0, 1, 7, 0, kSample40); }),
+  EXPECT_EQ(AllocationsDuring([&] { hit = cache.Lookup(0, 1, 0, kSample40); }),
             0u);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, (std::vector<storage::RowId>{3, 5}));

@@ -505,7 +505,14 @@ TEST(TextEquivalenceProperty, FastPathEqualsScanUnderInjectedEvictions) {
   for (uint64_t seed : {11u, 22u, 33u}) {
     SCOPED_TRACE("relation seed " + std::to_string(seed));
     const storage::Relation rel = MakeRandomTextRelation(seed, 200);
-    const text::InvertedIndex index(rel, 0);
+    // One index per policy the rounds draw: substring and fuzzy d = 0..2.
+    const text::InvertedIndex substring(rel, 0,
+                                        text::MatchPolicy::Substring());
+    const text::InvertedIndex fuzzy[] = {
+        text::InvertedIndex(rel, 0, text::MatchPolicy::Fuzzy(0)),
+        text::InvertedIndex(rel, 0, text::MatchPolicy::Fuzzy(1)),
+        text::InvertedIndex(rel, 0, text::MatchPolicy::Fuzzy(2)),
+    };
     Rng rng(seed * 31 + 1);
 
     ScopedFailpoint fp_fallback("text.lookup.fast_path", fallback);
@@ -524,13 +531,12 @@ TEST(TextEquivalenceProperty, FastPathEqualsScanUnderInjectedEvictions) {
         const size_t len = 1 + rng.Index(text.size() - start);
         sample = text.substr(start, len);
       }
-      const text::MatchPolicy policy =
-          rng.Bernoulli(0.5) ? text::MatchPolicy::Substring()
-                             : text::MatchPolicy::Fuzzy(rng.Index(3));
+      const text::InvertedIndex& index =
+          rng.Bernoulli(0.5) ? substring : fuzzy[rng.Index(3)];
       SCOPED_TRACE("round " + std::to_string(round) + " sample '" + sample +
                    "'");
-      EXPECT_EQ(index.CandidateRows(sample, policy, nullptr),
-                index.ScanCandidateRows(sample, policy));
+      EXPECT_EQ(index.CandidateRows(sample, nullptr),
+                index.ScanCandidateRows(sample));
     }
   }
   EXPECT_TRUE(FailpointRegistry::Global().ArmedSites().empty());

@@ -109,12 +109,34 @@ std::vector<std::vector<std::string>> MakeProbes(const storage::Database& db,
   };
 }
 
-// One seeded replay: `steps` random operations against a live tenant,
-// with a differential check after every step. Returns the number of
-// update batches applied (so callers can assert the replay actually
-// exercised the streaming path).
-size_t RunReplay(uint64_t seed, size_t steps) {
-  Catalog catalog;
+// Overwrites one character of one non-empty string cell of `row` (if it
+// has any) with 'q', so the row brings a token its relation's dictionary
+// has most likely never seen.
+void TypoOneStringCell(storage::Row* row, Rng* rng) {
+  std::vector<size_t> cells;
+  for (size_t c = 0; c < row->size(); ++c) {
+    const storage::Value& v = (*row)[c];
+    if (v.type() == storage::ValueType::kString && !v.AsString().empty()) {
+      cells.push_back(c);
+    }
+  }
+  if (cells.empty()) return;
+  storage::Value& cell = (*row)[cells[rng->Index(cells.size())]];
+  std::string text = cell.AsString();
+  text[rng->Index(text.size())] = 'q';
+  cell = testing::S(text);
+}
+
+// One seeded replay: `steps` random operations against a live tenant
+// whose catalog matches under `policy`, with a differential check after
+// every step. Returns the number of update batches applied (so callers can
+// assert the replay actually exercised the streaming path).
+size_t RunReplay(
+    uint64_t seed, size_t steps,
+    const text::MatchPolicy& policy = text::MatchPolicy::Substring()) {
+  CatalogOptions options;
+  options.match_policy = policy;
+  Catalog catalog(options);
   EXPECT_TRUE(
       catalog.Publish(kTenant, testing::MakeUniversityDb(seed)).ok());
   TenantWriter writer(&catalog);
@@ -131,7 +153,11 @@ size_t RunReplay(uint64_t seed, size_t steps) {
         "seed " + std::to_string(seed) + " step " + std::to_string(step);
 
     if (op < 4) {
-      // Insert batch: 1-3 copies of existing live rows.
+      // Insert batch: 1-3 copies of existing live rows, about half with a
+      // typo'd string cell. A verbatim copy adds no dictionary token; a
+      // typo'd one runs the candidate table's incremental AddToken path.
+      // (The university schema declares no primary key, so copies and
+      // near-copies are both valid rows.)
       UpdateBatch batch;
       const size_t n = 1 + rng.Index(3);
       for (size_t i = 0; i < n; ++i) {
@@ -139,7 +165,9 @@ size_t RunReplay(uint64_t seed, size_t steps) {
         storage::RowId row;
         if (!PickLiveRow(before->db(), &rng, &rel_id, &row)) break;
         const storage::Relation& rel = before->db().relation(rel_id);
-        batch.inserts.push_back(RowInsert{rel.name(), rel.row(row)});
+        storage::Row copy = rel.row(row);
+        if (rng.Bernoulli(0.5)) TypoOneStringCell(&copy, &rng);
+        batch.inserts.push_back(RowInsert{rel.name(), std::move(copy)});
       }
       if (batch.empty()) continue;
       auto applied = writer.Apply(kTenant, batch);
@@ -207,6 +235,18 @@ TEST(StreamingDifferentialTest, FiftySeededReplaysMatchCleanRebuild) {
   // The op mix makes update-free replays astronomically unlikely; a low
   // count here means the driver regressed, not the index.
   EXPECT_GT(total_updates, 150u);
+}
+
+// The same replay under fuzzy matching, whose indexes carry a deletion
+// table instead of a gram table: typo'd inserts grow it incrementally,
+// and every step must still match an engine built from scratch.
+TEST(StreamingDifferentialTest, FuzzyReplaysMatchCleanRebuild) {
+  size_t total_updates = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    total_updates += RunReplay(seed, /*steps=*/10, text::MatchPolicy::Fuzzy(1));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(total_updates, 30u);
 }
 
 // Deletes that empty out whole posting lists, then inserts that refill

@@ -211,14 +211,14 @@ storage::Relation MakeTitleRelation() {
 
 TEST(InvertedIndexTest, CandidatesAreSupersetOfMatches) {
   const storage::Relation rel = MakeTitleRelation();
-  const InvertedIndex index(rel, 0);
   const char* samples[] = {"Ed Wood",  "wood",  "Avatar", "d Woo",
                            "harbor",   "zzz",   "...",    "Ed"};
   for (MatchPolicy p : {MatchPolicy::Exact(), MatchPolicy::Substring(),
                         MatchPolicy::TokenSubset(), MatchPolicy::Fuzzy(1)}) {
+    const InvertedIndex index(rel, 0, p);
     for (const char* sample : samples) {
       const std::vector<storage::RowId> candidates =
-          index.CandidateRows(sample, p);
+          index.CandidateRows(sample);
       for (size_t r = 0; r < rel.num_rows(); ++r) {
         const storage::Value& v = rel.at(static_cast<storage::RowId>(r), 0);
         if (v.is_null()) continue;
@@ -237,16 +237,15 @@ TEST(InvertedIndexTest, SubstringMidTokenSampleIsFound) {
   // "d Woo" is a substring of "Ed Wood" that crosses a token boundary with
   // partial tokens on both sides — the classic hard case for token indexes.
   const storage::Relation rel = MakeTitleRelation();
-  const InvertedIndex index(rel, 0);
-  const auto candidates =
-      index.CandidateRows("d Woo", MatchPolicy::Substring());
+  const InvertedIndex index(rel, 0, MatchPolicy::Substring());
+  const auto candidates = index.CandidateRows("d Woo");
   EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(),
                                  storage::RowId{2}));
 }
 
 TEST(InvertedIndexTest, CountsTokensAndRows) {
   const storage::Relation rel = MakeTitleRelation();
-  const InvertedIndex index(rel, 0);
+  const InvertedIndex index(rel, 0, MatchPolicy::Substring());
   EXPECT_EQ(index.num_indexed_rows(), 5u);  // null row skipped
   EXPECT_GT(index.num_tokens(), 4u);
   EXPECT_GT(index.index_bytes(), 0u);
@@ -257,12 +256,31 @@ storage::Relation MakeRandomRelation(uint64_t seed, size_t num_rows) {
   return MakeRandomTextRelation(seed, num_rows);
 }
 
+// An index builds only the candidate table its policy probes: none for the
+// verbatim-token policies (and for fuzzy at d = 0 or beyond the deletion
+// table's bound), the gram table for substring, the larger deletion table
+// for fuzzy 1 <= d <= kMaxEdit.
+TEST(InvertedIndexTest, IndexBytesFollowPolicy) {
+  const storage::Relation rel = MakeRandomRelation(42, 300);
+  const auto bytes = [&](const MatchPolicy& policy) {
+    return InvertedIndex(rel, 0, policy).index_bytes();
+  };
+  const size_t exact = bytes(MatchPolicy::Exact());
+  EXPECT_LT(exact, bytes(MatchPolicy::Substring()));
+  EXPECT_LT(bytes(MatchPolicy::Substring()), bytes(MatchPolicy::Fuzzy(1)));
+  EXPECT_EQ(bytes(MatchPolicy::Fuzzy(1)), bytes(MatchPolicy::Fuzzy(2)));
+  for (const MatchPolicy& no_table :
+       {MatchPolicy::IgnoreCase(), MatchPolicy::TokenSubset(),
+        MatchPolicy::Fuzzy(0), MatchPolicy::Fuzzy(3)}) {
+    EXPECT_EQ(bytes(no_table), exact);
+  }
+}
+
 // The tentpole contract: for every match mode and edit bound, the
 // accelerated candidate path returns exactly the linear-scan reference's
 // rows, and both are supersets of the true noisy-containment matches.
 TEST(InvertedIndexTest, AcceleratedEqualsScanReferenceAllModes) {
   const storage::Relation rel = MakeRandomRelation(42, 300);
-  const InvertedIndex index(rel, 0);
   const MatchPolicy policies[] = {
       MatchPolicy::Exact(),       MatchPolicy::IgnoreCase(),
       MatchPolicy::Substring(),   MatchPolicy::TokenSubset(),
@@ -276,15 +294,16 @@ TEST(InvertedIndexTest, AcceleratedEqualsScanReferenceAllModes) {
       "crimson-potter", "wod",          "2009",    "weaver mapping sample",
   };
   for (const MatchPolicy& policy : policies) {
+    const InvertedIndex index(rel, 0, policy);
     for (const char* sample : samples) {
       SCOPED_TRACE(StrFormat("mode=%d d=%zu sample='%s'",
                              static_cast<int>(policy.mode),
                              policy.max_edit_distance, sample));
       ProbeStats stats;
       const std::vector<storage::RowId> fast =
-          index.CandidateRows(sample, policy, &stats);
+          index.CandidateRows(sample, &stats);
       const std::vector<storage::RowId> reference =
-          index.ScanCandidateRows(sample, policy);
+          index.ScanCandidateRows(sample);
       EXPECT_EQ(fast, reference);
       // Sorted and duplicate-free.
       EXPECT_TRUE(std::is_sorted(fast.begin(), fast.end()));
@@ -307,7 +326,13 @@ TEST(InvertedIndexTest, AcceleratedEqualsScanReferenceAllModes) {
 TEST(InvertedIndexTest, RandomizedEquivalenceSweep) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     const storage::Relation rel = MakeRandomRelation(seed, 150);
-    const InvertedIndex index(rel, 0);
+    // One index per policy the sweep draws: substring and fuzzy d = 0..2.
+    const InvertedIndex substring(rel, 0, MatchPolicy::Substring());
+    const InvertedIndex fuzzy[] = {
+        InvertedIndex(rel, 0, MatchPolicy::Fuzzy(0)),
+        InvertedIndex(rel, 0, MatchPolicy::Fuzzy(1)),
+        InvertedIndex(rel, 0, MatchPolicy::Fuzzy(2)),
+    };
     Rng rng(seed * 977 + 5);
     for (int round = 0; round < 60; ++round) {
       // Sample a (possibly typo'd) fragment of a real value, so probes hit.
@@ -324,39 +349,38 @@ TEST(InvertedIndexTest, RandomizedEquivalenceSweep) {
       } else {
         sample = rng.Bernoulli(0.5) ? "zzz" : "..";
       }
-      const MatchPolicy policy =
-          rng.Bernoulli(0.5)
-              ? MatchPolicy::Substring()
-              : MatchPolicy::Fuzzy(rng.Index(3));
+      const InvertedIndex& index =
+          rng.Bernoulli(0.5) ? substring : fuzzy[rng.Index(3)];
       SCOPED_TRACE(StrFormat("seed=%llu mode=%d d=%zu sample='%s'",
                              static_cast<unsigned long long>(seed),
-                             static_cast<int>(policy.mode),
-                             policy.max_edit_distance, sample.c_str()));
-      EXPECT_EQ(index.CandidateRows(sample, policy),
-                index.ScanCandidateRows(sample, policy));
+                             static_cast<int>(index.policy().mode),
+                             index.policy().max_edit_distance,
+                             sample.c_str()));
+      EXPECT_EQ(index.CandidateRows(sample), index.ScanCandidateRows(sample));
     }
   }
 }
 
 TEST(InvertedIndexTest, ProbeStatsCounters) {
   const storage::Relation rel = MakeTitleRelation();
-  const InvertedIndex index(rel, 0);
+  const InvertedIndex index(rel, 0, MatchPolicy::Substring());
 
   ProbeStats stats;
-  index.CandidateRows("wood", MatchPolicy::Substring(), &stats);
+  index.CandidateRows("wood", &stats);
   EXPECT_GT(stats.candidates_examined, 0u);
   EXPECT_EQ(stats.scan_fallbacks, 0u);
   EXPECT_EQ(stats.all_rows_fallbacks, 0u);
 
   // Punctuation-only sample: all-rows fallback, flagged for the memo guard.
   stats = {};
-  const auto all = index.CandidateRows("...", MatchPolicy::Substring(), &stats);
+  const auto all = index.CandidateRows("...", &stats);
   EXPECT_EQ(stats.all_rows_fallbacks, 1u);
   EXPECT_EQ(all.size(), index.num_indexed_rows());
 
   // Edit bound beyond the deletion index: counted dictionary-scan fallback.
   stats = {};
-  index.CandidateRows("wod", MatchPolicy::Fuzzy(3), &stats);
+  const InvertedIndex beyond(rel, 0, MatchPolicy::Fuzzy(3));
+  beyond.CandidateRows("wod", &stats);
   EXPECT_EQ(stats.scan_fallbacks, 1u);
 }
 
@@ -368,16 +392,16 @@ RowSet MakeRows(std::vector<storage::RowId> rows) {
 
 TEST(ProbeCacheTest, LookupRoundTripAndMiss) {
   ProbeCache cache(1 << 20);
-  EXPECT_EQ(cache.Lookup(0, 0, 1, 0, "harry"), nullptr);
-  cache.Insert(0, 0, 1, 0, "harry", MakeRows({1, 2}));
-  const RowSet hit = cache.Lookup(0, 0, 1, 0, "harry");
+  EXPECT_EQ(cache.Lookup(0, 0, 0, "harry"), nullptr);
+  cache.Insert(0, 0, 0, "harry", MakeRows({1, 2}));
+  const RowSet hit = cache.Lookup(0, 0, 0, "harry");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, (std::vector<storage::RowId>{1, 2}));
   // Any key component change misses.
-  EXPECT_EQ(cache.Lookup(1, 0, 1, 0, "harry"), nullptr);
-  EXPECT_EQ(cache.Lookup(0, 1, 1, 0, "harry"), nullptr);
-  EXPECT_EQ(cache.Lookup(0, 0, 2, 0, "harry"), nullptr);
-  EXPECT_EQ(cache.Lookup(0, 0, 1, 0, "harr"), nullptr);
+  EXPECT_EQ(cache.Lookup(1, 0, 0, "harry"), nullptr);
+  EXPECT_EQ(cache.Lookup(0, 1, 0, "harry"), nullptr);
+  EXPECT_EQ(cache.Lookup(0, 0, 1, "harry"), nullptr);
+  EXPECT_EQ(cache.Lookup(0, 0, 0, "harr"), nullptr);
 }
 
 TEST(ProbeCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
@@ -385,17 +409,17 @@ TEST(ProbeCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   // the budget fits four of them (712 <= 760) and 178 <= 760/4, so a fifth
   // insert must evict the least recently used.
   ProbeCache cache(760);
-  cache.Insert(0, 0, 1, 0, "aa", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
-  cache.Insert(0, 0, 1, 0, "bb", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
-  cache.Insert(0, 0, 1, 0, "cc", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
-  cache.Insert(0, 0, 1, 0, "dd", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  cache.Insert(0, 0, 0, "aa", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  cache.Insert(0, 0, 0, "bb", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  cache.Insert(0, 0, 0, "cc", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  cache.Insert(0, 0, 0, "dd", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
   ASSERT_EQ(cache.stats().entries, 4u);
   // Touch "aa" so "bb" becomes the LRU victim.
-  EXPECT_NE(cache.Lookup(0, 0, 1, 0, "aa"), nullptr);
-  cache.Insert(0, 0, 1, 0, "ee", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
-  EXPECT_EQ(cache.Lookup(0, 0, 1, 0, "bb"), nullptr);  // evicted
-  EXPECT_NE(cache.Lookup(0, 0, 1, 0, "aa"), nullptr);  // survived (recent)
-  EXPECT_NE(cache.Lookup(0, 0, 1, 0, "ee"), nullptr);
+  EXPECT_NE(cache.Lookup(0, 0, 0, "aa"), nullptr);
+  cache.Insert(0, 0, 0, "ee", MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(cache.Lookup(0, 0, 0, "bb"), nullptr);  // evicted
+  EXPECT_NE(cache.Lookup(0, 0, 0, "aa"), nullptr);  // survived (recent)
+  EXPECT_NE(cache.Lookup(0, 0, 0, "ee"), nullptr);
   const ProbeCache::Stats stats = cache.stats();
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_LE(stats.bytes_used, 760u);
@@ -403,31 +427,31 @@ TEST(ProbeCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
 
 TEST(ProbeCacheTest, HandleSurvivesEviction) {
   ProbeCache cache(760);
-  cache.Insert(0, 0, 1, 0, "aa", MakeRows({7, 8}));
-  const RowSet handle = cache.Lookup(0, 0, 1, 0, "aa");
+  cache.Insert(0, 0, 0, "aa", MakeRows({7, 8}));
+  const RowSet handle = cache.Lookup(0, 0, 0, "aa");
   ASSERT_NE(handle, nullptr);
   for (int i = 0; i < 50; ++i) {  // flush "aa" out of the cache
-    cache.Insert(0, 0, 1, 0, "key" + std::to_string(i),
+    cache.Insert(0, 0, 0, "key" + std::to_string(i),
                  MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
   }
-  EXPECT_EQ(cache.Lookup(0, 0, 1, 0, "aa"), nullptr);
+  EXPECT_EQ(cache.Lookup(0, 0, 0, "aa"), nullptr);
   EXPECT_EQ(*handle, (std::vector<storage::RowId>{7, 8}));  // still valid
 }
 
 TEST(ProbeCacheTest, RejectsOversizedEntries) {
   ProbeCache cache(1024);
   // 512 rows * 8 bytes is far beyond budget/4.
-  cache.Insert(0, 0, 1, 0, "big",
+  cache.Insert(0, 0, 0, "big",
                MakeRows(std::vector<storage::RowId>(512, 1)));
-  EXPECT_EQ(cache.Lookup(0, 0, 1, 0, "big"), nullptr);
+  EXPECT_EQ(cache.Lookup(0, 0, 0, "big"), nullptr);
   EXPECT_EQ(cache.stats().rejected_oversize, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(ProbeCacheTest, ZeroBudgetDisablesCaching) {
   ProbeCache cache(0);
-  cache.Insert(0, 0, 1, 0, "aa", MakeRows({1}));
-  EXPECT_EQ(cache.Lookup(0, 0, 1, 0, "aa"), nullptr);
+  cache.Insert(0, 0, 0, "aa", MakeRows({1}));
+  EXPECT_EQ(cache.Lookup(0, 0, 0, "aa"), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
@@ -445,7 +469,7 @@ TEST(ProbeCacheTest, ConcurrentLookupsDuringEvictingInsertsReturnInsertedRows) {
   };
   ProbeCache cache(1800);
   const auto insert = [&](int k) {
-    cache.Insert(0, 0, 1, 0, key(k), MakeRows(rows(k)));
+    cache.Insert(0, 0, 0, key(k), MakeRows(rows(k)));
   };
   for (int k = 0; k < kKeys; ++k) insert(k);  // readers hit from the start
   std::atomic<bool> done{false};
@@ -458,7 +482,7 @@ TEST(ProbeCacheTest, ConcurrentLookupsDuringEvictingInsertsReturnInsertedRows) {
       while (!done.load(std::memory_order_acquire)) {
         const int k = static_cast<int>(rng.Index(kKeys));
         const std::string sample = key(k);
-        if (const RowSet hit = cache.Lookup(0, 0, 1, 0, sample)) {
+        if (const RowSet hit = cache.Lookup(0, 0, 0, sample)) {
           hits.fetch_add(1, std::memory_order_relaxed);
           if (*hit != rows(k)) wrong.fetch_add(1, std::memory_order_relaxed);
         }
