@@ -18,7 +18,6 @@
 #include "baselines/naive_search.h"
 #include "bench_util.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "core/execution_context.h"
 #include "core/sample_search.h"
 #include "kernel_report.h"
@@ -180,7 +179,6 @@ int main(int argc, char** argv) {
     // "kernels" (informational), not the exact-gated "kernel_*" keys.
     JsonWriter section;
     section.BeginObject();
-    section.KV("simd", SimdLevelName());
     section.KV("searches", static_cast<uint64_t>(tpw_searches));
     section.KV("tpw_avg_ms",
                tpw_searches > 0

@@ -2,9 +2,9 @@
 // deletion-neighborhood indexes) vs the linear dictionary scan it replaced.
 //
 // Three sections:
-//  1. index build — engine construction time serial vs parallel across
-//     attributes, and each policy's index memory (an index builds only
-//     the candidate table its policy probes);
+//  1. index build — engine construction time (the (shard, attribute)
+//     builds fan out on the shared pool), and each policy's index memory
+//     (an index builds only the candidate table its policy probes);
 //  2. per-mode lookup latency — the same probe set through the accelerated
 //     CandidateRows and the scan reference ScanCandidateRows of one index
 //     set per match mode, with the speedup ratio and candidate-examined
@@ -23,7 +23,6 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "kernel_report.h"
 #include "text/inverted_index.h"
@@ -294,23 +293,13 @@ int main(int argc, char** argv) {
               imdb ? "IMDb-like" : "Yahoo-Movies-like", db.num_relations(),
               db.TotalRows());
 
-  // ---- 1. Index build: serial vs parallel engine construction. ----------
-  text::EngineOptions serial_opts;
-  serial_opts.build_threads = 1;
+  // ---- 1. Index build: engine construction. ----------------------------
   Stopwatch build_watch;
-  text::FullTextEngine serial_engine(&db, text::MatchPolicy::Substring(),
-                                     serial_opts);
-  const double serial_ms = build_watch.ElapsedMillis();
+  text::FullTextEngine substring_engine(&db, text::MatchPolicy::Substring());
+  const double build_ms = build_watch.ElapsedMillis();
 
-  build_watch.Restart();
-  text::FullTextEngine parallel_engine(&db, text::MatchPolicy::Substring());
-  const double parallel_ms = build_watch.ElapsedMillis();
-
-  std::printf("index build (%zu attributes):\n",
-              parallel_engine.num_indexed_attributes());
-  std::printf("  serial   %8.2f ms\n", serial_ms);
-  std::printf("  parallel %8.2f ms  (%.2fx)\n", parallel_ms,
-              parallel_ms > 0 ? serial_ms / parallel_ms : 0.0);
+  std::printf("index build (%zu attributes): %.2f ms\n",
+              substring_engine.num_indexed_attributes(), build_ms);
   // Each policy's engine builds only the candidate table that policy
   // probes: none for the verbatim-token modes, the gram table for
   // substring, the deletion table for fuzzy.
@@ -327,8 +316,8 @@ int main(int argc, char** argv) {
   const std::vector<text::AttributeRef> all_attrs = IndexedAttrs(db);
   const std::vector<std::string> samples = MakeSamples(db, num_lookups, 19);
   std::printf("lookup latency, %zu samples x %zu attributes per mode "
-              "(all dictionaries, most tiny; simd=%s):\n",
-              samples.size(), all_attrs.size(), SimdLevelName());
+              "(all dictionaries, most tiny):\n",
+              samples.size(), all_attrs.size());
   const std::vector<ModeResult> all_results =
       PrintModeTable(db, all_attrs, samples);
 
@@ -356,7 +345,6 @@ int main(int argc, char** argv) {
   if (!out_path.empty() || !baseline_path.empty()) {
     JsonWriter section;
     section.BeginObject();
-    section.KV("simd", SimdLevelName());
     section.KV("movies", static_cast<uint64_t>(num_movies));
     section.KV("lookups", static_cast<uint64_t>(num_lookups));
     section.Key("all_attrs");
@@ -383,19 +371,19 @@ int main(int argc, char** argv) {
   Stopwatch memo_watch;
   for (const std::string& sample : samples) {
     for (const text::AttributeRef& ref : all_attrs) {
-      (void)parallel_engine.MatchingRows(ref, sample, &counters);
+      (void)substring_engine.MatchingRows(ref, sample, &counters);
     }
   }
   const double cold_us = memo_watch.ElapsedMicros();
   memo_watch.Restart();
   for (const std::string& sample : samples) {
     for (const text::AttributeRef& ref : all_attrs) {
-      (void)parallel_engine.MatchingRows(ref, sample, &counters);
+      (void)substring_engine.MatchingRows(ref, sample, &counters);
     }
   }
   const double warm_us = memo_watch.ElapsedMicros();
   const text::ProbeStats totals = counters.Snapshot();
-  const auto cache = parallel_engine.probe_cache_stats();
+  const auto cache = substring_engine.probe_cache_stats();
   const double per_probe =
       static_cast<double>(samples.size() * all_attrs.size());
   std::printf("  cold pass %8.2f us/probe, warm pass %8.2f us/probe "

@@ -9,9 +9,7 @@
 //     runners are noisy; the counters below carry the exactness.
 //   * kernel dispatch counters (key starts with "kernel_"): must match the
 //     baseline exactly — the dispatch decisions are deterministic for a
-//     given dataset seed. "kernel_scalar_fallback" is only compared when
-//     the build's SIMD level matches the baseline's "simd" stamp (a scalar
-//     build legitimately routes every merge through the fallback).
+//     given dataset seed, and every build runs the same kernels.
 //   * anything else: informational, not gated.
 #ifndef MWEAVER_BENCH_KERNEL_REPORT_H_
 #define MWEAVER_BENCH_KERNEL_REPORT_H_
@@ -23,7 +21,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/simd.h"
 #include "common/json_util.h"
 
 namespace mweaver::bench {
@@ -107,7 +104,7 @@ namespace internal {
 // diagnostics. Returns the number of violations found.
 inline int CompareKernelTree(const JsonValue& base,
                              const JsonValue& current,
-                             const std::string& prefix, bool simd_matches) {
+                             const std::string& prefix) {
   int violations = 0;
   if (!current.is_object()) return 0;
   for (const auto& [key, cur] : current.object()) {
@@ -115,7 +112,7 @@ inline int CompareKernelTree(const JsonValue& base,
     const JsonValue* ref = base.is_object() ? base.Find(key) : nullptr;
     if (cur.is_object()) {
       if (ref != nullptr) {
-        violations += CompareKernelTree(*ref, cur, name, simd_matches);
+        violations += CompareKernelTree(*ref, cur, name);
       }
       continue;
     }
@@ -135,7 +132,6 @@ inline int CompareKernelTree(const JsonValue& base,
         ++violations;
       }
     } else if (is_counter) {
-      if (key == "kernel_scalar_fallback" && !simd_matches) continue;
       if (got != want) {
         std::fprintf(stderr,
                      "KERNEL GATE: %s = %.0f differs from baseline %.0f "
@@ -184,10 +180,8 @@ inline int GateAgainstBaseline(const std::string& baseline_path,
                  section.data());
     return 0;
   }
-  const bool simd_matches =
-      base_section->StringOr("simd", "") == SimdLevelName();
   const int violations = internal::CompareKernelTree(
-      *base_section, *cur_doc, std::string(section), simd_matches);
+      *base_section, *cur_doc, std::string(section));
   if (violations > 0) {
     std::fprintf(stderr, "%d kernel-gate violation(s) vs %s\n", violations,
                  baseline_path.c_str());

@@ -8,7 +8,6 @@
 //    checks (stages poll in tight loops; a syscall per poll would dominate);
 //  * a bump-pointer Arena for tuple-path node storage (the weave stage's
 //    millions of short-lived small vectors), recycled between searches;
-//  * an optional tuple-path memory budget over that arena;
 //  * per-stage trace spans (wall time, item counters, whether the stage
 //    observed an early stop), surfaced through SearchStats and the
 //    service-layer metrics.
@@ -115,15 +114,6 @@ class ExecutionContext {
   /// thread; must outlive the search). nullptr clears it.
   void set_cancel_token(const std::atomic<bool>* cancel) { cancel_ = cancel; }
 
-  /// \brief Caps arena bytes for tuple-path storage (0 = unlimited).
-  /// Exceeding it truncates the search (like max_total_tuple_paths) but is
-  /// not a deadline event.
-  void set_memory_budget_bytes(size_t bytes) { memory_budget_bytes_ = bytes; }
-  size_t memory_budget_bytes() const { return memory_budget_bytes_; }
-  bool OverMemoryBudget() const {
-    return memory_budget_bytes_ > 0 && arena_.bytes_used() > memory_budget_bytes_;
-  }
-
   // ------------------------------------------------------- stop plumbing --
 
   /// \brief True once the search should stop early (deadline passed or the
@@ -198,7 +188,7 @@ class ExecutionContext {
 
   /// \brief Prepares the context for the next search on the same session:
   /// clears the stop latch, poll counters and trace, and recycles the
-  /// arena. Deadline, cancel token and budget configuration are kept (the
+  /// arena. Deadline and cancel token configuration are kept (the
   /// caller re-arms them per request).
   void ResetForSearch();
 
@@ -208,7 +198,6 @@ class ExecutionContext {
   SearchClock::time_point deadline_ = SearchClock::time_point::max();
   bool has_deadline_ = false;
   const std::atomic<bool>* cancel_ = nullptr;
-  size_t memory_budget_bytes_ = 0;
   NowFn now_fn_ = nullptr;
 
   // Stop plumbing.

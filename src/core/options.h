@@ -2,8 +2,8 @@
 //
 // SearchOptions is a pure, copyable value type: it describes WHAT to search
 // (search-space bounds, ranking weights) and never carries
-// per-request runtime state. Deadlines, cancellation tokens, memory budgets
-// and tracing live in core::ExecutionContext (core/execution_context.h),
+// per-request runtime state. Deadlines, cancellation tokens, the arena and
+// tracing live in core::ExecutionContext (core/execution_context.h),
 // which is threaded through the pipeline alongside the options.
 #ifndef MWEAVER_CORE_OPTIONS_H_
 #define MWEAVER_CORE_OPTIONS_H_

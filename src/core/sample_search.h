@@ -32,9 +32,8 @@ struct SearchStats {
   size_t num_complete_tuple_paths = 0;
   size_t num_valid_mappings = 0;     // "# Valid MP" of Table 4
 
-  /// True when any stage stopped early (per-mapping/total tuple-path caps,
-  /// the memory budget, or the deadline), so the candidate list may be
-  /// incomplete.
+  /// True when any stage stopped early (per-mapping/total tuple-path caps
+  /// or the deadline), so the candidate list may be incomplete.
   bool truncated = false;
   /// True when the early stop was the deadline / cancellation token.
   bool deadline_expired = false;

@@ -57,13 +57,13 @@ class Session {
   void set_search_fn(SearchFn fn) { search_fn_ = std::move(fn); }
 
   /// \brief The session's search options. Immutable after construction:
-  /// per-request state (deadline, cancellation, budget) lives on
+  /// per-request state (deadline, cancellation) lives on
   /// context(), and the service's result cache keys on
   /// options().Fingerprint() under that assumption.
   const SearchOptions& options() const { return options_; }
 
   /// \brief The session's execution context. Callers arm per-request state
-  /// (deadline, cancel token, memory budget) here before Input(); the
+  /// (deadline, cancel token) here before Input(); the
   /// session resets its transient state (stop latch, trace, arena) at the
   /// start of every search or pruning pass, re-using the arena's blocks.
   ExecutionContext& context() { return context_; }

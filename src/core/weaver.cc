@@ -41,9 +41,8 @@ std::vector<TuplePath> GenerateCompleteTuplePaths(const PairwiseTupleMap& ptpm,
   local.total_tuple_paths = level.size();
 
   auto over_budget = [&]() {
-    return (options.max_total_tuple_paths > 0 &&
-            local.total_tuple_paths > options.max_total_tuple_paths) ||
-           ctx.OverMemoryBudget();
+    return options.max_total_tuple_paths > 0 &&
+           local.total_tuple_paths > options.max_total_tuple_paths;
   };
 
   // Every weave lands in this heap scratch first; only a path the dedup set

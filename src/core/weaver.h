@@ -46,8 +46,7 @@ struct WeaveStats {
 /// intermediate and returned path lives. Returned paths are only valid until the context's next
 /// ResetForSearch(); ranking detaches the retained examples by plain copy.
 /// The deadline/cancel token is polled once per base path, and
-/// ctx.OverMemoryBudget() truncates the weave alongside
-/// options.max_total_tuple_paths.
+/// options.max_total_tuple_paths truncates the weave.
 std::vector<TuplePath> GenerateCompleteTuplePaths(const PairwiseTupleMap& ptpm,
                                                   int num_columns,
                                                   const SearchOptions& options,

@@ -46,7 +46,6 @@ void FullTextEngine::InitMetadata(const storage::Database* db,
 }
 
 void FullTextEngine::BuildShards(uint32_t shard_count,
-                                 const EngineOptions& options,
                                  const FullTextEngine* previous,
                                  const std::vector<bool>& reuse,
                                  size_t* shards_rebuilt) {
@@ -67,9 +66,7 @@ void FullTextEngine::BuildShards(uint32_t shard_count,
   // the shared pool. (Token dictionary and the policy's candidate table of
   // each index are both built inside the InvertedIndex constructor.)
   const size_t attrs = indexed_attrs_.size();
-  const size_t threads = options.build_threads != 0
-                             ? options.build_threads
-                             : ThreadPool::Shared().num_threads();
+  const size_t threads = ThreadPool::Shared().num_threads();
   ParallelFor(to_build.size() * attrs, threads, [&](size_t job) {
     // Chaos site: latency spikes during the parallel index build (builds
     // cannot fail, so only kDelay is meaningful here).
@@ -85,7 +82,7 @@ void FullTextEngine::BuildShards(uint32_t shard_count,
 FullTextEngine::FullTextEngine(const storage::Database* db, MatchPolicy policy,
                                uint32_t shard_count, EngineOptions options) {
   InitMetadata(db, policy, options);
-  BuildShards(shard_count, options, /*previous=*/nullptr, {}, nullptr);
+  BuildShards(shard_count, /*previous=*/nullptr, {}, nullptr);
 }
 
 std::unique_ptr<FullTextEngine> FullTextEngine::Build(
@@ -94,7 +91,7 @@ std::unique_ptr<FullTextEngine> FullTextEngine::Build(
     const std::vector<bool>& reuse, size_t* shards_rebuilt) {
   auto engine = std::unique_ptr<FullTextEngine>(new FullTextEngine());
   engine->InitMetadata(db, policy, options);
-  engine->BuildShards(shard_count, options, previous, reuse, shards_rebuilt);
+  engine->BuildShards(shard_count, previous, reuse, shards_rebuilt);
   return engine;
 }
 

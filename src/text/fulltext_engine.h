@@ -55,9 +55,6 @@ struct Occurrence {
 struct EngineOptions {
   /// Byte budget of the probe memo (0 disables memoization).
   size_t probe_cache_bytes = 8u << 20;
-  /// Threads for the parallel index build (across shards and attributes);
-  /// 0 picks the process-wide thread-pool size.
-  size_t build_threads = 0;
 };
 
 /// \brief Full-text search engine over one database instance.
@@ -207,8 +204,7 @@ class FullTextEngine {
   void InitMetadata(const storage::Database* db, MatchPolicy policy,
                     const EngineOptions& options);
   // Fills shards_: shard s is `previous`'s when reuse[s], built otherwise.
-  void BuildShards(uint32_t shard_count, const EngineOptions& options,
-                   const FullTextEngine* previous,
+  void BuildShards(uint32_t shard_count, const FullTextEngine* previous,
                    const std::vector<bool>& reuse, size_t* shards_rebuilt);
   // The delta-cloned shard owning `row`; aborts when it was not cloned.
   std::vector<std::shared_ptr<InvertedIndex>>& MutableShardOf(

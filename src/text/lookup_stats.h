@@ -39,9 +39,9 @@ struct ProbeStats {
   /// index returns every indexed row and the memo must not cache it.
   uint64_t all_rows_fallbacks = 0;
   // Block-posting kernel dispatch counters (see text/posting_block.h):
-  // which container-pair shape each merge hit, and how often the scalar
-  // fallback ran instead of a vector kernel (every merge, in a
-  // -DMWEAVER_DISABLE_SIMD build).
+  // which container-pair shape each merge hit, and how many array x array
+  // merges were galloping intersections or union merges
+  // (KernelStats::scalar_fallback).
   uint64_t kernel_array_array = 0;
   uint64_t kernel_array_bitmap = 0;
   uint64_t kernel_bitmap_bitmap = 0;

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/simd.h"
-
 namespace mweaver::text {
 
 namespace internal {
 
-size_t IntersectU16Scalar(const uint16_t* a, size_t na, const uint16_t* b,
-                          size_t nb, uint16_t* out) {
+size_t IntersectU16(const uint16_t* a, size_t na, const uint16_t* b, size_t nb,
+                    uint16_t* out, uint64_t* gallops) {
   // Iterate the smaller array; gallop through the larger when skewed.
   if (na > nb) {
     std::swap(a, b);
@@ -18,6 +16,7 @@ size_t IntersectU16Scalar(const uint16_t* a, size_t na, const uint16_t* b,
   }
   size_t n = 0;
   if (na * 16 < nb) {
+    if (gallops != nullptr) ++(*gallops);
     size_t j = 0;
     for (size_t i = 0; i < na; ++i) {
       const uint16_t x = a[i];
@@ -53,75 +52,6 @@ size_t IntersectU16Scalar(const uint16_t* a, size_t na, const uint16_t* b,
   return n;
 }
 
-#if MWEAVER_SIMD_LEVEL >= 1
-namespace {
-
-// Broadcast-compare kernel: for each value of the (smaller) array `a`,
-// skip whole vector-width blocks of `b` whose maximum is still below it,
-// then test membership with one wide equality compare. Both arrays ascend,
-// so the block cursor only moves forward — the inner skip loop is the only
-// branch and it is perfectly predicted on dense runs.
-size_t IntersectU16Vector(const uint16_t* a, size_t na, const uint16_t* b,
-                          size_t nb, uint16_t* out) {
-#if MWEAVER_SIMD_LEVEL >= 2
-  constexpr size_t kLanes = 16;
-#else
-  constexpr size_t kLanes = 8;
-#endif
-  size_t n = 0;
-  size_t j = 0;
-  size_t i = 0;
-  for (; i < na && j + kLanes <= nb; ++i) {
-    const uint16_t x = a[i];
-    while (j + kLanes <= nb && b[j + kLanes - 1] < x) j += kLanes;
-    if (j + kLanes > nb) break;
-#if MWEAVER_SIMD_LEVEL >= 2
-    const __m256i vx = _mm256_set1_epi16(static_cast<short>(x));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const int mask = _mm256_movemask_epi8(_mm256_cmpeq_epi16(vb, vx));
-#else
-    const __m128i vx = _mm_set1_epi16(static_cast<short>(x));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    const int mask = _mm_movemask_epi8(_mm_cmpeq_epi16(vb, vx));
-#endif
-    out[n] = x;
-    n += (mask != 0);
-  }
-  // Scalar tail: fewer than kLanes values left in b.
-  for (; i < na; ++i) {
-    const uint16_t x = a[i];
-    while (j < nb && b[j] < x) ++j;
-    if (j == nb) break;
-    out[n] = x;
-    n += (b[j] == x);
-  }
-  return n;
-}
-
-}  // namespace
-#endif  // MWEAVER_SIMD_LEVEL >= 1
-
-size_t IntersectU16(const uint16_t* a, size_t na, const uint16_t* b, size_t nb,
-                    uint16_t* out, uint64_t* scalar_fallback) {
-#if MWEAVER_SIMD_LEVEL >= 1
-  if (na > nb) {
-    std::swap(a, b);
-    std::swap(na, nb);
-  }
-  // Skewed sizes: galloping visits O(small * log gap) elements, which beats
-  // scanning the large array even 16 lanes at a time.
-  if (na * 16 < nb) {
-    if (scalar_fallback != nullptr) ++(*scalar_fallback);
-    return IntersectU16Scalar(a, na, b, nb, out);
-  }
-  return IntersectU16Vector(a, na, b, nb, out);
-#else
-  if (scalar_fallback != nullptr) ++(*scalar_fallback);
-  return IntersectU16Scalar(a, na, b, nb, out);
-#endif
-}
-
 size_t UnionU16Scalar(const uint16_t* a, size_t na, const uint16_t* b,
                       size_t nb, uint16_t* out) {
   size_t i = 0;
@@ -141,62 +71,17 @@ size_t UnionU16Scalar(const uint16_t* a, size_t na, const uint16_t* b,
 
 uint32_t AndBitmaps(const uint64_t* a, const uint64_t* b, uint64_t* out) {
   uint32_t card = 0;
-#if MWEAVER_SIMD_LEVEL >= 2
-  for (size_t w = 0; w < BlockPostingList::kBitmapWords; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    const __m256i vo = _mm256_and_si256(va, vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), vo);
-    card += static_cast<uint32_t>(
-        std::popcount(out[w]) + std::popcount(out[w + 1]) +
-        std::popcount(out[w + 2]) + std::popcount(out[w + 3]));
-  }
-#elif MWEAVER_SIMD_LEVEL >= 1
-  for (size_t w = 0; w < BlockPostingList::kBitmapWords; w += 2) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + w));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + w));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + w),
-                     _mm_and_si128(va, vb));
-    card += static_cast<uint32_t>(std::popcount(out[w]) +
-                                  std::popcount(out[w + 1]));
-  }
-#else
   for (size_t w = 0; w < BlockPostingList::kBitmapWords; ++w) {
     out[w] = a[w] & b[w];
     card += static_cast<uint32_t>(std::popcount(out[w]));
   }
-#endif
   return card;
 }
 
 void OrBitmapInto(const uint64_t* src, uint64_t* out) {
-#if MWEAVER_SIMD_LEVEL >= 2
-  for (size_t w = 0; w < BlockPostingList::kBitmapWords; w += 4) {
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    const __m256i vo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w),
-                        _mm256_or_si256(vs, vo));
-  }
-#elif MWEAVER_SIMD_LEVEL >= 1
-  for (size_t w = 0; w < BlockPostingList::kBitmapWords; w += 2) {
-    const __m128i vs =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + w));
-    const __m128i vo =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(out + w));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + w),
-                     _mm_or_si128(vs, vo));
-  }
-#else
   for (size_t w = 0; w < BlockPostingList::kBitmapWords; ++w) {
     out[w] |= src[w];
   }
-#endif
 }
 
 size_t IntersectArrayBitmap(const uint16_t* a, size_t na, const uint64_t* bm,

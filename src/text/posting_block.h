@@ -1,19 +1,17 @@
-// Block-encoded posting lists (roaring-style) and the SIMD merge kernels
-// that operate on them. A list partitions its sorted u32 values into
-// containers of 64K consecutive values keyed by `value >> 16`; each
-// container is either a sorted u16 array (sparse, <= kArrayMaxCardinality
-// values) or a 1024-word bitmap (dense), converting between the two as its
-// density crosses the threshold. Merges then work container-against-
-// container — an 8/16-lane vector compare for array x array, a branchless
-// bit probe for array x bitmap, and word-parallel AND/OR for bitmap x
-// bitmap — instead of element-against-element over std::vector<RowId>.
+// Block-encoded posting lists (roaring-style) and the merge kernels that
+// operate on them. A list partitions its sorted u32 values into containers
+// of 64K consecutive values keyed by `value >> 16`; each container is
+// either a sorted u16 array (sparse, <= kArrayMaxCardinality values) or a
+// 1024-word bitmap (dense), converting between the two as its density
+// crosses the threshold. Merges then work container-against-container — a
+// branchless two-pointer merge (galloping when the sizes are skewed) for
+// array x array, a branchless bit probe for array x bitmap, and u64
+// word-at-a-time AND/OR for bitmap x bitmap — instead of element-against-
+// element over std::vector<RowId>.
 //
-// Dispatch is compile-time via common/simd.h (MWEAVER_SIMD_LEVEL): the
-// scalar kernels are always compiled and remain the reference — the
-// property tests assert the SIMD paths produce byte-identical output, and
-// a forced-scalar CI build (-DMWEAVER_DISABLE_SIMD=ON) keeps the fallback
-// executable. The pre-block flat-vector merge kernels live on, frozen, as
-// a test oracle (tests/postings.h).
+// The kernels are plain C++ and the same in every build (DESIGN.md §13
+// records why there is no SIMD tier). The pre-block flat-vector merge
+// kernels live on, frozen, as a test oracle (tests/postings.h).
 #ifndef MWEAVER_TEXT_POSTING_BLOCK_H_
 #define MWEAVER_TEXT_POSTING_BLOCK_H_
 
@@ -27,9 +25,11 @@
 namespace mweaver::text {
 
 /// \brief Per-kernel hit counters: which container-pair shape each block
-/// merge dispatched to, and how often the scalar fallback ran instead of a
-/// vector path (always, in a -DMWEAVER_DISABLE_SIMD build; on skewed-size
-/// galloping bailouts otherwise). Plain and copyable; flows into
+/// merge dispatched to. `scalar_fallback` counts the array x array merges
+/// that are not a balanced two-pointer intersection: intersections whose
+/// sizes are skewed more than 16x (they gallop) and every array x array
+/// union merge (the name is historical: these are the merges a since
+/// removed vector kernel did not serve). Plain and copyable; flows into
 /// text::ProbeStats and out through bench_text_lookup.
 struct KernelStats {
   uint64_t array_array = 0;
@@ -203,9 +203,9 @@ inline constexpr size_t kUnionArrayMergeMaxLists = 8;
 
 /// \brief Intersection of `a` and `b` into `*out` (Reset first; must not
 /// alias the inputs). Walks the two container directories in key order and
-/// dispatches per pair: SIMD compare for array x array, branchless bit
-/// probe for array x bitmap, word-parallel AND for bitmap x bitmap. `stats`,
-/// when given, tallies which kernels ran.
+/// dispatches per pair: two-pointer merge or gallop for array x array,
+/// branchless bit probe for array x bitmap, u64 AND for bitmap x bitmap.
+/// `stats`, when given, tallies which kernels ran.
 void IntersectBlocks(const BlockPostingList& a, const BlockPostingList& b,
                      BlockPostingList* out, KernelStats* stats = nullptr);
 
@@ -239,32 +239,23 @@ extern template void UnionBlocksTo<int64_t>(
 
 namespace internal {
 
-// Container-level primitives, exposed for the unit/property tests: each
-// SIMD kernel is asserted byte-identical to its *Scalar reference on random
-// inputs. `out` must have room for min(na, nb) (intersections) or na + nb
-// (unions) values and must not alias the inputs. All return the number of
-// values written.
+// Container-level primitives, exposed for the unit/property tests. `out`
+// must have room for min(na, nb) (intersections) or na + nb (unions)
+// values and must not alias the inputs. All return the number of values
+// written.
 
-// Sorted u16 set intersection: two-pointer merge, galloping when the sizes
-// are skewed by >= 16x. The reference for IntersectU16.
-size_t IntersectU16Scalar(const uint16_t* a, size_t na, const uint16_t* b,
-                          size_t nb, uint16_t* out);
-
-// Dispatching intersection: broadcast-compare vector kernel (SSE2 8-lane /
-// AVX2 16-lane) iterating the smaller array against block-skipped chunks of
-// the larger; falls back to IntersectU16Scalar for skewed sizes (galloping
-// beats vector scanning there) and in forced-scalar builds.
-// `*scalar_fallback`, when given, is incremented if the scalar path ran.
+// Sorted u16 set intersection: branchless two-pointer merge, galloping
+// through the larger array when the sizes are skewed by more than 16x.
+// `*gallops`, when given, is incremented if the galloping path ran.
 size_t IntersectU16(const uint16_t* a, size_t na, const uint16_t* b,
-                    size_t nb, uint16_t* out, uint64_t* scalar_fallback);
+                    size_t nb, uint16_t* out, uint64_t* gallops);
 
-// Sorted u16 set union (two-pointer merge); scalar only — the union kernels
-// go wide via bitmap accumulation instead.
+// Sorted u16 set union (two-pointer merge); wide unions go through bitmap
+// accumulation instead.
 size_t UnionU16Scalar(const uint16_t* a, size_t na, const uint16_t* b,
                       size_t nb, uint16_t* out);
 
 // out[i] = a[i] & b[i] over kBitmapWords words; returns the cardinality.
-// Vector AND under SIMD, plain u64 loop otherwise.
 uint32_t AndBitmaps(const uint64_t* a, const uint64_t* b, uint64_t* out);
 
 // out[i] |= src[i] over kBitmapWords words (no cardinality — union

@@ -686,17 +686,17 @@ TEST_F(CoreTest, PreExpiredDeadlineTruncatesSingleColumnSearch) {
   EXPECT_TRUE(result->candidates.empty());
 }
 
-TEST_F(CoreTest, MemoryBudgetTruncatesWeaveWithoutDeadlineFlag) {
+TEST_F(CoreTest, TuplePathCapTruncatesWeaveWithoutDeadlineFlag) {
   SearchOptions options;
+  options.max_total_tuple_paths = 1;  // the level-2 paths alone exceed this
   ExecutionContext ctx;
-  ctx.set_memory_budget_bytes(1);  // level-2 cloning alone exceeds this
   auto result = SampleSearch(engine_, graph_,
                              {"Avatar", "James Cameron", "James Cameron"},
                              options, ctx);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->stats.weave.truncated);
   EXPECT_TRUE(result->stats.truncated);
-  // A memory cap is a truncation event, not a deadline event.
+  // A tuple-path cap is a truncation event, not a deadline event.
   EXPECT_FALSE(result->stats.deadline_expired);
 }
 
