@@ -46,7 +46,7 @@ void DeletionIndex::CollectVariantHashes(std::string_view token,
 
 void DeletionIndex::AddToken(TokenId id, std::string_view token) {
   if (token.size() > kMaxIndexedLength) {
-    long_tokens_.Append(id);
+    long_tokens_.push_back(id);
     return;
   }
   thread_local std::vector<uint64_t> hashes;
@@ -60,19 +60,17 @@ void DeletionIndex::Candidates(std::string_view token, size_t max_edit,
   out->clear();
   thread_local std::vector<uint64_t> hashes;
   CollectVariantHashes(token, std::min(max_edit, kMaxEdit), &hashes);
-  thread_local std::vector<const BlockPostingList*> lists;
+  thread_local std::vector<const PostingList*> lists;
   lists.clear();
   for (uint64_t h : hashes) {
-    if (const BlockPostingList* list = variants_.Find(h)) {
+    if (const PostingList* list = variants_.Find(h)) {
       lists.push_back(list);
     }
   }
   // Long tokens bypass the variant table; the caller's edit-distance
   // verification rejects them cheaply (length gap short-circuits).
   if (!long_tokens_.empty()) lists.push_back(&long_tokens_);
-  // Union decoded straight into the candidate vector — no intermediate
-  // posting list (see UnionBlocksTo).
-  UnionBlocksTo(lists, out, kernels);
+  UnionPostings(lists, out, kernels);
   if (examined != nullptr) *examined += out->size();
 }
 

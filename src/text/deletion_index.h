@@ -25,7 +25,7 @@
 
 #include "text/key_table.h"
 #include "text/match.h"
-#include "text/posting_block.h"
+#include "text/posting_list.h"
 
 namespace mweaver::text {
 
@@ -61,14 +61,16 @@ class DeletionIndex {
   /// (1 <= max_edit <= kMaxEdit), sorted and duplicate-free, written to
   /// `*out` (cleared first). A superset: the caller verifies each candidate
   /// with BoundedEditDistance. `*examined` is incremented by the number of
-  /// candidates produced; `kernels`, when given, tallies the block-merge
-  /// kernels the variant-list union dispatched to.
+  /// candidates produced; `kernels`, when given, tallies the merge kernels
+  /// the variant-list union ran.
   void Candidates(std::string_view token, size_t max_edit,
                   std::vector<TokenId>* out, uint64_t* examined,
                   KernelStats* kernels = nullptr) const;
 
   /// \brief Approximate heap footprint of the variant table.
-  size_t bytes() const { return variants_.bytes() + long_tokens_.bytes(); }
+  size_t bytes() const {
+    return variants_.bytes() + long_tokens_.capacity() * sizeof(uint32_t);
+  }
 
  private:
   // Collects the hashes of every variant of `token` reachable by deleting
@@ -77,7 +79,7 @@ class DeletionIndex {
                                    std::vector<uint64_t>* out);
 
   FlatKeyTable<uint64_t> variants_;  // variant hash -> token ids
-  BlockPostingList long_tokens_;     // length > kMaxIndexedLength
+  PostingList long_tokens_;          // length > kMaxIndexedLength
 };
 
 }  // namespace mweaver::text

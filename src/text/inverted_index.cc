@@ -11,23 +11,30 @@ namespace mweaver::text {
 
 namespace {
 
-// Reusable per-thread probe scratch: warm probes allocate nothing but their
-// returned result. Thread-local because concurrent service workers probe
-// one shared engine.
+// Reusable per-thread probe scratch: warm probes allocate only for
+// tokenizing their sample and for their returned result. Thread-local
+// because concurrent service workers probe one shared engine.
 struct ProbeScratch {
-  BlockPostingList acc;     // intersection accumulator
-  BlockPostingList rows;    // per-token row set (union of candidate postings)
-  BlockPostingList rows_b;  // second union buffer: the first token's union
-                            // stays referenced (never copied) while the
-                            // second token's union is built
-  BlockPostingList tmp;
+  PostingList acc;     // intersection accumulator
+  PostingList rows;    // per-token row set (union of candidate postings)
+  PostingList rows_b;  // second union buffer: the first token's union stays
+                       // referenced (never copied) while the second token's
+                       // union is built
+  PostingList tmp;
   std::vector<InvertedIndex::TokenId> token_ids;
-  std::vector<const BlockPostingList*> lists;
+  std::vector<const PostingList*> lists;
 };
 
 ProbeScratch& LocalScratch() {
   thread_local ProbeScratch scratch;
   return scratch;
+}
+
+void AddKernelStats(const KernelStats& kernels, ProbeStats* stats) {
+  if (stats == nullptr) return;
+  stats->kernel_array_array += kernels.array_array;
+  stats->kernel_array_bitmap += kernels.array_bitmap;
+  stats->kernel_scalar_fallback += kernels.scalar_fallback;
 }
 
 }  // namespace
@@ -73,7 +80,7 @@ void InvertedIndex::IndexRow(storage::RowId row, const storage::Value& v) {
         deletions_.AddToken(it->second, it->first);
       }
     }
-    postings_[it->second].Append(static_cast<uint32_t>(row));
+    postings_[it->second].push_back(static_cast<uint32_t>(row));
   }
 }
 
@@ -93,14 +100,17 @@ void InvertedIndex::RemoveRow(storage::RowId row, const storage::Value& v) {
     auto token = token_ids_.find(t);
     MW_DCHECK(token != token_ids_.end());
     if (token == token_ids_.end()) continue;
-    postings_[token->second].Remove(static_cast<uint32_t>(row));
+    PostingList& list = postings_[token->second];
+    auto pos = std::lower_bound(list.begin(), list.end(),
+                                static_cast<uint32_t>(row));
+    if (pos != list.end() && *pos == row) list.erase(pos);
     // An emptied posting list stays in the dictionary: every probe treats
     // an empty row set and an absent token identically, and retaining it
     // keeps the candidate table append-only. Compact() reclaims.
   }
 }
 
-const BlockPostingList* InvertedIndex::PostingsOf(
+const PostingList* InvertedIndex::PostingsOf(
     const std::string& token) const {
   auto it = token_ids_.find(token);
   return it == token_ids_.end() ? nullptr : &postings_[it->second];
@@ -171,17 +181,17 @@ std::vector<storage::RowId> InvertedIndex::CandidateRows(
   }
   ProbeScratch& scratch = LocalScratch();
   KernelStats kernels;
-  BlockPostingList& acc = scratch.acc;
+  PostingList& acc = scratch.acc;
   // `current` is the intersection so far: the first token's resolved list
-  // as-is (no deep copy — the common single-token probe decodes it
+  // as-is (no deep copy — the common single-token probe copies it out
   // directly), then `acc` once a real intersection has run. Per-token
   // unions alternate between two scratch buffers so the first token's
   // union survives while the second token's is built.
-  const BlockPostingList* current = nullptr;
-  BlockPostingList* union_buf = &scratch.rows;
+  const PostingList* current = nullptr;
+  PostingList* union_buf = &scratch.rows;
   for (const std::string& t : sample_tokens) {
-    // Resolve this query token to a block posting list.
-    const BlockPostingList* token_rows = nullptr;
+    // Resolve this query token to a posting list.
+    const PostingList* token_rows = nullptr;
     const bool fuzzy = policy_.mode == MatchMode::kFuzzyTokenSubset &&
                        policy_.max_edit_distance > 0;
     if (policy_.mode == MatchMode::kSubstring || fuzzy) {
@@ -195,60 +205,39 @@ std::vector<storage::RowId> InvertedIndex::CandidateRows(
         scratch.lists.push_back(&postings_[id]);
       }
       if (sample_tokens.size() == 1) {
-        // Terminal union: decode straight into the returned row vector,
-        // never materializing a posting list or an intermediate u32 buffer
-        // (the single-token probe is the common case, and its union result
-        // is immediately flattened).
+        // Terminal union: straight into the returned row vector, with no
+        // intermediate u32 buffer (the single-token probe is the common
+        // case).
         std::vector<storage::RowId> rows;
-        UnionBlocksTo(scratch.lists, &rows, &kernels);
-        if (stats != nullptr) {
-          stats->kernel_array_array += kernels.array_array;
-          stats->kernel_array_bitmap += kernels.array_bitmap;
-          stats->kernel_bitmap_bitmap += kernels.bitmap_bitmap;
-          stats->kernel_scalar_fallback += kernels.scalar_fallback;
-        }
+        UnionPostings(scratch.lists, &rows, &kernels);
+        AddKernelStats(kernels, stats);
         return rows;
       }
-      // UnionBlocks picks k-way array merge vs. bitmap accumulation per
-      // container (see kUnionArrayMergeMaxLists) — the high-fanout
-      // strategy branch the flat-vector path needed is now internal.
-      UnionBlocks(scratch.lists, union_buf, &kernels);
+      UnionPostings(scratch.lists, union_buf, &kernels);
       token_rows = union_buf;
       union_buf = union_buf == &scratch.rows ? &scratch.rows_b : &scratch.rows;
     } else {
       // kExact / kEqualsIgnoreCase / kTokenSubset (and fuzzy at edit 0):
-      // the sample token must appear verbatim.
-      const BlockPostingList* list = PostingsOf(t);
-      if (stats != nullptr && list != nullptr) ++stats->candidates_examined;
-      if (list == nullptr) {
-        union_buf->Reset();
-        token_rows = union_buf;
-        union_buf = union_buf == &scratch.rows ? &scratch.rows_b : &scratch.rows;
-      } else {
-        token_rows = list;
+      // the sample token must appear verbatim, so an absent one empties
+      // the intersection.
+      token_rows = PostingsOf(t);
+      if (token_rows == nullptr) {
+        AddKernelStats(kernels, stats);
+        return {};
       }
+      if (stats != nullptr) ++stats->candidates_examined;
     }
     if (current == nullptr) {
       current = token_rows;
     } else {
-      IntersectBlocks(*current, *token_rows, &scratch.tmp, &kernels);
+      IntersectPostings(*current, *token_rows, &scratch.tmp, &kernels);
       std::swap(acc, scratch.tmp);
       current = &acc;
     }
     if (current->empty()) break;
   }
-  if (stats != nullptr) {
-    stats->kernel_array_array += kernels.array_array;
-    stats->kernel_array_bitmap += kernels.array_bitmap;
-    stats->kernel_bitmap_bitmap += kernels.bitmap_bitmap;
-    stats->kernel_scalar_fallback += kernels.scalar_fallback;
-  }
-  std::vector<storage::RowId> result;
-  if (current != nullptr) {
-    result.reserve(current->size());
-    current->AppendTo(&result);
-  }
-  return result;
+  AddKernelStats(kernels, stats);
+  return std::vector<storage::RowId>(current->begin(), current->end());
 }
 
 std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
@@ -259,15 +248,15 @@ std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
   std::vector<storage::RowId> acc;
   for (const std::string& t : sample_tokens) {
     // Gather per-token rows the pre-acceleration way: a full dictionary
-    // scan per token, a fresh vector per union/intersection. Posting lists
-    // decode to flat row ids first — this path must not benefit from (or
-    // depend on) the block kernels it is the reference for.
-    std::vector<const BlockPostingList*> lists;
+    // scan per token, a fresh vector per union/intersection — this path
+    // must not benefit from (or depend on) the merge kernels it is the
+    // reference for.
+    std::vector<const PostingList*> lists;
     switch (policy_.mode) {
       case MatchMode::kExact:
       case MatchMode::kEqualsIgnoreCase:
       case MatchMode::kTokenSubset:
-        if (const BlockPostingList* p = PostingsOf(t)) {
+        if (const PostingList* p = PostingsOf(t)) {
           lists.push_back(p);
         }
         break;
@@ -292,8 +281,8 @@ std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
         break;
     }
     std::vector<storage::RowId> rows_for_token;
-    for (const BlockPostingList* list : lists) {
-      list->AppendTo(&rows_for_token);
+    for (const PostingList* list : lists) {
+      rows_for_token.insert(rows_for_token.end(), list->begin(), list->end());
     }
     std::sort(rows_for_token.begin(), rows_for_token.end());
     rows_for_token.erase(
@@ -317,8 +306,8 @@ size_t InvertedIndex::index_bytes() const {
   size_t bytes = grams_.bytes() + deletions_.bytes() +
                  all_rows_.capacity() * sizeof(storage::RowId);
   for (size_t i = 0; i < tokens_.size(); ++i) {
-    bytes += tokens_[i].capacity() + postings_[i].bytes() +
-             sizeof(std::string) + sizeof(BlockPostingList);
+    bytes += tokens_[i].capacity() + sizeof(std::string) +
+             postings_[i].capacity() * sizeof(uint32_t) + sizeof(PostingList);
   }
   return bytes;
 }

@@ -1,5 +1,5 @@
-// Per-(relation, attribute) inverted index: token -> sorted posting list of
-// row ids. Stands in for the MySQL full-text indexes the paper's
+// Per-(relation, attribute) inverted index: token -> posting list of row
+// ids (a sorted u32 vector, text/posting_list.h). Stands in for the MySQL full-text indexes the paper's
 // implementation relied on ("which has a pre-computed inverted-index",
 // Appendix A.1).
 //
@@ -32,7 +32,7 @@
 #include "text/lookup_stats.h"
 #include "text/match.h"
 #include "text/ngram_index.h"
-#include "text/posting_block.h"
+#include "text/posting_list.h"
 
 namespace mweaver::text {
 
@@ -103,21 +103,20 @@ class InvertedIndex {
   // Indexes `v` under `row`; the constructor and AddRow share it.
   void IndexRow(storage::RowId row, const storage::Value& v);
   // Postings of an exactly-matching token, or nullptr.
-  const BlockPostingList* PostingsOf(const std::string& token) const;
+  const PostingList* PostingsOf(const std::string& token) const;
 
   // Candidate token ids (sorted, verified) for one query token under
-  // policy_. `kernels` tallies the block-merge kernels the sub-index
-  // lookups dispatched to.
+  // policy_. `kernels` tallies the merge kernels the sub-index lookups
+  // ran.
   void SubstringTokenIds(const std::string& token, std::vector<TokenId>* out,
                          ProbeStats* stats, KernelStats* kernels) const;
   void FuzzyTokenIds(const std::string& token, std::vector<TokenId>* out,
                      ProbeStats* stats, KernelStats* kernels) const;
 
   // Token dictionary; postings_[id] aligns with tokens_[id], sorted by
-  // construction (rows visited in increasing order) and block-encoded
-  // (text/posting_block.h) so probes merge containers, not elements.
+  // construction (rows visited in increasing order).
   std::vector<std::string> tokens_;
-  std::vector<BlockPostingList> postings_;
+  std::vector<PostingList> postings_;
   std::unordered_map<std::string, TokenId> token_ids_;
 
   MatchPolicy policy_;

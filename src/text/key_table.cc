@@ -17,8 +17,8 @@ void FlatKeyTable<Key>::Add(Key key, uint32_t id) {
     slots_[i] = Slot{key, static_cast<uint32_t>(lists_.size())};
     lists_.emplace_back();
   }
-  BlockPostingList& list = lists_[slots_[i].idx];
-  if (list.empty() || list.back() != id) list.Append(id);
+  PostingList& list = lists_[slots_[i].idx];
+  if (list.empty() || list.back() != id) list.push_back(id);
 }
 
 template <typename Key>
@@ -37,8 +37,8 @@ void FlatKeyTable<Key>::Rehash(size_t new_size) {
 template <typename Key>
 size_t FlatKeyTable<Key>::bytes() const {
   size_t bytes = slots_.capacity() * sizeof(Slot);
-  for (const BlockPostingList& list : lists_) {
-    bytes += sizeof(list) + list.bytes();
+  for (const PostingList& list : lists_) {
+    bytes += sizeof(list) + list.capacity() * sizeof(uint32_t);
   }
   return bytes;
 }

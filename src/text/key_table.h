@@ -1,8 +1,9 @@
 // The flat key table behind both candidate indexes: an open-addressed hash
-// table from a packed key to the block posting list of the dictionary
-// token ids filed under it. NGramIndex files each token under its 1/2/3-
-// grams (a gram packed into 32 bits); DeletionIndex files it under the
-// 64-bit FNV-1a hashes of its deletion variants.
+// table from a packed key to the posting list (a sorted u32 vector,
+// text/posting_list.h) of the dictionary token ids filed under it.
+// NGramIndex files each token under its 1/2/3-grams (a gram packed into 32
+// bits); DeletionIndex files it under the 64-bit FNV-1a hashes of its
+// deletion variants.
 //
 // Linear probing at load factor <= 0.5 over a power-of-two slot array: a
 // probe touches one cache line and takes ~1.5 steps, where a node-based
@@ -20,7 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "text/posting_block.h"
+#include "text/posting_list.h"
 
 namespace mweaver::text {
 
@@ -37,7 +38,7 @@ class FlatKeyTable {
   void Add(Key key, uint32_t id);
 
   /// \brief The token ids filed under `key`, or nullptr.
-  const BlockPostingList* Find(Key key) const {
+  const PostingList* Find(Key key) const {
     if (slots_.empty()) return nullptr;
     const size_t mask = slots_.size() - 1;
     for (size_t i = SlotOf(key, mask); slots_[i].idx != kEmptySlot;
@@ -50,7 +51,8 @@ class FlatKeyTable {
   /// \brief Number of distinct keys.
   size_t size() const { return lists_.size(); }
 
-  /// \brief Approximate heap footprint: the slot array plus every list.
+  /// \brief Approximate heap footprint: the slot array plus every list
+  /// (its allocated capacity and its vector header).
   size_t bytes() const;
 
  private:
@@ -69,8 +71,8 @@ class FlatKeyTable {
   }
   void Rehash(size_t new_size);
 
-  std::vector<BlockPostingList> lists_;  // in key-creation order
-  std::vector<Slot> slots_;              // power-of-two size
+  std::vector<PostingList> lists_;  // in key-creation order
+  std::vector<Slot> slots_;         // power-of-two size
 };
 
 extern template class FlatKeyTable<uint32_t>;

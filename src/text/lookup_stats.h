@@ -38,13 +38,18 @@ struct ProbeStats {
   /// Probes whose sample tokenized to nothing (punctuation-only): the
   /// index returns every indexed row and the memo must not cache it.
   uint64_t all_rows_fallbacks = 0;
-  // Block-posting kernel dispatch counters (see text/posting_block.h):
-  // which container-pair shape each merge hit, and how many array x array
-  // merges were galloping intersections or union merges
-  // (KernelStats::scalar_fallback).
+  /// Posting-list merge kernels (text/posting_list.h, KernelStats):
+  /// two-pointer merges, one per intersection of two non-empty lists and
+  /// one per pairwise merge of a union cascade.
   uint64_t kernel_array_array = 0;
+  /// Lists scattered into a union's bitmap, one per list.
   uint64_t kernel_array_bitmap = 0;
+  /// Always 0 since posting lists became flat vectors: no bitmap x bitmap
+  /// merge exists. Kept until perfbench's reader and the kernel baseline
+  /// drop the field.
   uint64_t kernel_bitmap_bitmap = 0;
+  /// Galloping intersections, plus one per union cascade merge (the name
+  /// is historical; see KernelStats::scalar_fallback).
   uint64_t kernel_scalar_fallback = 0;
 
   void Add(const ProbeStats& other) {

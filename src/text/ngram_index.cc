@@ -27,21 +27,23 @@ void NGramIndex::Candidates(std::string_view token,
   out->clear();
   if (token.empty()) return;
   if (token.size() <= 2) {
-    if (const BlockPostingList* list = Postings(token)) list->AppendTo(out);
+    if (const PostingList* list = Postings(token)) {
+      out->assign(list->begin(), list->end());
+    }
     if (examined != nullptr) *examined += out->size();
     return;
   }
   // Collect the posting list of every trigram; any absent trigram proves no
   // dictionary token contains the query.
-  thread_local std::vector<const BlockPostingList*> lists;
+  thread_local std::vector<const PostingList*> lists;
   lists.clear();
   for (size_t i = 0; i + 3 <= token.size(); ++i) {
-    const BlockPostingList* list = Postings(token.substr(i, 3));
+    const PostingList* list = Postings(token.substr(i, 3));
     if (list == nullptr) return;
     lists.push_back(list);
   }
   // Intersect smallest-first so the accumulator only shrinks; the rare gram
-  // x stop-gram case dispatches to the galloping / array-x-bitmap kernels.
+  // x stop-gram case takes the galloping kernel.
   // Repeated grams ("aaa" twice in "aaaa") resolve to the same list — drop
   // the duplicates, intersecting a set with itself is a no-op.
   std::sort(lists.begin(), lists.end(), [](const auto* a, const auto* b) {
@@ -52,22 +54,22 @@ void NGramIndex::Candidates(std::string_view token,
   // two or more trigrams) are residually verified by an exact substring
   // find in the caller, so stopping early just hands back a slightly
   // larger superset. Once the accumulator is this small, verifying the
-  // stragglers is cheaper than more block intersections.
+  // stragglers is cheaper than more intersections.
   constexpr size_t kSelectiveEnough = 32;
   if (lists.size() == 1 || lists[0]->size() <= kSelectiveEnough) {
-    lists[0]->AppendTo(out);
+    out->assign(lists[0]->begin(), lists[0]->end());
     if (examined != nullptr) *examined += out->size();
     return;
   }
-  thread_local BlockPostingList acc;
-  thread_local BlockPostingList tmp;
-  IntersectBlocks(*lists[0], *lists[1], &acc, kernels);
+  thread_local PostingList acc;
+  thread_local PostingList tmp;
+  IntersectPostings(*lists[0], *lists[1], &acc, kernels);
   for (size_t i = 2;
        i < lists.size() && acc.size() > kSelectiveEnough; ++i) {
-    IntersectBlocks(acc, *lists[i], &tmp, kernels);
+    IntersectPostings(acc, *lists[i], &tmp, kernels);
     std::swap(acc, tmp);
   }
-  acc.AppendTo(out);
+  out->assign(acc.begin(), acc.end());
   if (examined != nullptr) *examined += out->size();
 }
 

@@ -9,9 +9,9 @@
 // verification (trigram containment is necessary but not sufficient:
 // "abcxbcd" holds both trigrams of "abcd" without containing it).
 //
-// Posting lists are block-encoded (text/posting_block.h): stop-gram lists
-// (e.g. "the") densify into bitmap containers and intersect word-parallel
-// against the rare gram that actually narrows the probe.
+// Each gram's token ids form a posting list (text/posting_list.h); a probe
+// intersects them rarest-first, so a rare gram narrows the probe and a
+// stop-gram list (e.g. "the") is galloped through rather than walked.
 #ifndef MWEAVER_TEXT_NGRAM_INDEX_H_
 #define MWEAVER_TEXT_NGRAM_INDEX_H_
 
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "text/key_table.h"
-#include "text/posting_block.h"
+#include "text/posting_list.h"
 
 namespace mweaver::text {
 
@@ -40,7 +40,7 @@ class NGramIndex {
   /// 2-character tokens the result is exact; for longer tokens it is a
   /// superset and the caller must verify with find(). `*examined` is
   /// incremented by the number of candidate ids produced; `kernels`, when
-  /// given, tallies the block-merge kernels the intersection dispatched to.
+  /// given, tallies the merge kernels the intersection ran.
   void Candidates(std::string_view token, std::vector<TokenId>* out,
                   uint64_t* examined, KernelStats* kernels = nullptr) const;
 
@@ -52,7 +52,7 @@ class NGramIndex {
   // in the top byte so "ab" and "ab\0" cannot collide.
   static uint32_t PackGram(std::string_view gram);
 
-  const BlockPostingList* Postings(std::string_view gram) const {
+  const PostingList* Postings(std::string_view gram) const {
     return grams_.Find(PackGram(gram));
   }
 

@@ -9,6 +9,9 @@
 //   2. A warm PruneByStructure pass reuses the executor's plan buffers and
 //      builds no tuple path: its allocations stay under a fixed ceiling.
 //   3. A pass probes each distinct (column, attribute) it needs once.
+//   4. A warm InvertedIndex::CandidateRows probe allocates only for its
+//      sample's tokens and its returned rows: the merge kernels run in
+//      thread-local scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +34,9 @@
 #include "query/executor.h"
 #include "test_util.h"
 #include "text/fulltext_engine.h"
+#include "text/inverted_index.h"
 #include "text/probe_cache.h"
+#include "text/tokenizer.h"
 #include "workload/replay.h"
 
 namespace {
@@ -236,6 +241,59 @@ TEST(AllocTest, PassProbesEachNeededColumnAttributeOnce) {
     EXPECT_GT(needed.size(), f.row_samples.size());
     EXPECT_EQ(ctx.probe_counters().Snapshot().probes, needed.size());
   }
+}
+
+// Where the ceiling comes from: one warm two-token kSubstring probe plus
+// one warm fuzzy d = 2 probe made 5 allocations together when this test
+// was written, under the roaring-style block codec and under flat posting
+// lists alike: the token vector's growth while tokenizing each sample
+// (2 + 1) and each returned row vector (2). The ceiling leaves room for a
+// standard library that grows vectors differently, not for an allocation
+// per merge.
+constexpr uint64_t kWarmProbesCeiling = 8;
+
+TEST(AllocTest, WarmProbesAllocateOnlyTokensAndResult) {
+  const storage::Database db = datagen::MakeYahooMovies();
+  const storage::Relation& movie = db.relation(db.FindRelation("movie"));
+  const storage::AttributeId logline =
+      movie.schema().FindAttribute("logline");
+  // Two 4+-character tokens of the first logline: each resolves to a
+  // union over its trigram candidates, and the two unions intersect.
+  std::vector<std::string> tokens;
+  for (const std::string& t :
+       text::Tokenize(movie.at(0, logline).ToDisplayString())) {
+    if (t.size() >= 4 && tokens.size() < 2) tokens.push_back(t);
+  }
+  ASSERT_EQ(tokens.size(), 2u);
+  const std::string two_tokens = tokens[0] + " " + tokens[1];
+  std::string typo = tokens[0];  // two edits away from tokens[0]
+  typo[0] = 'q';
+  typo[typo.size() - 1] = 'q';
+
+  const text::InvertedIndex substring(movie, logline,
+                                      text::MatchPolicy::Substring());
+  const text::InvertedIndex fuzzy(movie, logline, text::MatchPolicy::Fuzzy(2));
+  // Two rounds size this thread's scratch: an intersection's output and
+  // its accumulator swap, so each buffer is written once per round.
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_FALSE(substring.CandidateRows(two_tokens).empty());
+    ASSERT_FALSE(fuzzy.CandidateRows(typo).empty());
+  }
+  text::ProbeStats stats;
+  ASSERT_FALSE(substring.CandidateRows(two_tokens, &stats).empty());
+  ASSERT_FALSE(fuzzy.CandidateRows(typo, &stats).empty());
+  const uint64_t kernels_before = stats.kernel_array_array +
+                                  stats.kernel_array_bitmap;
+  ASSERT_GT(kernels_before, 0u);  // the probes really merged lists
+
+  const uint64_t allocations = AllocationsDuring([&] {
+    EXPECT_FALSE(substring.CandidateRows(two_tokens, &stats).empty());
+    EXPECT_FALSE(fuzzy.CandidateRows(typo, &stats).empty());
+  });
+  EXPECT_EQ(stats.kernel_array_array + stats.kernel_array_bitmap,
+            2 * kernels_before);
+  EXPECT_LE(allocations, kWarmProbesCeiling)
+      << "'" << two_tokens << "' and '" << typo << "'";
 }
 
 }  // namespace

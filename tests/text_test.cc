@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <random>
+#include <string_view>
 #include <thread>
 
 #include "common/random.h"
@@ -737,6 +739,70 @@ TEST(ValueDictionaryTest, SkipsNonSearchableColumns) {
   const ValueDictionary dict(&db);
   // Integer key columns are not suggested.
   EXPECT_TRUE(dict.Suggest("0").empty());
+}
+
+// ------------------------------------------------- BoundedEditDistance --
+
+// Plain full-matrix Levenshtein, the textbook reference.
+size_t FullEditDistance(std::string_view a, std::string_view b) {
+  std::vector<size_t> row(b.size() + 1);
+  for (size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (size_t i = 1; i <= a.size(); ++i) {
+    size_t diag = row[0];
+    row[0] = i;
+    for (size_t j = 1; j <= b.size(); ++j) {
+      const size_t up = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
+                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = up;
+    }
+  }
+  return row[b.size()];
+}
+
+size_t BoundedReference(std::string_view a, std::string_view b, size_t max) {
+  return std::min(FullEditDistance(a, b), max + 1);
+}
+
+TEST(BoundedEditDistanceTest, MatchesReferenceOnRandomStrings) {
+  std::mt19937 rng(48);
+  const std::string alphabet = "abcd";  // small alphabet: frequent matches
+  for (int round = 0; round < 300; ++round) {
+    // Lengths cross the 64-char Myers/DP split in both operands.
+    const size_t la = rng() % 100;
+    const size_t lb = rng() % 100;
+    std::string a(la, 'a');
+    std::string b(lb, 'a');
+    for (char& c : a) c = alphabet[rng() % alphabet.size()];
+    for (char& c : b) c = alphabet[rng() % alphabet.size()];
+    for (size_t max = 0; max <= 3; ++max) {
+      EXPECT_EQ(BoundedEditDistance(a, b, max), BoundedReference(a, b, max))
+          << "a=" << a << " b=" << b << " max=" << max;
+    }
+  }
+}
+
+TEST(BoundedEditDistanceTest, EdgeCases) {
+  EXPECT_EQ(BoundedEditDistance("", "", 2), 0u);
+  EXPECT_EQ(BoundedEditDistance("", "ab", 2), 2u);
+  EXPECT_EQ(BoundedEditDistance("ab", "", 1), 2u);  // max + 1: exceeded
+  EXPECT_EQ(BoundedEditDistance("abc", "abc", 0), 0u);
+  EXPECT_EQ(BoundedEditDistance("abc", "abd", 0), 1u);  // max + 1
+  EXPECT_EQ(BoundedEditDistance("kitten", "sitting", 3), 3u);
+  // Exactly 64 and 65 chars: the Myers word boundary.
+  const std::string s64(64, 'x');
+  const std::string s65(65, 'x');
+  EXPECT_EQ(BoundedEditDistance(s64, s64, 2), 0u);
+  EXPECT_EQ(BoundedEditDistance(s64, s65, 2), 1u);
+  std::string mutated = s64;
+  mutated[10] = 'y';
+  mutated[50] = 'z';
+  EXPECT_EQ(BoundedEditDistance(s64, mutated, 3), 2u);
+  // High-bit (non-ASCII) bytes must index the Peq table safely.
+  const std::string hi1 = "caf\xc3\xa9";
+  const std::string hi2 = "cafe";
+  EXPECT_EQ(BoundedEditDistance(hi1, hi2, 3),
+            BoundedReference(hi1, hi2, 3));
 }
 
 }  // namespace
