@@ -108,12 +108,14 @@ Status Database::CheckReferentialIntegrity() const {
   for (const ForeignKey& fk : foreign_keys_) {
     const Relation& from = relation(fk.from_relation);
     const Relation& to = relation(fk.to_relation);
-    const HashIndex& idx = to.IndexOn(fk.to_attribute);
+    // Only the referenced side is indexed: callers may still append to
+    // the referencing relation between checks.
+    const JoinIndex& to_rows = to.IndexOn(fk.to_attribute);
     for (size_t r = 0; r < from.num_rows(); ++r) {
       if (from.is_deleted(static_cast<RowId>(r))) continue;
       const Value& v = from.at(static_cast<RowId>(r), fk.from_attribute);
       if (v.is_null()) continue;
-      if (idx.Lookup(v).empty()) {
+      if (to_rows.Lookup(v).empty()) {
         return Status::FailedPrecondition(StrFormat(
             "dangling foreign key: %s.%s row %zu -> %s.%s (value %s)",
             from.name().c_str(),

@@ -1,17 +1,99 @@
 #include "storage/relation.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace mweaver::storage {
 
-namespace {
-const std::vector<RowId> kNoRows;
-}  // namespace
+JoinIndex::JoinIndex(const Relation& relation, AttributeId attribute) {
+  const size_t num_rows = relation.num_rows();
+  keys_.resize(num_rows);
+  present_.assign(num_rows, 0);
+  size_t indexed = 0;
+  int64_t max_key = 0;
+  for (size_t r = 0; r < num_rows; ++r) {
+    const auto row = static_cast<RowId>(r);
+    if (relation.is_deleted(row)) continue;
+    const Value& v = relation.at(row, attribute);
+    if (v.is_null()) continue;
+    const int64_t key = KeyOf(v);
+    keys_[r] = key;
+    present_[r] = 1;
+    if (indexed == 0 || key < min_key_) min_key_ = key;
+    if (indexed == 0 || key > max_key) max_key = key;
+    integer_keys_ = integer_keys_ && v.type() == ValueType::kInt64;
+    ++indexed;
+  }
+  // Unsigned arithmetic: INT64_MAX - INT64_MIN does not overflow.
+  const uint64_t key_span =
+      static_cast<uint64_t>(max_key) - static_cast<uint64_t>(min_key_);
+  dense_ = integer_keys_ && (indexed == 0 || key_span < 4 * uint64_t{indexed});
 
-const std::vector<RowId>& HashIndex::Lookup(const Value& value) const {
-  auto it = map_.find(value);
-  return it == map_.end() ? kNoRows : it->second;
+  // Group of each indexed row, then a counting sort of the rows by group:
+  // visiting rows in ascending order keeps every group ascending.
+  std::vector<uint32_t> group_of(num_rows);
+  std::vector<uint32_t> counts;
+  if (dense_) {
+    if (indexed > 0) counts.assign(static_cast<size_t>(key_span) + 1, 0);
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (present_[r] == 0) continue;
+      group_of[r] = static_cast<uint32_t>(static_cast<uint64_t>(keys_[r]) -
+                                          static_cast<uint64_t>(min_key_));
+      if (counts[group_of[r]]++ == 0) ++num_distinct_;
+    }
+  } else {
+    size_t capacity = 2;
+    while (capacity < 2 * indexed) capacity *= 2;
+    slot_keys_.assign(capacity, 0);
+    slot_groups_.assign(capacity, kEmptySlot);
+    slot_shift_ = 64 - std::countr_zero(capacity);
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (present_[r] == 0) continue;
+      const Value& v = relation.at(static_cast<RowId>(r), attribute);
+      size_t s = Slot(keys_[r]);
+      while (slot_groups_[s] != kEmptySlot &&
+             (slot_keys_[s] != keys_[r] ||
+              (!integer_keys_ && group_values_[slot_groups_[s]] != v))) {
+        s = (s + 1) & (capacity - 1);
+      }
+      if (slot_groups_[s] == kEmptySlot) {
+        slot_keys_[s] = keys_[r];
+        slot_groups_[s] = static_cast<uint32_t>(counts.size());
+        counts.push_back(0);
+        if (!integer_keys_) group_values_.push_back(v);
+      }
+      group_of[r] = slot_groups_[s];
+      ++counts[group_of[r]];
+    }
+    num_distinct_ = counts.size();
+  }
+  starts_.resize(counts.size() + 1);
+  for (size_t g = 0; g < counts.size(); ++g) {
+    starts_[g + 1] = starts_[g] + counts[g];
+  }
+  rows_.resize(indexed);
+  // counts becomes each group's fill cursor.
+  std::copy(starts_.begin(), starts_.end() - 1, counts.begin());
+  for (size_t r = 0; r < num_rows; ++r) {
+    if (present_[r] != 0) rows_[counts[group_of[r]]++] = static_cast<RowId>(r);
+  }
+}
+
+std::span<const RowId> JoinIndex::Lookup(const Value& value) const {
+  if (value.is_null()) return {};
+  if (integer_keys_) {
+    return value.type() == ValueType::kInt64 ? LookupKey(value.AsInt64())
+                                             : std::span<const RowId>();
+  }
+  const int64_t key = KeyOf(value);
+  for (size_t s = Slot(key);; s = (s + 1) & (slot_groups_.size() - 1)) {
+    const uint32_t g = slot_groups_[s];
+    if (g == kEmptySlot) return {};
+    if (slot_keys_[s] == key && group_values_[g] == value) return Group(g);
+  }
 }
 
 Status Relation::Append(Row row) {
@@ -63,27 +145,22 @@ Status Relation::Delete(RowId id) {
   return Status::OK();
 }
 
-const HashIndex& Relation::IndexOn(AttributeId attribute) const {
+const JoinIndex& Relation::IndexOn(AttributeId attribute) const {
   MW_CHECK_GE(attribute, 0);
   MW_CHECK_LT(static_cast<size_t>(attribute), schema_.num_attributes());
-  std::atomic<const HashIndex*>& published =
+  std::atomic<const JoinIndex*>& published =
       published_[static_cast<size_t>(attribute)];
-  if (const HashIndex* built = published.load(std::memory_order_acquire)) {
+  if (const JoinIndex* built = published.load(std::memory_order_acquire)) {
     return *built;
   }
   std::lock_guard<std::mutex> lock(*index_mutex_);
   // A racing caller may have built it while this one waited.
-  if (const HashIndex* built = published.load(std::memory_order_relaxed)) {
+  if (const JoinIndex* built = published.load(std::memory_order_relaxed)) {
     return *built;
   }
   if (indexes_.empty()) indexes_.resize(schema_.num_attributes());
   auto& slot = indexes_[static_cast<size_t>(attribute)];
-  slot = std::make_unique<HashIndex>();
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    if (is_deleted(static_cast<RowId>(r))) continue;
-    const Value& v = rows_[r][static_cast<size_t>(attribute)];
-    if (!v.is_null()) slot->Insert(v, static_cast<RowId>(r));
-  }
+  slot = std::make_unique<JoinIndex>(*this, attribute);
   published.store(slot.get(), std::memory_order_release);
   return *slot;
 }

@@ -1,15 +1,17 @@
 // Relation: a schema plus a row-oriented instance I(R), with lazily built
-// per-attribute hash indexes used for FK joins.
+// per-attribute flat join indexes used for FK joins.
 #ifndef MWEAVER_STORAGE_RELATION_H_
 #define MWEAVER_STORAGE_RELATION_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/schema.h"
@@ -20,17 +22,95 @@ namespace mweaver::storage {
 /// A materialized row.
 using Row = std::vector<Value>;
 
-/// \brief Equality hash index on one attribute: value -> row ids.
-class HashIndex {
- public:
-  /// \brief Rows of `rel` whose `attribute` equals `value` (empty if none).
-  const std::vector<RowId>& Lookup(const Value& value) const;
+class Relation;
 
-  void Insert(const Value& value, RowId row) { map_[value].push_back(row); }
-  size_t num_distinct() const { return map_.size(); }
+/// \brief The flat, immutable equality index of one relation attribute,
+/// used for FK joins. It holds
+///  * a key column: per physical row, the row's 64-bit key (the value itself
+///    for kInt64, Value::Hash() otherwise) and a separate marker that is
+///    clear for null cells and tombstoned rows (INT64_MIN is a legal key);
+///  * the live non-null rows grouped by value in one CSR row array, each
+///    group in ascending row order.
+/// A key finds its group by `key - min` when every value is an integer and
+/// the key range is at most 4x the indexed rows, and through an
+/// open-addressed key table otherwise. Groups of a non-integer column keep
+/// their value, which a lookup compares on a key match, so hash collisions
+/// never merge two values.
+class JoinIndex {
+ public:
+  /// \brief Indexes `attribute` over the live rows of `relation`.
+  JoinIndex(const Relation& relation, AttributeId attribute);
+
+  /// \brief The key of a non-null value.
+  static int64_t KeyOf(const Value& value) {
+    return value.type() == ValueType::kInt64
+               ? value.AsInt64()
+               : static_cast<int64_t>(value.Hash());
+  }
+
+  /// \brief True iff every indexed value is kInt64, so equal keys mean equal
+  /// values and LookupKey applies.
+  bool integer_keys() const { return integer_keys_; }
+
+  /// \brief True iff `row` is indexed: live, with a non-null value.
+  bool has_key(RowId row) const {
+    return present_[static_cast<size_t>(row)] != 0;
+  }
+  /// \brief KeyOf the value of `row`; meaningful only if has_key(row).
+  int64_t key(RowId row) const { return keys_[static_cast<size_t>(row)]; }
+
+  /// \brief Live rows whose value equals `value`, ascending (empty if none
+  /// or `value` is null).
+  std::span<const RowId> Lookup(const Value& value) const;
+
+  /// \brief Live rows whose integer value is `key`, ascending. Requires
+  /// integer_keys().
+  std::span<const RowId> LookupKey(int64_t key) const {
+    MW_DCHECK(integer_keys_);
+    if (dense_) {
+      const uint64_t offset =
+          static_cast<uint64_t>(key) - static_cast<uint64_t>(min_key_);
+      return offset < num_groups() ? Group(offset) : std::span<const RowId>();
+    }
+    for (size_t s = Slot(key);; s = (s + 1) & (slot_groups_.size() - 1)) {
+      const uint32_t g = slot_groups_[s];
+      if (g == kEmptySlot) return {};
+      if (slot_keys_[s] == key) return Group(g);
+    }
+  }
+
+  size_t num_distinct() const { return num_distinct_; }
 
  private:
-  std::unordered_map<Value, std::vector<RowId>> map_;
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  size_t num_groups() const { return starts_.size() - 1; }
+  std::span<const RowId> Group(size_t g) const {
+    return {rows_.data() + starts_[g], rows_.data() + starts_[g + 1]};
+  }
+  // Fibonacci hashing into the power-of-two key table.
+  size_t Slot(int64_t key) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ULL) >> slot_shift_);
+  }
+
+  std::vector<int64_t> keys_;     // per physical row
+  std::vector<uint8_t> present_;  // per physical row: live and non-null
+  // Group g's rows are rows_[starts_[g], starts_[g + 1]).
+  std::vector<RowId> rows_;
+  std::vector<uint32_t> starts_{0};
+  bool integer_keys_ = true;
+  // Dense addressing: group = key - min_key_, empty groups included.
+  bool dense_ = true;
+  int64_t min_key_ = 0;
+  // Open addressing otherwise: linear probing over a power-of-two table at
+  // most half full; slot_groups_ holds kEmptySlot or a group id.
+  std::vector<int64_t> slot_keys_;
+  std::vector<uint32_t> slot_groups_;
+  int slot_shift_ = 0;
+  // Non-integer columns only: each group's value.
+  std::vector<Value> group_values_;
+  size_t num_distinct_ = 0;
 };
 
 /// \brief A relation instance: rows conforming to a schema. Rows are
@@ -42,7 +122,7 @@ class Relation {
  public:
   explicit Relation(RelationSchema schema)
       : schema_(std::move(schema)),
-        published_(std::make_unique<std::atomic<const HashIndex*>[]>(
+        published_(std::make_unique<std::atomic<const JoinIndex*>[]>(
             schema_.num_attributes())) {}
 
   // Indexes hold row ids; moving is fine, implicit copying would be
@@ -52,7 +132,7 @@ class Relation {
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
-  /// \brief Deep copy of schema, rows and tombstones. Lazily built hash
+  /// \brief Deep copy of schema, rows and tombstones. Lazily built join
   /// indexes are NOT copied — the clone rebuilds them on first use (they
   /// index by row id, which survives the copy, but sharing them would
   /// couple lifetimes).
@@ -72,13 +152,17 @@ class Relation {
   Status Append(Row row);
 
   /// \brief Appends without validation; for trusted bulk loads (generators).
+  /// Like Append, aborts once an index is built: a key column covers only
+  /// the rows present at its build.
   RowId AppendUnchecked(Row row) {
+    MW_CHECK(indexes_.empty())
+        << "appending to relation '" << name() << "' after indexes were built";
     rows_.push_back(std::move(row));
     return static_cast<RowId>(rows_.size() - 1);
   }
 
   /// \brief Tombstones row `id`. Fails if the id is out of range or the row
-  /// is already deleted. Drops lazily built hash indexes (they are rebuilt,
+  /// is already deleted. Drops lazily built join indexes (they are rebuilt,
   /// skipping tombstones, on next use); only call on relations not
   /// concurrently served — in practice the private clones a delta build
   /// mutates before its snapshot is installed.
@@ -100,11 +184,11 @@ class Relation {
   }
   const std::vector<Row>& rows() const { return rows_; }
 
-  /// \brief Hash index on `attribute`, built on first use. Thread-safe:
+  /// \brief Join index on `attribute`, built on first use. Thread-safe:
   /// once built, the index is read through an atomic pointer without a
   /// lock; only the first use of an attribute takes the mutex, so racing
   /// callers build it once. The returned index is immutable afterwards.
-  const HashIndex& IndexOn(AttributeId attribute) const;
+  const JoinIndex& IndexOn(AttributeId attribute) const;
 
  private:
   RelationSchema schema_;
@@ -116,12 +200,12 @@ class Relation {
   // Lazily built indexes, owned here and touched only under *index_mutex_
   // (builders and Delete); mutable because building an index does not
   // change the logical relation contents.
-  mutable std::vector<std::unique_ptr<HashIndex>> indexes_;
+  mutable std::vector<std::unique_ptr<JoinIndex>> indexes_;
   // Per-attribute pointer into indexes_, published with a release store
   // once built; IndexOn's read path is one acquire load. Sized at
   // construction so readers never race a resize. The atomics and the mutex
   // live behind pointers so the relation stays movable.
-  std::unique_ptr<std::atomic<const HashIndex*>[]> published_;
+  std::unique_ptr<std::atomic<const JoinIndex*>[]> published_;
   mutable std::unique_ptr<std::mutex> index_mutex_ =
       std::make_unique<std::mutex>();
 };

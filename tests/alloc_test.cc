@@ -12,6 +12,8 @@
 //   4. A warm InvertedIndex::CandidateRows probe allocates only for its
 //      sample's tokens and its returned rows: the merge kernels run in
 //      thread-local scratch.
+//   5. Warm FK joins (PathExecutor::Execute and HasSupport over a 2-join
+//      chain) allocate only their results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,6 +58,26 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The aligned forms too: std::pmr's new_delete_resource, which a heap
+// TuplePath's storage draws from, allocates through them.
+void* operator new(std::size_t n, std::align_val_t al) {
+  ++t_allocations;
+  void* p = nullptr;
+  const size_t alignment = std::max(static_cast<size_t>(al), sizeof(void*));
+  if (posix_memalign(&p, alignment, n != 0 ? n : 1) == 0) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return ::operator new(n, al);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 #pragma GCC diagnostic pop
 
 namespace mweaver {
@@ -170,6 +192,85 @@ TEST(AllocTest, WarmStructurePassStaysUnderCeiling) {
       << f.candidates.size() << " candidates";
 }
 
+// The id of the foreign key from.from_attr -> to.to_attr.
+storage::ForeignKeyId FindFk(const storage::Database& db, const char* from,
+                             const char* from_attr, const char* to,
+                             const char* to_attr) {
+  const storage::RelationId f = db.FindRelation(from);
+  const storage::RelationId t = db.FindRelation(to);
+  const auto& fks = db.foreign_keys();
+  for (size_t i = 0; i < fks.size(); ++i) {
+    if (fks[i].from_relation == f && fks[i].to_relation == t &&
+        fks[i].from_attribute ==
+            db.relation(f).schema().FindAttribute(from_attr) &&
+        fks[i].to_attribute == db.relation(t).schema().FindAttribute(to_attr)) {
+      return static_cast<storage::ForeignKeyId>(i);
+    }
+  }
+  MW_CHECK(false) << "no foreign key " << from << "." << from_attr;
+  return -1;
+}
+
+// Where the ceilings come from: over the 2-join chain movie <- direct ->
+// person, typed with the title and director of direct's first row, a warm
+// Execute made 20 allocations and a warm HasSupport none, both before and
+// after the join indexes became flat key columns. The 20 are the result:
+// its vector (1) and its one three-vertex tuple path, whose seven pmr
+// vectors grow push_back by push_back (19). The joins themselves read the
+// indexes in place and allocate nothing.
+constexpr uint64_t kWarmExecuteCeiling = 20;
+constexpr uint64_t kWarmHasSupportCeiling = 0;
+
+TEST(AllocTest, WarmJoinsAllocateOnlyResults) {
+  const PruneFixture& f = Fixture();
+  const storage::Database& db = f.db;
+  const storage::RelationId movie = db.FindRelation("movie");
+  const storage::RelationId direct = db.FindRelation("direct");
+  const storage::RelationId person = db.FindRelation("person");
+  core::MappingPath chain = core::MappingPath::SingleVertex(movie);
+  const core::VertexId d = chain.AddVertex(
+      direct, 0, FindFk(db, "direct", "mid", "movie", "mid"), true);
+  const core::VertexId p = chain.AddVertex(
+      person, d, FindFk(db, "direct", "pid", "person", "pid"), false);
+  chain.AddProjection(0, 0, db.relation(movie).schema().FindAttribute("title"));
+  chain.AddProjection(1, p, db.relation(person).schema().FindAttribute("name"));
+
+  // Samples: the title and director of direct's first row, found by scans.
+  const storage::Value& mid = db.relation(direct).at(0, 0);
+  const storage::Value& pid = db.relation(direct).at(0, 1);
+  query::SampleMap samples;
+  for (const storage::Row& row : db.relation(movie).rows()) {
+    if (row[0] == mid) samples[0] = row[1].AsString();
+  }
+  for (const storage::Row& row : db.relation(person).rows()) {
+    if (row[0] == pid) samples[1] = row[1].AsString();
+  }
+  ASSERT_EQ(samples.size(), 2u);
+
+  // The first calls warm the probe memo and this thread's plan buffers.
+  auto first = f.executor.Execute(chain, samples);
+  ASSERT_TRUE(first.ok());
+  ASSERT_FALSE(first->empty());
+  ASSERT_TRUE(f.executor.HasSupport(chain, samples).ok());
+
+  size_t results = 0;
+  const uint64_t execute = AllocationsDuring([&] {
+    auto again = f.executor.Execute(chain, samples);
+    ASSERT_TRUE(again.ok());
+    results = again->size();
+  });
+  EXPECT_EQ(results, first->size());
+  EXPECT_LE(execute, kWarmExecuteCeiling) << results << " tuple paths";
+  bool supported = false;
+  const uint64_t has_support = AllocationsDuring([&] {
+    auto found = f.executor.HasSupport(chain, samples);
+    ASSERT_TRUE(found.ok());
+    supported = *found;
+  });
+  EXPECT_TRUE(supported);
+  EXPECT_EQ(has_support, kWarmHasSupportCeiling);
+}
+
 // The distinct (column, attribute) pairs a per-candidate plan needs, in the
 // order BuildPlan probes them: vertex by vertex, projections in order, up
 // to the first constraint (or intersection) that is empty.
@@ -244,13 +345,12 @@ TEST(AllocTest, PassProbesEachNeededColumnAttributeOnce) {
 }
 
 // Where the ceiling comes from: one warm two-token kSubstring probe plus
-// one warm fuzzy d = 2 probe made 5 allocations together when this test
-// was written, under the roaring-style block codec and under flat posting
-// lists alike: the token vector's growth while tokenizing each sample
-// (2 + 1) and each returned row vector (2). The ceiling leaves room for a
-// standard library that grows vectors differently, not for an allocation
-// per merge.
-constexpr uint64_t kWarmProbesCeiling = 8;
+// one warm fuzzy d = 2 probe make 4 allocations together: each sample's
+// token vector, which Tokenize sizes once, and each returned row vector.
+// (Before Tokenize counted its tokens first, the token vectors grew one
+// push_back at a time and the pair made 5.) Any further allocation is a
+// regression: a merge or a token must not allocate.
+constexpr uint64_t kWarmProbesCeiling = 4;
 
 TEST(AllocTest, WarmProbesAllocateOnlyTokensAndResult) {
   const storage::Database db = datagen::MakeYahooMovies();

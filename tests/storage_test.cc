@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -92,14 +95,19 @@ TEST(RelationTest, AppendValidatesTypes) {
   EXPECT_TRUE(rel.Append({Value::Null(), Value::Null()}).ok());
 }
 
-TEST(RelationTest, HashIndexLookup) {
+// The rows a JoinIndex lookup returns, as a vector.
+std::vector<RowId> Rows(std::span<const RowId> rows) {
+  return {rows.begin(), rows.end()};
+}
+
+TEST(RelationTest, JoinIndexLookup) {
   Relation rel(RelationSchema("r", {IdAttr("k"), StrAttr("v")}));
   ASSERT_TRUE(rel.Append({I(1), S("one")}).ok());
   ASSERT_TRUE(rel.Append({I(2), S("two")}).ok());
   ASSERT_TRUE(rel.Append({I(1), S("uno")}).ok());
-  const HashIndex& index = rel.IndexOn(0);
-  EXPECT_EQ(index.Lookup(I(1)), (std::vector<RowId>{0, 2}));
-  EXPECT_EQ(index.Lookup(I(2)), (std::vector<RowId>{1}));
+  const JoinIndex& index = rel.IndexOn(0);
+  EXPECT_EQ(Rows(index.Lookup(I(1))), (std::vector<RowId>{0, 2}));
+  EXPECT_EQ(Rows(index.Lookup(I(2))), (std::vector<RowId>{1}));
   EXPECT_TRUE(index.Lookup(I(9)).empty());
   EXPECT_EQ(index.num_distinct(), 2u);
 }
@@ -109,6 +117,153 @@ TEST(RelationTest, IndexSkipsNulls) {
   ASSERT_TRUE(rel.Append({Value::Null()}).ok());
   ASSERT_TRUE(rel.Append({I(5)}).ok());
   EXPECT_EQ(rel.IndexOn(0).num_distinct(), 1u);
+  EXPECT_FALSE(rel.IndexOn(0).has_key(0));
+  EXPECT_TRUE(rel.IndexOn(0).Lookup(Value::Null()).empty());
+}
+
+// The join-index oracle: on `rel`'s attribute 0, every lookup of a probe
+// value equals a scan of the live rows holding an equal Value, in
+// ascending row order, and the key column marks exactly the live non-null
+// rows with their KeyOf.
+void ExpectIndexMatchesScan(const Relation& rel,
+                            const std::vector<Value>& probes) {
+  const JoinIndex& index = rel.IndexOn(0);
+  std::vector<Value> distinct;
+  bool all_integers = true;
+  for (size_t r = 0; r < rel.num_rows(); ++r) {
+    const auto row = static_cast<RowId>(r);
+    const Value& v = rel.at(row, 0);
+    const bool indexed = !rel.is_deleted(row) && !v.is_null();
+    ASSERT_EQ(index.has_key(row), indexed) << "row " << r;
+    if (!indexed) continue;
+    EXPECT_EQ(index.key(row), JoinIndex::KeyOf(v)) << "row " << r;
+    all_integers = all_integers && v.type() == ValueType::kInt64;
+    if (std::find(distinct.begin(), distinct.end(), v) == distinct.end()) {
+      distinct.push_back(v);
+    }
+  }
+  EXPECT_EQ(index.integer_keys(), all_integers);
+  EXPECT_EQ(index.num_distinct(), distinct.size());
+  for (const Value& probe : probes) {
+    std::vector<RowId> expected;
+    for (size_t r = 0; r < rel.num_rows(); ++r) {
+      const auto row = static_cast<RowId>(r);
+      if (!probe.is_null() && !rel.is_deleted(row) && rel.at(row, 0) == probe) {
+        expected.push_back(row);
+      }
+    }
+    EXPECT_EQ(Rows(index.Lookup(probe)), expected) << "probe " << probe;
+    if (index.integer_keys() && probe.type() == ValueType::kInt64) {
+      EXPECT_EQ(Rows(index.LookupKey(probe.AsInt64())), expected)
+          << "key " << probe;
+    }
+  }
+}
+
+// Builds a relation of `num_rows` rows whose attribute 0 draws from `pool`
+// (about one row in eight null), checks the oracle on it, then tombstones
+// about a third of the rows of a clone and checks the clone.
+void CheckRandomRelation(ValueType type, const std::vector<Value>& pool,
+                         size_t num_rows, uint32_t seed) {
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  Relation rel(RelationSchema("r", {AttributeSchema{"k", type}}));
+  for (size_t r = 0; r < num_rows; ++r) {
+    Row row(1);
+    if (rng() % 8 != 0) row[0] = pool[rng() % pool.size()];
+    rel.AppendUnchecked(std::move(row));
+  }
+  std::vector<Value> probes = pool;
+  probes.emplace_back();  // null
+  probes.emplace_back(int64_t{424242});  // absent
+  probes.emplace_back("absent");
+  probes.emplace_back(0.5);
+  ExpectIndexMatchesScan(rel, probes);
+
+  Relation clone = rel.Clone();
+  ExpectIndexMatchesScan(clone, probes);
+  for (size_t r = 0; r < num_rows; ++r) {
+    if (rng() % 3 == 0) {
+      ASSERT_TRUE(clone.Delete(static_cast<RowId>(r)).ok());
+    }
+  }
+  ExpectIndexMatchesScan(clone, probes);
+  ExpectIndexMatchesScan(rel, probes);  // the original has no tombstones
+}
+
+std::vector<Value> IntPool(std::vector<int64_t> keys) {
+  std::vector<Value> pool;
+  for (const int64_t k : keys) pool.emplace_back(k);
+  return pool;
+}
+
+TEST(JoinIndexOracleTest, DenseIntegerKeys) {
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < 50; ++k) keys.push_back(k);
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    CheckRandomRelation(ValueType::kInt64, IntPool(keys), 200, seed);
+  }
+}
+
+TEST(JoinIndexOracleTest, NegativeKeys) {
+  std::vector<int64_t> keys;
+  for (int64_t k = -120; k < -80; k += 2) keys.push_back(k);
+  keys.push_back(3);
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    CheckRandomRelation(ValueType::kInt64, IntPool(keys), 150, seed);
+  }
+}
+
+TEST(JoinIndexOracleTest, SparseIntegerKeys) {
+  std::mt19937_64 rng(7);
+  std::vector<int64_t> keys;
+  for (int i = 0; i < 60; ++i) keys.push_back(static_cast<int64_t>(rng()));
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    CheckRandomRelation(ValueType::kInt64, IntPool(keys), 300, seed);
+  }
+}
+
+TEST(JoinIndexOracleTest, ExtremeKeysInOneColumn) {
+  // INT64_MAX - INT64_MIN overflows a signed key range.
+  const std::vector<int64_t> keys = {INT64_MIN, INT64_MIN + 1, -1, 0, 1,
+                                     INT64_MAX - 1, INT64_MAX};
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    CheckRandomRelation(ValueType::kInt64, IntPool(keys), 100, seed);
+  }
+  // Few rows over a narrow range: dense, with the extremes alone too.
+  CheckRandomRelation(ValueType::kInt64, IntPool({INT64_MIN, INT64_MIN + 2}),
+                      20, 9);
+  CheckRandomRelation(ValueType::kInt64, IntPool({INT64_MAX - 3, INT64_MAX}),
+                      20, 9);
+}
+
+TEST(JoinIndexOracleTest, StringKeys) {
+  std::vector<Value> pool;
+  for (int i = 0; i < 40; ++i) pool.emplace_back("k" + std::to_string(i));
+  pool.emplace_back("");
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    CheckRandomRelation(ValueType::kString, pool, 200, seed);
+  }
+}
+
+TEST(JoinIndexOracleTest, DoubleKeysWithSignedZeros) {
+  const std::vector<Value> pool = {Value(0.0),  Value(-0.0), Value(1.5),
+                                   Value(-2.25), Value(1e300), Value(7.0)};
+  ASSERT_EQ(Value(0.0), Value(-0.0));  // one key: both zeros match either
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    CheckRandomRelation(ValueType::kDouble, pool, 120, seed);
+  }
+}
+
+TEST(JoinIndexOracleTest, MixedTypesCompareValues) {
+  // A bulk load may mix types; an integer and a string whose hash equals it
+  // must still never match each other.
+  const std::vector<Value> pool = {
+      Value(int64_t{1}), Value(int64_t{2}), Value("1"), Value("two"),
+      Value(JoinIndex::KeyOf(Value("two"))), Value(1.0)};
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    CheckRandomRelation(ValueType::kInt64, pool, 120, seed);
+  }
 }
 
 // IndexOn reads a built index through an atomic pointer and takes the
@@ -134,16 +289,16 @@ TEST(RelationIndexTest, RacingFirstUsesShareOneIndex) {
     waiting.fetch_sub(1);
     while (waiting.load() > 0) std::this_thread::yield();
   };
-  std::vector<const HashIndex*> seen(kThreads, nullptr);
+  std::vector<const JoinIndex*> seen(kThreads, nullptr);
   std::vector<std::vector<RowId>> lookups(kThreads);
-  const HashIndex* other = nullptr;
+  const JoinIndex* other = nullptr;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       start_together();
-      const HashIndex& index = rel.IndexOn(0);
+      const JoinIndex& index = rel.IndexOn(0);
       seen[static_cast<size_t>(t)] = &index;
-      lookups[static_cast<size_t>(t)] = index.Lookup(I(5));
+      lookups[static_cast<size_t>(t)] = Rows(index.Lookup(I(5)));
     });
   }
   threads.emplace_back([&] {
@@ -160,7 +315,7 @@ TEST(RelationIndexTest, RacingFirstUsesShareOneIndex) {
   ASSERT_NE(other, nullptr);
   EXPECT_EQ(other, &rel.IndexOn(1));
   EXPECT_NE(other, seen[0]);
-  EXPECT_EQ(other->Lookup(I(3)), expected_g);
+  EXPECT_EQ(Rows(other->Lookup(I(3))), expected_g);
 }
 
 TEST(RelationIndexTest, DeleteOnPrivateCloneRebuildsWithoutTombstone) {
@@ -168,17 +323,17 @@ TEST(RelationIndexTest, DeleteOnPrivateCloneRebuildsWithoutTombstone) {
   ASSERT_TRUE(rel.Append({I(1), S("one")}).ok());
   ASSERT_TRUE(rel.Append({I(2), S("two")}).ok());
   ASSERT_TRUE(rel.Append({I(1), S("uno")}).ok());
-  const HashIndex& served = rel.IndexOn(0);
-  ASSERT_EQ(served.Lookup(I(1)), (std::vector<RowId>{0, 2}));
+  const JoinIndex& served = rel.IndexOn(0);
+  ASSERT_EQ(Rows(served.Lookup(I(1))), (std::vector<RowId>{0, 2}));
 
   Relation clone = rel.Clone();
-  ASSERT_EQ(clone.IndexOn(0).Lookup(I(1)), (std::vector<RowId>{0, 2}));
+  ASSERT_EQ(Rows(clone.IndexOn(0).Lookup(I(1))), (std::vector<RowId>{0, 2}));
   ASSERT_TRUE(clone.Delete(2).ok());
-  EXPECT_EQ(clone.IndexOn(0).Lookup(I(1)), (std::vector<RowId>{0}));
-  EXPECT_EQ(clone.IndexOn(0).Lookup(I(2)), (std::vector<RowId>{1}));
+  EXPECT_EQ(Rows(clone.IndexOn(0).Lookup(I(1))), (std::vector<RowId>{0}));
+  EXPECT_EQ(Rows(clone.IndexOn(0).Lookup(I(2))), (std::vector<RowId>{1}));
   // The served relation's index is untouched.
   EXPECT_EQ(&rel.IndexOn(0), &served);
-  EXPECT_EQ(served.Lookup(I(1)), (std::vector<RowId>{0, 2}));
+  EXPECT_EQ(Rows(served.Lookup(I(1))), (std::vector<RowId>{0, 2}));
 }
 
 TEST(RelationIndexDeathTest, AppendAfterIndexBuildAborts) {
