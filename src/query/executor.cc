@@ -26,14 +26,9 @@ struct Step {
   VertexId from;                       // kNoVertex for the start vertex
   storage::AttributeId vertex_attr;    // join attr on `vertex`'s side
   storage::AttributeId from_attr;      // join attr on `from`'s side
-  // Join indexes on `vertex_attr` and on `from`'s `from_attr`, resolved
-  // once per plan (null for the start vertex), so the enumeration never
-  // calls IndexOn. `from_index` is the key column the step reads.
+  // Join index on `vertex_attr`, resolved once per plan (null for the
+  // start vertex), so the enumeration never calls IndexOn.
   const storage::JoinIndex* index;
-  const storage::JoinIndex* from_index;
-  // Both columns hold only integers: the from-row's key addresses its
-  // matches directly, with no Value read or compared.
-  bool by_key;
   // Plan::distinct[distinct_begin, distinct_end): earlier-assigned
   // vertices that are neighbors of `from` via the same FK and orientation
   // as `vertex`; their rows must differ from `vertex`'s (see the
@@ -213,8 +208,7 @@ Status BuildPlan(const text::FullTextEngine& engine, const MappingPath& mapping,
   plan->assign_order[static_cast<size_t>(plan->start)] = 0;
   plan->steps.push_back(Step{plan->start, kNoVertex,
                              storage::kInvalidAttribute,
-                             storage::kInvalidAttribute, nullptr, nullptr,
-                             false, 0, 0});
+                             storage::kInvalidAttribute, nullptr, 0, 0});
   const auto assigned = [&](VertexId v) {
     return plan->assign_order[static_cast<size_t>(v)] != SIZE_MAX;
   };
@@ -228,19 +222,10 @@ Status BuildPlan(const text::FullTextEngine& engine, const MappingPath& mapping,
           e.neighbor_is_from_side ? fk.from_attribute : fk.to_attribute;
       const storage::AttributeId u_attr =
           e.neighbor_is_from_side ? fk.to_attribute : fk.from_attribute;
-      const storage::JoinIndex& index =
-          db.relation(mapping.vertex(e.neighbor).relation).IndexOn(v_attr);
-      const storage::JoinIndex& from_index =
-          db.relation(mapping.vertex(u).relation).IndexOn(u_attr);
-      Step step{e.neighbor,
-                u,
-                v_attr,
-                u_attr,
-                &index,
-                &from_index,
-                index.integer_keys() && from_index.integer_keys(),
-                plan->distinct.size(),
-                0};
+      const storage::Relation& v_rel =
+          db.relation(mapping.vertex(e.neighbor).relation);
+      Step step{e.neighbor, u, v_attr, u_attr, &v_rel.IndexOn(v_attr),
+                plan->distinct.size(), 0};
       // Normal form: the new vertex must differ from every already-
       // assigned neighbor of `u` reached via the same FK/orientation.
       ForEachNeighbor(mapping, u, [&](const AdjEdge& other) {
@@ -311,17 +296,12 @@ void Enumerate(const storage::Database& db, const MappingPath& mapping,
       return;
     }
 
-    const storage::RowId from_row =
-        assignment[static_cast<size_t>(step.from)];
-    // Inner join: a NULL never matches.
-    if (!step.from_index->has_key(from_row)) return;
-    const std::span<const storage::RowId> matches =
-        step.by_key
-            ? step.index->LookupKey(step.from_index->key(from_row))
-            : step.index->Lookup(
-                  db.relation(mapping.vertex(step.from).relation)
-                      .at(from_row, step.from_attr));
-    for (storage::RowId row : matches) {
+    const storage::Relation& from_rel =
+        db.relation(mapping.vertex(step.from).relation);
+    const storage::Value& join_value = from_rel.at(
+        assignment[static_cast<size_t>(step.from)], step.from_attr);
+    if (join_value.is_null()) return;  // inner join: NULL never matches
+    for (storage::RowId row : step.index->Lookup(join_value)) {
       if (constraints[v] != nullptr && !SortedContains(*constraints[v], row)) {
         continue;
       }

@@ -10,21 +10,22 @@ namespace mweaver::storage {
 
 JoinIndex::JoinIndex(const Relation& relation, AttributeId attribute) {
   const size_t num_rows = relation.num_rows();
-  keys_.resize(num_rows);
-  present_.assign(num_rows, 0);
+  // The indexed value of row r, or null if it is not indexed.
+  const auto value_of = [&](size_t r) -> const Value* {
+    const auto row = static_cast<RowId>(r);
+    if (relation.is_deleted(row)) return nullptr;
+    const Value& v = relation.at(row, attribute);
+    return v.is_null() ? nullptr : &v;
+  };
   size_t indexed = 0;
   int64_t max_key = 0;
   for (size_t r = 0; r < num_rows; ++r) {
-    const auto row = static_cast<RowId>(r);
-    if (relation.is_deleted(row)) continue;
-    const Value& v = relation.at(row, attribute);
-    if (v.is_null()) continue;
-    const int64_t key = KeyOf(v);
-    keys_[r] = key;
-    present_[r] = 1;
+    const Value* v = value_of(r);
+    if (v == nullptr) continue;
+    const int64_t key = KeyOf(*v);
     if (indexed == 0 || key < min_key_) min_key_ = key;
     if (indexed == 0 || key > max_key) max_key = key;
-    integer_keys_ = integer_keys_ && v.type() == ValueType::kInt64;
+    integer_keys_ = integer_keys_ && v->type() == ValueType::kInt64;
     ++indexed;
   }
   // Unsigned arithmetic: INT64_MAX - INT64_MIN does not overflow.
@@ -32,15 +33,17 @@ JoinIndex::JoinIndex(const Relation& relation, AttributeId attribute) {
       static_cast<uint64_t>(max_key) - static_cast<uint64_t>(min_key_);
   dense_ = integer_keys_ && (indexed == 0 || key_span < 4 * uint64_t{indexed});
 
-  // Group of each indexed row, then a counting sort of the rows by group:
-  // visiting rows in ascending order keeps every group ascending.
-  std::vector<uint32_t> group_of(num_rows);
+  // Group of each indexed row (kEmptySlot for the others), then a counting
+  // sort of the rows by group: visiting rows in ascending order keeps every
+  // group ascending.
+  std::vector<uint32_t> group_of(num_rows, kEmptySlot);
   std::vector<uint32_t> counts;
   if (dense_) {
     if (indexed > 0) counts.assign(static_cast<size_t>(key_span) + 1, 0);
     for (size_t r = 0; r < num_rows; ++r) {
-      if (present_[r] == 0) continue;
-      group_of[r] = static_cast<uint32_t>(static_cast<uint64_t>(keys_[r]) -
+      const Value* v = value_of(r);
+      if (v == nullptr) continue;
+      group_of[r] = static_cast<uint32_t>(static_cast<uint64_t>(v->AsInt64()) -
                                           static_cast<uint64_t>(min_key_));
       if (counts[group_of[r]]++ == 0) ++num_distinct_;
     }
@@ -51,19 +54,20 @@ JoinIndex::JoinIndex(const Relation& relation, AttributeId attribute) {
     slot_groups_.assign(capacity, kEmptySlot);
     slot_shift_ = 64 - std::countr_zero(capacity);
     for (size_t r = 0; r < num_rows; ++r) {
-      if (present_[r] == 0) continue;
-      const Value& v = relation.at(static_cast<RowId>(r), attribute);
-      size_t s = Slot(keys_[r]);
+      const Value* v = value_of(r);
+      if (v == nullptr) continue;
+      const int64_t key = KeyOf(*v);
+      size_t s = Slot(key);
       while (slot_groups_[s] != kEmptySlot &&
-             (slot_keys_[s] != keys_[r] ||
-              (!integer_keys_ && group_values_[slot_groups_[s]] != v))) {
+             (slot_keys_[s] != key ||
+              (!integer_keys_ && group_values_[slot_groups_[s]] != *v))) {
         s = (s + 1) & (capacity - 1);
       }
       if (slot_groups_[s] == kEmptySlot) {
-        slot_keys_[s] = keys_[r];
+        slot_keys_[s] = key;
         slot_groups_[s] = static_cast<uint32_t>(counts.size());
         counts.push_back(0);
-        if (!integer_keys_) group_values_.push_back(v);
+        if (!integer_keys_) group_values_.push_back(*v);
       }
       group_of[r] = slot_groups_[s];
       ++counts[group_of[r]];
@@ -78,21 +82,9 @@ JoinIndex::JoinIndex(const Relation& relation, AttributeId attribute) {
   // counts becomes each group's fill cursor.
   std::copy(starts_.begin(), starts_.end() - 1, counts.begin());
   for (size_t r = 0; r < num_rows; ++r) {
-    if (present_[r] != 0) rows_[counts[group_of[r]]++] = static_cast<RowId>(r);
-  }
-}
-
-std::span<const RowId> JoinIndex::Lookup(const Value& value) const {
-  if (value.is_null()) return {};
-  if (integer_keys_) {
-    return value.type() == ValueType::kInt64 ? LookupKey(value.AsInt64())
-                                             : std::span<const RowId>();
-  }
-  const int64_t key = KeyOf(value);
-  for (size_t s = Slot(key);; s = (s + 1) & (slot_groups_.size() - 1)) {
-    const uint32_t g = slot_groups_[s];
-    if (g == kEmptySlot) return {};
-    if (slot_keys_[s] == key && group_values_[g] == value) return Group(g);
+    if (group_of[r] != kEmptySlot) {
+      rows_[counts[group_of[r]]++] = static_cast<RowId>(r);
+    }
   }
 }
 

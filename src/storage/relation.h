@@ -25,17 +25,13 @@ using Row = std::vector<Value>;
 class Relation;
 
 /// \brief The flat, immutable equality index of one relation attribute,
-/// used for FK joins. It holds
-///  * a key column: per physical row, the row's 64-bit key (the value itself
-///    for kInt64, Value::Hash() otherwise) and a separate marker that is
-///    clear for null cells and tombstoned rows (INT64_MIN is a legal key);
-///  * the live non-null rows grouped by value in one CSR row array, each
-///    group in ascending row order.
-/// A key finds its group by `key - min` when every value is an integer and
-/// the key range is at most 4x the indexed rows, and through an
-/// open-addressed key table otherwise. Groups of a non-integer column keep
-/// their value, which a lookup compares on a key match, so hash collisions
-/// never merge two values.
+/// used for FK joins: the live non-null rows grouped by value in one CSR
+/// row array, each group in ascending row order. A value's 64-bit key (the
+/// value itself for kInt64, Value::Hash() otherwise) finds its group by
+/// `key - min` when every value is an integer and the key range is at most
+/// 4x the indexed rows, and through an open-addressed key table otherwise.
+/// Groups of a non-integer column keep their value, which a lookup
+/// compares on a key match, so hash collisions never merge two values.
 class JoinIndex {
  public:
   /// \brief Indexes `attribute` over the live rows of `relation`.
@@ -48,34 +44,25 @@ class JoinIndex {
                : static_cast<int64_t>(value.Hash());
   }
 
-  /// \brief True iff every indexed value is kInt64, so equal keys mean equal
-  /// values and LookupKey applies.
-  bool integer_keys() const { return integer_keys_; }
-
-  /// \brief True iff `row` is indexed: live, with a non-null value.
-  bool has_key(RowId row) const {
-    return present_[static_cast<size_t>(row)] != 0;
-  }
-  /// \brief KeyOf the value of `row`; meaningful only if has_key(row).
-  int64_t key(RowId row) const { return keys_[static_cast<size_t>(row)]; }
-
   /// \brief Live rows whose value equals `value`, ascending (empty if none
   /// or `value` is null).
-  std::span<const RowId> Lookup(const Value& value) const;
-
-  /// \brief Live rows whose integer value is `key`, ascending. Requires
-  /// integer_keys().
-  std::span<const RowId> LookupKey(int64_t key) const {
-    MW_DCHECK(integer_keys_);
+  std::span<const RowId> Lookup(const Value& value) const {
+    if (value.is_null()) return {};
+    // In an all-integer column equal keys mean equal values.
+    if (integer_keys_ && value.type() != ValueType::kInt64) return {};
+    const int64_t key = KeyOf(value);
     if (dense_) {
-      const uint64_t offset =
+      const uint64_t g =
           static_cast<uint64_t>(key) - static_cast<uint64_t>(min_key_);
-      return offset < num_groups() ? Group(offset) : std::span<const RowId>();
+      return g < starts_.size() - 1 ? Group(g) : std::span<const RowId>();
     }
     for (size_t s = Slot(key);; s = (s + 1) & (slot_groups_.size() - 1)) {
       const uint32_t g = slot_groups_[s];
       if (g == kEmptySlot) return {};
-      if (slot_keys_[s] == key) return Group(g);
+      if (slot_keys_[s] == key &&
+          (integer_keys_ || group_values_[g] == value)) {
+        return Group(g);
+      }
     }
   }
 
@@ -84,7 +71,6 @@ class JoinIndex {
  private:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
-  size_t num_groups() const { return starts_.size() - 1; }
   std::span<const RowId> Group(size_t g) const {
     return {rows_.data() + starts_[g], rows_.data() + starts_[g + 1]};
   }
@@ -94,11 +80,10 @@ class JoinIndex {
         (static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ULL) >> slot_shift_);
   }
 
-  std::vector<int64_t> keys_;     // per physical row
-  std::vector<uint8_t> present_;  // per physical row: live and non-null
   // Group g's rows are rows_[starts_[g], starts_[g + 1]).
   std::vector<RowId> rows_;
   std::vector<uint32_t> starts_{0};
+  // Every indexed value is kInt64.
   bool integer_keys_ = true;
   // Dense addressing: group = key - min_key_, empty groups included.
   bool dense_ = true;
@@ -152,8 +137,8 @@ class Relation {
   Status Append(Row row);
 
   /// \brief Appends without validation; for trusted bulk loads (generators).
-  /// Like Append, aborts once an index is built: a key column covers only
-  /// the rows present at its build.
+  /// Like Append, aborts once an index is built: an index covers only the
+  /// rows present at its build.
   RowId AppendUnchecked(Row row) {
     MW_CHECK(indexes_.empty())
         << "appending to relation '" << name() << "' after indexes were built";

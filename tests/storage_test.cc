@@ -117,32 +117,24 @@ TEST(RelationTest, IndexSkipsNulls) {
   ASSERT_TRUE(rel.Append({Value::Null()}).ok());
   ASSERT_TRUE(rel.Append({I(5)}).ok());
   EXPECT_EQ(rel.IndexOn(0).num_distinct(), 1u);
-  EXPECT_FALSE(rel.IndexOn(0).has_key(0));
   EXPECT_TRUE(rel.IndexOn(0).Lookup(Value::Null()).empty());
 }
 
 // The join-index oracle: on `rel`'s attribute 0, every lookup of a probe
 // value equals a scan of the live rows holding an equal Value, in
-// ascending row order, and the key column marks exactly the live non-null
-// rows with their KeyOf.
+// ascending row order.
 void ExpectIndexMatchesScan(const Relation& rel,
                             const std::vector<Value>& probes) {
   const JoinIndex& index = rel.IndexOn(0);
   std::vector<Value> distinct;
-  bool all_integers = true;
   for (size_t r = 0; r < rel.num_rows(); ++r) {
     const auto row = static_cast<RowId>(r);
     const Value& v = rel.at(row, 0);
-    const bool indexed = !rel.is_deleted(row) && !v.is_null();
-    ASSERT_EQ(index.has_key(row), indexed) << "row " << r;
-    if (!indexed) continue;
-    EXPECT_EQ(index.key(row), JoinIndex::KeyOf(v)) << "row " << r;
-    all_integers = all_integers && v.type() == ValueType::kInt64;
+    if (rel.is_deleted(row) || v.is_null()) continue;
     if (std::find(distinct.begin(), distinct.end(), v) == distinct.end()) {
       distinct.push_back(v);
     }
   }
-  EXPECT_EQ(index.integer_keys(), all_integers);
   EXPECT_EQ(index.num_distinct(), distinct.size());
   for (const Value& probe : probes) {
     std::vector<RowId> expected;
@@ -153,10 +145,6 @@ void ExpectIndexMatchesScan(const Relation& rel,
       }
     }
     EXPECT_EQ(Rows(index.Lookup(probe)), expected) << "probe " << probe;
-    if (index.integer_keys() && probe.type() == ValueType::kInt64) {
-      EXPECT_EQ(Rows(index.LookupKey(probe.AsInt64())), expected)
-          << "key " << probe;
-    }
   }
 }
 
