@@ -1,14 +1,20 @@
-// Approximate keyword lookup: accelerated candidate resolution (n-gram +
-// deletion-neighborhood indexes) vs the linear dictionary scan it replaced.
+// Approximate keyword lookup: accelerated candidate resolution (one
+// vocabulary with the policy's n-gram or deletion-neighborhood table,
+// shared by every attribute) vs the linear dictionary scan it replaced.
 //
 // Three sections:
 //  1. index build — engine construction time (the (shard, attribute)
-//     builds fan out on the shared pool), and each policy's index memory
-//     (an index builds only the candidate table its policy probes);
-//  2. per-mode lookup latency — the same probe set through the accelerated
-//     CandidateRows and the scan reference ScanCandidateRows of one index
-//     set per match mode (median of three timed passes each), with the
-//     speedup ratio and candidate-examined counts;
+//     builds fan out on the shared pool, then their dictionaries merge
+//     into the vocabulary), and each policy's index memory (the
+//     vocabulary holds only the candidate table its policy probes);
+//  2. per-mode lookup latency — the same probe set through the vocabulary
+//     path (each sample resolved once, then candidate rows of each
+//     attribute that can hold it) and the scan reference
+//     ScanCandidateRows of every attribute, one index set per match mode
+//     (median of three timed passes each), with the speedup ratio and
+//     candidate-examined counts. Each mode also cross-checks the engine's
+//     FindOccurrences against every attribute probed through the scan
+//     reference, and exits 1 on a mismatch;
 //  3. probe memo — cold vs warm pass of one working set through the
 //     FullTextEngine, showing the memo's hit rate and latency effect.
 //
@@ -28,6 +34,7 @@
 #include "text/inverted_index.h"
 #include "text/match.h"
 #include "text/tokenizer.h"
+#include "text/vocabulary.h"
 #include "common/json_util.h"
 
 namespace {
@@ -124,18 +131,26 @@ struct AttrIndex {
   std::unique_ptr<mweaver::text::InvertedIndex> index;
 };
 
-// One index per attribute in `refs`, each built for `policy`.
-std::vector<AttrIndex> BuildIndexes(
-    const mweaver::storage::Database& db,
-    const std::vector<mweaver::text::AttributeRef>& refs,
-    const mweaver::text::MatchPolicy& policy) {
+// One index per attribute in `refs`, each built for `policy`, and the
+// vocabulary over them (attribute i under slot i), as an engine holds
+// them.
+struct IndexSet {
   std::vector<AttrIndex> indexes;
+  mweaver::text::Vocabulary vocab;
+};
+
+IndexSet BuildIndexes(const mweaver::storage::Database& db,
+                      const std::vector<mweaver::text::AttributeRef>& refs,
+                      const mweaver::text::MatchPolicy& policy) {
+  IndexSet set{{}, mweaver::text::Vocabulary(policy, refs.size())};
   for (const mweaver::text::AttributeRef& ref : refs) {
-    indexes.push_back(AttrIndex{
+    set.indexes.push_back(AttrIndex{
         ref, std::make_unique<mweaver::text::InvertedIndex>(
                  db.relation(ref.relation), ref.attribute, policy)});
+    set.vocab.AddIndex(*set.indexes.back().index,
+                       static_cast<uint32_t>(set.indexes.size() - 1));
   }
-  return indexes;
+  return set;
 }
 
 struct ModeResult {
@@ -162,21 +177,32 @@ double Median(std::vector<double> v) {
 
 // Runs every sample against every given attribute index under the policy
 // it was built for, both paths, kTimedPasses times each, and returns the
-// median per-pass times. Every pass checks that both paths return the
-// same rows; the counters are the first pass's (one pass over the probe
-// set, as the baseline records them).
-ModeResult RunMode(const std::vector<AttrIndex>& indexes,
+// median per-pass times. The vocabulary path resolves each sample once and
+// reads the candidate rows of the attributes that can hold it, as
+// FindOccurrences does; the scan path scans every attribute. Every pass
+// checks that both paths return the same rows; the counters are the first
+// pass's (one pass over the probe set, as the baseline records them).
+ModeResult RunMode(const IndexSet& set,
                    const std::vector<std::string>& samples) {
+  const std::vector<AttrIndex>& indexes = set.indexes;
   ModeResult result;
   std::vector<double> fast_us;
   std::vector<double> scan_us;
+  mweaver::text::ResolvedSample resolved;
+  std::vector<uint64_t> slots;
   for (int pass = 0; pass < kTimedPasses; ++pass) {
     mweaver::text::ProbeStats stats;
     Stopwatch watch;
     size_t fast_rows = 0;
     for (const std::string& sample : samples) {
-      for (const AttrIndex& attr : indexes) {
-        fast_rows += attr.index->CandidateRows(sample, &stats).size();
+      set.vocab.Resolve(sample, &resolved, &stats);
+      set.vocab.CandidateSlots(resolved, &slots);
+      for (uint32_t slot = 0; slot < indexes.size(); ++slot) {
+        if ((slots[slot >> 6] >> (slot & 63) & 1) == 0) continue;
+        fast_rows += set.vocab
+                         .CandidateRows(*indexes[slot].index, slot, resolved,
+                                        &stats)
+                         .size();
       }
     }
     fast_us.push_back(watch.ElapsedMicros());
@@ -208,6 +234,47 @@ ModeResult RunMode(const std::vector<AttrIndex>& indexes,
   result.fast_us = Median(fast_us);
   result.scan_us = Median(scan_us);
   return result;
+}
+
+// FindOccurrences of a memo-less engine against every attribute of `set`
+// probed through the scan reference and verified, keeping the attributes
+// with matches: both the attribute list and every row set must agree.
+// Returns the number of samples that disagree.
+size_t CheckOccurrences(const mweaver::storage::Database& db,
+                        const IndexSet& set,
+                        const std::vector<std::string>& samples) {
+  using mweaver::text::NoisyContains;
+  mweaver::text::EngineOptions options;
+  options.probe_cache_bytes = 0;
+  const mweaver::text::FullTextEngine engine(&db, set.vocab.policy(),
+                                             options);
+  size_t mismatches = 0;
+  for (const std::string& sample : samples) {
+    const std::vector<mweaver::text::Occurrence> found =
+        engine.FindOccurrences(sample);
+    size_t next = 0;
+    bool same = true;
+    for (const AttrIndex& attr : set.indexes) {
+      const auto& rel = db.relation(attr.ref.relation);
+      std::vector<mweaver::storage::RowId> rows;
+      for (const auto row : attr.index->ScanCandidateRows(sample)) {
+        if (NoisyContains(rel.at(row, attr.ref.attribute).ToDisplayString(),
+                          sample, set.vocab.policy())) {
+          rows.push_back(row);
+        }
+      }
+      if (rows.empty()) continue;
+      same = same && next < found.size() && found[next].attr == attr.ref &&
+             *found[next].rows == rows;
+      ++next;
+    }
+    if (!same || next != found.size()) {
+      std::fprintf(stderr, "MISMATCH: FindOccurrences('%s') differs from "
+                   "the every-attribute scan\n", sample.c_str());
+      ++mismatches;
+    }
+  }
+  return mismatches;
 }
 
 const mweaver::text::MatchPolicy kPolicies[] = {
@@ -319,7 +386,7 @@ int main(int argc, char** argv) {
 
   std::printf("index build (%zu attributes): %.2f ms\n",
               substring_engine.num_indexed_attributes(), build_ms);
-  // Each policy's engine builds only the candidate table that policy
+  // Each policy's vocabulary builds only the candidate table that policy
   // probes: none for the verbatim-token modes, the gram table for
   // substring, the deletion table for fuzzy.
   std::printf("  index memory per policy:\n");
@@ -339,15 +406,23 @@ int main(int argc, char** argv) {
               samples.size(), all_attrs.size());
   const std::vector<ModeResult> all_results =
       PrintModeTable(db, all_attrs, samples);
+  size_t mismatches = 0;
+  for (const text::MatchPolicy& policy : kPolicies) {
+    mismatches +=
+        CheckOccurrences(db, BuildIndexes(db, all_attrs, policy), samples);
+  }
+  std::printf("FindOccurrences vs every-attribute scan: %zu samples x %zu "
+              "modes, %zu mismatches\n",
+              samples.size(), std::size(kPolicies), mismatches);
+  if (mismatches > 0) return 1;
 
   // The sublinear claim lives where the dictionary is big: the linear scan
   // is O(|dict|) per query token, so restrict the probe set to the largest
-  // attribute dictionary and draw samples from its own values. Exact-mode
-  // indexes hold the dictionaries and no candidate table.
-  const std::vector<AttrIndex> dictionaries =
+  // attribute dictionary and draw samples from its own values.
+  const IndexSet dictionaries =
       BuildIndexes(db, all_attrs, text::MatchPolicy::Exact());
-  const AttrIndex* largest = &dictionaries.front();
-  for (const AttrIndex& attr : dictionaries) {
+  const AttrIndex* largest = &dictionaries.indexes.front();
+  for (const AttrIndex& attr : dictionaries.indexes) {
     if (attr.index->num_tokens() > largest->index->num_tokens()) {
       largest = &attr;
     }

@@ -67,6 +67,10 @@ Result<SnapshotPtr> Catalog::Publish(std::string_view tenant,
       std::string(tenant), epoch, /*minor_epoch=*/0, std::move(owned_db),
       std::move(engine), std::move(graph), std::move(fingerprints));
 
+  // Declared before the lock so it is destroyed after the lock is
+  // released: when no reader pins the superseded snapshot, dropping it
+  // frees a whole index bundle, and every tenant's Pin waits on mu_.
+  SnapshotPtr superseded;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) {
@@ -88,7 +92,8 @@ Result<SnapshotPtr> Catalog::Publish(std::string_view tenant,
                   static_cast<int>(tenant.size()), tenant.data(),
                   static_cast<unsigned long long>(entry.current->epoch())));
   }
-  entry.current = snapshot;  // the atomic swap: one pointer assignment
+  // The atomic swap: one pointer exchange.
+  superseded = std::exchange(entry.current, snapshot);
   entry.publishes += 1;
   entry.shards_rebuilt_last = shards_rebuilt;
   entry.shards_rebuilt_total += shards_rebuilt;
@@ -102,6 +107,8 @@ Status Catalog::InstallDelta(std::string_view tenant,
   if (next == nullptr) {
     return Status::InvalidArgument("delta snapshot must not be null");
   }
+  // Dropped after the lock is released, as in Publish.
+  SnapshotPtr superseded;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end() || it->second->current == nullptr) {
@@ -124,7 +131,7 @@ Status Catalog::InstallDelta(std::string_view tenant,
   }
   // Shard accounting: a delta "rebuilds" the shards the writer
   // delta-cloned; everything else was carried over.
-  entry.current = std::move(next);
+  superseded = std::exchange(entry.current, std::move(next));
   entry.updates += 1;
   entry.shards_rebuilt_last = shards_touched;
   entry.shards_rebuilt_total += shards_touched;

@@ -86,9 +86,9 @@ class Snapshot {
 
   /// \brief Approximate heap footprint of the text indexes (capacity
   /// accounting for eviction policies and per-tenant metrics): the
-  /// dictionaries, row postings, and the one candidate table the catalog's
-  /// match policy probes — computed on each call, so it is current after a
-  /// streaming update without a separate refresh.
+  /// dictionaries, row postings, and the vocabulary with the one candidate
+  /// table the catalog's match policy probes — computed on each call, so it
+  /// is current after a streaming update without a separate refresh.
   size_t index_bytes() const { return engine_->index_bytes(); }
 
  private:

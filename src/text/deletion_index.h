@@ -10,8 +10,8 @@
 // edit distance computed only on final candidates, whereas a BK-tree pays
 // an edit-distance evaluation at every visited node and degrades badly at
 // d = 2 on short tokens. The table's memory (~O(len^2) variants per token
-// at d = 2) is paid only by indexes built for a policy that probes it
-// (Supports), and its build is embarrassingly parallel across attributes.
+// at d = 2) is paid only by a vocabulary built for a policy that probes it
+// (Supports), once per distinct token of the tenant.
 //
 // Variants are stored as 64-bit FNV-1a hashes, not strings: a hash
 // collision only widens the candidate set, never loses a match, so the
@@ -44,7 +44,7 @@ class DeletionIndex {
   /// \brief Whether `policy` probes a deletion index: kFuzzyTokenSubset
   /// with 1 <= d <= kMaxEdit. At d = 0 a fuzzy probe is a verbatim token
   /// lookup, and beyond kMaxEdit it is a counted dictionary scan; neither
-  /// reads the table, so an InvertedIndex builds one only when this holds.
+  /// reads the table, so a Vocabulary builds one only when this holds.
   static bool Supports(const MatchPolicy& policy) {
     return policy.mode == MatchMode::kFuzzyTokenSubset &&
            policy.max_edit_distance >= 1 &&

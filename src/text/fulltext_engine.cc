@@ -1,6 +1,7 @@
 #include "text/fulltext_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 
 #include "common/failpoint.h"
@@ -11,6 +12,33 @@
 #include "text/numeric.h"
 
 namespace mweaver::text {
+
+namespace {
+
+// Per-thread locate scratch: FindOccurrences' resolution and candidate
+// slots, and a lone MatchingRows miss's resolution (never both at once:
+// FindOccurrences probes with its own resolution).
+struct LocateScratch {
+  ResolvedSample resolved;
+  std::vector<uint64_t> slots;
+};
+
+LocateScratch& LocalLocateScratch() {
+  thread_local LocateScratch scratch;
+  return scratch;
+}
+
+// Calls `fn` with a cell's text: a string cell (every indexed one) in
+// place, any other through its display-string copy.
+template <typename Fn>
+auto WithCellText(const storage::Value& v, Fn&& fn) {
+  if (v.type() == storage::ValueType::kString) {
+    return fn(std::string_view(v.AsString()));
+  }
+  return fn(std::string_view(v.ToDisplayString()));
+}
+
+}  // namespace
 
 void FullTextEngine::InitMetadata(const storage::Database* db,
                                   MatchPolicy policy,
@@ -63,8 +91,7 @@ void FullTextEngine::BuildShards(uint32_t shard_count,
     }
   }
   // Every (shard, attribute) index build is independent; fan them out on
-  // the shared pool. (Token dictionary and the policy's candidate table of
-  // each index are both built inside the InvertedIndex constructor.)
+  // the shared pool.
   const size_t attrs = indexed_attrs_.size();
   const size_t threads = ThreadPool::Shared().num_threads();
   ParallelFor(to_build.size() * attrs, threads, [&](size_t job) {
@@ -77,6 +104,15 @@ void FullTextEngine::BuildShards(uint32_t shard_count,
         db_->relation(ref.relation), ref.attribute, policy_, s, n);
   });
   if (shards_rebuilt != nullptr) *shards_rebuilt = to_build.size();
+  // Merge the dictionaries slot by slot, so every token's slot list is
+  // appended in order. Reused shards are merged too: vocabulary ids are
+  // this engine's own.
+  vocab_ = std::make_shared<Vocabulary>(policy_, attrs);
+  for (size_t i = 0; i < attrs; ++i) {
+    for (const auto& indexes : shards_) {
+      vocab_->AddIndex(*indexes[i], static_cast<uint32_t>(i));
+    }
+  }
 }
 
 FullTextEngine::FullTextEngine(const storage::Database* db, MatchPolicy policy,
@@ -109,6 +145,7 @@ std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
   delta->slot_of_attr_ = slot_of_attr_;
   delta->rel_versions_ = rel_versions_;
   delta->probe_cache_ = probe_cache_;  // shared; versions fence staleness
+  delta->vocab_ = vocab_;              // shared until FileToken copies it
   delta->shards_ = shards_;
   delta->mutable_shards_.assign(shards_.size(), false);
   for (const uint32_t s : touched_shards) {
@@ -143,8 +180,26 @@ void FullTextEngine::ApplyRowInsert(storage::RelationId relation,
   const storage::Relation& rel = db_->relation(relation);
   for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
     if (indexed_attrs_[i].relation != relation) continue;
-    indexes[i]->AddRow(row, rel.at(row, indexed_attrs_[i].attribute));
+    InvertedIndex& index = *indexes[i];
+    const size_t known = index.num_tokens();
+    index.AddRow(row, rel.at(row, indexed_attrs_[i].attribute));
+    // Only a token new to this index can be a (token, slot) pair new to
+    // the vocabulary: it already holds every one the index had.
+    for (size_t t = known; t < index.num_tokens(); ++t) {
+      FileToken(index.tokens()[t], static_cast<uint32_t>(i));
+    }
   }
+}
+
+void FullTextEngine::FileToken(const std::string& token, uint32_t slot) {
+  if (vocab_->Holds(token, slot)) return;
+  if (!vocab_owned_) {
+    // The base engine (and every engine sharing it) serves concurrently
+    // from the shared vocabulary: copy it once before the first change.
+    vocab_ = std::make_shared<Vocabulary>(*vocab_);
+    vocab_owned_ = true;
+  }
+  vocab_->Add(token, slot);
 }
 
 void FullTextEngine::ApplyRowDelete(storage::RelationId relation,
@@ -180,27 +235,38 @@ void FullTextEngine::CompactRelationIndexes(storage::RelationId relation) {
   }
 }
 
-std::string FullTextEngine::CellText(const AttributeRef& attr,
-                                     storage::RowId row) const {
-  return db_->relation(attr.relation).at(row, attr.attribute)
-      .ToDisplayString();
-}
-
 std::vector<Occurrence> FullTextEngine::FindOccurrences(
     const std::string& sample, ProbeCounters* counters) const {
   std::vector<Occurrence> occurrences;
-  for (const AttributeRef& attr : indexed_attrs_) {
-    RowSet rows = MatchingRows(attr, sample, counters);
+  const auto keep = [&](const AttributeRef& attr, RowSet rows) {
     if (!rows->empty()) {
       occurrences.push_back(Occurrence{attr, std::move(rows)});
     }
+  };
+  // Resolve once; a slot that lacks a match for some sample token cannot
+  // hold the sample, so it is neither probed nor memoized.
+  LocateScratch& scratch = LocalLocateScratch();
+  ProbeStats resolution;
+  vocab_->Resolve(sample, &scratch.resolved, &resolution);
+  if (counters != nullptr) counters->Record(resolution);
+  vocab_->CandidateSlots(scratch.resolved, &scratch.slots);
+  size_t candidates = 0;
+  for (const uint64_t bits : scratch.slots) candidates += std::popcount(bits);
+  const bool numeric =
+      policy_.match_numeric && ParseNumeric(sample).has_value();
+  occurrences.reserve(candidates + (numeric ? numeric_attrs_.size() : 0));
+  for (size_t w = 0; w < scratch.slots.size(); ++w) {
+    for (uint64_t bits = scratch.slots[w]; bits != 0; bits &= bits - 1) {
+      const int slot = static_cast<int>(w * 64 + std::countr_zero(bits));
+      const AttributeRef& attr = indexed_attrs_[static_cast<size_t>(slot)];
+      keep(attr, Probe(attr, slot, sample, &scratch.resolved, counters));
+    }
   }
-  if (policy_.match_numeric && ParseNumeric(sample).has_value()) {
-    for (const AttributeRef& attr : numeric_attrs_) {
-      RowSet rows = MatchingRows(attr, sample, counters);
-      if (!rows->empty()) {
-        occurrences.push_back(Occurrence{attr, std::move(rows)});
-      }
+  if (numeric) {
+    for (size_t i = 0; i < numeric_attrs_.size(); ++i) {
+      const AttributeRef& attr = numeric_attrs_[i];
+      keep(attr, Probe(attr, static_cast<int>(indexed_attrs_.size() + i),
+                       sample, nullptr, counters));
     }
   }
   return occurrences;
@@ -232,6 +298,13 @@ std::vector<storage::RowId> FullTextEngine::NumericMatches(
 RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
                                     const std::string& sample,
                                     ProbeCounters* counters) const {
+  return Probe(attr, AttrSlot(attr), sample, nullptr, counters);
+}
+
+RowSet FullTextEngine::Probe(const AttributeRef& attr, int slot,
+                             const std::string& sample,
+                             const ResolvedSample* resolved,
+                             ProbeCounters* counters) const {
   ProbeStats stats;
   stats.probes = 1;
   const auto record = [&] {
@@ -249,7 +322,6 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
   // Compute outside any lock (reads immutable indexes and relation data); a
   // racing thread may compute and insert the same entry, which is harmless.
   std::vector<storage::RowId> verified;
-  const int slot = AttrSlot(attr);
   if (slot < 0 || static_cast<size_t>(slot) >= indexed_attrs_.size()) {
     // A slot past the indexed ones is a numeric attribute, matched by a
     // (memoized) verification scan; an unsearchable one matches nothing.
@@ -262,25 +334,13 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
     }
     verified = NumericMatches(attr, *numeric);
   } else {
-    // Each shard's verified rows are sorted and disjoint from every other
-    // shard's (the shard hash partitions rows), so appending them in shard
-    // order and sorting once when two or more shards contributed yields
-    // exactly the one-shard result.
-    size_t runs = 0;
-    for (const auto& indexes : shards_) {
-      const size_t before = verified.size();
-      for (storage::RowId row :
-           indexes[static_cast<size_t>(slot)]->CandidateRows(sample, &stats)) {
-        if (NoisyContains(CellText(attr, row), sample, policy_)) {
-          verified.push_back(row);
-        }
-      }
-      if (verified.size() > before) ++runs;
+    if (resolved == nullptr) {
+      ResolvedSample& own = LocalLocateScratch().resolved;
+      vocab_->Resolve(sample, &own, &stats);
+      resolved = &own;
     }
-    if (runs > 1) std::sort(verified.begin(), verified.end());
-    // Every shard sees the same punctuation-only sample: one fallback per
-    // probe, however many shards ran it.
-    stats.all_rows_fallbacks = std::min<uint64_t>(stats.all_rows_fallbacks, 1);
+    verified = VerifiedRows(attr, static_cast<uint32_t>(slot), *resolved,
+                            &stats);
   }
   record();
 
@@ -298,6 +358,36 @@ RowSet FullTextEngine::MatchingRows(const AttributeRef& attr,
   return result;
 }
 
+std::vector<storage::RowId> FullTextEngine::VerifiedRows(
+    const AttributeRef& attr, uint32_t slot, const ResolvedSample& resolved,
+    ProbeStats* stats) const {
+  const storage::Relation& rel = db_->relation(attr.relation);
+  const std::string_view sample = resolved.sample;
+  // Each shard's verified rows are sorted and disjoint from every other
+  // shard's (the shard hash partitions rows), so appending them in shard
+  // order and sorting once when two or more shards contributed yields
+  // exactly the one-shard result.
+  std::vector<storage::RowId> verified;
+  size_t runs = 0;
+  for (const auto& indexes : shards_) {
+    const size_t before = verified.size();
+    for (storage::RowId row :
+         vocab_->CandidateRows(*indexes[slot], slot, resolved, stats)) {
+      if (WithCellText(rel.at(row, attr.attribute), [&](std::string_view v) {
+            return NoisyContains(v, sample, policy_);
+          })) {
+        verified.push_back(row);
+      }
+    }
+    if (verified.size() > before) ++runs;
+  }
+  if (runs > 1) std::sort(verified.begin(), verified.end());
+  // Every shard sees the same punctuation-only sample: one fallback per
+  // probe, however many shards ran it.
+  stats->all_rows_fallbacks = std::min<uint64_t>(stats->all_rows_fallbacks, 1);
+  return verified;
+}
+
 bool FullTextEngine::RowContains(const AttributeRef& attr, storage::RowId row,
                                  const std::string& sample) const {
   if (db_->relation(attr.relation).is_deleted(row)) return false;
@@ -307,7 +397,9 @@ bool FullTextEngine::RowContains(const AttributeRef& attr, storage::RowId row,
            NumericEquals(db_->relation(attr.relation).at(row, attr.attribute),
                          *numeric);
   }
-  return NoisyContains(CellText(attr, row), sample, policy_);
+  return WithCellText(
+      db_->relation(attr.relation).at(row, attr.attribute),
+      [&](std::string_view v) { return NoisyContains(v, sample, policy_); });
 }
 
 double FullTextEngine::RowMatchScore(const AttributeRef& attr,
@@ -317,7 +409,9 @@ double FullTextEngine::RowMatchScore(const AttributeRef& attr,
   if (policy_.match_numeric && IsNumericAttr(attr)) {
     return RowContains(attr, row, sample) ? 1.0 : 0.0;
   }
-  return MatchScore(CellText(attr, row), sample, policy_);
+  return WithCellText(
+      db_->relation(attr.relation).at(row, attr.attribute),
+      [&](std::string_view v) { return MatchScore(v, sample, policy_); });
 }
 
 std::string FullTextEngine::AttributeName(const AttributeRef& attr) const {
@@ -326,7 +420,7 @@ std::string FullTextEngine::AttributeName(const AttributeRef& attr) const {
 }
 
 size_t FullTextEngine::index_bytes() const {
-  size_t bytes = 0;
+  size_t bytes = vocab_->bytes();
   for (const auto& indexes : shards_) {
     for (const auto& index : indexes) bytes += index->index_bytes();
   }

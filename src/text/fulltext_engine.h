@@ -4,6 +4,13 @@
 // the verified matching rows of one attribute (used when executing pairwise
 // mapping queries and pruning queries).
 //
+// One text::Vocabulary per engine holds every distinct token of every
+// indexed attribute, the policy's candidate table over them, and for each
+// token the attribute slots that hold it. A probe tokenizes and resolves
+// its sample there once; FindOccurrences then visits only the attributes
+// that hold a match for every sample token, and each attribute's index
+// contributes nothing but its postings.
+//
 // The engine holds N >= 1 shard index sets: shard s indexes only the rows
 // common::ShardOfRow assigns to it, under physical (relation-global) row
 // ids, so the shards' verified match sets of one probe are sorted and
@@ -29,6 +36,7 @@
 #include "text/lookup_stats.h"
 #include "text/match.h"
 #include "text/probe_cache.h"
+#include "text/vocabulary.h"
 
 namespace mweaver::text {
 
@@ -60,9 +68,8 @@ struct EngineOptions {
 /// \brief Full-text search engine over one database instance.
 ///
 /// Indexes are built eagerly (and in parallel across shards and attributes)
-/// at construction for every `searchable` string attribute, each for the
-/// engine's policy and so holding only the candidate table that policy
-/// probes (see text/inverted_index.h). Verified
+/// at construction for every `searchable` string attribute; their
+/// dictionaries are then merged into the engine's vocabulary. Verified
 /// per-(attribute, sample) match sets are memoized in one byte-bounded LRU
 /// ProbeCache per engine, mirroring how a production engine caches hot
 /// keyword queries during an interactive session.
@@ -98,11 +105,13 @@ class FullTextEngine {
   /// in `touched_shards`, the indexes over relations in `touched` are
   /// deep-copied (the caller is about to mutate them via ApplyRowInsert /
   /// ApplyRowDelete); every other index is shared with this engine. The
-  /// probe memo is shared too: its entries are keyed by per-relation
-  /// version, and every touched relation's version is bumped to
-  /// `new_version`, so entries for touched relations go stale by
-  /// construction while untouched relations keep their hit rate. `db` is
-  /// the delta's own CoW database (same physical row ids as the base).
+  /// vocabulary is shared until an insert brings a (token, attribute) pair
+  /// it lacks, which copies it once. The probe memo is shared too: its
+  /// entries are keyed by per-relation version, and every touched
+  /// relation's version is bumped to `new_version`, so entries for touched
+  /// relations go stale by construction while untouched relations keep
+  /// their hit rate. `db` is the delta's own CoW database (same physical
+  /// row ids as the base).
   std::unique_ptr<FullTextEngine> CloneForDelta(
       const storage::Database* db,
       const std::vector<storage::RelationId>& touched,
@@ -144,7 +153,12 @@ class FullTextEngine {
 
   /// \brief All attributes containing `sample`, with their verified matching
   /// rows — one call per sample implements Algorithm 1's location map entry.
-  /// `counters`, when given, accumulates probe/memo statistics.
+  /// The sample is resolved against the vocabulary once, and only the
+  /// indexed attributes that hold a match for each of its tokens (every
+  /// one for a punctuation-only sample) are probed and memoized, plus
+  /// every numeric attribute for a numeric sample under match_numeric.
+  /// `counters`, when given, accumulates probe/memo statistics: one probe
+  /// per attribute visited, and the resolution's candidates and kernels.
   std::vector<Occurrence> FindOccurrences(
       const std::string& sample, ProbeCounters* counters = nullptr) const;
 
@@ -186,7 +200,8 @@ class FullTextEngine {
     return indexed_attrs_.size() + numeric_attrs_.size();
   }
 
-  /// \brief Approximate heap footprint of all attribute indexes.
+  /// \brief Approximate heap footprint of all attribute indexes and the
+  /// vocabulary.
   size_t index_bytes() const;
   ProbeCache::Stats probe_cache_stats() const { return probe_cache_->stats(); }
 
@@ -203,14 +218,31 @@ class FullTextEngine {
   // relation versions, a fresh probe memo) without building any index.
   void InitMetadata(const storage::Database* db, MatchPolicy policy,
                     const EngineOptions& options);
-  // Fills shards_: shard s is `previous`'s when reuse[s], built otherwise.
+  // Fills shards_ (shard s is `previous`'s when reuse[s], built
+  // otherwise), then merges every index's dictionary, reused or built,
+  // into a fresh vocabulary.
   void BuildShards(uint32_t shard_count, const FullTextEngine* previous,
                    const std::vector<bool>& reuse, size_t* shards_rebuilt);
   // The delta-cloned shard owning `row`; aborts when it was not cloned.
   std::vector<std::shared_ptr<InvertedIndex>>& MutableShardOf(
       storage::RowId row);
 
-  std::string CellText(const AttributeRef& attr, storage::RowId row) const;
+  // Files `token` under indexed slot `slot` in the vocabulary, copying a
+  // shared vocabulary first (delta engines only).
+  void FileToken(const std::string& token, uint32_t slot);
+  // One memoized probe of `attr` (searchable slot `slot`, or -1): the memo
+  // entry, or the verified rows inserted into the memo. An indexed
+  // attribute's miss reads `resolved`, or resolves `sample` itself when
+  // it is null.
+  RowSet Probe(const AttributeRef& attr, int slot, const std::string& sample,
+               const ResolvedSample* resolved,
+               ProbeCounters* counters) const;
+  // The shard loop of one indexed attribute's memo miss: candidates from
+  // the vocabulary, verified against the cells.
+  std::vector<storage::RowId> VerifiedRows(const AttributeRef& attr,
+                                           uint32_t slot,
+                                           const ResolvedSample& resolved,
+                                           ProbeStats* stats) const;
   bool IsNumericAttr(const AttributeRef& attr) const;
   // Verified rows of a numeric attribute matching a numeric sample.
   std::vector<storage::RowId> NumericMatches(const AttributeRef& attr,
@@ -231,6 +263,12 @@ class FullTextEngine {
   // with the engine it derives from; only the deep-copied indexes of a
   // delta's touched shards are ever mutated, and only pre-publication.
   std::vector<std::vector<std::shared_ptr<InvertedIndex>>> shards_;
+  // The tenant vocabulary over every shard's indexes (see the file
+  // comment). Shared by a delta engine with its base until FileToken
+  // copies it (vocab_owned_); only an owned copy is ever mutated, and only
+  // pre-publication.
+  std::shared_ptr<Vocabulary> vocab_;
+  bool vocab_owned_ = false;
   // True for the shards CloneForDelta deep-copied: the only ones ApplyRow*
   // and CompactRelationIndexes may mutate. All false outside a delta.
   std::vector<bool> mutable_shards_;
@@ -241,7 +279,7 @@ class FullTextEngine {
   // The key carries no policy: every engine of a lineage has the policy
   // its cache was minted with (CloneForDelta copies it).
   // Punctuation-only fallback results are never inserted — see
-  // CandidateRows' all_rows_ contract.
+  // Vocabulary::CandidateRows' all-rows contract.
   std::shared_ptr<ProbeCache> probe_cache_;
 };
 

@@ -2,42 +2,11 @@
 
 #include <algorithm>
 
-#include "common/failpoint.h"
 #include "common/hash_util.h"
 #include "common/string_util.h"
 #include "text/tokenizer.h"
 
 namespace mweaver::text {
-
-namespace {
-
-// Reusable per-thread probe scratch: warm probes allocate only for
-// tokenizing their sample and for their returned result. Thread-local
-// because concurrent service workers probe one shared engine.
-struct ProbeScratch {
-  PostingList acc;     // intersection accumulator
-  PostingList rows;    // per-token row set (union of candidate postings)
-  PostingList rows_b;  // second union buffer: the first token's union stays
-                       // referenced (never copied) while the second token's
-                       // union is built
-  PostingList tmp;
-  std::vector<InvertedIndex::TokenId> token_ids;
-  std::vector<const PostingList*> lists;
-};
-
-ProbeScratch& LocalScratch() {
-  thread_local ProbeScratch scratch;
-  return scratch;
-}
-
-void AddKernelStats(const KernelStats& kernels, ProbeStats* stats) {
-  if (stats == nullptr) return;
-  stats->kernel_array_array += kernels.array_array;
-  stats->kernel_array_bitmap += kernels.array_bitmap;
-  stats->kernel_scalar_fallback += kernels.scalar_fallback;
-}
-
-}  // namespace
 
 InvertedIndex::InvertedIndex(const storage::Relation& relation,
                              storage::AttributeId attribute,
@@ -74,11 +43,6 @@ void InvertedIndex::IndexRow(storage::RowId row, const storage::Value& v) {
     if (inserted) {
       tokens_.push_back(it->first);
       postings_.emplace_back();
-      if (policy_.mode == MatchMode::kSubstring) {
-        grams_.AddToken(it->second, it->first);
-      } else if (DeletionIndex::Supports(policy_)) {
-        deletions_.AddToken(it->second, it->first);
-      }
     }
     postings_[it->second].push_back(static_cast<uint32_t>(row));
   }
@@ -105,143 +69,13 @@ void InvertedIndex::RemoveRow(storage::RowId row, const storage::Value& v) {
                                 static_cast<uint32_t>(row));
     if (pos != list.end() && *pos == row) list.erase(pos);
     // An emptied posting list stays in the dictionary: every probe treats
-    // an empty row set and an absent token identically, and retaining it
-    // keeps the candidate table append-only. Compact() reclaims.
+    // an empty row set and an absent token identically. Compact()
+    // reclaims.
   }
-}
-
-const PostingList* InvertedIndex::PostingsOf(
-    const std::string& token) const {
-  auto it = token_ids_.find(token);
-  return it == token_ids_.end() ? nullptr : &postings_[it->second];
-}
-
-void InvertedIndex::SubstringTokenIds(const std::string& token,
-                                      std::vector<TokenId>* out,
-                                      ProbeStats* stats,
-                                      KernelStats* kernels) const {
-  grams_.Candidates(token, out,
-                    stats != nullptr ? &stats->candidates_examined : nullptr,
-                    kernels);
-  // A query of <= 3 chars is a single indexed gram, so its posting list is
-  // already the exact containment set — no residual verification needed.
-  if (token.size() <= 3) return;
-  // Residual verification: trigram containment over-approximates.
-  out->erase(std::remove_if(out->begin(), out->end(),
-                            [&](TokenId id) {
-                              return tokens_[id].find(token) ==
-                                     std::string::npos;
-                            }),
-             out->end());
-}
-
-void InvertedIndex::FuzzyTokenIds(const std::string& token,
-                                  std::vector<TokenId>* out,
-                                  ProbeStats* stats,
-                                  KernelStats* kernels) const {
-  const size_t max_edit = policy_.max_edit_distance;
-  if (DeletionIndex::Supports(policy_)) {
-    deletions_.Candidates(
-        token, max_edit, out,
-        stats != nullptr ? &stats->candidates_examined : nullptr, kernels);
-  } else {
-    // Edit bound beyond the deletion index: counted full-dictionary scan.
-    out->resize(tokens_.size());
-    for (TokenId id = 0; id < tokens_.size(); ++id) (*out)[id] = id;
-    if (stats != nullptr) {
-      ++stats->scan_fallbacks;
-      stats->candidates_examined += tokens_.size();
-    }
-  }
-  out->erase(std::remove_if(out->begin(), out->end(),
-                            [&](TokenId id) {
-                              return BoundedEditDistance(tokens_[id], token,
-                                                         max_edit) > max_edit;
-                            }),
-             out->end());
-}
-
-std::vector<storage::RowId> InvertedIndex::CandidateRows(
-    const std::string& sample, ProbeStats* stats) const {
-  // Chaos site: the accelerated lookup "faults" and the probe degrades to
-  // the frozen linear-scan reference. Graceful by construction — both paths
-  // return identical candidate sets (the equivalence the property tests
-  // pin down), so callers only see latency, never different rows.
-  if (MW_FAILPOINT_TRIGGERED("text.lookup.fast_path")) {
-    if (stats != nullptr) ++stats->scan_fallbacks;
-    return ScanCandidateRows(sample);
-  }
-  const std::vector<std::string> sample_tokens = Tokenize(sample);
-  if (sample_tokens.empty()) {
-    // Punctuation-only samples: the index cannot narrow anything down.
-    // Return every indexed row; the caller's verification pass decides
-    // (and the probe memo must not cache this all-rows result).
-    if (stats != nullptr) ++stats->all_rows_fallbacks;
-    return all_rows_;
-  }
-  ProbeScratch& scratch = LocalScratch();
-  KernelStats kernels;
-  PostingList& acc = scratch.acc;
-  // `current` is the intersection so far: the first token's resolved list
-  // as-is (no deep copy — the common single-token probe copies it out
-  // directly), then `acc` once a real intersection has run. Per-token
-  // unions alternate between two scratch buffers so the first token's
-  // union survives while the second token's is built.
-  const PostingList* current = nullptr;
-  PostingList* union_buf = &scratch.rows;
-  for (const std::string& t : sample_tokens) {
-    // Resolve this query token to a posting list.
-    const PostingList* token_rows = nullptr;
-    const bool fuzzy = policy_.mode == MatchMode::kFuzzyTokenSubset &&
-                       policy_.max_edit_distance > 0;
-    if (policy_.mode == MatchMode::kSubstring || fuzzy) {
-      if (policy_.mode == MatchMode::kSubstring) {
-        SubstringTokenIds(t, &scratch.token_ids, stats, &kernels);
-      } else {
-        FuzzyTokenIds(t, &scratch.token_ids, stats, &kernels);
-      }
-      scratch.lists.clear();
-      for (TokenId id : scratch.token_ids) {
-        scratch.lists.push_back(&postings_[id]);
-      }
-      if (sample_tokens.size() == 1) {
-        // Terminal union: straight into the returned row vector, with no
-        // intermediate u32 buffer (the single-token probe is the common
-        // case).
-        std::vector<storage::RowId> rows;
-        UnionPostings(scratch.lists, &rows, &kernels);
-        AddKernelStats(kernels, stats);
-        return rows;
-      }
-      UnionPostings(scratch.lists, union_buf, &kernels);
-      token_rows = union_buf;
-      union_buf = union_buf == &scratch.rows ? &scratch.rows_b : &scratch.rows;
-    } else {
-      // kExact / kEqualsIgnoreCase / kTokenSubset (and fuzzy at edit 0):
-      // the sample token must appear verbatim, so an absent one empties
-      // the intersection.
-      token_rows = PostingsOf(t);
-      if (token_rows == nullptr) {
-        AddKernelStats(kernels, stats);
-        return {};
-      }
-      if (stats != nullptr) ++stats->candidates_examined;
-    }
-    if (current == nullptr) {
-      current = token_rows;
-    } else {
-      IntersectPostings(*current, *token_rows, &scratch.tmp, &kernels);
-      std::swap(acc, scratch.tmp);
-      current = &acc;
-    }
-    if (current->empty()) break;
-  }
-  AddKernelStats(kernels, stats);
-  return std::vector<storage::RowId>(current->begin(), current->end());
 }
 
 std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
-    const std::string& sample) const {
+    std::string_view sample) const {
   const std::vector<std::string> sample_tokens = Tokenize(sample);
   if (sample_tokens.empty()) return all_rows_;
   bool first = true;
@@ -303,8 +137,7 @@ std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
 }
 
 size_t InvertedIndex::index_bytes() const {
-  size_t bytes = grams_.bytes() + deletions_.bytes() +
-                 all_rows_.capacity() * sizeof(storage::RowId);
+  size_t bytes = all_rows_.capacity() * sizeof(storage::RowId);
   for (size_t i = 0; i < tokens_.size(); ++i) {
     bytes += tokens_[i].capacity() + sizeof(std::string) +
              postings_[i].capacity() * sizeof(uint32_t) + sizeof(PostingList);

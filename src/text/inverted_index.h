@@ -1,22 +1,17 @@
 // Per-(relation, attribute) inverted index: token -> posting list of row
-// ids (a sorted u32 vector, text/posting_list.h). Stands in for the MySQL full-text indexes the paper's
-// implementation relied on ("which has a pre-computed inverted-index",
-// Appendix A.1).
+// ids (a sorted u32 vector, text/posting_list.h). Stands in for the MySQL
+// full-text indexes the paper's implementation relied on ("which has a
+// pre-computed inverted-index", Appendix A.1).
 //
-// An index is built for one MatchPolicy (the paper's ⊙ is one configured
-// error model) and resolves that policy's probes sublinearly in the
-// dictionary size. It holds at most one candidate table, the one its
-// policy probes:
-//  * kSubstring: an NGramIndex — a probe intersects the query's trigram
-//    posting lists and verifies only the residue;
-//  * kFuzzyTokenSubset with 1 <= d <= DeletionIndex::kMaxEdit: a
-//    DeletionIndex (SymSpell-style) — a probe looks up the query's
-//    deletion neighborhood and edit-distances only the candidates;
-//  * exact, ignore-case, token-subset and fuzzy d = 0: no table — a probe
-//    hashes straight to the token's postings;
-//  * fuzzy beyond kMaxEdit: no table — a counted full dictionary scan.
+// An index holds its postings and its own string dictionary, nothing
+// else. Resolving a sample token to the dictionary tokens it can match
+// (the n-gram and deletion-neighborhood candidate tables) is the job of
+// the text::Vocabulary shared by every index of one engine (a standalone
+// index is the one-attribute case: Vocabulary(index)); the vocabulary
+// then reads this index's postings by token (PostingsOf).
+//
 // ScanCandidateRows preserves the original O(|dict|)-per-token linear scan
-// as the reference implementation: property tests assert the accelerated
+// as the reference implementation: property tests assert the vocabulary
 // path returns exactly its candidate set, the lookup bench measures the
 // speedup against it, and it is what a probe degrades to when the
 // "text.lookup.fast_path" failpoint fires.
@@ -24,14 +19,12 @@
 #define MWEAVER_TEXT_INVERTED_INDEX_H_
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "storage/relation.h"
-#include "text/deletion_index.h"
-#include "text/lookup_stats.h"
 #include "text/match.h"
-#include "text/ngram_index.h"
 #include "text/posting_list.h"
 
 namespace mweaver::text {
@@ -42,11 +35,11 @@ class InvertedIndex {
   using TokenId = uint32_t;
 
   /// \brief Indexes every non-null, non-deleted value of `attribute` in
-  /// `relation` for probes under `policy`. With `shard_count` > 1 the index
-  /// covers only the rows the shard hash (common::ShardOfRow) assigns to
-  /// `shard_index` — the unit of the catalog's intra-tenant sharding;
-  /// posting row ids stay physical (relation-global), so per-shard results
-  /// union losslessly.
+  /// `relation`; `policy` is the one ScanCandidateRows answers for. With
+  /// `shard_count` > 1 the index covers only the rows the shard hash
+  /// (common::ShardOfRow) assigns to `shard_index` — the unit of the
+  /// catalog's intra-tenant sharding; posting row ids stay physical
+  /// (relation-global), so per-shard results union losslessly.
   InvertedIndex(const storage::Relation& relation,
                 storage::AttributeId attribute, const MatchPolicy& policy,
                 uint32_t shard_index = 0, uint32_t shard_count = 1);
@@ -54,7 +47,8 @@ class InvertedIndex {
   /// \brief Incrementally indexes the value `v` of a freshly appended row.
   /// `row` must exceed every row id already indexed (appends assign
   /// physically increasing ids, so this holds by construction). New tokens
-  /// extend the dictionary and the policy's candidate table in place.
+  /// are appended to the dictionary: tokens()[num_tokens() before the
+  /// call ..] are the ones this row brought.
   void AddRow(storage::RowId row, const storage::Value& v);
 
   /// \brief Removes a tombstoned row's value from every posting list it
@@ -78,40 +72,34 @@ class InvertedIndex {
   }
 
   /// \brief Sorted, duplicate-free row ids whose value could noisily contain
-  /// `sample` under the index's policy. Guaranteed to be a superset of the
-  /// true match set; callers verify candidates against the raw values.
-  /// Identical to ScanCandidateRows' result, computed sublinearly. `stats`,
-  /// when given, accumulates candidate/fallback counters for this probe.
-  std::vector<storage::RowId> CandidateRows(const std::string& sample,
-                                            ProbeStats* stats = nullptr) const;
+  /// `sample` under the index's policy, found by an O(|dict|)-per-token
+  /// linear scan that reads no candidate table: the reference the
+  /// vocabulary path (Vocabulary::CandidateRows) must equal, the lookup
+  /// benchmark's baseline and the "text.lookup.fast_path" failpoint's
+  /// degraded probe.
+  std::vector<storage::RowId> ScanCandidateRows(std::string_view sample) const;
 
-  /// \brief Linear-scan reference implementation of CandidateRows (the
-  /// pre-acceleration code path): O(|dict|) per query token, reading no
-  /// candidate table. Kept for the property tests, the lookup benchmark and
-  /// the "text.lookup.fast_path" failpoint's degraded probe.
-  std::vector<storage::RowId> ScanCandidateRows(
-      const std::string& sample) const;
+  /// \brief Postings of an exactly-matching dictionary token, or nullptr.
+  const PostingList* PostingsOf(const std::string& token) const {
+    auto it = token_ids_.find(token);
+    return it == token_ids_.end() ? nullptr : &postings_[it->second];
+  }
+  /// \brief The dictionary, in token-id order (ids are never reused).
+  const std::vector<std::string>& tokens() const { return tokens_; }
+  /// \brief Every indexed row, sorted: a punctuation-only sample's
+  /// candidates.
+  const std::vector<storage::RowId>& all_rows() const { return all_rows_; }
 
   const MatchPolicy& policy() const { return policy_; }
   size_t num_tokens() const { return tokens_.size(); }
   size_t num_indexed_rows() const { return num_indexed_rows_; }
-  /// \brief Approximate heap footprint of all index structures (the
-  /// dictionary, row postings and the policy's candidate table).
+  /// \brief Approximate heap footprint of the dictionary and the row
+  /// postings.
   size_t index_bytes() const;
 
  private:
   // Indexes `v` under `row`; the constructor and AddRow share it.
   void IndexRow(storage::RowId row, const storage::Value& v);
-  // Postings of an exactly-matching token, or nullptr.
-  const PostingList* PostingsOf(const std::string& token) const;
-
-  // Candidate token ids (sorted, verified) for one query token under
-  // policy_. `kernels` tallies the merge kernels the sub-index lookups
-  // ran.
-  void SubstringTokenIds(const std::string& token, std::vector<TokenId>* out,
-                         ProbeStats* stats, KernelStats* kernels) const;
-  void FuzzyTokenIds(const std::string& token, std::vector<TokenId>* out,
-                     ProbeStats* stats, KernelStats* kernels) const;
 
   // Token dictionary; postings_[id] aligns with tokens_[id], sorted by
   // construction (rows visited in increasing order).
@@ -120,10 +108,6 @@ class InvertedIndex {
   std::unordered_map<std::string, TokenId> token_ids_;
 
   MatchPolicy policy_;
-  // The candidate table policy_ probes; the other one stays empty (see the
-  // file comment). Both are append-only: RemoveRow leaves them untouched.
-  NGramIndex grams_;         // kSubstring
-  DeletionIndex deletions_;  // DeletionIndex::Supports(policy_)
 
   // Rows whose value tokenized to nothing (e.g. punctuation-only); substring
   // candidates must include them conservatively only when the sample itself

@@ -1,6 +1,6 @@
 // ProbeCache: the bounded probe memo of the full-text engine. One
-// interactive session re-probes the same user sample across every indexed
-// attribute (Algorithm 1's location map) and again on every pruning
+// interactive session re-probes the same user sample across the attributes
+// that can hold it (Algorithm 1's location map) and again on every pruning
 // iteration, so after the first weave nearly all probes repeat; the memo
 // answers them without touching the indexes.
 //

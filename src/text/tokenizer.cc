@@ -26,18 +26,25 @@ void ForEachRun(std::string_view s, size_t min_length, Fn&& fn) {
 }  // namespace
 
 std::vector<std::string> Tokenize(std::string_view s, size_t min_length) {
+  std::vector<std::string> tokens;
+  TokenizeInto(s, &tokens, min_length);
+  return tokens;
+}
+
+void TokenizeInto(std::string_view s, std::vector<std::string>* out,
+                  size_t min_length) {
   // Counting first sizes the result once.
   size_t count = 0;
   ForEachRun(s, min_length, [&](size_t, size_t) { ++count; });
-  std::vector<std::string> tokens;
-  tokens.reserve(count);
+  out->resize(count);
+  size_t k = 0;
   ForEachRun(s, min_length, [&](size_t begin, size_t end) {
-    std::string& token = tokens.emplace_back(s.substr(begin, end - begin));
+    std::string& token = (*out)[k++];
+    token.assign(s.substr(begin, end - begin));
     for (char& c : token) {
       c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     }
   });
-  return tokens;
 }
 
 }  // namespace mweaver::text

@@ -9,9 +9,11 @@
 //   2. A warm PruneByStructure pass reuses the executor's plan buffers and
 //      builds no tuple path: its allocations stay under a fixed ceiling.
 //   3. A pass probes each distinct (column, attribute) it needs once.
-//   4. A warm InvertedIndex::CandidateRows probe allocates only for its
-//      sample's tokens and its returned rows: the merge kernels run in
-//      thread-local scratch.
+//   4. A warm one-attribute probe (Vocabulary::CandidateRows) allocates
+//      only for its sample's tokens and its returned rows: resolution and
+//      the merge kernels run in thread-local scratch.
+//   6. A warm FindOccurrences allocates only its returned occurrence
+//      vector.
 //   5. Warm FK joins (PathExecutor::Execute and HasSupport over a 2-join
 //      chain) allocate only their results.
 #include <gtest/gtest.h>
@@ -39,6 +41,7 @@
 #include "text/inverted_index.h"
 #include "text/probe_cache.h"
 #include "text/tokenizer.h"
+#include "text/vocabulary.h"
 #include "workload/replay.h"
 
 namespace {
@@ -345,12 +348,13 @@ TEST(AllocTest, PassProbesEachNeededColumnAttributeOnce) {
 }
 
 // Where the ceiling comes from: one warm two-token kSubstring probe plus
-// one warm fuzzy d = 2 probe make 4 allocations together: each sample's
-// token vector, which Tokenize sizes once, and each returned row vector.
-// (Before Tokenize counted its tokens first, the token vectors grew one
-// push_back at a time and the pair made 5.) Any further allocation is a
-// regression: a merge or a token must not allocate.
-constexpr uint64_t kWarmProbesCeiling = 4;
+// one warm fuzzy d = 2 probe make 2 allocations together: each returned
+// row vector. The samples' tokens go into the thread's resolution scratch,
+// whose strings keep their capacity. (While each probe returned a fresh
+// token vector the pair made 4, and before Tokenize counted its tokens
+// first, 5.) Any further allocation is a regression: a merge or a token
+// must not allocate.
+constexpr uint64_t kWarmProbesCeiling = 2;
 
 TEST(AllocTest, WarmProbesAllocateOnlyTokensAndResult) {
   const storage::Database db = datagen::MakeYahooMovies();
@@ -373,27 +377,67 @@ TEST(AllocTest, WarmProbesAllocateOnlyTokensAndResult) {
   const text::InvertedIndex substring(movie, logline,
                                       text::MatchPolicy::Substring());
   const text::InvertedIndex fuzzy(movie, logline, text::MatchPolicy::Fuzzy(2));
+  const text::Vocabulary substring_vocab(substring);
+  const text::Vocabulary fuzzy_vocab(fuzzy);
+  const auto probe = [&](text::ProbeStats* stats) {
+    return !substring_vocab.CandidateRows(substring, 0, two_tokens, stats)
+                .empty() &&
+           !fuzzy_vocab.CandidateRows(fuzzy, 0, typo, stats).empty();
+  };
   // Two rounds size this thread's scratch: an intersection's output and
   // its accumulator swap, so each buffer is written once per round.
-  for (int round = 0; round < 2; ++round) {
-    ASSERT_FALSE(substring.CandidateRows(two_tokens).empty());
-    ASSERT_FALSE(fuzzy.CandidateRows(typo).empty());
-  }
+  for (int round = 0; round < 2; ++round) ASSERT_TRUE(probe(nullptr));
   text::ProbeStats stats;
-  ASSERT_FALSE(substring.CandidateRows(two_tokens, &stats).empty());
-  ASSERT_FALSE(fuzzy.CandidateRows(typo, &stats).empty());
+  ASSERT_TRUE(probe(&stats));
   const uint64_t kernels_before = stats.kernel_array_array +
                                   stats.kernel_array_bitmap;
   ASSERT_GT(kernels_before, 0u);  // the probes really merged lists
 
-  const uint64_t allocations = AllocationsDuring([&] {
-    EXPECT_FALSE(substring.CandidateRows(two_tokens, &stats).empty());
-    EXPECT_FALSE(fuzzy.CandidateRows(typo, &stats).empty());
-  });
+  const uint64_t allocations =
+      AllocationsDuring([&] { EXPECT_TRUE(probe(&stats)); });
   EXPECT_EQ(stats.kernel_array_array + stats.kernel_array_bitmap,
             2 * kernels_before);
   EXPECT_LE(allocations, kWarmProbesCeiling)
       << "'" << two_tokens << "' and '" << typo << "'";
+}
+
+// Where the ceiling comes from: a warm FindOccurrences over every movie
+// task's first row (54 samples; each search's location map, answered from
+// the probe memo) makes one allocation per sample: its occurrence vector,
+// reserved once for the attributes the vocabulary lets it probe. The
+// tokens go into thread-local scratch. The same loop made 102 allocations
+// when every sample probed all 63 attributes and its occurrence vector
+// grew by push_back.
+constexpr uint64_t kWarmFindOccurrencesCeiling = 54;
+
+TEST(AllocTest, WarmFindOccurrencesCeiling) {
+  const storage::Database db = datagen::MakeYahooMovies();
+  const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+  auto task_sets = datagen::MakeYahooTaskSets(db);
+  ASSERT_TRUE(task_sets.ok());
+  std::vector<std::string> samples;
+  for (const workload::ReplayScript& script :
+       workload::BuildReplayScripts(engine, *task_sets, /*max_rows=*/1)) {
+    for (const std::string& sample : script.rows[0]) {
+      if (!sample.empty()) samples.push_back(sample);
+    }
+  }
+  ASSERT_GE(samples.size(), 40u);
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& sample : samples) {
+      (void)engine.FindOccurrences(sample);
+    }
+  }
+  text::ProbeCounters counters;
+  const uint64_t allocations = AllocationsDuring([&] {
+    for (const std::string& sample : samples) {
+      (void)engine.FindOccurrences(sample, &counters);
+    }
+  });
+  EXPECT_EQ(counters.Snapshot().memo_misses, 0u);
+  EXPECT_LT(counters.Snapshot().probes,
+            engine.num_indexed_attributes() * samples.size());
+  EXPECT_LE(allocations, kWarmFindOccurrencesCeiling);
 }
 
 }  // namespace

@@ -17,6 +17,12 @@
 //      row-for-row even while fault injection randomly forces scan
 //      fallbacks and evicts/drops probe-memo entries mid-stream: cache
 //      chaos may cost recomputation, never rows.
+//   5. FindOccurrences, which resolves a sample once against the tenant
+//      vocabulary and probes only the attributes that can hold it, equals
+//      probing every attribute through the scan reference: in every match
+//      mode, with numeric and punctuation-only samples, at 1 and 8
+//      shards, after streaming deltas and after a republish that reuses
+//      shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +33,7 @@
 
 #include "baselines/naive_search.h"
 #include "common/failpoint.h"
+#include "common/hash_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/location_map.h"
@@ -45,6 +52,8 @@
 #include "text/fulltext_engine.h"
 #include "text/inverted_index.h"
 #include "text/match.h"
+#include "text/numeric.h"
+#include "text/vocabulary.h"
 #include "workload/replay.h"
 
 namespace mweaver {
@@ -513,6 +522,10 @@ TEST(TextEquivalenceProperty, FastPathEqualsScanUnderInjectedEvictions) {
         text::InvertedIndex(rel, 0, text::MatchPolicy::Fuzzy(1)),
         text::InvertedIndex(rel, 0, text::MatchPolicy::Fuzzy(2)),
     };
+    const text::Vocabulary substring_vocab(substring);
+    const text::Vocabulary fuzzy_vocab[] = {text::Vocabulary(fuzzy[0]),
+                                            text::Vocabulary(fuzzy[1]),
+                                            text::Vocabulary(fuzzy[2])};
     Rng rng(seed * 31 + 1);
 
     ScopedFailpoint fp_fallback("text.lookup.fast_path", fallback);
@@ -531,11 +544,13 @@ TEST(TextEquivalenceProperty, FastPathEqualsScanUnderInjectedEvictions) {
         const size_t len = 1 + rng.Index(text.size() - start);
         sample = text.substr(start, len);
       }
-      const text::InvertedIndex& index =
-          rng.Bernoulli(0.5) ? substring : fuzzy[rng.Index(3)];
+      const size_t pick = rng.Bernoulli(0.5) ? 3 : rng.Index(3);
+      const text::InvertedIndex& index = pick == 3 ? substring : fuzzy[pick];
+      const text::Vocabulary& vocab =
+          pick == 3 ? substring_vocab : fuzzy_vocab[pick];
       SCOPED_TRACE("round " + std::to_string(round) + " sample '" + sample +
                    "'");
-      EXPECT_EQ(index.CandidateRows(sample, nullptr),
+      EXPECT_EQ(vocab.CandidateRows(index, 0, sample, nullptr),
                 index.ScanCandidateRows(sample));
     }
   }
@@ -575,6 +590,306 @@ TEST(TextEquivalenceProperty, EngineOccurrencesUnaffectedByCacheChaos) {
     for (size_t i = 0; i < actual.size(); ++i) {
       EXPECT_EQ(actual[i].attr, expected[round][i].attr);
       EXPECT_EQ(*actual[i].rows, *expected[round][i].rows);
+    }
+  }
+}
+
+// ------------- FindOccurrences == every attribute through the scan path --
+
+// A library source whose string attributes share and split tokens (so the
+// vocabulary's slot filter has work to do), with typo'd words,
+// punctuation-only values and nulls, and two searchable numeric columns.
+std::string RandomLibraryText(Rng* rng, const std::vector<std::string>& words) {
+  if (rng->Bernoulli(0.05)) return "--";  // tokenizes to nothing
+  std::string value;
+  const size_t count = 1 + rng->Index(3);
+  for (size_t w = 0; w < count; ++w) {
+    std::string word = rng->Pick(words);
+    if (rng->Bernoulli(0.1) && word.size() > 2) {
+      word[rng->Index(word.size())] = 'q';  // plant a typo
+    }
+    if (!value.empty()) value += rng->Bernoulli(0.2) ? "-" : " ";
+    value += word;
+  }
+  return value;
+}
+
+storage::Value RandomLibraryCell(Rng* rng,
+                                 const std::vector<std::string>& words) {
+  if (rng->Bernoulli(0.05)) return storage::Value::Null();
+  return storage::Value(RandomLibraryText(rng, words));
+}
+
+storage::Database MakeLibraryDb(uint64_t seed) {
+  using testing::IdAttr;
+  using testing::StrAttr;
+  const std::vector<std::string> shared = {"night", "harbor", "ed", "wood",
+                                           "x", "2009"};
+  std::vector<std::string> titles = {"avatar", "crimson", "story",
+                                     "mapping"};
+  std::vector<std::string> names = {"cameron", "potter", "aardvark",
+                                    "weaver"};
+  titles.insert(titles.end(), shared.begin(), shared.end());
+  names.insert(names.end(), shared.begin(), shared.end());
+  storage::Database db("library");
+  db.AddRelation(storage::RelationSchema(
+                     "book", {IdAttr("bid"), StrAttr("title"),
+                              {"year", storage::ValueType::kInt64, true},
+                              {"rating", storage::ValueType::kDouble, true},
+                              StrAttr("blurb")}))
+      .ValueOrDie();
+  db.AddRelation(storage::RelationSchema(
+                     "author", {IdAttr("aid"), StrAttr("name"),
+                                StrAttr("city")}))
+      .ValueOrDie();
+  Rng rng(seed);
+  for (int64_t b = 0; b < 60; ++b) {
+    testing::AddRow(&db, "book",
+                    {testing::I(b), RandomLibraryCell(&rng, titles),
+                     testing::I(1990 + static_cast<int64_t>(rng.Index(30))),
+                     storage::Value(0.5 * static_cast<double>(rng.Index(10))),
+                     RandomLibraryCell(&rng, shared)});
+  }
+  for (int64_t a = 0; a < 40; ++a) {
+    testing::AddRow(&db, "author",
+                    {testing::I(a), RandomLibraryCell(&rng, names),
+                     RandomLibraryCell(&rng, shared)});
+  }
+  return db;
+}
+
+// The reference FindOccurrences: every searchable attribute probed, the
+// string ones through ScanCandidateRows + NoisyContains on a fresh
+// one-shard index, the numeric ones (numeric samples under match_numeric)
+// by a live-row scan; attributes with no match dropped. String attributes
+// come first, as the engine's slots do.
+class ReferenceLocator {
+ public:
+  ReferenceLocator(const storage::Database& db,
+                   const text::MatchPolicy& policy)
+      : db_(db), policy_(policy) {
+    for (size_t r = 0; r < db.num_relations(); ++r) {
+      const auto rel = static_cast<storage::RelationId>(r);
+      const auto& attrs = db.relation(rel).schema().attributes();
+      for (size_t a = 0; a < attrs.size(); ++a) {
+        const text::AttributeRef ref{rel, static_cast<storage::AttributeId>(a)};
+        if (!attrs[a].searchable) continue;
+        if (attrs[a].type == storage::ValueType::kString) {
+          strings_.push_back(ref);
+          indexes_.emplace_back(db.relation(rel), ref.attribute, policy);
+        } else {
+          numerics_.push_back(ref);
+        }
+      }
+    }
+  }
+
+  std::vector<std::pair<text::AttributeRef, std::vector<storage::RowId>>>
+  Find(const std::string& sample) const {
+    std::vector<std::pair<text::AttributeRef, std::vector<storage::RowId>>>
+        out;
+    for (size_t i = 0; i < strings_.size(); ++i) {
+      const storage::Relation& rel = db_.relation(strings_[i].relation);
+      std::vector<storage::RowId> rows;
+      for (const storage::RowId row : indexes_[i].ScanCandidateRows(sample)) {
+        if (text::NoisyContains(
+                rel.at(row, strings_[i].attribute).ToDisplayString(), sample,
+                policy_)) {
+          rows.push_back(row);
+        }
+      }
+      if (!rows.empty()) out.emplace_back(strings_[i], std::move(rows));
+    }
+    const std::optional<double> numeric = text::ParseNumeric(sample);
+    if (!policy_.match_numeric || !numeric.has_value()) return out;
+    for (const text::AttributeRef& ref : numerics_) {
+      const storage::Relation& rel = db_.relation(ref.relation);
+      std::vector<storage::RowId> rows;
+      for (size_t r = 0; r < rel.num_rows(); ++r) {
+        const auto row = static_cast<storage::RowId>(r);
+        if (!rel.is_deleted(row) &&
+            text::NumericEquals(rel.at(row, ref.attribute), *numeric)) {
+          rows.push_back(row);
+        }
+      }
+      if (!rows.empty()) out.emplace_back(ref, std::move(rows));
+    }
+    return out;
+  }
+
+ private:
+  const storage::Database& db_;
+  const text::MatchPolicy policy_;
+  std::vector<text::AttributeRef> strings_;
+  std::vector<text::AttributeRef> numerics_;
+  std::vector<text::InvertedIndex> indexes_;
+};
+
+// Samples that hit, miss, typo, cross token boundaries, carry no token or
+// parse as numbers (including values the numeric columns hold).
+std::vector<std::string> LibrarySamples(const storage::Database& db,
+                                        uint64_t seed) {
+  std::vector<std::string> samples = {"...",     "-",      "zzz",
+                                      "2009",    "2003",   "1.5",
+                                      "4",       "ed",     "night harbor",
+                                      "avatar x", "aqatar", "rbor",
+                                      "cameron wood", "quokka zyzzyva"};
+  Rng rng(seed);
+  for (int i = 0; i < 40; ++i) {
+    std::string value = testing::RandomSearchableValue(db, &rng);
+    if (value.empty()) continue;
+    const size_t start = rng.Index(value.size());
+    const size_t len = 1 + rng.Index(value.size() - start);
+    samples.push_back(rng.Bernoulli(0.5) ? value : value.substr(start, len));
+  }
+  return samples;
+}
+
+void ExpectOccurrencesEqualReference(const text::FullTextEngine& engine,
+                                     const ReferenceLocator& reference,
+                                     const std::vector<std::string>& samples,
+                                     const std::string& context) {
+  for (const std::string& sample : samples) {
+    SCOPED_TRACE(context + " sample '" + sample + "'");
+    text::ProbeCounters counters;
+    const std::vector<text::Occurrence> actual =
+        engine.FindOccurrences(sample, &counters);
+    const auto expected = reference.Find(sample);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i].attr, expected[i].first);
+      EXPECT_EQ(*actual[i].rows, expected[i].second);
+    }
+    // Only attributes that can hold the sample are probed, and every one
+    // that holds it is.
+    EXPECT_GE(counters.Snapshot().probes, actual.size());
+    EXPECT_LE(counters.Snapshot().probes, engine.num_attr_slots());
+  }
+}
+
+const text::MatchPolicy kEveryMode[] = {
+    text::MatchPolicy::Exact(),       text::MatchPolicy::IgnoreCase(),
+    text::MatchPolicy::Substring(),   text::MatchPolicy::TokenSubset(),
+    text::MatchPolicy::Fuzzy(1),      text::MatchPolicy::Fuzzy(2),
+    text::MatchPolicy::Substring().WithNumeric(),
+    text::MatchPolicy::Fuzzy(1).WithNumeric(),
+};
+
+std::string PolicyName(const text::MatchPolicy& policy) {
+  return StrFormat("mode=%d d=%zu numeric=%d", static_cast<int>(policy.mode),
+                   policy.max_edit_distance,
+                   static_cast<int>(policy.match_numeric));
+}
+
+TEST(TextEquivalenceProperty, FindOccurrencesEqualsEveryAttributeScan) {
+  for (const uint64_t seed : {3u, 4u}) {
+    const storage::Database db = MakeLibraryDb(seed);
+    const std::vector<std::string> samples = LibrarySamples(db, seed + 100);
+    for (const text::MatchPolicy& policy : kEveryMode) {
+      const ReferenceLocator reference(db, policy);
+      for (const uint32_t shards : {1u, 8u}) {
+        const text::FullTextEngine engine(&db, policy, shards);
+        const std::string context = StrFormat(
+            "seed=%llu %s shards=%u", static_cast<unsigned long long>(seed),
+            PolicyName(policy).c_str(), shards);
+        // Twice: the second pass answers from the probe memo.
+        ExpectOccurrencesEqualReference(engine, reference, samples, context);
+        ExpectOccurrencesEqualReference(engine, reference, samples,
+                                        context + " warm");
+      }
+    }
+  }
+}
+
+// delta == rebuild through the vocabulary: a delta that inserts tokens new
+// to the tenant (and new (token, attribute) pairs), deletes rows and
+// compacts answers like the scan reference over its own rows; the base
+// engine it was cloned from keeps answering over the old rows (the shared
+// vocabulary was copied, not changed); and a republish that reuses the
+// untouched shards answers the same.
+TEST(TextEquivalenceProperty, FindOccurrencesAfterDeltaAndShardReuse) {
+  for (const text::MatchPolicy& policy : kEveryMode) {
+    for (const uint32_t shards : {1u, 8u}) {
+      const std::string context =
+          PolicyName(policy) + StrFormat(" shards=%u", shards);
+      const storage::Database base_db = MakeLibraryDb(9);
+      const auto base = text::FullTextEngine::Build(
+          &base_db, policy, shards, {}, nullptr, {}, nullptr);
+      const std::vector<std::string> samples = LibrarySamples(base_db, 77);
+      const size_t base_bytes = base->index_bytes();
+      // Warm the shared memo with the base's answers.
+      const ReferenceLocator base_reference(base_db, policy);
+      ExpectOccurrencesEqualReference(*base, base_reference, samples,
+                                      context + " base");
+
+      const storage::RelationId book = base_db.FindRelation("book");
+      const storage::RelationId author = base_db.FindRelation("author");
+      storage::Database db = base_db.CloneCow({book, author});
+      const std::vector<storage::Row> inserts = {
+          {testing::I(60), testing::S("Quokka Zyzzyva"), testing::I(2003),
+           storage::Value(1.5), testing::S("night")},
+          // "cameron" was only an author token: a new (token, slot) pair.
+          {testing::I(61), testing::S("Cameron Story"), testing::I(2009),
+           storage::Value(4.0), testing::S("quokka")},
+      };
+      std::vector<storage::RowId> inserted;
+      for (const storage::Row& row : inserts) {
+        ASSERT_TRUE(db.mutable_relation(book)->Append(row).ok());
+        inserted.push_back(static_cast<storage::RowId>(
+            db.relation(book).num_rows() - 1));
+      }
+      ASSERT_TRUE(db.mutable_relation(author)
+                      ->Append({testing::I(40), testing::S("Zyzzyva Ed"),
+                                testing::S("harbor")})
+                      .ok());
+      const auto author_row =
+          static_cast<storage::RowId>(db.relation(author).num_rows() - 1);
+      const std::vector<storage::RowId> deleted = {0, 5, 17, 33};
+      for (const storage::RowId row : deleted) {
+        ASSERT_TRUE(db.mutable_relation(book)->Delete(row).ok());
+      }
+      std::vector<uint32_t> touched_shards;
+      for (const storage::RowId row : inserted) {
+        touched_shards.push_back(ShardOfRow(row, shards));
+      }
+      for (const storage::RowId row : deleted) {
+        touched_shards.push_back(ShardOfRow(row, shards));
+      }
+      touched_shards.push_back(ShardOfRow(author_row, shards));
+      std::sort(touched_shards.begin(), touched_shards.end());
+      touched_shards.erase(
+          std::unique(touched_shards.begin(), touched_shards.end()),
+          touched_shards.end());
+
+      auto delta = base->CloneForDelta(&db, {book, author}, touched_shards, 1);
+      for (const storage::RowId row : inserted) {
+        delta->ApplyRowInsert(book, row);
+      }
+      delta->ApplyRowInsert(author, author_row);
+      for (const storage::RowId row : deleted) {
+        delta->ApplyRowDelete(book, row);
+      }
+      const ReferenceLocator reference(db, policy);
+      ExpectOccurrencesEqualReference(*delta, reference, samples,
+                                      context + " delta");
+      delta->CompactRelationIndexes(book);
+      ExpectOccurrencesEqualReference(*delta, reference, samples,
+                                      context + " compacted");
+      // The base still serves the old rows, from an unchanged vocabulary.
+      EXPECT_EQ(base->index_bytes(), base_bytes) << context;
+      ExpectOccurrencesEqualReference(*base, base_reference, samples,
+                                      context + " base after delta");
+
+      // Republish over the delta's rows, reusing every shard it left
+      // untouched (their indexes are the base's, built over equal rows).
+      std::vector<bool> reuse(shards, true);
+      for (const uint32_t s : touched_shards) reuse[s] = false;
+      size_t rebuilt = 0;
+      const auto republished = text::FullTextEngine::Build(
+          &db, policy, shards, {}, delta.get(), reuse, &rebuilt);
+      EXPECT_EQ(rebuilt, touched_shards.size()) << context;
+      ExpectOccurrencesEqualReference(*republished, reference, samples,
+                                      context + " republished");
     }
   }
 }

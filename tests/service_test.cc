@@ -1034,8 +1034,9 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
       return svc.ApplyUpdate(request);
     };
     // Interval 1, all on the default tenant. A first row misses the cache
-    // and searches: figure 2 has two text attributes (movie.title,
-    // person.name), so 2 probes, both memo misses.
+    // and searches. Figure 2 has two text attributes (movie.title,
+    // person.name), but only movie.title holds a token containing
+    // "avatar", so the search probes 1 attribute: 1 probe, a memo miss.
     const SessionId first = *svc.CreateSession({"Name"});
     EXPECT_EQ(input(first, 0, "Avatar").outcome, RequestOutcome::kOk);
     // The same first row in another session hits the cache: no probes.
@@ -1056,8 +1057,8 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
       EXPECT_EQ(svc.Call(request).outcome, RequestOutcome::kTruncated);
     }
     // Default tenant: a transient search failure, retried: two cache
-    // misses, one search. movie.title already holds "Harry Potter" in the
-    // memo; person.name does not: 2 probes, 1 hit, 1 miss.
+    // misses, one search. Only movie.title holds both "harry" and
+    // "potter", and the prune above memoized it: 1 probe, a hit.
     {
       FailpointPolicy policy;
       policy.action = FailAction::kError;
@@ -1076,8 +1077,8 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
       EXPECT_EQ(insert(kDefaultTenant, 52).outcome, RequestOutcome::kDegraded);
     }
     // The other tenant: the same first row misses the cache (keys are
-    // tenant-scoped) and its own memo: 2 probes, 2 misses. Then a plain
-    // update deleting one row from one shard.
+    // tenant-scoped) and its own memo: 1 probe (movie.title), a miss. Then
+    // a plain update deleting one row from one shard.
     EXPECT_EQ(input(*svc.CreateSession(kOther, {"Name"}), 0, "Avatar").outcome,
               RequestOutcome::kOk);
     {
@@ -1126,9 +1127,10 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
     EXPECT_EQ(run.update_shards_touched, 2u);
     EXPECT_EQ(run.sessions_created, 5u);
     EXPECT_EQ(run.share_rejections, 0u);
-    EXPECT_EQ(run.text_probes.probes, 7u);
+    // 1 + 1 prune + 1 retried search + 1 other-tenant search.
+    EXPECT_EQ(run.text_probes.probes, 4u);
     EXPECT_EQ(run.text_probes.memo_hits, 1u);
-    EXPECT_EQ(run.text_probes.memo_misses, 6u);
+    EXPECT_EQ(run.text_probes.memo_misses, 3u);
     EXPECT_EQ(run.text_probes.scan_fallbacks, 0u);
     EXPECT_EQ(run.text_probes.all_rows_fallbacks, 0u);
     // Three uncached searches and one pruning pass were traced.
@@ -1151,7 +1153,7 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
     EXPECT_EQ(hot.updates_ok, 1u);
     EXPECT_EQ(hot.update_retries, 1u);
     EXPECT_EQ(hot.sessions_created, 4u);
-    EXPECT_EQ(hot.text_probes.probes, 5u);
+    EXPECT_EQ(hot.text_probes.probes, 3u);
     EXPECT_EQ(hot.queue_high_water, 1u);
     const MetricsSnapshot& cold = per_tenant.at(std::string(kOther));
     EXPECT_EQ(cold.requests_ok, 2u);
@@ -1161,8 +1163,8 @@ TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
     EXPECT_EQ(cold.update_rows_deleted, 1u);
     EXPECT_EQ(cold.update_shards_touched, 1u);
     EXPECT_EQ(cold.sessions_created, 1u);
-    EXPECT_EQ(cold.text_probes.probes, 2u);
-    EXPECT_EQ(cold.text_probes.memo_misses, 2u);
+    EXPECT_EQ(cold.text_probes.probes, 1u);
+    EXPECT_EQ(cold.text_probes.memo_misses, 1u);
     const MetricsSnapshot unattributed = svc.UnattributedMetrics();
     EXPECT_EQ(unattributed.requests_failed, 2u);
     EXPECT_EQ(unattributed.TotalRequests(), 2u);

@@ -15,6 +15,7 @@
 #include "text/inverted_index.h"
 #include "text/match.h"
 #include "text/tokenizer.h"
+#include "text/vocabulary.h"
 
 namespace mweaver::text {
 namespace {
@@ -218,9 +219,10 @@ TEST(InvertedIndexTest, CandidatesAreSupersetOfMatches) {
   for (MatchPolicy p : {MatchPolicy::Exact(), MatchPolicy::Substring(),
                         MatchPolicy::TokenSubset(), MatchPolicy::Fuzzy(1)}) {
     const InvertedIndex index(rel, 0, p);
+    const Vocabulary vocab(index);
     for (const char* sample : samples) {
       const std::vector<storage::RowId> candidates =
-          index.CandidateRows(sample);
+          vocab.CandidateRows(index, 0, sample);
       for (size_t r = 0; r < rel.num_rows(); ++r) {
         const storage::Value& v = rel.at(static_cast<storage::RowId>(r), 0);
         if (v.is_null()) continue;
@@ -240,7 +242,7 @@ TEST(InvertedIndexTest, SubstringMidTokenSampleIsFound) {
   // partial tokens on both sides — the classic hard case for token indexes.
   const storage::Relation rel = MakeTitleRelation();
   const InvertedIndex index(rel, 0, MatchPolicy::Substring());
-  const auto candidates = index.CandidateRows("d Woo");
+  const auto candidates = Vocabulary(index).CandidateRows(index, 0, "d Woo");
   EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(),
                                  storage::RowId{2}));
 }
@@ -258,14 +260,19 @@ storage::Relation MakeRandomRelation(uint64_t seed, size_t num_rows) {
   return MakeRandomTextRelation(seed, num_rows);
 }
 
-// An index builds only the candidate table its policy probes: none for the
-// verbatim-token policies (and for fuzzy at d = 0 or beyond the deletion
-// table's bound), the gram table for substring, the larger deletion table
-// for fuzzy 1 <= d <= kMaxEdit.
-TEST(InvertedIndexTest, IndexBytesFollowPolicy) {
+// An index holds only its dictionary and postings, whatever the policy;
+// the vocabulary holds the one candidate table the policy probes: none for
+// the verbatim-token policies (and for fuzzy at d = 0 or beyond the
+// deletion table's bound), the gram table for substring, the larger
+// deletion table for fuzzy 1 <= d <= kMaxEdit.
+TEST(VocabularyTest, BytesFollowPolicy) {
   const storage::Relation rel = MakeRandomRelation(42, 300);
+  const size_t index_bytes =
+      InvertedIndex(rel, 0, MatchPolicy::Exact()).index_bytes();
   const auto bytes = [&](const MatchPolicy& policy) {
-    return InvertedIndex(rel, 0, policy).index_bytes();
+    const InvertedIndex index(rel, 0, policy);
+    EXPECT_EQ(index.index_bytes(), index_bytes);
+    return Vocabulary(index).bytes();
   };
   const size_t exact = bytes(MatchPolicy::Exact());
   EXPECT_LT(exact, bytes(MatchPolicy::Substring()));
@@ -275,6 +282,97 @@ TEST(InvertedIndexTest, IndexBytesFollowPolicy) {
        {MatchPolicy::IgnoreCase(), MatchPolicy::TokenSubset(),
         MatchPolicy::Fuzzy(0), MatchPolicy::Fuzzy(3)}) {
     EXPECT_EQ(bytes(no_table), exact);
+  }
+}
+
+// Several indexes merge into one vocabulary: each distinct token once,
+// filed under every slot whose dictionary holds it.
+TEST(VocabularyTest, MergesDictionariesAndFilesSlots) {
+  storage::Relation titles(
+      storage::RelationSchema("movie", {StrAttr("title")}));
+  titles.AppendUnchecked({S("Ed Wood")});
+  titles.AppendUnchecked({S("Big Fish")});
+  storage::Relation names(
+      storage::RelationSchema("person", {StrAttr("name")}));
+  names.AppendUnchecked({S("Tim Burton")});
+  names.AppendUnchecked({S("Ed Harris")});
+  const InvertedIndex a(titles, 0, MatchPolicy::Substring());
+  const InvertedIndex b(names, 0, MatchPolicy::Substring());
+  Vocabulary vocab(MatchPolicy::Substring(), 2);
+  vocab.AddIndex(a, 0);
+  vocab.AddIndex(b, 1);
+  EXPECT_EQ(vocab.num_tokens(), 7u);  // "ed" is shared
+  EXPECT_TRUE(vocab.Holds("ed", 0));
+  EXPECT_TRUE(vocab.Holds("ed", 1));
+  EXPECT_TRUE(vocab.Holds("fish", 0));
+  EXPECT_FALSE(vocab.Holds("fish", 1));
+  EXPECT_FALSE(vocab.Holds("zzz", 0));
+
+  const auto slots_of = [&](std::string_view sample) {
+    ResolvedSample resolved;
+    vocab.Resolve(sample, &resolved, nullptr);
+    std::vector<uint64_t> bits;
+    vocab.CandidateSlots(resolved, &bits);
+    EXPECT_EQ(bits.size(), 1u);
+    return bits.empty() ? uint64_t{0} : bits[0];
+  };
+  EXPECT_EQ(slots_of("ed"), 0b11u);
+  EXPECT_EQ(slots_of("Ed Wood"), 0b01u);   // "wood" only in titles
+  EXPECT_EQ(slots_of("urto"), 0b10u);      // a substring of "burton"
+  EXPECT_EQ(slots_of("wood tim"), 0u);     // no slot holds both
+  EXPECT_EQ(slots_of("zzz"), 0u);
+  EXPECT_EQ(slots_of("..."), 0b11u);       // punctuation: every slot
+
+  // A pair filed later (a delta's new token) joins the slot list in order.
+  vocab.Add("fish", 1);
+  EXPECT_TRUE(vocab.Holds("fish", 1));
+  EXPECT_EQ(vocab.num_tokens(), 7u);
+  EXPECT_EQ(slots_of("fish"), 0b11u);
+}
+
+// One vocabulary shared by many indexes answers each index exactly as its
+// own scan does, in every mode: the tenant-wide candidate lists are
+// filtered to the slot, never widened or narrowed.
+TEST(VocabularyTest, SharedVocabularyEqualsEachIndexScan) {
+  const storage::Relation rels[] = {MakeRandomRelation(5, 120),
+                                    MakeRandomRelation(6, 80),
+                                    MakeRandomRelation(7, 40)};
+  const char* samples[] = {"avatar", "rbor",  "d woo", "aqatar harbor",
+                           "x",      "...",   "zzz",   "cameron story",
+                           "wod",    "2009",  "av",    "crimson-potter"};
+  for (const MatchPolicy& policy :
+       {MatchPolicy::Exact(), MatchPolicy::IgnoreCase(),
+        MatchPolicy::Substring(), MatchPolicy::TokenSubset(),
+        MatchPolicy::Fuzzy(0), MatchPolicy::Fuzzy(1), MatchPolicy::Fuzzy(2),
+        MatchPolicy::Fuzzy(3)}) {
+    std::vector<InvertedIndex> indexes;
+    Vocabulary vocab(policy, std::size(rels));
+    for (const storage::Relation& rel : rels) {
+      indexes.emplace_back(rel, 0, policy);
+    }
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      vocab.AddIndex(indexes[i], static_cast<uint32_t>(i));
+    }
+    for (const char* sample : samples) {
+      ResolvedSample resolved;
+      vocab.Resolve(sample, &resolved, nullptr);
+      std::vector<uint64_t> slots;
+      vocab.CandidateSlots(resolved, &slots);
+      for (size_t i = 0; i < indexes.size(); ++i) {
+        SCOPED_TRACE(StrFormat("mode=%d d=%zu slot=%zu sample='%s'",
+                               static_cast<int>(policy.mode),
+                               policy.max_edit_distance, i, sample));
+        const std::vector<storage::RowId> scan =
+            indexes[i].ScanCandidateRows(sample);
+        EXPECT_EQ(vocab.CandidateRows(indexes[i], static_cast<uint32_t>(i),
+                                      resolved, nullptr),
+                  scan);
+        // The slot filter only ever skips slots with no candidate.
+        if ((slots[0] >> i & 1) == 0) {
+          EXPECT_TRUE(scan.empty());
+        }
+      }
+    }
   }
 }
 
@@ -297,13 +395,14 @@ TEST(InvertedIndexTest, AcceleratedEqualsScanReferenceAllModes) {
   };
   for (const MatchPolicy& policy : policies) {
     const InvertedIndex index(rel, 0, policy);
+    const Vocabulary vocab(index);
     for (const char* sample : samples) {
       SCOPED_TRACE(StrFormat("mode=%d d=%zu sample='%s'",
                              static_cast<int>(policy.mode),
                              policy.max_edit_distance, sample));
       ProbeStats stats;
       const std::vector<storage::RowId> fast =
-          index.CandidateRows(sample, &stats);
+          vocab.CandidateRows(index, 0, sample, &stats);
       const std::vector<storage::RowId> reference =
           index.ScanCandidateRows(sample);
       EXPECT_EQ(fast, reference);
@@ -335,6 +434,10 @@ TEST(InvertedIndexTest, RandomizedEquivalenceSweep) {
         InvertedIndex(rel, 0, MatchPolicy::Fuzzy(1)),
         InvertedIndex(rel, 0, MatchPolicy::Fuzzy(2)),
     };
+    const Vocabulary substring_vocab(substring);
+    const Vocabulary fuzzy_vocab[] = {Vocabulary(fuzzy[0]),
+                                      Vocabulary(fuzzy[1]),
+                                      Vocabulary(fuzzy[2])};
     Rng rng(seed * 977 + 5);
     for (int round = 0; round < 60; ++round) {
       // Sample a (possibly typo'd) fragment of a real value, so probes hit.
@@ -351,14 +454,16 @@ TEST(InvertedIndexTest, RandomizedEquivalenceSweep) {
       } else {
         sample = rng.Bernoulli(0.5) ? "zzz" : "..";
       }
-      const InvertedIndex& index =
-          rng.Bernoulli(0.5) ? substring : fuzzy[rng.Index(3)];
+      const size_t pick = rng.Bernoulli(0.5) ? 3 : rng.Index(3);
+      const InvertedIndex& index = pick == 3 ? substring : fuzzy[pick];
+      const Vocabulary& vocab = pick == 3 ? substring_vocab : fuzzy_vocab[pick];
       SCOPED_TRACE(StrFormat("seed=%llu mode=%d d=%zu sample='%s'",
                              static_cast<unsigned long long>(seed),
                              static_cast<int>(index.policy().mode),
                              index.policy().max_edit_distance,
                              sample.c_str()));
-      EXPECT_EQ(index.CandidateRows(sample), index.ScanCandidateRows(sample));
+      EXPECT_EQ(vocab.CandidateRows(index, 0, sample),
+                index.ScanCandidateRows(sample));
     }
   }
 }
@@ -366,23 +471,24 @@ TEST(InvertedIndexTest, RandomizedEquivalenceSweep) {
 TEST(InvertedIndexTest, ProbeStatsCounters) {
   const storage::Relation rel = MakeTitleRelation();
   const InvertedIndex index(rel, 0, MatchPolicy::Substring());
+  const Vocabulary vocab(index);
 
   ProbeStats stats;
-  index.CandidateRows("wood", &stats);
+  vocab.CandidateRows(index, 0, "wood", &stats);
   EXPECT_GT(stats.candidates_examined, 0u);
   EXPECT_EQ(stats.scan_fallbacks, 0u);
   EXPECT_EQ(stats.all_rows_fallbacks, 0u);
 
   // Punctuation-only sample: all-rows fallback, flagged for the memo guard.
   stats = {};
-  const auto all = index.CandidateRows("...", &stats);
+  const auto all = vocab.CandidateRows(index, 0, "...", &stats);
   EXPECT_EQ(stats.all_rows_fallbacks, 1u);
   EXPECT_EQ(all.size(), index.num_indexed_rows());
 
-  // Edit bound beyond the deletion index: counted dictionary-scan fallback.
+  // Edit bound beyond the deletion index: counted vocabulary-scan fallback.
   stats = {};
   const InvertedIndex beyond(rel, 0, MatchPolicy::Fuzzy(3));
-  beyond.CandidateRows("wod", &stats);
+  Vocabulary(beyond).CandidateRows(beyond, 0, "wod", &stats);
   EXPECT_EQ(stats.scan_fallbacks, 1u);
 }
 
