@@ -81,7 +81,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     Relation* dest = db.mutable_relation(*added);
-    for (const auto& row : rel->rows()) dest->AppendUnchecked(row);
+    for (size_t r = 0; r < rel->num_rows(); ++r) {
+      dest->AppendUnchecked(rel->row(static_cast<mweaver::storage::RowId>(r)));
+    }
   }
   // Declare the foreign keys the CSVs imply.
   db.AddForeignKey("orders", "customer_id", "customers", "customer_id")

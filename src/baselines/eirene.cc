@@ -38,10 +38,10 @@ std::vector<TupleEdge> LinkTuples(const storage::Database& db,
             tuples[b].first != fk.to_relation) {
           continue;
         }
-        const storage::Value& va =
+        const storage::ValueView va =
             db.relation(tuples[a].first).at(tuples[a].second,
                                             fk.from_attribute);
-        const storage::Value& vb =
+        const storage::ValueView vb =
             db.relation(tuples[b].first).at(tuples[b].second,
                                             fk.to_attribute);
         if (!va.is_null() && va == vb) {
@@ -120,7 +120,7 @@ Result<std::vector<core::MappingPath>> EireneFitter::FitOne(
       const auto& [rel_id, row] = example.source_tuples[t];
       const storage::Relation& rel = db.relation(rel_id);
       for (size_t a = 0; a < rel.schema().num_attributes(); ++a) {
-        const storage::Value& v =
+        const storage::ValueView v =
             rel.at(row, static_cast<storage::AttributeId>(a));
         if (!v.is_null() && v.ToDisplayString() == want) {
           cell_candidates[col].emplace_back(

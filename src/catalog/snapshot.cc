@@ -24,22 +24,29 @@ std::vector<uint64_t> ComputeShardFingerprints(const storage::Database& db,
     }
   }
   std::vector<size_t> seeds(n, schema_seed);
-  // One pass over the live rows: each row folds (relation, row id, values)
-  // into its owning shard's hash. Row ids capture deletions (a vanished row
-  // no longer contributes) and appends; values capture in-place edits.
+  // Each live row folds (relation, row id) into its owning shard's hash,
+  // then each column, read front to back, folds its cells in. Row ids
+  // capture deletions (a vanished row no longer contributes) and appends;
+  // cells capture in-place edits.
+  std::vector<uint32_t> shard_of;
   for (size_t r = 0; r < db.num_relations(); ++r) {
     const storage::Relation& rel =
         db.relation(static_cast<storage::RelationId>(r));
-    const size_t num_attrs = rel.schema().num_attributes();
+    shard_of.resize(rel.num_rows());
     for (size_t row = 0; row < rel.num_rows(); ++row) {
       const auto row_id = static_cast<storage::RowId>(row);
-      if (rel.is_deleted(row_id)) continue;
-      size_t* seed = &seeds[ShardOfRow(row_id, n)];
-      HashCombine(seed, static_cast<int64_t>(r));
-      HashCombine(seed, row_id);
-      for (size_t a = 0; a < num_attrs; ++a) {
-        HashCombine(seed,
-                    rel.at(row_id, static_cast<storage::AttributeId>(a)));
+      shard_of[row] = rel.is_deleted(row_id) ? n : ShardOfRow(row_id, n);
+      if (shard_of[row] == n) continue;
+      HashCombine(&seeds[shard_of[row]], static_cast<int64_t>(r));
+      HashCombine(&seeds[shard_of[row]], row_id);
+    }
+    for (size_t a = 0; a < rel.schema().num_attributes(); ++a) {
+      const storage::Column& column =
+          rel.column(static_cast<storage::AttributeId>(a));
+      for (size_t row = 0; row < rel.num_rows(); ++row) {
+        if (shard_of[row] != n) {
+          HashCombine(&seeds[shard_of[row]], column.at(row));
+        }
       }
     }
   }

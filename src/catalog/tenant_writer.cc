@@ -37,10 +37,11 @@ Status CheckInsertedPrimaryKeys(
     const storage::Relation& rel = db.relation(rel_id);
     const std::vector<storage::AttributeId>& pk = rel.schema().primary_key();
     if (pk.empty()) continue;
-    const auto key_less = [&pk](const storage::Row* a, const storage::Row* b) {
+    // Orders row ids by their key cells, read off the key columns.
+    const auto key_less = [&](storage::RowId a, storage::RowId b) {
       for (const storage::AttributeId attr : pk) {
-        const storage::Value& x = (*a)[static_cast<size_t>(attr)];
-        const storage::Value& y = (*b)[static_cast<size_t>(attr)];
+        const storage::ValueView x = rel.at(a, attr);
+        const storage::ValueView y = rel.at(b, attr);
         if (x < y) return true;
         if (y < x) return false;
       }
@@ -56,10 +57,10 @@ Status CheckInsertedPrimaryKeys(
           StrFormat("insert into '%s' repeats the primary key (%s) of %s",
                     rel.name().c_str(), key.c_str(), what));
     };
-    std::set<const storage::Row*, decltype(key_less)> keys(key_less);
+    std::set<storage::RowId, decltype(key_less)> keys(key_less);
     for (const storage::RowId row : rows) {
       if (rel.is_deleted(row)) continue;
-      if (!keys.insert(&rel.row(row)).second) {
+      if (!keys.insert(row).second) {
         return duplicate(row, "an earlier insert in the batch");
       }
     }
@@ -67,7 +68,7 @@ Status CheckInsertedPrimaryKeys(
     // Inserts are appended, so every row before the first one predates
     // the batch.
     for (storage::RowId row = 0; row < rows.front(); ++row) {
-      if (!rel.is_deleted(row) && keys.count(&rel.row(row)) > 0) {
+      if (!rel.is_deleted(row) && keys.count(row) > 0) {
         return duplicate(row, "a live row");
       }
     }

@@ -8,22 +8,6 @@
 
 namespace mweaver {
 
-const char* FailActionName(FailAction action) {
-  switch (action) {
-    case FailAction::kNone:
-      return "none";
-    case FailAction::kError:
-      return "error";
-    case FailAction::kDelay:
-      return "delay";
-    case FailAction::kTrigger:
-      return "trigger";
-    case FailAction::kCancel:
-      return "cancel";
-  }
-  return "?";
-}
-
 void Failpoint::Arm(FailpointPolicy policy) {
   std::lock_guard<std::mutex> lock(mu_);
   policy_ = std::move(policy);
@@ -34,16 +18,12 @@ void Failpoint::Arm(FailpointPolicy policy) {
   // tests assert exact fire counts and must not see earlier armings.
   hits_.store(0, std::memory_order_relaxed);
   fires_.store(0, std::memory_order_relaxed);
-  if (!armed_.exchange(true, std::memory_order_relaxed)) {
-    registry_->armed_count_.fetch_add(1, std::memory_order_relaxed);
-  }
+  armed_.store(true, std::memory_order_relaxed);
 }
 
 void Failpoint::Disarm() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (armed_.exchange(false, std::memory_order_relaxed)) {
-    registry_->armed_count_.fetch_sub(1, std::memory_order_relaxed);
-  }
+  armed_.store(false, std::memory_order_relaxed);
 }
 
 FailAction Failpoint::Fire() {
@@ -122,7 +102,7 @@ Failpoint& FailpointRegistry::GetOrCreate(std::string_view name) {
   if (it == sites_.end()) {
     it = sites_
              .emplace(std::string(name),
-                      std::make_unique<Failpoint>(std::string(name), this))
+                      std::make_unique<Failpoint>(std::string(name)))
              .first;
   }
   return *it->second;

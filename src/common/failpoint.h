@@ -51,8 +51,6 @@ enum class FailAction : uint8_t {
   kCancel,    // site trips its request's cooperative-cancel latch
 };
 
-const char* FailActionName(FailAction action);
-
 /// \brief The armed behaviour of one site.
 struct FailpointPolicy {
   FailAction action = FailAction::kTrigger;
@@ -74,15 +72,9 @@ struct FailpointPolicy {
 
 /// \brief One named injection site. Instances are owned by the registry and
 /// live for the process lifetime, so site macros can cache references.
-class FailpointRegistry;
-
 class Failpoint {
  public:
-  /// \brief `registry` is the owner; the back-pointer (rather than a
-  /// Global() call in Arm/Disarm) keeps env-driven arming safe while the
-  /// singleton's own magic static is still initializing.
-  Failpoint(std::string name, FailpointRegistry* registry)
-      : name_(std::move(name)), registry_(registry) {}
+  explicit Failpoint(std::string name) : name_(std::move(name)) {}
 
   Failpoint(const Failpoint&) = delete;
   Failpoint& operator=(const Failpoint&) = delete;
@@ -115,7 +107,6 @@ class Failpoint {
 
  private:
   const std::string name_;
-  FailpointRegistry* const registry_;
   std::atomic<bool> armed_{false};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> fires_{0};
@@ -134,12 +125,6 @@ class FailpointRegistry {
  public:
   /// \brief The singleton. The first call applies MWEAVER_FAILPOINTS.
   static FailpointRegistry& Global();
-
-  /// \brief True iff any site is armed — the macro fast path (one relaxed
-  /// atomic load, no lock).
-  static bool AnyArmed() {
-    return Global().armed_count_.load(std::memory_order_relaxed) != 0;
-  }
 
   /// \brief Returns the site, creating it if needed. The reference is
   /// stable for the process lifetime.
@@ -167,11 +152,7 @@ class FailpointRegistry {
   Status ConfigureFromString(std::string_view spec);
 
  private:
-  friend class Failpoint;
   FailpointRegistry() = default;
-
-  // Failpoint::Arm/Disarm keep the armed-site count in sync.
-  std::atomic<int64_t> armed_count_{0};
 
   mutable std::mutex mu_;  // guards sites_ (map layout only)
   std::unordered_map<std::string, std::unique_ptr<Failpoint>> sites_;

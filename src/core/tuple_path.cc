@@ -279,8 +279,8 @@ bool TuplePath::IsConsistent(const storage::Database& db) const {
     const storage::AttributeId parent_attr =
         is_from ? fk.to_attribute : fk.from_attribute;
     const size_t parent = static_cast<size_t>(parents_[i]);
-    const storage::Value& mine = rel.at(rows_[i], my_attr);
-    const storage::Value& theirs =
+    const storage::ValueView mine = rel.at(rows_[i], my_attr);
+    const storage::ValueView theirs =
         db.relation(relations_[parent]).at(rows_[parent], parent_attr);
     if (mine.is_null() || mine != theirs) return false;
   }

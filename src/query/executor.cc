@@ -298,7 +298,7 @@ void Enumerate(const storage::Database& db, const MappingPath& mapping,
 
     const storage::Relation& from_rel =
         db.relation(mapping.vertex(step.from).relation);
-    const storage::Value& join_value = from_rel.at(
+    const storage::ValueView join_value = from_rel.at(
         assignment[static_cast<size_t>(step.from)], step.from_attr);
     if (join_value.is_null()) return;  // inner join: NULL never matches
     for (storage::RowId row : step.index->Lookup(join_value)) {

@@ -200,9 +200,6 @@ class MappingService {
   /// \brief Synchronous convenience: EnqueueUpdate + wait.
   RequestResult ApplyUpdate(UpdateRequest request);
 
-  /// \brief Runs an idle-session sweep; returns sessions reclaimed.
-  size_t EvictIdleSessions() { return sessions_.EvictIdle(); }
-
   /// \brief Runs the catalog's cold-tenant sweep and drops the evicted
   /// tenants' result-cache entries; returns tenants reclaimed. Sessions
   /// still pinning an evicted tenant's snapshot keep serving from it.

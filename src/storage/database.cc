@@ -113,7 +113,7 @@ Status Database::CheckReferentialIntegrity() const {
     const JoinIndex& to_rows = to.IndexOn(fk.to_attribute);
     for (size_t r = 0; r < from.num_rows(); ++r) {
       if (from.is_deleted(static_cast<RowId>(r))) continue;
-      const Value& v = from.at(static_cast<RowId>(r), fk.from_attribute);
+      const ValueView v = from.at(static_cast<RowId>(r), fk.from_attribute);
       if (v.is_null()) continue;
       if (to_rows.Lookup(v).empty()) {
         return Status::FailedPrecondition(StrFormat(

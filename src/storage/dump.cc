@@ -42,7 +42,7 @@ Result<ValueType> ParseTypeTag(const std::string& tag) {
 
 // Strings are backslash-escaped so every record stays on a single line
 // (the dump reader is line-oriented).
-std::string EscapeNewlines(const std::string& s) {
+std::string EscapeNewlines(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -94,7 +94,7 @@ Result<std::string> UnescapeNewlines(const std::string& s) {
 // Cell encoding: "" is NULL; otherwise a one-character type sigil followed
 // by the value text ("s" string, "i" int64, "d" double). The sigil keeps
 // empty strings distinguishable from NULLs.
-std::string EncodeCell(const Value& value) {
+std::string EncodeCell(ValueView value) {
   switch (value.type()) {
     case ValueType::kNull:
       return "";
@@ -161,10 +161,13 @@ Status DumpDatabase(const Database& db, std::ostream* out) {
       }
       *out << FormatCsvLine(pk) << "\n";
     }
-    for (const Row& row : rel.rows()) {
+    for (size_t r = 0; r < rel.num_rows(); ++r) {
       std::vector<std::string> fields{"row"};
-      fields.reserve(row.size() + 1);
-      for (const Value& v : row) fields.push_back(EncodeCell(v));
+      fields.reserve(rel.schema().num_attributes() + 1);
+      for (size_t a = 0; a < rel.schema().num_attributes(); ++a) {
+        fields.push_back(EncodeCell(
+            rel.at(static_cast<RowId>(r), static_cast<AttributeId>(a))));
+      }
       *out << FormatCsvLine(fields) << "\n";
     }
   }

@@ -80,7 +80,7 @@ ColumnStats ComputeColumnStats(const Relation& relation,
   StatsAccumulator acc;
   for (size_t r = 0; r < relation.num_rows(); ++r) {
     if (relation.is_deleted(static_cast<RowId>(r))) continue;
-    const Value& v = relation.at(static_cast<RowId>(r), attribute);
+    const ValueView v = relation.at(static_cast<RowId>(r), attribute);
     if (v.is_null()) {
       acc.AddNull();
       continue;

@@ -1,8 +1,7 @@
 #include "storage/value.h"
 
-#include <cmath>
+#include <type_traits>
 
-#include "common/hash_util.h"
 #include "common/string_util.h"
 
 namespace mweaver::storage {
@@ -21,42 +20,34 @@ const char* ValueTypeName(ValueType type) {
   return "?";
 }
 
-std::string Value::ToDisplayString() const {
+std::string ValueView::ToDisplayString() const {
   switch (type()) {
     case ValueType::kNull:
       return "";
     case ValueType::kInt64:
       return std::to_string(AsInt64());
-    case ValueType::kDouble: {
+    case ValueType::kDouble:
       // Trim trailing zeros so 2.5 renders as "2.5" and 3.0 as "3".
-      std::string s = StrFormat("%g", AsDouble());
-      return s;
-    }
+      return StrFormat("%g", AsDouble());
     case ValueType::kString:
-      return AsString();
+      return std::string(AsString());
   }
   return "";
 }
 
-size_t Value::Hash() const {
-  size_t seed = static_cast<size_t>(type());
-  switch (type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt64:
-      HashCombine(&seed, AsInt64());
-      break;
-    case ValueType::kDouble:
-      HashCombine(&seed, AsDouble());
-      break;
-    case ValueType::kString:
-      HashCombine(&seed, AsString());
-      break;
-  }
-  return seed;
-}
+Value::Value(ValueView v)
+    : repr_(std::visit(
+          [](const auto& x) -> decltype(repr_) {
+            using T = std::decay_t<decltype(x)>;
+            if constexpr (std::is_same_v<T, std::string_view>) {
+              return std::string(x);
+            } else {
+              return x;
+            }
+          },
+          v.repr_)) {}
 
-std::ostream& operator<<(std::ostream& os, const Value& value) {
+std::ostream& operator<<(std::ostream& os, ValueView value) {
   if (value.is_null()) return os << "NULL";
   if (value.type() == ValueType::kString) {
     return os << '\'' << value.AsString() << '\'';

@@ -19,7 +19,7 @@ ValueDictionary::ValueDictionary(const storage::Database* db) {
       }
       for (size_t row = 0; row < rel.num_rows(); ++row) {
         if (rel.is_deleted(static_cast<storage::RowId>(row))) continue;
-        const storage::Value& v = rel.at(
+        const storage::ValueView v = rel.at(
             static_cast<storage::RowId>(row),
             static_cast<storage::AttributeId>(a));
         if (v.is_null() || v.AsString().empty()) continue;

@@ -31,7 +31,7 @@ LocateScratch& LocalLocateScratch() {
 // Calls `fn` with a cell's text: a string cell (every indexed one) in
 // place, any other through its display-string copy.
 template <typename Fn>
-auto WithCellText(const storage::Value& v, Fn&& fn) {
+auto WithCellText(storage::ValueView v, Fn&& fn) {
   if (v.type() == storage::ValueType::kString) {
     return fn(std::string_view(v.AsString()));
   }

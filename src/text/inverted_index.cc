@@ -23,13 +23,13 @@ InvertedIndex::InvertedIndex(const storage::Relation& relation,
   }
 }
 
-void InvertedIndex::AddRow(storage::RowId row, const storage::Value& v) {
+void InvertedIndex::AddRow(storage::RowId row, storage::ValueView v) {
   MW_DCHECK(all_rows_.empty() || all_rows_.back() < row)
       << "incremental rows must arrive in increasing id order";
   IndexRow(row, v);
 }
 
-void InvertedIndex::IndexRow(storage::RowId row, const storage::Value& v) {
+void InvertedIndex::IndexRow(storage::RowId row, storage::ValueView v) {
   if (v.is_null()) return;
   all_rows_.push_back(row);
   ++num_indexed_rows_;
@@ -48,7 +48,7 @@ void InvertedIndex::IndexRow(storage::RowId row, const storage::Value& v) {
   }
 }
 
-void InvertedIndex::RemoveRow(storage::RowId row, const storage::Value& v) {
+void InvertedIndex::RemoveRow(storage::RowId row, storage::ValueView v) {
   if (v.is_null()) return;
   auto it = std::lower_bound(all_rows_.begin(), all_rows_.end(), row);
   MW_DCHECK(it != all_rows_.end() && *it == row)

@@ -49,13 +49,13 @@ class InvertedIndex {
   /// physically increasing ids, so this holds by construction). New tokens
   /// are appended to the dictionary: tokens()[num_tokens() before the
   /// call ..] are the ones this row brought.
-  void AddRow(storage::RowId row, const storage::Value& v);
+  void AddRow(storage::RowId row, storage::ValueView v);
 
   /// \brief Removes a tombstoned row's value from every posting list it
   /// appears in. Dictionary entries whose postings empty out are retained
   /// (they resolve to empty row sets, which is indistinguishable from a
   /// missing token to every probe); Compact() rebuilds without them.
-  void RemoveRow(storage::RowId row, const storage::Value& v);
+  void RemoveRow(storage::RowId row, storage::ValueView v);
 
   /// \brief Rows removed since construction (or the last Compact): the
   /// delta-compaction policy input — each removal leaves dictionary
@@ -99,7 +99,7 @@ class InvertedIndex {
 
  private:
   // Indexes `v` under `row`; the constructor and AddRow share it.
-  void IndexRow(storage::RowId row, const storage::Value& v);
+  void IndexRow(storage::RowId row, storage::ValueView v);
 
   // Token dictionary; postings_[id] aligns with tokens_[id], sorted by
   // construction (rows visited in increasing order).

@@ -19,7 +19,7 @@ std::optional<double> ParseNumeric(std::string_view s) {
   return value;
 }
 
-bool NumericEquals(const storage::Value& value, double sample) {
+bool NumericEquals(storage::ValueView value, double sample) {
   switch (value.type()) {
     case storage::ValueType::kInt64: {
       // Exact: the sample must be the integer itself.

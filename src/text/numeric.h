@@ -20,7 +20,7 @@ std::optional<double> ParseNumeric(std::string_view s);
 /// \brief True iff numeric `value` equals `sample` (int64: exactly;
 /// double: within relative tolerance 1e-9). Non-numeric and null values
 /// never match.
-bool NumericEquals(const storage::Value& value, double sample);
+bool NumericEquals(storage::ValueView value, double sample);
 
 }  // namespace mweaver::text
 

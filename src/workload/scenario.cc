@@ -56,10 +56,4 @@ std::array<size_t, kNumActorTypes> Scenario::MaxActorCounts() const {
   return max;
 }
 
-size_t Scenario::MaxTotalActors() const {
-  size_t total = 0;
-  for (size_t count : MaxActorCounts()) total += count;
-  return total;
-}
-
 }  // namespace mweaver::workload

@@ -131,7 +131,6 @@ struct Scenario {
   /// (idle actors park at the phase barrier during phases that don't use
   /// them).
   std::array<size_t, kNumActorTypes> MaxActorCounts() const;
-  size_t MaxTotalActors() const;
 };
 
 }  // namespace mweaver::workload

@@ -16,6 +16,8 @@
 //      vector.
 //   5. Warm FK joins (PathExecutor::Execute and HasSupport over a 2-join
 //      chain) allocate only their results.
+//   7. Database::Clone copies each relation's typed columns whole: its
+//      allocations grow with relations x attributes, not with cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -239,14 +241,16 @@ TEST(AllocTest, WarmJoinsAllocateOnlyResults) {
   chain.AddProjection(1, p, db.relation(person).schema().FindAttribute("name"));
 
   // Samples: the title and director of direct's first row, found by scans.
-  const storage::Value& mid = db.relation(direct).at(0, 0);
-  const storage::Value& pid = db.relation(direct).at(0, 1);
+  const storage::ValueView mid = db.relation(direct).at(0, 0);
+  const storage::ValueView pid = db.relation(direct).at(0, 1);
   query::SampleMap samples;
-  for (const storage::Row& row : db.relation(movie).rows()) {
-    if (row[0] == mid) samples[0] = row[1].AsString();
+  const storage::Relation& movies = db.relation(movie);
+  for (storage::RowId r = 0; r < storage::RowId(movies.num_rows()); ++r) {
+    if (movies.at(r, 0) == mid) samples[0] = movies.at(r, 1).AsString();
   }
-  for (const storage::Row& row : db.relation(person).rows()) {
-    if (row[0] == pid) samples[1] = row[1].AsString();
+  const storage::Relation& people = db.relation(person);
+  for (storage::RowId r = 0; r < storage::RowId(people.num_rows()); ++r) {
+    if (people.at(r, 0) == pid) samples[1] = people.at(r, 1).AsString();
   }
   ASSERT_EQ(samples.size(), 2u);
 
@@ -438,6 +442,34 @@ TEST(AllocTest, WarmFindOccurrencesCeiling) {
   EXPECT_LT(counters.Snapshot().probes,
             engine.num_indexed_attributes() * samples.size());
   EXPECT_LE(allocations, kWarmFindOccurrencesCeiling);
+}
+
+// Where the ceiling comes from: cloning the 60-movie Yahoo-like database
+// (43 relations, 131 attributes, 2,599 rows, 7,684 cells) made 561
+// allocations when this test was written: per relation its schema's
+// strings, the column array, the index-pointer table and mutex, and per
+// attribute at most three arrays (values, or string bytes and offsets; the
+// null bitmap stays empty without nulls). A clone of row vectors made one
+// allocation per row plus one per string past the small-string buffer
+// (672 of them), over 3,200.
+constexpr uint64_t kCloneCeiling = 561;
+
+TEST(AllocTest, CloneAllocatesPerColumnNotPerCell) {
+  datagen::YahooMoviesConfig config;
+  config.num_movies = 60;
+  const storage::Database db = datagen::MakeYahooMovies(config);
+  size_t cells = 0;
+  for (size_t r = 0; r < db.num_relations(); ++r) {
+    const storage::Relation& rel =
+        db.relation(static_cast<storage::RelationId>(r));
+    cells += rel.num_rows() * rel.schema().num_attributes();
+  }
+  const uint64_t allocations = AllocationsDuring([&] {
+    const storage::Database copy = db.Clone();
+    ASSERT_EQ(copy.TotalRows(), db.TotalRows());
+  });
+  EXPECT_GT(cells, 2 * kCloneCeiling);
+  EXPECT_LE(allocations, kCloneCeiling) << cells << " cells";
 }
 
 }  // namespace

@@ -86,9 +86,9 @@ TEST(YahooGenTest, LoglinesEmbedTitles) {
   const auto& movie = db.relation(db.FindRelation("movie"));
   size_t embedded = 0;
   for (size_t r = 0; r < movie.num_rows(); ++r) {
-    const std::string& title = movie.at(r, 1).AsString();
-    const std::string& logline = movie.at(r, 2).AsString();
-    if (logline.find(title) != std::string::npos) ++embedded;
+    const std::string_view title = movie.at(r, 1).AsString();
+    const std::string_view logline = movie.at(r, 2).AsString();
+    if (logline.find(title) != std::string_view::npos) ++embedded;
   }
   // ~80% of loglines embed the title (the paper's movie.logline ambiguity).
   EXPECT_GT(embedded, movie.num_rows() / 2);

@@ -5,11 +5,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <random>
 #include <span>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
+#include "common/hash_util.h"
 #include "storage/csv.h"
 #include "storage/database.h"
 #include "storage/dump.h"
@@ -149,10 +153,12 @@ void ExpectIndexMatchesScan(const Relation& rel,
 }
 
 // Builds a relation of `num_rows` rows whose attribute 0 draws from `pool`
-// (about one row in eight null), checks the oracle on it, then tombstones
-// about a third of the rows of a clone and checks the clone.
+// (about one row in eight null), checks the oracle on it (probing the pool,
+// absent values and `extra_probes`), then tombstones about a third of the
+// rows of a clone and checks the clone.
 void CheckRandomRelation(ValueType type, const std::vector<Value>& pool,
-                         size_t num_rows, uint32_t seed) {
+                         size_t num_rows, uint32_t seed,
+                         const std::vector<Value>& extra_probes = {}) {
   SCOPED_TRACE(::testing::Message() << "seed " << seed);
   std::mt19937 rng(seed);
   Relation rel(RelationSchema("r", {AttributeSchema{"k", type}}));
@@ -166,6 +172,7 @@ void CheckRandomRelation(ValueType type, const std::vector<Value>& pool,
   probes.emplace_back(int64_t{424242});  // absent
   probes.emplace_back("absent");
   probes.emplace_back(0.5);
+  probes.insert(probes.end(), extra_probes.begin(), extra_probes.end());
   ExpectIndexMatchesScan(rel, probes);
 
   Relation clone = rel.Clone();
@@ -243,14 +250,35 @@ TEST(JoinIndexOracleTest, DoubleKeysWithSignedZeros) {
   }
 }
 
-TEST(JoinIndexOracleTest, MixedTypesCompareValues) {
-  // A bulk load may mix types; an integer and a string whose hash equals it
-  // must still never match each other.
-  const std::vector<Value> pool = {
-      Value(int64_t{1}), Value(int64_t{2}), Value("1"), Value("two"),
-      Value(JoinIndex::KeyOf(Value("two"))), Value(1.0)};
+TEST(JoinIndexOracleTest, MismatchedProbeTypesMiss) {
+  // A typed column holds one type, so a probe of another type misses, even
+  // when its key equals a stored one: a string whose hash is an integer in
+  // an int column, doubles equal to stored integers, and the integer a
+  // stored string hashes to, looked up in a string column.
+  const int64_t two_key = JoinIndex::KeyOf(Value("two"));
+  const std::vector<Value> ints = IntPool({1, 2, two_key});
+  const std::vector<Value> strings = {Value("1"), Value("two")};
+  const std::vector<Value> foreign_to_ints = {Value("1"), Value("two"),
+                                              Value(1.0), Value(2.0)};
+  const std::vector<Value> foreign_to_strings = {Value(int64_t{1}),
+                                                 Value(two_key), Value(1.0)};
   for (uint32_t seed = 1; seed <= 5; ++seed) {
-    CheckRandomRelation(ValueType::kInt64, pool, 120, seed);
+    CheckRandomRelation(ValueType::kInt64, ints, 120, seed, foreign_to_ints);
+    CheckRandomRelation(ValueType::kString, strings, 120, seed,
+                        foreign_to_strings);
+  }
+
+  Relation int_rel(RelationSchema("r", {IdAttr("k")}));
+  Relation string_rel(RelationSchema("s", {StrAttr("k")}));
+  for (const Value& v : ints) int_rel.AppendUnchecked({v});
+  for (const Value& v : strings) string_rel.AppendUnchecked({v});
+  ASSERT_EQ(int_rel.IndexOn(0).Lookup(Value(two_key)).size(), 1u);
+  for (const Value& probe : foreign_to_ints) {
+    EXPECT_TRUE(int_rel.IndexOn(0).Lookup(probe).empty()) << probe;
+  }
+  ASSERT_EQ(string_rel.IndexOn(0).Lookup(Value("two")).size(), 1u);
+  for (const Value& probe : foreign_to_strings) {
+    EXPECT_TRUE(string_rel.IndexOn(0).Lookup(probe).empty()) << probe;
   }
 }
 
@@ -330,6 +358,189 @@ TEST(RelationIndexDeathTest, AppendAfterIndexBuildAborts) {
   ASSERT_TRUE(rel.Append({I(1)}).ok());
   rel.IndexOn(0);
   EXPECT_DEATH((void)rel.Append({I(2)}), "after indexes were built");
+}
+
+// ------------------------------------------------------ Columnar storage --
+
+// The reference semantics, kept apart from the code under test: a Row-form
+// cell as the variant Value held before relations stored typed columns.
+using Repr = std::variant<std::monostate, int64_t, double, std::string>;
+
+Repr ReprOf(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return std::monostate{};
+    case ValueType::kInt64:
+      return v.AsInt64();
+    case ValueType::kDouble:
+      return v.AsDouble();
+    case ValueType::kString:
+      return v.AsString();
+  }
+  return std::monostate{};
+}
+
+size_t ReferenceHash(const Repr& r) {
+  size_t seed = r.index();
+  if (r.index() == 1) HashCombine(&seed, std::get<int64_t>(r));
+  if (r.index() == 2) HashCombine(&seed, std::get<double>(r));
+  if (r.index() == 3) HashCombine(&seed, std::get<std::string>(r));
+  return seed;
+}
+
+std::string ReferenceDisplay(const Repr& r) {
+  if (r.index() == 1) return std::to_string(std::get<int64_t>(r));
+  if (r.index() == 2) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%g", std::get<double>(r));
+    return buf;
+  }
+  if (r.index() == 3) return std::get<std::string>(r);
+  return "";
+}
+
+// A random cell of `type`, about one in six null, drawn mostly from the
+// edge cases: empty strings, strings past the small-string buffer,
+// INT64_MIN/INT64_MAX, 0.0 and -0.0.
+Value RandomCell(ValueType type, std::mt19937_64& rng) {
+  if (rng() % 6 == 0) return Value();
+  switch (type) {
+    case ValueType::kInt64: {
+      const int64_t edges[] = {INT64_MIN, INT64_MAX, 0, -1};
+      return Value(rng() % 2 ? edges[rng() % 4]
+                             : static_cast<int64_t>(rng() % 40) - 20);
+    }
+    case ValueType::kDouble: {
+      const double edges[] = {0.0, -0.0, 1.5, -1e300, 2.0};
+      return Value(rng() % 2 ? edges[rng() % 5]
+                             : static_cast<double>(rng() % 40) / 4);
+    }
+    case ValueType::kString:
+      switch (rng() % 4) {
+        case 0:
+          return Value("");
+        case 1:
+          return Value(std::string(16 + rng() % 40, 'a' + rng() % 3));
+        default:
+          return Value("s" + std::to_string(rng() % 12));
+      }
+    case ValueType::kNull:
+      break;
+  }
+  return Value();
+}
+
+// Every at() and row() view of `rel` against the Row-form reference `ref`
+// and its tombstones: equal cells, equal Hash() and display strings, and
+// the same order of each column's rows as the reference order.
+void ExpectViewsMatchReference(const Relation& rel, const std::vector<Row>& ref,
+                               const std::vector<bool>& deleted) {
+  ASSERT_EQ(rel.num_rows(), ref.size());
+  ASSERT_EQ(rel.num_deleted(),
+            static_cast<size_t>(std::count(deleted.begin(), deleted.end(),
+                                           true)));
+  const size_t arity = rel.schema().num_attributes();
+  for (size_t r = 0; r < ref.size(); ++r) {
+    const auto row = static_cast<RowId>(r);
+    EXPECT_EQ(rel.is_deleted(row), deleted[r]) << "row " << r;
+    const RowView view = rel.row(row);
+    ASSERT_EQ(view.size(), arity);
+    EXPECT_EQ(Row(view), ref[r]) << "row " << r;
+    for (size_t a = 0; a < arity; ++a) {
+      const ValueView cell = rel.at(row, static_cast<AttributeId>(a));
+      const Repr want = ReprOf(ref[r][a]);
+      EXPECT_EQ(ReprOf(Value(cell)), want) << "row " << r << " attr " << a;
+      EXPECT_TRUE(cell == ref[r][a] && view[a] == cell);
+      EXPECT_EQ(cell.Hash(), ReferenceHash(want));
+      EXPECT_EQ(cell.Hash(), ref[r][a].Hash());
+      EXPECT_EQ(cell.ToDisplayString(), ReferenceDisplay(want));
+    }
+  }
+  for (size_t a = 0; a < arity; ++a) {
+    const auto attr = static_cast<AttributeId>(a);
+    std::vector<RowId> by_view(ref.size());
+    std::iota(by_view.begin(), by_view.end(), 0);
+    std::vector<RowId> by_reference = by_view;
+    std::stable_sort(by_view.begin(), by_view.end(), [&](RowId x, RowId y) {
+      return rel.at(x, attr) < rel.at(y, attr);
+    });
+    std::stable_sort(by_reference.begin(), by_reference.end(),
+                     [&](RowId x, RowId y) {
+                       return ReprOf(ref[x][a]) < ReprOf(ref[y][a]);
+                     });
+    EXPECT_EQ(by_view, by_reference) << "attr " << a;
+  }
+}
+
+static_assert(std::is_trivially_copyable_v<ValueView>);
+
+TEST(ColumnarPropertyTest, ViewsMatchRowReferenceThroughClonesAndEdits) {
+  const RelationSchema schema(
+      "r", {AttributeSchema{"i", ValueType::kInt64},
+            AttributeSchema{"d", ValueType::kDouble},
+            AttributeSchema{"s", ValueType::kString},
+            AttributeSchema{"t", ValueType::kString}});
+  const auto random_row = [&](std::mt19937_64& rng) {
+    Row row;
+    for (const AttributeSchema& attr : schema.attributes()) {
+      row.push_back(RandomCell(attr.type, rng));
+    }
+    return row;
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    std::mt19937_64 rng(seed);
+    Database db("prop");
+    const RelationId id = db.AddRelation(schema).ValueOrDie();
+    Relation* rel = db.mutable_relation(id);
+    std::vector<Row> ref;
+    const size_t num_rows = 40 + rng() % 160;
+    for (size_t r = 0; r < num_rows; ++r) {
+      ref.push_back(random_row(rng));
+      if (r % 2 == 0) {
+        ASSERT_TRUE(rel->Append(ref.back()).ok());
+      } else {
+        rel->AppendUnchecked(ref.back());
+      }
+    }
+    std::vector<bool> deleted(ref.size(), false);
+    for (size_t r = 0; r < ref.size(); ++r) {
+      if (rng() % 5 == 0) {
+        ASSERT_TRUE(rel->Delete(static_cast<RowId>(r)).ok());
+        deleted[r] = true;
+      }
+    }
+    ExpectViewsMatchReference(*rel, ref, deleted);
+
+    const Relation clone = rel->Clone();
+    ExpectViewsMatchReference(clone, ref, deleted);
+
+    // A copy-on-write delta: appends and deletes land in the copy only.
+    Database delta = db.CloneCow({id});
+    std::vector<Row> delta_ref = ref;
+    std::vector<bool> delta_deleted = deleted;
+    for (size_t k = 0; k < 30; ++k) {
+      delta_ref.push_back(random_row(rng));
+      delta_deleted.push_back(false);
+      ASSERT_TRUE(delta.mutable_relation(id)->Append(delta_ref.back()).ok());
+    }
+    for (size_t r = 0; r < delta_ref.size(); ++r) {
+      if (!delta_deleted[r] && rng() % 4 == 0) {
+        ASSERT_TRUE(delta.mutable_relation(id)->Delete(RowId(r)).ok());
+        delta_deleted[r] = true;
+      }
+    }
+    ExpectViewsMatchReference(delta.relation(id), delta_ref, delta_deleted);
+    ExpectViewsMatchReference(db.relation(id), ref, deleted);
+    ExpectViewsMatchReference(clone, ref, deleted);
+  }
+}
+
+TEST(ColumnarPropertyTest, AppendUncheckedRejectsContradictingType) {
+  Relation rel(RelationSchema("r", {IdAttr("k")}));
+  rel.AppendUnchecked({Value::Null()});
+  EXPECT_DEATH(rel.AppendUnchecked({S("1")}),
+               "attribute 'k' expects int64, got string");
 }
 
 // -------------------------------------------------------------- Database --
@@ -513,8 +724,8 @@ TEST(DumpTest, RoundTripsFigure2) {
     ASSERT_EQ(a.name(), b.name());
     ASSERT_EQ(a.num_rows(), b.num_rows());
     for (size_t row = 0; row < a.num_rows(); ++row) {
-      EXPECT_EQ(a.row(static_cast<RowId>(row)),
-                b.row(static_cast<RowId>(row)));
+      EXPECT_EQ(Row(a.row(static_cast<RowId>(row))),
+                Row(b.row(static_cast<RowId>(row))));
     }
   }
   EXPECT_TRUE(loaded->CheckReferentialIntegrity().ok());
