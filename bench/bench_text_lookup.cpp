@@ -3,8 +3,8 @@
 // shared by every attribute) vs the linear dictionary scan it replaced.
 //
 // Three sections:
-//  1. index build — engine construction time (the (shard, attribute)
-//     builds fan out on the shared pool, then their dictionaries merge
+//  1. index build — engine construction time (the per-attribute builds
+//     fan out on the shared pool, then their dictionaries merge
 //     into the vocabulary), and each policy's index memory (the
 //     vocabulary holds only the candidate table its policy probes);
 //  2. per-mode lookup latency — the same probe set through the vocabulary

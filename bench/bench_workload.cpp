@@ -15,9 +15,6 @@
 //     --movies=N          override the scenario's source-database scale
 //     --tenants=N         override the scenario's tenant count (each gets
 //                         its own catalog snapshot of the same source)
-//     --shards=N          override the scenario's per-tenant shard count
-//                         (row-hash partitioned snapshots; results are
-//                         byte-identical for any N)
 //
 // Exit codes: 0 ok; 1 hard request failures or baseline regression;
 // 2 usage/config errors.
@@ -58,8 +55,7 @@ bool ReadFile(const std::string& path, std::string* out) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <scenario-file> [--out=FILE] [--baseline=FILE] "
-               "[--tolerance=F] [--floor-ms=F] [--movies=N] [--tenants=N] "
-               "[--shards=N]\n",
+               "[--tolerance=F] [--floor-ms=F] [--movies=N] [--tenants=N]\n",
                argv0);
   return 2;
 }
@@ -75,7 +71,6 @@ int main(int argc, char** argv) {
   BaselineCheckOptions baseline_options;
   size_t movies_override = 0;
   size_t tenants_override = 0;
-  size_t shards_override = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -91,8 +86,6 @@ int main(int argc, char** argv) {
       movies_override = std::strtoull(arg.c_str() + 9, nullptr, 10);
     } else if (arg.rfind("--tenants=", 0) == 0) {
       tenants_override = std::strtoull(arg.c_str() + 10, nullptr, 10);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards_override = std::strtoull(arg.c_str() + 9, nullptr, 10);
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return Usage(argv[0]);
@@ -113,25 +106,22 @@ int main(int argc, char** argv) {
   Scenario scenario = std::move(parsed).ValueOrDie();
   if (movies_override > 0) scenario.movies = movies_override;
   if (tenants_override > 0) scenario.tenants = tenants_override;
-  if (shards_override > 0) scenario.shards = shards_override;
 
   const bench::YahooEnv env(scenario.movies);
   env.PrintHeader("Phased workload scenario runner");
   std::printf("scenario '%s' (%zu phases), seed %llu, %zu workers, queue "
-              "%zu, cache %zu, tenants %zu, shards %zu%s\n\n",
+              "%zu, cache %zu, tenants %zu%s\n\n",
               scenario.name.c_str(), scenario.phases.size(),
               static_cast<unsigned long long>(scenario.seed),
               scenario.workers, scenario.queue_depth,
-              scenario.cache_capacity, scenario.tenants, scenario.shards,
+              scenario.cache_capacity, scenario.tenants,
               scenario.publish_churn ? " (publish churn)" : "");
 
   // Every tenant serves its own snapshot of the same synthetic source:
   // identical data per tenant keeps cells comparable across tenant
   // counts, while the catalog still treats them as fully independent
   // (separate snapshots, epochs, cache key spaces).
-  catalog::CatalogOptions catalog_options;
-  catalog_options.shard_count = static_cast<uint32_t>(scenario.shards);
-  catalog::Catalog cat(catalog_options);
+  catalog::Catalog cat;
   workload::TenantTopology topology;
   topology.catalog = &cat;
   topology.make_database = [&env]() { return env.db().Clone(); };

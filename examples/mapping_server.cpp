@@ -7,11 +7,7 @@
 // histogram percentiles, queue high-water, cache hit rate) plus the
 // per-tenant rollups.
 //
-//   $ ./examples/mapping_server [num_users] [--tenants=N] [--shards=N]
-//
-// --shards=N publishes every tenant as N row-hash shards
-// (catalog::CatalogOptions::shard_count); each probe loops over the
-// shards and returns byte-identical results for any N.
+//   $ ./examples/mapping_server [num_users] [--tenants=N]
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -86,14 +82,10 @@ int main(int argc, char** argv) {
   using namespace mweaver;
   size_t num_users = 6;
   size_t num_tenants = 1;
-  size_t num_shards = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--tenants=", 10) == 0) {
       num_tenants = std::strtoul(argv[i] + 10, nullptr, 10);
       if (num_tenants == 0) num_tenants = 1;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      num_shards = std::strtoul(argv[i] + 9, nullptr, 10);
-      if (num_shards == 0) num_shards = 1;
     } else {
       num_users = std::strtoul(argv[i], nullptr, 10);
     }
@@ -102,9 +94,7 @@ int main(int argc, char** argv) {
   // Each tenant serves its own snapshot of the example source. Tenant "0"
   // doubles as the default tenant so `--tenants=1` exercises the plain
   // single-tenant path.
-  catalog::CatalogOptions catalog_options;
-  catalog_options.shard_count = static_cast<uint32_t>(num_shards);
-  catalog::Catalog cat(catalog_options);
+  catalog::Catalog cat;
   std::vector<std::string> tenants;
   for (size_t t = 0; t < num_tenants; ++t) {
     tenants.push_back(num_tenants == 1
@@ -124,8 +114,7 @@ int main(int argc, char** argv) {
   service::MappingService svc(&cat, options);
 
   std::cout << "mapping_server: " << num_users << " concurrent users over "
-            << num_tenants << " tenant(s) x " << num_shards
-            << " shard(s), " << options.num_workers
+            << num_tenants << " tenant(s), " << options.num_workers
             << " workers, queue depth " << options.max_queue_depth
             << "\n\n";
 

@@ -1,6 +1,5 @@
 #include "catalog/catalog.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -32,40 +31,16 @@ Result<SnapshotPtr> Catalog::Publish(std::string_view tenant,
   // an older epoch must not clobber a newer one — see the install check).
   const uint64_t epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
 
-  // The previous snapshot (if any) is the candidate source of reusable
-  // shard index sets; pinning it here keeps it alive across the build.
-  SnapshotPtr prev;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto prev_it = tenants_.find(tenant);
-    if (prev_it != tenants_.end()) prev = prev_it->second->current;
-  }
-
   // The expensive step — index construction over the new instance — runs
   // with NO catalog lock held: readers keep pinning the previous epoch at
-  // full speed for the whole build. Fingerprint the new instance per shard
-  // and rebuild only the shards whose content changed since the previous
-  // snapshot; the rest are shared with it. Delta snapshots poison touched
-  // shards' fingerprints, so streaming-updated shards always rebuild here.
-  const uint32_t shard_count = std::max<uint32_t>(1, options_.shard_count);
+  // full speed for the whole build.
   auto owned_db = std::make_unique<storage::Database>(std::move(db));
-  std::vector<uint64_t> fingerprints =
-      ComputeShardFingerprints(*owned_db, shard_count);
-  std::vector<bool> reuse(shard_count, false);
-  if (prev != nullptr && prev->shard_count() == shard_count) {
-    for (uint32_t s = 0; s < shard_count; ++s) {
-      reuse[s] = prev->shard_fingerprints()[s] == fingerprints[s];
-    }
-  }
-  size_t shards_rebuilt = 0;
-  auto engine = text::FullTextEngine::Build(
-      owned_db.get(), options_.match_policy, shard_count,
-      options_.engine_options, prev != nullptr ? &prev->engine() : nullptr,
-      reuse, &shards_rebuilt);
+  auto engine = std::make_unique<text::FullTextEngine>(
+      owned_db.get(), options_.match_policy, options_.engine_options);
   auto graph = std::make_unique<graph::SchemaGraph>(owned_db.get());
   auto snapshot = std::make_shared<const Snapshot>(
       std::string(tenant), epoch, /*minor_epoch=*/0, std::move(owned_db),
-      std::move(engine), std::move(graph), std::move(fingerprints));
+      std::move(engine), std::move(graph));
 
   // Declared before the lock so it is destroyed after the lock is
   // released: when no reader pins the superseded snapshot, dropping it
@@ -95,15 +70,13 @@ Result<SnapshotPtr> Catalog::Publish(std::string_view tenant,
   // The atomic swap: one pointer exchange.
   superseded = std::exchange(entry.current, snapshot);
   entry.publishes += 1;
-  entry.shards_rebuilt_last = shards_rebuilt;
-  entry.shards_rebuilt_total += shards_rebuilt;
   entry.last_used_ns.store(NowNs(), std::memory_order_relaxed);
   return snapshot;
 }
 
 Status Catalog::InstallDelta(std::string_view tenant,
                              const SnapshotPtr& expected_base,
-                             SnapshotPtr next, uint64_t shards_touched) {
+                             SnapshotPtr next) {
   if (next == nullptr) {
     return Status::InvalidArgument("delta snapshot must not be null");
   }
@@ -129,12 +102,8 @@ Status Catalog::InstallDelta(std::string_view tenant,
                   static_cast<unsigned long long>(
                       expected_base->minor_epoch())));
   }
-  // Shard accounting: a delta "rebuilds" the shards the writer
-  // delta-cloned; everything else was carried over.
   superseded = std::exchange(entry.current, std::move(next));
   entry.updates += 1;
-  entry.shards_rebuilt_last = shards_touched;
-  entry.shards_rebuilt_total += shards_touched;
   entry.last_used_ns.store(NowNs(), std::memory_order_relaxed);
   return Status::OK();
 }
@@ -241,14 +210,11 @@ std::vector<TenantInfo> Catalog::ListTenants() const {
     info.name = name;
     info.publishes = entry->publishes;
     info.updates = entry->updates;
-    info.shards_rebuilt_last = entry->shards_rebuilt_last;
-    info.shards_rebuilt_total = entry->shards_rebuilt_total;
     if (entry->current != nullptr) {
       info.epoch = entry->current->epoch();
       info.minor_epoch = entry->current->minor_epoch();
       info.rows = entry->current->db().TotalRows();
       info.index_bytes = entry->current->index_bytes();
-      info.shards = entry->current->shard_count();
       // One reference is the catalog's own; anything beyond it is a pin.
       info.pins = entry->current.use_count() - 1;
     }

@@ -46,11 +46,8 @@ struct CatalogOptions {
   text::MatchPolicy match_policy = text::MatchPolicy::Substring();
   /// Engine build/acceleration knobs applied to every publish.
   text::EngineOptions engine_options;
-  /// Row-hash shards per tenant (>= 1): every snapshot's engine holds this
-  /// many shard index sets. Publish rebuilds only the shards whose content
-  /// fingerprint changed and TenantWriter delta-clones only the shards
-  /// owning the batch's rows. Search results are byte-identical for every
-  /// value of N.
+  /// Perfbench only; ROADMAP item 11 deletes. Accepted for any value and
+  /// ignored: every tenant keeps one index set.
   uint32_t shard_count = 1;
   /// Tenants with no Pin/Publish for this long are reclaimed by
   /// EvictIdle().
@@ -68,10 +65,9 @@ struct TenantInfo {
   uint64_t updates = 0;    // lifetime streaming-update count
   size_t rows = 0;
   size_t index_bytes = 0;
-  uint32_t shards = 1;               // shard topology of the current snapshot
-  uint64_t shards_rebuilt_last = 0;  // shards (re)built by the latest
-                                     // publish or streaming update
-  uint64_t shards_rebuilt_total = 0;  // lifetime shard (re)builds
+  /// Perfbench only; ROADMAP item 11 deletes. Always 1: every publish or
+  /// update builds the tenant's one index set.
+  uint64_t shards_rebuilt_last = 1;
   /// Pins outstanding beyond the catalog's own reference (sessions,
   /// in-flight requests, still-draining old epochs are NOT counted — this
   /// is the current snapshot's refcount only, an approximation for ops).
@@ -105,11 +101,8 @@ class Catalog {
   /// slipped past the write lock) installed something newer, returns
   /// FailedPrecondition and `next` is discarded by the caller. NotFound if
   /// the tenant vanished (Drop / EvictIdle) while the delta was built.
-  /// `shards_touched` is how many shards the writer delta-cloned; it feeds
-  /// the tenant's shards_rebuilt_last / shards_rebuilt_total.
   Status InstallDelta(std::string_view tenant,
-                      const SnapshotPtr& expected_base, SnapshotPtr next,
-                      uint64_t shards_touched);
+                      const SnapshotPtr& expected_base, SnapshotPtr next);
 
   /// \brief The tenant's writer lock, serializing streaming update batches
   /// against each other (Publish does NOT take it — a racing publish wins
@@ -162,11 +155,6 @@ class Catalog {
     SnapshotPtr current;      // guarded by Catalog::mu_
     uint64_t publishes = 0;   // guarded by Catalog::mu_
     uint64_t updates = 0;     // guarded by Catalog::mu_
-    /// Shard (re)build accounting, guarded by Catalog::mu_: how many shard
-    /// index sets the latest Publish/InstallDelta actually constructed (the
-    /// rest were carried over), and the lifetime sum.
-    uint64_t shards_rebuilt_last = 0;
-    uint64_t shards_rebuilt_total = 0;
     /// Serializes streaming writers to this tenant (held across the whole
     /// delta build, NOT just the install — see WriterLock()). shared_ptr so
     /// a writer keeps a valid mutex even if the tenant is dropped.

@@ -12,7 +12,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "graph/schema_graph.h"
 #include "storage/database.h"
@@ -20,15 +19,6 @@
 #include "text/match.h"
 
 namespace mweaver::catalog {
-
-/// \brief Per-shard content fingerprints of a database: shard s hashes the
-/// schema plus every live (row id, values) pair common::ShardOfRow assigns
-/// to s. Two databases with equal fingerprints for shard s would build
-/// byte-identical shard-s indexes, which is what lets Publish carry
-/// unchanged shard index sets over from the previous snapshot and rebuild
-/// only the rest.
-std::vector<uint64_t> ComputeShardFingerprints(const storage::Database& db,
-                                               uint32_t shard_count);
 
 /// \brief An immutable, refcounted bundle of per-tenant serving state.
 ///
@@ -43,13 +33,11 @@ class Snapshot {
   /// over `db` by Catalog::Publish (minor epoch 0) or by TenantWriter for a
   /// streaming update (a CoW database and a CloneForDelta engine at the
   /// base's publish epoch). `minor_epoch` distinguishes successive update
-  /// batches within that epoch. `shard_fingerprints` carries one content
-  /// fingerprint per engine shard.
+  /// batches within that epoch.
   Snapshot(std::string tenant, uint64_t epoch, uint64_t minor_epoch,
            std::unique_ptr<storage::Database> db,
            std::unique_ptr<text::FullTextEngine> engine,
-           std::unique_ptr<graph::SchemaGraph> graph,
-           std::vector<uint64_t> shard_fingerprints);
+           std::unique_ptr<graph::SchemaGraph> graph);
 
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
@@ -71,19 +59,6 @@ class Snapshot {
   const text::FullTextEngine& engine() const { return *engine_; }
   const graph::SchemaGraph& graph() const { return *graph_; }
 
-  /// \brief Shard topology of the bundle (the engine's shard count). Part
-  /// of the service result-cache fingerprint (results are byte-identical
-  /// across shard counts, but rebinding the key keeps the fingerprint an
-  /// honest function of the serving configuration).
-  uint32_t shard_count() const { return engine_->shard_count(); }
-
-  /// \brief Per-shard content fingerprints (see ComputeShardFingerprints);
-  /// delta snapshots poison touched shards' entries with a unique nonce so
-  /// a later Publish never falsely reuses them.
-  const std::vector<uint64_t>& shard_fingerprints() const {
-    return shard_fingerprints_;
-  }
-
   /// \brief Approximate heap footprint of the text indexes (capacity
   /// accounting for eviction policies and per-tenant metrics): the
   /// dictionaries, row postings, and the vocabulary with the one candidate
@@ -98,7 +73,6 @@ class Snapshot {
   const std::unique_ptr<storage::Database> db_;
   const std::unique_ptr<text::FullTextEngine> engine_;
   const std::unique_ptr<graph::SchemaGraph> graph_;
-  std::vector<uint64_t> shard_fingerprints_;
 };
 
 /// \brief The pin: holding one keeps the whole bundle alive. Searches that

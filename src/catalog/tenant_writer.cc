@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/hash_util.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "graph/schema_graph.h"
@@ -163,36 +162,11 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
   if (!keys.ok()) return keys;
 
   // Index delta: copy-on-write engine over the new database, then replay
-  // the same rows in the same order into the touched relations' indexes.
-  // Only the shards the batch's rows hash into are delta-cloned ({0} on an
-  // unsharded tenant); every other shard stays shared with the base — the
-  // unit of invalidation shrinks from the tenant to the touched shards.
+  // the same rows in the same order into the touched relations' indexes;
+  // every other relation's indexes stay shared with the base.
   const uint64_t minor = base->minor_epoch() + 1;
-  const uint32_t n = base->shard_count();
-  std::vector<uint32_t> touched_shards;
-  for (const storage::RowId row : result.inserted_rows) {
-    touched_shards.push_back(ShardOfRow(row, n));
-  }
-  for (const RowDelete& del : batch.deletes) {
-    touched_shards.push_back(ShardOfRow(del.row, n));
-  }
-  std::sort(touched_shards.begin(), touched_shards.end());
-  touched_shards.erase(
-      std::unique(touched_shards.begin(), touched_shards.end()),
-      touched_shards.end());
   std::unique_ptr<text::FullTextEngine> engine =
-      base->engine().CloneForDelta(db.get(), touched, touched_shards, minor);
-  // Touched shards' content fingerprints are poisoned with a unique nonce
-  // so the next Publish rebuilds them instead of falsely reusing stale
-  // indexes.
-  std::vector<uint64_t> shard_fingerprints = base->shard_fingerprints();
-  for (const uint32_t s : touched_shards) {
-    size_t nonce = 0x5ca4ded;
-    HashCombine(&nonce, base->epoch());
-    HashCombine(&nonce, minor);
-    HashCombine(&nonce, s);
-    shard_fingerprints[s] = nonce;
-  }
+      base->engine().CloneForDelta(db.get(), touched, minor);
   for (size_t i = 0; i < batch.inserts.size(); ++i) {
     engine->ApplyRowInsert(insert_rels[i], result.inserted_rows[i]);
   }
@@ -219,16 +193,14 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
 
   auto next = std::make_shared<const Snapshot>(
       std::string(tenant), base->epoch(), minor, std::move(db),
-      std::move(engine), std::move(graph), std::move(shard_fingerprints));
+      std::move(engine), std::move(graph));
 
-  Status installed =
-      catalog_->InstallDelta(tenant, base, next, touched_shards.size());
+  Status installed = catalog_->InstallDelta(tenant, base, next);
   if (!installed.ok()) return installed;
 
   result.snapshot = std::move(next);
   result.rows_inserted = batch.inserts.size();
   result.rows_deleted = batch.deletes.size();
-  result.shards_touched = touched_shards.size();
   return result;
 }
 

@@ -3,9 +3,9 @@
 // full Publish rebuild:
 //
 //   Pin base ──> CloneCow(touched relations)         (db: O(touched rows))
-//            ──> CloneForDelta(touched relations,    (engine: shares the
-//                              touched shards)        untouched indexes and
-//                + ApplyRowInsert / ApplyRowDelete    the probe memo)
+//            ──> CloneForDelta(touched relations)    (engine: shares the
+//                + ApplyRowInsert / ApplyRowDelete    untouched indexes and
+//                                                     the probe memo)
 //            ──> delta Snapshot at (epoch, minor+1)
 //            ──> Catalog::InstallDelta  (CAS against the pinned base)
 //
@@ -63,8 +63,8 @@ struct UpdateResult {
   size_t rows_deleted = 0;
   /// Relations whose indexes were rebuilt by the delta-compaction policy.
   size_t relations_compacted = 0;
-  /// Shards the batch's rows hashed into — the only shards delta-cloned
-  /// (the rest stayed shared with the base). 1 for an unsharded tenant.
+  /// Perfbench only; ROADMAP item 11 deletes. Always 1: the tenant's one
+  /// index set.
   size_t shards_touched = 1;
 };
 

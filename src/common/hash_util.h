@@ -8,28 +8,6 @@
 
 namespace mweaver {
 
-/// \brief SplitMix64 finalizer: a full-avalanche 64-bit mix, so consecutive
-/// inputs land on uncorrelated outputs.
-inline uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// \brief The shard owning one physical row: a pure function of (row id,
-/// shard count), shared by index builds, streaming updates and publish-time
-/// shard fingerprints so every layer agrees on row placement. Deliberately
-/// NOT a function of the row's values — a row keeps its shard for life, and
-/// consecutive appended ids spread across shards (SplitMix64 avalanche),
-/// which is what lets a small update batch touch few shards. `shard_count`
-/// 0 or 1 maps everything to shard 0.
-inline uint32_t ShardOfRow(int64_t row, size_t shard_count) {
-  if (shard_count <= 1) return 0;
-  return static_cast<uint32_t>(Mix64(static_cast<uint64_t>(row)) %
-                               shard_count);
-}
-
 /// \brief Mixes `value`'s hash into `seed` (boost::hash_combine recipe).
 template <typename T>
 void HashCombine(size_t* seed, const T& value) {

@@ -1,6 +1,6 @@
 // Minimal data-parallel helper: run a function over [0, n) on a fixed
-// number of worker threads. Used by index builds (every (shard, attribute)
-// text index of a publish builds independently). A search never fans out:
+// number of worker threads. Used by index builds (every attribute's text
+// index of a publish builds independently). A search never fans out:
 // it runs on its caller's thread, and the service gets its parallelism
 // from running many requests at once on its own workers.
 #ifndef MWEAVER_COMMON_PARALLEL_H_

@@ -70,8 +70,7 @@ core::Session::SearchFn MappingService::MakeCachingSearchFn(
   // this serving state to be keyed with a later epoch/minor: the snapshot
   // is immutable and the prefix is literally a captured constant.
   std::string key_prefix = ResultCache::MakeKeyPrefix(
-      snapshot->tenant(), snapshot->epoch(), snapshot->minor_epoch(),
-      snapshot->shard_count());
+      snapshot->tenant(), snapshot->epoch(), snapshot->minor_epoch());
   return [this, snapshot = std::move(snapshot), metrics = std::move(metrics),
           key_prefix = std::move(key_prefix)](
              const std::vector<std::string>& first_row,
@@ -301,7 +300,7 @@ RequestResult MappingService::ProcessUpdate(const QueuedRequest& queued) {
   // safe to resubmit, since nothing started).
   if (core::SearchClock::now() >= queued.deadline) {
     result.truncated = true;
-    metrics.RecordUpdate(/*ok=*/false, 0, 0, 0);
+    metrics.RecordUpdate(/*ok=*/false, 0, 0);
     return finish(RequestOutcome::kTruncated,
                   Status::Unavailable(
                       "update deadline expired in queue; batch not applied"));
@@ -319,14 +318,14 @@ RequestResult MappingService::ProcessUpdate(const QueuedRequest& queued) {
     if (applied.ok()) result.degraded = true;
   }
   if (!applied.ok()) {
-    metrics.RecordUpdate(/*ok=*/false, 0, 0, 0);
+    metrics.RecordUpdate(/*ok=*/false, 0, 0);
     return finish(RequestOutcome::kFailed, applied.status());
   }
   const catalog::UpdateResult& update = applied.ValueOrDie();
   result.update_minor_epoch = update.snapshot->minor_epoch();
   result.inserted_rows = update.inserted_rows;
-  metrics.RecordUpdate(/*ok=*/true, update.rows_inserted, update.rows_deleted,
-                       update.shards_touched);
+  metrics.RecordUpdate(/*ok=*/true, update.rows_inserted,
+                       update.rows_deleted);
   return finish(result.degraded ? RequestOutcome::kDegraded
                                 : RequestOutcome::kOk,
                 Status::OK());

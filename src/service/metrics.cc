@@ -128,7 +128,6 @@ void MetricsSnapshot::WriteJson(JsonWriter* w) const {
   w->KV("updates_failed", updates_failed);
   w->KV("update_rows_inserted", update_rows_inserted);
   w->KV("update_rows_deleted", update_rows_deleted);
-  w->KV("update_shards_touched", update_shards_touched);
   w->KV("cache_hits", cache_hits);
   w->KV("cache_misses", cache_misses);
   w->KV("cache_hit_rate", CacheHitRate());
@@ -178,7 +177,6 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   updates_failed += other.updates_failed;
   update_rows_inserted += other.update_rows_inserted;
   update_rows_deleted += other.update_rows_deleted;
-  update_shards_touched += other.update_shards_touched;
   sessions_created += other.sessions_created;
   share_rejections += other.share_rejections;
   queue_high_water = std::max(queue_high_water, other.queue_high_water);
@@ -210,8 +208,6 @@ MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
       SaturatingSub(update_rows_inserted, earlier.update_rows_inserted);
   delta.update_rows_deleted =
       SaturatingSub(update_rows_deleted, earlier.update_rows_deleted);
-  delta.update_shards_touched =
-      SaturatingSub(update_shards_touched, earlier.update_shards_touched);
   delta.sessions_created =
       SaturatingSub(sessions_created, earlier.sessions_created);
   delta.share_rejections =
@@ -248,8 +244,7 @@ void TenantMetrics::RecordSessionCreated() { Bump(&sessions_created_); }
 void TenantMetrics::RecordShareRejection() { Bump(&share_rejections_); }
 
 void TenantMetrics::RecordUpdate(bool ok, uint64_t rows_inserted,
-                                 uint64_t rows_deleted,
-                                 uint64_t shards_touched) {
+                                 uint64_t rows_deleted) {
   if (!ok) {
     Bump(&updates_failed_);
     return;
@@ -257,7 +252,6 @@ void TenantMetrics::RecordUpdate(bool ok, uint64_t rows_inserted,
   Bump(&updates_ok_);
   Bump(&update_rows_inserted_, rows_inserted);
   Bump(&update_rows_deleted_, rows_deleted);
-  Bump(&update_shards_touched_, shards_touched);
 }
 
 void TenantMetrics::RecordSearchTrace(const core::ExecutionTrace& trace) {
@@ -294,7 +288,6 @@ MetricsSnapshot TenantMetrics::Snapshot() const {
   snap.updates_failed = Load(updates_failed_);
   snap.update_rows_inserted = Load(update_rows_inserted_);
   snap.update_rows_deleted = Load(update_rows_deleted_);
-  snap.update_shards_touched = Load(update_shards_touched_);
   snap.sessions_created = Load(sessions_created_);
   snap.share_rejections = Load(share_rejections_);
   snap.queue_high_water = Load(queue_high_water_);

@@ -73,10 +73,6 @@ struct MetricsSnapshot {
   /// Rows applied by successful update batches.
   uint64_t update_rows_inserted = 0;
   uint64_t update_rows_deleted = 0;
-  /// Shards delta-cloned by successful update batches, summed (1 per batch
-  /// for an unsharded tenant). Divided by updates_ok this reads out how
-  /// narrowly the shard hash scopes the average batch.
-  uint64_t update_shards_touched = 0;
 
   /// Sessions opened.
   uint64_t sessions_created = 0;
@@ -174,10 +170,9 @@ class TenantMetrics {
   void RecordUpdateRetry();
   void RecordSessionCreated();
   void RecordShareRejection();
-  /// \brief Counts one streaming update batch; rows and shards touched are
-  /// only accumulated when `ok`.
-  void RecordUpdate(bool ok, uint64_t rows_inserted, uint64_t rows_deleted,
-                    uint64_t shards_touched);
+  /// \brief Counts one streaming update batch; its rows are only
+  /// accumulated when `ok`.
+  void RecordUpdate(bool ok, uint64_t rows_inserted, uint64_t rows_deleted);
   /// \brief Folds one search's per-stage trace into the per-stage latency
   /// histograms and its text-probe counters. The kPrune stage is skipped —
   /// sample search never runs it, and folding its empty span would fill
@@ -202,7 +197,6 @@ class TenantMetrics {
   std::atomic<uint64_t> updates_failed_{0};
   std::atomic<uint64_t> update_rows_inserted_{0};
   std::atomic<uint64_t> update_rows_deleted_{0};
-  std::atomic<uint64_t> update_shards_touched_{0};
   std::atomic<uint64_t> sessions_created_{0};
   std::atomic<uint64_t> share_rejections_{0};
   std::atomic<uint64_t> queue_high_water_{0};

@@ -34,15 +34,12 @@ std::string TenantPrefix(std::string_view tenant) {
 }  // namespace
 
 std::string ResultCache::MakeKeyPrefix(std::string_view tenant,
-                                       uint64_t epoch, uint64_t minor_epoch,
-                                       uint32_t shards) {
-  // Tenant + (epoch, minor epoch) + shard topology scope the prefix to one
-  // serving state — publish, streaming update, or reshard.
+                                       uint64_t epoch, uint64_t minor_epoch) {
+  // Tenant + (epoch, minor epoch) scope the prefix to one serving state —
+  // a publish or a streaming update.
   return TenantPrefix(tenant) +
-         StrFormat("e=%llu.%llu;s=%u;",
-                   static_cast<unsigned long long>(epoch),
-                   static_cast<unsigned long long>(minor_epoch),
-                   static_cast<unsigned>(shards));
+         StrFormat("e=%llu.%llu;", static_cast<unsigned long long>(epoch),
+                   static_cast<unsigned long long>(minor_epoch));
 }
 
 std::string ResultCache::MakeKeyWithPrefix(
@@ -62,10 +59,10 @@ std::string ResultCache::MakeKeyWithPrefix(
 }
 
 std::string ResultCache::MakeKey(std::string_view tenant, uint64_t epoch,
-                                 uint64_t minor_epoch, uint32_t shards,
+                                 uint64_t minor_epoch,
                                  const std::vector<std::string>& first_row,
                                  const core::SearchOptions& options) {
-  return MakeKeyWithPrefix(MakeKeyPrefix(tenant, epoch, minor_epoch, shards),
+  return MakeKeyWithPrefix(MakeKeyPrefix(tenant, epoch, minor_epoch),
                            first_row, options);
 }
 

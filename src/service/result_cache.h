@@ -52,22 +52,19 @@ class ResultCache {
   /// every installed update batch moves the tenant to a new key space, so
   /// results computed before the update can never be replayed after it
   /// (base snapshots are minor 0, matching keys minted before streaming
-  /// existed). `shards` is the snapshot's shard topology: results are
-  /// byte-identical across shard counts, but keying on the topology keeps
-  /// the fingerprint an honest function of the serving configuration (a
-  /// reshard republish already lands on a new epoch anyway).
+  /// existed).
   static std::string MakeKey(std::string_view tenant, uint64_t epoch,
-                             uint64_t minor_epoch, uint32_t shards,
+                             uint64_t minor_epoch,
                              const std::vector<std::string>& first_row,
                              const core::SearchOptions& options);
 
   /// \brief The pin-time half of MakeKey: every key segment derived from
-  /// the pinned snapshot (tenant, epoch, minor epoch, shard topology).
+  /// the pinned snapshot (tenant, epoch, minor epoch).
   /// Sessions compute this once when they pin, so a request admitted under
   /// one serving state can never be keyed with a later one — the
   /// fingerprint is captured at pin time by construction.
   static std::string MakeKeyPrefix(std::string_view tenant, uint64_t epoch,
-                                   uint64_t minor_epoch, uint32_t shards);
+                                   uint64_t minor_epoch);
 
   /// \brief The per-request half of MakeKey: appends the target-column
   /// count, options fingerprint and normalized samples to a pin-time

@@ -114,6 +114,7 @@ Status SaveCsvRelation(const Relation& relation, const std::string& path) {
   out << FormatCsvLine(header) << "\n";
   std::vector<std::string> fields(relation.schema().num_attributes());
   for (size_t r = 0; r < relation.num_rows(); ++r) {
+    if (relation.is_deleted(static_cast<RowId>(r))) continue;  // live only
     for (size_t c = 0; c < fields.size(); ++c) {
       fields[c] = relation.at(static_cast<RowId>(r),
                               static_cast<AttributeId>(c))

@@ -161,7 +161,10 @@ Status DumpDatabase(const Database& db, std::ostream* out) {
       }
       *out << FormatCsvLine(pk) << "\n";
     }
+    // Live rows only: a tombstone has no record, so a reload renumbers
+    // the survivors densely (foreign keys are dumped by value, not row id).
     for (size_t r = 0; r < rel.num_rows(); ++r) {
+      if (rel.is_deleted(static_cast<RowId>(r))) continue;
       std::vector<std::string> fields{"row"};
       fields.reserve(rel.schema().num_attributes() + 1);
       for (size_t a = 0; a < rel.schema().num_attributes(); ++a) {

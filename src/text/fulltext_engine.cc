@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "common/failpoint.h"
-#include "common/hash_util.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/thread_pool.h"
@@ -40,9 +39,8 @@ auto WithCellText(storage::ValueView v, Fn&& fn) {
 
 }  // namespace
 
-void FullTextEngine::InitMetadata(const storage::Database* db,
-                                  MatchPolicy policy,
-                                  const EngineOptions& options) {
+FullTextEngine::FullTextEngine(const storage::Database* db, MatchPolicy policy,
+                               EngineOptions options) {
   MW_CHECK(db != nullptr);
   db_ = db;
   policy_ = policy;
@@ -71,70 +69,30 @@ void FullTextEngine::InitMetadata(const storage::Database* db,
     slot_of_attr_[numeric_attrs_[i]] =
         static_cast<int>(indexed_attrs_.size() + i);
   }
-}
 
-void FullTextEngine::BuildShards(uint32_t shard_count,
-                                 const FullTextEngine* previous,
-                                 const std::vector<bool>& reuse,
-                                 size_t* shards_rebuilt) {
-  const uint32_t n = std::max<uint32_t>(1, shard_count);
-  shards_.assign(n, {});
-  mutable_shards_.assign(n, false);
-  std::vector<uint32_t> to_build;
-  for (uint32_t s = 0; s < n; ++s) {
-    if (previous != nullptr && s < reuse.size() && reuse[s]) {
-      MW_CHECK(previous->shard_count() == n);
-      shards_[s] = previous->shards_[s];  // unchanged content: share it
-    } else {
-      shards_[s].resize(indexed_attrs_.size());
-      to_build.push_back(s);
-    }
-  }
-  // Every (shard, attribute) index build is independent; fan them out on
-  // the shared pool.
+  // Every attribute's index build is independent; fan them out on the
+  // shared pool.
   const size_t attrs = indexed_attrs_.size();
-  const size_t threads = ThreadPool::Shared().num_threads();
-  ParallelFor(to_build.size() * attrs, threads, [&](size_t job) {
+  indexes_.resize(attrs);
+  ParallelFor(attrs, ThreadPool::Shared().num_threads(), [&](size_t i) {
     // Chaos site: latency spikes during the parallel index build (builds
     // cannot fail, so only kDelay is meaningful here).
     (void)MW_FAILPOINT_FIRE("text.index.build");
-    const uint32_t s = to_build[job / attrs];
-    const AttributeRef& ref = indexed_attrs_[job % attrs];
-    shards_[s][job % attrs] = std::make_shared<InvertedIndex>(
-        db_->relation(ref.relation), ref.attribute, policy_, s, n);
+    const AttributeRef& ref = indexed_attrs_[i];
+    indexes_[i] = std::make_shared<InvertedIndex>(
+        db_->relation(ref.relation), ref.attribute, policy_);
   });
-  if (shards_rebuilt != nullptr) *shards_rebuilt = to_build.size();
   // Merge the dictionaries slot by slot, so every token's slot list is
-  // appended in order. Reused shards are merged too: vocabulary ids are
-  // this engine's own.
+  // appended in order.
   vocab_ = std::make_shared<Vocabulary>(policy_, attrs);
   for (size_t i = 0; i < attrs; ++i) {
-    for (const auto& indexes : shards_) {
-      vocab_->AddIndex(*indexes[i], static_cast<uint32_t>(i));
-    }
+    vocab_->AddIndex(*indexes_[i], static_cast<uint32_t>(i));
   }
-}
-
-FullTextEngine::FullTextEngine(const storage::Database* db, MatchPolicy policy,
-                               uint32_t shard_count, EngineOptions options) {
-  InitMetadata(db, policy, options);
-  BuildShards(shard_count, /*previous=*/nullptr, {}, nullptr);
-}
-
-std::unique_ptr<FullTextEngine> FullTextEngine::Build(
-    const storage::Database* db, MatchPolicy policy, uint32_t shard_count,
-    const EngineOptions& options, const FullTextEngine* previous,
-    const std::vector<bool>& reuse, size_t* shards_rebuilt) {
-  auto engine = std::unique_ptr<FullTextEngine>(new FullTextEngine());
-  engine->InitMetadata(db, policy, options);
-  engine->BuildShards(shard_count, previous, reuse, shards_rebuilt);
-  return engine;
 }
 
 std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
     const storage::Database* db,
     const std::vector<storage::RelationId>& touched,
-    const std::vector<uint32_t>& touched_shards,
     uint64_t new_version) const {
   MW_CHECK(db != nullptr);
   auto delta = std::unique_ptr<FullTextEngine>(new FullTextEngine());
@@ -146,17 +104,12 @@ std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
   delta->rel_versions_ = rel_versions_;
   delta->probe_cache_ = probe_cache_;  // shared; versions fence staleness
   delta->vocab_ = vocab_;              // shared until FileToken copies it
-  delta->shards_ = shards_;
-  delta->mutable_shards_.assign(shards_.size(), false);
-  for (const uint32_t s : touched_shards) {
-    MW_CHECK(s < shards_.size());
-    delta->mutable_shards_[s] = true;
-    std::vector<std::shared_ptr<InvertedIndex>>& indexes = delta->shards_[s];
-    for (size_t i = 0; i < indexes.size(); ++i) {
-      const storage::RelationId rel = indexed_attrs_[i].relation;
-      if (std::find(touched.begin(), touched.end(), rel) != touched.end()) {
-        indexes[i] = std::make_shared<InvertedIndex>(*indexes[i]);
-      }
+  delta->indexes_ = indexes_;
+  delta->delta_ = true;
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    const storage::RelationId rel = indexed_attrs_[i].relation;
+    if (std::find(touched.begin(), touched.end(), rel) != touched.end()) {
+      delta->indexes_[i] = std::make_shared<InvertedIndex>(*indexes_[i]);
     }
   }
   for (storage::RelationId rel : touched) {
@@ -165,22 +118,18 @@ std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
   return delta;
 }
 
-std::vector<std::shared_ptr<InvertedIndex>>& FullTextEngine::MutableShardOf(
-    storage::RowId row) {
-  const uint32_t s = ShardOfRow(row, shards_.size());
-  MW_CHECK(mutable_shards_[s])
-      << "row " << row << " belongs to shard " << s
-      << ", which this engine did not delta-clone";
-  return shards_[s];
+void FullTextEngine::CheckDelta() const {
+  MW_CHECK(delta_) << "row operations need an engine CloneForDelta made; "
+                      "this one may be serving";
 }
 
 void FullTextEngine::ApplyRowInsert(storage::RelationId relation,
                                     storage::RowId row) {
-  std::vector<std::shared_ptr<InvertedIndex>>& indexes = MutableShardOf(row);
+  CheckDelta();
   const storage::Relation& rel = db_->relation(relation);
   for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
     if (indexed_attrs_[i].relation != relation) continue;
-    InvertedIndex& index = *indexes[i];
+    InvertedIndex& index = *indexes_[i];
     const size_t known = index.num_tokens();
     index.AddRow(row, rel.at(row, indexed_attrs_[i].attribute));
     // Only a token new to this index can be a (token, slot) pair new to
@@ -204,34 +153,29 @@ void FullTextEngine::FileToken(const std::string& token, uint32_t slot) {
 
 void FullTextEngine::ApplyRowDelete(storage::RelationId relation,
                                     storage::RowId row) {
-  std::vector<std::shared_ptr<InvertedIndex>>& indexes = MutableShardOf(row);
+  CheckDelta();
   const storage::Relation& rel = db_->relation(relation);
   for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
     if (indexed_attrs_[i].relation != relation) continue;
-    indexes[i]->RemoveRow(row, rel.at(row, indexed_attrs_[i].attribute));
+    indexes_[i]->RemoveRow(row, rel.at(row, indexed_attrs_[i].attribute));
   }
 }
 
 size_t FullTextEngine::MaxRemovedRows(storage::RelationId relation) const {
   size_t max_removed = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!mutable_shards_[s]) continue;
-    for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-      if (indexed_attrs_[i].relation != relation) continue;
-      max_removed = std::max(max_removed, shards_[s][i]->num_removed_rows());
-    }
+  for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
+    if (indexed_attrs_[i].relation != relation) continue;
+    max_removed = std::max(max_removed, indexes_[i]->num_removed_rows());
   }
   return max_removed;
 }
 
 void FullTextEngine::CompactRelationIndexes(storage::RelationId relation) {
+  CheckDelta();
   const storage::Relation& rel = db_->relation(relation);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!mutable_shards_[s]) continue;
-    for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-      if (indexed_attrs_[i].relation != relation) continue;
-      shards_[s][i]->Compact(rel, indexed_attrs_[i].attribute);
-    }
+  for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
+    if (indexed_attrs_[i].relation != relation) continue;
+    indexes_[i]->Compact(rel, indexed_attrs_[i].attribute);
   }
 }
 
@@ -363,28 +307,15 @@ std::vector<storage::RowId> FullTextEngine::VerifiedRows(
     ProbeStats* stats) const {
   const storage::Relation& rel = db_->relation(attr.relation);
   const std::string_view sample = resolved.sample;
-  // Each shard's verified rows are sorted and disjoint from every other
-  // shard's (the shard hash partitions rows), so appending them in shard
-  // order and sorting once when two or more shards contributed yields
-  // exactly the one-shard result.
   std::vector<storage::RowId> verified;
-  size_t runs = 0;
-  for (const auto& indexes : shards_) {
-    const size_t before = verified.size();
-    for (storage::RowId row :
-         vocab_->CandidateRows(*indexes[slot], slot, resolved, stats)) {
-      if (WithCellText(rel.at(row, attr.attribute), [&](std::string_view v) {
-            return NoisyContains(v, sample, policy_);
-          })) {
-        verified.push_back(row);
-      }
+  for (storage::RowId row :
+       vocab_->CandidateRows(*indexes_[slot], slot, resolved, stats)) {
+    if (WithCellText(rel.at(row, attr.attribute), [&](std::string_view v) {
+          return NoisyContains(v, sample, policy_);
+        })) {
+      verified.push_back(row);
     }
-    if (verified.size() > before) ++runs;
   }
-  if (runs > 1) std::sort(verified.begin(), verified.end());
-  // Every shard sees the same punctuation-only sample: one fallback per
-  // probe, however many shards ran it.
-  stats->all_rows_fallbacks = std::min<uint64_t>(stats->all_rows_fallbacks, 1);
   return verified;
 }
 
@@ -421,9 +352,7 @@ std::string FullTextEngine::AttributeName(const AttributeRef& attr) const {
 
 size_t FullTextEngine::index_bytes() const {
   size_t bytes = vocab_->bytes();
-  for (const auto& indexes : shards_) {
-    for (const auto& index : indexes) bytes += index->index_bytes();
-  }
+  for (const auto& index : indexes_) bytes += index->index_bytes();
   return bytes;
 }
 

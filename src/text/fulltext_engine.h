@@ -11,18 +11,10 @@
 // that hold a match for every sample token, and each attribute's index
 // contributes nothing but its postings.
 //
-// The engine holds N >= 1 shard index sets: shard s indexes only the rows
-// common::ShardOfRow assigns to it, under physical (relation-global) row
-// ids, so the shards' verified match sets of one probe are sorted and
-// pairwise disjoint. A probe loops over the shards and concatenates their
-// results into the sorted vector a one-shard engine would produce, so
-// results are byte-identical for any shard count. N = 1 is the degenerate
-// case of the same code. Sharding exists to shrink the unit of rebuild, not
-// of serving:
-//  * Catalog::Publish carries over the shard index sets whose content
-//    fingerprint did not change (see Build) and rebuilds only the rest;
-//  * TenantWriter::Apply delta-clones only the shards owning the batch's
-//    rows (CloneForDelta); the others stay shared with the serving base.
+// The engine keeps exactly one InvertedIndex per indexed attribute, the
+// paper's one full-text index per source attribute (Appendix A.1). A
+// streaming update (CloneForDelta) copies only the indexes of the
+// relations it touches and shares every other one with its base.
 #ifndef MWEAVER_TEXT_FULLTEXT_ENGINE_H_
 #define MWEAVER_TEXT_FULLTEXT_ENGINE_H_
 
@@ -67,77 +59,56 @@ struct EngineOptions {
 
 /// \brief Full-text search engine over one database instance.
 ///
-/// Indexes are built eagerly (and in parallel across shards and attributes)
-/// at construction for every `searchable` string attribute; their
+/// Indexes are built eagerly (and in parallel across attributes) at
+/// construction for every `searchable` string attribute; their
 /// dictionaries are then merged into the engine's vocabulary. Verified
 /// per-(attribute, sample) match sets are memoized in one byte-bounded LRU
 /// ProbeCache per engine, mirroring how a production engine caches hot
 /// keyword queries during an interactive session.
 class FullTextEngine {
  public:
-  /// \brief Builds inverted indexes over `db` as one shard. The database
-  /// must outlive the engine and must not change afterwards except through
-  /// the delta protocol below (CloneForDelta + ApplyRow*).
+  /// \brief Builds one inverted index per indexed attribute of `db`. The
+  /// database must outlive the engine and must not change afterwards
+  /// except through the delta protocol below (CloneForDelta + ApplyRow*).
   FullTextEngine(const storage::Database* db, MatchPolicy policy,
-                 EngineOptions options = {})
-      : FullTextEngine(db, policy, 1, options) {}
-
-  /// \brief Builds `shard_count` (clamped to >= 1) shard index sets over
-  /// `db`.
-  FullTextEngine(const storage::Database* db, MatchPolicy policy,
-                 uint32_t shard_count, EngineOptions options = {});
-
-  /// \brief Publish-time factory: builds an engine over `db`, carrying over
-  /// `previous`'s shard index sets where `reuse[s]` is true (the caller
-  /// verified shard s's content fingerprint is unchanged, so its indexes
-  /// are shared as they are) and building the rest. `previous` may be null
-  /// and `reuse` empty, which is a full build. The probe memo starts empty.
-  /// `shards_rebuilt`, when given, receives how many shards were built.
-  static std::unique_ptr<FullTextEngine> Build(
-      const storage::Database* db, MatchPolicy policy, uint32_t shard_count,
-      const EngineOptions& options, const FullTextEngine* previous,
-      const std::vector<bool>& reuse, size_t* shards_rebuilt = nullptr);
+                 EngineOptions options = {});
 
   FullTextEngine(const FullTextEngine&) = delete;
   FullTextEngine& operator=(const FullTextEngine&) = delete;
 
-  /// \brief Copy-on-write copy for a streaming update. In the shards listed
-  /// in `touched_shards`, the indexes over relations in `touched` are
-  /// deep-copied (the caller is about to mutate them via ApplyRowInsert /
-  /// ApplyRowDelete); every other index is shared with this engine. The
-  /// vocabulary is shared until an insert brings a (token, attribute) pair
-  /// it lacks, which copies it once. The probe memo is shared too: its
-  /// entries are keyed by per-relation version, and every touched
-  /// relation's version is bumped to `new_version`, so entries for touched
-  /// relations go stale by construction while untouched relations keep
-  /// their hit rate. `db` is the delta's own CoW database (same physical
-  /// row ids as the base).
+  /// \brief Copy-on-write copy for a streaming update. The indexes over
+  /// relations in `touched` are deep-copied (the caller is about to mutate
+  /// them via ApplyRowInsert / ApplyRowDelete); every other index is shared
+  /// with this engine. The vocabulary is shared until an insert brings a
+  /// (token, attribute) pair it lacks, which copies it once. The probe memo
+  /// is shared too: its entries are keyed by per-relation version, and
+  /// every touched relation's version is bumped to `new_version`, so
+  /// entries for touched relations go stale by construction while
+  /// untouched relations keep their hit rate. `db` is the delta's own CoW
+  /// database (same physical row ids as the base).
   std::unique_ptr<FullTextEngine> CloneForDelta(
       const storage::Database* db,
       const std::vector<storage::RelationId>& touched,
-      const std::vector<uint32_t>& touched_shards,
       uint64_t new_version) const;
 
-  /// \brief Incrementally indexes a freshly appended row of `relation` in
-  /// the shard common::ShardOfRow assigns it to. Only valid on a
-  /// CloneForDelta engine whose `touched` relations and `touched_shards`
-  /// include the row's, before the engine is published; any other call
-  /// aborts rather than mutate an index a serving engine shares.
+  /// \brief Incrementally indexes a freshly appended row of `relation`.
+  /// Only valid on a CloneForDelta engine whose `touched` relations include
+  /// `relation`, before the engine is published; a call on any other
+  /// engine aborts rather than mutate an index a serving engine shares.
   void ApplyRowInsert(storage::RelationId relation, storage::RowId row);
 
-  /// \brief Removes a tombstoned row of `relation` from its shard's
-  /// indexes. Same ownership restrictions as ApplyRowInsert; the row's
-  /// values must still be physically readable (tombstoned, not erased).
+  /// \brief Removes a tombstoned row of `relation` from its indexes. Same
+  /// ownership restrictions as ApplyRowInsert; the row's values must still
+  /// be physically readable (tombstoned, not erased).
   void ApplyRowDelete(storage::RelationId relation, storage::RowId row);
 
-  /// \brief Largest per-index removed-row count among `relation`'s indexes
-  /// in the delta-cloned shards (the only ones compaction may rebuild): the
-  /// delta-compaction policy input.
+  /// \brief Largest per-index removed-row count among `relation`'s
+  /// indexes: the delta-compaction policy input.
   size_t MaxRemovedRows(storage::RelationId relation) const;
 
-  /// \brief Rebuilds every index of `relation` in the delta-cloned shards
-  /// from scratch over their live rows, reclaiming dictionary garbage left
-  /// by removals. Same ownership restrictions as ApplyRowInsert.
+  /// \brief Rebuilds every index of `relation` from scratch over its live
+  /// rows, reclaiming dictionary garbage left by removals. Same ownership
+  /// restrictions as ApplyRowInsert.
   void CompactRelationIndexes(storage::RelationId relation);
 
   /// \brief Update version of one relation: 0 at Publish, bumped to the
@@ -165,8 +136,8 @@ class FullTextEngine {
   /// \brief Verified rows of one attribute that noisily contain `sample`
   /// (sorted, never null). Returns the empty set for non-indexed attributes.
   /// One call records exactly one probe and one memo hit or miss in
-  /// `counters` at any shard count; candidate, scan-fallback and kernel
-  /// counters sum over the shards probed.
+  /// `counters`, plus the candidate, scan-fallback and kernel counters of
+  /// a miss.
   RowSet MatchingRows(const AttributeRef& attr, const std::string& sample,
                       ProbeCounters* counters = nullptr) const;
 
@@ -205,27 +176,13 @@ class FullTextEngine {
   size_t index_bytes() const;
   ProbeCache::Stats probe_cache_stats() const { return probe_cache_->stats(); }
 
-  /// \brief Number of row-hash shard index sets (>= 1).
-  uint32_t shard_count() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
-
  private:
-  // For Build and CloneForDelta, which fill every member themselves.
+  // For CloneForDelta, which fills every member itself.
   FullTextEngine() = default;
 
-  // Fills every metadata member (attribute discovery, slot numbering,
-  // relation versions, a fresh probe memo) without building any index.
-  void InitMetadata(const storage::Database* db, MatchPolicy policy,
-                    const EngineOptions& options);
-  // Fills shards_ (shard s is `previous`'s when reuse[s], built
-  // otherwise), then merges every index's dictionary, reused or built,
-  // into a fresh vocabulary.
-  void BuildShards(uint32_t shard_count, const FullTextEngine* previous,
-                   const std::vector<bool>& reuse, size_t* shards_rebuilt);
-  // The delta-cloned shard owning `row`; aborts when it was not cloned.
-  std::vector<std::shared_ptr<InvertedIndex>>& MutableShardOf(
-      storage::RowId row);
+  // Aborts unless this engine is a CloneForDelta copy: the only kind whose
+  // touched indexes are its own to mutate.
+  void CheckDelta() const;
 
   // Files `token` under indexed slot `slot` in the vocabulary, copying a
   // shared vocabulary first (delta engines only).
@@ -237,8 +194,8 @@ class FullTextEngine {
   RowSet Probe(const AttributeRef& attr, int slot, const std::string& sample,
                const ResolvedSample* resolved,
                ProbeCounters* counters) const;
-  // The shard loop of one indexed attribute's memo miss: candidates from
-  // the vocabulary, verified against the cells.
+  // One indexed attribute's memo miss: candidates from the vocabulary,
+  // verified against the cells.
   std::vector<storage::RowId> VerifiedRows(const AttributeRef& attr,
                                            uint32_t slot,
                                            const ResolvedSample& resolved,
@@ -254,24 +211,24 @@ class FullTextEngine {
   // Searchable int64/double columns (no inverted index; matched by scan).
   std::vector<AttributeRef> numeric_attrs_;
   // Dense AttrSlot() numbering over indexed + numeric attributes: indexed
-  // attribute i has slot i, which is also its index in each shard set.
+  // attribute i has slot i, which is also its position in indexes_.
   std::map<AttributeRef, int> slot_of_attr_;
   // Per-relation update version (see relation_version()).
   std::vector<uint64_t> rel_versions_;
-  // shards_[s][i] indexes indexed_attrs_[i] over the rows of shard s.
-  // shared_ptr so a delta engine or a republish shares unchanged indexes
-  // with the engine it derives from; only the deep-copied indexes of a
-  // delta's touched shards are ever mutated, and only pre-publication.
-  std::vector<std::vector<std::shared_ptr<InvertedIndex>>> shards_;
-  // The tenant vocabulary over every shard's indexes (see the file
-  // comment). Shared by a delta engine with its base until FileToken
-  // copies it (vocab_owned_); only an owned copy is ever mutated, and only
+  // indexes_[i] indexes indexed_attrs_[i]. shared_ptr so a delta engine
+  // shares unchanged indexes with the engine it derives from; only the
+  // deep-copied indexes of a delta's touched relations are ever mutated,
+  // and only pre-publication.
+  std::vector<std::shared_ptr<InvertedIndex>> indexes_;
+  // The tenant vocabulary over every index (see the file comment). Shared
+  // by a delta engine with its base until FileToken copies it
+  // (vocab_owned_); only an owned copy is ever mutated, and only
   // pre-publication.
   std::shared_ptr<Vocabulary> vocab_;
   bool vocab_owned_ = false;
-  // True for the shards CloneForDelta deep-copied: the only ones ApplyRow*
-  // and CompactRelationIndexes may mutate. All false outside a delta.
-  std::vector<bool> mutable_shards_;
+  // True only for a CloneForDelta copy: the one kind of engine ApplyRow*
+  // and CompactRelationIndexes may mutate.
+  bool delta_ = false;
   // Byte-bounded memo of verified results (thread-safe: concurrent service
   // workers search one shared engine). Shared across one publish
   // lineage — a Publish mints a fresh cache, streaming deltas reuse their

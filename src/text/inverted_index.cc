@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/hash_util.h"
 #include "common/string_util.h"
 #include "text/tokenizer.h"
 
@@ -10,15 +9,11 @@ namespace mweaver::text {
 
 InvertedIndex::InvertedIndex(const storage::Relation& relation,
                              storage::AttributeId attribute,
-                             const MatchPolicy& policy, uint32_t shard_index,
-                             uint32_t shard_count)
-    : policy_(policy), shard_index_(shard_index), shard_count_(shard_count) {
+                             const MatchPolicy& policy)
+    : policy_(policy) {
   for (size_t r = 0; r < relation.num_rows(); ++r) {
     const storage::RowId row = static_cast<storage::RowId>(r);
     if (relation.is_deleted(row)) continue;
-    if (shard_count_ > 1 && ShardOfRow(row, shard_count_) != shard_index_) {
-      continue;
-    }
     IndexRow(row, relation.at(row, attribute));
   }
 }

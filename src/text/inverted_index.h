@@ -35,14 +35,9 @@ class InvertedIndex {
   using TokenId = uint32_t;
 
   /// \brief Indexes every non-null, non-deleted value of `attribute` in
-  /// `relation`; `policy` is the one ScanCandidateRows answers for. With
-  /// `shard_count` > 1 the index covers only the rows the shard hash
-  /// (common::ShardOfRow) assigns to `shard_index` — the unit of the
-  /// catalog's intra-tenant sharding; posting row ids stay physical
-  /// (relation-global), so per-shard results union losslessly.
+  /// `relation`; `policy` is the one ScanCandidateRows answers for.
   InvertedIndex(const storage::Relation& relation,
-                storage::AttributeId attribute, const MatchPolicy& policy,
-                uint32_t shard_index = 0, uint32_t shard_count = 1);
+                storage::AttributeId attribute, const MatchPolicy& policy);
 
   /// \brief Incrementally indexes the value `v` of a freshly appended row.
   /// `row` must exceed every row id already indexed (appends assign
@@ -62,13 +57,12 @@ class InvertedIndex {
   /// garbage that only a rebuild reclaims.
   size_t num_removed_rows() const { return num_removed_rows_; }
 
-  /// \brief Rebuilds from scratch over the relation's live rows (of this
-  /// index's shard, if sharded), dropping tokens whose postings emptied
-  /// out. Equivalent to constructing fresh under the same policy.
+  /// \brief Rebuilds from scratch over the relation's live rows, dropping
+  /// tokens whose postings emptied out. Equivalent to constructing fresh
+  /// under the same policy.
   void Compact(const storage::Relation& relation,
                storage::AttributeId attribute) {
-    *this = InvertedIndex(relation, attribute, policy_, shard_index_,
-                          shard_count_);
+    *this = InvertedIndex(relation, attribute, policy_);
   }
 
   /// \brief Sorted, duplicate-free row ids whose value could noisily contain
@@ -115,10 +109,6 @@ class InvertedIndex {
   std::vector<storage::RowId> all_rows_;
   size_t num_indexed_rows_ = 0;
   size_t num_removed_rows_ = 0;
-  // Shard scope of this index (0 of 1 = the whole relation); Compact()
-  // must rebuild the same slice it was constructed over.
-  uint32_t shard_index_ = 0;
-  uint32_t shard_count_ = 1;
 };
 
 }  // namespace mweaver::text

@@ -1,16 +1,23 @@
-// Compatibility name for the sharded engine. Sharding is a constructor
-// argument of FullTextEngine (one engine holding N shard index sets), so
-// ShardedTextEngine(db, policy, n, options) is FullTextEngine(db, policy, n,
-// options). Kept only for the session benchmark (perfbench/src/layers.cc),
-// which still names it; code under src/ uses FullTextEngine directly.
+// Perfbench only; ROADMAP item 11 deletes. The engine is not sharded: it
+// keeps one inverted index per indexed attribute. This name survives only
+// because the session benchmark (perfbench/src/layers.cc) still constructs
+// a ShardedTextEngine(db, policy, n, options); it ignores `n` and builds
+// the engine's one index set. Code under src/ uses FullTextEngine.
 #ifndef MWEAVER_TEXT_SHARDED_ENGINE_H_
 #define MWEAVER_TEXT_SHARDED_ENGINE_H_
+
+#include <cstdint>
 
 #include "text/fulltext_engine.h"
 
 namespace mweaver::text {
 
-using ShardedTextEngine = FullTextEngine;
+class ShardedTextEngine : public FullTextEngine {
+ public:
+  ShardedTextEngine(const storage::Database* db, MatchPolicy policy,
+                    uint32_t /*shard_count*/, EngineOptions options = {})
+      : FullTextEngine(db, policy, options) {}
+};
 
 }  // namespace mweaver::text
 

@@ -86,7 +86,6 @@ std::string ScenarioReport::ToJson() const {
   w.KV("cache_capacity", static_cast<uint64_t>(cache_capacity));
   w.KV("replay_scripts", static_cast<uint64_t>(scripts));
   w.KV("tenants", static_cast<uint64_t>(tenants));
-  w.KV("shards", static_cast<uint64_t>(shards));
   w.KV("publish_churn", publish_churn ? "on" : "off");
   w.EndObject();
   w.KV("wall_seconds", wall_seconds);
@@ -289,7 +288,6 @@ Result<ScenarioReport> ScenarioRunner::Run(const Scenario& scenario) {
   report.cache_capacity = scenario.cache_capacity;
   report.scripts = scripts_->size();
   report.tenants = scenario.tenants;
-  report.shards = scenario.shards;
   report.publish_churn = scenario.publish_churn;
   report.phases.reserve(scenario.phases.size());
 

@@ -47,8 +47,6 @@ struct ScenarioReport {
   size_t cache_capacity = 0;
   size_t scripts = 0;
   size_t tenants = 1;
-  /// Row-hash shards per tenant snapshot (CatalogOptions::shard_count).
-  size_t shards = 1;
   bool publish_churn = false;
   double wall_seconds = 0.0;
   std::vector<PhaseReport> phases;

@@ -120,11 +120,6 @@ struct Scenario {
   /// the ingest-churn traffic shape that proves reads never block on
   /// publishes.
   bool publish_churn = false;
-  /// Row-hash shards per tenant (catalog::CatalogOptions::shard_count).
-  /// Every snapshot's engine holds this many shard index sets, and
-  /// publishes/updates rebuild only the touched shards. Results are
-  /// byte-identical for any value.
-  size_t shards = 1;
   std::vector<PhaseSpec> phases;
 
   /// \brief Per-type maximum across phases: the threads the runner spawns

@@ -190,10 +190,6 @@ Result<Scenario> ScenarioParser::Parse(std::string_view text) {
         MW_ASSIGN_OR_RETURN(const uint64_t v, ParseUint(value, line_no, key));
         if (v == 0) return LineError(line_no, "tenants must be > 0");
         scenario.tenants = static_cast<size_t>(v);
-      } else if (key == "shards") {
-        MW_ASSIGN_OR_RETURN(const uint64_t v, ParseUint(value, line_no, key));
-        if (v == 0) return LineError(line_no, "shards must be > 0");
-        scenario.shards = static_cast<size_t>(v);
       } else if (key == "publish_churn") {
         if (value == "on") {
           scenario.publish_churn = true;

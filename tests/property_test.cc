@@ -20,9 +20,8 @@
 //   5. FindOccurrences, which resolves a sample once against the tenant
 //      vocabulary and probes only the attributes that can hold it, equals
 //      probing every attribute through the scan reference: in every match
-//      mode, with numeric and punctuation-only samples, at 1 and 8
-//      shards, after streaming deltas and after a republish that reuses
-//      shards.
+//      mode, with numeric and punctuation-only samples, and after
+//      streaming deltas.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -660,7 +659,7 @@ storage::Database MakeLibraryDb(uint64_t seed) {
 
 // The reference FindOccurrences: every searchable attribute probed, the
 // string ones through ScanCandidateRows + NoisyContains on a fresh
-// one-shard index, the numeric ones (numeric samples under match_numeric)
+// index, the numeric ones (numeric samples under match_numeric)
 // by a live-row scan; attributes with no match dropped. String attributes
 // come first, as the engine's slots do.
 class ReferenceLocator {
@@ -787,110 +786,80 @@ TEST(TextEquivalenceProperty, FindOccurrencesEqualsEveryAttributeScan) {
     const std::vector<std::string> samples = LibrarySamples(db, seed + 100);
     for (const text::MatchPolicy& policy : kEveryMode) {
       const ReferenceLocator reference(db, policy);
-      for (const uint32_t shards : {1u, 8u}) {
-        const text::FullTextEngine engine(&db, policy, shards);
-        const std::string context = StrFormat(
-            "seed=%llu %s shards=%u", static_cast<unsigned long long>(seed),
-            PolicyName(policy).c_str(), shards);
-        // Twice: the second pass answers from the probe memo.
-        ExpectOccurrencesEqualReference(engine, reference, samples, context);
-        ExpectOccurrencesEqualReference(engine, reference, samples,
-                                        context + " warm");
-      }
+      const text::FullTextEngine engine(&db, policy);
+      const std::string context =
+          StrFormat("seed=%llu %s", static_cast<unsigned long long>(seed),
+                    PolicyName(policy).c_str());
+      // Twice: the second pass answers from the probe memo.
+      ExpectOccurrencesEqualReference(engine, reference, samples, context);
+      ExpectOccurrencesEqualReference(engine, reference, samples,
+                                      context + " warm");
     }
   }
 }
 
 // delta == rebuild through the vocabulary: a delta that inserts tokens new
 // to the tenant (and new (token, attribute) pairs), deletes rows and
-// compacts answers like the scan reference over its own rows; the base
+// compacts answers like the scan reference over its own rows; and the base
 // engine it was cloned from keeps answering over the old rows (the shared
-// vocabulary was copied, not changed); and a republish that reuses the
-// untouched shards answers the same.
-TEST(TextEquivalenceProperty, FindOccurrencesAfterDeltaAndShardReuse) {
+// vocabulary was copied, not changed).
+TEST(TextEquivalenceProperty, FindOccurrencesAfterDelta) {
   for (const text::MatchPolicy& policy : kEveryMode) {
-    for (const uint32_t shards : {1u, 8u}) {
-      const std::string context =
-          PolicyName(policy) + StrFormat(" shards=%u", shards);
-      const storage::Database base_db = MakeLibraryDb(9);
-      const auto base = text::FullTextEngine::Build(
-          &base_db, policy, shards, {}, nullptr, {}, nullptr);
-      const std::vector<std::string> samples = LibrarySamples(base_db, 77);
-      const size_t base_bytes = base->index_bytes();
-      // Warm the shared memo with the base's answers.
-      const ReferenceLocator base_reference(base_db, policy);
-      ExpectOccurrencesEqualReference(*base, base_reference, samples,
-                                      context + " base");
+    const std::string context = PolicyName(policy);
+    const storage::Database base_db = MakeLibraryDb(9);
+    const text::FullTextEngine base(&base_db, policy);
+    const std::vector<std::string> samples = LibrarySamples(base_db, 77);
+    const size_t base_bytes = base.index_bytes();
+    // Warm the shared memo with the base's answers.
+    const ReferenceLocator base_reference(base_db, policy);
+    ExpectOccurrencesEqualReference(base, base_reference, samples,
+                                    context + " base");
 
-      const storage::RelationId book = base_db.FindRelation("book");
-      const storage::RelationId author = base_db.FindRelation("author");
-      storage::Database db = base_db.CloneCow({book, author});
-      const std::vector<storage::Row> inserts = {
-          {testing::I(60), testing::S("Quokka Zyzzyva"), testing::I(2003),
-           storage::Value(1.5), testing::S("night")},
-          // "cameron" was only an author token: a new (token, slot) pair.
-          {testing::I(61), testing::S("Cameron Story"), testing::I(2009),
-           storage::Value(4.0), testing::S("quokka")},
-      };
-      std::vector<storage::RowId> inserted;
-      for (const storage::Row& row : inserts) {
-        ASSERT_TRUE(db.mutable_relation(book)->Append(row).ok());
-        inserted.push_back(static_cast<storage::RowId>(
-            db.relation(book).num_rows() - 1));
-      }
-      ASSERT_TRUE(db.mutable_relation(author)
-                      ->Append({testing::I(40), testing::S("Zyzzyva Ed"),
-                                testing::S("harbor")})
-                      .ok());
-      const auto author_row =
-          static_cast<storage::RowId>(db.relation(author).num_rows() - 1);
-      const std::vector<storage::RowId> deleted = {0, 5, 17, 33};
-      for (const storage::RowId row : deleted) {
-        ASSERT_TRUE(db.mutable_relation(book)->Delete(row).ok());
-      }
-      std::vector<uint32_t> touched_shards;
-      for (const storage::RowId row : inserted) {
-        touched_shards.push_back(ShardOfRow(row, shards));
-      }
-      for (const storage::RowId row : deleted) {
-        touched_shards.push_back(ShardOfRow(row, shards));
-      }
-      touched_shards.push_back(ShardOfRow(author_row, shards));
-      std::sort(touched_shards.begin(), touched_shards.end());
-      touched_shards.erase(
-          std::unique(touched_shards.begin(), touched_shards.end()),
-          touched_shards.end());
-
-      auto delta = base->CloneForDelta(&db, {book, author}, touched_shards, 1);
-      for (const storage::RowId row : inserted) {
-        delta->ApplyRowInsert(book, row);
-      }
-      delta->ApplyRowInsert(author, author_row);
-      for (const storage::RowId row : deleted) {
-        delta->ApplyRowDelete(book, row);
-      }
-      const ReferenceLocator reference(db, policy);
-      ExpectOccurrencesEqualReference(*delta, reference, samples,
-                                      context + " delta");
-      delta->CompactRelationIndexes(book);
-      ExpectOccurrencesEqualReference(*delta, reference, samples,
-                                      context + " compacted");
-      // The base still serves the old rows, from an unchanged vocabulary.
-      EXPECT_EQ(base->index_bytes(), base_bytes) << context;
-      ExpectOccurrencesEqualReference(*base, base_reference, samples,
-                                      context + " base after delta");
-
-      // Republish over the delta's rows, reusing every shard it left
-      // untouched (their indexes are the base's, built over equal rows).
-      std::vector<bool> reuse(shards, true);
-      for (const uint32_t s : touched_shards) reuse[s] = false;
-      size_t rebuilt = 0;
-      const auto republished = text::FullTextEngine::Build(
-          &db, policy, shards, {}, delta.get(), reuse, &rebuilt);
-      EXPECT_EQ(rebuilt, touched_shards.size()) << context;
-      ExpectOccurrencesEqualReference(*republished, reference, samples,
-                                      context + " republished");
+    const storage::RelationId book = base_db.FindRelation("book");
+    const storage::RelationId author = base_db.FindRelation("author");
+    storage::Database db = base_db.CloneCow({book, author});
+    const std::vector<storage::Row> inserts = {
+        {testing::I(60), testing::S("Quokka Zyzzyva"), testing::I(2003),
+         storage::Value(1.5), testing::S("night")},
+        // "cameron" was only an author token: a new (token, slot) pair.
+        {testing::I(61), testing::S("Cameron Story"), testing::I(2009),
+         storage::Value(4.0), testing::S("quokka")},
+    };
+    std::vector<storage::RowId> inserted;
+    for (const storage::Row& row : inserts) {
+      ASSERT_TRUE(db.mutable_relation(book)->Append(row).ok());
+      inserted.push_back(
+          static_cast<storage::RowId>(db.relation(book).num_rows() - 1));
     }
+    ASSERT_TRUE(db.mutable_relation(author)
+                    ->Append({testing::I(40), testing::S("Zyzzyva Ed"),
+                              testing::S("harbor")})
+                    .ok());
+    const auto author_row =
+        static_cast<storage::RowId>(db.relation(author).num_rows() - 1);
+    const std::vector<storage::RowId> deleted = {0, 5, 17, 33};
+    for (const storage::RowId row : deleted) {
+      ASSERT_TRUE(db.mutable_relation(book)->Delete(row).ok());
+    }
+
+    auto delta = base.CloneForDelta(&db, {book, author}, 1);
+    for (const storage::RowId row : inserted) {
+      delta->ApplyRowInsert(book, row);
+    }
+    delta->ApplyRowInsert(author, author_row);
+    for (const storage::RowId row : deleted) {
+      delta->ApplyRowDelete(book, row);
+    }
+    const ReferenceLocator reference(db, policy);
+    ExpectOccurrencesEqualReference(*delta, reference, samples,
+                                    context + " delta");
+    delta->CompactRelationIndexes(book);
+    ExpectOccurrencesEqualReference(*delta, reference, samples,
+                                    context + " compacted");
+    // The base still serves the old rows, from an unchanged vocabulary.
+    EXPECT_EQ(base.index_bytes(), base_bytes) << context;
+    ExpectOccurrencesEqualReference(base, base_reference, samples,
+                                    context + " base after delta");
   }
 }
 

@@ -214,50 +214,50 @@ TEST_F(ServiceTest, ServiceRequestWithExpiredDeadlineAnswersImmediately) {
 
 TEST_F(ServiceTest, CacheKeyNormalizesCaseButNotWhitespace) {
   const SearchOptions options;
-  EXPECT_EQ(ResultCache::MakeKey("t", 1, 0, 1, {"Avatar", "CAMERON"}, options),
-            ResultCache::MakeKey("t", 1, 0, 1, {"avatar", "cameron"}, options));
-  EXPECT_NE(ResultCache::MakeKey("t", 1, 0, 1, {"Avatar "}, options),
-            ResultCache::MakeKey("t", 1, 0, 1, {"Avatar"}, options));
-  EXPECT_NE(ResultCache::MakeKey("t", 1, 0, 1, {"a", "b"}, options),
-            ResultCache::MakeKey("t", 1, 0, 1, {"ab"}, options));
+  EXPECT_EQ(ResultCache::MakeKey("t", 1, 0, {"Avatar", "CAMERON"}, options),
+            ResultCache::MakeKey("t", 1, 0, {"avatar", "cameron"}, options));
+  EXPECT_NE(ResultCache::MakeKey("t", 1, 0, {"Avatar "}, options),
+            ResultCache::MakeKey("t", 1, 0, {"Avatar"}, options));
+  EXPECT_NE(ResultCache::MakeKey("t", 1, 0, {"a", "b"}, options),
+            ResultCache::MakeKey("t", 1, 0, {"ab"}, options));
   SearchOptions other = options;
   other.pmnj = 3;  // different search space -> different key
-  EXPECT_NE(ResultCache::MakeKey("t", 1, 0, 1, {"Avatar"}, options),
-            ResultCache::MakeKey("t", 1, 0, 1, {"Avatar"}, other));
+  EXPECT_NE(ResultCache::MakeKey("t", 1, 0, {"Avatar"}, options),
+            ResultCache::MakeKey("t", 1, 0, {"Avatar"}, other));
 }
 
 TEST_F(ServiceTest, CacheKeyIsTenantAndEpochScoped) {
   const SearchOptions options;
   // Identical queries on different tenants never share an entry.
-  EXPECT_NE(ResultCache::MakeKey("alpha", 1, 0, 1, {"Avatar"}, options),
-            ResultCache::MakeKey("beta", 1, 0, 1, {"Avatar"}, options));
+  EXPECT_NE(ResultCache::MakeKey("alpha", 1, 0, {"Avatar"}, options),
+            ResultCache::MakeKey("beta", 1, 0, {"Avatar"}, options));
   // A republish bumps the epoch, invalidating every prior key.
-  EXPECT_NE(ResultCache::MakeKey("alpha", 1, 0, 1, {"Avatar"}, options),
-            ResultCache::MakeKey("alpha", 2, 0, 1, {"Avatar"}, options));
+  EXPECT_NE(ResultCache::MakeKey("alpha", 1, 0, {"Avatar"}, options),
+            ResultCache::MakeKey("alpha", 2, 0, {"Avatar"}, options));
   // A streaming update bumps only the minor epoch — also a fresh key, and
   // distinct from the next full epoch.
-  EXPECT_NE(ResultCache::MakeKey("alpha", 1, 1, 1, {"Avatar"}, options),
-            ResultCache::MakeKey("alpha", 1, 0, 1, {"Avatar"}, options));
-  EXPECT_NE(ResultCache::MakeKey("alpha", 1, 1, 1, {"Avatar"}, options),
-            ResultCache::MakeKey("alpha", 2, 0, 1, {"Avatar"}, options));
+  EXPECT_NE(ResultCache::MakeKey("alpha", 1, 1, {"Avatar"}, options),
+            ResultCache::MakeKey("alpha", 1, 0, {"Avatar"}, options));
+  EXPECT_NE(ResultCache::MakeKey("alpha", 1, 1, {"Avatar"}, options),
+            ResultCache::MakeKey("alpha", 2, 0, {"Avatar"}, options));
   // Tenant names are length-prefixed, so crafted names cannot splice into
   // a different tenant's key space.
-  EXPECT_NE(ResultCache::MakeKey("a;e=1", 1, 0, 1, {"x"}, options),
-            ResultCache::MakeKey("a", 1, 0, 1, {"x"}, options));
+  EXPECT_NE(ResultCache::MakeKey("a;e=1", 1, 0, {"x"}, options),
+            ResultCache::MakeKey("a", 1, 0, {"x"}, options));
 }
 
 TEST_F(ServiceTest, EvictTenantEntriesDropsOnlyThatTenant) {
   ResultCache cache(8);
   const SearchOptions options;
   core::SearchResult result;
-  cache.Insert(ResultCache::MakeKey("alpha", 1, 0, 1, {"a"}, options), result);
-  cache.Insert(ResultCache::MakeKey("alpha", 1, 0, 1, {"b"}, options), result);
-  cache.Insert(ResultCache::MakeKey("beta", 1, 0, 1, {"a"}, options), result);
+  cache.Insert(ResultCache::MakeKey("alpha", 1, 0, {"a"}, options), result);
+  cache.Insert(ResultCache::MakeKey("alpha", 1, 0, {"b"}, options), result);
+  cache.Insert(ResultCache::MakeKey("beta", 1, 0, {"a"}, options), result);
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.EvictTenantEntries("alpha"), 2u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(
-      cache.Lookup(ResultCache::MakeKey("beta", 1, 0, 1, {"a"}, options))
+      cache.Lookup(ResultCache::MakeKey("beta", 1, 0, {"a"}, options))
           .has_value());
   EXPECT_EQ(cache.EvictTenantEntries("alpha"), 0u);
 }
@@ -751,7 +751,7 @@ TEST(ServiceTenantEvictionTest, EvictionPurgeSparesARacingRepublish) {
   ResultCache cache(8);
   const SearchOptions options;
   core::SearchResult result;
-  cache.Insert(ResultCache::MakeKey("t", e1, 0, 1, {"avatar"}, options),
+  cache.Insert(ResultCache::MakeKey("t", e1, 0, {"avatar"}, options),
                result);
 
   // The eviction sweep observes E1...
@@ -766,7 +766,7 @@ TEST(ServiceTenantEvictionTest, EvictionPurgeSparesARacingRepublish) {
   ASSERT_TRUE(second.ok());
   const uint64_t e2 = (*second)->epoch();
   ASSERT_GT(e2, e1);
-  cache.Insert(ResultCache::MakeKey("t", e2, 0, 1, {"avatar"}, options),
+  cache.Insert(ResultCache::MakeKey("t", e2, 0, {"avatar"}, options),
                result);
 
   // The purge lands last, scoped to epochs <= E1: only the stale entry
@@ -774,7 +774,7 @@ TEST(ServiceTenantEvictionTest, EvictionPurgeSparesARacingRepublish) {
   EXPECT_EQ(cache.EvictTenantEntries("t", evicted[0].epoch), 1u);
   EXPECT_TRUE(
       cache
-          .Lookup(ResultCache::MakeKey("t", e2, 0, 1, {"avatar"}, options))
+          .Lookup(ResultCache::MakeKey("t", e2, 0, {"avatar"}, options))
           .has_value());
   // The unbounded overload (tenant Drop, not eviction) still clears all.
   EXPECT_EQ(cache.EvictTenantEntries("t"), 1u);
@@ -968,7 +968,6 @@ void ExpectSameMetrics(const MetricsSnapshot& a, const MetricsSnapshot& b,
   EXPECT_EQ(a.updates_failed, b.updates_failed);
   EXPECT_EQ(a.update_rows_inserted, b.update_rows_inserted);
   EXPECT_EQ(a.update_rows_deleted, b.update_rows_deleted);
-  EXPECT_EQ(a.update_shards_touched, b.update_shards_touched);
   EXPECT_EQ(a.sessions_created, b.sessions_created);
   EXPECT_EQ(a.share_rejections, b.share_rejections);
   ExpectSameProbes(a.text_probes, b.text_probes, "text probes");
@@ -985,229 +984,222 @@ constexpr size_t kLocateStage =
 constexpr size_t kPruneStage = static_cast<size_t>(core::SearchStage::kPrune);
 
 // A scripted request set over two tenants with one request per outcome
-// path, plus requests that name no known session or tenant, run at one and
-// eight shards. Every counter must equal the value worked out by hand in
-// the comments; the tenants' records plus the unattributed one must add up
-// to the service-wide snapshot exactly; each record's request histogram
-// must hold one entry per completed request; the text counters must match
-// a replay of the same probes on a fresh copy of each tenant; and two
-// consecutive Delta intervals must add up to the run — all while another
-// thread keeps taking snapshots.
-TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactlyAtOneAndEight) {
+// path, plus requests that name no known session or tenant. Every counter
+// must equal the value worked out by hand in the comments; the tenants'
+// records plus the unattributed one must add up to the service-wide
+// snapshot exactly; each record's request histogram must hold one entry
+// per completed request; the text counters must match a replay of the
+// same probes on a fresh copy of each tenant; and two consecutive Delta
+// intervals must add up to the run — all while another thread keeps
+// taking snapshots.
+TEST(ServiceMetricsInvariantTest, ScriptedRequestsCountExactly) {
   constexpr std::string_view kOther = "other";
-  for (const uint32_t shards : {1u, 8u}) {
-    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
-    catalog::CatalogOptions catalog_options;
-    catalog_options.shard_count = shards;
-    catalog::Catalog catalog(catalog_options);
-    ASSERT_TRUE(catalog.Publish(kDefaultTenant, testing::MakeFigure2Db()).ok());
-    ASSERT_TRUE(catalog.Publish(kOther, testing::MakeFigure2Db()).ok());
-    ServiceOptions options;
-    options.num_workers = 1;
-    MappingService svc(&catalog, options);
+  catalog::Catalog catalog;
+  ASSERT_TRUE(catalog.Publish(kDefaultTenant, testing::MakeFigure2Db()).ok());
+  ASSERT_TRUE(catalog.Publish(kOther, testing::MakeFigure2Db()).ok());
+  ServiceOptions options;
+  options.num_workers = 1;
+  MappingService svc(&catalog, options);
 
-    std::atomic<bool> done{false};
-    std::thread reader([&] {
-      MetricsSnapshot last;
-      while (!done.load(std::memory_order_acquire)) {
-        const MetricsSnapshot now = svc.SnapshotMetrics();
-        EXPECT_GE(now.TotalRequests(), last.TotalRequests());
-        EXPECT_GE(now.latency.count(), last.latency.count());
-        EXPECT_GE(now.text_probes.probes, last.text_probes.probes);
-        last = now;
-      }
-    });
-
-    const MetricsSnapshot start = svc.SnapshotMetrics();
-    const auto input = [&](SessionId id, size_t row, const char* value) {
-      InputRequest request;
-      request.session_id = id;
-      request.row = row;
-      request.value = value;
-      return svc.Call(request);
-    };
-    const auto insert = [&](std::string_view tenant, int64_t id) {
-      UpdateRequest request;
-      request.tenant = std::string(tenant);
-      request.batch.inserts.push_back(catalog::RowInsert{
-          "movie", {testing::I(id), testing::S("Inserted Movie")}});
-      return svc.ApplyUpdate(request);
-    };
-    // Interval 1, all on the default tenant. A first row misses the cache
-    // and searches. Figure 2 has two text attributes (movie.title,
-    // person.name), but only movie.title holds a token containing
-    // "avatar", so the search probes 1 attribute: 1 probe, a memo miss.
-    const SessionId first = *svc.CreateSession({"Name"});
-    EXPECT_EQ(input(first, 0, "Avatar").outcome, RequestOutcome::kOk);
-    // The same first row in another session hits the cache: no probes.
-    const RequestResult hit = input(*svc.CreateSession({"Name"}), 0, "Avatar");
-    EXPECT_EQ(hit.outcome, RequestOutcome::kOk);
-    EXPECT_TRUE(hit.cache_hit);
-    // A second row prunes the one candidate (movie.title): 1 probe, a miss.
-    EXPECT_EQ(input(first, 1, "Harry Potter").outcome, RequestOutcome::kOk);
-    const MetricsSnapshot mid = svc.SnapshotMetrics();
-
-    // Interval 2. Default tenant: expired on admission, answered
-    // truncated, never searched.
-    {
-      InputRequest request;
-      request.session_id = *svc.CreateSession({"Name"});
-      request.value = "Big Fish";
-      request.deadline = std::chrono::milliseconds(-1);
-      EXPECT_EQ(svc.Call(request).outcome, RequestOutcome::kTruncated);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    MetricsSnapshot last;
+    while (!done.load(std::memory_order_acquire)) {
+      const MetricsSnapshot now = svc.SnapshotMetrics();
+      EXPECT_GE(now.TotalRequests(), last.TotalRequests());
+      EXPECT_GE(now.latency.count(), last.latency.count());
+      EXPECT_GE(now.text_probes.probes, last.text_probes.probes);
+      last = now;
     }
-    // Default tenant: a transient search failure, retried: two cache
-    // misses, one search. Only movie.title holds both "harry" and
-    // "potter", and the prune above memoized it: 1 probe, a hit.
-    {
-      FailpointPolicy policy;
-      policy.action = FailAction::kError;
-      policy.max_fires = 1;
-      ScopedFailpoint armed("service.search.transient", policy);
-      EXPECT_EQ(input(*svc.CreateSession({"Name"}), 0, "Harry Potter").outcome,
-                RequestOutcome::kDegraded);
-    }
-    // Default tenant: a transient update failure, retried: one row
-    // inserted into one shard.
-    {
-      FailpointPolicy policy;
-      policy.action = FailAction::kError;
-      policy.max_fires = 1;
-      ScopedFailpoint armed("catalog.tenant.apply_update", policy);
-      EXPECT_EQ(insert(kDefaultTenant, 52).outcome, RequestOutcome::kDegraded);
-    }
-    // The other tenant: the same first row misses the cache (keys are
-    // tenant-scoped) and its own memo: 1 probe (movie.title), a miss. Then
-    // a plain update deleting one row from one shard.
-    EXPECT_EQ(input(*svc.CreateSession(kOther, {"Name"}), 0, "Avatar").outcome,
-              RequestOutcome::kOk);
-    {
-      UpdateRequest request;
-      request.tenant = std::string(kOther);
-      request.batch.deletes.push_back(catalog::RowDelete{"movie", 0});
-      EXPECT_EQ(svc.ApplyUpdate(request).outcome, RequestOutcome::kOk);
-    }
-    // Unattributed: an unknown session fails in the worker, and an update
-    // to an unpublished tenant fails NotFound.
-    EXPECT_EQ(input(/*id=*/999, 0, "Avatar").outcome, RequestOutcome::kFailed);
-    EXPECT_EQ(insert("nobody", 54).outcome, RequestOutcome::kFailed);
-    // Default tenant: a forced admission rejection is overloaded and never
-    // completes.
-    {
-      FailpointPolicy policy;
-      policy.action = FailAction::kTrigger;
-      policy.max_fires = 1;
-      ScopedFailpoint armed("service.queue.admit", policy);
-      InputRequest request;
-      request.session_id = first;
-      EXPECT_TRUE(
-          svc.Enqueue(request, [](RequestResult) {}).IsResourceExhausted());
-    }
-    const MetricsSnapshot end = svc.SnapshotMetrics();
-    done.store(true, std::memory_order_release);
-    reader.join();
+  });
 
-    // Service-wide, by hand.
-    const MetricsSnapshot run = end.Delta(start);
-    EXPECT_EQ(run.requests_ok, 5u);
-    EXPECT_EQ(run.requests_truncated, 1u);
-    EXPECT_EQ(run.requests_degraded, 2u);
-    EXPECT_EQ(run.requests_failed, 2u);
-    EXPECT_EQ(run.requests_overloaded, 1u);
-    EXPECT_EQ(run.CompletedRequests(), 10u);
-    EXPECT_EQ(run.latency.count(), run.CompletedRequests());
-    EXPECT_EQ(run.cache_hits, 1u);
-    EXPECT_EQ(run.cache_misses, 4u);
-    EXPECT_EQ(run.search_retries, 1u);
-    EXPECT_EQ(run.update_retries, 1u);
-    EXPECT_EQ(run.updates_ok, 2u);
-    EXPECT_EQ(run.updates_failed, 1u);
-    EXPECT_EQ(run.update_rows_inserted, 1u);
-    EXPECT_EQ(run.update_rows_deleted, 1u);
-    EXPECT_EQ(run.update_shards_touched, 2u);
-    EXPECT_EQ(run.sessions_created, 5u);
-    EXPECT_EQ(run.share_rejections, 0u);
-    // 1 + 1 prune + 1 retried search + 1 other-tenant search.
-    EXPECT_EQ(run.text_probes.probes, 4u);
-    EXPECT_EQ(run.text_probes.memo_hits, 1u);
-    EXPECT_EQ(run.text_probes.memo_misses, 3u);
-    EXPECT_EQ(run.text_probes.scan_fallbacks, 0u);
-    EXPECT_EQ(run.text_probes.all_rows_fallbacks, 0u);
-    // Three uncached searches and one pruning pass were traced.
-    EXPECT_EQ(run.stage_latency[kLocateStage].count(), 3u);
-    EXPECT_EQ(run.stage_latency[kPruneStage].count(), 1u);
-    EXPECT_GE(end.queue_high_water, 1u);
+  const MetricsSnapshot start = svc.SnapshotMetrics();
+  const auto input = [&](SessionId id, size_t row, const char* value) {
+    InputRequest request;
+    request.session_id = id;
+    request.row = row;
+    request.value = value;
+    return svc.Call(request);
+  };
+  const auto insert = [&](std::string_view tenant, int64_t id) {
+    UpdateRequest request;
+    request.tenant = std::string(tenant);
+    request.batch.inserts.push_back(catalog::RowInsert{
+        "movie", {testing::I(id), testing::S("Inserted Movie")}});
+    return svc.ApplyUpdate(request);
+  };
+  // Interval 1, all on the default tenant. A first row misses the cache
+  // and searches. Figure 2 has two text attributes (movie.title,
+  // person.name), but only movie.title holds a token containing
+  // "avatar", so the search probes 1 attribute: 1 probe, a memo miss.
+  const SessionId first = *svc.CreateSession({"Name"});
+  EXPECT_EQ(input(first, 0, "Avatar").outcome, RequestOutcome::kOk);
+  // The same first row in another session hits the cache: no probes.
+  const RequestResult hit = input(*svc.CreateSession({"Name"}), 0, "Avatar");
+  EXPECT_EQ(hit.outcome, RequestOutcome::kOk);
+  EXPECT_TRUE(hit.cache_hit);
+  // A second row prunes the one candidate (movie.title): 1 probe, a miss.
+  EXPECT_EQ(input(first, 1, "Harry Potter").outcome, RequestOutcome::kOk);
+  const MetricsSnapshot mid = svc.SnapshotMetrics();
 
-    // Per tenant, by hand.
-    const std::map<std::string, MetricsSnapshot> per_tenant =
-        svc.PerTenantMetrics();
-    ASSERT_EQ(per_tenant.size(), 2u);
-    const MetricsSnapshot& hot = per_tenant.at(std::string(kDefaultTenant));
-    EXPECT_EQ(hot.requests_ok, 3u);
-    EXPECT_EQ(hot.requests_truncated, 1u);
-    EXPECT_EQ(hot.requests_degraded, 2u);
-    EXPECT_EQ(hot.requests_failed, 0u);
-    EXPECT_EQ(hot.requests_overloaded, 1u);
-    EXPECT_EQ(hot.cache_hits, 1u);
-    EXPECT_EQ(hot.cache_misses, 3u);
-    EXPECT_EQ(hot.updates_ok, 1u);
-    EXPECT_EQ(hot.update_retries, 1u);
-    EXPECT_EQ(hot.sessions_created, 4u);
-    EXPECT_EQ(hot.text_probes.probes, 3u);
-    EXPECT_EQ(hot.queue_high_water, 1u);
-    const MetricsSnapshot& cold = per_tenant.at(std::string(kOther));
-    EXPECT_EQ(cold.requests_ok, 2u);
-    EXPECT_EQ(cold.CompletedRequests(), 2u);
-    EXPECT_EQ(cold.cache_misses, 1u);
-    EXPECT_EQ(cold.updates_ok, 1u);
-    EXPECT_EQ(cold.update_rows_deleted, 1u);
-    EXPECT_EQ(cold.update_shards_touched, 1u);
-    EXPECT_EQ(cold.sessions_created, 1u);
-    EXPECT_EQ(cold.text_probes.probes, 1u);
-    EXPECT_EQ(cold.text_probes.memo_misses, 1u);
-    const MetricsSnapshot unattributed = svc.UnattributedMetrics();
-    EXPECT_EQ(unattributed.requests_failed, 2u);
-    EXPECT_EQ(unattributed.TotalRequests(), 2u);
-    EXPECT_EQ(unattributed.updates_failed, 1u);
-    EXPECT_EQ(unattributed.sessions_created, 0u);
-    EXPECT_EQ(unattributed.text_probes.probes, 0u);
-
-    // Each record's request histogram holds its completed requests.
-    for (const auto& [name, tenant] : per_tenant) {
-      EXPECT_EQ(tenant.latency.count(), tenant.CompletedRequests()) << name;
-    }
-    EXPECT_EQ(unattributed.latency.count(), unattributed.CompletedRequests());
-
-    // The records add up to the service-wide snapshot exactly, sums
-    // included: fold them in the registry's order (tenants by name, then
-    // the unattributed record).
-    MetricsSnapshot sum;
-    for (const auto& [name, tenant] : per_tenant) sum.Merge(tenant);
-    sum.Merge(unattributed);
-    ExpectSameMetrics(sum, end, /*exact_sums=*/true);
-
-    // Each tenant's text counters match the same probes replayed, with a
-    // counter of our own, on a fresh copy of the tenant.
-    catalog::Catalog replay(catalog_options);
-    const catalog::SnapshotPtr fresh =
-        replay.Publish(kDefaultTenant, testing::MakeFigure2Db()).ValueOrDie();
-    const text::AttributeRef title{fresh->db().FindRelation("movie"), 1};
-    text::ProbeCounters hot_replay;
-    fresh->engine().FindOccurrences("Avatar", &hot_replay);
-    fresh->engine().MatchingRows(title, "Harry Potter", &hot_replay);
-    fresh->engine().FindOccurrences("Harry Potter", &hot_replay);
-    ExpectSameProbes(hot.text_probes, hot_replay.Snapshot(), "default");
-    const catalog::SnapshotPtr fresh_other =
-        replay.Publish(kOther, testing::MakeFigure2Db()).ValueOrDie();
-    text::ProbeCounters cold_replay;
-    fresh_other->engine().FindOccurrences("Avatar", &cold_replay);
-    ExpectSameProbes(cold.text_probes, cold_replay.Snapshot(), "other");
-
-    // Two consecutive intervals add up to the run.
-    MetricsSnapshot intervals = mid.Delta(start);
-    intervals.Merge(end.Delta(mid));
-    ExpectSameMetrics(intervals, run, /*exact_sums=*/false);
+  // Interval 2. Default tenant: expired on admission, answered
+  // truncated, never searched.
+  {
+    InputRequest request;
+    request.session_id = *svc.CreateSession({"Name"});
+    request.value = "Big Fish";
+    request.deadline = std::chrono::milliseconds(-1);
+    EXPECT_EQ(svc.Call(request).outcome, RequestOutcome::kTruncated);
   }
+  // Default tenant: a transient search failure, retried: two cache
+  // misses, one search. Only movie.title holds both "harry" and
+  // "potter", and the prune above memoized it: 1 probe, a hit.
+  {
+    FailpointPolicy policy;
+    policy.action = FailAction::kError;
+    policy.max_fires = 1;
+    ScopedFailpoint armed("service.search.transient", policy);
+    EXPECT_EQ(input(*svc.CreateSession({"Name"}), 0, "Harry Potter").outcome,
+              RequestOutcome::kDegraded);
+  }
+  // Default tenant: a transient update failure, retried: one row
+  // inserted.
+  {
+    FailpointPolicy policy;
+    policy.action = FailAction::kError;
+    policy.max_fires = 1;
+    ScopedFailpoint armed("catalog.tenant.apply_update", policy);
+    EXPECT_EQ(insert(kDefaultTenant, 52).outcome, RequestOutcome::kDegraded);
+  }
+  // The other tenant: the same first row misses the cache (keys are
+  // tenant-scoped) and its own memo: 1 probe (movie.title), a miss. Then
+  // a plain update deleting one row.
+  EXPECT_EQ(input(*svc.CreateSession(kOther, {"Name"}), 0, "Avatar").outcome,
+            RequestOutcome::kOk);
+  {
+    UpdateRequest request;
+    request.tenant = std::string(kOther);
+    request.batch.deletes.push_back(catalog::RowDelete{"movie", 0});
+    EXPECT_EQ(svc.ApplyUpdate(request).outcome, RequestOutcome::kOk);
+  }
+  // Unattributed: an unknown session fails in the worker, and an update
+  // to an unpublished tenant fails NotFound.
+  EXPECT_EQ(input(/*id=*/999, 0, "Avatar").outcome, RequestOutcome::kFailed);
+  EXPECT_EQ(insert("nobody", 54).outcome, RequestOutcome::kFailed);
+  // Default tenant: a forced admission rejection is overloaded and never
+  // completes.
+  {
+    FailpointPolicy policy;
+    policy.action = FailAction::kTrigger;
+    policy.max_fires = 1;
+    ScopedFailpoint armed("service.queue.admit", policy);
+    InputRequest request;
+    request.session_id = first;
+    EXPECT_TRUE(
+        svc.Enqueue(request, [](RequestResult) {}).IsResourceExhausted());
+  }
+  const MetricsSnapshot end = svc.SnapshotMetrics();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  // Service-wide, by hand.
+  const MetricsSnapshot run = end.Delta(start);
+  EXPECT_EQ(run.requests_ok, 5u);
+  EXPECT_EQ(run.requests_truncated, 1u);
+  EXPECT_EQ(run.requests_degraded, 2u);
+  EXPECT_EQ(run.requests_failed, 2u);
+  EXPECT_EQ(run.requests_overloaded, 1u);
+  EXPECT_EQ(run.CompletedRequests(), 10u);
+  EXPECT_EQ(run.latency.count(), run.CompletedRequests());
+  EXPECT_EQ(run.cache_hits, 1u);
+  EXPECT_EQ(run.cache_misses, 4u);
+  EXPECT_EQ(run.search_retries, 1u);
+  EXPECT_EQ(run.update_retries, 1u);
+  EXPECT_EQ(run.updates_ok, 2u);
+  EXPECT_EQ(run.updates_failed, 1u);
+  EXPECT_EQ(run.update_rows_inserted, 1u);
+  EXPECT_EQ(run.update_rows_deleted, 1u);
+  EXPECT_EQ(run.sessions_created, 5u);
+  EXPECT_EQ(run.share_rejections, 0u);
+  // 1 + 1 prune + 1 retried search + 1 other-tenant search.
+  EXPECT_EQ(run.text_probes.probes, 4u);
+  EXPECT_EQ(run.text_probes.memo_hits, 1u);
+  EXPECT_EQ(run.text_probes.memo_misses, 3u);
+  EXPECT_EQ(run.text_probes.scan_fallbacks, 0u);
+  EXPECT_EQ(run.text_probes.all_rows_fallbacks, 0u);
+  // Three uncached searches and one pruning pass were traced.
+  EXPECT_EQ(run.stage_latency[kLocateStage].count(), 3u);
+  EXPECT_EQ(run.stage_latency[kPruneStage].count(), 1u);
+  EXPECT_GE(end.queue_high_water, 1u);
+
+  // Per tenant, by hand.
+  const std::map<std::string, MetricsSnapshot> per_tenant =
+      svc.PerTenantMetrics();
+  ASSERT_EQ(per_tenant.size(), 2u);
+  const MetricsSnapshot& hot = per_tenant.at(std::string(kDefaultTenant));
+  EXPECT_EQ(hot.requests_ok, 3u);
+  EXPECT_EQ(hot.requests_truncated, 1u);
+  EXPECT_EQ(hot.requests_degraded, 2u);
+  EXPECT_EQ(hot.requests_failed, 0u);
+  EXPECT_EQ(hot.requests_overloaded, 1u);
+  EXPECT_EQ(hot.cache_hits, 1u);
+  EXPECT_EQ(hot.cache_misses, 3u);
+  EXPECT_EQ(hot.updates_ok, 1u);
+  EXPECT_EQ(hot.update_retries, 1u);
+  EXPECT_EQ(hot.sessions_created, 4u);
+  EXPECT_EQ(hot.text_probes.probes, 3u);
+  EXPECT_EQ(hot.queue_high_water, 1u);
+  const MetricsSnapshot& cold = per_tenant.at(std::string(kOther));
+  EXPECT_EQ(cold.requests_ok, 2u);
+  EXPECT_EQ(cold.CompletedRequests(), 2u);
+  EXPECT_EQ(cold.cache_misses, 1u);
+  EXPECT_EQ(cold.updates_ok, 1u);
+  EXPECT_EQ(cold.update_rows_deleted, 1u);
+  EXPECT_EQ(cold.sessions_created, 1u);
+  EXPECT_EQ(cold.text_probes.probes, 1u);
+  EXPECT_EQ(cold.text_probes.memo_misses, 1u);
+  const MetricsSnapshot unattributed = svc.UnattributedMetrics();
+  EXPECT_EQ(unattributed.requests_failed, 2u);
+  EXPECT_EQ(unattributed.TotalRequests(), 2u);
+  EXPECT_EQ(unattributed.updates_failed, 1u);
+  EXPECT_EQ(unattributed.sessions_created, 0u);
+  EXPECT_EQ(unattributed.text_probes.probes, 0u);
+
+  // Each record's request histogram holds its completed requests.
+  for (const auto& [name, tenant] : per_tenant) {
+    EXPECT_EQ(tenant.latency.count(), tenant.CompletedRequests()) << name;
+  }
+  EXPECT_EQ(unattributed.latency.count(), unattributed.CompletedRequests());
+
+  // The records add up to the service-wide snapshot exactly, sums
+  // included: fold them in the registry's order (tenants by name, then
+  // the unattributed record).
+  MetricsSnapshot sum;
+  for (const auto& [name, tenant] : per_tenant) sum.Merge(tenant);
+  sum.Merge(unattributed);
+  ExpectSameMetrics(sum, end, /*exact_sums=*/true);
+
+  // Each tenant's text counters match the same probes replayed, with a
+  // counter of our own, on a fresh copy of the tenant.
+  catalog::Catalog replay;
+  const catalog::SnapshotPtr fresh =
+      replay.Publish(kDefaultTenant, testing::MakeFigure2Db()).ValueOrDie();
+  const text::AttributeRef title{fresh->db().FindRelation("movie"), 1};
+  text::ProbeCounters hot_replay;
+  fresh->engine().FindOccurrences("Avatar", &hot_replay);
+  fresh->engine().MatchingRows(title, "Harry Potter", &hot_replay);
+  fresh->engine().FindOccurrences("Harry Potter", &hot_replay);
+  ExpectSameProbes(hot.text_probes, hot_replay.Snapshot(), "default");
+  const catalog::SnapshotPtr fresh_other =
+      replay.Publish(kOther, testing::MakeFigure2Db()).ValueOrDie();
+  text::ProbeCounters cold_replay;
+  fresh_other->engine().FindOccurrences("Avatar", &cold_replay);
+  ExpectSameProbes(cold.text_probes, cold_replay.Snapshot(), "other");
+
+  // Two consecutive intervals add up to the run.
+  MetricsSnapshot intervals = mid.Delta(start);
+  intervals.Merge(end.Delta(mid));
+  ExpectSameMetrics(intervals, run, /*exact_sums=*/false);
 }
 
 // ------------------------------------------- Degradation (fault-injected) --

@@ -632,6 +632,28 @@ TEST(CsvTest, SaveAndLoadRelation) {
   std::remove(path.c_str());
 }
 
+// A deleted row is gone from the file: a reload reads only the live rows,
+// renumbered densely.
+TEST(CsvTest, SaveWritesOnlyLiveRows) {
+  Relation rel(RelationSchema("t", {StrAttr("name"), StrAttr("city")}));
+  ASSERT_TRUE(rel.Append({S("Ann"), S("Ann Arbor")}).ok());
+  ASSERT_TRUE(rel.Append({S("Bob"), S("Boston")}).ok());
+  ASSERT_TRUE(rel.Append({S("Cid"), S("Chicago")}).ok());
+  ASSERT_TRUE(rel.Delete(1).ok());
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mweaver_csv_live_test.csv")
+          .string();
+  ASSERT_TRUE(SaveCsvRelation(rel, path).ok());
+  auto loaded = LoadCsvRelation(path, "t2");
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded->num_rows(), 2u);
+  EXPECT_EQ(loaded->num_live_rows(), 2u);
+  EXPECT_EQ(loaded->at(0, 0).AsString(), "Ann");
+  EXPECT_EQ(loaded->at(1, 0).AsString(), "Cid");
+}
+
 TEST(CsvTest, LoadMissingFileFails) {
   EXPECT_TRUE(LoadCsvRelation("/nonexistent/file.csv", "x")
                   .status()
@@ -759,6 +781,38 @@ TEST(DumpTest, RoundTripsTrickyValues) {
   EXPECT_TRUE(out.at(1, 1).is_null());
   EXPECT_DOUBLE_EQ(out.at(1, 2).AsDouble(), -1e300);
   EXPECT_EQ(out.at(2, 1).AsInt64(), INT64_MAX);
+}
+
+// Appends and deletes, then a round trip: the dump holds the live rows only,
+// so nothing deleted comes back. The survivors are renumbered densely on
+// reload, which foreign keys survive because they are dumped by value.
+TEST(DumpTest, DeletedRowsStayDeletedAcrossRoundTrip) {
+  Database db("live");
+  ASSERT_TRUE(
+      db.AddRelation(RelationSchema("t", {IdAttr("id"), StrAttr("name")}))
+          .ok());
+  ASSERT_TRUE(db.AddRelation(RelationSchema("u", {IdAttr("tid")})).ok());
+  ASSERT_TRUE(db.AddForeignKey("u", "tid", "t", "id").ok());
+  Relation* t = db.mutable_relation(db.FindRelation("t"));
+  ASSERT_TRUE(t->Append({I(1), S("one")}).ok());
+  ASSERT_TRUE(t->Append({I(2), S("two")}).ok());
+  ASSERT_TRUE(t->Append({I(3), S("three")}).ok());
+  ASSERT_TRUE(db.mutable_relation(db.FindRelation("u"))->Append({I(3)}).ok());
+  ASSERT_TRUE(t->Delete(1).ok());
+  ASSERT_EQ(db.TotalRows(), 3u);
+
+  std::stringstream buffer;
+  ASSERT_TRUE(DumpDatabase(db, &buffer).ok());
+  auto loaded = LoadDatabase(&buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->TotalRows(), 3u);
+  const Relation& out = loaded->relation(loaded->FindRelation("t"));
+  ASSERT_EQ(out.num_rows(), 2u);
+  EXPECT_EQ(out.num_live_rows(), 2u);
+  EXPECT_EQ(out.at(0, 1).AsString(), "one");
+  EXPECT_EQ(out.at(1, 0).AsInt64(), 3);
+  EXPECT_EQ(out.at(1, 1).AsString(), "three");
+  EXPECT_TRUE(loaded->CheckReferentialIntegrity().ok());
 }
 
 TEST(DumpTest, RejectsGarbage) {

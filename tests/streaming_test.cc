@@ -34,6 +34,7 @@
 #include "storage/database.h"
 #include "test_util.h"
 #include "text/fulltext_engine.h"
+#include "text/lookup_stats.h"
 #include "text/match.h"
 
 namespace mweaver::catalog {
@@ -605,6 +606,83 @@ TEST_P(StreamingConcurrencyTest, PinnedReadersStableUnderUpdateChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, StreamingConcurrencyTest,
                          ::testing::Values(1, 2, 4));
+
+// ------------------------------------------- probe counters --------------
+
+// One MatchingRows call is one probe and one memo hit or miss; a
+// punctuation-only sample is one all-rows fallback and is never memoized;
+// a delta bumps only the touched relation's memo version.
+TEST(ProbeCountersTest, ScriptedProbesCountExactly) {
+  CatalogOptions options;
+  options.match_policy = text::MatchPolicy::Substring();
+  options.match_policy.match_numeric = true;
+  Catalog catalog(options);
+  const SnapshotPtr before =
+      catalog.Publish(kTenant, testing::MakeFilmDb()).ValueOrDie();
+  const storage::RelationId film = before->db().FindRelation("film");
+  const text::AttributeRef title{film, 1};
+  const text::AttributeRef year{film, 2};
+  const text::AttributeRef name{before->db().FindRelation("person"), 1};
+
+  text::ProbeCounters counters;
+  std::vector<std::vector<storage::RowId>> rows;
+  const auto probe = [&](const SnapshotPtr& snap,
+                         const text::AttributeRef& attr,
+                         const std::string& sample) {
+    rows.push_back(*snap->engine().MatchingRows(attr, sample, &counters));
+  };
+  probe(before, title, "Avatar");  // miss
+  probe(before, title, "Avatar");  // hit
+  probe(before, title, "?!");      // miss, all-rows fallback, not memoized
+  probe(before, title, "?!");      // miss again, second fallback
+  probe(before, year, "2003");     // miss (numeric scan)
+  probe(before, year, "2003");     // hit
+  probe(before, name, "Cameron");  // miss
+  const text::ProbeStats before_totals = counters.Snapshot();
+
+  TenantWriter writer(&catalog);
+  UpdateBatch batch;
+  batch.inserts.push_back(RowInsert{
+      "film", {testing::I(24), testing::S("Avatar"), testing::I(2003)}});
+  const SnapshotPtr after = writer.Apply(kTenant, batch).ValueOrDie().snapshot;
+  probe(after, title, "Avatar");  // miss: the film relation's version moved
+  probe(after, title, "Avatar");  // hit
+  probe(after, name, "Cameron");  // hit: person was untouched
+
+  const text::ProbeStats totals = counters.Snapshot();
+  EXPECT_EQ(totals.probes, 10u);
+  EXPECT_EQ(totals.memo_hits, 4u);
+  EXPECT_EQ(totals.memo_misses, 6u);
+  EXPECT_EQ(totals.all_rows_fallbacks, 2u);
+  // The probes against the pre-update engine alone.
+  EXPECT_EQ(before_totals.probes, 7u);
+  EXPECT_EQ(before_totals.memo_hits, 2u);
+  EXPECT_EQ(before_totals.memo_misses, 5u);
+  EXPECT_EQ(before_totals.all_rows_fallbacks, 2u);
+
+  EXPECT_EQ(rows[0].size(), 12u);  // "Avatar" + "Avatar Returns"
+  EXPECT_EQ(rows[7].size(), 13u);  // plus the inserted film
+}
+
+// ------------------------------------------- delta ownership -------------
+
+// ApplyRow* and CompactRelationIndexes mutate indexes in place, so they
+// must only ever reach an engine CloneForDelta made: a built engine is what
+// a publish serves, and its indexes are shared with every reader.
+TEST(DeltaOwnershipDeathTest, RowOpsOnANonDeltaEngineAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const storage::Database db = testing::MakeFilmDb();
+  const storage::RelationId film = db.FindRelation("film");
+  text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+  EXPECT_DEATH(engine.ApplyRowInsert(film, 0), "CloneForDelta");
+  EXPECT_DEATH(engine.ApplyRowDelete(film, 0), "CloneForDelta");
+  EXPECT_DEATH(engine.CompactRelationIndexes(film), "CloneForDelta");
+  std::unique_ptr<text::FullTextEngine> delta =
+      engine.CloneForDelta(&db, {film}, 1);
+  delta->ApplyRowDelete(film, 0);  // a delta owns its touched indexes
+  EXPECT_EQ(delta->MaxRemovedRows(film), 1u);
+  EXPECT_EQ(engine.MaxRemovedRows(film), 0u);
+}
 
 }  // namespace
 }  // namespace mweaver::catalog

@@ -72,6 +72,30 @@ inline storage::Database MakeFigure2Db() {
   return db;
 }
 
+/// \brief A film relation with a searchable int64 year column (numeric
+/// probes) next to a person relation and no foreign key: 24 films cycling
+/// through "Avatar", "Big Fish", "Harry Potter" and "Avatar Returns"
+/// (years 2000-2009), and the people James Cameron and Tim Burton.
+inline storage::Database MakeFilmDb() {
+  storage::Database db("films");
+  db.AddRelation(storage::RelationSchema(
+                     "film", {IdAttr("fid"), StrAttr("title"),
+                              {"year", storage::ValueType::kInt64,
+                               /*searchable=*/true}}))
+      .ValueOrDie();
+  db.AddRelation(
+        storage::RelationSchema("person", {IdAttr("pid"), StrAttr("name")}))
+      .ValueOrDie();
+  const char* const kTitles[] = {"Avatar", "Big Fish", "Harry Potter",
+                                 "Avatar Returns"};
+  for (int64_t i = 0; i < 24; ++i) {
+    AddRow(&db, "film", {I(i), S(kTitles[i % 4]), I(2000 + i % 10)});
+  }
+  AddRow(&db, "person", {I(0), S("James Cameron")});
+  AddRow(&db, "person", {I(1), S("Tim Burton")});
+  return db;
+}
+
 /// \brief Seeded random mini-database builder over a compact university
 /// schema with branching join paths, a diamond (dept-prof and dept-course
 /// both directly and via teaches), and overlapping values — small enough
