@@ -36,7 +36,7 @@ MappingService::~MappingService() {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     leftovers.swap(queue_);
-    tenant_queued_.clear();
+    for (QueuedRequest& queued : leftovers) --queued.metrics->queued_requests;
   }
   for (QueuedRequest& queued : leftovers) {
     RequestResult result;
@@ -125,11 +125,13 @@ Status MappingService::Enqueue(InputRequest request,
       request.deadline.count() != 0 ? request.deadline
                                     : options_.default_deadline;
   QueuedRequest queued;
-  // Resolve the session's tenant record before taking the queue lock (it's
-  // a registry lookup with its own mutex). Unknown session: count it as
+  // Resolve the session before taking the queue lock: the one registry
+  // lookup of this request. Its entry carries the tenant record, and the
+  // worker runs the request on it directly. Unknown session: count it as
   // unattributed and let the worker report NotFound — admission order
   // must not depend on registry races.
-  queued.metrics = sessions_.MetricsOf(request.session_id);
+  queued.session = sessions_.Find(request.session_id);
+  if (queued.session != nullptr) queued.metrics = queued.session->metrics;
   if (queued.metrics == nullptr) queued.metrics = metrics_.unattributed();
   queued.request = std::move(request);
   queued.done = std::move(done);
@@ -184,7 +186,6 @@ RequestResult MappingService::ApplyUpdate(UpdateRequest request) {
 Status MappingService::Admit(QueuedRequest queued) {
   const size_t tenant_cap = TenantQueueCap();
   TenantMetrics& metrics = *queued.metrics;
-  const std::string& tenant = metrics.tenant();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (shutdown_) {
@@ -198,26 +199,20 @@ Status MappingService::Admit(QueuedRequest queued) {
       return Status::ResourceExhausted(
           "request queue full; back off and retry");
     }
-    if (!tenant.empty()) {
-      auto it = tenant_queued_.find(tenant);
-      const size_t tenant_depth = it == tenant_queued_.end() ? 0 : it->second;
-      if (tenant_depth >= tenant_cap) {
-        // The queue has room but this tenant already owns its share of it:
-        // reject so other tenants keep getting admitted. Recorded both as
-        // a plain overload (the client-visible truth) and as a
-        // share_rejection (the operator-visible cause).
-        metrics.RecordShareRejection();
-        metrics.RecordRequest(RequestOutcome::kOverloaded, 0.0);
-        return Status::ResourceExhausted(
-            "tenant queue share exhausted; back off and retry");
-      }
-      if (it == tenant_queued_.end()) {
-        tenant_queued_.emplace(tenant, 1);
-      } else {
-        ++it->second;
-      }
-      metrics.RecordQueueDepth(tenant_depth + 1);
+    // Unattributed requests count toward the global bound only.
+    const bool tenant_share = !metrics.tenant().empty();
+    if (tenant_share && metrics.queued_requests >= tenant_cap) {
+      // The queue has room but this tenant already owns its share of it:
+      // reject so other tenants keep getting admitted. Recorded both as a
+      // plain overload (the client-visible truth) and as a share_rejection
+      // (the operator-visible cause).
+      metrics.RecordShareRejection();
+      metrics.RecordRequest(RequestOutcome::kOverloaded, 0.0);
+      return Status::ResourceExhausted(
+          "tenant queue share exhausted; back off and retry");
     }
+    ++metrics.queued_requests;
+    if (tenant_share) metrics.RecordQueueDepth(metrics.queued_requests);
     queue_.push_back(std::move(queued));
     metrics_.RecordQueueDepth(queue_.size());
   }
@@ -268,15 +263,15 @@ void MappingService::DrainOne() {
     MW_CHECK(!queue_.empty());
     queued = std::move(queue_.front());
     queue_.pop_front();
-    if (const std::string& tenant = queued.metrics->tenant();
-        !tenant.empty()) {
-      auto it = tenant_queued_.find(tenant);
-      MW_CHECK(it != tenant_queued_.end() && it->second > 0);
-      if (--it->second == 0) tenant_queued_.erase(it);
-    }
+    MW_CHECK(queued.metrics->queued_requests > 0);
+    --queued.metrics->queued_requests;
   }
   RequestResult result =
       queued.is_update ? ProcessUpdate(queued) : Process(queued);
+  // Release the session entry before the callback: a client that closes the
+  // session from `done` frees the session (its arena, its snapshot pin) at
+  // the close, before it opens the next one.
+  queued.session.reset();
   queued.metrics->RecordRequest(result.outcome, result.latency_ms);
   if (queued.done) queued.done(std::move(result));
 }
@@ -353,7 +348,8 @@ RequestResult MappingService::Process(const QueuedRequest& queued) {
 
   auto attempt = [&]() -> Status {
     Status status = sessions_.WithSession(
-        queued.request.session_id, [&](core::Session& session) {
+        queued.request.session_id, queued.session,
+        [&](core::Session& session) {
           const bool was_awaiting =
               session.state() == core::SessionState::kAwaitingFirstRow;
           // Arm the per-request deadline on the session's execution context

@@ -241,11 +241,16 @@ class MappingService {
     bool is_update = false;
     UpdateRequest update;
     std::function<void(RequestResult)> done;
+    /// Search requests: the session's registry entry, resolved once at
+    /// admission (null for an unknown id — Process() then reports
+    /// NotFound). The worker locks the entry's own mutex; the registry is
+    /// not consulted again.
+    SessionManager::EntryPtr session;
     /// The metrics record of the request's tenant, resolved once at
     /// admission; every fact about the request is counted here. The
     /// unattributed record (empty tenant name) when the session id is
-    /// unknown — Process() then reports NotFound; such requests count
-    /// toward the global bound but no tenant share.
+    /// unknown; such requests count toward the global bound but no tenant
+    /// share.
     std::shared_ptr<TenantMetrics> metrics;
     core::SearchClock::time_point admitted;
     core::SearchClock::time_point deadline;  // max() = none
@@ -272,11 +277,10 @@ class MappingService {
   ResultCache cache_;
   MetricsRegistry metrics_;
 
+  /// Guards the queue, `shutdown_`, and every TenantMetrics record's
+  /// queued-request count (the admission shares).
   std::mutex queue_mu_;
   std::deque<QueuedRequest> queue_;
-  /// Queued-but-unstarted requests per tenant (admission shares); entries
-  /// are erased at zero so dropped tenants don't accumulate.
-  std::map<std::string, size_t, std::less<>> tenant_queued_;
   bool shutdown_ = false;
 
   // Last: workers must start after (and be joined before) everything they

@@ -147,7 +147,8 @@ struct MetricsSnapshot {
 
 /// \brief The live metrics of one tenant (or of the unattributed
 /// requests). Handed out as a shared_ptr so sessions and queued requests
-/// record without going back through the registry.
+/// record without going back through the registry. A registry holds one
+/// record per tenant name.
 class TenantMetrics {
  public:
   explicit TenantMetrics(std::string tenant) : tenant_(std::move(tenant)) {}
@@ -185,6 +186,12 @@ class TenantMetrics {
   void RecordPruneTrace(const core::ExecutionTrace& trace);
 
   MetricsSnapshot Snapshot() const;
+
+  /// Queued-but-unstarted requests counted in this record: the depth a
+  /// tenant's admission share is checked against. Guarded by the owning
+  /// MappingService's queue mutex, not by this record — only admission and
+  /// dequeue touch it.
+  size_t queued_requests = 0;
 
  private:
   const std::string tenant_;

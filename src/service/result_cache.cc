@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
@@ -100,11 +101,15 @@ size_t ResultCache::EvictTenantEntries(std::string_view tenant,
 }
 
 std::optional<core::SearchResult> ResultCache::Lookup(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
+  ResultPtr hit;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    hit = it->second->second;
+  }
+  return *hit;
 }
 
 void ResultCache::Insert(const std::string& key, core::SearchResult result) {
@@ -113,16 +118,22 @@ void ResultCache::Insert(const std::string& key, core::SearchResult result) {
   // Chaos site: a dropped result-cache insert; like the probe memo, losing
   // one only forces recomputation on the next identical request.
   if (MW_FAILPOINT_TRIGGERED("service.result_cache.insert")) return;
+  ResultPtr entry =
+      std::make_shared<const core::SearchResult>(std::move(result));
+  // Declared before the lock: the entry this insert displaces (replaced or
+  // evicted) is destroyed after the lock is released.
+  ResultPtr displaced;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = std::move(result);
+    displaced = std::exchange(it->second->second, std::move(entry));
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(key, std::move(result));
+  lru_.emplace_front(key, std::move(entry));
   index_[key] = lru_.begin();
   if (lru_.size() > capacity_) {
+    displaced = std::move(lru_.back().second);
     index_.erase(lru_.back().first);
     lru_.pop_back();
   }

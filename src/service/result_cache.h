@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -87,19 +88,24 @@ class ResultCache {
   size_t EvictTenantEntries(std::string_view tenant, uint64_t max_epoch);
 
   /// \brief Returns a copy of the cached result and refreshes its
-  /// recency, or nullopt on a miss.
+  /// recency, or nullopt on a miss. Only the shared entry pointer is taken
+  /// under the lock; the copy is made after releasing it.
   std::optional<core::SearchResult> Lookup(const std::string& key);
 
   /// \brief Inserts (or refreshes) `result` under `key`, evicting the
   /// least-recently-used entry beyond capacity. Truncated results are
-  /// rejected (see file comment).
+  /// rejected (see file comment). Replaced and evicted entries are
+  /// destroyed outside the lock.
   void Insert(const std::string& key, core::SearchResult result);
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
  private:
-  using Entry = std::pair<std::string, core::SearchResult>;
+  // Entries are immutable and shared, so a Lookup can copy one after
+  // releasing the lock while an Insert replaces or evicts it.
+  using ResultPtr = std::shared_ptr<const core::SearchResult>;
+  using Entry = std::pair<std::string, ResultPtr>;
 
   const size_t capacity_;
   mutable std::mutex mu_;

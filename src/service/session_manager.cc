@@ -4,6 +4,13 @@
 
 namespace mweaver::service {
 
+namespace {
+Status NoSession(SessionId id) {
+  return Status::NotFound(
+      StrFormat("no session %llu", static_cast<unsigned long long>(id)));
+}
+}  // namespace
+
 SessionManager::SessionManager(SessionManagerOptions options)
     : options_(options) {}
 
@@ -29,49 +36,58 @@ Result<SessionId> SessionManager::Create(
   if (search_fn) entry->session.set_search_fn(std::move(search_fn));
   entry->last_used_ns.store(NowNs(), std::memory_order_relaxed);
 
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sessions_.size() >= options_.max_sessions) {
-    return Status::ResourceExhausted(
-        StrFormat("session limit reached (%zu live sessions)",
-                  sessions_.size()));
-  }
+  // Reserve a live slot before publishing the entry: the count never
+  // exceeds max_sessions, even while creations race.
+  size_t live = live_.load(std::memory_order_relaxed);
+  do {
+    if (live >= options_.max_sessions) {
+      return Status::ResourceExhausted(
+          StrFormat("session limit reached (%zu live sessions)", live));
+    }
+  } while (!live_.compare_exchange_weak(live, live + 1,
+                                        std::memory_order_relaxed));
   const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  sessions_.emplace(id, std::move(entry));
+  Stripe& stripe = StripeOf(id);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  stripe.sessions.emplace(id, std::move(entry));
   return id;
 }
 
 Status SessionManager::Close(SessionId id) {
-  std::shared_ptr<Entry> entry;
+  EntryPtr entry;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) {
-      return Status::NotFound(StrFormat("no session %llu",
-                                        static_cast<unsigned long long>(id)));
-    }
+    Stripe& stripe = StripeOf(id);
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    auto it = stripe.sessions.find(id);
+    if (it == stripe.sessions.end()) return NoSession(id);
     entry = std::move(it->second);
-    sessions_.erase(it);
+    stripe.sessions.erase(it);
   }
+  live_.fetch_sub(1, std::memory_order_relaxed);
   // Mark closed under the entry mutex so a request racing with the close
-  // (it grabbed the shared_ptr before the erase) observes NotFound
-  // instead of operating on a zombie session.
+  // (it resolved the entry before the erase) observes NotFound instead of
+  // operating on a zombie session.
   std::lock_guard<std::mutex> lock(entry->mu);
   entry->closed = true;
   return Status::OK();
 }
 
+SessionManager::EntryPtr SessionManager::Find(SessionId id) const {
+  const Stripe& stripe = StripeOf(id);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  auto it = stripe.sessions.find(id);
+  return it == stripe.sessions.end() ? nullptr : it->second;
+}
+
 Status SessionManager::WithSession(
     SessionId id, const std::function<Status(core::Session&)>& fn) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(id);
-    if (it != sessions_.end()) entry = it->second;
-  }
-  if (entry == nullptr) {
-    return Status::NotFound(StrFormat("no session %llu",
-                                      static_cast<unsigned long long>(id)));
-  }
+  return WithSession(id, Find(id), fn);
+}
+
+Status SessionManager::WithSession(
+    SessionId id, const EntryPtr& entry,
+    const std::function<Status(core::Session&)>& fn) {
+  if (entry == nullptr) return NoSession(id);
   std::lock_guard<std::mutex> lock(entry->mu);
   if (entry->closed) {
     return Status::NotFound(StrFormat("session %llu was closed",
@@ -83,21 +99,10 @@ Status SessionManager::WithSession(
 }
 
 Result<catalog::SnapshotPtr> SessionManager::SnapshotOf(SessionId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    return Status::NotFound(StrFormat("no session %llu",
-                                      static_cast<unsigned long long>(id)));
-  }
+  EntryPtr entry = Find(id);
+  if (entry == nullptr) return NoSession(id);
   // The pin is const for the entry's lifetime — no entry mutex needed.
-  return it->second->snapshot;
-}
-
-std::shared_ptr<TenantMetrics> SessionManager::MetricsOf(SessionId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(id);
-  // The record is const for the entry's lifetime — no entry mutex needed.
-  return it == sessions_.end() ? nullptr : it->second->metrics;
+  return entry->snapshot;
 }
 
 size_t SessionManager::EvictIdle() {
@@ -105,10 +110,10 @@ size_t SessionManager::EvictIdle() {
       NowNs() - std::chrono::duration_cast<std::chrono::nanoseconds>(
                     options_.idle_ttl)
                     .count();
-  std::vector<std::shared_ptr<Entry>> evicted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
+  std::vector<EntryPtr> evicted;
+  for (Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    for (auto it = stripe.sessions.begin(); it != stripe.sessions.end();) {
       Entry& entry = *it->second;
       if (entry.last_used_ns.load(std::memory_order_relaxed) > cutoff_ns) {
         ++it;
@@ -123,18 +128,14 @@ size_t SessionManager::EvictIdle() {
       entry.closed = true;
       entry.mu.unlock();
       evicted.push_back(std::move(it->second));
-      it = sessions_.erase(it);
+      it = stripe.sessions.erase(it);
     }
   }
+  live_.fetch_sub(evicted.size(), std::memory_order_relaxed);
   // Entries (their Sessions AND their snapshot pins) destruct here,
-  // outside the registry lock — evicting the last session on an old epoch
+  // outside the registry locks — evicting the last session on an old epoch
   // is what finally frees that epoch's index bundle.
   return evicted.size();
-}
-
-size_t SessionManager::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size();
 }
 
 }  // namespace mweaver::service

@@ -1,5 +1,7 @@
 #include "text/probe_cache.h"
 
+#include <algorithm>
+
 #include "common/failpoint.h"
 #include "common/hash_util.h"
 #include "common/logging.h"
@@ -12,11 +14,20 @@ const RowSet& EmptyRowSet() {
   return empty;
 }
 
-size_t ProbeCache::KeyHash::operator()(const KeyView& k) const {
-  size_t seed = std::hash<std::string_view>{}(k.sample);
-  HashCombine(&seed, k.relation);
-  HashCombine(&seed, k.attribute);
-  HashCombine(&seed, k.version);
+ProbeCache::ProbeCache(size_t budget_bytes)
+    : budget_bytes_(budget_bytes),
+      stripe_count_(std::clamp<size_t>(budget_bytes / kStripeBytes, 1,
+                                       kMaxStripes)),
+      stripe_budget_(budget_bytes / stripe_count_),
+      stripes_(std::make_unique<Stripe[]>(stripe_count_)) {}
+
+size_t ProbeCache::HashOf(storage::RelationId relation,
+                          storage::AttributeId attribute, uint64_t version,
+                          std::string_view sample) {
+  size_t seed = std::hash<std::string_view>{}(sample);
+  HashCombine(&seed, relation);
+  HashCombine(&seed, attribute);
+  HashCombine(&seed, version);
   return seed;
 }
 
@@ -30,11 +41,14 @@ size_t ProbeCache::EntryBytes(const Key& key, const RowSet& rows) {
 RowSet ProbeCache::Lookup(storage::RelationId relation,
                           storage::AttributeId attribute, uint64_t version,
                           std::string_view sample) {
-  const KeyView key{relation, attribute, version, sample};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // refresh recency
+  const KeyView key{HashOf(relation, attribute, version, sample), relation,
+                    attribute, version, sample};
+  Stripe& stripe = StripeOf(key.hash);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  auto it = stripe.entries.find(key);
+  if (it == stripe.entries.end()) return nullptr;
+  stripe.lru.splice(stripe.lru.begin(), stripe.lru,
+                    it->second.lru_it);  // refresh recency
   return it->second.rows;
 }
 
@@ -45,53 +59,62 @@ void ProbeCache::Insert(storage::RelationId relation,
   // Chaos site: a dropped memo insert. The cache is purely an accelerator,
   // so losing an insert must only cost recomputation, never correctness.
   if (MW_FAILPOINT_TRIGGERED("text.probe_cache.insert")) return;
-  Key key{relation, attribute, version, std::string(sample)};
-  const size_t bytes = EntryBytes(key, rows);
-  std::lock_guard<std::mutex> lock(mu_);
   // Chaos site: a forced full eviction (cache-pressure overflow) right
   // before this insert lands — exercises cold-probe paths under load.
+  // Every stripe is emptied, each under its own lock.
   if (MW_FAILPOINT_TRIGGERED("text.probe_cache.evict")) {
-    while (!lru_.empty()) {
-      auto victim = entries_.find(*lru_.back());
-      MW_CHECK(victim != entries_.end());
-      EvictLocked(victim);
-      ++evictions_;
+    for (size_t s = 0; s < stripe_count_; ++s) {
+      Stripe& victim = stripes_[s];
+      std::lock_guard<std::mutex> lock(victim.mu);
+      while (!victim.lru.empty()) victim.EvictOldest();
     }
   }
-  if (budget_bytes_ == 0 || bytes > budget_bytes_ / 4) {
-    ++rejected_oversize_;
+  Key key{HashOf(relation, attribute, version, sample), relation, attribute,
+          version, std::string(sample)};
+  const size_t bytes = EntryBytes(key, rows);
+  Stripe& stripe = StripeOf(key.hash);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  if (stripe_budget_ == 0 || bytes > stripe_budget_ / 4) {
+    ++stripe.rejected_oversize;
     return;
   }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) EvictLocked(it);
-  auto [slot, inserted] = entries_.emplace(std::move(key), Entry{});
+  auto it = stripe.entries.find(key);
+  if (it != stripe.entries.end()) stripe.Evict(it);
+  auto [slot, inserted] = stripe.entries.emplace(std::move(key), Entry{});
   MW_CHECK(inserted);
-  lru_.push_front(&slot->first);
+  stripe.lru.push_front(&slot->first);
   slot->second.rows = std::move(rows);
   slot->second.bytes = bytes;
-  slot->second.lru_it = lru_.begin();
-  bytes_used_ += bytes;
-  while (bytes_used_ > budget_bytes_ && lru_.size() > 1) {
-    auto victim = entries_.find(*lru_.back());
-    MW_CHECK(victim != entries_.end());
-    EvictLocked(victim);
-    ++evictions_;
+  slot->second.lru_it = stripe.lru.begin();
+  stripe.bytes_used += bytes;
+  while (stripe.bytes_used > stripe_budget_ && stripe.lru.size() > 1) {
+    stripe.EvictOldest();
   }
 }
 
-void ProbeCache::EvictLocked(EntryMap::iterator it) {
-  bytes_used_ -= it->second.bytes;
-  lru_.erase(it->second.lru_it);
-  entries_.erase(it);
+void ProbeCache::Stripe::Evict(EntryMap::iterator it) {
+  bytes_used -= it->second.bytes;
+  lru.erase(it->second.lru_it);
+  entries.erase(it);
+}
+
+void ProbeCache::Stripe::EvictOldest() {
+  auto victim = entries.find(*lru.back());
+  MW_CHECK(victim != entries.end());
+  Evict(victim);
+  ++evictions;
 }
 
 ProbeCache::Stats ProbeCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Stats s;
-  s.entries = entries_.size();
-  s.bytes_used = bytes_used_;
-  s.evictions = evictions_;
-  s.rejected_oversize = rejected_oversize_;
+  for (size_t i = 0; i < stripe_count_; ++i) {
+    const Stripe& stripe = stripes_[i];
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    s.entries += stripe.entries.size();
+    s.bytes_used += stripe.bytes_used;
+    s.evictions += stripe.evictions;
+    s.rejected_oversize += stripe.rejected_oversize;
+  }
   return s;
 }
 

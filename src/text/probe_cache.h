@@ -12,7 +12,14 @@
 //  * the engine never inserts punctuation-only fallback results (they are
 //    all_rows_-sized and recomputing them is a trivial copy anyway);
 //  * the cache itself rejects any single entry larger than a quarter of
-//    the budget.
+//    its stripe's budget.
+//
+// Every worker's probes go through one engine's memo, so the memo is split
+// into S lock stripes chosen by key hash: S = clamp(budget / 512 KiB, 1, 16)
+// is fixed by the budget (16 at the default 8 MiB). Each stripe is an exact
+// LRU over budget / S bytes, so the summed footprint stays within the
+// budget, and S = 1 (any budget under 1 MiB) is a single LRU over the whole
+// budget.
 #ifndef MWEAVER_TEXT_PROBE_CACHE_H_
 #define MWEAVER_TEXT_PROBE_CACHE_H_
 
@@ -36,7 +43,8 @@ using RowSet = std::shared_ptr<const std::vector<storage::RowId>>;
 /// \brief The canonical empty row set (never null).
 const RowSet& EmptyRowSet();
 
-/// \brief Thread-safe byte-bounded LRU memo of verified probe results.
+/// \brief Thread-safe byte-bounded LRU memo of verified probe results,
+/// split into lock stripes (see the file comment).
 class ProbeCache {
  public:
   struct Stats {
@@ -46,36 +54,46 @@ class ProbeCache {
     uint64_t rejected_oversize = 0;
   };
 
+  /// One stripe per this many budget bytes, at most kMaxStripes.
+  static constexpr size_t kStripeBytes = size_t{512} << 10;
+  static constexpr size_t kMaxStripes = 16;
+
   /// \brief `budget_bytes` caps the summed entry footprints (0 disables
   /// caching entirely: every Lookup misses, every Insert is dropped).
-  explicit ProbeCache(size_t budget_bytes) : budget_bytes_(budget_bytes) {}
+  explicit ProbeCache(size_t budget_bytes);
 
   ProbeCache(const ProbeCache&) = delete;
   ProbeCache& operator=(const ProbeCache&) = delete;
 
   /// \brief Returns the cached row set or nullptr; a hit refreshes LRU
-  /// recency. `version` is the relation's update epoch (see
-  /// FullTextEngine::relation_version): an entry cached against an older
-  /// version of the relation simply never matches again — stale results
-  /// die by construction, no sweep required, while entries for untouched
-  /// relations keep hitting.
+  /// recency within its stripe. `version` is the relation's update epoch
+  /// (see FullTextEngine::relation_version): an entry cached against an
+  /// older version of the relation simply never matches again — stale
+  /// results die by construction, no sweep required, while entries for
+  /// untouched relations keep hitting.
   RowSet Lookup(storage::RelationId relation, storage::AttributeId attribute,
                 uint64_t version, std::string_view sample);
 
-  /// \brief Inserts (replacing any stale entry), then evicts least-recently
-  /// used entries until within budget. Oversized entries (> budget/4) are
-  /// rejected outright.
+  /// \brief Inserts (replacing any stale entry), then evicts the stripe's
+  /// least-recently used entries until it is within its budget. Entries
+  /// over a quarter of the stripe budget are rejected outright.
   void Insert(storage::RelationId relation, storage::AttributeId attribute,
               uint64_t version, std::string_view sample, RowSet rows);
 
+  /// \brief The stripes' counters, summed.
   Stats stats() const;
   size_t budget_bytes() const { return budget_bytes_; }
+  size_t stripe_count() const { return stripe_count_; }
+  /// \brief The byte budget of one stripe (budget / stripe_count).
+  size_t stripe_budget_bytes() const { return stripe_budget_; }
 
  private:
   // A lookup key that borrows its sample: hashing and equality are defined
   // over this view only, so Lookup finds an entry without building the
-  // owning Key's std::string (a hit allocates nothing).
+  // owning Key's std::string (a hit allocates nothing). The hash is
+  // computed once per call: it picks the stripe and then the bucket.
   struct KeyView {
+    size_t hash;
     storage::RelationId relation;
     storage::AttributeId attribute;
     uint64_t version;
@@ -84,13 +102,14 @@ class ProbeCache {
     bool operator==(const KeyView& other) const = default;
   };
   struct Key {
+    size_t hash;
     storage::RelationId relation;
     storage::AttributeId attribute;
     uint64_t version;
     std::string sample;
 
     operator KeyView() const {  // NOLINT(google-explicit-constructor)
-      return KeyView{relation, attribute, version, sample};
+      return KeyView{hash, relation, attribute, version, sample};
     }
   };
   struct Entry {
@@ -100,7 +119,7 @@ class ProbeCache {
   };
   struct KeyHash {
     using is_transparent = void;
-    size_t operator()(const KeyView& k) const;
+    size_t operator()(const KeyView& k) const { return k.hash; }
   };
   struct KeyEq {
     using is_transparent = void;
@@ -110,18 +129,32 @@ class ProbeCache {
   };
   using EntryMap = std::unordered_map<Key, Entry, KeyHash, KeyEq>;
 
+  // One exact LRU over stripe_budget_ bytes, under its own mutex.
+  struct Stripe {
+    mutable std::mutex mu;
+    EntryMap entries;
+    // Most-recent first; points at the map's stable key storage.
+    std::list<const Key*> lru;
+    size_t bytes_used = 0;
+    uint64_t evictions = 0;
+    uint64_t rejected_oversize = 0;
+
+    // Drops `it`'s entry; caller holds mu.
+    void Evict(EntryMap::iterator it);
+    // Evicts the least-recently used entry; caller holds mu.
+    void EvictOldest();
+  };
+
+  static size_t HashOf(storage::RelationId relation,
+                       storage::AttributeId attribute, uint64_t version,
+                       std::string_view sample);
   static size_t EntryBytes(const Key& key, const RowSet& rows);
-  // Drops `it`'s entry; caller holds mu_.
-  void EvictLocked(EntryMap::iterator it);
+  Stripe& StripeOf(size_t hash) { return stripes_[hash % stripe_count_]; }
 
   const size_t budget_bytes_;
-  mutable std::mutex mu_;
-  EntryMap entries_;
-  // Most-recent first; points at the map's stable key storage.
-  std::list<const Key*> lru_;
-  size_t bytes_used_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t rejected_oversize_ = 0;
+  const size_t stripe_count_;
+  const size_t stripe_budget_;
+  const std::unique_ptr<Stripe[]> stripes_;
 };
 
 }  // namespace mweaver::text

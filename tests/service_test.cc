@@ -5,13 +5,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/failpoint.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/sample_search.h"
 #include "core/session.h"
@@ -542,6 +545,79 @@ TEST_F(ServiceTest, CachedAndFreshSearchesReturnIdenticalCandidates) {
   EXPECT_GT(snapshot.CacheHitRate(), 0.0);
 }
 
+// Readers race an inserter over more keys than the cache holds, so entries
+// are replaced and evicted while lookups copy them. Every hit must be the
+// whole result inserted under its key (Lookup copies the shared entry after
+// releasing the lock; the entry must stay intact until the copy is done).
+// Labelled tsan.
+TEST(ResultCacheTest,
+     ConcurrentLookupsDuringEvictingInsertsReturnWholeResults) {
+  constexpr size_t kCapacity = 8;
+  constexpr int kKeys = 32;
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 200;
+  const auto key = [](int k) { return "first-row-" + std::to_string(k); };
+  const auto result = [](int k) {
+    core::SearchResult r;
+    r.candidates.resize(static_cast<size_t>(k % 5) + 1);
+    for (size_t i = 0; i < r.candidates.size(); ++i) {
+      r.candidates[i].score = k * 100.0 + static_cast<double>(i);
+      r.candidates[i].support = i + static_cast<size_t>(k);
+    }
+    r.stats.num_occurrences = static_cast<size_t>(k);
+    r.stats.num_valid_mappings = r.candidates.size();
+    return r;
+  };
+  const auto whole = [&](int k, const core::SearchResult& got) {
+    const core::SearchResult want = result(k);
+    if (got.candidates.size() != want.candidates.size() ||
+        got.stats.num_occurrences != want.stats.num_occurrences ||
+        got.stats.num_valid_mappings != want.stats.num_valid_mappings) {
+      return false;
+    }
+    for (size_t i = 0; i < want.candidates.size(); ++i) {
+      if (got.candidates[i].score != want.candidates[i].score ||
+          got.candidates[i].support != want.candidates[i].support) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ResultCache cache(kCapacity);
+  for (int k = 0; k < kKeys; ++k) cache.Insert(key(k), result(k));
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(700 + static_cast<uint64_t>(r));
+      while (!done.load(std::memory_order_acquire)) {
+        const int k = static_cast<int>(rng.Index(kKeys));
+        if (std::optional<core::SearchResult> hit = cache.Lookup(key(k))) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (!whole(k, *hit)) wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  // Keep inserting (replacing resident keys and evicting others) until the
+  // readers have hit a good many times while the inserts ran, within a cap.
+  for (int round = 0;
+       round < kRounds || (hits.load() < 1000 && round < 100 * kRounds);
+       ++round) {
+    for (int k = 0; k < kKeys; ++k) {
+      const int target = (k * 7 + round) % kKeys;
+      cache.Insert(key(target), result(target));
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_EQ(cache.size(), kCapacity);
+}
+
 // --------------------------------------------------------- Backpressure --
 
 TEST_F(ServiceTest, FullQueueRejectsWithOverloadNotBlocking) {
@@ -582,6 +658,53 @@ TEST_F(ServiceTest, RequestForUnknownSessionFails) {
   RequestResult result = svc.Call(request);
   EXPECT_TRUE(result.status.IsNotFound());
   EXPECT_EQ(result.outcome, RequestOutcome::kFailed);
+}
+
+// A request admitted for a live session resolves the session's entry at
+// admission. If the session is closed before a worker runs the request, the
+// worker must still report NotFound, and count the request once, as a
+// failure of the session's tenant.
+TEST_F(ServiceTest, RequestQueuedForASessionClosedBeforeItRunsFails) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  MappingService svc(&catalog_, options);
+  const SessionId blocker = *svc.CreateSession({"Name"});
+  const SessionId doomed = *svc.CreateSession({"Name"});
+
+  // Park the only worker in the first request's completion callback.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  InputRequest request;
+  request.session_id = blocker;
+  request.value = "Avatar";
+  ASSERT_TRUE(svc.Enqueue(request, [&](RequestResult) {
+                   parked.set_value();
+                   released.wait();
+                 }).ok());
+  parked.get_future().wait();
+
+  std::promise<RequestResult> doomed_done;
+  std::future<RequestResult> doomed_result = doomed_done.get_future();
+  request.session_id = doomed;
+  ASSERT_TRUE(svc.Enqueue(request, [&](RequestResult r) {
+                   doomed_done.set_value(std::move(r));
+                 }).ok());
+  ASSERT_TRUE(svc.CloseSession(doomed).ok());
+  release.set_value();
+
+  const RequestResult result = doomed_result.get();
+  EXPECT_TRUE(result.status.IsNotFound()) << result.status;
+  EXPECT_EQ(result.outcome, RequestOutcome::kFailed);
+  const MetricsSnapshot tenant =
+      svc.PerTenantMetrics().at(std::string(kDefaultTenant));
+  EXPECT_EQ(tenant.requests_ok, 1u);
+  EXPECT_EQ(tenant.requests_failed, 1u);
+  EXPECT_EQ(tenant.TotalRequests(), 2u);
+  EXPECT_EQ(svc.UnattributedMetrics().TotalRequests(), 0u);
+  // The closed session stays closed: a later request never reaches it.
+  EXPECT_TRUE(svc.Call(request).status.IsNotFound());
+  EXPECT_EQ(svc.UnattributedMetrics().requests_failed, 1u);
 }
 
 TEST_F(ServiceTest, EndToEndConvergenceThroughTheService) {

@@ -568,7 +568,10 @@ TEST_P(StreamingConcurrencyTest, PinnedReadersStableUnderUpdateChurn) {
   TenantWriter writer(&catalog);
   Rng rng(4242);
   size_t applied_count = 0;
-  for (size_t step = 0; step < 30; ++step) {
+  // 30 steps, and more while no reader has finished an iteration (a
+  // scheduler may park the readers through the first 30), within a cap.
+  for (size_t step = 0;
+       step < 30 || (reader_iterations.load() == 0 && step < 300); ++step) {
     const SnapshotPtr before = catalog.Pin(kTenant).ValueOrDie();
     if (step % 10 == 9) {
       // Occasional full publish: epoch churn layered on update churn.

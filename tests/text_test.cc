@@ -614,6 +614,94 @@ TEST(ProbeCacheTest, ConcurrentLookupsDuringEvictingInsertsReturnInsertedRows) {
   EXPECT_LE(stats.bytes_used, 1800u);
 }
 
+TEST(ProbeCacheTest, StripeCountIsFixedByTheBudget) {
+  EXPECT_EQ(ProbeCache(0).stripe_count(), 1u);
+  EXPECT_EQ(ProbeCache(760).stripe_count(), 1u);
+  EXPECT_EQ(ProbeCache((1 << 20) - 1).stripe_count(), 1u);
+  EXPECT_EQ(ProbeCache(1 << 20).stripe_count(), 2u);
+  EXPECT_EQ(ProbeCache(3 << 19).stripe_count(), 3u);
+  EXPECT_EQ(ProbeCache(8 << 20).stripe_count(), 16u);
+  EXPECT_EQ(ProbeCache(64 << 20).stripe_count(), 16u);
+  const ProbeCache at_one(760);
+  EXPECT_EQ(at_one.stripe_budget_bytes(), 760u);
+}
+
+// The default 8 MiB budget gives 16 stripes of 512 KiB. Readers race
+// inserts of 16-33 KB entries over keys worth about 1.5x the budget, so
+// every stripe evicts while it is read. Every hit must be exactly its key's
+// rows, and the stripes together must stay within the budget. Labelled
+// tsan.
+TEST(ProbeCacheTest, StripedLookupsDuringEvictingInsertsReturnInsertedRows) {
+  constexpr size_t kBudget = size_t{8} << 20;
+  constexpr int kKeys = 512;
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 3;
+  ProbeCache cache(kBudget);
+  ASSERT_EQ(cache.stripe_count(), 16u);
+  const size_t entry_cap = cache.stripe_budget_bytes() / 4;
+  ASSERT_EQ(entry_cap, size_t{128} << 10);
+
+  // An entry over a quarter of its stripe's budget is rejected although it
+  // is far under a quarter of the whole budget; one exactly at the cap is
+  // kept. EntryBytes = sample (8 bytes) + 8 per row + 96.
+  const std::string edge = "edge1234";
+  const size_t rows_at_cap = (entry_cap - edge.size() - 96) / 8;
+  ASSERT_EQ(edge.size() + rows_at_cap * 8 + 96, entry_cap);
+  cache.Insert(0, 0, 0, edge,
+               MakeRows(std::vector<storage::RowId>(rows_at_cap + 1, 1)));
+  EXPECT_EQ(cache.Lookup(0, 0, 0, edge), nullptr);
+  EXPECT_EQ(cache.stats().rejected_oversize, 1u);
+  cache.Insert(0, 0, 0, edge,
+               MakeRows(std::vector<storage::RowId>(rows_at_cap, 1)));
+  ASSERT_NE(cache.Lookup(0, 0, 0, edge), nullptr);
+  EXPECT_EQ(cache.Lookup(0, 0, 0, edge)->size(), rows_at_cap);
+
+  const auto key = [](int k) { return "striped-sample-" + std::to_string(k); };
+  const auto rows = [](int k) {
+    std::vector<storage::RowId> ids(2000 + static_cast<size_t>(k % 7) * 300);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<storage::RowId>(static_cast<size_t>(k) * 5 + i);
+    }
+    return ids;
+  };
+  const auto insert = [&](int k) {
+    cache.Insert(0, 0, 0, key(k), MakeRows(rows(k)));
+  };
+  for (int k = 0; k < kKeys; ++k) insert(k);  // readers hit from the start
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(1900 + static_cast<uint64_t>(r));
+      while (!done.load(std::memory_order_acquire)) {
+        const int k = static_cast<int>(rng.Index(kKeys));
+        const std::string sample = key(k);
+        if (const RowSet hit = cache.Lookup(0, 0, 0, sample)) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (*hit != rows(k)) wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  // As above: keep inserting until the readers have hit a good many times
+  // while the inserts ran, within a cap.
+  for (int round = 0;
+       round < kRounds || (hits.load() < 1000 && round < 100 * kRounds);
+       ++round) {
+    for (int k = 0; k < kKeys; ++k) insert((k * 5 + round) % kKeys);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  const ProbeCache::Stats stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes_used, kBudget);
+  EXPECT_EQ(stats.rejected_oversize, 1u);
+}
+
 // -------------------------------------------------------- FullTextEngine --
 
 TEST(FullTextEngineTest, FindOccurrencesLikePaperExample) {
