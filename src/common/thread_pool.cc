@@ -29,11 +29,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tasks_.size();
-}
-
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool* pool = new ThreadPool(
       std::max<size_t>(2, std::thread::hardware_concurrency()));

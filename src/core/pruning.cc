@@ -1,5 +1,6 @@
 #include "core/pruning.h"
 
+#include <span>
 #include <utility>
 
 #include "common/result.h"
@@ -28,14 +29,20 @@ size_t CompactDropped(std::vector<CandidateMapping>* candidates,
 size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
                         const std::string& sample,
                         std::vector<CandidateMapping>* candidates,
-                        ExecutionContext* ctx) {
+                        ExecutionContext* ctx,
+                        std::vector<query::LocatedRows>* row_located) {
   // drop[i] set => candidate i was examined and disproven (or malformed).
   // Unexamined candidates — the deadline/cancel fired before their probe —
   // keep their zero: a stop may only leave extra candidates, never remove
   // valid ones. A pre-expired deadline therefore costs zero probes.
   std::vector<unsigned char> drop(candidates->size(), 0);
-  // Each attribute's rows, probed when a candidate first needs them.
-  std::vector<query::LocatedRows> probed;
+  // Each attribute's rows, probed when a candidate first needs them. The
+  // caller's row holds no rows for this column, so only this call's own
+  // probes, appended from `first` on, are searched.
+  std::vector<query::LocatedRows> pass_rows;
+  std::vector<query::LocatedRows>& probed =
+      row_located != nullptr ? *row_located : pass_rows;
+  const size_t first = probed.size();
   for (size_t i = 0; i < candidates->size(); ++i) {
     const CandidateMapping& cand = (*candidates)[i];
     const Projection* p = cand.mapping.FindProjection(target_column);
@@ -46,8 +53,8 @@ size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
     if (ctx != nullptr && ctx->ShouldStop()) continue;
     const text::AttributeRef attr{cand.mapping.vertex(p->vertex).relation,
                                   p->attribute};
-    const query::LocatedRows* rows =
-        query::FindLocated(probed, target_column, attr);
+    const query::LocatedRows* rows = query::FindLocated(
+        std::span(probed).subspan(first), target_column, attr);
     if (rows == nullptr) {
       probed.push_back(query::LocatedRows{
           target_column, attr,
@@ -64,16 +71,20 @@ size_t PruneByAttribute(const text::FullTextEngine& engine, int target_column,
 Status PruneByStructure(const query::PathExecutor& executor,
                         const query::SampleMap& row_samples,
                         std::vector<CandidateMapping>* candidates,
-                        size_t* num_pruned, ExecutionContext* ctx) {
+                        size_t* num_pruned, ExecutionContext* ctx,
+                        std::vector<query::LocatedRows>* row_located) {
   std::vector<unsigned char> drop(candidates->size(), 0);
-  // Rows of every (column, attribute) a support query has probed so far:
+  // Rows of every (column, attribute) resolved so far, by the caller's
+  // earlier passes over the row or an earlier support query of this one:
   // later queries take them instead of probing again.
-  std::vector<query::LocatedRows> probed;
+  std::vector<query::LocatedRows> pass_rows;
+  std::vector<query::LocatedRows>* probed =
+      row_located != nullptr ? row_located : &pass_rows;
   for (size_t i = 0; i < candidates->size(); ++i) {
     if (ctx != nullptr && ctx->ShouldStop()) continue;  // unexamined: keep
     MW_ASSIGN_OR_RETURN(const bool supported,
                         executor.HasSupport((*candidates)[i].mapping,
-                                            row_samples, ctx, &probed));
+                                            row_samples, ctx, probed));
     // A query cut off mid-enumeration reports false for support it did
     // not get to find — that is "unexamined", not "disproven", so the
     // candidate stays.

@@ -73,6 +73,12 @@ Status Session::Input(size_t row, size_t col, std::string value) {
     grid_.resize(row + 1, std::vector<std::string>(column_names_.size()));
   }
   grid_[row][col] = value;
+  // The column's located rows were for the value this write replaced.
+  if (row == located_row_) {
+    std::erase_if(located_, [col](const query::LocatedRows& entry) {
+      return entry.target_column == static_cast<int>(col);
+    });
+  }
   if (value.empty()) return Status::OK();  // cleared cells carry no signal
 
   if (row == 0) {
@@ -100,6 +106,8 @@ Status Session::RenameColumn(size_t col, std::string name) {
 void Session::Reset() {
   grid_.clear();
   candidates_.clear();
+  located_.clear();
+  located_row_ = 0;
   searched_ = false;
   // A rejection from before the Reset() is not an event of the new
   // interaction; leaving it set reports a phantom rejection.
@@ -148,9 +156,16 @@ Status Session::RunPruning(size_t row, size_t col, const std::string& value) {
   ExecutionContext::StageSpan span = context_.TraceStage(SearchStage::kPrune);
   span.AddItems(candidates_.size());
 
+  // A pass over another row starts its located rows afresh; within the row
+  // Input() dropped only the new sample's column.
+  if (row != located_row_) {
+    located_.clear();
+    located_row_ = row;
+  }
+
   // Pruning by attribute always applies to the newly typed sample.
   PruneByAttribute(*engine_, static_cast<int>(col), value, &candidates_,
-                   &context_);
+                   &context_, &located_);
 
   // Pruning by mapping structure applies when the row carries more than one
   // sample (Section 5).
@@ -163,7 +178,7 @@ Status Session::RunPruning(size_t row, size_t col, const std::string& value) {
   if (!candidates_.empty() && row_samples.size() >= 2) {
     query::PathExecutor executor(engine_);
     MW_RETURN_NOT_OK(PruneByStructure(executor, row_samples, &candidates_,
-                                      nullptr, &context_));
+                                      nullptr, &context_, &located_));
   }
   span.Finish();
 

@@ -156,6 +156,15 @@ class Session {
   bool searched_ = false;
   SessionState state_ = SessionState::kAwaitingFirstRow;
   std::vector<CandidateMapping> candidates_;
+  /// The rows located for the samples of grid row `located_row_` (0 =
+  /// none: the first row is searched, never pruned), shared by every
+  /// pruning pass over that row so each (column, attribute) is probed
+  /// once per sample. A column's entries are for the value Input() last
+  /// wrote to its cell; a pass reads only the columns holding a sample.
+  /// The engine is the session's own pinned, immutable one, so these are
+  /// the rows a probe would return.
+  std::vector<query::LocatedRows> located_;
+  size_t located_row_ = 0;
   SearchStats search_stats_;
   double last_search_ms_ = 0.0;
   double last_prune_ms_ = 0.0;

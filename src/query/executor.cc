@@ -430,10 +430,10 @@ Result<std::string> PathExecutor::Explain(const core::MappingPath& mapping,
 
 Result<bool> PathExecutor::HasSupport(
     const core::MappingPath& mapping, const SampleMap& samples,
-    core::ExecutionContext* ctx, std::vector<LocatedRows>* pass_rows) const {
+    core::ExecutionContext* ctx, std::vector<LocatedRows>* resolved) const {
   PlanLease plan;
   MW_RETURN_NOT_OK(BuildPlan(
-      *engine_, mapping, samples, {}, pass_rows,
+      *engine_, mapping, samples, {}, resolved,
       ctx != nullptr ? &ctx->probe_counters() : nullptr, &*plan));
   if (plan->provably_empty) return false;
   bool found = false;

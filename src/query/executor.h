@@ -44,8 +44,8 @@ using SampleMap = std::map<int, std::string>;
 /// and the sample of `target_column`. A plan takes the rows of a projection
 /// whose (column, attribute) an entry names instead of probing. Pairwise
 /// execution passes the location map's occurrence rows (Algorithm 1 probed
-/// them); a pruning pass collects the rows its support queries probed, so
-/// the pass probes each (column, attribute) once.
+/// them); pruning keeps the rows its passes probed for one spreadsheet row,
+/// so each (column, attribute) of a sample is probed once.
 struct LocatedRows {
   int target_column = -1;
   text::AttributeRef attr;
@@ -91,13 +91,13 @@ class PathExecutor {
   /// Execute's plan and enumeration (same start vertex, distinctness checks
   /// and stop polls) but stops at the first complete assignment without
   /// building a tuple path. A stopped `ctx` reports false for support not
-  /// yet found. `pass_rows` (may be null) holds rows resolved earlier for
+  /// yet found. `resolved` (may be null) holds rows resolved earlier for
   /// the same `samples`: a projection found there is not probed, and each
   /// probe the call issues is appended to it.
   Result<bool> HasSupport(const core::MappingPath& mapping,
                           const SampleMap& samples,
                           core::ExecutionContext* ctx = nullptr,
-                          std::vector<LocatedRows>* pass_rows = nullptr) const;
+                          std::vector<LocatedRows>* resolved = nullptr) const;
 
   /// \brief Human-readable EXPLAIN of the evaluation plan: start-vertex
   /// choice (most selective constraint), index-join order, candidate-set

@@ -17,10 +17,12 @@ MappingService::MappingService(catalog::Catalog* catalog,
       options_(options),
       sessions_(options.sessions),
       writer_(catalog),
-      cache_(options.cache_capacity),
-      pool_(std::make_unique<ThreadPool>(options.num_workers)) {
+      cache_(options.cache_capacity) {
   MW_CHECK(catalog != nullptr);
   MW_CHECK(options.search_parallelism <= 1) << "a search runs on one thread";
+  for (size_t i = 0; i < options.num_workers; ++i) {
+    workers_.emplace_back([this]() { WorkerLoop(); });
+  }
 }
 
 MappingService::~MappingService() {
@@ -28,10 +30,10 @@ MappingService::~MappingService() {
     std::lock_guard<std::mutex> lock(queue_mu_);
     shutdown_ = true;
   }
-  // Joining the pool first guarantees no worker is mid-DrainOne when the
-  // leftover queue is failed below (the pool discards unstarted drain
-  // tokens; their requests are exactly the leftovers).
-  pool_.reset();
+  queue_cv_.notify_all();
+  // A worker that sees `shutdown_` leaves without popping: once all have
+  // joined, what is still queued is exactly the leftovers.
+  for (std::thread& worker : workers_) worker.join();
   std::deque<QueuedRequest> leftovers;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -120,11 +122,8 @@ Status MappingService::CloseSession(SessionId id) {
 
 Status MappingService::Enqueue(InputRequest request,
                                std::function<void(RequestResult)> done) {
-  const auto now = core::SearchClock::now();
-  const std::chrono::milliseconds budget =
-      request.deadline.count() != 0 ? request.deadline
-                                    : options_.default_deadline;
   QueuedRequest queued;
+  queued.admitted = core::SearchClock::now();
   // Resolve the session before taking the queue lock: the one registry
   // lookup of this request. Its entry carries the tenant record, and the
   // worker runs the request on it directly. Unknown session: count it as
@@ -135,33 +134,21 @@ Status MappingService::Enqueue(InputRequest request,
   if (queued.metrics == nullptr) queued.metrics = metrics_.unattributed();
   queued.request = std::move(request);
   queued.done = std::move(done);
-  queued.admitted = now;
-  queued.deadline = budget.count() != 0
-                        ? now + budget
-                        : core::SearchClock::time_point::max();
   return Admit(std::move(queued));
 }
 
 Status MappingService::EnqueueUpdate(UpdateRequest request,
                                      std::function<void(RequestResult)> done) {
-  const auto now = core::SearchClock::now();
-  const std::chrono::milliseconds budget =
-      request.deadline.count() != 0 ? request.deadline
-                                    : options_.default_deadline;
   QueuedRequest queued;
-  queued.is_update = true;
+  queued.admitted = core::SearchClock::now();
   // Only published tenants get a record: an update naming an unknown
   // tenant fails NotFound in the worker and counts as unattributed, so
   // made-up names cannot grow the registry.
   queued.metrics = catalog_->CurrentEpoch(request.tenant).ok()
                        ? metrics_.ForTenant(request.tenant)
                        : metrics_.unattributed();
-  queued.update = std::move(request);
+  queued.request = std::move(request);
   queued.done = std::move(done);
-  queued.admitted = now;
-  queued.deadline = budget.count() != 0
-                        ? now + budget
-                        : core::SearchClock::time_point::max();
   return Admit(std::move(queued));
 }
 
@@ -184,6 +171,12 @@ RequestResult MappingService::ApplyUpdate(UpdateRequest request) {
 }
 
 Status MappingService::Admit(QueuedRequest queued) {
+  std::chrono::milliseconds budget = std::visit(
+      [](const auto& request) { return request.deadline; }, queued.request);
+  if (budget.count() == 0) budget = options_.default_deadline;
+  queued.deadline = budget.count() != 0
+                        ? queued.admitted + budget
+                        : core::SearchClock::time_point::max();
   const size_t tenant_cap = TenantQueueCap();
   TenantMetrics& metrics = *queued.metrics;
   {
@@ -216,7 +209,7 @@ Status MappingService::Admit(QueuedRequest queued) {
     queue_.push_back(std::move(queued));
     metrics_.RecordQueueDepth(queue_.size());
   }
-  pool_->Submit([this]() { DrainOne(); });
+  queue_cv_.notify_one();
   return Status::OK();
 }
 
@@ -251,32 +244,35 @@ size_t MappingService::EvictIdleTenants() {
   return evicted.size();
 }
 
-void MappingService::DrainOne() {
-  // Chaos site: a worker stalling between dequeue token and dispatch
-  // (scheduler hiccup, page fault storm) — eats into request deadlines.
-  (void)MW_FAILPOINT_FIRE("service.worker.dispatch");
-  QueuedRequest queued;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    // Every Submit pairs with exactly one queued request, and the pool
-    // never runs a drain token it discarded at shutdown.
-    MW_CHECK(!queue_.empty());
-    queued = std::move(queue_.front());
-    queue_.pop_front();
-    MW_CHECK(queued.metrics->queued_requests > 0);
-    --queued.metrics->queued_requests;
+void MappingService::WorkerLoop() {
+  while (true) {
+    QueuedRequest queued;
+    {
+      std::unique_lock<std::mutex> lock(queue_mu_);
+      queue_cv_.wait(lock, [this]() { return shutdown_ || !queue_.empty(); });
+      // Leave without popping: the destructor fails what is still queued.
+      if (shutdown_) return;
+      queued = std::move(queue_.front());
+      queue_.pop_front();
+      --queued.metrics->queued_requests;
+    }
+    // Chaos site: a worker stalling between dequeue and dispatch (scheduler
+    // hiccup, page fault storm) — eats into request deadlines.
+    (void)MW_FAILPOINT_FIRE("service.worker.dispatch");
+    RequestResult result = std::visit(
+        [&](const auto& request) { return Process(queued, request); },
+        queued.request);
+    // Release the session entry before the callback: a client that closes
+    // the session from `done` frees the session (its arena, its snapshot
+    // pin) at the close, before it opens the next one.
+    queued.session.reset();
+    queued.metrics->RecordRequest(result.outcome, result.latency_ms);
+    if (queued.done) queued.done(std::move(result));
   }
-  RequestResult result =
-      queued.is_update ? ProcessUpdate(queued) : Process(queued);
-  // Release the session entry before the callback: a client that closes the
-  // session from `done` frees the session (its arena, its snapshot pin) at
-  // the close, before it opens the next one.
-  queued.session.reset();
-  queued.metrics->RecordRequest(result.outcome, result.latency_ms);
-  if (queued.done) queued.done(std::move(result));
 }
 
-RequestResult MappingService::ProcessUpdate(const QueuedRequest& queued) {
+RequestResult MappingService::Process(const QueuedRequest& queued,
+                                      const UpdateRequest& request) {
   RequestResult result;
   TenantMetrics& metrics = *queued.metrics;
   const auto finish = [&](RequestOutcome outcome, Status status) {
@@ -302,14 +298,14 @@ RequestResult MappingService::ProcessUpdate(const QueuedRequest& queued) {
   }
 
   Result<catalog::UpdateResult> applied =
-      writer_.Apply(queued.update.tenant, queued.update.batch);
+      writer_.Apply(request.tenant, request.batch);
   // Same graceful degradation as searches: one retry on a transient
   // (Unavailable) failure. Apply is atomic — a failed attempt left no
   // trace — so the replay is safe.
   if (!applied.ok() && applied.status().IsUnavailable() &&
       core::SearchClock::now() < queued.deadline) {
     metrics.RecordUpdateRetry();
-    applied = writer_.Apply(queued.update.tenant, queued.update.batch);
+    applied = writer_.Apply(request.tenant, request.batch);
     if (applied.ok()) result.degraded = true;
   }
   if (!applied.ok()) {
@@ -326,7 +322,8 @@ RequestResult MappingService::ProcessUpdate(const QueuedRequest& queued) {
                 Status::OK());
 }
 
-RequestResult MappingService::Process(const QueuedRequest& queued) {
+RequestResult MappingService::Process(const QueuedRequest& queued,
+                                      const InputRequest& request) {
   RequestResult result;
   const auto finish = [&](RequestOutcome outcome, Status status) {
     result.outcome = outcome;
@@ -348,15 +345,15 @@ RequestResult MappingService::Process(const QueuedRequest& queued) {
 
   auto attempt = [&]() -> Status {
     Status status = sessions_.WithSession(
-        queued.request.session_id, queued.session,
+        request.session_id, queued.session,
         [&](core::Session& session) {
           const bool was_awaiting =
               session.state() == core::SessionState::kAwaitingFirstRow;
           // Arm the per-request deadline on the session's execution context
           // (options stay immutable — the cache keys on their fingerprint).
           session.context().set_deadline(queued.deadline);
-          Status input = session.Input(queued.request.row, queued.request.col,
-                                       queued.request.value);
+          Status input =
+              session.Input(request.row, request.col, request.value);
           session.context().clear_deadline();
           result.state = session.state();
           result.num_candidates = session.candidates().size();
@@ -375,7 +372,7 @@ RequestResult MappingService::Process(const QueuedRequest& queued) {
           // pruning pass: fold its trace (kPrune latency and probe
           // counters) into the metrics. Empty values clear cells
           // without pruning — the context still holds a stale trace then.
-          if (input.ok() && !was_awaiting && !queued.request.value.empty()) {
+          if (input.ok() && !was_awaiting && !request.value.empty()) {
             queued.metrics->RecordPruneTrace(session.context().trace());
           }
           return input;

@@ -1,7 +1,7 @@
 // MappingService: the concurrent front-end multiplexing many interactive
 // mapping sessions over a multi-tenant catalog of immutable snapshots.
 //
-//   clients --> bounded FIFO queue --> common::ThreadPool workers
+//   clients --> bounded FIFO queue --> the service's worker threads
 //                     |                     |
 //                 kOverloaded          SessionManager (per-session mutex,
 //               (explicit, never        each session pins one Snapshot)
@@ -42,12 +42,13 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <variant>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "catalog/tenant_writer.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/options.h"
 #include "core/session.h"
 #include "service/metrics.h"
@@ -61,7 +62,8 @@ namespace mweaver::service {
 inline constexpr std::string_view kDefaultTenant = "default";
 
 struct ServiceOptions {
-  /// Dedicated worker threads processing requests.
+  /// Worker threads the service starts. 0 starts none: admitted requests
+  /// stay queued until shutdown fails them.
   size_t num_workers = 4;
   /// Admission bound: Enqueue() returns kOverloaded beyond this many
   /// queued-but-unstarted requests.
@@ -234,12 +236,9 @@ class MappingService {
 
  private:
   struct QueuedRequest {
-    InputRequest request;
-    /// Set for update requests; Process() dispatches on it. The shared
-    /// queue is deliberate: updates and searches compete for the same
-    /// bounded slots and workers, so neither class dodges backpressure.
-    bool is_update = false;
-    UpdateRequest update;
+    /// The shared queue is deliberate: updates and searches compete for
+    /// the same bounded slots and workers, so neither dodges backpressure.
+    std::variant<InputRequest, UpdateRequest> request;
     std::function<void(RequestResult)> done;
     /// Search requests: the session's registry entry, resolved once at
     /// admission (null for an unknown id — Process() then reports
@@ -253,16 +252,16 @@ class MappingService {
     /// share.
     std::shared_ptr<TenantMetrics> metrics;
     core::SearchClock::time_point admitted;
-    core::SearchClock::time_point deadline;  // max() = none
+    core::SearchClock::time_point deadline;  // max() = none; set by Admit
   };
 
-  /// Shared admission: bounds, tenant share, queue push. Used by Enqueue
-  /// and EnqueueUpdate once the QueuedRequest is assembled.
+  /// Shared admission: deadline, bounds, tenant share, queue push. Used by
+  /// Enqueue and EnqueueUpdate once the QueuedRequest is assembled.
   Status Admit(QueuedRequest queued);
-  /// Pops and processes one queued request (runs on a pool worker).
-  void DrainOne();
-  RequestResult Process(const QueuedRequest& queued);
-  RequestResult ProcessUpdate(const QueuedRequest& queued);
+  /// A worker thread's body: pops and processes requests until shutdown.
+  void WorkerLoop();
+  RequestResult Process(const QueuedRequest& queued, const InputRequest&);
+  RequestResult Process(const QueuedRequest& queued, const UpdateRequest&);
   /// The caching first-row search bound to one session's pinned snapshot:
   /// keys carry the snapshot's tenant + epoch; cache lookups and search
   /// traces are counted in the tenant's `metrics`.
@@ -280,12 +279,14 @@ class MappingService {
   /// Guards the queue, `shutdown_`, and every TenantMetrics record's
   /// queued-request count (the admission shares).
   std::mutex queue_mu_;
+  /// Workers wait here for a queued request or shutdown.
+  std::condition_variable queue_cv_;
   std::deque<QueuedRequest> queue_;
   bool shutdown_ = false;
 
   // Last: workers must start after (and be joined before) everything they
   // touch.
-  std::unique_ptr<ThreadPool> pool_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace mweaver::service

@@ -311,18 +311,6 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   EXPECT_EQ(done.load(), n);
 }
 
-TEST(ThreadPoolTest, ZeroThreadPoolQueuesWithoutRunning) {
-  std::atomic<bool> ran{false};
-  {
-    ThreadPool pool(0);
-    pool.Submit([&]() { ran.store(true); });
-    EXPECT_EQ(pool.num_threads(), 0u);
-    EXPECT_EQ(pool.queue_depth(), 1u);
-  }
-  // Destruction discards the never-started task.
-  EXPECT_FALSE(ran.load());
-}
-
 TEST(ThreadPoolTest, SharedPoolHasWorkers) {
   EXPECT_GE(ThreadPool::Shared().num_threads(), 2u);
 }

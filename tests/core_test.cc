@@ -592,6 +592,35 @@ TEST_F(CoreTest, SessionEmptyCellIsIgnored) {
   EXPECT_EQ(session.cell(0, 0), "");
 }
 
+// A session keeps the rows located for the samples of the row it prunes:
+// typing the k-th sample of a row probes only the new sample's attributes
+// (one here: every candidate projects the titles from movie.title and the
+// names from person.name), and the structure pass re-probes none of the
+// row's earlier samples. An overwritten cell is probed afresh; a pass over
+// another row starts over.
+TEST_F(CoreTest, SessionProbesEachSampleOfARowOnce) {
+  Session session(&engine_, &graph_, {"Name", "Director", "Writer"});
+  ASSERT_TRUE(session.Input(0, 0, "Avatar").ok());
+  ASSERT_TRUE(session.Input(0, 1, "James Cameron").ok());
+  ASSERT_TRUE(session.Input(0, 2, "James Cameron").ok());
+  ASSERT_GT(session.candidates().size(), 1u);
+  const auto probes_of = [&](size_t row, size_t col, const char* value) {
+    EXPECT_TRUE(session.Input(row, col, value).ok());
+    EXPECT_FALSE(session.candidates().empty()) << value;
+    return session.context().trace().text_probes.probes;
+  };
+  EXPECT_EQ(probes_of(1, 0, "Big Fish"), 1u);
+  EXPECT_EQ(probes_of(1, 1, "Tim"), 1u);
+  EXPECT_EQ(probes_of(1, 1, "Tim Burton"), 1u);  // overwrite
+  ASSERT_TRUE(session.Input(1, 2, "").ok());     // clearing runs no pass
+  EXPECT_EQ(probes_of(1, 2, "John August"), 1u);
+  EXPECT_EQ(probes_of(2, 0, "Harry Potter"), 1u);
+  EXPECT_EQ(probes_of(2, 1, "David Yates"), 1u);
+  // Back in row 1: its other two samples are probed again, once each.
+  EXPECT_EQ(probes_of(1, 2, "August"), 3u);
+  EXPECT_TRUE(session.converged());
+}
+
 // ------------------------------------------------------- ExecutionContext --
 
 // Counting fake clock for the throttle contract (NowFn is a plain function

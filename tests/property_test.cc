@@ -12,7 +12,10 @@
 //   3. The pruning passes, which share one probe per (column, attribute)
 //      and answer support queries without building tuple paths, keep
 //      exactly the candidates of the per-candidate reference loop in
-//      reference_prune.h after every keystroke.
+//      reference_prune.h after every keystroke. A session, which keeps the
+//      located rows of the spreadsheet row it prunes across keystrokes,
+//      keeps exactly the candidates of pass-local pruning through seeded
+//      scripts of overwrites, cleared cells, row switches and resets.
 //   4. The accelerated text lookup equals the frozen linear-scan reference
 //      row-for-row even while fault injection randomly forces scan
 //      fallbacks and evicts/drops probe-memo entries mid-stream: cache
@@ -40,6 +43,7 @@
 #include "core/pruning.h"
 #include "core/ranking.h"
 #include "core/sample_search.h"
+#include "core/session.h"
 #include "core/weaver.h"
 #include "datagen/movie_gen.h"
 #include "datagen/workload.h"
@@ -490,6 +494,218 @@ TEST(PruneReferenceEquivalenceProperty, MovieTaskReplayScripts) {
   EXPECT_GT(coverage.pruned, 0u);
   EXPECT_GT(coverage.probes_saved, 0u);
   EXPECT_GT(coverage.multi_attribute_keystrokes, 0u);
+}
+
+// ------------- Row-scoped located rows == pass-local pruning ---------------
+
+// What one row-reuse corpus exercised.
+struct RowReuseCoverage {
+  size_t overwrites = 0;    // a non-empty cell retyped with another value
+  size_t clears = 0;        // a non-empty cell cleared
+  size_t row_switches = 0;  // a pruning keystroke in another row than the last
+  size_t resets = 0;
+  size_t rejections = 0;
+  size_t probes_saved = 0;  // reference probes - session probes
+};
+
+// The reference for core::Session's row-scoped located rows: the same
+// grid, cleared-cell and irrelevant-sample rules, but every keystroke prunes
+// with pass-local rows (the passes' null argument).
+class PassLocalPruner {
+ public:
+  PassLocalPruner(const text::FullTextEngine* engine, size_t num_columns,
+                  bool reject_irrelevant)
+      : engine_(engine),
+        executor_(engine),
+        num_columns_(num_columns),
+        reject_irrelevant_(reject_irrelevant) {}
+
+  // Starts over from a first-row search's candidates.
+  void Restart(std::vector<core::CandidateMapping> candidates) {
+    grid_.clear();
+    candidates_ = std::move(candidates);
+  }
+
+  // Types one cell below the first row; returns the probes it issued.
+  uint64_t Input(size_t row, size_t col, const std::string& value) {
+    if (row >= grid_.size()) {
+      grid_.resize(row + 1, std::vector<std::string>(num_columns_));
+    }
+    grid_[row][col] = value;
+    if (value.empty()) return 0;
+    std::vector<core::CandidateMapping> snapshot;
+    if (reject_irrelevant_) snapshot = candidates_;
+    core::ExecutionContext ctx;
+    core::PruneByAttribute(*engine_, static_cast<int>(col), value,
+                           &candidates_, &ctx);
+    query::SampleMap row_samples;
+    for (size_t c = 0; c < num_columns_; ++c) {
+      if (!grid_[row][c].empty()) {
+        row_samples.emplace(static_cast<int>(c), grid_[row][c]);
+      }
+    }
+    if (!candidates_.empty() && row_samples.size() >= 2) {
+      EXPECT_TRUE(core::PruneByStructure(executor_, row_samples, &candidates_,
+                                         nullptr, &ctx)
+                      .ok());
+    }
+    if (reject_irrelevant_ && candidates_.empty() && !snapshot.empty()) {
+      candidates_ = std::move(snapshot);
+      grid_[row][col].clear();
+    }
+    return ctx.probe_counters().Snapshot().probes;
+  }
+
+  const std::vector<core::CandidateMapping>& candidates() const {
+    return candidates_;
+  }
+  const std::string& cell(size_t row, size_t col) const {
+    return grid_[row][col];
+  }
+
+ private:
+  const text::FullTextEngine* engine_;
+  const query::PathExecutor executor_;
+  const size_t num_columns_;
+  const bool reject_irrelevant_;
+  std::vector<std::vector<std::string>> grid_;
+  std::vector<core::CandidateMapping> candidates_;
+};
+
+// Drives a session through a seeded keystroke script below `first_row`:
+// cells of rows 1-3 typed in random order, mostly from `target_rows` (so
+// rows are confirmed), sometimes from `stray_values` (so some disprove),
+// with overwrites of typed cells, cleared cells, switches between rows and
+// an occasional Reset() that retypes the first row. After every keystroke
+// the session's candidates equal the pass-local reference's, in order,
+// and the session never probes more than it.
+void ExpectRowReuseMatchesPassLocal(
+    const text::FullTextEngine& engine, const graph::SchemaGraph& graph,
+    const std::vector<std::string>& first_row,
+    const std::vector<std::vector<std::string>>& target_rows,
+    const std::vector<std::string>& stray_values, bool reject_irrelevant,
+    size_t keystrokes, Rng* rng, RowReuseCoverage* coverage) {
+  const size_t columns = first_row.size();
+  std::vector<std::string> names;
+  for (size_t c = 0; c < columns; ++c) names.push_back(StrFormat("c%zu", c));
+  core::Session session(&engine, &graph, names);
+  session.set_reject_irrelevant_samples(reject_irrelevant);
+  PassLocalPruner reference(&engine, columns, reject_irrelevant);
+  const auto search_first_row = [&] {
+    for (size_t c = 0; c < columns; ++c) {
+      ASSERT_TRUE(session.Input(0, c, first_row[c]).ok());
+    }
+    reference.Restart(session.candidates());
+  };
+  search_first_row();
+  size_t row = 1;
+  size_t last_pruned_row = 0;
+  for (size_t k = 0; k < keystrokes; ++k) {
+    if (rng->Bernoulli(0.03)) {
+      session.Reset();
+      search_first_row();
+      ++coverage->resets;
+      last_pruned_row = 0;
+      continue;
+    }
+    if (rng->Bernoulli(0.25)) row = 1 + rng->Index(3);
+    const size_t col = rng->Index(columns);
+    std::string value;
+    const double pick = rng->UniformDouble();
+    if (pick < 0.1) {
+      value = "";
+    } else if (pick < 0.25 && !stray_values.empty()) {
+      value = rng->Pick(stray_values);
+    } else {
+      // Row r mostly takes target row r-1's cell; any target row's cell
+      // sometimes, which overwrites a typed cell with another value.
+      const size_t target = rng->Bernoulli(0.8)
+                                ? (row - 1) % target_rows.size()
+                                : rng->Index(target_rows.size());
+      value = target_rows[target][col];
+    }
+    const std::string before = session.cell(row, col);
+    SCOPED_TRACE(StrFormat("keystroke %zu: (%zu, %zu) '%s' over '%s'", k, row,
+                           col, value.c_str(), before.c_str()));
+    ASSERT_TRUE(session.Input(row, col, value).ok());
+    const uint64_t reference_probes = reference.Input(row, col, value);
+    ASSERT_EQ(SerializeCandidates(session.candidates()),
+              SerializeCandidates(reference.candidates()));
+    ASSERT_EQ(session.cell(row, col), reference.cell(row, col));
+    if (!before.empty() && value.empty()) ++coverage->clears;
+    if (!before.empty() && !value.empty() && value != before) {
+      ++coverage->overwrites;
+    }
+    if (value.empty()) continue;
+    if (last_pruned_row != 0 && row != last_pruned_row) {
+      ++coverage->row_switches;
+    }
+    last_pruned_row = row;
+    if (session.last_input_rejected()) ++coverage->rejections;
+    const uint64_t probes = session.context().trace().text_probes.probes;
+    EXPECT_LE(probes, reference_probes);
+    coverage->probes_saved += reference_probes - probes;
+  }
+}
+
+// Figure 2 and the weave corpus's random FK databases, half of them with
+// irrelevant-sample rejection on. The target rows are two of the
+// top-ranked candidate's and two of the last one's; the stray values are
+// random cells of the database.
+TEST(RowReusePruningProperty, EqualsPassLocalPruningAfterEveryKeystroke) {
+  RowReuseCoverage coverage;
+  {
+    SCOPED_TRACE("figure 2");
+    const storage::Database db = testing::MakeFigure2Db();
+    const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+    const graph::SchemaGraph graph(&db);
+    const std::vector<std::vector<std::string>> target_rows = {
+        {"Harry Potter", "David Yates"},
+        {"Big Fish", "Tim Burton"},
+        {"Harry Potter", "J. K. Rowling"},
+        {"Big Fish", "John August"}};
+    for (int seed = 0; seed < 8; ++seed) {
+      Rng rng(62'000 + static_cast<uint64_t>(seed));
+      ExpectRowReuseMatchesPassLocal(engine, graph, {"Avatar", "James Cameron"},
+                                     target_rows, {"Avatar", "Tim", "Fish"},
+                                     seed % 2 == 1, 60, &rng, &coverage);
+    }
+  }
+  constexpr int kDatabases = 120;
+  for (int seed = 0; seed < kDatabases; ++seed) {
+    SCOPED_TRACE("database seed " + std::to_string(seed));
+    const WideCorpusCase corpus(seed);
+    auto search =
+        core::SampleSearch(corpus.engine, corpus.graph, corpus.sample_tuple);
+    ASSERT_TRUE(search.ok()) << search.status().ToString();
+    if (search->candidates.empty()) continue;
+    const query::PathExecutor executor(&corpus.engine);
+    std::vector<std::vector<std::string>> target_rows;
+    for (const core::CandidateMapping* cand :
+         {&search->candidates.front(), &search->candidates.back()}) {
+      auto target = executor.EvaluateTarget(cand->mapping, 8);
+      ASSERT_TRUE(target.ok()) << target.status().ToString();
+      for (size_t r = 0; r < target->size() && r < 2; ++r) {
+        target_rows.push_back((*target)[target->size() - 1 - r]);
+      }
+    }
+    if (target_rows.empty()) continue;
+    Rng rng(63'000 + static_cast<uint64_t>(seed));
+    std::vector<std::string> stray_values;
+    for (int i = 0; i < 4; ++i) {
+      stray_values.push_back(RandomSearchableValue(corpus.db, &rng));
+    }
+    ExpectRowReuseMatchesPassLocal(corpus.engine, corpus.graph,
+                                   corpus.sample_tuple, target_rows,
+                                   stray_values, seed % 2 == 1, 40, &rng,
+                                   &coverage);
+  }
+  EXPECT_GT(coverage.overwrites, 0u);
+  EXPECT_GT(coverage.clears, 0u);
+  EXPECT_GT(coverage.row_switches, 0u);
+  EXPECT_GT(coverage.resets, 0u);
+  EXPECT_GT(coverage.rejections, 0u);
+  EXPECT_GT(coverage.probes_saved, 0u);
 }
 
 // ------------- Accelerated text path == scan reference under cache chaos --

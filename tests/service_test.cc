@@ -5,8 +5,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -15,7 +18,6 @@
 #include "catalog/catalog.h"
 #include "common/failpoint.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/sample_search.h"
 #include "core/session.h"
 #include "graph/schema_graph.h"
@@ -648,6 +650,110 @@ TEST_F(ServiceTest, FullQueueRejectsWithOverloadNotBlocking) {
   ASSERT_EQ(callback_statuses.size(), 2u);
   EXPECT_TRUE(callback_statuses[0].IsInternal());
   EXPECT_TRUE(callback_statuses[1].IsInternal());
+}
+
+// Shutdown mid-flight: three workers whose completion callbacks keep the
+// queue fed (each completed request enqueues a follow-up), on sessions of
+// two tenants. Destroying the service must complete every admitted request
+// exactly once, processed or failed Internal, refuse every admission from
+// then on with FailedPrecondition, and leave no tenant a queued slot.
+TEST_F(ServiceTest, ShutdownUnderLoadCompletesEveryAdmittedRequestOnce) {
+  ASSERT_TRUE(catalog_.Publish("other", testing::MakeFigure2Db()).ok());
+  ServiceOptions options;
+  options.num_workers = 3;
+  options.max_queue_depth = 64;  // never full: the population stays fixed
+  auto svc = std::make_unique<MappingService>(&catalog_, options);
+  MappingService* const service = svc.get();
+
+  std::vector<SessionId> sessions;
+  std::vector<std::shared_ptr<TenantMetrics>> records;
+  for (const std::string_view tenant :
+       {kDefaultTenant, std::string_view("other")}) {
+    for (int i = 0; i < 3; ++i) {
+      const SessionId id = *svc->CreateSession(tenant, {"Name"});
+      InputRequest first;
+      first.session_id = id;
+      first.value = "Avatar";
+      ASSERT_TRUE(svc->Call(first).status.ok());
+      sessions.push_back(id);
+    }
+    records.push_back(svc->sessions().Find(sessions.back())->metrics);
+  }
+
+  const char* const kTitles[] = {"Avatar", "Harry Potter", "Big Fish"};
+  std::mutex mu;
+  std::condition_variable progressed;
+  std::map<uint64_t, int> done_calls;  // request token -> `done` calls
+  uint64_t next_token = 0;
+  size_t processed = 0;
+  size_t shut_down = 0;
+  size_t refused = 0;
+  std::vector<std::string> unexpected;
+  // Admits one request for `sessions[token % 6]` carrying `token`; its
+  // callback records the outcome and admits a follow-up.
+  std::function<void(uint64_t)> submit = [&](uint64_t token) {
+    InputRequest request;
+    request.session_id = sessions[token % sessions.size()];
+    request.row = 1 + token % 2;
+    request.value = kTitles[token % 3];
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      done_calls[token] = 0;
+    }
+    const Status admitted =
+        service->Enqueue(request, [&, token](RequestResult result) {
+          uint64_t follow_up = 0;
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            ++done_calls[token];
+            if (result.status.ok()) {
+              ++processed;
+            } else if (result.status.IsInternal()) {
+              ++shut_down;
+            } else {
+              unexpected.push_back(result.status.ToString());
+            }
+            follow_up = next_token++;
+          }
+          progressed.notify_all();
+          submit(follow_up);
+        });
+    std::lock_guard<std::mutex> lock(mu);
+    if (admitted.ok()) return;
+    done_calls.erase(token);
+    if (admitted.IsFailedPrecondition()) {
+      ++refused;
+    } else {
+      unexpected.push_back(admitted.ToString());
+    }
+  };
+  constexpr uint64_t kInFlight = 12;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    next_token = kInFlight;
+  }
+  for (uint64_t token = 0; token < kInFlight; ++token) submit(token);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    progressed.wait(lock, [&] { return processed >= 300; });
+  }
+  svc.reset();
+
+  // No worker is left, so nothing changes below.
+  EXPECT_TRUE(unexpected.empty()) << unexpected.front();
+  for (const auto& [token, calls] : done_calls) {
+    EXPECT_EQ(calls, 1) << "request " << token;
+  }
+  EXPECT_EQ(processed + shut_down, done_calls.size());
+  // At most the three workers hold a request when shutdown starts; every
+  // other admitted request is still queued and fails Internal. Each of
+  // their callbacks (and each callback a worker finishes after shutdown)
+  // has its follow-up refused.
+  EXPECT_GE(shut_down, kInFlight - options.num_workers);
+  EXPECT_GE(refused, shut_down);
+  for (const std::shared_ptr<TenantMetrics>& record : records) {
+    EXPECT_EQ(record->queued_requests, 0u) << record->tenant();
+  }
 }
 
 TEST_F(ServiceTest, RequestForUnknownSessionFails) {
