@@ -57,7 +57,7 @@ void TimePublishPhases(const storage::Database& db, PublishPhases* phases) {
 int main() {
   constexpr std::string_view kTenant = "bench";
   const size_t movies = bench::EnvSize("MWEAVER_BENCH_MOVIES", 2000);
-  const size_t publish_reps = bench::EnvSize("MWEAVER_BENCH_REPS", 5);
+  const size_t publish_reps = bench::EnvSize("MWEAVER_BENCH_REPS", 21);
   const size_t update_reps = 50;
 
   datagen::YahooMoviesConfig config;

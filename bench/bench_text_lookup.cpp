@@ -3,10 +3,11 @@
 // shared by every attribute) vs the linear dictionary scan it replaced.
 //
 // Three sections:
-//  1. index build — engine construction time (the per-attribute builds
-//     fan out on the shared pool, then their dictionaries merge
-//     into the vocabulary), and each policy's index memory (the
-//     vocabulary holds only the candidate table its policy probes);
+//  1. index build — engine construction time (the attributes tokenize
+//     in parallel on the shared pool, then their tokens are filed into
+//     the vocabulary, which assigns the ids their postings are keyed
+//     by), and each policy's index memory (the vocabulary holds only the
+//     candidate table its policy probes);
 //  2. per-mode lookup latency — the same probe set through the vocabulary
 //     path (each sample resolved once, then candidate rows of each
 //     attribute that can hold it) and the scan reference
@@ -126,30 +127,24 @@ std::vector<mweaver::text::AttributeRef> IndexedAttrs(
   return refs;
 }
 
-struct AttrIndex {
-  mweaver::text::AttributeRef ref;
-  std::unique_ptr<mweaver::text::InvertedIndex> index;
-};
-
-// One index per attribute in `refs`, each built for `policy`, and the
-// vocabulary over them (attribute i under slot i), as an engine holds
-// them.
+// One index per attribute in `refs` (indexes[i] over refs[i]) and the
+// vocabulary they are filed into for `policy` (attribute i under slot i),
+// built as an engine builds them.
 struct IndexSet {
-  std::vector<AttrIndex> indexes;
+  std::vector<mweaver::text::AttributeRef> refs;
   mweaver::text::Vocabulary vocab;
+  std::vector<mweaver::text::InvertedIndex> indexes;
 };
 
 IndexSet BuildIndexes(const mweaver::storage::Database& db,
                       const std::vector<mweaver::text::AttributeRef>& refs,
                       const mweaver::text::MatchPolicy& policy) {
-  IndexSet set{{}, mweaver::text::Vocabulary(policy, refs.size())};
+  IndexSet set{refs, mweaver::text::Vocabulary(policy, refs.size()), {}};
+  std::vector<mweaver::text::InvertedIndex::Column> columns;
   for (const mweaver::text::AttributeRef& ref : refs) {
-    set.indexes.push_back(AttrIndex{
-        ref, std::make_unique<mweaver::text::InvertedIndex>(
-                 db.relation(ref.relation), ref.attribute, policy)});
-    set.vocab.AddIndex(*set.indexes.back().index,
-                       static_cast<uint32_t>(set.indexes.size() - 1));
+    columns.push_back({&db.relation(ref.relation), ref.attribute});
   }
+  set.indexes = mweaver::text::InvertedIndex::Build(columns, &set.vocab);
   return set;
 }
 
@@ -184,7 +179,7 @@ double Median(std::vector<double> v) {
 // pass's (one pass over the probe set, as the baseline records them).
 ModeResult RunMode(const IndexSet& set,
                    const std::vector<std::string>& samples) {
-  const std::vector<AttrIndex>& indexes = set.indexes;
+  const std::vector<mweaver::text::InvertedIndex>& indexes = set.indexes;
   ModeResult result;
   std::vector<double> fast_us;
   std::vector<double> scan_us;
@@ -199,10 +194,8 @@ ModeResult RunMode(const IndexSet& set,
       set.vocab.CandidateSlots(resolved, &slots);
       for (uint32_t slot = 0; slot < indexes.size(); ++slot) {
         if ((slots[slot >> 6] >> (slot & 63) & 1) == 0) continue;
-        fast_rows += set.vocab
-                         .CandidateRows(*indexes[slot].index, slot, resolved,
-                                        &stats)
-                         .size();
+        fast_rows +=
+            set.vocab.CandidateRows(indexes[slot], resolved, &stats).size();
       }
     }
     fast_us.push_back(watch.ElapsedMicros());
@@ -219,8 +212,8 @@ ModeResult RunMode(const IndexSet& set,
     watch.Restart();
     size_t scan_rows = 0;
     for (const std::string& sample : samples) {
-      for (const AttrIndex& attr : indexes) {
-        scan_rows += attr.index->ScanCandidateRows(sample).size();
+      for (const mweaver::text::InvertedIndex& index : indexes) {
+        scan_rows += index.ScanCandidateRows(set.vocab, sample).size();
       }
     }
     scan_us.push_back(watch.ElapsedMicros());
@@ -254,17 +247,19 @@ size_t CheckOccurrences(const mweaver::storage::Database& db,
         engine.FindOccurrences(sample);
     size_t next = 0;
     bool same = true;
-    for (const AttrIndex& attr : set.indexes) {
-      const auto& rel = db.relation(attr.ref.relation);
+    for (size_t i = 0; i < set.indexes.size(); ++i) {
+      const mweaver::text::AttributeRef& ref = set.refs[i];
+      const auto& rel = db.relation(ref.relation);
       std::vector<mweaver::storage::RowId> rows;
-      for (const auto row : attr.index->ScanCandidateRows(sample)) {
-        if (NoisyContains(rel.at(row, attr.ref.attribute).ToDisplayString(),
+      for (const auto row :
+           set.indexes[i].ScanCandidateRows(set.vocab, sample)) {
+        if (NoisyContains(rel.at(row, ref.attribute).ToDisplayString(),
                           sample, set.vocab.policy())) {
           rows.push_back(row);
         }
       }
       if (rows.empty()) continue;
-      same = same && next < found.size() && found[next].attr == attr.ref &&
+      same = same && next < found.size() && found[next].attr == ref &&
              *found[next].rows == rows;
       ++next;
     }
@@ -417,24 +412,27 @@ int main(int argc, char** argv) {
   if (mismatches > 0) return 1;
 
   // The sublinear claim lives where the dictionary is big: the linear scan
-  // is O(|dict|) per query token, so restrict the probe set to the largest
-  // attribute dictionary and draw samples from its own values.
+  // is O(|dict|) per query token, so restrict the probe set to the
+  // attribute whose index holds the most tokens and draw samples from its
+  // own values.
   const IndexSet dictionaries =
       BuildIndexes(db, all_attrs, text::MatchPolicy::Exact());
-  const AttrIndex* largest = &dictionaries.indexes.front();
-  for (const AttrIndex& attr : dictionaries.indexes) {
-    if (attr.index->num_tokens() > largest->index->num_tokens()) {
-      largest = &attr;
+  size_t largest = 0;
+  for (size_t i = 0; i < dictionaries.indexes.size(); ++i) {
+    if (dictionaries.indexes[i].num_tokens() >
+        dictionaries.indexes[largest].num_tokens()) {
+      largest = i;
     }
   }
+  const text::AttributeRef& largest_ref = dictionaries.refs[largest];
   const std::vector<std::string> big_samples =
-      MakeSamples(db, num_lookups, 23, &largest->ref);
+      MakeSamples(db, num_lookups, 23, &largest_ref);
   std::printf("\nlookup latency, largest dictionary only (%zu tokens, "
               "%zu rows):\n",
-              largest->index->num_tokens(),
-              largest->index->num_indexed_rows());
+              dictionaries.indexes[largest].num_tokens(),
+              dictionaries.indexes[largest].num_indexed_rows());
   const std::vector<ModeResult> big_results =
-      PrintModeTable(db, {largest->ref}, big_samples);
+      PrintModeTable(db, {largest_ref}, big_samples);
 
   if (!out_path.empty() || !baseline_path.empty()) {
     JsonWriter section;

@@ -175,9 +175,9 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
   }
 
   // Delta compaction: relations that accumulated enough removals get their
-  // indexes rebuilt from live rows while we still own the clones. Chaos
-  // site "text.index.delta_compact" models the rebuild failing (allocation
-  // pressure, torn source read): the whole side build is discarded.
+  // indexes compacted while we still own the clones. Chaos site
+  // "text.index.delta_compact" models the compaction failing (allocation
+  // pressure): the whole side build is discarded.
   for (const storage::RelationId rel : touched) {
     if (engine->MaxRemovedRows(rel) < options_.compact_removed_rows_threshold) {
       continue;

@@ -61,7 +61,7 @@ struct UpdateResult {
   std::vector<storage::RowId> inserted_rows;
   size_t rows_inserted = 0;
   size_t rows_deleted = 0;
-  /// Relations whose indexes were rebuilt by the delta-compaction policy.
+  /// Relations whose indexes the delta-compaction policy compacted.
   size_t relations_compacted = 0;
   /// Perfbench only; ROADMAP item 11 deletes. Always 1: the tenant's one
   /// index set.
@@ -70,9 +70,9 @@ struct UpdateResult {
 
 struct TenantWriterOptions {
   /// A touched relation whose largest per-index removed-row count reaches
-  /// this threshold gets its indexes rebuilt from live rows during the
-  /// batch, reclaiming posting-list and dictionary garbage. 0 compacts on
-  /// every delete-carrying batch.
+  /// this threshold gets its indexes compacted during the batch, dropping
+  /// the tokens whose postings removals emptied out. 0 compacts every
+  /// touched relation on every batch.
   size_t compact_removed_rows_threshold = 1024;
 };
 

@@ -4,11 +4,9 @@
 #include <bit>
 #include <optional>
 
-#include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/parallel.h"
-#include "common/thread_pool.h"
 #include "text/numeric.h"
+#include "text/tokenizer.h"
 
 namespace mweaver::text {
 
@@ -46,6 +44,7 @@ FullTextEngine::FullTextEngine(const storage::Database* db, MatchPolicy policy,
   policy_ = policy;
   probe_cache_ = std::make_shared<ProbeCache>(options.probe_cache_bytes);
   rel_versions_.assign(db->num_relations(), 0);
+  std::vector<InvertedIndex::Column> columns;  // the indexed attributes
   for (size_t r = 0; r < db->num_relations(); ++r) {
     const storage::RelationId rel_id = static_cast<storage::RelationId>(r);
     const storage::Relation& rel = db->relation(rel_id);
@@ -56,6 +55,7 @@ FullTextEngine::FullTextEngine(const storage::Database* db, MatchPolicy policy,
       const AttributeRef ref{rel_id, static_cast<storage::AttributeId>(a)};
       if (attr_schema.type == storage::ValueType::kString) {
         indexed_attrs_.push_back(ref);
+        columns.push_back({&rel, ref.attribute});
       } else if (attr_schema.type == storage::ValueType::kInt64 ||
                  attr_schema.type == storage::ValueType::kDouble) {
         numeric_attrs_.push_back(ref);
@@ -70,23 +70,9 @@ FullTextEngine::FullTextEngine(const storage::Database* db, MatchPolicy policy,
         static_cast<int>(indexed_attrs_.size() + i);
   }
 
-  // Every attribute's index build is independent; fan them out on the
-  // shared pool.
-  const size_t attrs = indexed_attrs_.size();
-  indexes_.resize(attrs);
-  ParallelFor(attrs, ThreadPool::Shared().num_threads(), [&](size_t i) {
-    // Chaos site: latency spikes during the parallel index build (builds
-    // cannot fail, so only kDelay is meaningful here).
-    (void)MW_FAILPOINT_FIRE("text.index.build");
-    const AttributeRef& ref = indexed_attrs_[i];
-    indexes_[i] = std::make_shared<InvertedIndex>(
-        db_->relation(ref.relation), ref.attribute, policy_);
-  });
-  // Merge the dictionaries slot by slot, so every token's slot list is
-  // appended in order.
-  vocab_ = std::make_shared<Vocabulary>(policy_, attrs);
-  for (size_t i = 0; i < attrs; ++i) {
-    vocab_->AddIndex(*indexes_[i], static_cast<uint32_t>(i));
+  vocab_ = std::make_shared<Vocabulary>(policy_, columns.size());
+  for (InvertedIndex& index : InvertedIndex::Build(columns, vocab_.get())) {
+    indexes_.push_back(std::make_shared<InvertedIndex>(std::move(index)));
   }
 }
 
@@ -103,7 +89,7 @@ std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
   delta->slot_of_attr_ = slot_of_attr_;
   delta->rel_versions_ = rel_versions_;
   delta->probe_cache_ = probe_cache_;  // shared; versions fence staleness
-  delta->vocab_ = vocab_;              // shared until FileToken copies it
+  delta->vocab_ = vocab_;              // shared until ApplyRow copies it
   delta->indexes_ = indexes_;
   delta->delta_ = true;
   for (size_t i = 0; i < indexes_.size(); ++i) {
@@ -125,39 +111,46 @@ void FullTextEngine::CheckDelta() const {
 
 void FullTextEngine::ApplyRowInsert(storage::RelationId relation,
                                     storage::RowId row) {
-  CheckDelta();
-  const storage::Relation& rel = db_->relation(relation);
-  for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-    if (indexed_attrs_[i].relation != relation) continue;
-    InvertedIndex& index = *indexes_[i];
-    const size_t known = index.num_tokens();
-    index.AddRow(row, rel.at(row, indexed_attrs_[i].attribute));
-    // Only a token new to this index can be a (token, slot) pair new to
-    // the vocabulary: it already holds every one the index had.
-    for (size_t t = known; t < index.num_tokens(); ++t) {
-      FileToken(index.tokens()[t], static_cast<uint32_t>(i));
-    }
-  }
-}
-
-void FullTextEngine::FileToken(const std::string& token, uint32_t slot) {
-  if (vocab_->Holds(token, slot)) return;
-  if (!vocab_owned_) {
-    // The base engine (and every engine sharing it) serves concurrently
-    // from the shared vocabulary: copy it once before the first change.
-    vocab_ = std::make_shared<Vocabulary>(*vocab_);
-    vocab_owned_ = true;
-  }
-  vocab_->Add(token, slot);
+  ApplyRow(relation, row, /*insert=*/true);
 }
 
 void FullTextEngine::ApplyRowDelete(storage::RelationId relation,
                                     storage::RowId row) {
+  ApplyRow(relation, row, /*insert=*/false);
+}
+
+void FullTextEngine::ApplyRow(storage::RelationId relation,
+                              storage::RowId row, bool insert) {
   CheckDelta();
   const storage::Relation& rel = db_->relation(relation);
+  std::vector<std::string> tokens;
+  std::vector<InvertedIndex::TokenId> ids;
   for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
     if (indexed_attrs_[i].relation != relation) continue;
-    indexes_[i]->RemoveRow(row, rel.at(row, indexed_attrs_[i].attribute));
+    const storage::ValueView v = rel.at(row, indexed_attrs_[i].attribute);
+    if (v.is_null()) continue;
+    const auto slot = static_cast<uint32_t>(i);
+    DistinctTokensInto(v.AsString(), &tokens);
+    ids.clear();
+    for (const std::string& token : tokens) {
+      // The vocabulary keeps every (token, slot) pair an index ever held,
+      // so only an insert can bring a pair it lacks.
+      const auto id = vocab_->Find(token, slot);
+      MW_DCHECK(insert || id.has_value());
+      if (!id.has_value() && !vocab_owned_) {
+        // The base engine (and every engine sharing it) serves
+        // concurrently from the shared vocabulary: copy it once before the
+        // first change.
+        vocab_ = std::make_shared<Vocabulary>(*vocab_);
+        vocab_owned_ = true;
+      }
+      ids.push_back(id.has_value() ? *id : vocab_->Add(token, slot));
+    }
+    if (insert) {
+      indexes_[i]->AddRow(row, ids);
+    } else {
+      indexes_[i]->RemoveRow(row, ids);
+    }
   }
 }
 
@@ -172,10 +165,8 @@ size_t FullTextEngine::MaxRemovedRows(storage::RelationId relation) const {
 
 void FullTextEngine::CompactRelationIndexes(storage::RelationId relation) {
   CheckDelta();
-  const storage::Relation& rel = db_->relation(relation);
   for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-    if (indexed_attrs_[i].relation != relation) continue;
-    indexes_[i]->Compact(rel, indexed_attrs_[i].attribute);
+    if (indexed_attrs_[i].relation == relation) indexes_[i]->Compact();
   }
 }
 
@@ -309,7 +300,7 @@ std::vector<storage::RowId> FullTextEngine::VerifiedRows(
   const std::string_view sample = resolved.sample;
   std::vector<storage::RowId> verified;
   for (storage::RowId row :
-       vocab_->CandidateRows(*indexes_[slot], slot, resolved, stats)) {
+       vocab_->CandidateRows(*indexes_[slot], resolved, stats)) {
     if (WithCellText(rel.at(row, attr.attribute), [&](std::string_view v) {
           return NoisyContains(v, sample, policy_);
         })) {

@@ -9,7 +9,7 @@
 // token the attribute slots that hold it. A probe tokenizes and resolves
 // its sample there once; FindOccurrences then visits only the attributes
 // that hold a match for every sample token, and each attribute's index
-// contributes nothing but its postings.
+// contributes nothing but its postings, keyed by vocabulary token id.
 //
 // The engine keeps exactly one InvertedIndex per indexed attribute, the
 // paper's one full-text index per source attribute (Appendix A.1). A
@@ -59,9 +59,9 @@ struct EngineOptions {
 
 /// \brief Full-text search engine over one database instance.
 ///
-/// Indexes are built eagerly (and in parallel across attributes) at
-/// construction for every `searchable` string attribute; their
-/// dictionaries are then merged into the engine's vocabulary. Verified
+/// Indexes are built eagerly at construction for every `searchable` string
+/// attribute by InvertedIndex::Build (tokenized in parallel across
+/// attributes, then filed into the engine's vocabulary). Verified
 /// per-(attribute, sample) match sets are memoized in one byte-bounded LRU
 /// ProbeCache per engine, mirroring how a production engine caches hot
 /// keyword queries during an interactive session.
@@ -106,9 +106,9 @@ class FullTextEngine {
   /// indexes: the delta-compaction policy input.
   size_t MaxRemovedRows(storage::RelationId relation) const;
 
-  /// \brief Rebuilds every index of `relation` from scratch over its live
-  /// rows, reclaiming dictionary garbage left by removals. Same ownership
-  /// restrictions as ApplyRowInsert.
+  /// \brief Compacts every index of `relation` to what a fresh build over
+  /// its live rows holds, reclaiming the token garbage left by removals.
+  /// Same ownership restrictions as ApplyRowInsert.
   void CompactRelationIndexes(storage::RelationId relation);
 
   /// \brief Update version of one relation: 0 at Publish, bumped to the
@@ -184,9 +184,9 @@ class FullTextEngine {
   // touched indexes are its own to mutate.
   void CheckDelta() const;
 
-  // Files `token` under indexed slot `slot` in the vocabulary, copying a
-  // shared vocabulary first (delta engines only).
-  void FileToken(const std::string& token, uint32_t slot);
+  // ApplyRowInsert (`insert`) or ApplyRowDelete.
+  void ApplyRow(storage::RelationId relation, storage::RowId row,
+                bool insert);
   // One memoized probe of `attr` (searchable slot `slot`, or -1): the memo
   // entry, or the verified rows inserted into the memo. An indexed
   // attribute's miss reads `resolved`, or resolves `sample` itself when
@@ -221,7 +221,7 @@ class FullTextEngine {
   // and only pre-publication.
   std::vector<std::shared_ptr<InvertedIndex>> indexes_;
   // The tenant vocabulary over every index (see the file comment). Shared
-  // by a delta engine with its base until FileToken copies it
+  // by a delta engine with its base until ApplyRow copies it
   // (vocab_owned_); only an owned copy is ever mutated, and only
   // pre-publication.
   std::shared_ptr<Vocabulary> vocab_;

@@ -1,141 +1,174 @@
 #include "text/inverted_index.h"
 
 #include <algorithm>
+#include <deque>
+#include <string>
+#include <unordered_map>
+#include <utility>
 
+#include "common/failpoint.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
+#include "text/match.h"
 #include "text/tokenizer.h"
+#include "text/vocabulary.h"
 
 namespace mweaver::text {
 
-InvertedIndex::InvertedIndex(const storage::Relation& relation,
-                             storage::AttributeId attribute,
-                             const MatchPolicy& policy)
-    : policy_(policy) {
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    const storage::RowId row = static_cast<storage::RowId>(r);
-    if (relation.is_deleted(row)) continue;
-    IndexRow(row, relation.at(row, attribute));
+std::vector<InvertedIndex> InvertedIndex::Build(
+    std::span<const Column> columns, Vocabulary* vocab) {
+  // In parallel: each column's postings under a dictionary local to its
+  // build, tokens numbered in order of first appearance.
+  std::vector<InvertedIndex> indexes(columns.size());
+  std::vector<std::deque<std::string>> tokens(columns.size());
+  const size_t threads = ThreadPool::Shared().num_threads();
+  ParallelFor(columns.size(), threads, [&](size_t i) {
+    (void)MW_FAILPOINT_FIRE("text.index.build");  // chaos: kDelay only
+    thread_local std::vector<std::string> cell;  // one cell's tokens
+    std::unordered_map<std::string_view, TokenId> local;  // into tokens[i]
+    InvertedIndex& index = indexes[i];
+    const storage::Relation& rel = *columns[i].relation;
+    for (size_t r = 0; r < rel.num_rows(); ++r) {
+      const auto row = static_cast<storage::RowId>(r);
+      const storage::ValueView v = rel.at(row, columns[i].attribute);
+      if (rel.is_deleted(row) || v.is_null()) continue;
+      index.all_rows_.push_back(row);
+      DistinctTokensInto(v.AsString(), &cell);
+      for (const std::string& token : cell) {
+        auto it = local.find(token);
+        if (it == local.end()) {
+          tokens[i].push_back(token);
+          it = local.emplace(tokens[i].back(), local.size()).first;
+          index.postings_.emplace_back();
+        }
+        index.postings_[it->second].push_back(static_cast<uint32_t>(row));
+      }
+    }
+  });
+  // Serially, slot by slot: the vocabulary assigns each local token its id,
+  // and the postings are reordered by id.
+  std::vector<std::pair<TokenId, TokenId>> order;  // (id, local id)
+  for (size_t i = 0; i < columns.size(); ++i) {
+    order.clear();
+    for (const std::string& token : tokens[i]) {
+      order.emplace_back(vocab->Add(token, static_cast<uint32_t>(i)),
+                         order.size());
+    }
+    std::sort(order.begin(), order.end());
+    InvertedIndex& index = indexes[i];
+    std::vector<PostingList> local = std::exchange(index.postings_, {});
+    for (const auto& [id, k] : order) {
+      index.ids_.push_back(id);
+      index.postings_.push_back(std::move(local[k]));
+    }
   }
+  return indexes;
 }
 
-void InvertedIndex::AddRow(storage::RowId row, storage::ValueView v) {
+PostingList& InvertedIndex::PostingsFor(TokenId id) {
+  const auto at = std::lower_bound(ids_.begin(), ids_.end(), id);
+  const auto k = at - ids_.begin();
+  if (at == ids_.end() || *at != id) {
+    ids_.insert(at, id);
+    postings_.emplace(postings_.begin() + k);
+  }
+  return postings_[static_cast<size_t>(k)];
+}
+
+void InvertedIndex::AddRow(storage::RowId row, std::span<const TokenId> ids) {
   MW_DCHECK(all_rows_.empty() || all_rows_.back() < row)
       << "incremental rows must arrive in increasing id order";
-  IndexRow(row, v);
-}
-
-void InvertedIndex::IndexRow(storage::RowId row, storage::ValueView v) {
-  if (v.is_null()) return;
   all_rows_.push_back(row);
-  ++num_indexed_rows_;
-  std::vector<std::string> row_tokens = Tokenize(v.ToDisplayString());
-  std::sort(row_tokens.begin(), row_tokens.end());
-  row_tokens.erase(std::unique(row_tokens.begin(), row_tokens.end()),
-                   row_tokens.end());
-  for (std::string& t : row_tokens) {
-    auto [it, inserted] =
-        token_ids_.emplace(std::move(t), static_cast<TokenId>(tokens_.size()));
-    if (inserted) {
-      tokens_.push_back(it->first);
-      postings_.emplace_back();
-    }
-    postings_[it->second].push_back(static_cast<uint32_t>(row));
+  for (const TokenId id : ids) {
+    PostingsFor(id).push_back(static_cast<uint32_t>(row));
   }
 }
 
-void InvertedIndex::RemoveRow(storage::RowId row, storage::ValueView v) {
-  if (v.is_null()) return;
+void InvertedIndex::RemoveRow(storage::RowId row,
+                              std::span<const TokenId> ids) {
   auto it = std::lower_bound(all_rows_.begin(), all_rows_.end(), row);
   MW_DCHECK(it != all_rows_.end() && *it == row)
       << "removing a row the index never saw";
   all_rows_.erase(it);
-  --num_indexed_rows_;
   ++num_removed_rows_;
-  std::vector<std::string> row_tokens = Tokenize(v.ToDisplayString());
-  std::sort(row_tokens.begin(), row_tokens.end());
-  row_tokens.erase(std::unique(row_tokens.begin(), row_tokens.end()),
-                   row_tokens.end());
-  for (const std::string& t : row_tokens) {
-    auto token = token_ids_.find(t);
-    MW_DCHECK(token != token_ids_.end());
-    if (token == token_ids_.end()) continue;
-    PostingList& list = postings_[token->second];
-    auto pos = std::lower_bound(list.begin(), list.end(),
-                                static_cast<uint32_t>(row));
-    if (pos != list.end() && *pos == row) list.erase(pos);
-    // An emptied posting list stays in the dictionary: every probe treats
-    // an empty row set and an absent token identically. Compact()
-    // reclaims.
+  const auto posted = static_cast<uint32_t>(row);
+  for (const TokenId id : ids) {
+    PostingList& list = PostingsFor(id);
+    auto pos = std::lower_bound(list.begin(), list.end(), posted);
+    if (pos != list.end() && *pos == posted) list.erase(pos);
+  }
+}
+
+void InvertedIndex::Compact() {
+  size_t kept = 0;
+  for (size_t k = 0; k < ids_.size(); ++k) {
+    if (postings_[k].empty()) continue;
+    ids_[kept] = ids_[k];
+    postings_[kept++].swap(postings_[k]);
+  }
+  ids_.resize(kept);
+  postings_.resize(kept);
+  num_removed_rows_ = 0;
+}
+
+void InvertedIndex::AppendPostings(std::span<const TokenId> ids,
+                                   std::vector<const PostingList*>* out) const {
+  // Both id lists are sorted, so each search starts where the last ended.
+  auto from = ids_.begin();
+  for (const TokenId id : ids) {
+    from = std::lower_bound(from, ids_.end(), id);
+    if (from == ids_.end()) return;
+    if (*from == id) out->push_back(&postings_[from - ids_.begin()]);
   }
 }
 
 std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
-    std::string_view sample) const {
+    const Vocabulary& vocab, std::string_view sample) const {
+  const MatchPolicy& policy = vocab.policy();
   const std::vector<std::string> sample_tokens = Tokenize(sample);
   if (sample_tokens.empty()) return all_rows_;
-  bool first = true;
+  // Whether this index's token `token` can match sample token `t`. If the
+  // sample is a substring of the value, each maximal alphanumeric run of
+  // the sample is contained inside some token of the value (the first/last
+  // runs possibly as a proper infix).
+  const size_t max_edit = policy.max_edit_distance;
+  const auto matches = [&](const std::string& token, const std::string& t) {
+    if (policy.mode == MatchMode::kSubstring) {
+      return token.find(t) != std::string::npos;
+    }
+    if (policy.mode != MatchMode::kFuzzyTokenSubset) return token == t;
+    return BoundedEditDistance(token, t, max_edit) <= max_edit;
+  };
   std::vector<storage::RowId> acc;
-  for (const std::string& t : sample_tokens) {
-    // Gather per-token rows the pre-acceleration way: a full dictionary
-    // scan per token, a fresh vector per union/intersection — this path
-    // must not benefit from (or depend on) the merge kernels it is the
-    // reference for.
-    std::vector<const PostingList*> lists;
-    switch (policy_.mode) {
-      case MatchMode::kExact:
-      case MatchMode::kEqualsIgnoreCase:
-      case MatchMode::kTokenSubset:
-        if (const PostingList* p = PostingsOf(t)) {
-          lists.push_back(p);
-        }
-        break;
-      case MatchMode::kSubstring:
-        // If the sample is a substring of the value, each maximal
-        // alphanumeric run of the sample is contained inside some token of
-        // the value (the first/last runs possibly as a proper infix).
-        for (TokenId id = 0; id < tokens_.size(); ++id) {
-          if (tokens_[id].find(t) != std::string::npos) {
-            lists.push_back(&postings_[id]);
-          }
-        }
-        break;
-      case MatchMode::kFuzzyTokenSubset:
-        for (TokenId id = 0; id < tokens_.size(); ++id) {
-          if (BoundedEditDistance(tokens_[id], t,
-                                  policy_.max_edit_distance) <=
-              policy_.max_edit_distance) {
-            lists.push_back(&postings_[id]);
-          }
-        }
-        break;
+  for (size_t j = 0; j < sample_tokens.size(); ++j) {
+    // Gather per-token rows the pre-acceleration way: every token scanned,
+    // a fresh vector per union/intersection — this path must not benefit
+    // from (or depend on) the merge kernels it is the reference for.
+    std::vector<storage::RowId> rows;
+    for (size_t k = 0; k < ids_.size(); ++k) {
+      if (!matches(vocab.token(ids_[k]), sample_tokens[j])) continue;
+      rows.insert(rows.end(), postings_[k].begin(), postings_[k].end());
     }
-    std::vector<storage::RowId> rows_for_token;
-    for (const PostingList* list : lists) {
-      rows_for_token.insert(rows_for_token.end(), list->begin(), list->end());
-    }
-    std::sort(rows_for_token.begin(), rows_for_token.end());
-    rows_for_token.erase(
-        std::unique(rows_for_token.begin(), rows_for_token.end()),
-        rows_for_token.end());
-    if (first) {
-      acc = std::move(rows_for_token);
-      first = false;
-    } else {
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    if (j > 0) {
       std::vector<storage::RowId> merged;
-      std::set_intersection(acc.begin(), acc.end(), rows_for_token.begin(),
-                            rows_for_token.end(), std::back_inserter(merged));
-      acc = std::move(merged);
+      std::set_intersection(acc.begin(), acc.end(), rows.begin(), rows.end(),
+                            std::back_inserter(merged));
+      rows = std::move(merged);
     }
+    acc = std::move(rows);
     if (acc.empty()) break;
   }
   return acc;
 }
 
 size_t InvertedIndex::index_bytes() const {
-  size_t bytes = all_rows_.capacity() * sizeof(storage::RowId);
-  for (size_t i = 0; i < tokens_.size(); ++i) {
-    bytes += tokens_[i].capacity() + sizeof(std::string) +
-             postings_[i].capacity() * sizeof(uint32_t) + sizeof(PostingList);
+  size_t bytes = all_rows_.capacity() * sizeof(storage::RowId) +
+                 ids_.capacity() * sizeof(TokenId);
+  for (const PostingList& list : postings_) {
+    bytes += list.capacity() * sizeof(uint32_t) + sizeof(PostingList);
   }
   return bytes;
 }

@@ -3,12 +3,11 @@
 // full-text indexes the paper's implementation relied on ("which has a
 // pre-computed inverted-index", Appendix A.1).
 //
-// An index holds its postings and its own string dictionary, nothing
-// else. Resolving a sample token to the dictionary tokens it can match
-// (the n-gram and deletion-neighborhood candidate tables) is the job of
-// the text::Vocabulary shared by every index of one engine (a standalone
-// index is the one-attribute case: Vocabulary(index)); the vocabulary
-// then reads this index's postings by token (PostingsOf).
+// An index holds postings keyed by token id and nothing else: which string
+// a token id stands for, and which tokens a sample token can match (the
+// n-gram and deletion-neighborhood candidate tables), is the job of the
+// text::Vocabulary every index of one engine is filed into. Build() makes
+// every index, the engine's, the tests' and the lookup bench's alike.
 //
 // ScanCandidateRows preserves the original O(|dict|)-per-token linear scan
 // as the reference implementation: property tests assert the vocabulary
@@ -18,96 +17,93 @@
 #ifndef MWEAVER_TEXT_INVERTED_INDEX_H_
 #define MWEAVER_TEXT_INVERTED_INDEX_H_
 
-#include <string>
+#include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/relation.h"
-#include "text/match.h"
 #include "text/posting_list.h"
 
 namespace mweaver::text {
 
-/// \brief Inverted index over the display strings of one attribute column.
+class Vocabulary;
+
+/// \brief Inverted index over the string values of one attribute column.
 class InvertedIndex {
  public:
   using TokenId = uint32_t;
 
-  /// \brief Indexes every non-null, non-deleted value of `attribute` in
-  /// `relation`; `policy` is the one ScanCandidateRows answers for.
-  InvertedIndex(const storage::Relation& relation,
-                storage::AttributeId attribute, const MatchPolicy& policy);
+  /// \brief One string attribute to index.
+  struct Column {
+    const storage::Relation* relation = nullptr;
+    storage::AttributeId attribute = storage::kInvalidAttribute;
+  };
 
-  /// \brief Incrementally indexes the value `v` of a freshly appended row.
-  /// `row` must exceed every row id already indexed (appends assign
-  /// physically increasing ids, so this holds by construction). New tokens
-  /// are appended to the dictionary: tokens()[num_tokens() before the
-  /// call ..] are the ones this row brought.
-  void AddRow(storage::RowId row, storage::ValueView v);
+  InvertedIndex() = default;  // over no rows
 
-  /// \brief Removes a tombstoned row's value from every posting list it
-  /// appears in. Dictionary entries whose postings empty out are retained
-  /// (they resolve to empty row sets, which is indistinguishable from a
-  /// missing token to every probe); Compact() rebuilds without them.
-  void RemoveRow(storage::RowId row, storage::ValueView v);
+  /// \brief Indexes every non-null, non-deleted value of each column and
+  /// files column i's tokens under slot i of `vocab`. The columns tokenize
+  /// in parallel on the shared pool (a lone column on the calling thread),
+  /// each into a dictionary local to its build; the filing that assigns
+  /// the ids is serial, slot by slot and each slot's tokens in order of
+  /// first appearance, so the ids do not depend on the thread count.
+  static std::vector<InvertedIndex> Build(std::span<const Column> columns,
+                                          Vocabulary* vocab);
+
+  /// \brief Incrementally indexes a freshly appended non-null row whose
+  /// value holds the distinct tokens `ids`. `row` must exceed every row id
+  /// already indexed (appends assign physically increasing ids, so this
+  /// holds by construction).
+  void AddRow(storage::RowId row, std::span<const TokenId> ids);
+
+  /// \brief Removes a tombstoned row, whose value holds the distinct tokens
+  /// `ids`, from every posting list it appears in. Tokens whose postings
+  /// empty out are retained (they resolve to empty row sets, which is
+  /// indistinguishable from a missing token to every probe); Compact()
+  /// drops them.
+  void RemoveRow(storage::RowId row, std::span<const TokenId> ids);
 
   /// \brief Rows removed since construction (or the last Compact): the
-  /// delta-compaction policy input — each removal leaves dictionary
-  /// garbage that only a rebuild reclaims.
+  /// delta-compaction policy input — each removal leaves token garbage
+  /// that only a compaction reclaims.
   size_t num_removed_rows() const { return num_removed_rows_; }
 
-  /// \brief Rebuilds from scratch over the relation's live rows, dropping
-  /// tokens whose postings emptied out. Equivalent to constructing fresh
-  /// under the same policy.
-  void Compact(const storage::Relation& relation,
-               storage::AttributeId attribute) {
-    *this = InvertedIndex(relation, attribute, policy_);
-  }
+  /// \brief Drops the tokens whose postings emptied out, leaving exactly
+  /// the index a fresh build over the live rows would have.
+  void Compact();
 
   /// \brief Sorted, duplicate-free row ids whose value could noisily contain
-  /// `sample` under the index's policy, found by an O(|dict|)-per-token
-  /// linear scan that reads no candidate table: the reference the
-  /// vocabulary path (Vocabulary::CandidateRows) must equal, the lookup
-  /// benchmark's baseline and the "text.lookup.fast_path" failpoint's
-  /// degraded probe.
-  std::vector<storage::RowId> ScanCandidateRows(std::string_view sample) const;
+  /// `sample` under the policy of `vocab`, the vocabulary this index was
+  /// filed into, found by an O(|dict|)-per-token linear scan of this
+  /// index's token strings that reads no candidate table: the reference the
+  /// vocabulary path must equal (see the file comment).
+  std::vector<storage::RowId> ScanCandidateRows(const Vocabulary& vocab,
+                                                std::string_view sample) const;
 
-  /// \brief Postings of an exactly-matching dictionary token, or nullptr.
-  const PostingList* PostingsOf(const std::string& token) const {
-    auto it = token_ids_.find(token);
-    return it == token_ids_.end() ? nullptr : &postings_[it->second];
-  }
-  /// \brief The dictionary, in token-id order (ids are never reused).
-  const std::vector<std::string>& tokens() const { return tokens_; }
+  /// \brief Appends the postings of each token in `ids` (sorted) that this
+  /// index holds, in id order.
+  void AppendPostings(std::span<const TokenId> ids,
+                      std::vector<const PostingList*>* out) const;
   /// \brief Every indexed row, sorted: a punctuation-only sample's
   /// candidates.
   const std::vector<storage::RowId>& all_rows() const { return all_rows_; }
 
-  const MatchPolicy& policy() const { return policy_; }
-  size_t num_tokens() const { return tokens_.size(); }
-  size_t num_indexed_rows() const { return num_indexed_rows_; }
-  /// \brief Approximate heap footprint of the dictionary and the row
+  size_t num_tokens() const { return ids_.size(); }
+  size_t num_indexed_rows() const { return all_rows_.size(); }
+  /// \brief Approximate heap footprint of the token ids and the row
   /// postings.
   size_t index_bytes() const;
 
  private:
-  // Indexes `v` under `row`; the constructor and AddRow share it.
-  void IndexRow(storage::RowId row, storage::ValueView v);
+  PostingList& PostingsFor(TokenId id);  // added empty when missing
 
-  // Token dictionary; postings_[id] aligns with tokens_[id], sorted by
-  // construction (rows visited in increasing order).
-  std::vector<std::string> tokens_;
+  // Sorted token ids; postings_[k] holds the rows of token ids_[k], sorted
+  // by construction (rows arrive in increasing order).
+  std::vector<TokenId> ids_;
   std::vector<PostingList> postings_;
-  std::unordered_map<std::string, TokenId> token_ids_;
-
-  MatchPolicy policy_;
-
-  // Rows whose value tokenized to nothing (e.g. punctuation-only); substring
-  // candidates must include them conservatively only when the sample itself
-  // has no tokens, in which case we fall back to all indexed rows.
+  // Every indexed row, punctuation-only values included: a token-less
+  // sample's conservative candidate set.
   std::vector<storage::RowId> all_rows_;
-  size_t num_indexed_rows_ = 0;
   size_t num_removed_rows_ = 0;
 };
 

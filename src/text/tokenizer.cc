@@ -1,5 +1,6 @@
 #include "text/tokenizer.h"
 
+#include <algorithm>
 #include <cctype>
 
 namespace mweaver::text {
@@ -45,6 +46,12 @@ void TokenizeInto(std::string_view s, std::vector<std::string>* out,
       c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     }
   });
+}
+
+void DistinctTokensInto(std::string_view s, std::vector<std::string>* out) {
+  TokenizeInto(s, out);
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 }  // namespace mweaver::text

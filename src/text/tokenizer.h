@@ -18,6 +18,10 @@ std::vector<std::string> Tokenize(std::string_view s, size_t min_length = 1);
 void TokenizeInto(std::string_view s, std::vector<std::string>* out,
                   size_t min_length = 1);
 
+/// \brief The distinct tokens of one indexed value, sorted, into `*out`
+/// (TokenizeInto's reuse contract): the tokens an index files a row under.
+void DistinctTokensInto(std::string_view s, std::vector<std::string>* out);
+
 }  // namespace mweaver::text
 
 #endif  // MWEAVER_TEXT_TOKENIZER_H_

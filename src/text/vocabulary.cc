@@ -23,7 +23,6 @@ struct ProbeScratch {
   PostingList tmp;
   std::vector<uint64_t> token_slots;  // CandidateSlots' per-token bits
   std::vector<const PostingList*> lists;
-  ResolvedSample resolved;  // the one-attribute CandidateRows' resolution
 };
 
 ProbeScratch& LocalScratch() {
@@ -43,16 +42,7 @@ void AddKernelStats(const KernelStats& kernels, ProbeStats* stats) {
 Vocabulary::Vocabulary(const MatchPolicy& policy, size_t num_slots)
     : policy_(policy), num_slots_(num_slots) {}
 
-Vocabulary::Vocabulary(const InvertedIndex& index)
-    : Vocabulary(index.policy(), 1) {
-  AddIndex(index, 0);
-}
-
-void Vocabulary::AddIndex(const InvertedIndex& index, uint32_t slot) {
-  for (const std::string& token : index.tokens()) Add(token, slot);
-}
-
-void Vocabulary::Add(const std::string& token, uint32_t slot) {
+Vocabulary::TokenId Vocabulary::Add(const std::string& token, uint32_t slot) {
   MW_DCHECK(slot < num_slots_);
   auto [it, inserted] =
       ids_.try_emplace(token, static_cast<TokenId>(tokens_.size()));
@@ -66,20 +56,21 @@ void Vocabulary::Add(const std::string& token, uint32_t slot) {
     }
   }
   PostingList& slots = slots_[it->second];
-  // Merges add slots in increasing order, so this is an append; a delta's
-  // insert may land anywhere.
+  // Builds file slots in increasing order, so this is an append; a
+  // delta's insert may land anywhere.
   auto pos = std::lower_bound(slots.begin(), slots.end(), slot);
   if (pos == slots.end() || *pos != slot) slots.insert(pos, slot);
+  return it->second;
 }
 
-bool Vocabulary::Holds(const std::string& token, uint32_t slot) const {
-  auto it = ids_.find(token);
-  return it != ids_.end() && HoldsSlot(it->second, slot);
-}
-
-bool Vocabulary::HoldsSlot(TokenId id, uint32_t slot) const {
-  const PostingList& slots = slots_[id];
-  return std::binary_search(slots.begin(), slots.end(), slot);
+std::optional<Vocabulary::TokenId> Vocabulary::Find(const std::string& token,
+                                                    uint32_t slot) const {
+  const auto it = ids_.find(token);
+  if (it == ids_.end() || !std::binary_search(slots_[it->second].begin(),
+                                              slots_[it->second].end(), slot)) {
+    return std::nullopt;
+  }
+  return it->second;
 }
 
 void Vocabulary::ResolveToken(const std::string& token,
@@ -172,15 +163,15 @@ void Vocabulary::CandidateSlots(const ResolvedSample& resolved,
 }
 
 std::vector<storage::RowId> Vocabulary::CandidateRows(
-    const InvertedIndex& index, uint32_t slot,
-    const ResolvedSample& resolved, ProbeStats* stats) const {
+    const InvertedIndex& index, const ResolvedSample& resolved,
+    ProbeStats* stats) const {
   // Chaos site: the accelerated lookup "faults" and the probe degrades to
   // the frozen linear-scan reference. Graceful by construction — both paths
   // return identical candidate sets (the equivalence the property tests
   // pin down), so callers only see latency, never different rows.
   if (MW_FAILPOINT_TRIGGERED("text.lookup.fast_path")) {
     if (stats != nullptr) ++stats->scan_fallbacks;
-    return index.ScanCandidateRows(resolved.sample);
+    return index.ScanCandidateRows(*this, resolved.sample);
   }
   if (resolved.num_tokens == 0) {
     // Punctuation-only samples: nothing narrows the rows down. Return
@@ -202,12 +193,7 @@ std::vector<storage::RowId> Vocabulary::CandidateRows(
     // This index's postings of every vocabulary token sample token j
     // resolved to.
     scratch.lists.clear();
-    for (const TokenId id : resolved.ids[j]) {
-      if (!HoldsSlot(id, slot)) continue;
-      if (const PostingList* list = index.PostingsOf(tokens_[id])) {
-        scratch.lists.push_back(list);
-      }
-    }
+    index.AppendPostings(resolved.ids[j], &scratch.lists);
     if (resolved.num_tokens == 1) {
       // Terminal union: straight into the returned row vector (the
       // single-token probe is the common case).
@@ -237,14 +223,6 @@ std::vector<storage::RowId> Vocabulary::CandidateRows(
   }
   AddKernelStats(kernels, stats);
   return std::vector<storage::RowId>(current->begin(), current->end());
-}
-
-std::vector<storage::RowId> Vocabulary::CandidateRows(
-    const InvertedIndex& index, uint32_t slot, std::string_view sample,
-    ProbeStats* stats) const {
-  ResolvedSample& resolved = LocalScratch().resolved;
-  Resolve(sample, &resolved, stats);
-  return CandidateRows(index, slot, resolved, stats);
 }
 
 size_t Vocabulary::bytes() const {

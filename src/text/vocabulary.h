@@ -5,9 +5,9 @@
 // Das, ICDE 2002) and the master index of DISCOVER (Hristidis and
 // Papakonstantinou, VLDB 2002): a probe resolves a sample against the
 // whole database once, then visits only the attributes that can hold it.
+// It is the only map from token string to id: indexes key postings by it.
 //
-// The candidate table is the policy's (see text/inverted_index.h for the
-// per-attribute side):
+// The candidate table is the policy's:
 //  * kSubstring: an NGramIndex — a query token intersects its trigram
 //    lists and the residue is verified with find();
 //  * kFuzzyTokenSubset with 1 <= d <= DeletionIndex::kMaxEdit: a
@@ -19,13 +19,15 @@
 //
 // A vocabulary only grows: an index that drops a token (RemoveRow keeps
 // it; Compact drops it) leaves the (token, slot) pair behind, so the
-// vocabulary is always a superset of the dictionaries it was merged from
-// and its slot filter never loses an attribute. A candidate slot whose
-// index no longer holds the token simply contributes no postings.
+// vocabulary is always a superset of the indexes filed into it, its slot
+// filter never loses an attribute, and a token a later insert brings back
+// gets its old id. A candidate slot whose index no longer holds the token
+// simply contributes no postings.
 #ifndef MWEAVER_TEXT_VOCABULARY_H_
 #define MWEAVER_TEXT_VOCABULARY_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -71,19 +73,15 @@ class Vocabulary {
   /// probes under `policy`.
   Vocabulary(const MatchPolicy& policy, size_t num_slots);
 
-  /// \brief The one-attribute vocabulary of a standalone index: its
-  /// dictionary under slot 0, for probes under the index's policy.
-  explicit Vocabulary(const InvertedIndex& index);
-
-  /// \brief Files every token of `index`'s dictionary under `slot`.
-  void AddIndex(const InvertedIndex& index, uint32_t slot);
-
   /// \brief Files `token` under `slot`, adding the token (and its
-  /// candidate-table entries) when it is new.
-  void Add(const std::string& token, uint32_t slot);
+  /// candidate-table entries) when it is new, and returns its id.
+  TokenId Add(const std::string& token, uint32_t slot);
 
-  /// \brief True iff `token` is filed under `slot`.
-  bool Holds(const std::string& token, uint32_t slot) const;
+  /// \brief The id of `token` if it is filed under `slot`.
+  std::optional<TokenId> Find(const std::string& token, uint32_t slot) const;
+
+  /// \brief The string of token `id`.
+  const std::string& token(TokenId id) const { return tokens_[id]; }
 
   /// \brief Tokenizes `sample` and resolves each token to the vocabulary
   /// tokens it can match. `stats`, when given, accumulates the candidates
@@ -97,19 +95,12 @@ class Vocabulary {
   void CandidateSlots(const ResolvedSample& resolved,
                       std::vector<uint64_t>* slots) const;
 
-  /// \brief Sorted, duplicate-free rows of `index` (filed under `slot`)
-  /// whose value could noisily contain the resolved sample: a superset of
-  /// the true matches, identical to index.ScanCandidateRows(sample).
+  /// \brief Sorted, duplicate-free rows of `index` (filed into this
+  /// vocabulary) whose value could noisily contain the resolved sample: a
+  /// superset of the true matches, identical to index.ScanCandidateRows.
   std::vector<storage::RowId> CandidateRows(const InvertedIndex& index,
-                                            uint32_t slot,
                                             const ResolvedSample& resolved,
                                             ProbeStats* stats) const;
-
-  /// \brief Resolve + CandidateRows for one index: the one-attribute probe.
-  std::vector<storage::RowId> CandidateRows(const InvertedIndex& index,
-                                            uint32_t slot,
-                                            std::string_view sample,
-                                            ProbeStats* stats = nullptr) const;
 
   const MatchPolicy& policy() const { return policy_; }
   size_t num_tokens() const { return tokens_.size(); }
@@ -121,7 +112,6 @@ class Vocabulary {
   // Sorted, verified ids of the tokens query token `token` can match.
   void ResolveToken(const std::string& token, std::vector<TokenId>* out,
                     ProbeStats* stats, KernelStats* kernels) const;
-  bool HoldsSlot(TokenId id, uint32_t slot) const;
 
   MatchPolicy policy_;
   size_t num_slots_ = 0;

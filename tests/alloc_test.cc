@@ -18,6 +18,8 @@
 //      chain) allocate only their results.
 //   7. Database::Clone copies each relation's typed columns whole: its
 //      allocations grow with relations x attributes, not with cells.
+//   8. An index build tokenizes each cell in place: its allocations grow
+//      with distinct tokens, not with cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -378,15 +380,13 @@ TEST(AllocTest, WarmProbesAllocateOnlyTokensAndResult) {
   typo[0] = 'q';
   typo[typo.size() - 1] = 'q';
 
-  const text::InvertedIndex substring(movie, logline,
-                                      text::MatchPolicy::Substring());
-  const text::InvertedIndex fuzzy(movie, logline, text::MatchPolicy::Fuzzy(2));
-  const text::Vocabulary substring_vocab(substring);
-  const text::Vocabulary fuzzy_vocab(fuzzy);
+  const testing::OneAttributeIndex substring(movie, logline,
+                                             text::MatchPolicy::Substring());
+  const testing::OneAttributeIndex fuzzy(movie, logline,
+                                         text::MatchPolicy::Fuzzy(2));
   const auto probe = [&](text::ProbeStats* stats) {
-    return !substring_vocab.CandidateRows(substring, 0, two_tokens, stats)
-                .empty() &&
-           !fuzzy_vocab.CandidateRows(fuzzy, 0, typo, stats).empty();
+    return !substring.Candidates(two_tokens, stats).empty() &&
+           !fuzzy.Candidates(typo, stats).empty();
   };
   // Two rounds size this thread's scratch: an intersection's output and
   // its accumulator swap, so each buffer is written once per round.
@@ -470,6 +470,55 @@ TEST(AllocTest, CloneAllocatesPerColumnNotPerCell) {
   });
   EXPECT_GT(cells, 2 * kCloneCeiling);
   EXPECT_LE(allocations, kCloneCeiling) << cells << " cells";
+}
+
+// Where the ceiling comes from: building every indexed attribute of the
+// 2,000-movie Yahoo-like source (63 columns, 68,102 indexed cells) under
+// the substring policy, one column per Build call so each runs on this
+// thread, made 36,070 allocations when this test was written: per column
+// its build-local dictionary, posting-list growth and index arrays, and per
+// distinct token its vocabulary entry and gram-table growth. The build
+// that copied each cell into a display string and keyed a string map per
+// token occurrence made 319,210 for the 63 indexes alone, before any
+// vocabulary merge.
+constexpr uint64_t kIndexBuildCeiling = 36070;
+
+TEST(AllocTest, IndexBuildAllocatesPerTokenNotPerCell) {
+  datagen::YahooMoviesConfig config;
+  config.num_movies = 2000;
+  const storage::Database db = datagen::MakeYahooMovies(config);
+  std::vector<text::InvertedIndex::Column> columns;
+  size_t cells = 0;
+  for (size_t r = 0; r < db.num_relations(); ++r) {
+    const storage::Relation& rel =
+        db.relation(static_cast<storage::RelationId>(r));
+    for (size_t a = 0; a < rel.schema().num_attributes(); ++a) {
+      const storage::AttributeSchema& attr = rel.schema().attributes()[a];
+      if (!attr.searchable || attr.type != storage::ValueType::kString) {
+        continue;
+      }
+      const auto attribute = static_cast<storage::AttributeId>(a);
+      columns.push_back({&rel, attribute});
+      for (size_t row = 0; row < rel.num_rows(); ++row) {
+        cells += rel.at(static_cast<storage::RowId>(row), attribute).is_null()
+                     ? 0
+                     : 1;
+      }
+    }
+  }
+  text::Vocabulary vocab(text::MatchPolicy::Substring(), 1);
+  size_t indexed = 0;
+  const uint64_t allocations = AllocationsDuring([&] {
+    for (const text::InvertedIndex::Column& column : columns) {
+      indexed += text::InvertedIndex::Build({&column, 1}, &vocab)
+                     .front()
+                     .num_indexed_rows();
+    }
+  });
+  EXPECT_EQ(indexed, cells);
+  EXPECT_GT(cells, kIndexBuildCeiling);
+  EXPECT_LE(allocations, kIndexBuildCeiling)
+      << columns.size() << " columns, " << cells << " cells";
 }
 
 }  // namespace

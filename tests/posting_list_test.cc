@@ -20,6 +20,7 @@
 
 #include "test_util.h"
 #include "text/inverted_index.h"
+#include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
 namespace mweaver::text {
@@ -246,7 +247,8 @@ TEST(UnionPostingsTest, Thresholds) {
 TEST(InvertedIndexDeleteTest, RemovedRowsMatchFreshBuild) {
   // Rows removed through RemoveRow (a lower_bound + erase per posting
   // list) must leave exactly the postings a fresh build over the surviving
-  // rows has, under every match mode's probe path.
+  // rows has, under every match mode's probe path; Compact then drops
+  // exactly the tokens the fresh build lacks.
   const MatchPolicy policies[] = {
       MatchPolicy::Exact(), MatchPolicy::TokenSubset(),
       MatchPolicy::Substring(), MatchPolicy::Fuzzy(1), MatchPolicy::Fuzzy(2)};
@@ -255,26 +257,39 @@ TEST(InvertedIndexDeleteTest, RemovedRowsMatchFreshBuild) {
       "x",      "mapping sample", "zzz", "!!!"};
   for (const MatchPolicy& policy : policies) {
     storage::Relation rel = ::mweaver::testing::MakeRandomTextRelation(7, 400);
-    InvertedIndex live(rel, 0, policy);
+    ::mweaver::testing::OneAttributeIndex live(rel, 0, policy);
+    std::vector<std::string> tokens;
+    std::vector<InvertedIndex::TokenId> ids;
     std::mt19937 rng(49);
     for (size_t r = 0; r < rel.num_rows(); ++r) {
       const auto row = static_cast<storage::RowId>(r);
       // Remove ~40% of the rows; rows 0-19 all, so some postings empty out.
       if (r >= 20 && rng() % 5 >= 2) continue;
-      live.RemoveRow(row, rel.at(row, 0));
+      const storage::ValueView v = rel.at(row, 0);
+      if (!v.is_null()) {
+        DistinctTokensInto(v.AsString(), &tokens);
+        ids.clear();
+        for (const std::string& t : tokens) {
+          ids.push_back(live.vocab.Find(t, 0).value());
+        }
+        live.index.RemoveRow(row, ids);
+      }
       ASSERT_TRUE(rel.Delete(row).ok());
     }
-    const InvertedIndex fresh(rel, 0, policy);
-    EXPECT_EQ(live.num_indexed_rows(), fresh.num_indexed_rows());
+    const ::mweaver::testing::OneAttributeIndex fresh(rel, 0, policy);
+    EXPECT_EQ(live.index.num_indexed_rows(), fresh.index.num_indexed_rows());
     // The live index keeps its emptied tokens, so its vocabulary is a
     // superset of the fresh one's.
-    const Vocabulary live_vocab(live);
-    const Vocabulary fresh_vocab(fresh);
-    for (const std::string& sample : samples) {
-      const std::vector<storage::RowId> rows =
-          live_vocab.CandidateRows(live, 0, sample);
-      EXPECT_EQ(rows, fresh_vocab.CandidateRows(fresh, 0, sample)) << sample;
-      EXPECT_EQ(rows, live.ScanCandidateRows(sample)) << sample;
+    EXPECT_GT(live.index.num_tokens(), fresh.index.num_tokens());
+    for (int compacted = 0; compacted < 2; ++compacted) {
+      for (const std::string& sample : samples) {
+        const std::vector<storage::RowId> rows = live.Candidates(sample);
+        EXPECT_EQ(rows, fresh.Candidates(sample)) << sample;
+        EXPECT_EQ(rows, live.Scan(sample)) << sample;
+      }
+      live.index.Compact();
+      EXPECT_EQ(live.index.num_removed_rows(), 0u);
+      EXPECT_EQ(live.index.num_tokens(), fresh.index.num_tokens());
     }
   }
 }

@@ -730,17 +730,13 @@ TEST(TextEquivalenceProperty, FastPathEqualsScanUnderInjectedEvictions) {
     SCOPED_TRACE("relation seed " + std::to_string(seed));
     const storage::Relation rel = MakeRandomTextRelation(seed, 200);
     // One index per policy the rounds draw: substring and fuzzy d = 0..2.
-    const text::InvertedIndex substring(rel, 0,
-                                        text::MatchPolicy::Substring());
-    const text::InvertedIndex fuzzy[] = {
-        text::InvertedIndex(rel, 0, text::MatchPolicy::Fuzzy(0)),
-        text::InvertedIndex(rel, 0, text::MatchPolicy::Fuzzy(1)),
-        text::InvertedIndex(rel, 0, text::MatchPolicy::Fuzzy(2)),
+    const testing::OneAttributeIndex substring(
+        rel, 0, text::MatchPolicy::Substring());
+    const testing::OneAttributeIndex fuzzy[] = {
+        testing::OneAttributeIndex(rel, 0, text::MatchPolicy::Fuzzy(0)),
+        testing::OneAttributeIndex(rel, 0, text::MatchPolicy::Fuzzy(1)),
+        testing::OneAttributeIndex(rel, 0, text::MatchPolicy::Fuzzy(2)),
     };
-    const text::Vocabulary substring_vocab(substring);
-    const text::Vocabulary fuzzy_vocab[] = {text::Vocabulary(fuzzy[0]),
-                                            text::Vocabulary(fuzzy[1]),
-                                            text::Vocabulary(fuzzy[2])};
     Rng rng(seed * 31 + 1);
 
     ScopedFailpoint fp_fallback("text.lookup.fast_path", fallback);
@@ -760,13 +756,11 @@ TEST(TextEquivalenceProperty, FastPathEqualsScanUnderInjectedEvictions) {
         sample = text.substr(start, len);
       }
       const size_t pick = rng.Bernoulli(0.5) ? 3 : rng.Index(3);
-      const text::InvertedIndex& index = pick == 3 ? substring : fuzzy[pick];
-      const text::Vocabulary& vocab =
-          pick == 3 ? substring_vocab : fuzzy_vocab[pick];
+      const testing::OneAttributeIndex& index =
+          pick == 3 ? substring : fuzzy[pick];
       SCOPED_TRACE("round " + std::to_string(round) + " sample '" + sample +
                    "'");
-      EXPECT_EQ(vocab.CandidateRows(index, 0, sample, nullptr),
-                index.ScanCandidateRows(sample));
+      EXPECT_EQ(index.Candidates(sample), index.Scan(sample));
     }
   }
   EXPECT_TRUE(FailpointRegistry::Global().ArmedSites().empty());
@@ -906,7 +900,7 @@ class ReferenceLocator {
     for (size_t i = 0; i < strings_.size(); ++i) {
       const storage::Relation& rel = db_.relation(strings_[i].relation);
       std::vector<storage::RowId> rows;
-      for (const storage::RowId row : indexes_[i].ScanCandidateRows(sample)) {
+      for (const storage::RowId row : indexes_[i].Scan(sample)) {
         if (text::NoisyContains(
                 rel.at(row, strings_[i].attribute).ToDisplayString(), sample,
                 policy_)) {
@@ -937,7 +931,7 @@ class ReferenceLocator {
   const text::MatchPolicy policy_;
   std::vector<text::AttributeRef> strings_;
   std::vector<text::AttributeRef> numerics_;
-  std::vector<text::InvertedIndex> indexes_;
+  std::vector<testing::OneAttributeIndex> indexes_;
 };
 
 // Samples that hit, miss, typo, cross token boundaries, carry no token or

@@ -128,19 +128,26 @@ void TypoOneStringCell(storage::Row* row, Rng* rng) {
   cell = testing::S(text);
 }
 
+// Compacts every touched relation's indexes on every batch, so a token a
+// delete emptied out is dropped before the next batch can bring it back.
+constexpr TenantWriterOptions kCompactEveryBatch{
+    .compact_removed_rows_threshold = 0};
+
 // One seeded replay: `steps` random operations against a live tenant
-// whose catalog matches under `policy`, with a differential check after
-// every step. Returns the number of update batches applied (so callers can
-// assert the replay actually exercised the streaming path).
+// whose catalog matches under `policy`, written through a writer with
+// `writer_options`, with a differential check after every step. Returns
+// the number of update batches applied (so callers can assert the replay
+// actually exercised the streaming path).
 size_t RunReplay(
     uint64_t seed, size_t steps,
-    const text::MatchPolicy& policy = text::MatchPolicy::Substring()) {
+    const text::MatchPolicy& policy = text::MatchPolicy::Substring(),
+    const TenantWriterOptions& writer_options = {}) {
   CatalogOptions options;
   options.match_policy = policy;
   Catalog catalog(options);
   EXPECT_TRUE(
       catalog.Publish(kTenant, testing::MakeUniversityDb(seed)).ok());
-  TenantWriter writer(&catalog);
+  TenantWriter writer(&catalog, writer_options);
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
 
   uint64_t expected_epoch = 1;
@@ -250,39 +257,61 @@ TEST(StreamingDifferentialTest, FuzzyReplaysMatchCleanRebuild) {
   EXPECT_GT(total_updates, 30u);
 }
 
+// The replay again with every batch compacting: a compaction drops the
+// tokens a delete emptied out, and a later insert must refill each under
+// the vocabulary's existing id.
+TEST(StreamingDifferentialTest, CompactingReplaysMatchCleanRebuild) {
+  size_t total_updates = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    total_updates += RunReplay(seed, /*steps=*/10,
+                               text::MatchPolicy::Substring(),
+                               kCompactEveryBatch);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(total_updates, 30u);
+}
+
 // Deletes that empty out whole posting lists, then inserts that refill
 // them — the resurrection path where a stale index would double-count.
+// Under kCompactEveryBatch the delete's compaction drops "avatar" from the
+// title index first, so the re-insert files it back.
 TEST(StreamingDifferentialTest, DeleteThenReinsertMatchesCleanRebuild) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.Publish(kTenant, testing::MakeFigure2Db()).ok());
-  TenantWriter writer(&catalog);
-  Rng rng(7);
+  for (const TenantWriterOptions& options :
+       {TenantWriterOptions{}, kCompactEveryBatch}) {
+    const bool compacting = options.compact_removed_rows_threshold == 0;
+    SCOPED_TRACE(compacting ? "compacting writer" : "default writer");
+    Catalog catalog;
+    ASSERT_TRUE(catalog.Publish(kTenant, testing::MakeFigure2Db()).ok());
+    TenantWriter writer(&catalog, options);
 
-  const SnapshotPtr base = catalog.Pin(kTenant).ValueOrDie();
-  const storage::RelationId movie = base->db().FindRelation("movie");
-  ASSERT_NE(movie, storage::kInvalidRelation);
-  const storage::Row avatar = base->db().relation(movie).row(0);
+    const SnapshotPtr base = catalog.Pin(kTenant).ValueOrDie();
+    const storage::RelationId movie = base->db().FindRelation("movie");
+    ASSERT_NE(movie, storage::kInvalidRelation);
+    const storage::Row avatar = base->db().relation(movie).row(0);
 
-  // Delete "Avatar"; its postings must stop matching.
-  UpdateBatch del;
-  del.deletes.push_back(RowDelete{"movie", 0});
-  ASSERT_TRUE(writer.Apply(kTenant, del).ok());
-  SnapshotPtr live = catalog.Pin(kTenant).ValueOrDie();
-  ExpectMatchesRebuild(*live, {{"Avatar"}, {"Avatar", "James Cameron"}},
-                       "after delete");
+    // Delete "Avatar"; its postings must stop matching.
+    UpdateBatch del;
+    del.deletes.push_back(RowDelete{"movie", 0});
+    auto deleted = writer.Apply(kTenant, del);
+    ASSERT_TRUE(deleted.ok());
+    EXPECT_EQ(deleted->relations_compacted, compacting ? 1u : 0u);
+    SnapshotPtr live = catalog.Pin(kTenant).ValueOrDie();
+    ExpectMatchesRebuild(*live, {{"Avatar"}, {"Avatar", "James Cameron"}},
+                         "after delete");
 
-  // Re-insert the identical row under a fresh id; matches must resurface
-  // identically to a clean rebuild (fresh row id, not the tombstoned 0).
-  UpdateBatch ins;
-  ins.inserts.push_back(RowInsert{"movie", avatar});
-  auto applied = writer.Apply(kTenant, ins);
-  ASSERT_TRUE(applied.ok());
-  ASSERT_EQ(applied->inserted_rows.size(), 1u);
-  EXPECT_EQ(applied->inserted_rows[0], 3);  // 3 physical rows before it
-  live = catalog.Pin(kTenant).ValueOrDie();
-  EXPECT_TRUE(live->db().relation(movie).is_deleted(0));
-  ExpectMatchesRebuild(*live, {{"Avatar"}, {"Avatar", "James Cameron"}},
-                       "after re-insert");
+    // Re-insert the identical row under a fresh id; matches must resurface
+    // identically to a clean rebuild (fresh row id, not the tombstoned 0).
+    UpdateBatch ins;
+    ins.inserts.push_back(RowInsert{"movie", avatar});
+    auto applied = writer.Apply(kTenant, ins);
+    ASSERT_TRUE(applied.ok());
+    ASSERT_EQ(applied->inserted_rows.size(), 1u);
+    EXPECT_EQ(applied->inserted_rows[0], 3);  // 3 physical rows before it
+    live = catalog.Pin(kTenant).ValueOrDie();
+    EXPECT_TRUE(live->db().relation(movie).is_deleted(0));
+    ExpectMatchesRebuild(*live, {{"Avatar"}, {"Avatar", "James Cameron"}},
+                         "after re-insert");
+  }
 }
 
 // A batch that fails mid-validation (unknown relation after valid

@@ -6,11 +6,14 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
 #include "core/ranking.h"
 #include "storage/database.h"
+#include "text/inverted_index.h"
+#include "text/vocabulary.h"
 
 namespace mweaver::testing {
 
@@ -234,6 +237,39 @@ inline storage::Relation MakeRandomTextRelation(uint64_t seed,
   }
   return rel;
 }
+
+/// \brief One attribute's index and the one-slot vocabulary it is filed
+/// into, built by InvertedIndex::Build as an engine builds each attribute.
+struct OneAttributeIndex {
+  OneAttributeIndex(const storage::Relation& rel,
+                    storage::AttributeId attribute,
+                    const text::MatchPolicy& policy)
+      : vocab(policy, 1), index(Build(rel, attribute, &vocab)) {}
+
+  /// \brief The vocabulary path's candidate rows: resolve, then read the
+  /// index (warm calls reuse `resolved`).
+  std::vector<storage::RowId> Candidates(
+      std::string_view sample, text::ProbeStats* stats = nullptr) const {
+    vocab.Resolve(sample, &resolved, stats);
+    return vocab.CandidateRows(index, resolved, stats);
+  }
+  /// \brief The scan reference's candidate rows.
+  std::vector<storage::RowId> Scan(std::string_view sample) const {
+    return index.ScanCandidateRows(vocab, sample);
+  }
+
+  text::Vocabulary vocab;
+  text::InvertedIndex index;
+  mutable text::ResolvedSample resolved;
+
+ private:
+  static text::InvertedIndex Build(const storage::Relation& rel,
+                                   storage::AttributeId attribute,
+                                   text::Vocabulary* vocab) {
+    const text::InvertedIndex::Column column{&rel, attribute};
+    return std::move(text::InvertedIndex::Build({&column, 1}, vocab).front());
+  }
+};
 
 }  // namespace mweaver::testing
 

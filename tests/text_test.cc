@@ -22,6 +22,7 @@ namespace {
 
 using ::mweaver::testing::MakeFigure2Db;
 using ::mweaver::testing::MakeRandomTextRelation;
+using ::mweaver::testing::OneAttributeIndex;
 using ::mweaver::testing::S;
 using ::mweaver::testing::StrAttr;
 
@@ -218,11 +219,9 @@ TEST(InvertedIndexTest, CandidatesAreSupersetOfMatches) {
                            "harbor",   "zzz",   "...",    "Ed"};
   for (MatchPolicy p : {MatchPolicy::Exact(), MatchPolicy::Substring(),
                         MatchPolicy::TokenSubset(), MatchPolicy::Fuzzy(1)}) {
-    const InvertedIndex index(rel, 0, p);
-    const Vocabulary vocab(index);
+    const OneAttributeIndex index(rel, 0, p);
     for (const char* sample : samples) {
-      const std::vector<storage::RowId> candidates =
-          vocab.CandidateRows(index, 0, sample);
+      const std::vector<storage::RowId> candidates = index.Candidates(sample);
       for (size_t r = 0; r < rel.num_rows(); ++r) {
         const storage::Value& v = rel.at(static_cast<storage::RowId>(r), 0);
         if (v.is_null()) continue;
@@ -241,18 +240,21 @@ TEST(InvertedIndexTest, SubstringMidTokenSampleIsFound) {
   // "d Woo" is a substring of "Ed Wood" that crosses a token boundary with
   // partial tokens on both sides — the classic hard case for token indexes.
   const storage::Relation rel = MakeTitleRelation();
-  const InvertedIndex index(rel, 0, MatchPolicy::Substring());
-  const auto candidates = Vocabulary(index).CandidateRows(index, 0, "d Woo");
+  const auto candidates =
+      OneAttributeIndex(rel, 0, MatchPolicy::Substring()).Candidates("d Woo");
   EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(),
                                  storage::RowId{2}));
 }
 
 TEST(InvertedIndexTest, CountsTokensAndRows) {
   const storage::Relation rel = MakeTitleRelation();
-  const InvertedIndex index(rel, 0, MatchPolicy::Substring());
-  EXPECT_EQ(index.num_indexed_rows(), 5u);  // null row skipped
-  EXPECT_GT(index.num_tokens(), 4u);
-  EXPECT_GT(index.index_bytes(), 0u);
+  const OneAttributeIndex one(rel, 0, MatchPolicy::Substring());
+  EXPECT_EQ(one.index.num_indexed_rows(), 5u);  // null row skipped
+  // avatar, the, ed, wood, story, harbor, nights: every token once, in the
+  // index and in its vocabulary.
+  EXPECT_EQ(one.index.num_tokens(), 7u);
+  EXPECT_EQ(one.vocab.num_tokens(), 7u);
+  EXPECT_GT(one.index.index_bytes(), 0u);
 }
 
 // Random-relation builder shared with property_test (tests/test_util.h).
@@ -260,19 +262,19 @@ storage::Relation MakeRandomRelation(uint64_t seed, size_t num_rows) {
   return MakeRandomTextRelation(seed, num_rows);
 }
 
-// An index holds only its dictionary and postings, whatever the policy;
-// the vocabulary holds the one candidate table the policy probes: none for
+// An index holds only token ids and postings, whatever the policy; the
+// vocabulary holds the one candidate table the policy probes: none for
 // the verbatim-token policies (and for fuzzy at d = 0 or beyond the
 // deletion table's bound), the gram table for substring, the larger
 // deletion table for fuzzy 1 <= d <= kMaxEdit.
 TEST(VocabularyTest, BytesFollowPolicy) {
   const storage::Relation rel = MakeRandomRelation(42, 300);
   const size_t index_bytes =
-      InvertedIndex(rel, 0, MatchPolicy::Exact()).index_bytes();
+      OneAttributeIndex(rel, 0, MatchPolicy::Exact()).index.index_bytes();
   const auto bytes = [&](const MatchPolicy& policy) {
-    const InvertedIndex index(rel, 0, policy);
-    EXPECT_EQ(index.index_bytes(), index_bytes);
-    return Vocabulary(index).bytes();
+    const OneAttributeIndex one(rel, 0, policy);
+    EXPECT_EQ(one.index.index_bytes(), index_bytes);
+    return one.vocab.bytes();
   };
   const size_t exact = bytes(MatchPolicy::Exact());
   EXPECT_LT(exact, bytes(MatchPolicy::Substring()));
@@ -285,9 +287,10 @@ TEST(VocabularyTest, BytesFollowPolicy) {
   }
 }
 
-// Several indexes merge into one vocabulary: each distinct token once,
-// filed under every slot whose dictionary holds it.
-TEST(VocabularyTest, MergesDictionariesAndFilesSlots) {
+// Several columns build into one vocabulary: each distinct token once,
+// numbered slot by slot in order of first appearance, and filed under
+// every slot whose column holds it.
+TEST(VocabularyTest, BuildFilesEachTokenOnceUnderItsSlots) {
   storage::Relation titles(
       storage::RelationSchema("movie", {StrAttr("title")}));
   titles.AppendUnchecked({S("Ed Wood")});
@@ -296,17 +299,25 @@ TEST(VocabularyTest, MergesDictionariesAndFilesSlots) {
       storage::RelationSchema("person", {StrAttr("name")}));
   names.AppendUnchecked({S("Tim Burton")});
   names.AppendUnchecked({S("Ed Harris")});
-  const InvertedIndex a(titles, 0, MatchPolicy::Substring());
-  const InvertedIndex b(names, 0, MatchPolicy::Substring());
+  const InvertedIndex::Column columns[] = {{&titles, 0}, {&names, 0}};
   Vocabulary vocab(MatchPolicy::Substring(), 2);
-  vocab.AddIndex(a, 0);
-  vocab.AddIndex(b, 1);
+  const std::vector<InvertedIndex> indexes =
+      InvertedIndex::Build(columns, &vocab);
   EXPECT_EQ(vocab.num_tokens(), 7u);  // "ed" is shared
-  EXPECT_TRUE(vocab.Holds("ed", 0));
-  EXPECT_TRUE(vocab.Holds("ed", 1));
-  EXPECT_TRUE(vocab.Holds("fish", 0));
-  EXPECT_FALSE(vocab.Holds("fish", 1));
-  EXPECT_FALSE(vocab.Holds("zzz", 0));
+  EXPECT_EQ(indexes[0].num_tokens(), 4u);
+  EXPECT_EQ(indexes[1].num_tokens(), 4u);
+  // Titles first ("ed wood", "big fish"), then the names' new tokens
+  // ("burton tim", "harris"): each row's tokens sorted.
+  const char* const order[] = {"ed", "wood", "big", "fish",
+                               "burton", "tim", "harris"};
+  for (uint32_t id = 0; id < std::size(order); ++id) {
+    EXPECT_EQ(vocab.token(id), order[id]);
+  }
+  EXPECT_EQ(vocab.Find("ed", 0), 0u);
+  EXPECT_EQ(vocab.Find("ed", 1), 0u);
+  EXPECT_EQ(vocab.Find("fish", 0), 3u);
+  EXPECT_FALSE(vocab.Find("fish", 1).has_value());
+  EXPECT_FALSE(vocab.Find("zzz", 0).has_value());
 
   const auto slots_of = [&](std::string_view sample) {
     ResolvedSample resolved;
@@ -323,9 +334,10 @@ TEST(VocabularyTest, MergesDictionariesAndFilesSlots) {
   EXPECT_EQ(slots_of("zzz"), 0u);
   EXPECT_EQ(slots_of("..."), 0b11u);       // punctuation: every slot
 
-  // A pair filed later (a delta's new token) joins the slot list in order.
-  vocab.Add("fish", 1);
-  EXPECT_TRUE(vocab.Holds("fish", 1));
+  // A pair filed later (a delta's new token) keeps the token's id and
+  // joins the slot list in order.
+  EXPECT_EQ(vocab.Add("fish", 1), 3u);
+  EXPECT_EQ(vocab.Find("fish", 1), 3u);
   EXPECT_EQ(vocab.num_tokens(), 7u);
   EXPECT_EQ(slots_of("fish"), 0b11u);
 }
@@ -345,14 +357,11 @@ TEST(VocabularyTest, SharedVocabularyEqualsEachIndexScan) {
         MatchPolicy::Substring(), MatchPolicy::TokenSubset(),
         MatchPolicy::Fuzzy(0), MatchPolicy::Fuzzy(1), MatchPolicy::Fuzzy(2),
         MatchPolicy::Fuzzy(3)}) {
-    std::vector<InvertedIndex> indexes;
-    Vocabulary vocab(policy, std::size(rels));
-    for (const storage::Relation& rel : rels) {
-      indexes.emplace_back(rel, 0, policy);
-    }
-    for (size_t i = 0; i < indexes.size(); ++i) {
-      vocab.AddIndex(indexes[i], static_cast<uint32_t>(i));
-    }
+    std::vector<InvertedIndex::Column> columns;
+    for (const storage::Relation& rel : rels) columns.push_back({&rel, 0});
+    Vocabulary vocab(policy, columns.size());
+    const std::vector<InvertedIndex> indexes =
+        InvertedIndex::Build(columns, &vocab);
     for (const char* sample : samples) {
       ResolvedSample resolved;
       vocab.Resolve(sample, &resolved, nullptr);
@@ -363,10 +372,8 @@ TEST(VocabularyTest, SharedVocabularyEqualsEachIndexScan) {
                                static_cast<int>(policy.mode),
                                policy.max_edit_distance, i, sample));
         const std::vector<storage::RowId> scan =
-            indexes[i].ScanCandidateRows(sample);
-        EXPECT_EQ(vocab.CandidateRows(indexes[i], static_cast<uint32_t>(i),
-                                      resolved, nullptr),
-                  scan);
+            indexes[i].ScanCandidateRows(vocab, sample);
+        EXPECT_EQ(vocab.CandidateRows(indexes[i], resolved, nullptr), scan);
         // The slot filter only ever skips slots with no candidate.
         if ((slots[0] >> i & 1) == 0) {
           EXPECT_TRUE(scan.empty());
@@ -394,17 +401,14 @@ TEST(InvertedIndexTest, AcceleratedEqualsScanReferenceAllModes) {
       "crimson-potter", "wod",          "2009",    "weaver mapping sample",
   };
   for (const MatchPolicy& policy : policies) {
-    const InvertedIndex index(rel, 0, policy);
-    const Vocabulary vocab(index);
+    const OneAttributeIndex index(rel, 0, policy);
     for (const char* sample : samples) {
       SCOPED_TRACE(StrFormat("mode=%d d=%zu sample='%s'",
                              static_cast<int>(policy.mode),
                              policy.max_edit_distance, sample));
       ProbeStats stats;
-      const std::vector<storage::RowId> fast =
-          vocab.CandidateRows(index, 0, sample, &stats);
-      const std::vector<storage::RowId> reference =
-          index.ScanCandidateRows(sample);
+      const std::vector<storage::RowId> fast = index.Candidates(sample, &stats);
+      const std::vector<storage::RowId> reference = index.Scan(sample);
       EXPECT_EQ(fast, reference);
       // Sorted and duplicate-free.
       EXPECT_TRUE(std::is_sorted(fast.begin(), fast.end()));
@@ -428,16 +432,12 @@ TEST(InvertedIndexTest, RandomizedEquivalenceSweep) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     const storage::Relation rel = MakeRandomRelation(seed, 150);
     // One index per policy the sweep draws: substring and fuzzy d = 0..2.
-    const InvertedIndex substring(rel, 0, MatchPolicy::Substring());
-    const InvertedIndex fuzzy[] = {
-        InvertedIndex(rel, 0, MatchPolicy::Fuzzy(0)),
-        InvertedIndex(rel, 0, MatchPolicy::Fuzzy(1)),
-        InvertedIndex(rel, 0, MatchPolicy::Fuzzy(2)),
+    const OneAttributeIndex substring(rel, 0, MatchPolicy::Substring());
+    const OneAttributeIndex fuzzy[] = {
+        OneAttributeIndex(rel, 0, MatchPolicy::Fuzzy(0)),
+        OneAttributeIndex(rel, 0, MatchPolicy::Fuzzy(1)),
+        OneAttributeIndex(rel, 0, MatchPolicy::Fuzzy(2)),
     };
-    const Vocabulary substring_vocab(substring);
-    const Vocabulary fuzzy_vocab[] = {Vocabulary(fuzzy[0]),
-                                      Vocabulary(fuzzy[1]),
-                                      Vocabulary(fuzzy[2])};
     Rng rng(seed * 977 + 5);
     for (int round = 0; round < 60; ++round) {
       // Sample a (possibly typo'd) fragment of a real value, so probes hit.
@@ -455,40 +455,36 @@ TEST(InvertedIndexTest, RandomizedEquivalenceSweep) {
         sample = rng.Bernoulli(0.5) ? "zzz" : "..";
       }
       const size_t pick = rng.Bernoulli(0.5) ? 3 : rng.Index(3);
-      const InvertedIndex& index = pick == 3 ? substring : fuzzy[pick];
-      const Vocabulary& vocab = pick == 3 ? substring_vocab : fuzzy_vocab[pick];
+      const OneAttributeIndex& index = pick == 3 ? substring : fuzzy[pick];
       SCOPED_TRACE(StrFormat("seed=%llu mode=%d d=%zu sample='%s'",
                              static_cast<unsigned long long>(seed),
-                             static_cast<int>(index.policy().mode),
-                             index.policy().max_edit_distance,
+                             static_cast<int>(index.vocab.policy().mode),
+                             index.vocab.policy().max_edit_distance,
                              sample.c_str()));
-      EXPECT_EQ(vocab.CandidateRows(index, 0, sample),
-                index.ScanCandidateRows(sample));
+      EXPECT_EQ(index.Candidates(sample), index.Scan(sample));
     }
   }
 }
 
 TEST(InvertedIndexTest, ProbeStatsCounters) {
   const storage::Relation rel = MakeTitleRelation();
-  const InvertedIndex index(rel, 0, MatchPolicy::Substring());
-  const Vocabulary vocab(index);
+  const OneAttributeIndex index(rel, 0, MatchPolicy::Substring());
 
   ProbeStats stats;
-  vocab.CandidateRows(index, 0, "wood", &stats);
+  index.Candidates("wood", &stats);
   EXPECT_GT(stats.candidates_examined, 0u);
   EXPECT_EQ(stats.scan_fallbacks, 0u);
   EXPECT_EQ(stats.all_rows_fallbacks, 0u);
 
   // Punctuation-only sample: all-rows fallback, flagged for the memo guard.
   stats = {};
-  const auto all = vocab.CandidateRows(index, 0, "...", &stats);
+  const auto all = index.Candidates("...", &stats);
   EXPECT_EQ(stats.all_rows_fallbacks, 1u);
-  EXPECT_EQ(all.size(), index.num_indexed_rows());
+  EXPECT_EQ(all.size(), index.index.num_indexed_rows());
 
   // Edit bound beyond the deletion index: counted vocabulary-scan fallback.
   stats = {};
-  const InvertedIndex beyond(rel, 0, MatchPolicy::Fuzzy(3));
-  Vocabulary(beyond).CandidateRows(beyond, 0, "wod", &stats);
+  OneAttributeIndex(rel, 0, MatchPolicy::Fuzzy(3)).Candidates("wod", &stats);
   EXPECT_EQ(stats.scan_fallbacks, 1u);
 }
 
