@@ -77,8 +77,7 @@ Status CheckInsertedPrimaryKeys(
 
 }  // namespace
 
-TenantWriter::TenantWriter(Catalog* catalog, TenantWriterOptions options)
-    : catalog_(catalog), options_(options) {
+TenantWriter::TenantWriter(Catalog* catalog) : catalog_(catalog) {
   MW_CHECK(catalog_ != nullptr) << "a tenant writer needs a catalog";
 }
 
@@ -174,18 +173,9 @@ Result<UpdateResult> TenantWriter::Apply(std::string_view tenant,
     engine->ApplyRowDelete(delete_rels[i], batch.deletes[i].row);
   }
 
-  // Delta compaction: relations that accumulated enough removals get their
-  // indexes compacted while we still own the clones. Chaos site
-  // "text.index.delta_compact" models the compaction failing (allocation
-  // pressure): the whole side build is discarded.
-  for (const storage::RelationId rel : touched) {
-    if (engine->MaxRemovedRows(rel) < options_.compact_removed_rows_threshold) {
-      continue;
-    }
-    MW_FAILPOINT_RETURN_NOT_OK("text.index.delta_compact");
-    engine->CompactRelationIndexes(rel);
-    ++result.relations_compacted;
-  }
+  // Chaos site: the side build failing once its clones exist (allocation
+  // pressure): everything built so far is discarded.
+  MW_FAILPOINT_RETURN_NOT_OK("catalog.tenant.delta_build");
 
   // FK endpoints and edge shapes are schema-level, but the graph holds a
   // database back-pointer, so the delta gets its own instance.

@@ -5,7 +5,9 @@
 //   Pin base ──> CloneCow(touched relations)         (db: O(touched rows))
 //            ──> CloneForDelta(touched relations)    (engine: shares the
 //                + ApplyRowInsert / ApplyRowDelete    untouched indexes and
-//                                                     the probe memo)
+//                                                     the probe memo; a
+//                                                     delete drops the
+//                                                     tokens it empties)
 //            ──> delta Snapshot at (epoch, minor+1)
 //            ──> Catalog::InstallDelta  (CAS against the pinned base)
 //
@@ -61,19 +63,9 @@ struct UpdateResult {
   std::vector<storage::RowId> inserted_rows;
   size_t rows_inserted = 0;
   size_t rows_deleted = 0;
-  /// Relations whose indexes the delta-compaction policy compacted.
-  size_t relations_compacted = 0;
   /// Perfbench only; ROADMAP item 11 deletes. Always 1: the tenant's one
   /// index set.
   size_t shards_touched = 1;
-};
-
-struct TenantWriterOptions {
-  /// A touched relation whose largest per-index removed-row count reaches
-  /// this threshold gets its indexes compacted during the batch, dropping
-  /// the tokens whose postings removals emptied out. 0 compacts every
-  /// touched relation on every batch.
-  size_t compact_removed_rows_threshold = 1024;
 };
 
 /// \brief Applies update batches to live tenants. Stateless between calls;
@@ -81,12 +73,13 @@ struct TenantWriterOptions {
 /// to one tenant serialize on the catalog's per-tenant writer lock).
 ///
 /// Failpoints: "catalog.tenant.apply_update" injects a failure before the
-/// delta build starts; "text.index.delta_compact" injects one at the
-/// delta-compaction step. Either way the side build is discarded whole and
-/// the tenant keeps serving its current snapshot.
+/// delta build starts; "catalog.tenant.delta_build" injects one after the
+/// clones are built, between the index replay and the install. Either way
+/// the side build is discarded whole and the tenant keeps serving its
+/// current snapshot.
 class TenantWriter {
  public:
-  explicit TenantWriter(Catalog* catalog, TenantWriterOptions options = {});
+  explicit TenantWriter(Catalog* catalog);
 
   TenantWriter(const TenantWriter&) = delete;
   TenantWriter& operator=(const TenantWriter&) = delete;
@@ -110,11 +103,8 @@ class TenantWriter {
   /// snapshot mid-build; callers may re-Pin and retry on the new epoch.
   Result<UpdateResult> Apply(std::string_view tenant, const UpdateBatch& batch);
 
-  const TenantWriterOptions& options() const { return options_; }
-
  private:
   Catalog* const catalog_;
-  const TenantWriterOptions options_;
 };
 
 }  // namespace mweaver::catalog

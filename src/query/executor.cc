@@ -376,8 +376,7 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
 
   Enumerate(engine_->db(), mapping, ctx, &*plan, [&] {
     emit();
-    return options.stop_at_first ||
-           (options.max_results > 0 && results.size() >= options.max_results);
+    return options.max_results > 0 && results.size() >= options.max_results;
   });
   return results;
 }

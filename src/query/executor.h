@@ -60,8 +60,6 @@ const LocatedRows* FindLocated(std::span<const LocatedRows> located,
 struct ExecOptions {
   /// Stop after this many tuple paths (0 = unlimited).
   size_t max_results = 0;
-  /// Stop as soon as one result is found (emptiness / validity checks).
-  bool stop_at_first = false;
 };
 
 /// \brief Evaluates mapping paths over a full-text-indexed database.

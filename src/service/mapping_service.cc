@@ -11,6 +11,31 @@
 
 namespace mweaver::service {
 
+namespace {
+
+// Runs `submit` with a completion that fulfils a promise, then waits on it.
+// A rejected admission never completes: it is reported as kOverloaded
+// (ResourceExhausted) or kFailed (shutting down).
+template <typename Submit>
+RequestResult SubmitAndWait(Submit submit) {
+  std::promise<RequestResult> promise;
+  std::future<RequestResult> future = promise.get_future();
+  Status admitted = submit([&](RequestResult result) {
+    promise.set_value(std::move(result));
+  });
+  if (!admitted.ok()) {
+    RequestResult rejected;
+    rejected.status = std::move(admitted);
+    rejected.outcome = rejected.status.IsResourceExhausted()
+                           ? RequestOutcome::kOverloaded
+                           : RequestOutcome::kFailed;
+    return rejected;
+  }
+  return future.get();
+}
+
+}  // namespace
+
 MappingService::MappingService(catalog::Catalog* catalog,
                                ServiceOptions options)
     : catalog_(catalog),
@@ -153,21 +178,9 @@ Status MappingService::EnqueueUpdate(UpdateRequest request,
 }
 
 RequestResult MappingService::ApplyUpdate(UpdateRequest request) {
-  std::promise<RequestResult> promise;
-  std::future<RequestResult> future = promise.get_future();
-  Status admitted =
-      EnqueueUpdate(std::move(request), [&](RequestResult result) {
-        promise.set_value(std::move(result));
-      });
-  if (!admitted.ok()) {
-    RequestResult rejected;
-    rejected.status = std::move(admitted);
-    rejected.outcome = rejected.status.IsResourceExhausted()
-                           ? RequestOutcome::kOverloaded
-                           : RequestOutcome::kFailed;
-    return rejected;
-  }
-  return future.get();
+  return SubmitAndWait([&](std::function<void(RequestResult)> done) {
+    return EnqueueUpdate(std::move(request), std::move(done));
+  });
 }
 
 Status MappingService::Admit(QueuedRequest queued) {
@@ -214,20 +227,9 @@ Status MappingService::Admit(QueuedRequest queued) {
 }
 
 RequestResult MappingService::Call(InputRequest request) {
-  std::promise<RequestResult> promise;
-  std::future<RequestResult> future = promise.get_future();
-  Status admitted = Enqueue(std::move(request), [&](RequestResult result) {
-    promise.set_value(std::move(result));
+  return SubmitAndWait([&](std::function<void(RequestResult)> done) {
+    return Enqueue(std::move(request), std::move(done));
   });
-  if (!admitted.ok()) {
-    RequestResult rejected;
-    rejected.status = std::move(admitted);
-    rejected.outcome = rejected.status.IsResourceExhausted()
-                           ? RequestOutcome::kOverloaded
-                           : RequestOutcome::kFailed;
-    return rejected;
-  }
-  return future.get();
 }
 
 size_t MappingService::EvictIdleTenants() {

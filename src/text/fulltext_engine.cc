@@ -104,11 +104,6 @@ std::unique_ptr<FullTextEngine> FullTextEngine::CloneForDelta(
   return delta;
 }
 
-void FullTextEngine::CheckDelta() const {
-  MW_CHECK(delta_) << "row operations need an engine CloneForDelta made; "
-                      "this one may be serving";
-}
-
 void FullTextEngine::ApplyRowInsert(storage::RelationId relation,
                                     storage::RowId row) {
   ApplyRow(relation, row, /*insert=*/true);
@@ -121,7 +116,8 @@ void FullTextEngine::ApplyRowDelete(storage::RelationId relation,
 
 void FullTextEngine::ApplyRow(storage::RelationId relation,
                               storage::RowId row, bool insert) {
-  CheckDelta();
+  MW_CHECK(delta_) << "row operations need an engine CloneForDelta made; "
+                      "this one may be serving";
   const storage::Relation& rel = db_->relation(relation);
   std::vector<std::string> tokens;
   std::vector<InvertedIndex::TokenId> ids;
@@ -151,22 +147,6 @@ void FullTextEngine::ApplyRow(storage::RelationId relation,
     } else {
       indexes_[i]->RemoveRow(row, ids);
     }
-  }
-}
-
-size_t FullTextEngine::MaxRemovedRows(storage::RelationId relation) const {
-  size_t max_removed = 0;
-  for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-    if (indexed_attrs_[i].relation != relation) continue;
-    max_removed = std::max(max_removed, indexes_[i]->num_removed_rows());
-  }
-  return max_removed;
-}
-
-void FullTextEngine::CompactRelationIndexes(storage::RelationId relation) {
-  CheckDelta();
-  for (size_t i = 0; i < indexed_attrs_.size(); ++i) {
-    if (indexed_attrs_[i].relation == relation) indexes_[i]->Compact();
   }
 }
 

@@ -14,7 +14,9 @@
 // The engine keeps exactly one InvertedIndex per indexed attribute, the
 // paper's one full-text index per source attribute (Appendix A.1). A
 // streaming update (CloneForDelta) copies only the indexes of the
-// relations it touches and shares every other one with its base.
+// relations it touches and shares every other one with its base; its row
+// inserts and deletes leave each touched index holding exactly what a
+// fresh build over the live rows would.
 #ifndef MWEAVER_TEXT_FULLTEXT_ENGINE_H_
 #define MWEAVER_TEXT_FULLTEXT_ENGINE_H_
 
@@ -102,15 +104,6 @@ class FullTextEngine {
   /// be physically readable (tombstoned, not erased).
   void ApplyRowDelete(storage::RelationId relation, storage::RowId row);
 
-  /// \brief Largest per-index removed-row count among `relation`'s
-  /// indexes: the delta-compaction policy input.
-  size_t MaxRemovedRows(storage::RelationId relation) const;
-
-  /// \brief Compacts every index of `relation` to what a fresh build over
-  /// its live rows holds, reclaiming the token garbage left by removals.
-  /// Same ownership restrictions as ApplyRowInsert.
-  void CompactRelationIndexes(storage::RelationId relation);
-
   /// \brief Update version of one relation: 0 at Publish, bumped to the
   /// snapshot's minor epoch whenever a streaming update touches the
   /// relation. Part of the probe-memo key.
@@ -121,6 +114,8 @@ class FullTextEngine {
 
   const storage::Database& db() const { return *db_; }
   const MatchPolicy& policy() const { return policy_; }
+  /// \brief The vocabulary every index of this engine is filed into.
+  const Vocabulary& vocabulary() const { return *vocab_; }
 
   /// \brief All attributes containing `sample`, with their verified matching
   /// rows — one call per sample implements Algorithm 1's location map entry.
@@ -180,11 +175,9 @@ class FullTextEngine {
   // For CloneForDelta, which fills every member itself.
   FullTextEngine() = default;
 
-  // Aborts unless this engine is a CloneForDelta copy: the only kind whose
-  // touched indexes are its own to mutate.
-  void CheckDelta() const;
-
-  // ApplyRowInsert (`insert`) or ApplyRowDelete.
+  // ApplyRowInsert (`insert`) or ApplyRowDelete. Aborts unless this engine
+  // is a CloneForDelta copy: the only kind whose touched indexes are its
+  // own to mutate.
   void ApplyRow(storage::RelationId relation, storage::RowId row,
                 bool insert);
   // One memoized probe of `attr` (searchable slot `slot`, or -1): the memo
@@ -227,7 +220,7 @@ class FullTextEngine {
   std::shared_ptr<Vocabulary> vocab_;
   bool vocab_owned_ = false;
   // True only for a CloneForDelta copy: the one kind of engine ApplyRow*
-  // and CompactRelationIndexes may mutate.
+  // may mutate.
   bool delta_ = false;
   // Byte-bounded memo of verified results (thread-safe: concurrent service
   // workers search one shared engine). Shared across one publish

@@ -33,7 +33,7 @@ std::vector<InvertedIndex> InvertedIndex::Build(
       const auto row = static_cast<storage::RowId>(r);
       const storage::ValueView v = rel.at(row, columns[i].attribute);
       if (rel.is_deleted(row) || v.is_null()) continue;
-      index.all_rows_.push_back(row);
+      index.all_rows_.push_back(static_cast<uint32_t>(row));
       DistinctTokensInto(v.AsString(), &cell);
       for (const std::string& token : cell) {
         auto it = local.find(token);
@@ -66,50 +66,44 @@ std::vector<InvertedIndex> InvertedIndex::Build(
   return indexes;
 }
 
-PostingList& InvertedIndex::PostingsFor(TokenId id) {
-  const auto at = std::lower_bound(ids_.begin(), ids_.end(), id);
-  const auto k = at - ids_.begin();
-  if (at == ids_.end() || *at != id) {
-    ids_.insert(at, id);
-    postings_.emplace(postings_.begin() + k);
-  }
-  return postings_[static_cast<size_t>(k)];
-}
-
 void InvertedIndex::AddRow(storage::RowId row, std::span<const TokenId> ids) {
-  MW_DCHECK(all_rows_.empty() || all_rows_.back() < row)
+  const auto posted = static_cast<uint32_t>(row);
+  MW_DCHECK(all_rows_.empty() || all_rows_.back() < posted)
       << "incremental rows must arrive in increasing id order";
-  all_rows_.push_back(row);
+  all_rows_.push_back(posted);
   for (const TokenId id : ids) {
-    PostingsFor(id).push_back(static_cast<uint32_t>(row));
+    const auto at = std::lower_bound(ids_.begin(), ids_.end(), id);
+    const auto k = at - ids_.begin();
+    if (at == ids_.end() || *at != id) {
+      ids_.insert(at, id);
+      postings_.emplace(postings_.begin() + k);
+    }
+    postings_[static_cast<size_t>(k)].push_back(posted);
   }
 }
 
 void InvertedIndex::RemoveRow(storage::RowId row,
                               std::span<const TokenId> ids) {
-  auto it = std::lower_bound(all_rows_.begin(), all_rows_.end(), row);
-  MW_DCHECK(it != all_rows_.end() && *it == row)
+  const auto posted = static_cast<uint32_t>(row);
+  auto it = std::lower_bound(all_rows_.begin(), all_rows_.end(), posted);
+  MW_DCHECK(it != all_rows_.end() && *it == posted)
       << "removing a row the index never saw";
   all_rows_.erase(it);
-  ++num_removed_rows_;
-  const auto posted = static_cast<uint32_t>(row);
   for (const TokenId id : ids) {
-    PostingList& list = PostingsFor(id);
+    const auto at = std::lower_bound(ids_.begin(), ids_.end(), id);
+    if (at == ids_.end() || *at != id) {
+      MW_DCHECK(false) << "a live row's token is missing from its index";
+      continue;
+    }
+    const auto k = at - ids_.begin();
+    PostingList& list = postings_[static_cast<size_t>(k)];
     auto pos = std::lower_bound(list.begin(), list.end(), posted);
     if (pos != list.end() && *pos == posted) list.erase(pos);
+    if (list.empty()) {
+      ids_.erase(at);
+      postings_.erase(postings_.begin() + k);
+    }
   }
-}
-
-void InvertedIndex::Compact() {
-  size_t kept = 0;
-  for (size_t k = 0; k < ids_.size(); ++k) {
-    if (postings_[k].empty()) continue;
-    ids_[kept] = ids_[k];
-    postings_[kept++].swap(postings_[k]);
-  }
-  ids_.resize(kept);
-  postings_.resize(kept);
-  num_removed_rows_ = 0;
 }
 
 void InvertedIndex::AppendPostings(std::span<const TokenId> ids,
@@ -127,7 +121,7 @@ std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
     const Vocabulary& vocab, std::string_view sample) const {
   const MatchPolicy& policy = vocab.policy();
   const std::vector<std::string> sample_tokens = Tokenize(sample);
-  if (sample_tokens.empty()) return all_rows_;
+  if (sample_tokens.empty()) return {all_rows_.begin(), all_rows_.end()};
   // Whether this index's token `token` can match sample token `t`. If the
   // sample is a substring of the value, each maximal alphanumeric run of
   // the sample is contained inside some token of the value (the first/last
@@ -165,7 +159,7 @@ std::vector<storage::RowId> InvertedIndex::ScanCandidateRows(
 }
 
 size_t InvertedIndex::index_bytes() const {
-  size_t bytes = all_rows_.capacity() * sizeof(storage::RowId) +
+  size_t bytes = all_rows_.capacity() * sizeof(uint32_t) +
                  ids_.capacity() * sizeof(TokenId);
   for (const PostingList& list : postings_) {
     bytes += list.capacity() * sizeof(uint32_t) + sizeof(PostingList);

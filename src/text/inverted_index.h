@@ -8,6 +8,8 @@
 // n-gram and deletion-neighborhood candidate tables), is the job of the
 // text::Vocabulary every index of one engine is filed into. Build() makes
 // every index, the engine's, the tests' and the lookup bench's alike.
+// AddRow and RemoveRow keep an index equal to what Build() would make over
+// its live rows: a token is held exactly while some live row holds it.
 //
 // ScanCandidateRows preserves the original O(|dict|)-per-token linear scan
 // as the reference implementation: property tests assert the vocabulary
@@ -57,20 +59,10 @@ class InvertedIndex {
   void AddRow(storage::RowId row, std::span<const TokenId> ids);
 
   /// \brief Removes a tombstoned row, whose value holds the distinct tokens
-  /// `ids`, from every posting list it appears in. Tokens whose postings
-  /// empty out are retained (they resolve to empty row sets, which is
-  /// indistinguishable from a missing token to every probe); Compact()
-  /// drops them.
+  /// `ids`, from every posting list it appears in, and drops each token
+  /// whose postings empty out: the index then holds exactly what a fresh
+  /// build over its live rows would.
   void RemoveRow(storage::RowId row, std::span<const TokenId> ids);
-
-  /// \brief Rows removed since construction (or the last Compact): the
-  /// delta-compaction policy input — each removal leaves token garbage
-  /// that only a compaction reclaims.
-  size_t num_removed_rows() const { return num_removed_rows_; }
-
-  /// \brief Drops the tokens whose postings emptied out, leaving exactly
-  /// the index a fresh build over the live rows would have.
-  void Compact();
 
   /// \brief Sorted, duplicate-free row ids whose value could noisily contain
   /// `sample` under the policy of `vocab`, the vocabulary this index was
@@ -86,7 +78,7 @@ class InvertedIndex {
                       std::vector<const PostingList*>* out) const;
   /// \brief Every indexed row, sorted: a punctuation-only sample's
   /// candidates.
-  const std::vector<storage::RowId>& all_rows() const { return all_rows_; }
+  const PostingList& all_rows() const { return all_rows_; }
 
   size_t num_tokens() const { return ids_.size(); }
   size_t num_indexed_rows() const { return all_rows_.size(); }
@@ -95,16 +87,13 @@ class InvertedIndex {
   size_t index_bytes() const;
 
  private:
-  PostingList& PostingsFor(TokenId id);  // added empty when missing
-
   // Sorted token ids; postings_[k] holds the rows of token ids_[k], sorted
   // by construction (rows arrive in increasing order).
   std::vector<TokenId> ids_;
   std::vector<PostingList> postings_;
   // Every indexed row, punctuation-only values included: a token-less
   // sample's conservative candidate set.
-  std::vector<storage::RowId> all_rows_;
-  size_t num_removed_rows_ = 0;
+  PostingList all_rows_;
 };
 
 }  // namespace mweaver::text

@@ -178,7 +178,7 @@ std::vector<storage::RowId> Vocabulary::CandidateRows(
     // every indexed row; the caller's verification pass decides (and the
     // probe memo must not cache this all-rows result).
     if (stats != nullptr) ++stats->all_rows_fallbacks;
-    return index.all_rows();
+    return {index.all_rows().begin(), index.all_rows().end()};
   }
   if (resolved.unmatched) return {};
   ProbeScratch& scratch = LocalScratch();

@@ -17,12 +17,12 @@
 //    token is looked up verbatim;
 //  * fuzzy beyond kMaxEdit: no table — a counted scan of the vocabulary.
 //
-// A vocabulary only grows: an index that drops a token (RemoveRow keeps
-// it; Compact drops it) leaves the (token, slot) pair behind, so the
-// vocabulary is always a superset of the indexes filed into it, its slot
-// filter never loses an attribute, and a token a later insert brings back
-// gets its old id. A candidate slot whose index no longer holds the token
-// simply contributes no postings.
+// A vocabulary only grows: an index that drops a token (RemoveRow drops
+// one whose postings empty out) leaves the (token, slot) pair behind, so
+// the vocabulary is always a superset of the indexes filed into it, its
+// slot filter never loses an attribute, and a token a later insert brings
+// back gets its old id. A candidate slot whose index no longer holds the
+// token simply contributes no postings.
 #ifndef MWEAVER_TEXT_VOCABULARY_H_
 #define MWEAVER_TEXT_VOCABULARY_H_
 

@@ -548,7 +548,7 @@ TEST(ChaosTest, PublishFailuresNeverDisturbServingSnapshots) {
 // ------------------------- streaming-update chaos -------------------------
 
 // Update chaos: both streaming failpoints ("catalog.tenant.apply_update"
-// before the delta build, "text.index.delta_compact" inside it) flake
+// before the delta build, "catalog.tenant.delta_build" after it) flake
 // while client threads drive sessions and a writer applies insert/delete
 // batches. Invariants: a failed update surfaces the injected (retryable)
 // status and leaves the tenant serving the very snapshot object it served
@@ -566,23 +566,19 @@ TEST(ChaosTest, UpdateFailuresNeverDisturbServingSnapshots) {
   options.max_queue_depth = 32;
   MappingService service(&catalog, options);
 
-  // Threshold 1 sends every delete batch down the delta-compaction path,
-  // so the "text.index.delta_compact" site actually fires.
-  catalog::TenantWriterOptions writer_options;
-  writer_options.compact_removed_rows_threshold = 1;
-  catalog::TenantWriter writer(&catalog, writer_options);
+  catalog::TenantWriter writer(&catalog);
 
   FailpointPolicy flaky;
   flaky.action = FailAction::kError;  // injects Unavailable
   flaky.probability = 0.5;
   flaky.seed = 4242;
-  FailpointPolicy compact_flaky = flaky;
-  compact_flaky.seed = 2424;
+  FailpointPolicy build_flaky = flaky;
+  build_flaky.seed = 2424;
   size_t updates_ok = 0;
   size_t updates_failed = 0;
   {
     ScopedFailpoint armed_apply("catalog.tenant.apply_update", flaky);
-    ScopedFailpoint armed_compact("text.index.delta_compact", compact_flaky);
+    ScopedFailpoint armed_build("catalog.tenant.delta_build", build_flaky);
 
     std::vector<SessionId> ids;
     for (size_t i = 0; i < kSessions; ++i) {

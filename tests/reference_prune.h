@@ -63,7 +63,7 @@ inline Result<bool> ReferenceSupport(const query::PathExecutor& executor,
                                      const query::SampleMap& samples,
                                      core::ExecutionContext* ctx = nullptr) {
   query::ExecOptions options;
-  options.stop_at_first = true;
+  options.max_results = 1;
   MW_ASSIGN_OR_RETURN(std::vector<core::TuplePath> paths,
                       executor.Execute(mapping, samples, options, ctx));
   return !paths.empty();

@@ -128,26 +128,21 @@ void TypoOneStringCell(storage::Row* row, Rng* rng) {
   cell = testing::S(text);
 }
 
-// Compacts every touched relation's indexes on every batch, so a token a
-// delete emptied out is dropped before the next batch can bring it back.
-constexpr TenantWriterOptions kCompactEveryBatch{
-    .compact_removed_rows_threshold = 0};
-
 // One seeded replay: `steps` random operations against a live tenant
-// whose catalog matches under `policy`, written through a writer with
-// `writer_options`, with a differential check after every step. Returns
+// whose catalog matches under `policy`, with a differential check after
+// every step. A delete drops every token it empties out of its index, and
+// a later insert re-files it under the vocabulary's existing id. Returns
 // the number of update batches applied (so callers can assert the replay
 // actually exercised the streaming path).
 size_t RunReplay(
     uint64_t seed, size_t steps,
-    const text::MatchPolicy& policy = text::MatchPolicy::Substring(),
-    const TenantWriterOptions& writer_options = {}) {
+    const text::MatchPolicy& policy = text::MatchPolicy::Substring()) {
   CatalogOptions options;
   options.match_policy = policy;
   Catalog catalog(options);
   EXPECT_TRUE(
       catalog.Publish(kTenant, testing::MakeUniversityDb(seed)).ok());
-  TenantWriter writer(&catalog, writer_options);
+  TenantWriter writer(&catalog);
   Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
 
   uint64_t expected_epoch = 1;
@@ -257,61 +252,78 @@ TEST(StreamingDifferentialTest, FuzzyReplaysMatchCleanRebuild) {
   EXPECT_GT(total_updates, 30u);
 }
 
-// The replay again with every batch compacting: a compaction drops the
-// tokens a delete emptied out, and a later insert must refill each under
-// the vocabulary's existing id.
-TEST(StreamingDifferentialTest, CompactingReplaysMatchCleanRebuild) {
-  size_t total_updates = 0;
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    total_updates += RunReplay(seed, /*steps=*/10,
-                               text::MatchPolicy::Substring(),
-                               kCompactEveryBatch);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-  EXPECT_GT(total_updates, 30u);
-}
-
 // Deletes that empty out whole posting lists, then inserts that refill
 // them — the resurrection path where a stale index would double-count.
-// Under kCompactEveryBatch the delete's compaction drops "avatar" from the
-// title index first, so the re-insert files it back.
+// The delete drops "avatar" from the title index, so the re-insert files
+// it back. Then one batch inserts a row whose title brings a token new to
+// the tenant and deletes that same row, and a later batch re-inserts it.
 TEST(StreamingDifferentialTest, DeleteThenReinsertMatchesCleanRebuild) {
-  for (const TenantWriterOptions& options :
-       {TenantWriterOptions{}, kCompactEveryBatch}) {
-    const bool compacting = options.compact_removed_rows_threshold == 0;
-    SCOPED_TRACE(compacting ? "compacting writer" : "default writer");
-    Catalog catalog;
-    ASSERT_TRUE(catalog.Publish(kTenant, testing::MakeFigure2Db()).ok());
-    TenantWriter writer(&catalog, options);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Publish(kTenant, testing::MakeFigure2Db()).ok());
+  TenantWriter writer(&catalog);
 
-    const SnapshotPtr base = catalog.Pin(kTenant).ValueOrDie();
-    const storage::RelationId movie = base->db().FindRelation("movie");
-    ASSERT_NE(movie, storage::kInvalidRelation);
-    const storage::Row avatar = base->db().relation(movie).row(0);
+  const SnapshotPtr base = catalog.Pin(kTenant).ValueOrDie();
+  const storage::RelationId movie = base->db().FindRelation("movie");
+  ASSERT_NE(movie, storage::kInvalidRelation);
+  const storage::Row avatar = base->db().relation(movie).row(0);
 
-    // Delete "Avatar"; its postings must stop matching.
-    UpdateBatch del;
-    del.deletes.push_back(RowDelete{"movie", 0});
-    auto deleted = writer.Apply(kTenant, del);
-    ASSERT_TRUE(deleted.ok());
-    EXPECT_EQ(deleted->relations_compacted, compacting ? 1u : 0u);
-    SnapshotPtr live = catalog.Pin(kTenant).ValueOrDie();
-    ExpectMatchesRebuild(*live, {{"Avatar"}, {"Avatar", "James Cameron"}},
-                         "after delete");
+  // Delete "Avatar"; its postings must stop matching.
+  UpdateBatch del;
+  del.deletes.push_back(RowDelete{"movie", 0});
+  ASSERT_TRUE(writer.Apply(kTenant, del).ok());
+  SnapshotPtr live = catalog.Pin(kTenant).ValueOrDie();
+  ExpectMatchesRebuild(*live, {{"Avatar"}, {"Avatar", "James Cameron"}},
+                       "after delete");
 
-    // Re-insert the identical row under a fresh id; matches must resurface
-    // identically to a clean rebuild (fresh row id, not the tombstoned 0).
-    UpdateBatch ins;
-    ins.inserts.push_back(RowInsert{"movie", avatar});
-    auto applied = writer.Apply(kTenant, ins);
-    ASSERT_TRUE(applied.ok());
-    ASSERT_EQ(applied->inserted_rows.size(), 1u);
-    EXPECT_EQ(applied->inserted_rows[0], 3);  // 3 physical rows before it
-    live = catalog.Pin(kTenant).ValueOrDie();
-    EXPECT_TRUE(live->db().relation(movie).is_deleted(0));
-    ExpectMatchesRebuild(*live, {{"Avatar"}, {"Avatar", "James Cameron"}},
-                         "after re-insert");
-  }
+  // Re-insert the identical row under a fresh id; matches must resurface
+  // identically to a clean rebuild (fresh row id, not the tombstoned 0).
+  UpdateBatch ins;
+  ins.inserts.push_back(RowInsert{"movie", avatar});
+  auto applied = writer.Apply(kTenant, ins);
+  ASSERT_TRUE(applied.ok());
+  ASSERT_EQ(applied->inserted_rows.size(), 1u);
+  EXPECT_EQ(applied->inserted_rows[0], 3);  // 3 physical rows before it
+  live = catalog.Pin(kTenant).ValueOrDie();
+  EXPECT_TRUE(live->db().relation(movie).is_deleted(0));
+  ExpectMatchesRebuild(*live, {{"Avatar"}, {"Avatar", "James Cameron"}},
+                       "after re-insert");
+
+  // Insert and delete one row in the same batch. The append takes the
+  // next physical id, and the delete names it: the delta files "zyzzyva"
+  // into the vocabulary and the title index, then drops it from the index.
+  const storage::Row zyzzyva = {testing::I(3), testing::S("Zyzzyva")};
+  const storage::RowId transient =
+      static_cast<storage::RowId>(live->db().relation(movie).num_rows());
+  UpdateBatch flicker;
+  flicker.inserts.push_back(RowInsert{"movie", zyzzyva});
+  flicker.deletes.push_back(RowDelete{"movie", transient});
+  applied = writer.Apply(kTenant, flicker);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(applied->inserted_rows, std::vector<storage::RowId>{transient});
+  live = catalog.Pin(kTenant).ValueOrDie();
+  EXPECT_TRUE(live->db().relation(movie).is_deleted(transient));
+  const int title_slot = live->engine().AttrSlot({movie, 1});
+  ASSERT_GE(title_slot, 0);
+  const std::optional<text::Vocabulary::TokenId> first_id =
+      live->engine().vocabulary().Find("zyzzyva",
+                                       static_cast<uint32_t>(title_slot));
+  ASSERT_TRUE(first_id.has_value());
+  ExpectMatchesRebuild(*live, {{"Zyzzyva"}, {"Avatar"}},
+                       "after insert and delete in one batch");
+
+  // A later re-insert files the token back under its first id.
+  UpdateBatch again;
+  again.inserts.push_back(RowInsert{"movie", zyzzyva});
+  applied = writer.Apply(kTenant, again);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(applied->inserted_rows,
+            std::vector<storage::RowId>{transient + 1});
+  live = catalog.Pin(kTenant).ValueOrDie();
+  EXPECT_EQ(live->engine().vocabulary().Find(
+                "zyzzyva", static_cast<uint32_t>(title_slot)),
+            first_id);
+  ExpectMatchesRebuild(*live, {{"Zyzzyva"}, {"Zyzzyva", "Avatar"}},
+                       "after re-inserting the dropped token");
 }
 
 // A batch that fails mid-validation (unknown relation after valid
@@ -698,9 +710,9 @@ TEST(ProbeCountersTest, ScriptedProbesCountExactly) {
 
 // ------------------------------------------- delta ownership -------------
 
-// ApplyRow* and CompactRelationIndexes mutate indexes in place, so they
-// must only ever reach an engine CloneForDelta made: a built engine is what
-// a publish serves, and its indexes are shared with every reader.
+// ApplyRow* mutates indexes in place, so it must only ever reach an engine
+// CloneForDelta made: a built engine is what a publish serves, and its
+// indexes are shared with every reader.
 TEST(DeltaOwnershipDeathTest, RowOpsOnANonDeltaEngineAbort) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const storage::Database db = testing::MakeFilmDb();
@@ -708,12 +720,22 @@ TEST(DeltaOwnershipDeathTest, RowOpsOnANonDeltaEngineAbort) {
   text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
   EXPECT_DEATH(engine.ApplyRowInsert(film, 0), "CloneForDelta");
   EXPECT_DEATH(engine.ApplyRowDelete(film, 0), "CloneForDelta");
-  EXPECT_DEATH(engine.CompactRelationIndexes(film), "CloneForDelta");
   std::unique_ptr<text::FullTextEngine> delta =
       engine.CloneForDelta(&db, {film}, 1);
-  delta->ApplyRowDelete(film, 0);  // a delta owns its touched indexes
-  EXPECT_EQ(delta->MaxRemovedRows(film), 1u);
-  EXPECT_EQ(engine.MaxRemovedRows(film), 0u);
+  // A delta owns its touched index: the row leaves the delta's postings
+  // and stays in the base's.
+  const text::AttributeRef title{film, 1};
+  const std::string value(db.relation(film).at(0, 1).AsString());
+  const auto holds_row_0 = [&](const text::FullTextEngine& e) {
+    const text::RowSet rows = e.MatchingRows(title, value);
+    return std::binary_search(rows->begin(), rows->end(), 0);
+  };
+  // (The delta shares the base's probe memo, keyed by relation version: it
+  // is first probed after the delete, so its answer is not a stale entry.)
+  ASSERT_TRUE(holds_row_0(engine));
+  delta->ApplyRowDelete(film, 0);
+  EXPECT_FALSE(holds_row_0(*delta));
+  EXPECT_TRUE(holds_row_0(engine));
 }
 
 }  // namespace
